@@ -208,7 +208,7 @@ def cmd_impute(cfg: dict, out_dir: str) -> None:
                  for _ in windows]
         smasks = [_sample_mask_array(m, arch.patch_len, meta["L"]) for m in masks]
         filled = {
-            "model": [impute_model(state, w, m) for w, m in zip(windows, masks)],
+            "model": impute_model(state, windows, masks),
             "linear": [impute_linear(w, sm) for w, sm in zip(windows, smasks)],
             "nearest": [impute_nearest(w, sm) for w, sm in zip(windows, smasks)],
             "chained": impute_chained(windows, smasks, sweeps=cfg["chained.sweeps"]),

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tape as T
 from .masking import CROSS, MaskMatrix, floor_count, sample_mask
-from .model import Binding, ModelState, reconstruct
+from .model import Binding, ModelState, forward_chunks, reconstruct
 from .windows import PatchGrid, SensorWindow, as_generator, patchify
 
 TASKS = ("random", "temporal", "sensor", "extrapolation")
@@ -77,24 +77,29 @@ def _sample_mask_array(mask: MaskMatrix, patch_len: int, n_samples: int) -> np.n
     return out
 
 
-def impute_model(state: ModelState, window: SensorWindow, mask: MaskMatrix) -> SensorWindow:
-    """Reconstruct hidden patches with the pretrained autoencoder; visible
-    samples are passed through bit-identically."""
-    arch = state.arch
-    grid = patchify(window, arch.patch_len)
-    if mask.bits.all():
+def impute_model(state: ModelState, windows, masks) -> list:
+    """Reconstruct each window's hidden patches with the pretrained
+    autoencoder; visible samples are passed through bit-identically. The
+    windows run in forward-only chunks (model.forward_chunks)."""
+    if len(windows) != len(masks):
+        raise ValueError(f"{len(windows)} windows but {len(masks)} masks")
+    if any(m.bits.all() for m in masks):
         raise ValueError("model imputation needs at least one visible patch")
-    tape_ = T.Tape()
-    binding = Binding(state, tape_, trainable=False)
-    recon = reconstruct(binding, grid, mask).data
-    filled = window.values.copy()
-    c_n, p_n = mask.bits.shape
-    lp = arch.patch_len
-    for c in range(c_n):
-        for p in range(p_n):
-            if mask.bits[c, p]:
-                filled[c, p * lp:(p + 1) * lp] = recon[c * p_n + p]
-    return SensorWindow(filled, window.label)
+    arch = state.arch
+    c_n, p_n, lp = arch.n_modalities, arch.n_patches, arch.patch_len
+    binding = Binding(state, T.Tape(), trainable=False)
+    out = []
+    for chunk in forward_chunks(masks):
+        grids = [patchify(w, lp) for w in windows[chunk]]
+        recon = reconstruct(binding, grids, masks[chunk]).data.reshape(-1, c_n, p_n, lp)
+        for window, mask, patches in zip(windows[chunk], masks[chunk], recon):
+            filled = window.values.copy()
+            cells = filled[:, :p_n * lp].reshape(c_n, p_n, lp)
+            hidden = mask.bits.astype(bool)
+            cells[hidden] = patches[hidden]
+            filled[:, :p_n * lp] = cells.reshape(c_n, p_n * lp)
+            out.append(SensorWindow(filled, window.label))
+    return out
 
 
 def impute_linear(window: SensorWindow, sample_mask_: np.ndarray) -> SensorWindow:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .masking import sample_mask
-from .model import Binding, ModelState, encode
+from .masking import MaskMatrix, sample_mask
+from .model import Binding, ModelState, encode, forward_chunks
 from . import tape as T
 from .windows import SensorWindow, patchify, standardize
 
@@ -285,14 +285,15 @@ def _raw_view_features(window: SensorWindow, bits: np.ndarray, keep: int, patch_
     return np.where(cell_keep, vals, 0.0).ravel()
 
 
-def _encoded_view_features(enc: ModelEncoder, grid, visible_bits: np.ndarray) -> np.ndarray:
-    from .masking import MaskMatrix
-
-    mask = MaskMatrix((1 - visible_bits).astype(np.uint8), 0.0)
-    tape_ = T.Tape()
-    binding = Binding(enc.state, tape_, trainable=False)
-    latents = encode(binding, grid, mask).data
-    return latents[1:].mean(axis=0)  # patch tokens only, class row dropped
+def _encoded_view_features(enc: ModelEncoder, grids, masks) -> np.ndarray:
+    """(n, D) mean patch-token latents of each window's visible view."""
+    binding = Binding(enc.state, T.Tape(), trainable=False)
+    feats = []
+    for chunk in forward_chunks(masks):
+        latents = encode(binding, grids[chunk], masks[chunk]).data
+        blocks = latents.reshape(chunk.stop - chunk.start, -1, latents.shape[1])
+        feats.append(blocks[:, 1:].mean(axis=1))  # patch tokens only, class row dropped
+    return np.concatenate(feats)
 
 
 def sigma1_experiment(dataset, policy: str, encoder, pca_k: int = 50, seed: int = 0,
@@ -309,22 +310,23 @@ def sigma1_experiment(dataset, policy: str, encoder, pca_k: int = 50, seed: int 
         patch_len = encoder.state.arch.patch_len
     c_n, length = dataset[0].values.shape
     p_n = length // patch_len
+    if not isinstance(encoder, (RawFlatten, ModelEncoder)):
+        raise ValueError(f"unknown encoder {encoder!r}")
     children = np.random.SeedSequence(seed).spawn(len(dataset))
-    feats_u, feats_m = [], []
-    for window, child in zip(dataset, children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        mask = sample_mask(policy, c_n, p_n, ratio, rng)
-        if isinstance(encoder, RawFlatten):
-            feats_u.append(_raw_view_features(window, mask.bits, 0, patch_len))
-            feats_m.append(_raw_view_features(window, mask.bits, 1, patch_len))
-        elif isinstance(encoder, ModelEncoder):
-            grid = patchify(standardize(window), patch_len)
-            feats_u.append(_encoded_view_features(encoder, grid, 1 - mask.bits))
-            feats_m.append(_encoded_view_features(encoder, grid, mask.bits))
-        else:
-            raise ValueError(f"unknown encoder {encoder!r}")
-    f_u = np.stack(feats_u)
-    f_m = np.stack(feats_m)
+    masks = [sample_mask(policy, c_n, p_n, ratio, np.random.Generator(np.random.PCG64(child)))
+             for child in children]
+    if isinstance(encoder, RawFlatten):
+        f_u = np.stack([_raw_view_features(w, m.bits, 0, patch_len)
+                        for w, m in zip(dataset, masks)])
+        f_m = np.stack([_raw_view_features(w, m.bits, 1, patch_len)
+                        for w, m in zip(dataset, masks)])
+    else:
+        # The unmasked view shows the encoder the visible cells; the masked
+        # view shows it the hidden ones.
+        grids = [patchify(standardize(w), patch_len) for w in dataset]
+        f_u = _encoded_view_features(encoder, grids, masks)
+        f_m = _encoded_view_features(encoder, grids,
+                                     [MaskMatrix(1 - m.bits, 0.0) for m in masks])
     n = f_u.shape[0]
     k = min(pca_k, min(n, f_u.shape[1]) - 1, min(n, f_m.shape[1]) - 1)
     if k < 1:

@@ -22,6 +22,9 @@ from .windows import PatchGrid
 ARCH_NAME = "manifest.txt"
 PARAMS_NAME = "params.f32"
 CHECKPOINT_FORMAT = "crossmae-checkpoint-v1"
+# Windows per forward-only graph. Larger chunks cost memory and buy no speed
+# at 150 tokens.
+FORWARD_CHUNK = 16
 
 
 @dataclass
@@ -160,22 +163,11 @@ class Binding:
         return {k: leaf.grad for k, leaf in self.p.items()}
 
 
-def _attention(b: Binding, prefix: str, x):
-    arch = b.state.arch
-    d = arch.d_model
-    dh = d // arch.n_heads
-    scale = 1.0 / np.sqrt(dh)
-    q = T.add(T.matmul(x, b.p[f"{prefix}.attn.Wq"]), b.p[f"{prefix}.attn.bq"])
-    k = T.add(T.matmul(x, b.p[f"{prefix}.attn.Wk"]), b.p[f"{prefix}.attn.bk"])
-    v = T.add(T.matmul(x, b.p[f"{prefix}.attn.Wv"]), b.p[f"{prefix}.attn.bv"])
-    heads = []
-    for h in range(arch.n_heads):
-        cols = (slice(None), slice(h * dh, (h + 1) * dh))
-        qh, kh, vh = T.slice_(q, cols), T.slice_(k, cols), T.slice_(v, cols)
-        scores = T.scale(T.matmul(qh, T.transpose(kh)), scale)
-        attn = T.softmax(scores)
-        heads.append(T.matmul(attn, vh))
-    merged = T.concat(heads, axis=1)
+def _attention(b: Binding, prefix: str, x, n_windows: int):
+    def proj(name):
+        return T.add(T.matmul(x, b.p[f"{prefix}.attn.W{name}"]), b.p[f"{prefix}.attn.b{name}"])
+
+    merged = T.attention(proj("q"), proj("k"), proj("v"), n_windows, b.state.arch.n_heads)
     return T.add(T.matmul(merged, b.p[f"{prefix}.attn.Wo"]), b.p[f"{prefix}.attn.bo"])
 
 
@@ -185,9 +177,9 @@ def _mlp(b: Binding, prefix: str, x):
     return T.add(T.matmul(h, b.p[f"{prefix}.mlp.W2"]), b.p[f"{prefix}.mlp.b2"])
 
 
-def _block(b: Binding, prefix: str, x):
+def _block(b: Binding, prefix: str, x, n_windows: int):
     y = T.layernorm(x, b.p[f"{prefix}.ln1.g"], b.p[f"{prefix}.ln1.b"])
-    x = T.add(x, _attention(b, prefix, y))
+    x = T.add(x, _attention(b, prefix, y, n_windows))
     y = T.layernorm(x, b.p[f"{prefix}.ln2.g"], b.p[f"{prefix}.ln2.b"])
     return T.add(x, _mlp(b, prefix, y))
 
@@ -203,72 +195,104 @@ def _check_shapes(arch: ArchSpec, grid: PatchGrid, mask: MaskMatrix):
         raise ValueError("at least one patch must stay visible")
 
 
-def encode(b: Binding, grid: PatchGrid, mask: MaskMatrix):
-    """Run the encoder over visible tokens. Returns a (V+1, D) DiffArray:
-    row 0 is the class token, rows 1.. are visible patches in grid order."""
+def _mask_bits(masks) -> np.ndarray:
+    """(B, N) stacked mask bits of a batch whose masks all hide the same
+    number of patches."""
+    if not masks:
+        raise ValueError("a batch needs at least one window")
+    bits = np.stack([m.bits.ravel() for m in masks])
+    hidden = bits.sum(axis=1)
+    if (hidden != hidden[0]).any():
+        raise ValueError("every mask in a batch must hide the same number of patches, "
+                         f"got {sorted(set(hidden.tolist()))}")
+    return bits
+
+
+def forward_chunks(masks):
+    """Slices of consecutive windows for forward-only passes: at most
+    FORWARD_CHUNK windows each, all hiding the same number of patches."""
+    hidden = [m.n_masked for m in masks]
+    start = 0
+    while start < len(hidden):
+        stop = start + 1
+        while (stop < len(hidden) and stop - start < FORWARD_CHUNK
+               and hidden[stop] == hidden[start]):
+            stop += 1
+        yield slice(start, stop)
+        start = stop
+
+
+def encode(b: Binding, grids, masks):
+    """Run the encoder over the visible tokens of a batch of B windows whose
+    masks all hide the same number of patches. Returns a (B*(V+1), D)
+    DiffArray of B row blocks: row 0 of a block is the class token, rows
+    1..V the window's visible patches in grid order."""
     arch = b.state.arch
-    _check_shapes(arch, grid, mask)
-    n = arch.n_tokens
-    flat = grid.patches.reshape(n, arch.patch_len)
-    visible_ids = np.flatnonzero(mask.bits.ravel() == 0)
+    if len(grids) != len(masks):
+        raise ValueError(f"{len(grids)} grids but {len(masks)} masks")
+    for grid, mask in zip(grids, masks):
+        _check_shapes(arch, grid, mask)
+    bits = _mask_bits(masks)
+    n_win = bits.shape[0]
+    win, tok = np.nonzero(bits == 0)
+    n_vis = tok.size // n_win
+    patches = np.stack([g.patches for g in grids]).reshape(n_win, arch.n_tokens, arch.patch_len)
 
-    tok_const = b.tape.constant(flat)
-    tokens = T.add(T.matmul(tok_const, b.p["embed.W"]), b.p["embed.b"])
-
-    gather = np.zeros((len(visible_ids), n))
-    gather[np.arange(len(visible_ids)), visible_ids] = 1.0
-    vis = T.matmul(b.tape.constant(gather), tokens)
-    vis = T.add(vis, b.tape.constant(b.state.positions[1 + visible_ids]))
-
-    cls_tok = T.add(b.p["cls"], b.tape.constant(b.state.positions[0:1]))
-    x = T.concat([cls_tok, vis], axis=0)
+    vis = T.add(T.matmul(b.tape.constant(patches[win, tok]), b.p["embed.W"]), b.p["embed.b"])
+    x = T.scatter_rows(vis, np.arange(tok.size) + win + 1, n_win * (n_vis + 1), b.p["cls"])
+    pos_ids = np.zeros((n_win, n_vis + 1), dtype=np.intp)
+    pos_ids[:, 1:] = 1 + tok.reshape(n_win, n_vis)
+    x = T.add(x, b.tape.constant(b.state.positions[pos_ids.ravel()]))
     for i in range(arch.enc_layers):
-        x = _block(b, f"enc{i}", x)
+        x = _block(b, f"enc{i}", x, n_win)
     return T.layernorm(x, b.p["enc.norm.g"], b.p["enc.norm.b"])
 
 
-def decode(b: Binding, encoded, mask: MaskMatrix):
-    """Scatter encoder outputs back to grid slots, fill hidden slots with the
-    mask token, re-add positions everywhere, run the decoder, and project
-    every patch token back to patch space. Returns an (N, L_p) DiffArray."""
+def decode(b: Binding, encoded, masks):
+    """Scatter each window's encoder outputs back to its grid slots, fill
+    hidden slots with the mask token, re-add positions everywhere, run the
+    decoder, and project every patch token back to patch space. Returns a
+    (B*N, L_p) DiffArray, window by window in grid order."""
     arch = b.state.arch
     n = arch.n_tokens
-    visible_ids = np.flatnonzero(mask.bits.ravel() == 0)
-    scatter = np.zeros((n + 1, len(visible_ids) + 1))
-    scatter[0, 0] = 1.0
-    scatter[1 + visible_ids, 1 + np.arange(len(visible_ids))] = 1.0
-    x = T.matmul(b.tape.constant(scatter), encoded)
-
-    mask_col = np.zeros((n + 1, 1))
-    mask_col[1 + np.flatnonzero(mask.bits.ravel() == 1), 0] = 1.0
-    x = T.add(x, T.matmul(b.tape.constant(mask_col), b.p["mask_token"]))
-    x = T.add(x, b.tape.constant(b.state.positions))
+    bits = _mask_bits(masks)
+    n_win = bits.shape[0]
+    _, tok = np.nonzero(bits == 0)
+    n_vis = tok.size // n_win
+    if encoded.shape != (n_win * (n_vis + 1), arch.d_model):
+        raise ValueError(f"encoded shape {encoded.shape} does not match {n_win} windows "
+                         f"of {n_vis} visible tokens")
+    starts = np.arange(n_win) * (n + 1)
+    slots = np.empty((n_win, n_vis + 1), dtype=np.intp)
+    slots[:, 0] = starts
+    slots[:, 1:] = starts[:, None] + 1 + tok.reshape(n_win, n_vis)
+    x = T.scatter_rows(encoded, slots.ravel(), n_win * (n + 1), b.p["mask_token"])
+    x = T.add(x, b.tape.constant(np.tile(b.state.positions, (n_win, 1))))
 
     for i in range(arch.dec_layers):
-        x = _block(b, f"dec{i}", x)
+        x = _block(b, f"dec{i}", x, n_win)
     x = T.layernorm(x, b.p["dec.norm.g"], b.p["dec.norm.b"])
-    patch_tokens = T.slice_(x, (slice(1, n + 1), slice(None)))
+    patch_tokens = T.take_rows(x, np.delete(np.arange(n_win * (n + 1)), starts))
     return T.add(T.matmul(patch_tokens, b.p["head.W"]), b.p["head.b"])
 
 
-def reconstruct(b: Binding, grid: PatchGrid, mask: MaskMatrix):
-    """encode + decode, returning the (N, L_p) reconstruction."""
-    return decode(b, encode(b, grid, mask), mask)
+def reconstruct(b: Binding, grids, masks):
+    """encode + decode, returning the (B*N, L_p) reconstruction."""
+    return decode(b, encode(b, grids, masks), masks)
 
 
-def mae_loss(b: Binding, grid: PatchGrid, mask: MaskMatrix, masked_only: bool = False):
-    """Reconstruction MSE, averaged over every patch (default) or over masked
-    patches only (ablation)."""
+def mae_loss(b: Binding, grids, masks, masked_only: bool = False):
+    """Reconstruction MSE over a batch, averaged over every patch (default)
+    or over masked patches only (ablation). Every window hides the same
+    number of patches, so this is also the mean of the per-window losses."""
     arch = b.state.arch
-    recon = reconstruct(b, grid, mask)
-    target_np = grid.patches.reshape(arch.n_tokens, arch.patch_len)
+    recon = reconstruct(b, grids, masks)
+    target_np = np.stack([g.patches for g in grids]).reshape(-1, arch.patch_len)
     if masked_only:
-        masked_ids = np.flatnonzero(mask.bits.ravel() == 1)
+        masked_ids = np.flatnonzero(_mask_bits(masks).ravel() == 1)
         if len(masked_ids) == 0:
             raise ValueError("masked-only loss needs at least one masked patch")
-        gather = np.zeros((len(masked_ids), arch.n_tokens))
-        gather[np.arange(len(masked_ids)), masked_ids] = 1.0
-        recon = T.matmul(b.tape.constant(gather), recon)
+        recon = T.take_rows(recon, masked_ids)
         target_np = target_np[masked_ids]
     return T.mse(recon, b.tape.constant(target_np))
 
@@ -290,7 +314,7 @@ def alignment_gap(state: ModelState, grid: PatchGrid, mask: MaskMatrix, c_norm: 
     common norm c_norm, and report (loss, alignment, identity gap)."""
     t = T.Tape()
     b = Binding(state, t, trainable=False)
-    recon = reconstruct(b, grid, mask).data
+    recon = reconstruct(b, [grid], [mask]).data
     masked_ids = np.flatnonzero(mask.bits.ravel() == 1)
     flat = grid.patches.reshape(state.arch.n_tokens, state.arch.patch_len)
     u = recon[masked_ids].ravel()
@@ -402,6 +426,109 @@ def gradcheck_model(arch: ArchSpec, seed: int = 0, h: float = 1e-4,
 
     def build(leaves):
         tape_ = next(iter(leaves.values())).tape
-        return mae_loss(_LeafView(state, leaves, tape_), grid, mask)
+        return mae_loss(_LeafView(state, leaves, tape_), [grid], [mask])
 
     return T.finite_diff_check(build, state.params, h=h, max_coords=max_coords, seed=seed)
+
+
+# Per-window reference path, kept until the batched path is shown to match it.
+def _attention_window(b: Binding, prefix: str, x):
+    arch = b.state.arch
+    d = arch.d_model
+    dh = d // arch.n_heads
+    scale = 1.0 / np.sqrt(dh)
+    q = T.add(T.matmul(x, b.p[f"{prefix}.attn.Wq"]), b.p[f"{prefix}.attn.bq"])
+    k = T.add(T.matmul(x, b.p[f"{prefix}.attn.Wk"]), b.p[f"{prefix}.attn.bk"])
+    v = T.add(T.matmul(x, b.p[f"{prefix}.attn.Wv"]), b.p[f"{prefix}.attn.bv"])
+    heads = []
+    for h in range(arch.n_heads):
+        cols = (slice(None), slice(h * dh, (h + 1) * dh))
+        qh, kh, vh = T.slice_(q, cols), T.slice_(k, cols), T.slice_(v, cols)
+        scores = T.scale(T.matmul(qh, T.transpose(kh)), scale)
+        attn = T.softmax(scores)
+        heads.append(T.matmul(attn, vh))
+    merged = T.concat(heads, axis=1)
+    return T.add(T.matmul(merged, b.p[f"{prefix}.attn.Wo"]), b.p[f"{prefix}.attn.bo"])
+
+
+def _mlp_window(b: Binding, prefix: str, x):
+    h = T.add(T.matmul(x, b.p[f"{prefix}.mlp.W1"]), b.p[f"{prefix}.mlp.b1"])
+    h = T.gelu(h)
+    return T.add(T.matmul(h, b.p[f"{prefix}.mlp.W2"]), b.p[f"{prefix}.mlp.b2"])
+
+
+def _block_window(b: Binding, prefix: str, x):
+    y = T.layernorm(x, b.p[f"{prefix}.ln1.g"], b.p[f"{prefix}.ln1.b"])
+    x = T.add(x, _attention_window(b, prefix, y))
+    y = T.layernorm(x, b.p[f"{prefix}.ln2.g"], b.p[f"{prefix}.ln2.b"])
+    return T.add(x, _mlp_window(b, prefix, y))
+
+
+def encode_window(b: Binding, grid: PatchGrid, mask: MaskMatrix):
+    """Run the encoder over visible tokens. Returns a (V+1, D) DiffArray:
+    row 0 is the class token, rows 1.. are visible patches in grid order."""
+    arch = b.state.arch
+    _check_shapes(arch, grid, mask)
+    n = arch.n_tokens
+    flat = grid.patches.reshape(n, arch.patch_len)
+    visible_ids = np.flatnonzero(mask.bits.ravel() == 0)
+
+    tok_const = b.tape.constant(flat)
+    tokens = T.add(T.matmul(tok_const, b.p["embed.W"]), b.p["embed.b"])
+
+    gather = np.zeros((len(visible_ids), n))
+    gather[np.arange(len(visible_ids)), visible_ids] = 1.0
+    vis = T.matmul(b.tape.constant(gather), tokens)
+    vis = T.add(vis, b.tape.constant(b.state.positions[1 + visible_ids]))
+
+    cls_tok = T.add(b.p["cls"], b.tape.constant(b.state.positions[0:1]))
+    x = T.concat([cls_tok, vis], axis=0)
+    for i in range(arch.enc_layers):
+        x = _block_window(b, f"enc{i}", x)
+    return T.layernorm(x, b.p["enc.norm.g"], b.p["enc.norm.b"])
+
+
+def decode_window(b: Binding, encoded, mask: MaskMatrix):
+    """Scatter encoder outputs back to grid slots, fill hidden slots with the
+    mask token, re-add positions everywhere, run the decoder, and project
+    every patch token back to patch space. Returns an (N, L_p) DiffArray."""
+    arch = b.state.arch
+    n = arch.n_tokens
+    visible_ids = np.flatnonzero(mask.bits.ravel() == 0)
+    scatter = np.zeros((n + 1, len(visible_ids) + 1))
+    scatter[0, 0] = 1.0
+    scatter[1 + visible_ids, 1 + np.arange(len(visible_ids))] = 1.0
+    x = T.matmul(b.tape.constant(scatter), encoded)
+
+    mask_col = np.zeros((n + 1, 1))
+    mask_col[1 + np.flatnonzero(mask.bits.ravel() == 1), 0] = 1.0
+    x = T.add(x, T.matmul(b.tape.constant(mask_col), b.p["mask_token"]))
+    x = T.add(x, b.tape.constant(b.state.positions))
+
+    for i in range(arch.dec_layers):
+        x = _block_window(b, f"dec{i}", x)
+    x = T.layernorm(x, b.p["dec.norm.g"], b.p["dec.norm.b"])
+    patch_tokens = T.slice_(x, (slice(1, n + 1), slice(None)))
+    return T.add(T.matmul(patch_tokens, b.p["head.W"]), b.p["head.b"])
+
+
+def reconstruct_window(b: Binding, grid: PatchGrid, mask: MaskMatrix):
+    """encode + decode, returning the (N, L_p) reconstruction."""
+    return decode_window(b, encode_window(b, grid, mask), mask)
+
+
+def mae_loss_window(b: Binding, grid: PatchGrid, mask: MaskMatrix, masked_only: bool = False):
+    """Reconstruction MSE, averaged over every patch (default) or over masked
+    patches only (ablation)."""
+    arch = b.state.arch
+    recon = reconstruct_window(b, grid, mask)
+    target_np = grid.patches.reshape(arch.n_tokens, arch.patch_len)
+    if masked_only:
+        masked_ids = np.flatnonzero(mask.bits.ravel() == 1)
+        if len(masked_ids) == 0:
+            raise ValueError("masked-only loss needs at least one masked patch")
+        gather = np.zeros((len(masked_ids), arch.n_tokens))
+        gather[np.arange(len(masked_ids)), masked_ids] = 1.0
+        recon = T.matmul(b.tape.constant(gather), recon)
+        target_np = target_np[masked_ids]
+    return T.mse(recon, b.tape.constant(target_np))

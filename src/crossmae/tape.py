@@ -1,12 +1,20 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A Tape records every primitive application in creation order; backward walks
-the record once in reverse, so each node's gradient is fully accumulated
-before its own backward rule fires. Only scalar losses may be differentiated.
+A Tape records, in creation order, every primitive application that needs a
+gradient; applications on constants alone are computed but not recorded, so
+a forward-only tape holds nothing. backward walks the record once in reverse,
+so each node's gradient is fully accumulated before its own backward rule
+fires, and then drops the record and every node's backward rule: the graph
+is freed as soon as backward ends, and a tape runs backward at most once.
+Only scalar losses may be differentiated.
 
 Supported broadcasting is deliberately narrow: scalar-with-tensor for add/mul
 and a 1-D bias row added to each row of a 2-D array. Everything else must
 shape-match exactly, which keeps every VJP an exact mirror of its forward.
+
+A batch of windows travels as one 2-D array of stacked row blocks, one block
+per window. take_rows, scatter_rows and attention are the primitives that
+know about that structure.
 """
 import numpy as np
 
@@ -16,7 +24,7 @@ from . import kernels
 class DiffArray:
     """A tensor tracked on a tape, carrying its gradient after backward."""
 
-    __slots__ = ("data", "tape", "requires_grad", "_grad", "_backward", "_parents")
+    __slots__ = ("data", "tape", "requires_grad", "_grad", "_backward")
 
     def __init__(self, data, tape, requires_grad):
         self.data = np.asarray(data, dtype=np.float64)
@@ -24,7 +32,6 @@ class DiffArray:
         self.requires_grad = requires_grad
         self._grad = None
         self._backward = None
-        self._parents = ()
 
     @property
     def grad(self):
@@ -43,7 +50,7 @@ class DiffArray:
 
 
 class Tape:
-    """Ordered record of primitive applications."""
+    """Ordered record of the primitive applications that need a gradient."""
 
     def __init__(self):
         self._nodes = []
@@ -57,21 +64,25 @@ class Tape:
     def _record(self, data, parents, backward):
         out = DiffArray(data, self, any(p.requires_grad for p in parents))
         if out.requires_grad:
-            out._parents = parents
             out._backward = backward
-        self._nodes.append(out)
+            self._nodes.append(out)
         return out
 
     def backward(self, loss):
-        """Accumulate d(loss)/d(node) into every reachable node's grad."""
+        """Accumulate d(loss)/d(node) into every reachable node's grad, then
+        release the graph. A second call on the same tape raises."""
+        if self._nodes is None:
+            raise ValueError("backward already ran on this tape")
         if loss.data.shape != ():
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")
         loss.accumulate(np.ones_like(loss.data))
-        for node in reversed(self._nodes):
-            if node._backward is not None and node._grad is not None:
+        nodes, self._nodes = self._nodes, None
+        for node in reversed(nodes):
+            if node._grad is not None:
                 node._backward(node._grad)
+            node._backward = None
 
 
 def _same_tape(*arrs):
@@ -203,6 +214,94 @@ def concat(parts, axis=0):
     return tape._record(out_data, tuple(parts), backward)
 
 
+def take_rows(a, idx):
+    """Rows idx of a 2-D array, in order and repeats allowed. The backward
+    scatter-adds each gradient row into the row it came from."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if a.data.ndim != 2 or idx.ndim != 1:
+        raise ValueError("take_rows needs a 2-D operand and 1-D row indices")
+    out_data = a.data[idx]
+
+    def backward(g):
+        if a.requires_grad:
+            if a._grad is None:
+                a._grad = np.zeros_like(a.data)
+            np.add.at(a._grad, idx, g)
+
+    return a.tape._record(out_data, (a,), backward)
+
+
+def scatter_rows(a, idx, n_rows, fill):
+    """An (n_rows, D) array whose rows idx are the rows of a, in order, and
+    whose other rows each hold the single row of fill, shape (1, D). The
+    indices must be distinct."""
+    tape = _same_tape(a, fill)
+    idx = np.asarray(idx, dtype=np.intp)
+    if a.data.ndim != 2 or idx.shape != a.data.shape[:1]:
+        raise ValueError("scatter_rows needs a 2-D operand and one index per row")
+    d = a.data.shape[1]
+    if fill.data.shape != (1, d):
+        raise ValueError(f"scatter_rows fill must have shape (1, {d}), got {fill.data.shape}")
+    rest = np.ones(n_rows, dtype=bool)
+    rest[idx] = False
+    if np.count_nonzero(rest) != n_rows - idx.size:
+        raise ValueError("scatter_rows indices must be distinct")
+    out_data = np.empty((n_rows, d))
+    out_data[rest] = fill.data
+    out_data[idx] = a.data
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g[idx])
+        if fill.requires_grad:
+            fill.accumulate(g[rest].sum(axis=0, keepdims=True))
+
+    return tape._record(out_data, (a, fill), backward)
+
+
+def attention(q, k, v, n_blocks, n_heads):
+    """Multi-head scaled dot-product attention within each of n_blocks equal
+    row blocks of (rows, D) queries, keys and values.
+
+    Heads come from a reshape to (blocks, heads, T, D / heads); each head
+    computes softmax(q k^T / sqrt(D / heads)) v over its own block, and the
+    heads are merged back to (rows, D) in head order."""
+    tape = _same_tape(q, k, v)
+    if q.data.ndim != 2 or k.data.shape != q.data.shape or v.data.shape != q.data.shape:
+        raise ValueError("attention needs 2-D queries, keys and values of one shape")
+    rows, d = q.data.shape
+    if n_blocks < 1 or rows % n_blocks or d % n_heads:
+        raise ValueError(f"attention cannot split {q.data.shape} into {n_blocks} blocks "
+                         f"of {n_heads} heads")
+    t, dh = rows // n_blocks, d // n_heads
+    c = 1.0 / np.sqrt(dh)
+
+    def split(x):
+        return x.reshape(n_blocks, t, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
+    attn = kernels.softmax_fwd(scores.reshape(-1, t)).reshape(scores.shape)
+    out_data = merge(attn @ vh)
+
+    def backward(g):
+        gh = split(g)
+        if v.requires_grad:
+            v.accumulate(merge(attn.transpose(0, 1, 3, 2) @ gh))
+        if q.requires_grad or k.requires_grad:
+            ga = (gh @ vh.transpose(0, 1, 3, 2)).reshape(-1, t)
+            gs = kernels.softmax_bwd(attn.reshape(-1, t), ga).reshape(attn.shape) * c
+            if q.requires_grad:
+                q.accumulate(merge(gs @ kh))
+            if k.requires_grad:
+                k.accumulate(merge(gs.transpose(0, 1, 3, 2) @ qh))
+
+    return tape._record(out_data, (q, k, v), backward)
+
+
 def mean(a):
     if a.data.size == 0:
         raise ValueError("mean of empty array")
@@ -326,13 +425,13 @@ def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0):
     Returns the maximum relative error |analytic - numeric| /
     max(1e-8, |analytic| + |numeric|).
     """
-    def evaluate(values):
+    def evaluate(values, requires_grad=False):
         tape = Tape()
-        leaves = {k: tape.leaf(v) for k, v in values.items()}
+        leaves = {k: tape.leaf(v, requires_grad) for k, v in values.items()}
         loss = build(leaves)
         return tape, leaves, loss
 
-    tape, leaves, loss = evaluate(params)
+    tape, leaves, loss = evaluate(params, requires_grad=True)
     tape.backward(loss)
     analytic = {k: leaves[k].grad.copy() for k in params}
 

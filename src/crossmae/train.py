@@ -1,9 +1,12 @@
 """Pretraining loop, AdamW with cosine schedule, and the classification probe.
 
 Pretraining: per sample, optionally splice-augment, standardize, patchify,
-draw a fresh mask under the configured policy, and average the per-sample
-reconstruction losses into one batch loss. All randomness flows from one
-seed; reruns are bit-identical.
+and draw a fresh mask under the configured policy; then run the whole
+minibatch through the model as one graph. Every mask of a policy hides the
+same number of patches, so the batch loss (the MSE over all its patches) is
+the mean of the per-sample losses. All randomness flows from one seed; reruns
+are bit-identical. A non-finite loss or gradient stops training before the
+optimizer step it would corrupt.
 
 Probing: LinearProbe trains a linear head on the frozen class-token latent
 (encoder untouched); FineTune trains head and encoder jointly.
@@ -15,7 +18,8 @@ import numpy as np
 from . import kernels
 from . import tape as T
 from .masking import CROSS, POLICIES, MaskMatrix, sample_mask
-from .model import ArchSpec, Binding, ModelState, encode, init_model, mae_loss
+from .model import (ArchSpec, Binding, ModelState, encode, forward_chunks, init_model,
+                    mae_loss)
 from .windows import as_generator, patchify, splice_augment, standardize
 
 
@@ -105,12 +109,14 @@ def cosine_lr(step: int, warmup_steps: int, total_steps: int, base_lr: float, mi
     return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + np.cos(np.pi * progress))
 
 
-def _batch_loss(binding: Binding, samples, cfg: PretrainConfig):
-    total = None
-    for grid, mask in samples:
-        li = mae_loss(binding, grid, mask, masked_only=cfg.masked_only_loss)
-        total = li if total is None else T.add(total, li)
-    return T.scale(total, 1.0 / len(samples))
+def _check_finite(step: int, loss, grads: dict):
+    """Raise FloatingPointError naming the step, when the loss or any
+    gradient is not finite, and the first parameter group at fault."""
+    bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
+    if bad is None and np.isfinite(loss.data):
+        return
+    detail = f"first non-finite gradient in {bad}" if bad else "all gradients finite"
+    raise FloatingPointError(f"pretrain step {step}: loss {float(loss.data)!r}, {detail}")
 
 
 def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
@@ -141,22 +147,23 @@ def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
         epoch_losses = []
         for b0 in range(0, n, o.batch_size):
             idx = order[b0:b0 + o.batch_size]
-            samples = []
+            grids, masks = [], []
             for i in idx:
                 if can_augment and rng.uniform() < cfg.augment_prob:
                     w = splice_augment(windows, rng, matched_start=cfg.matched_start).window
                 else:
                     w = windows[i]
-                grid = patchify(standardize(w), arch.patch_len)
-                mask = sample_mask(cfg.policy, arch.n_modalities, arch.n_patches,
-                                   cfg.mask_ratio, rng)
-                samples.append((grid, mask))
+                grids.append(patchify(standardize(w), arch.patch_len))
+                masks.append(sample_mask(cfg.policy, arch.n_modalities, arch.n_patches,
+                                         cfg.mask_ratio, rng))
             tape_ = T.Tape()
             binding = Binding(state, tape_)
-            loss = _batch_loss(binding, samples, cfg)
+            loss = mae_loss(binding, grids, masks, masked_only=cfg.masked_only_loss)
             tape_.backward(loss)
+            grads = binding.grads()
+            _check_finite(step, loss, grads)
             lr = cosine_lr(step, warmup_steps, total_steps, o.lr, o.min_lr)
-            adamw_step(state.params, binding.grads(), opt, lr, o)
+            adamw_step(state.params, grads, opt, lr, o)
             step += 1
             epoch_losses.append(float(loss.data))
         trace.append(float(np.mean(epoch_losses)))
@@ -170,14 +177,13 @@ def _zero_mask(arch: ArchSpec) -> MaskMatrix:
 def class_embeddings(state: ModelState, windows) -> np.ndarray:
     """Frozen class-token latents of fully visible standardized windows."""
     arch = state.arch
-    mask = _zero_mask(arch)
+    masks = [_zero_mask(arch)] * len(windows)
+    binding = Binding(state, T.Tape(), trainable=False)
     out = np.empty((len(windows), arch.d_model))
-    for i, w in enumerate(windows):
-        tape_ = T.Tape()
-        binding = Binding(state, tape_, trainable=False)
-        grid = patchify(standardize(w), arch.patch_len)
-        enc = encode(binding, grid, mask)
-        out[i] = enc.data[0]
+    for chunk in forward_chunks(masks):
+        grids = [patchify(standardize(w), arch.patch_len) for w in windows[chunk]]
+        enc = encode(binding, grids, masks[chunk]).data
+        out[chunk] = enc[::arch.n_tokens + 1]
     return out
 
 
@@ -261,11 +267,8 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
             idx = tr[order[b0:b0 + batch]]
             tape_ = T.Tape()
             binding = Binding(work_state, tape_)
-            embs = []
-            for i in idx:
-                enc = encode(binding, grids[i], mask)
-                embs.append(T.slice_(enc, (slice(0, 1), slice(None))))
-            feat = T.concat(embs, axis=0)
+            enc = encode(binding, [grids[i] for i in idx], [mask] * len(idx))
+            feat = T.take_rows(enc, np.arange(len(idx)) * (arch.n_tokens + 1))
             logits = T.add(T.matmul(feat, binding.p["probe.W"]), binding.p["probe.b"])
             loss = _cross_entropy(logits, onehot[idx])
             tape_.backward(loss)

@@ -186,8 +186,8 @@ def imputation_sweep():
             masks = [task_mask(task, c_n, p_n, rng) for _ in eval_ws]
             smasks = [_sample_mask_array(m, patch_len, length) for m in masks]
             fillers = {
-                "model_cross": lambda w, m, sm: impute_model(states[CROSS], w, m),
-                "model_sync": lambda w, m, sm: impute_model(states[SYNC], w, m),
+                "model_cross": lambda w, m, sm: impute_model(states[CROSS], [w], [m])[0],
+                "model_sync": lambda w, m, sm: impute_model(states[SYNC], [w], [m])[0],
                 "linear": lambda w, m, sm: impute_linear(w, sm),
                 "mean": lambda w, m, sm: _per_channel_mean(w, sm),
             }

@@ -193,18 +193,18 @@ def test_impute_model_zero_mask_is_identity_and_visible_bits_kept():
     w = standardize(ws[0])
 
     hole = MaskMatrix(np.zeros((3, 4), dtype=np.uint8), 0.0)
-    assert np.array_equal(impute_model(state, w, hole).values, w.values)
+    assert np.array_equal(impute_model(state, [w], [hole])[0].values, w.values)
 
     bits = np.zeros((3, 4), dtype=np.uint8)
     bits[0, 1] = bits[2, 3] = 1
     mask = MaskMatrix(bits, 0.5)
-    out = impute_model(state, w, mask)
+    out = impute_model(state, [w], [mask])[0]
     sm = _sample_mask_array(mask, 4, 16)
     assert np.array_equal(out.values[~sm], w.values[~sm])
     assert not np.array_equal(out.values[sm], w.values[sm])
 
     with pytest.raises(ValueError):
-        impute_model(state, w, MaskMatrix(np.ones((3, 4), dtype=np.uint8), 0.9))
+        impute_model(state, [w], [MaskMatrix(np.ones((3, 4), dtype=np.uint8), 0.9)])
 
 
 def test_model_beats_zeros_predictor_after_overfit():
@@ -222,7 +222,7 @@ def test_model_beats_zeros_predictor_after_overfit():
     task = MissingnessTask(kind="sensor")
     masks = [task_mask(task, 6, 8, rng) for _ in evals]
     smasks = [_sample_mask_array(m, 8, 64) for m in masks]
-    model_filled = [impute_model(state, w, m) for w, m in zip(evals, masks)]
+    model_filled = impute_model(state, evals, masks)
     zeros = [SensorWindow(np.where(sm, 0.0, w.values), w.label)
              for w, sm in zip(evals, smasks)]
     mse_model = score(model_filled, evals, smasks).mse

@@ -67,7 +67,7 @@ def test_encode_token_count_example():
     state = init_model(arch, seed=0)
     mask = _mask(arch, ratio=0.75)
     b = Binding(state, T.Tape(), trainable=False)
-    out = encode(b, _grid(arch), mask)
+    out = encode(b, [_grid(arch)], [mask])
     assert out.data.shape == (16, arch.d_model)  # 15 visible patches + class token
 
 
@@ -77,8 +77,8 @@ def test_attention_is_permutation_equivariant():
     b = Binding(state, t, trainable=False)
     x = np.random.default_rng(6).standard_normal((7, TINY.d_model))
     perm = np.random.default_rng(7).permutation(7)
-    base = _attention(b, "enc0", t.constant(x)).data
-    moved = _attention(b, "enc0", t.constant(x[perm])).data
+    base = _attention(b, "enc0", t.constant(x), 1).data
+    moved = _attention(b, "enc0", t.constant(x[perm]), 1).data
     assert np.max(np.abs(moved - base[perm])) < 1e-10
 
 
@@ -86,7 +86,7 @@ def test_all_zero_window_stays_finite():
     state = init_model(TINY, seed=0)
     grid = patchify(SensorWindow(np.zeros((2, 12))), TINY.patch_len)
     b = Binding(state, T.Tape(), trainable=False)
-    recon = reconstruct(b, grid, _mask(TINY)).data
+    recon = reconstruct(b, [grid], [_mask(TINY)]).data
     assert np.all(np.isfinite(recon))
 
 
@@ -95,8 +95,8 @@ def test_decode_shape_and_determinism():
     grid = _grid(TINY)
     for ratio in (0.2, 0.5, 0.8):
         mask = _mask(TINY, ratio=ratio)
-        out1 = reconstruct(Binding(state, T.Tape(), trainable=False), grid, mask).data
-        out2 = reconstruct(Binding(state, T.Tape(), trainable=False), grid, mask).data
+        out1 = reconstruct(Binding(state, T.Tape(), trainable=False), [grid], [mask]).data
+        out2 = reconstruct(Binding(state, T.Tape(), trainable=False), [grid], [mask]).data
         assert out1.shape == (TINY.n_tokens, TINY.patch_len)
         assert np.array_equal(out1, out2)
 
@@ -105,14 +105,14 @@ def test_shape_mismatch_rejected():
     state = init_model(TINY, seed=0)
     wrong = patchify(SensorWindow(np.zeros((3, 12))), TINY.patch_len)
     with pytest.raises(ValueError):
-        encode(Binding(state, T.Tape(), trainable=False), wrong, _mask(TINY))
+        encode(Binding(state, T.Tape(), trainable=False), [wrong], [_mask(TINY)])
 
 
 def test_mask_token_receives_gradient():
     state = init_model(TINY, seed=2)
     t = T.Tape()
     b = Binding(state, t)
-    loss = mae_loss(b, _grid(TINY), _mask(TINY))
+    loss = mae_loss(b, [_grid(TINY)], [_mask(TINY)])
     t.backward(loss)
     assert np.max(np.abs(b.p["mask_token"].grad)) > 0.0
 
@@ -122,7 +122,7 @@ def test_zero_head_gives_mean_square_loss():
     state.params["head.W"][:] = 0.0
     state.params["head.b"][:] = 0.0
     grid = _grid(TINY, seed=9)
-    loss = mae_loss(Binding(state, T.Tape(), trainable=False), grid, _mask(TINY))
+    loss = mae_loss(Binding(state, T.Tape(), trainable=False), [grid], [_mask(TINY)])
     assert abs(float(loss.data) - float((grid.patches ** 2).mean())) < 1e-12
 
 
@@ -130,18 +130,18 @@ def test_masked_only_loss_restricts_to_hidden_patches():
     state = init_model(TINY, seed=4)
     grid = _grid(TINY, seed=10)
     mask = _mask(TINY, ratio=0.5)
-    full = mae_loss(Binding(state, T.Tape(), trainable=False), grid, mask)
-    part = mae_loss(Binding(state, T.Tape(), trainable=False), grid, mask,
+    full = mae_loss(Binding(state, T.Tape(), trainable=False), [grid], [mask])
+    part = mae_loss(Binding(state, T.Tape(), trainable=False), [grid], [mask],
                     masked_only=True)
-    recon = reconstruct(Binding(state, T.Tape(), trainable=False), grid, mask).data
+    recon = reconstruct(Binding(state, T.Tape(), trainable=False), [grid], [mask]).data
     flat = grid.patches.reshape(TINY.n_tokens, TINY.patch_len)
     ids = np.flatnonzero(mask.bits.ravel() == 1)
     manual = float(((recon[ids] - flat[ids]) ** 2).mean())
     assert abs(float(part.data) - manual) < 1e-12
     assert float(part.data) != float(full.data)
     with pytest.raises(ValueError):
-        mae_loss(Binding(state, T.Tape(), trainable=False), grid,
-                 MaskMatrix(np.zeros((2, 3), dtype=np.uint8), 0.5), masked_only=True)
+        mae_loss(Binding(state, T.Tape(), trainable=False), [grid],
+                 [MaskMatrix(np.zeros((2, 3), dtype=np.uint8), 0.5)], masked_only=True)
 
 
 def test_alignment_identity_examples():
@@ -208,3 +208,47 @@ def test_checkpoint_blob_size_mismatch_rejected(tmp_path):
 def test_gradcheck_tiny_model():
     err = gradcheck_model(TINY, seed=0, h=1e-4, max_coords=3)
     assert err < 1e-3
+
+
+def _batch(arch, n, policy, seed):
+    rng = np.random.default_rng(seed)
+    grids = [_grid(arch, seed=int(s)) for s in rng.integers(0, 2**31, size=n)]
+    masks = [sample_mask(policy, arch.n_modalities, arch.n_patches, 0.5, rng)
+             for _ in range(n)]
+    return grids, masks
+
+
+def _loss_and_grads(state, build):
+    t = T.Tape()
+    b = Binding(state, t)
+    loss = build(b)
+    t.backward(loss)
+    return float(loss.data), b.grads()
+
+
+@pytest.mark.parametrize("policy", ["cross", "sync"])
+@pytest.mark.parametrize("masked_only", [False, True])
+def test_batched_path_matches_per_window_path(policy, masked_only):
+    from crossmae.model import mae_loss_window
+
+    arch = ArchSpec(n_modalities=3, n_patches=4, patch_len=4, d_model=8,
+                    enc_layers=2, dec_layers=1, n_heads=2, mlp_ratio=2)
+    state = init_model(arch, seed=11)
+    grids, masks = _batch(arch, 5, policy, seed=12)
+
+    def per_window(b):
+        losses = [mae_loss_window(b, g, m, masked_only=masked_only) for g, m in zip(grids, masks)]
+        total = losses[0]
+        for li in losses[1:]:
+            total = T.add(total, li)
+        return T.scale(total, 1.0 / len(losses))
+
+    old_loss, old_grads = _loss_and_grads(state, per_window)
+    new_loss, new_grads = _loss_and_grads(
+        state, lambda b: mae_loss(b, grids, masks, masked_only=masked_only))
+    assert abs(new_loss - old_loss) <= 1e-10 * abs(old_loss)
+    # attn.bk has an exact gradient of zero, so a per-group relative norm is
+    # meaningless; every group is held against the largest gradient anywhere.
+    scale = max(np.abs(g).max() for g in old_grads.values())
+    worst = max(np.abs(new_grads[k] - old_grads[k]).max() for k in old_grads)
+    assert worst <= 1e-10 * scale
