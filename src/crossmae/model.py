@@ -430,105 +430,3 @@ def gradcheck_model(arch: ArchSpec, seed: int = 0, h: float = 1e-4,
 
     return T.finite_diff_check(build, state.params, h=h, max_coords=max_coords, seed=seed)
 
-
-# Per-window reference path, kept until the batched path is shown to match it.
-def _attention_window(b: Binding, prefix: str, x):
-    arch = b.state.arch
-    d = arch.d_model
-    dh = d // arch.n_heads
-    scale = 1.0 / np.sqrt(dh)
-    q = T.add(T.matmul(x, b.p[f"{prefix}.attn.Wq"]), b.p[f"{prefix}.attn.bq"])
-    k = T.add(T.matmul(x, b.p[f"{prefix}.attn.Wk"]), b.p[f"{prefix}.attn.bk"])
-    v = T.add(T.matmul(x, b.p[f"{prefix}.attn.Wv"]), b.p[f"{prefix}.attn.bv"])
-    heads = []
-    for h in range(arch.n_heads):
-        cols = (slice(None), slice(h * dh, (h + 1) * dh))
-        qh, kh, vh = T.slice_(q, cols), T.slice_(k, cols), T.slice_(v, cols)
-        scores = T.scale(T.matmul(qh, T.transpose(kh)), scale)
-        attn = T.softmax(scores)
-        heads.append(T.matmul(attn, vh))
-    merged = T.concat(heads, axis=1)
-    return T.add(T.matmul(merged, b.p[f"{prefix}.attn.Wo"]), b.p[f"{prefix}.attn.bo"])
-
-
-def _mlp_window(b: Binding, prefix: str, x):
-    h = T.add(T.matmul(x, b.p[f"{prefix}.mlp.W1"]), b.p[f"{prefix}.mlp.b1"])
-    h = T.gelu(h)
-    return T.add(T.matmul(h, b.p[f"{prefix}.mlp.W2"]), b.p[f"{prefix}.mlp.b2"])
-
-
-def _block_window(b: Binding, prefix: str, x):
-    y = T.layernorm(x, b.p[f"{prefix}.ln1.g"], b.p[f"{prefix}.ln1.b"])
-    x = T.add(x, _attention_window(b, prefix, y))
-    y = T.layernorm(x, b.p[f"{prefix}.ln2.g"], b.p[f"{prefix}.ln2.b"])
-    return T.add(x, _mlp_window(b, prefix, y))
-
-
-def encode_window(b: Binding, grid: PatchGrid, mask: MaskMatrix):
-    """Run the encoder over visible tokens. Returns a (V+1, D) DiffArray:
-    row 0 is the class token, rows 1.. are visible patches in grid order."""
-    arch = b.state.arch
-    _check_shapes(arch, grid, mask)
-    n = arch.n_tokens
-    flat = grid.patches.reshape(n, arch.patch_len)
-    visible_ids = np.flatnonzero(mask.bits.ravel() == 0)
-
-    tok_const = b.tape.constant(flat)
-    tokens = T.add(T.matmul(tok_const, b.p["embed.W"]), b.p["embed.b"])
-
-    gather = np.zeros((len(visible_ids), n))
-    gather[np.arange(len(visible_ids)), visible_ids] = 1.0
-    vis = T.matmul(b.tape.constant(gather), tokens)
-    vis = T.add(vis, b.tape.constant(b.state.positions[1 + visible_ids]))
-
-    cls_tok = T.add(b.p["cls"], b.tape.constant(b.state.positions[0:1]))
-    x = T.concat([cls_tok, vis], axis=0)
-    for i in range(arch.enc_layers):
-        x = _block_window(b, f"enc{i}", x)
-    return T.layernorm(x, b.p["enc.norm.g"], b.p["enc.norm.b"])
-
-
-def decode_window(b: Binding, encoded, mask: MaskMatrix):
-    """Scatter encoder outputs back to grid slots, fill hidden slots with the
-    mask token, re-add positions everywhere, run the decoder, and project
-    every patch token back to patch space. Returns an (N, L_p) DiffArray."""
-    arch = b.state.arch
-    n = arch.n_tokens
-    visible_ids = np.flatnonzero(mask.bits.ravel() == 0)
-    scatter = np.zeros((n + 1, len(visible_ids) + 1))
-    scatter[0, 0] = 1.0
-    scatter[1 + visible_ids, 1 + np.arange(len(visible_ids))] = 1.0
-    x = T.matmul(b.tape.constant(scatter), encoded)
-
-    mask_col = np.zeros((n + 1, 1))
-    mask_col[1 + np.flatnonzero(mask.bits.ravel() == 1), 0] = 1.0
-    x = T.add(x, T.matmul(b.tape.constant(mask_col), b.p["mask_token"]))
-    x = T.add(x, b.tape.constant(b.state.positions))
-
-    for i in range(arch.dec_layers):
-        x = _block_window(b, f"dec{i}", x)
-    x = T.layernorm(x, b.p["dec.norm.g"], b.p["dec.norm.b"])
-    patch_tokens = T.slice_(x, (slice(1, n + 1), slice(None)))
-    return T.add(T.matmul(patch_tokens, b.p["head.W"]), b.p["head.b"])
-
-
-def reconstruct_window(b: Binding, grid: PatchGrid, mask: MaskMatrix):
-    """encode + decode, returning the (N, L_p) reconstruction."""
-    return decode_window(b, encode_window(b, grid, mask), mask)
-
-
-def mae_loss_window(b: Binding, grid: PatchGrid, mask: MaskMatrix, masked_only: bool = False):
-    """Reconstruction MSE, averaged over every patch (default) or over masked
-    patches only (ablation)."""
-    arch = b.state.arch
-    recon = reconstruct_window(b, grid, mask)
-    target_np = grid.patches.reshape(arch.n_tokens, arch.patch_len)
-    if masked_only:
-        masked_ids = np.flatnonzero(mask.bits.ravel() == 1)
-        if len(masked_ids) == 0:
-            raise ValueError("masked-only loss needs at least one masked patch")
-        gather = np.zeros((len(masked_ids), arch.n_tokens))
-        gather[np.arange(len(masked_ids)), masked_ids] = 1.0
-        recon = T.matmul(b.tape.constant(gather), recon)
-        target_np = target_np[masked_ids]
-    return T.mse(recon, b.tape.constant(target_np))

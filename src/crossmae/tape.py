@@ -24,7 +24,7 @@ from . import kernels
 class DiffArray:
     """A tensor tracked on a tape, carrying its gradient after backward."""
 
-    __slots__ = ("data", "tape", "requires_grad", "_grad", "_backward")
+    __slots__ = ("data", "tape", "requires_grad", "_grad", "_backward", "__weakref__")
 
     def __init__(self, data, tape, requires_grad):
         self.data = np.asarray(data, dtype=np.float64)

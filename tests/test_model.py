@@ -6,7 +6,7 @@ import pytest
 from crossmae import tape as T
 from crossmae.config import ManifestError
 from crossmae.masking import CROSS, MaskMatrix, sample_mask
-from crossmae.model import (ArchSpec, Binding, ModelState, _attention,
+from crossmae.model import (ArchSpec, Binding, ModelState, _attention, _LeafView,
                             alignment_gap, alignment_identity, encode, decode,
                             gradcheck_model, init_model, load_checkpoint,
                             mae_loss, positions_2d, reconstruct, save_checkpoint)
@@ -228,22 +228,16 @@ def _loss_and_grads(state, build):
 
 @pytest.mark.parametrize("policy", ["cross", "sync"])
 @pytest.mark.parametrize("masked_only", [False, True])
-def test_batched_path_matches_per_window_path(policy, masked_only):
-    from crossmae.model import mae_loss_window
-
+def test_batch_loss_is_mean_of_single_window_losses(policy, masked_only):
     arch = ArchSpec(n_modalities=3, n_patches=4, patch_len=4, d_model=8,
                     enc_layers=2, dec_layers=1, n_heads=2, mlp_ratio=2)
     state = init_model(arch, seed=11)
     grids, masks = _batch(arch, 5, policy, seed=12)
-
-    def per_window(b):
-        losses = [mae_loss_window(b, g, m, masked_only=masked_only) for g, m in zip(grids, masks)]
-        total = losses[0]
-        for li in losses[1:]:
-            total = T.add(total, li)
-        return T.scale(total, 1.0 / len(losses))
-
-    old_loss, old_grads = _loss_and_grads(state, per_window)
+    singles = [_loss_and_grads(state, lambda b, g=g, m=m: mae_loss(b, [g], [m],
+                                                                  masked_only=masked_only))
+               for g, m in zip(grids, masks)]
+    old_loss = float(np.mean([loss for loss, _ in singles]))
+    old_grads = {k: np.mean([grads[k] for _, grads in singles], axis=0) for k in state.params}
     new_loss, new_grads = _loss_and_grads(
         state, lambda b: mae_loss(b, grids, masks, masked_only=masked_only))
     assert abs(new_loss - old_loss) <= 1e-10 * abs(old_loss)
@@ -252,3 +246,34 @@ def test_batched_path_matches_per_window_path(policy, masked_only):
     scale = max(np.abs(g).max() for g in old_grads.values())
     worst = max(np.abs(new_grads[k] - old_grads[k]).max() for k in old_grads)
     assert worst <= 1e-10 * scale
+
+
+def test_batched_loss_matches_finite_differences():
+    state = init_model(TINY, seed=13)
+    grids, masks = _batch(TINY, 3, CROSS, seed=14)
+
+    def build(leaves):
+        t = next(iter(leaves.values())).tape
+        return mae_loss(_LeafView(state, leaves, t), grids, masks)
+
+    assert T.finite_diff_check(build, state.params, h=1e-4, max_coords=3) < 1e-3
+
+
+def test_batch_rejects_unequal_visible_counts():
+    state = init_model(TINY, seed=15)
+    bits = np.zeros((2, 3), dtype=np.uint8)
+    bits[0, 0] = 1
+    masks = [_mask(TINY, ratio=0.5), MaskMatrix(bits, 0.2)]
+    with pytest.raises(ValueError, match="same number"):
+        encode(Binding(state, T.Tape(), trainable=False), [_grid(TINY)] * 2, masks)
+
+
+def test_step_node_count_does_not_depend_on_batch_size():
+    state = init_model(TINY, seed=0)
+    counts = []
+    for n_windows in (1, 4, 16):
+        t = T.Tape()
+        grids, masks = _batch(TINY, n_windows, CROSS, seed=16)
+        mae_loss(Binding(state, t), grids, masks)
+        counts.append(len(t._nodes))
+    assert counts[0] == counts[1] == counts[2]

@@ -1,5 +1,8 @@
 """Reverse-mode tape: forward values, exact gradients, finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,11 @@ PRIMITIVES = {
     "log_softmax": lambda t, p: T.mean(T.mul(T.log_softmax(p["a"]), p["b"])),
     "layernorm": lambda t, p: T.mean(T.layernorm(p["a"], p["g"], p["c"])),
     "mse": lambda t, p: T.mse(p["a"], p["b"]),
+    "take_rows": lambda t, p: T.mean(T.mul(T.take_rows(p["a"], [3, 0, 3]),
+                                           T.slice_(p["b"], (slice(0, 3), slice(None))))),
+    "scatter_rows": lambda t, p: T.mean(T.mul(T.scatter_rows(p["a"], [5, 0, 2, 3], 7, p["f"]),
+                                              t.constant(np.arange(35.0).reshape(7, 5)))),
+    "attention": lambda t, p: T.mean(T.mul(T.attention(p["q"], p["k"], p["v"], 2, 2), p["w"])),
 }
 
 
@@ -105,7 +113,9 @@ def test_each_primitive_matches_finite_differences(name):
     rng = np.random.default_rng(17)
     params = {"a": rng.standard_normal((4, 5)), "b": rng.standard_normal((4, 5)),
               "m": rng.standard_normal((5, 3)), "g": rng.standard_normal(5) + 2.0,
-              "c": rng.standard_normal(5)}
+              "c": rng.standard_normal(5), "f": rng.standard_normal((1, 5)),
+              "q": rng.standard_normal((6, 4)), "k": rng.standard_normal((6, 4)),
+              "v": rng.standard_normal((6, 4)), "w": rng.standard_normal((6, 4))}
 
     def build(leaves):
         t = next(iter(leaves.values())).tape
@@ -163,3 +173,52 @@ def test_grad_accumulates_across_reuse():
     y = T.add(T.mul(x, x), x)  # d/dx (x^2 + x) = 2x + 1
     t.backward(T.sum_(y))
     assert np.allclose(x.grad, [7.0])
+
+
+def test_attention_blocks_do_not_mix():
+    rng = np.random.default_rng(8)
+    q, k, v = (rng.standard_normal((6, 4)) for _ in range(3))
+    t = T.Tape()
+    both = T.attention(t.constant(q), t.constant(k), t.constant(v), 2, 2).data
+    for rows in (slice(0, 3), slice(3, 6)):
+        one = T.attention(t.constant(q[rows]), t.constant(k[rows]), t.constant(v[rows]), 1, 2)
+        assert np.max(np.abs(one.data - both[rows])) < 1e-15
+
+
+def test_scatter_rows_rejects_repeated_indices():
+    t = T.Tape()
+    with pytest.raises(ValueError):
+        T.scatter_rows(t.leaf(np.ones((2, 3))), [1, 1], 4, t.leaf(np.zeros((1, 3))))
+
+
+def test_forward_only_tape_records_nothing():
+    t = T.Tape()
+    x = t.leaf(np.ones((3, 4)), requires_grad=False)
+    T.mean(T.gelu(T.matmul(x, t.constant(np.ones((4, 2))))))
+    assert t._nodes == []
+
+
+def test_graph_is_freed_when_backward_ends():
+    gc.disable()
+    try:
+        t = T.Tape()
+        x = t.leaf(np.linspace(-1.0, 1.0, 6).reshape(3, 2))
+        hidden = T.gelu(x)
+        ref = weakref.ref(hidden)
+        loss = T.sum_(hidden)
+        del hidden
+        assert ref() is not None
+        t.backward(loss)
+        assert ref() is None
+        assert x.grad.shape == (3, 2)
+    finally:
+        gc.enable()
+
+
+def test_second_backward_raises():
+    t = T.Tape()
+    x = t.leaf(np.ones(3))
+    loss = T.sum_(T.mul(x, x))
+    t.backward(loss)
+    with pytest.raises(ValueError, match="already"):
+        t.backward(loss)
