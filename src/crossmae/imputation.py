@@ -121,24 +121,20 @@ def impute_nearest(window: SensorWindow, sample_mask_: np.ndarray) -> SensorWind
     """Each hidden sample copies the temporally nearest visible sample in its
     channel; distance ties break toward the earlier sample."""
     filled = window.values.copy()
-    length = filled.shape[1]
-    t = np.arange(length)
+    t = np.arange(filled.shape[1])
     for c in range(filled.shape[0]):
         vis_idx = t[~sample_mask_[c]]
         if vis_idx.size == 0:
             filled[c] = 0.0
             continue
-        for i in t[sample_mask_[c]]:
-            pos = np.searchsorted(vis_idx, i)
-            left = vis_idx[pos - 1] if pos > 0 else None
-            right = vis_idx[pos] if pos < vis_idx.size else None
-            if left is None:
-                src = right
-            elif right is None:
-                src = left
-            else:
-                src = left if (i - left) <= (right - i) else right
-            filled[c, i] = window.values[c, src]
+        hidden = t[sample_mask_[c]]
+        pos = np.searchsorted(vis_idx, hidden)
+        left = vis_idx[np.maximum(pos - 1, 0)]
+        right = vis_idx[np.minimum(pos, vis_idx.size - 1)]
+        # no visible sample on the left: take the right one; none on the
+        # right: the clipped right equals the left
+        take_left = (pos > 0) & (hidden - left <= right - hidden)
+        filled[c, hidden] = window.values[c, np.where(take_left, left, right)]
     return SensorWindow(filled, window.label)
 
 

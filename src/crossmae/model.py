@@ -6,6 +6,12 @@ index, half the patch index), a small pre-norm encoder over visible tokens,
 and a decoder that scatters encoder outputs back to their grid slots, fills
 hidden slots with a trainable mask token, and reconstructs every patch.
 
+The model runs a minibatch of windows as one graph. Every mask of a policy
+or task hides the same number of patches, so the visible tokens of B windows
+stack with no padding: activations are (B*T, D) arrays of B row blocks, one
+per window, and attention stays inside each block. Forward-only callers feed
+at most FORWARD_CHUNK windows at a time (see forward_chunks).
+
 The reconstruction loss is the mean squared error over all patches; a
 masked-only variant is available for ablation.
 """
@@ -357,10 +363,16 @@ def save_checkpoint(state: ModelState, directory):
 
 
 def load_checkpoint(directory) -> ModelState:
-    with open(os.path.join(directory, ARCH_NAME)) as fh:
-        meta = parse_kv_lines(fh.read(), source=ARCH_NAME)
+    """Read a checkpoint back. The manifest must list every parameter of
+    init_model(arch) once, with its shape, at offsets that tile the blob
+    exactly; anything else raises a ManifestError naming the file and the
+    parameter."""
+    man_path = os.path.join(directory, ARCH_NAME)
+    blob_path = os.path.join(directory, PARAMS_NAME)
+    with open(man_path) as fh:
+        meta = parse_kv_lines(fh.read(), source=man_path)
     if meta.get("format") != CHECKPOINT_FORMAT:
-        raise ManifestError(f"{ARCH_NAME}: unsupported format {meta.get('format')!r}")
+        raise ManifestError(f"{man_path}: unsupported format {meta.get('format')!r}")
     try:
         arch = ArchSpec(
             n_modalities=int(meta["n_modalities"]),
@@ -373,10 +385,11 @@ def load_checkpoint(directory) -> ModelState:
             mlp_ratio=int(meta["mlp_ratio"]),
         )
     except KeyError as exc:
-        raise ManifestError(f"{ARCH_NAME}: missing arch field {exc}") from None
-    blob = np.fromfile(os.path.join(directory, PARAMS_NAME), dtype="<f4").astype(np.float64)
-    params = {}
-    total = 0
+        raise ManifestError(f"{man_path}: missing arch field {exc}") from None
+    except ValueError as exc:
+        raise ManifestError(f"{man_path}: invalid arch ({exc})") from None
+    want = {name: value.shape for name, value in init_model(arch, 0).params.items()}
+    entries = []
     for key, val in meta.items():
         if not key.startswith("param."):
             continue
@@ -386,15 +399,34 @@ def load_checkpoint(directory) -> ModelState:
             shape = tuple(int(s) for s in shape_txt.split("x"))
             offset = int(off_txt)
         except ValueError:
-            raise ManifestError(f"{ARCH_NAME}: malformed param entry {key}={val}") from None
-        size = int(np.prod(shape))
-        if offset + size > blob.size:
-            raise ManifestError(f"{ARCH_NAME}: blob too short for {name} "
-                                f"(needs {offset + size}, have {blob.size})")
-        params[name] = blob[offset:offset + size].reshape(shape).copy()
-        total += size
-    if total != blob.size:
-        raise ManifestError(f"{PARAMS_NAME}: blob has {blob.size} values, manifest maps {total}")
+            raise ManifestError(f"{man_path}: malformed param entry {key}={val}") from None
+        if name not in want:
+            raise ManifestError(f"{man_path}: unknown parameter {name}")
+        if shape != want[name]:
+            raise ManifestError(f"{man_path}: parameter {name} has shape {shape}, "
+                                f"the arch needs {want[name]}")
+        if offset < 0:
+            raise ManifestError(f"{man_path}: parameter {name} has negative offset {offset}")
+        entries.append((offset, name, shape))
+    missing = sorted(want.keys() - {name for _, name, _ in entries})
+    if missing:
+        raise ManifestError(f"{man_path}: missing parameter {missing[0]}")
+    blob = np.fromfile(blob_path, dtype="<f4").astype(np.float64)
+    params = {}
+    end = 0
+    for offset, name, shape in sorted(entries):
+        if offset != end:
+            how = "overlaps the parameter before it" if offset < end else "leaves a gap"
+            raise ManifestError(f"{man_path}: parameter {name} at offset {offset} {how} "
+                                f"(expected offset {end})")
+        end = offset + int(np.prod(shape))
+        if end > blob.size:
+            raise ManifestError(f"{blob_path}: blob too short for {name} "
+                                f"(needs {end}, have {blob.size})")
+        params[name] = blob[offset:end].reshape(shape).copy()
+    if end != blob.size:
+        raise ManifestError(f"{blob_path}: blob has {blob.size} values, manifest maps {end} "
+                            f"(last parameter {name})")
     return ModelState(arch, params)
 
 

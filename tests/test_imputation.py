@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossmae.imputation import (METHODS, TASKS, MissingnessTask,
                                  _sample_mask_array, impute_chained,
@@ -117,6 +118,27 @@ def test_impute_nearest_examples():
     tie = np.array([[False, True, False], [False, False, False]])
     out2 = impute_nearest(w, tie)
     assert out2.values[0, 1] == 1.0  # tie resolved toward the earlier sample
+
+
+def _nearest_oracle(window, sample_mask_):
+    """Brute force: each hidden sample copies argmin |i - v| over the visible
+    v of its channel, the earliest v winning ties."""
+    filled = window.values.copy()
+    for c, row in enumerate(sample_mask_):
+        vis = np.flatnonzero(~row)
+        for i in np.flatnonzero(row):
+            filled[c, i] = 0.0 if vis.size == 0 else window.values[c, vis[np.argmin(np.abs(i - vis))]]
+    return filled
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=40),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_impute_nearest_matches_brute_force(seed, length, hide_prob):
+    rng = np.random.default_rng(seed)
+    w = SensorWindow(rng.standard_normal((3, length)))
+    sm = rng.uniform(size=(3, length)) < hide_prob
+    assert impute_nearest(w, sm).values.tobytes() == _nearest_oracle(w, sm).tobytes()
 
 
 def test_baselines_preserve_visible_samples():

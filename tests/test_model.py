@@ -205,6 +205,36 @@ def test_checkpoint_blob_size_mismatch_rejected(tmp_path):
         load_checkpoint(tmp_path)
 
 
+def _edit_param_line(directory, name, edit):
+    man = directory / "manifest.txt"
+    lines = man.read_text().splitlines()
+    key = f"param.{name}="
+    lines = [key + edit(line[len(key):]) if line.startswith(key) else line for line in lines]
+    man.write_text("\n".join(lines) + "\n")
+
+
+def test_checkpoint_aliased_offsets_rejected(tmp_path):
+    save_checkpoint(init_model(TINY, seed=10), tmp_path)
+    offset = (tmp_path / "manifest.txt").read_text().split("param.cls=")[1].split("@")[1].split()[0]
+    _edit_param_line(tmp_path, "mask_token", lambda v: v.split("@")[0] + "@" + offset)
+    with pytest.raises(ManifestError, match=r"manifest\.txt: parameter .* overlaps"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_transposed_shape_rejected(tmp_path):
+    save_checkpoint(init_model(TINY, seed=11), tmp_path)
+    _edit_param_line(tmp_path, "embed.W", lambda v: "8x4@" + v.split("@")[1])
+    with pytest.raises(ManifestError, match=r"manifest\.txt: parameter embed\.W has shape"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_negative_offset_rejected(tmp_path):
+    save_checkpoint(init_model(TINY, seed=12), tmp_path)
+    _edit_param_line(tmp_path, "head.b", lambda v: v.split("@")[0] + "@-4")
+    with pytest.raises(ManifestError, match=r"manifest\.txt: parameter head\.b has negative"):
+        load_checkpoint(tmp_path)
+
+
 def test_gradcheck_tiny_model():
     err = gradcheck_model(TINY, seed=0, h=1e-4, max_coords=3)
     assert err < 1e-3

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crossmae import train
 from crossmae.masking import CROSS, SYNC
 from crossmae.model import ArchSpec, init_model
 from crossmae.train import (AdamWState, OptimConfig, PretrainConfig, ProbeConfig,
@@ -168,3 +169,25 @@ def test_probe_label_length_mismatch():
     with pytest.raises(ValueError):
         probe(init_model(ARCH, seed=0), ws, np.zeros(4, dtype=int), 4,
               ProbeConfig(), seed=0)
+
+
+
+def test_pretrain_stops_at_step_0_on_a_nan_sample(monkeypatch):
+    ws = _windows()
+    ws[3].values[1, 5] = np.nan  # written after SensorWindow validated the array
+    steps = []
+    monkeypatch.setattr(train, "adamw_step", lambda *args: steps.append(args))
+    cfg = PretrainConfig(augment_prob=0.0,
+                         optim=OptimConfig(epochs=2, warmup_epochs=0, batch_size=8))
+    with pytest.raises(ValueError, match="finite"):
+        pretrain(ws, ARCH, cfg, seed=0)
+    assert steps == []
+
+
+def test_pretrain_names_the_step_and_group_of_a_non_finite_gradient():
+    init = init_model(ARCH, seed=0).copy()
+    init.params["enc0.mlp.W1"][0, 0] = np.nan
+    cfg = PretrainConfig(optim=OptimConfig(epochs=2, warmup_epochs=0, batch_size=8))
+    with pytest.raises(FloatingPointError,
+                       match=r"step 0: loss nan, first non-finite gradient in embed\.W"):
+        pretrain(_windows(), ARCH, cfg, seed=0, init_state=init)
