@@ -201,17 +201,17 @@ def _check_shapes(arch: ArchSpec, grid: PatchGrid, mask: MaskMatrix):
         raise ValueError("at least one patch must stay visible")
 
 
-def _mask_bits(masks) -> np.ndarray:
-    """(B, N) stacked mask bits of a batch whose masks all hide the same
-    number of patches."""
-    if not masks:
-        raise ValueError("a batch needs at least one window")
+def _token_ids(masks) -> np.ndarray:
+    """(B, V+1) position-table rows of each window's encoder tokens: 0 for
+    the class token, then 1 + the grid index of each visible patch. Every
+    mask of a batch must hide the same number of patches."""
     bits = np.stack([m.bits.ravel() for m in masks])
     hidden = bits.sum(axis=1)
     if (hidden != hidden[0]).any():
         raise ValueError("every mask in a batch must hide the same number of patches, "
                          f"got {sorted(set(hidden.tolist()))}")
-    return bits
+    visible = np.nonzero(bits == 0)[1].reshape(len(masks), -1)
+    return np.hstack([np.zeros((len(masks), 1), dtype=np.intp), 1 + visible])
 
 
 def forward_chunks(masks):
@@ -238,17 +238,15 @@ def encode(b: Binding, grids, masks):
         raise ValueError(f"{len(grids)} grids but {len(masks)} masks")
     for grid, mask in zip(grids, masks):
         _check_shapes(arch, grid, mask)
-    bits = _mask_bits(masks)
-    n_win = bits.shape[0]
-    win, tok = np.nonzero(bits == 0)
-    n_vis = tok.size // n_win
+    ids = _token_ids(masks)
+    n_win = len(ids)
     patches = np.stack([g.patches for g in grids]).reshape(n_win, arch.n_tokens, arch.patch_len)
-
-    vis = T.add(T.matmul(b.tape.constant(patches[win, tok]), b.p["embed.W"]), b.p["embed.b"])
-    x = T.scatter_rows(vis, np.arange(tok.size) + win + 1, n_win * (n_vis + 1), b.p["cls"])
-    pos_ids = np.zeros((n_win, n_vis + 1), dtype=np.intp)
-    pos_ids[:, 1:] = 1 + tok.reshape(n_win, n_vis)
-    x = T.add(x, b.tape.constant(b.state.positions[pos_ids.ravel()]))
+    visible = np.take_along_axis(patches, ids[:, 1:, None] - 1, axis=1)
+    vis = T.add(T.matmul(b.tape.constant(visible.reshape(-1, arch.patch_len)), b.p["embed.W"]),
+                b.p["embed.b"])
+    # the class-token rows are the ones at position row 0
+    x = T.scatter_rows(vis, np.flatnonzero(ids), ids.size, b.p["cls"])
+    x = T.add(x, b.tape.constant(b.state.positions[ids.ravel()]))
     for i in range(arch.enc_layers):
         x = _block(b, f"enc{i}", x, n_win)
     return T.layernorm(x, b.p["enc.norm.g"], b.p["enc.norm.b"])
@@ -260,25 +258,17 @@ def decode(b: Binding, encoded, masks):
     decoder, and project every patch token back to patch space. Returns a
     (B*N, L_p) DiffArray, window by window in grid order."""
     arch = b.state.arch
-    n = arch.n_tokens
-    bits = _mask_bits(masks)
-    n_win = bits.shape[0]
-    _, tok = np.nonzero(bits == 0)
-    n_vis = tok.size // n_win
-    if encoded.shape != (n_win * (n_vis + 1), arch.d_model):
-        raise ValueError(f"encoded shape {encoded.shape} does not match {n_win} windows "
-                         f"of {n_vis} visible tokens")
-    starts = np.arange(n_win) * (n + 1)
-    slots = np.empty((n_win, n_vis + 1), dtype=np.intp)
-    slots[:, 0] = starts
-    slots[:, 1:] = starts[:, None] + 1 + tok.reshape(n_win, n_vis)
-    x = T.scatter_rows(encoded, slots.ravel(), n_win * (n + 1), b.p["mask_token"])
+    ids = _token_ids(masks)
+    n_win, n_rows = len(ids), arch.n_tokens + 1
+    starts = np.arange(n_win) * n_rows
+    x = T.scatter_rows(encoded, (starts[:, None] + ids).ravel(), n_win * n_rows,
+                       b.p["mask_token"])
     x = T.add(x, b.tape.constant(np.tile(b.state.positions, (n_win, 1))))
 
     for i in range(arch.dec_layers):
         x = _block(b, f"dec{i}", x, n_win)
     x = T.layernorm(x, b.p["dec.norm.g"], b.p["dec.norm.b"])
-    patch_tokens = T.take_rows(x, np.delete(np.arange(n_win * (n + 1)), starts))
+    patch_tokens = T.take_rows(x, np.delete(np.arange(n_win * n_rows), starts))
     return T.add(T.matmul(patch_tokens, b.p["head.W"]), b.p["head.b"])
 
 
@@ -295,7 +285,7 @@ def mae_loss(b: Binding, grids, masks, masked_only: bool = False):
     recon = reconstruct(b, grids, masks)
     target_np = np.stack([g.patches for g in grids]).reshape(-1, arch.patch_len)
     if masked_only:
-        masked_ids = np.flatnonzero(_mask_bits(masks).ravel() == 1)
+        masked_ids = np.flatnonzero(np.stack([m.bits.ravel() for m in masks]))
         if len(masked_ids) == 0:
             raise ValueError("masked-only loss needs at least one masked patch")
         recon = T.take_rows(recon, masked_ids)

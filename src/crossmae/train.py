@@ -110,8 +110,9 @@ def cosine_lr(step: int, warmup_steps: int, total_steps: int, base_lr: float, mi
 
 
 def _check_finite(step: int, loss, grads: dict):
-    """Raise FloatingPointError naming the step, when the loss or any
-    gradient is not finite, and the first parameter group at fault."""
+    """Raise FloatingPointError when the loss or a gradient is not finite,
+    naming the step and the first parameter group with a non-finite
+    gradient."""
     bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
     if bad is None and np.isfinite(loss.data):
         return

@@ -266,15 +266,15 @@ def test_batch_loss_is_mean_of_single_window_losses(policy, masked_only):
     singles = [_loss_and_grads(state, lambda b, g=g, m=m: mae_loss(b, [g], [m],
                                                                   masked_only=masked_only))
                for g, m in zip(grids, masks)]
-    old_loss = float(np.mean([loss for loss, _ in singles]))
-    old_grads = {k: np.mean([grads[k] for _, grads in singles], axis=0) for k in state.params}
+    mean_loss = float(np.mean([loss for loss, _ in singles]))
+    mean_grads = {k: np.mean([grads[k] for _, grads in singles], axis=0) for k in state.params}
     new_loss, new_grads = _loss_and_grads(
         state, lambda b: mae_loss(b, grids, masks, masked_only=masked_only))
-    assert abs(new_loss - old_loss) <= 1e-10 * abs(old_loss)
+    assert abs(new_loss - mean_loss) <= 1e-10 * abs(mean_loss)
     # attn.bk has an exact gradient of zero, so a per-group relative norm is
     # meaningless; every group is held against the largest gradient anywhere.
-    scale = max(np.abs(g).max() for g in old_grads.values())
-    worst = max(np.abs(new_grads[k] - old_grads[k]).max() for k in old_grads)
+    scale = max(np.abs(g).max() for g in mean_grads.values())
+    worst = max(np.abs(new_grads[k] - mean_grads[k]).max() for k in mean_grads)
     assert worst <= 1e-10 * scale
 
 
