@@ -35,7 +35,7 @@ class MaskMatrix:
         self.bits = np.asarray(self.bits)
         if self.bits.ndim != 2:
             raise ValueError("MaskMatrix bits must be 2-D (C, P)")
-        if not np.isin(self.bits, (0, 1)).all():
+        if not ((self.bits == 0) | (self.bits == 1)).all():
             raise ValueError("MaskMatrix bits must be 0/1")
         self.bits = self.bits.astype(np.uint8)
 

@@ -41,8 +41,12 @@ class DiffArray:
 
     def accumulate(self, g):
         if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        self._grad += g
+            # The first gradient is copied, not added to zeros: one pass, and
+            # a -0.0 stays -0.0, which no later use tells from +0.0.
+            self._grad = np.empty_like(self.data)
+            np.copyto(self._grad, g)
+        else:
+            self._grad += g
 
     @property
     def shape(self):
@@ -283,7 +287,8 @@ def attention(q, k, v, n_blocks, n_heads):
         return x.transpose(0, 2, 1, 3).reshape(rows, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores *= c
     attn = kernels.softmax_fwd(scores.reshape(-1, t)).reshape(scores.shape)
     out_data = merge(attn @ vh)
 
@@ -293,7 +298,8 @@ def attention(q, k, v, n_blocks, n_heads):
             v.accumulate(merge(attn.transpose(0, 1, 3, 2) @ gh))
         if q.requires_grad or k.requires_grad:
             ga = (gh @ vh.transpose(0, 1, 3, 2)).reshape(-1, t)
-            gs = kernels.softmax_bwd(attn.reshape(-1, t), ga).reshape(attn.shape) * c
+            gs = kernels.softmax_bwd(attn.reshape(-1, t), ga).reshape(attn.shape)
+            gs *= c
             if q.requires_grad:
                 q.accumulate(merge(gs @ kh))
             if k.requires_grad:
@@ -337,11 +343,11 @@ def scale(a, c):
 
 
 def gelu(a):
-    out_data = kernels.gelu_fwd(a.data)
+    out_data, cdf = kernels.gelu_fwd(a.data)
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(kernels.gelu_bwd(a.data, g))
+            a.accumulate(kernels.gelu_bwd(a.data, cdf, g))
 
     return a.tape._record(out_data, (a,), backward)
 
@@ -443,12 +449,16 @@ def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0):
             coords = rng.choice(flat_n, size=max_coords, replace=False)
         else:
             coords = np.arange(flat_n)
+        # One copy of the bumped group; each coordinate is put back after use.
+        work = base.copy()
+        bumped = {**params, name: work}
         for idx in coords:
-            bumped = {k: v.copy() for k, v in params.items()}
-            bumped[name].flat[idx] += h
+            x = work.flat[idx]
+            work.flat[idx] += h
             _, _, lp = evaluate(bumped)
-            bumped[name].flat[idx] -= 2 * h
+            work.flat[idx] -= 2 * h
             _, _, lm = evaluate(bumped)
+            work.flat[idx] = x
             numeric = (float(lp.data) - float(lm.data)) / (2 * h)
             a = analytic[name].flat[idx]
             rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))

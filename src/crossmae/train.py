@@ -2,11 +2,15 @@
 
 Pretraining: per sample, optionally splice-augment, standardize, patchify,
 and draw a fresh mask under the configured policy; then run the whole
-minibatch through the model as one graph. Every mask of a policy hides the
-same number of patches, so the batch loss (the MSE over all its patches) is
-the mean of the per-sample losses. All randomness flows from one seed; reruns
-are bit-identical. A non-finite loss or gradient stops training before the
-optimizer step it would corrupt.
+minibatch through the model as one graph. A dataset window is standardized
+and patchified once per pretrain call; a spliced one each time it is drawn.
+Every mask of a policy hides the same number of patches, so the batch loss
+(the MSE over all its patches) is the mean of the per-sample losses. All
+randomness flows from one seed; reruns are bit-identical. A non-finite loss
+or gradient stops training before the optimizer step it would corrupt, and a
+step that leaves a parameter or AdamW's second moment non-finite (finite
+divergence: the loss grows until the squared gradient overflows) stops it
+right after.
 
 Probing: LinearProbe trains a linear head on the frozen class-token latent
 (encoder untouched); FineTune trains head and encoder jointly.
@@ -76,25 +80,48 @@ class ProbeConfig:
 
 
 class AdamWState:
-    """First/second moment buffers per parameter plus the step counter."""
+    """AdamW state over one flat float64 buffer.
+
+    The constructor copies every parameter into `flat`, in dict order, and
+    rebinds each entry of the given dict to a view of its slice, so one
+    update of `flat` updates every parameter. `m` and `v` are the flat
+    moment buffers and `t` the step counter.
+    """
 
     def __init__(self, params: dict):
-        self.m = {k: np.zeros(v.size) for k, v in params.items()}
-        self.v = {k: np.zeros(v.size) for k, v in params.items()}
+        self.params = params
+        self.names = list(params)
+        self.bounds = np.cumsum([0] + [params[k].size for k in self.names])
+        self.flat = np.empty(self.bounds[-1])
+        for name, lo, hi in zip(self.names, self.bounds[:-1], self.bounds[1:]):
+            shape = np.shape(params[name])
+            self.flat[lo:hi] = np.ravel(params[name])
+            params[name] = self.flat[lo:hi].reshape(shape)
+        self.grad = np.empty_like(self.flat)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
         self.t = 0
+
+    def non_finite_group(self):
+        """Name of the first parameter group whose value or second moment is
+        not finite, or None when all are finite."""
+        if np.isfinite(self.v).all() and np.isfinite(self.flat).all():
+            return None
+        first = np.flatnonzero(~(np.isfinite(self.v) & np.isfinite(self.flat)))[0]
+        return self.names[np.searchsorted(self.bounds, first, side="right") - 1]
 
 
 def adamw_step(params: dict, grads: dict, opt: AdamWState, lr: float, cfg: OptimConfig):
-    """One decoupled-weight-decay Adam update, in place on the raw arrays."""
+    """One decoupled-weight-decay Adam update of every parameter, as one
+    kernel call over opt.flat. params must be the dict opt was built from."""
+    if params is not opt.params:
+        raise ValueError("adamw_step needs the parameter dict its AdamWState was built from")
     opt.t += 1
     c1 = 1.0 - cfg.beta1 ** opt.t
     c2 = 1.0 - cfg.beta2 ** opt.t
-    for name, p in params.items():
-        g = grads[name]
-        kernels.adamw_update(p.ravel(), np.ascontiguousarray(g.ravel()),
-                             opt.m[name], opt.v[name],
-                             lr, cfg.beta1, cfg.beta2, cfg.eps,
-                             cfg.weight_decay, c1, c2)
+    np.concatenate([np.ravel(grads[name]) for name in opt.names], out=opt.grad)
+    kernels.adamw_update(opt.flat, opt.grad, opt.m, opt.v, lr, cfg.beta1, cfg.beta2,
+                         cfg.eps, cfg.weight_decay, c1, c2)
 
 
 def cosine_lr(step: int, warmup_steps: int, total_steps: int, base_lr: float, min_lr: float) -> float:
@@ -141,6 +168,8 @@ def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
     warmup_steps = o.warmup_epochs * batches_per_epoch
 
     can_augment = len(windows) >= 2
+    # Patch grids of the dataset windows, built on first use, then read-only.
+    grid_cache = [None] * n
     trace = []
     step = 0
     for _ in range(o.epochs):
@@ -152,9 +181,12 @@ def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
             for i in idx:
                 if can_augment and rng.uniform() < cfg.augment_prob:
                     w = splice_augment(windows, rng, matched_start=cfg.matched_start).window
+                    grids.append(patchify(standardize(w), arch.patch_len))
                 else:
-                    w = windows[i]
-                grids.append(patchify(standardize(w), arch.patch_len))
+                    if grid_cache[i] is None:
+                        grid_cache[i] = patchify(standardize(windows[i]), arch.patch_len)
+                        grid_cache[i].patches.flags.writeable = False
+                    grids.append(grid_cache[i])
                 masks.append(sample_mask(cfg.policy, arch.n_modalities, arch.n_patches,
                                          cfg.mask_ratio, rng))
             tape_ = T.Tape()
@@ -165,6 +197,10 @@ def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
             _check_finite(step, loss, grads)
             lr = cosine_lr(step, warmup_steps, total_steps, o.lr, o.min_lr)
             adamw_step(state.params, grads, opt, lr, o)
+            bad = opt.non_finite_group()
+            if bad is not None:
+                raise FloatingPointError(f"pretrain step {step}: loss {float(loss.data)!r}, "
+                                         f"AdamW left {bad} or its second moment non-finite")
             step += 1
             epoch_losses.append(float(loss.data))
         trace.append(float(np.mean(epoch_losses)))
@@ -236,24 +272,22 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
         opt = AdamWState(params)
         for epoch in range(cfg.epochs):
             tape_ = T.Tape()
-            w_leaf = tape_.leaf(head_w)
-            b_leaf = tape_.leaf(head_b)
+            w_leaf = tape_.leaf(params["head.W"])
+            b_leaf = tape_.leaf(params["head.b"])
             logits = T.add(T.matmul(tape_.constant(emb[tr]), w_leaf), b_leaf)
             loss = _cross_entropy(logits, onehot[tr])
             tape_.backward(loss)
             lr = cosine_lr(epoch, 0, cfg.epochs, cfg.lr, 0.0)
             adamw_step(params, {"head.W": w_leaf.grad, "head.b": b_leaf.grad}, opt, lr, ocfg)
             trace.append(float(loss.data))
-        val_logits = emb[va] @ head_w + head_b
+        val_logits = emb[va] @ params["head.W"] + params["head.b"]
         top1 = float((val_logits.argmax(axis=1) == labels[va]).mean())
         return ProbeResult(top1, trace, len(tr), len(va))
 
-    # fine-tune: head + encoder end to end
-    work = state.copy()
-    params = dict(work.params)
-    params["probe.W"] = head_w
-    params["probe.b"] = head_b
-    work_state = ModelState(work.arch, params)
+    # fine-tune: head + encoder end to end, on AdamWState's own copy of the
+    # parameters
+    work_state = ModelState(arch, {**state.params, "probe.W": head_w, "probe.b": head_b})
+    params = work_state.params
     opt = AdamWState(params)
     mask = _zero_mask(arch)
     grids = [patchify(standardize(w), arch.patch_len) for w in windows]

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from crossmae import kernels
 from crossmae import tape as T
 
 
@@ -222,3 +223,67 @@ def test_second_backward_raises():
     t.backward(loss)
     with pytest.raises(ValueError, match="already"):
         t.backward(loss)
+
+
+def test_attention_matches_its_formula_bit_for_bit():
+    rng = np.random.default_rng(9)
+    n_blocks, n_heads, t_len, d = 3, 2, 5, 8
+    q, k, v, w = (rng.standard_normal((n_blocks * t_len, d)) for _ in range(4))
+    t = T.Tape()
+    ql, kl, vl = t.leaf(q), t.leaf(k), t.leaf(v)
+    out = T.attention(ql, kl, vl, n_blocks, n_heads)
+    t.backward(T.sum_(T.mul(out, t.constant(w))))  # the output gradient is w
+
+    def split(x):
+        return x.reshape(n_blocks, t_len, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(n_blocks * t_len, d)
+
+    c = 1.0 / np.sqrt(d // n_heads)
+    qh, kh, vh, gh = split(q), split(k), split(v), split(w)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
+    attn = kernels.softmax_fwd(scores.reshape(-1, t_len)).reshape(scores.shape)
+    ga = (gh @ vh.transpose(0, 1, 3, 2)).reshape(-1, t_len)
+    gs = kernels.softmax_bwd(attn.reshape(-1, t_len), ga).reshape(attn.shape) * c
+    for got, want in ((out.data, merge(attn @ vh)),
+                      (vl.grad, merge(attn.transpose(0, 1, 3, 2) @ gh)),
+                      (ql.grad, merge(gs @ kh)),
+                      (kl.grad, merge(gs.transpose(0, 1, 3, 2) @ qh))):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_first_gradient_is_a_private_copy():
+    t = T.Tape()
+    a, b = t.leaf(np.arange(3.0)), t.leaf(np.ones(3))
+    t.backward(T.sum_(T.add(a, b)))  # a and b get the same upstream array
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad[0] = 5.0
+    assert b.grad.tolist() == [1.0, 1.0, 1.0]
+
+    t = T.Tape()
+    x = t.leaf(np.array([2.0, -1.0]))
+    t.backward(T.sum_(T.add(x, x)))  # a second gradient adds to the copy
+    assert x.grad.tolist() == [2.0, 2.0]
+
+
+def test_finite_diff_bumps_one_coordinate_and_restores_it():
+    params = {"x": np.array([1.0, -2.0, 0.5]), "y": np.array([0.25, 3.0])}
+    before = {k: v.copy() for k, v in params.items()}
+    seen = []
+
+    def build(p):
+        seen.append({k: leaf.data.copy() for k, leaf in p.items()})
+        return T.sum_(T.mul(T.mul(p["x"], p["x"]), p["x"]))
+
+    h = 1e-3
+    T.finite_diff_check(build, params, h=h)
+    assert all(np.array_equal(params[k], before[k]) for k in params)
+    assert len(seen) == 1 + 2 * (3 + 2)
+    for j, (name, i) in enumerate([("x", 0), ("x", 1), ("x", 2), ("y", 0), ("y", 1)]):
+        plus, minus = seen[1 + 2 * j], seen[2 + 2 * j]
+        x = before[name][i]
+        assert plus[name][i] == x + h and minus[name][i] == (x + h) - 2 * h
+        for vals in (plus, minus):
+            vals[name][i] = x
+            assert all(np.array_equal(vals[k], before[k]) for k in params)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from crossmae import train
+from crossmae import kernels, train
 from crossmae.masking import CROSS, SYNC
 from crossmae.model import ArchSpec, init_model
 from crossmae.train import (AdamWState, OptimConfig, PretrainConfig, ProbeConfig,
                             adamw_step, class_embeddings, cosine_lr, pretrain,
                             probe)
-from crossmae.windows import SynthSpec, generate_windows
+from crossmae.windows import SynthSpec, generate_windows, patchify, standardize
 
 ARCH = ArchSpec(n_modalities=3, n_patches=4, patch_len=8, d_model=8,
                 enc_layers=1, dec_layers=1, n_heads=2, mlp_ratio=2)
@@ -191,3 +191,84 @@ def test_pretrain_names_the_step_and_group_of_a_non_finite_gradient():
     with pytest.raises(FloatingPointError,
                        match=r"step 0: loss nan, first non-finite gradient in embed\.W"):
         pretrain(_windows(), ARCH, cfg, seed=0, init_state=init)
+
+
+def test_adamw_state_entries_share_one_buffer():
+    params = init_model(ARCH, seed=0).params
+    before = {k: v.copy() for k, v in params.items()}
+    opt = AdamWState(params)
+    assert list(params) == list(before)
+    assert opt.flat.size == opt.m.size == opt.v.size == sum(v.size for v in before.values())
+    for k, v in params.items():
+        assert np.shares_memory(v, opt.flat)
+        assert v.shape == before[k].shape and np.array_equal(v, before[k])
+    opt.flat[:] = 0.0
+    assert not any(v.any() for v in params.values())
+
+
+def test_adamw_step_is_one_kernel_call_equal_to_one_per_group(monkeypatch):
+    rng = np.random.default_rng(4)
+    params = init_model(ARCH, seed=0).params
+    grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+    cfg = OptimConfig()
+    per_group = {}
+    for k, v in params.items():
+        p, m, vv = v.ravel().copy(), np.zeros(v.size), np.zeros(v.size)
+        kernels.adamw_update(p, grads[k].ravel(), m, vv, 0.01, cfg.beta1, cfg.beta2, cfg.eps,
+                             cfg.weight_decay, 1.0 - cfg.beta1, 1.0 - cfg.beta2)
+        per_group[k] = p.reshape(v.shape)
+    calls = []
+    real = kernels.adamw_update
+    monkeypatch.setattr(kernels, "adamw_update", lambda *a: calls.append(a) or real(*a))
+    opt = AdamWState(params)
+    adamw_step(params, grads, opt, lr=0.01, cfg=cfg)
+    assert len(params) == 42 and len(calls) == 1
+    for k in params:
+        assert params[k].tobytes() == per_group[k].tobytes()
+    with pytest.raises(ValueError, match="parameter dict"):
+        adamw_step(dict(params), grads, opt, lr=0.01, cfg=cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_pretrain_stops_on_finite_divergence():
+    # lr 1e3 drives the loss to ~1e99 without ever making it non-finite; the
+    # squared gradient then overflows AdamW's second moment.
+    cfg = PretrainConfig(optim=OptimConfig(lr=1e3, warmup_epochs=0, batch_size=16, epochs=20))
+    with pytest.raises(FloatingPointError,
+                       match=r"pretrain step \d+: loss [-+0-9.e]+, AdamW left embed\.W or its "
+                             r"second moment non-finite"):
+        pretrain(_windows(), ARCH, cfg, seed=0)
+
+
+def test_pretrain_grids_each_dataset_window_once_and_never_mutates_it(monkeypatch):
+    ws = _windows()
+    fresh = {patchify(standardize(w), ARCH.patch_len).patches.tobytes() for w in ws}
+    seen, built = [], []
+    real_loss, real_patchify = train.mae_loss, train.patchify
+
+    def spy_loss(b, grids, masks, **kwargs):
+        seen.extend(grids)
+        return real_loss(b, grids, masks, **kwargs)
+
+    monkeypatch.setattr(train, "mae_loss", spy_loss)
+    monkeypatch.setattr(train, "patchify", lambda *a: built.append(a) or real_patchify(*a))
+    cfg = PretrainConfig(augment_prob=0.0,
+                         optim=OptimConfig(epochs=3, warmup_epochs=0, batch_size=3))
+    pretrain(ws, ARCH, cfg, seed=0)
+    assert len(seen) == 3 * len(ws) and len(built) == len(ws)
+    cached = {id(g): g for g in seen}.values()
+    assert len(cached) == len(ws)
+    assert all(not g.patches.flags.writeable for g in cached)
+    assert {g.patches.tobytes() for g in cached} == fresh
+
+
+def test_linear_probe_top1_reads_the_trained_head():
+    # Both values were recorded before the head moved into AdamWState's flat
+    # buffer; a probe scoring the stale initial head would report 0.25.
+    ws = _windows(n=40, seed=25)
+    labels = np.array([w.label for w in ws])
+    state = init_model(ARCH, seed=1)
+    untrained = probe(state, ws, labels, 4, ProbeConfig(mode="lp", epochs=0, lr=5e-2), seed=3)
+    trained = probe(state, ws, labels, 4, ProbeConfig(mode="lp", epochs=60, lr=5e-2), seed=3)
+    assert untrained.top1 == 3 / 12
+    assert trained.top1 == 7 / 12
