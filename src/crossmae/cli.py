@@ -15,7 +15,7 @@ from .imputation import (METHODS, TASKS, MissingnessTask, _sample_mask_array,
                          impute_chained, impute_linear, impute_model,
                          impute_nearest, score, task_mask)
 from .kcca import ModelEncoder, RawFlatten, sigma1_experiment
-from .masking import CROSS, POLICIES, SYNC
+from .masking import CROSS, SYNC
 from .model import (ArchSpec, gradcheck_model, load_checkpoint,
                     save_checkpoint)
 from .train import OptimConfig, PretrainConfig, ProbeConfig, pretrain, probe
@@ -144,19 +144,19 @@ def cmd_synth(cfg: dict, out_dir: str) -> None:
     print(f"wrote {len(windows)} windows to {out_dir}")
 
 
+def _section(cfg: dict, prefix: str) -> dict:
+    """The keys of one config section with the `prefix.` stripped; each
+    suffix is a field name of the dataclass the section configures."""
+    return {k[len(prefix) + 1:]: v for k, v in cfg.items() if k.startswith(prefix + ".")}
+
+
 def _arch_for_dataset(cfg: dict, meta: dict) -> ArchSpec:
     patch_len = cfg["arch.patch_len"]
     if patch_len > meta["L"]:
         raise ManifestError(
             f"patch_len {patch_len} exceeds window length {meta['L']}")
-    return ArchSpec(n_modalities=meta["C"],
-                    n_patches=meta["L"] // patch_len,
-                    patch_len=patch_len,
-                    d_model=cfg["arch.d_model"],
-                    enc_layers=cfg["arch.enc_layers"],
-                    dec_layers=cfg["arch.dec_layers"],
-                    n_heads=cfg["arch.n_heads"],
-                    mlp_ratio=cfg["arch.mlp_ratio"])
+    return ArchSpec(n_modalities=meta["C"], n_patches=meta["L"] // patch_len,
+                    **_section(cfg, "arch"))
 
 
 def cmd_pretrain(cfg: dict, out_dir: str) -> None:
@@ -168,11 +168,7 @@ def cmd_pretrain(cfg: dict, out_dir: str) -> None:
         if init_state.arch != arch:
             raise ManifestError(
                 f"resume checkpoint arch {init_state.arch} does not match run arch {arch}")
-    opt = OptimConfig(lr=cfg["optim.lr"], weight_decay=cfg["optim.weight_decay"],
-                      beta1=cfg["optim.beta1"], beta2=cfg["optim.beta2"],
-                      eps=cfg["optim.eps"], epochs=cfg["optim.epochs"],
-                      warmup_epochs=cfg["optim.warmup_epochs"],
-                      batch_size=cfg["optim.batch_size"], min_lr=cfg["optim.min_lr"])
+    opt = OptimConfig(**_section(cfg, "optim"))
     pcfg = PretrainConfig(policy=cfg["mask.policy"], mask_ratio=cfg["mask.ratio"],
                           augment_prob=cfg["augment.prob"],
                           matched_start=cfg["augment.matched_start"],
@@ -231,9 +227,7 @@ def cmd_probe(cfg: dict, out_dir: str) -> None:
     labels = [w.label for w in windows]
     if any(lab is None for lab in labels):
         raise ManifestError("probe needs a fully labeled dataset")
-    pcfg = ProbeConfig(mode=cfg["probe.mode"], epochs=cfg["probe.epochs"],
-                       lr=cfg["probe.lr"], weight_decay=cfg["probe.weight_decay"],
-                       train_fraction=cfg["probe.train_fraction"])
+    pcfg = ProbeConfig(**_section(cfg, "probe"))
     res = probe(state, windows, np.asarray(labels), meta["n_classes"], pcfg, cfg["seed"])
     with open(os.path.join(out_dir, "curve.csv"), "w") as fh:
         fh.write("epoch,loss\n")
@@ -290,16 +284,8 @@ def cmd_analyze(cfg: dict, out_dir: str) -> None:
 
 
 def cmd_gradcheck(cfg: dict, out_dir: str) -> None:
-    arch = ArchSpec(n_modalities=cfg["arch.n_modalities"],
-                    n_patches=cfg["arch.n_patches"],
-                    patch_len=cfg["arch.patch_len"],
-                    d_model=cfg["arch.d_model"],
-                    enc_layers=cfg["arch.enc_layers"],
-                    dec_layers=cfg["arch.dec_layers"],
-                    n_heads=cfg["arch.n_heads"],
-                    mlp_ratio=cfg["arch.mlp_ratio"])
-    err = gradcheck_model(arch, seed=cfg["seed"], h=cfg["check.h"],
-                          max_coords=cfg["check.max_coords"])
+    err = gradcheck_model(ArchSpec(**_section(cfg, "arch")), seed=cfg["seed"],
+                          h=cfg["check.h"], max_coords=cfg["check.max_coords"])
     with open(os.path.join(out_dir, "gradcheck.txt"), "w") as fh:
         fh.write(f"max_rel_err={_fmt(err)}\n")
     print(f"max relative error {_fmt(err)}")

@@ -3,7 +3,7 @@
 Four tasks over the patch grid:
 - random: cells hidden independently across modalities and time (cross mask);
 - temporal: whole time columns hidden at random;
-- sensor: everything hidden except one visible modality;
+- sensor: everything hidden except one modality, drawn per window;
 - extrapolation: the trailing time columns hidden.
 
 All imputers receive a window whose hidden samples are defined by a patch
@@ -17,7 +17,7 @@ import numpy as np
 from . import tape as T
 from .masking import CROSS, MaskMatrix, floor_count, sample_mask
 from .model import Binding, ModelState, forward_chunks, reconstruct
-from .windows import PatchGrid, SensorWindow, as_generator, patchify
+from .windows import SensorWindow, as_generator, patchify
 
 TASKS = ("random", "temporal", "sensor", "extrapolation")
 METHODS = ("model", "linear", "nearest", "chained")
@@ -27,7 +27,6 @@ METHODS = ("model", "linear", "nearest", "chained")
 class MissingnessTask:
     kind: str
     ratio: float = 0.7
-    visible_modality: int | None = None  # sensor task; None = draw per window
 
     def __post_init__(self):
         if self.kind not in TASKS:
@@ -52,19 +51,14 @@ def task_mask(task: MissingnessTask, n_modalities: int, n_patches: int, rng) -> 
     elif task.kind == "sensor":
         if c_n < 2:
             raise ValueError("sensor task needs C >= 2")
-        vis = task.visible_modality
-        if vis is None:
-            vis = int(rng.integers(0, c_n))
-        if not 0 <= vis < c_n:
-            raise ValueError(f"visible modality {vis} out of range for C={c_n}")
         bits[:, :] = 1
-        bits[vis, :] = 0
+        bits[int(rng.integers(0, c_n)), :] = 0
     else:  # extrapolation
         k = floor_count(task.ratio, p_n)
         if k < 1 or k >= p_n:
             raise ValueError(f"extrapolation task degenerate at ratio {task.ratio}, P={p_n}")
         bits[:, p_n - k:] = 1
-    return MaskMatrix(bits, task.ratio if task.kind != "sensor" else 1.0)
+    return MaskMatrix(bits)
 
 
 def _sample_mask_array(mask: MaskMatrix, patch_len: int, n_samples: int) -> np.ndarray:

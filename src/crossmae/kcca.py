@@ -3,8 +3,9 @@
 The analysis scores a masking policy by how strongly the visible part of a
 window predicts the hidden part: build per-window view features, reduce with
 PCA, and take the top singular value of the whitened cross-covariance
-sigma_1(Gamma), Gamma = S_uu^{-1/2} S_um S_mm^{-1/2}. Kernel CCA over
-view-level mean-embedding Grams is provided for the general case.
+sigma_1(Gamma), Gamma = S_uu^{-1/2} S_um S_mm^{-1/2}. kcca_solve gives the
+kernel counterpart, the top regularized canonical correlation of two
+caller-built Gram matrices over the same windows.
 """
 from dataclasses import dataclass
 
@@ -23,85 +24,6 @@ POWER_SEED = 12345
 
 class ConditioningError(RuntimeError):
     """A Gram or covariance matrix is not usable even after regularization."""
-
-
-@dataclass(frozen=True)
-class Linear:
-    """Dot-product patch kernel."""
-
-
-@dataclass(frozen=True)
-class Rbf:
-    """exp(-gamma * ||a - b||^2) patch kernel."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("Rbf gamma must be > 0")
-
-
-def patch_kernel(kind, a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"patch shapes differ: {a.shape} vs {b.shape}")
-    if isinstance(kind, Linear):
-        return float(a @ b)
-    if isinstance(kind, Rbf):
-        d = a - b
-        return float(np.exp(-kind.gamma * (d @ d)))
-    raise ValueError(f"unknown kernel kind {kind!r}")
-
-
-def _patch_matrix(view) -> np.ndarray:
-    """Normalize one view to a (n_patches, L_p) float64 matrix. Accepts a 2-D
-    array, a list of 1-D patches, or split_views-style (c, p, patch) entries."""
-    if isinstance(view, np.ndarray):
-        mat = np.asarray(view, dtype=np.float64)
-        if mat.ndim != 2:
-            raise ValueError("array view must be 2-D (n_patches, L_p)")
-        return mat
-    rows = []
-    for entry in view:
-        if isinstance(entry, tuple) and len(entry) == 3:
-            entry = entry[2]
-        rows.append(np.asarray(entry, dtype=np.float64))
-    if not rows:
-        raise ValueError("empty view")
-    return np.stack(rows)
-
-
-def view_gram(views, kind) -> np.ndarray:
-    """n x n Gram of views; entry (i, j) is the mean of patch_kernel over all
-    patch pairs drawn from view i and view j.
-
-    Assembled row-block-wise from the full patch-level kernel matrix so the
-    same code path serves any patch kernel.
-    """
-    mats = [_patch_matrix(v) for v in views]
-    if any(m.shape[0] == 0 for m in mats):
-        raise ValueError("every view needs at least one patch")
-    lp = mats[0].shape[1]
-    if any(m.shape[1] != lp for m in mats):
-        raise ValueError("views disagree on patch length")
-    all_p = np.concatenate(mats, axis=0)
-    counts = np.array([m.shape[0] for m in mats])
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    n = len(mats)
-    gram = np.empty((n, n))
-    if isinstance(kind, Rbf):
-        sq = (all_p * all_p).sum(axis=1)
-    for i in range(n):
-        block = mats[i] @ all_p.T
-        if isinstance(kind, Rbf):
-            sq_i = (mats[i] * mats[i]).sum(axis=1)
-            block = np.exp(-kind.gamma * (sq_i[:, None] + sq[None, :] - 2.0 * block))
-        elif not isinstance(kind, Linear):
-            raise ValueError(f"unknown kernel kind {kind!r}")
-        col_sums = np.add.reduceat(block, starts, axis=1)
-        gram[i] = col_sums.sum(axis=0) / (counts[i] * counts)
-    return 0.5 * (gram + gram.T)
 
 
 @dataclass
@@ -126,10 +48,6 @@ class ViewGrams:
 @dataclass
 class KccaResult:
     rho: float
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma_u: float
-    gamma_m: float
 
 
 @dataclass
@@ -144,8 +62,6 @@ class CovTriple:
 @dataclass
 class CcaResult:
     sigma: np.ndarray
-    w_u: np.ndarray
-    w_m: np.ndarray
 
 
 def center_gram(k: np.ndarray) -> np.ndarray:
@@ -208,23 +124,14 @@ def kcca_solve(grams: ViewGrams, gamma_u: float, gamma_m: float, centered: bool)
         w_next = apply(w)
         lam_next = np.linalg.norm(w_next)
         if lam_next <= 0.0:
-            lam, w = 0.0, w_next
+            lam = 0.0
             break
         w_next /= lam_next
         done = abs(lam_next - lam) < POWER_TOL * max(1.0, lam_next)
         lam, w = lam_next, w_next
         if done:
             break
-    rho = float(np.sqrt(max(lam, 0.0)))
-    alpha = solve_triangular(l_u, w, trans="T", lower=True)
-    if rho > 0:
-        beta = cho_solve((l_m, True), k_m @ (k_u @ alpha)) / rho
-        scale = float(beta @ (r_m @ beta))
-        if scale > 0:
-            beta = beta / np.sqrt(scale)
-    else:
-        beta = np.zeros(n)
-    return KccaResult(rho, alpha, beta, gamma_u, gamma_m)
+    return KccaResult(float(np.sqrt(max(lam, 0.0))))
 
 
 def pca_reduce(features: np.ndarray, k: int) -> np.ndarray:
@@ -257,13 +164,13 @@ def _inv_sqrt(s: np.ndarray, name: str) -> np.ndarray:
 
 
 def cca_sigma(cov: CovTriple) -> CcaResult:
-    """Singular values of Gamma = S_uu^{-1/2} S_um S_mm^{-1/2} plus the
-    leading canonical directions mapped back through the whitening."""
+    """Singular values of Gamma = S_uu^{-1/2} S_um S_mm^{-1/2}, largest first."""
     wu = _inv_sqrt(np.asarray(cov.s_uu, dtype=np.float64), "S_UU")
     wm = _inv_sqrt(np.asarray(cov.s_mm, dtype=np.float64), "S_MM")
     gamma = wu @ np.asarray(cov.s_um, dtype=np.float64) @ wm
-    u, s, vt = np.linalg.svd(gamma)
-    return CcaResult(s, wu @ u[:, 0], wm @ vt[0])
+    # The full decomposition, not compute_uv=False: LAPACK's values-only path
+    # rounds differently, and sigma1.csv is part of the byte-identical runs.
+    return CcaResult(np.linalg.svd(gamma)[1])
 
 
 @dataclass(frozen=True)
@@ -326,7 +233,7 @@ def sigma1_experiment(dataset, policy: str, encoder, pca_k: int = 50, seed: int 
         grids = [patchify(standardize(w), patch_len) for w in dataset]
         f_u = _encoded_view_features(encoder, grids, masks)
         f_m = _encoded_view_features(encoder, grids,
-                                     [MaskMatrix(1 - m.bits, 0.0) for m in masks])
+                                     [MaskMatrix(1 - m.bits) for m in masks])
     n = f_u.shape[0]
     k = min(pca_k, min(n, f_u.shape[1]) - 1, min(n, f_m.shape[1]) - 1)
     if k < 1:
@@ -335,29 +242,3 @@ def sigma1_experiment(dataset, policy: str, encoder, pca_k: int = 50, seed: int 
     z_m = pca_reduce(f_m, k)
     cov = CovTriple(z_u.T @ z_u / n, z_m.T @ z_m / n, z_u.T @ z_m / n)
     return float(cca_sigma(cov).sigma[0])
-
-
-GRAM_MAGIC = "crossmae-gram-v1"
-
-
-def save_gram(path, k: np.ndarray) -> None:
-    """One ASCII header line, then row-major float64 bytes."""
-    k = np.ascontiguousarray(k, dtype=np.float64)
-    if k.ndim != 2:
-        raise ValueError("save_gram expects a matrix")
-    with open(path, "wb") as fh:
-        fh.write(f"{GRAM_MAGIC} {k.shape[0]} {k.shape[1]}\n".encode("ascii"))
-        fh.write(k.tobytes())
-
-
-def load_gram(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 3 or header[0] != GRAM_MAGIC:
-            raise ValueError(f"bad gram header in {path}")
-        rows, cols = int(header[1]), int(header[2])
-        blob = fh.read()
-    expect = rows * cols * 8
-    if len(blob) != expect:
-        raise ValueError(f"gram blob holds {len(blob)} bytes, expected {expect}")
-    return np.frombuffer(blob, dtype=np.float64).reshape(rows, cols).copy()

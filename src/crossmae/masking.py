@@ -1,4 +1,4 @@
-"""Masking policies over the C x P patch grid and unmasked/masked view splits.
+"""Masking policies over the C x P patch grid.
 
 Two policies:
 - cross-modality: exactly floor(rho * C * P) cells masked, drawn uniformly
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .windows import PatchGrid, as_generator
+from .windows import as_generator
 
 CROSS = "cross"
 SYNC = "sync"
@@ -26,10 +26,9 @@ def floor_count(ratio: float, n: int) -> int:
 
 @dataclass
 class MaskMatrix:
-    """bits: (C, P) uint8 matrix, 1 = masked. ratio: requested mask ratio."""
+    """bits: (C, P) uint8 matrix, 1 = masked."""
 
     bits: np.ndarray
-    ratio: float
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits)
@@ -69,46 +68,4 @@ def sample_mask(policy: str, n_modalities: int, n_patches: int, ratio: float, rn
         bits[:, cols] = 1
     else:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    return MaskMatrix(bits, ratio)
-
-
-@dataclass
-class ViewSplit:
-    """Partition of a patch grid into visible and hidden patches.
-
-    Each entry is (modality index, patch index, patch values); the two lists
-    together cover every (c, p) exactly once.
-    """
-
-    unmasked_view: list
-    masked_view: list
-
-
-def split_views(grid: PatchGrid, mask: MaskMatrix) -> ViewSplit:
-    c_n, p_n, _ = grid.patches.shape
-    if mask.bits.shape != (c_n, p_n):
-        raise ValueError(f"mask shape {mask.bits.shape} does not match grid {(c_n, p_n)}")
-    unmasked, masked = [], []
-    for c in range(c_n):
-        for p in range(p_n):
-            entry = (c, p, grid.patches[c, p].copy())
-            (masked if mask.bits[c, p] else unmasked).append(entry)
-    return ViewSplit(unmasked, masked)
-
-
-def mask_to_lines(mask: MaskMatrix) -> str:
-    """Serialize as C lines of P characters '0'/'1'."""
-    return "\n".join("".join(str(int(b)) for b in row) for row in mask.bits) + "\n"
-
-
-def mask_from_lines(text: str, ratio: float) -> MaskMatrix:
-    rows = [line for line in text.splitlines() if line]
-    if not rows:
-        raise ValueError("empty mask serialization")
-    width = len(rows[0])
-    bits = np.zeros((len(rows), width), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        if len(row) != width or any(ch not in "01" for ch in row):
-            raise ValueError(f"mask line {i + 1} malformed: {row!r}")
-        bits[i] = [int(ch) for ch in row]
-    return MaskMatrix(bits, ratio)
+    return MaskMatrix(bits)

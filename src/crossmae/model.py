@@ -16,7 +16,7 @@ The reconstruction loss is the mean squared error over all patches; a
 masked-only variant is available for ablation.
 """
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -305,39 +305,11 @@ def alignment_identity(u: np.ndarray, v: np.ndarray):
     return sq, inner, abs(sq - (2.0 * c2 - 2.0 * inner))
 
 
-def alignment_gap(state: ModelState, grid: PatchGrid, mask: MaskMatrix, c_norm: float = 1.0):
-    """Reconstruct the masked view, normalize prediction and target to a
-    common norm c_norm, and report (loss, alignment, identity gap)."""
-    t = T.Tape()
-    b = Binding(state, t, trainable=False)
-    recon = reconstruct(b, [grid], [mask]).data
-    masked_ids = np.flatnonzero(mask.bits.ravel() == 1)
-    flat = grid.patches.reshape(state.arch.n_tokens, state.arch.patch_len)
-    u = recon[masked_ids].ravel()
-    v = flat[masked_ids].ravel()
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        raise ValueError("cannot normalize a zero view")
-    u = u * (c_norm / nu)
-    v = v * (c_norm / nv)
-    return alignment_identity(u, v)
-
-
 def save_checkpoint(state: ModelState, directory):
     """Arch + name/shape/offset manifest plus a little-endian float32 blob."""
     os.makedirs(directory, exist_ok=True)
-    arch = state.arch
-    lines = [
-        f"format={CHECKPOINT_FORMAT}",
-        f"n_modalities={arch.n_modalities}",
-        f"n_patches={arch.n_patches}",
-        f"patch_len={arch.patch_len}",
-        f"d_model={arch.d_model}",
-        f"enc_layers={arch.enc_layers}",
-        f"dec_layers={arch.dec_layers}",
-        f"n_heads={arch.n_heads}",
-        f"mlp_ratio={arch.mlp_ratio}",
-    ]
+    lines = [f"format={CHECKPOINT_FORMAT}"]
+    lines += [f"{f.name}={getattr(state.arch, f.name)}" for f in fields(ArchSpec)]
     offset = 0
     names = sorted(state.params)
     for name in names:
@@ -364,16 +336,7 @@ def load_checkpoint(directory) -> ModelState:
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ManifestError(f"{man_path}: unsupported format {meta.get('format')!r}")
     try:
-        arch = ArchSpec(
-            n_modalities=int(meta["n_modalities"]),
-            n_patches=int(meta["n_patches"]),
-            patch_len=int(meta["patch_len"]),
-            d_model=int(meta["d_model"]),
-            enc_layers=int(meta["enc_layers"]),
-            dec_layers=int(meta["dec_layers"]),
-            n_heads=int(meta["n_heads"]),
-            mlp_ratio=int(meta["mlp_ratio"]),
-        )
+        arch = ArchSpec(**{f.name: int(meta[f.name]) for f in fields(ArchSpec)})
     except KeyError as exc:
         raise ManifestError(f"{man_path}: missing arch field {exc}") from None
     except ValueError as exc:

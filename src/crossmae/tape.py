@@ -48,10 +48,6 @@ class DiffArray:
         else:
             self._grad += g
 
-    @property
-    def shape(self):
-        return self.data.shape
-
 
 class Tape:
     """Ordered record of the primitive applications that need a gradient."""

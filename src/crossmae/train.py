@@ -12,8 +12,9 @@ step that leaves a parameter or AdamW's second moment non-finite (finite
 divergence: the loss grows until the squared gradient overflows) stops it
 right after.
 
-Probing: LinearProbe trains a linear head on the frozen class-token latent
-(encoder untouched); FineTune trains head and encoder jointly.
+Probing: mode "lp" trains a linear head on the frozen class-token latent
+(encoder untouched); mode "ft" trains head and encoder jointly. Both stop on
+non-finite values the way pretraining does.
 """
 from dataclasses import dataclass, field
 
@@ -136,15 +137,24 @@ def cosine_lr(step: int, warmup_steps: int, total_steps: int, base_lr: float, mi
     return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + np.cos(np.pi * progress))
 
 
-def _check_finite(step: int, loss, grads: dict):
-    """Raise FloatingPointError when the loss or a gradient is not finite,
-    naming the step and the first parameter group with a non-finite
-    gradient."""
+def _check_finite(loop: str, step: int, loss, grads: dict):
+    """Before an update: raise FloatingPointError when the loss or a
+    gradient is not finite, naming the loop ("pretrain", "probe"), the step
+    and the first parameter group with a non-finite gradient."""
     bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
     if bad is None and np.isfinite(loss.data):
         return
     detail = f"first non-finite gradient in {bad}" if bad else "all gradients finite"
-    raise FloatingPointError(f"pretrain step {step}: loss {float(loss.data)!r}, {detail}")
+    raise FloatingPointError(f"{loop} step {step}: loss {float(loss.data)!r}, {detail}")
+
+
+def _check_update(loop: str, step: int, loss, opt: AdamWState):
+    """After an update: raise FloatingPointError when it left a parameter
+    or its second moment non-finite."""
+    bad = opt.non_finite_group()
+    if bad is not None:
+        raise FloatingPointError(f"{loop} step {step}: loss {float(loss.data)!r}, "
+                                 f"AdamW left {bad} or its second moment non-finite")
 
 
 def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
@@ -194,13 +204,10 @@ def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
             loss = mae_loss(binding, grids, masks, masked_only=cfg.masked_only_loss)
             tape_.backward(loss)
             grads = binding.grads()
-            _check_finite(step, loss, grads)
+            _check_finite("pretrain", step, loss, grads)
             lr = cosine_lr(step, warmup_steps, total_steps, o.lr, o.min_lr)
             adamw_step(state.params, grads, opt, lr, o)
-            bad = opt.non_finite_group()
-            if bad is not None:
-                raise FloatingPointError(f"pretrain step {step}: loss {float(loss.data)!r}, "
-                                         f"AdamW left {bad} or its second moment non-finite")
+            _check_update("pretrain", step, loss, opt)
             step += 1
             epoch_losses.append(float(loss.data))
         trace.append(float(np.mean(epoch_losses)))
@@ -208,7 +215,7 @@ def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
 
 
 def _zero_mask(arch: ArchSpec) -> MaskMatrix:
-    return MaskMatrix(np.zeros((arch.n_modalities, arch.n_patches), dtype=np.uint8), 0.5)
+    return MaskMatrix(np.zeros((arch.n_modalities, arch.n_patches), dtype=np.uint8))
 
 
 def class_embeddings(state: ModelState, windows) -> np.ndarray:
@@ -277,8 +284,11 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
             logits = T.add(T.matmul(tape_.constant(emb[tr]), w_leaf), b_leaf)
             loss = _cross_entropy(logits, onehot[tr])
             tape_.backward(loss)
+            grads = {"head.W": w_leaf.grad, "head.b": b_leaf.grad}
+            _check_finite("probe", epoch, loss, grads)
             lr = cosine_lr(epoch, 0, cfg.epochs, cfg.lr, 0.0)
-            adamw_step(params, {"head.W": w_leaf.grad, "head.b": b_leaf.grad}, opt, lr, ocfg)
+            adamw_step(params, grads, opt, lr, ocfg)
+            _check_update("probe", epoch, loss, opt)
             trace.append(float(loss.data))
         val_logits = emb[va] @ params["head.W"] + params["head.b"]
         top1 = float((val_logits.argmax(axis=1) == labels[va]).mean())
@@ -307,8 +317,11 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
             logits = T.add(T.matmul(feat, binding.p["probe.W"]), binding.p["probe.b"])
             loss = _cross_entropy(logits, onehot[idx])
             tape_.backward(loss)
+            grads = binding.grads()
+            _check_finite("probe", step, loss, grads)
             lr = cosine_lr(step, 0, total_steps, cfg.lr, 0.0)
-            adamw_step(params, binding.grads(), opt, lr, ocfg)
+            adamw_step(params, grads, opt, lr, ocfg)
+            _check_update("probe", step, loss, opt)
             step += 1
             ep.append(float(loss.data))
         trace.append(float(np.mean(ep)))

@@ -56,10 +56,6 @@ class PatchGrid:
         if min(self.patches.shape) < 1:
             raise ValueError("PatchGrid dimensions must be positive")
 
-    @property
-    def shape(self):
-        return self.patches.shape
-
 
 @dataclass
 class SynthSpec:
@@ -167,11 +163,6 @@ def patchify(window: SensorWindow, patch_len: int) -> PatchGrid:
     return PatchGrid(trimmed.reshape(c_n, p_n, patch_len).copy())
 
 
-def unpatchify(grid: PatchGrid) -> SensorWindow:
-    c_n, p_n, patch_len = grid.patches.shape
-    return SensorWindow(grid.patches.reshape(c_n, p_n * patch_len).copy())
-
-
 def standardize(window: SensorWindow) -> SensorWindow:
     """Per-channel z-score; constant channels map to all zeros."""
     mu = window.values.mean(axis=1, keepdims=True)
@@ -212,13 +203,18 @@ def save_dataset(directory, windows: list[SensorWindow], sample_rate_hz: float, 
 
 
 def load_dataset(directory):
-    """Read a dataset directory back. Returns (windows, meta dict)."""
-    with open(os.path.join(directory, MANIFEST_NAME)) as fh:
-        meta = parse_kv_lines(fh.read(), source=MANIFEST_NAME)
+    """Read a dataset directory back. Returns (windows, meta dict). Malformed
+    files raise a ManifestError naming the file's path and, for labels, the
+    line; a label is -1 (unlabeled) or a class index below n_classes."""
+    man_path = os.path.join(directory, MANIFEST_NAME)
+    blob_path = os.path.join(directory, BLOB_NAME)
+    labels_path = os.path.join(directory, LABELS_NAME)
+    with open(man_path) as fh:
+        meta = parse_kv_lines(fh.read(), source=man_path)
     required = ("n_windows", "C", "L", "sample_rate_hz", "n_classes")
     for key in required:
         if key not in meta:
-            raise ManifestError(f"{MANIFEST_NAME}: missing key {key}")
+            raise ManifestError(f"{man_path}: missing key {key}")
     try:
         n = int(meta["n_windows"])
         c_n = int(meta["C"])
@@ -226,19 +222,30 @@ def load_dataset(directory):
         n_classes = int(meta["n_classes"])
         rate = float(meta["sample_rate_hz"])
     except ValueError as exc:
-        raise ManifestError(f"{MANIFEST_NAME}: non-numeric field ({exc})") from None
-    blob_path = os.path.join(directory, BLOB_NAME)
+        raise ManifestError(f"{man_path}: non-numeric field ({exc})") from None
     expected = n * c_n * length * 4
     actual = os.path.getsize(blob_path)
     if actual != expected:
         raise ManifestError(
-            f"{BLOB_NAME}: size {actual} does not match manifest "
+            f"{blob_path}: size {actual} does not match manifest "
             f"(n_windows*C*L*4 = {expected})")
     raw = np.fromfile(blob_path, dtype="<f4").astype(np.float64).reshape(n, c_n, length)
-    with open(os.path.join(directory, LABELS_NAME)) as fh:
-        labels = [int(line.strip()) for line in fh if line.strip()]
+    labels = []
+    with open(labels_path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                label = int(line.strip())
+            except ValueError:
+                raise ManifestError(f"{labels_path}: line {lineno}: label {line.strip()!r} "
+                                    "is not an integer") from None
+            if not (label == -1 or 0 <= label < n_classes):
+                raise ManifestError(f"{labels_path}: line {lineno}: label {label} is neither "
+                                    f"-1 nor a class in [0, {n_classes})")
+            labels.append(label)
     if len(labels) != n:
-        raise ManifestError(f"{LABELS_NAME}: {len(labels)} labels for {n} windows")
+        raise ManifestError(f"{labels_path}: {len(labels)} labels for {n} windows")
     windows = [SensorWindow(raw[i], labels[i] if labels[i] >= 0 else None) for i in range(n)]
     return windows, {"n_windows": n, "C": c_n, "L": length,
                      "sample_rate_hz": rate, "n_classes": n_classes}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from crossmae import cli
-from crossmae.kcca import CovTriple, Linear, ViewGrams, cca_sigma, kcca_solve
+from crossmae.kcca import CovTriple, ViewGrams, cca_sigma, kcca_solve
 from crossmae.masking import CROSS, SYNC, floor_count, sample_mask
 from crossmae.model import (ArchSpec, alignment_identity, gradcheck_model,
                             init_model)

@@ -59,19 +59,10 @@ def test_temporal_task_column_subsets_uniform():
 
 
 def test_sensor_task_hides_all_but_one_modality():
-    m = task_mask(MissingnessTask(kind="sensor", visible_modality=2), 6, 10,
-                  np.random.default_rng(3))
-    assert int(m.bits.sum()) == 50
-    assert np.array_equal(m.bits[2], np.zeros(10, dtype=m.bits.dtype))
-    assert np.all(m.bits[[0, 1, 3, 4, 5]] == 1)
-
     drawn = task_mask(MissingnessTask(kind="sensor"), 4, 5, np.random.default_rng(4))
     vis = np.flatnonzero(drawn.bits.sum(axis=1) == 0)
     assert vis.size == 1
-
-    with pytest.raises(ValueError):
-        task_mask(MissingnessTask(kind="sensor", visible_modality=6), 6, 10,
-                  np.random.default_rng(5))
+    assert int(drawn.bits.sum()) == 3 * 5
 
 
 def test_extrapolation_masks_trailing_columns():
@@ -83,7 +74,7 @@ def test_extrapolation_masks_trailing_columns():
 
 def test_sample_mask_array_expansion():
     bits = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-    sm = _sample_mask_array(MaskMatrix(bits, 0.5), patch_len=3, n_samples=8)
+    sm = _sample_mask_array(MaskMatrix(bits), patch_len=3, n_samples=8)
     assert sm.shape == (2, 8)
     assert np.array_equal(sm[0], [1, 1, 1, 0, 0, 0, 0, 0])
     assert np.array_equal(sm[1], [0, 0, 0, 1, 1, 1, 0, 0])  # samples 6,7 beyond P*L_p stay visible
@@ -214,19 +205,19 @@ def test_impute_model_zero_mask_is_identity_and_visible_bits_kept():
         optim=OptimConfig(epochs=1, warmup_epochs=0, batch_size=4)), seed=0)
     w = standardize(ws[0])
 
-    hole = MaskMatrix(np.zeros((3, 4), dtype=np.uint8), 0.0)
+    hole = MaskMatrix(np.zeros((3, 4), dtype=np.uint8))
     assert np.array_equal(impute_model(state, [w], [hole])[0].values, w.values)
 
     bits = np.zeros((3, 4), dtype=np.uint8)
     bits[0, 1] = bits[2, 3] = 1
-    mask = MaskMatrix(bits, 0.5)
+    mask = MaskMatrix(bits)
     out = impute_model(state, [w], [mask])[0]
     sm = _sample_mask_array(mask, 4, 16)
     assert np.array_equal(out.values[~sm], w.values[~sm])
     assert not np.array_equal(out.values[sm], w.values[sm])
 
     with pytest.raises(ValueError):
-        impute_model(state, [w], [MaskMatrix(np.ones((3, 4), dtype=np.uint8), 0.9)])
+        impute_model(state, [w], [MaskMatrix(np.ones((3, 4), dtype=np.uint8))])
 
 
 def test_model_beats_zeros_predictor_after_overfit():

@@ -1,13 +1,9 @@
-"""Mask sampling counts, column structure, view splitting, serialization."""
+"""Mask sampling counts, column structure, and MaskMatrix validation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from crossmae.masking import (CROSS, SYNC, MaskMatrix, floor_count,
-                              mask_from_lines, mask_to_lines, sample_mask,
-                              split_views)
-from crossmae.windows import PatchGrid
+from crossmae.masking import CROSS, SYNC, MaskMatrix, floor_count, sample_mask
 
 
 def test_cross_count_example():
@@ -87,60 +83,6 @@ def test_cross_small_grid_hits_every_admissible_mask():
 
 def test_mask_matrix_validation():
     with pytest.raises(ValueError):
-        MaskMatrix(np.array([0, 1]), 0.5)
+        MaskMatrix(np.array([0, 1]))
     with pytest.raises(ValueError):
-        MaskMatrix(np.array([[0, 2], [1, 0]]), 0.5)
-
-
-def test_split_views_all_zero_and_single_one():
-    grid = PatchGrid(np.arange(24, dtype=float).reshape(2, 3, 4))
-    empty = split_views(grid, MaskMatrix(np.zeros((2, 3), dtype=np.uint8), 0.5))
-    assert empty.masked_view == []
-    assert len(empty.unmasked_view) == 6
-
-    bits = np.zeros((2, 3), dtype=np.uint8)
-    bits[0, 0] = 1
-    one = split_views(grid, MaskMatrix(bits, 0.5))
-    assert len(one.masked_view) == 1
-    c, p, patch = one.masked_view[0]
-    assert (c, p) == (0, 0)
-    assert np.array_equal(patch, grid.patches[0, 0])
-
-
-def test_split_views_shape_mismatch():
-    grid = PatchGrid(np.zeros((2, 3, 4)))
-    with pytest.raises(ValueError):
-        split_views(grid, MaskMatrix(np.zeros((3, 3), dtype=np.uint8), 0.5))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_split_views_reassembles_grid(seed):
-    rng = np.random.default_rng(seed)
-    c, p, lp = int(rng.integers(2, 6)), int(rng.integers(2, 8)), int(rng.integers(1, 6))
-    grid = PatchGrid(rng.standard_normal((c, p, lp)))
-    mask = sample_mask(CROSS, c, p, 0.5, rng)
-    views = split_views(grid, mask)
-    assert len(views.masked_view) + len(views.unmasked_view) == c * p
-    rebuilt = np.empty_like(grid.patches)
-    for ci, pi, patch in views.masked_view + views.unmasked_view:
-        rebuilt[ci, pi] = patch
-    assert np.array_equal(rebuilt, grid.patches)
-
-
-def test_mask_lines_round_trip():
-    m = sample_mask(CROSS, 3, 5, 0.4, np.random.default_rng(9))
-    text = mask_to_lines(m)
-    assert text.count("\n") == 3
-    back = mask_from_lines(text, m.ratio)
-    assert np.array_equal(back.bits, m.bits)
-    assert back.ratio == m.ratio
-
-
-def test_mask_lines_malformed_rejected():
-    with pytest.raises(ValueError, match="line 2"):
-        mask_from_lines("010\n0x0\n", 0.3)
-    with pytest.raises(ValueError):
-        mask_from_lines("010\n01\n", 0.3)
-    with pytest.raises(ValueError):
-        mask_from_lines("", 0.3)
+        MaskMatrix(np.array([[0, 2], [1, 0]]))

@@ -6,9 +6,8 @@ import pytest
 from crossmae import tape as T
 from crossmae.config import ManifestError
 from crossmae.masking import CROSS, MaskMatrix, sample_mask
-from crossmae.model import (ArchSpec, Binding, ModelState, _attention, _LeafView,
-                            alignment_gap, alignment_identity, encode, decode,
-                            gradcheck_model, init_model, load_checkpoint,
+from crossmae.model import (ArchSpec, Binding, _attention, _LeafView,
+                            alignment_identity, encode, gradcheck_model, init_model, load_checkpoint,
                             mae_loss, positions_2d, reconstruct, save_checkpoint)
 from crossmae.windows import SensorWindow, patchify
 
@@ -141,7 +140,7 @@ def test_masked_only_loss_restricts_to_hidden_patches():
     assert float(part.data) != float(full.data)
     with pytest.raises(ValueError):
         mae_loss(Binding(state, T.Tape(), trainable=False), [grid],
-                 [MaskMatrix(np.zeros((2, 3), dtype=np.uint8), 0.5)], masked_only=True)
+                 [MaskMatrix(np.zeros((2, 3), dtype=np.uint8))], masked_only=True)
 
 
 def test_alignment_identity_examples():
@@ -164,12 +163,6 @@ def test_alignment_identity_random_pairs():
         v = rng.standard_normal(16)
         v /= np.linalg.norm(v)
         assert alignment_identity(u, v)[2] < 1e-10
-
-
-def test_alignment_gap_on_model_output():
-    state = init_model(TINY, seed=6)
-    _, _, gap = alignment_gap(state, _grid(TINY, seed=12), _mask(TINY))
-    assert gap < 1e-10
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -293,7 +286,7 @@ def test_batch_rejects_unequal_visible_counts():
     state = init_model(TINY, seed=15)
     bits = np.zeros((2, 3), dtype=np.uint8)
     bits[0, 0] = 1
-    masks = [_mask(TINY, ratio=0.5), MaskMatrix(bits, 0.2)]
+    masks = [_mask(TINY, ratio=0.5), MaskMatrix(bits)]
     with pytest.raises(ValueError, match="same number"):
         encode(Binding(state, T.Tape(), trainable=False), [_grid(TINY)] * 2, masks)
 

@@ -1,0 +1,74 @@
+"""Every module-level function and class in src/crossmae has a caller in src.
+
+A definition counts as reached when its name appears as a `Name` or as an
+`Attribute` anywhere in the package outside the definition itself. The match
+is by name only, so `x.mean()` on an array also reaches `tape.mean`; the check
+catches definitions whose name nothing in the package mentions. Names kept for
+callers outside the package are listed in KEEP, each with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crossmae"
+
+KEEP = {
+    "tape.slice_": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
+    "tape.concat": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
+    "tape.transpose": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
+    "tape.softmax": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
+    "tape.mean": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
+    "model.alignment_identity": "acceptance criterion 10",
+    "kcca.kcca_solve": "acceptance criterion 05",
+}
+
+
+def _module_name(path: Path) -> str:
+    rel = path.relative_to(PACKAGE).with_suffix("")
+    parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
+    return ".".join(parts) or "crossmae"
+
+
+def _referenced(node) -> set:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def _definitions() -> tuple:
+    """(qualified name, bare name, (file, statement index)) of every
+    module-level function and class, plus the names each top-level statement
+    refers to, keyed by (file, statement index)."""
+    definitions = []
+    refs = {}  # (file, statement index) -> names referenced in that statement
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = _module_name(path)
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            refs[(path, i)] = _referenced(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((f"{module}.{stmt.name}", stmt.name, (path, i)))
+    return definitions, refs
+
+
+def _unreached() -> set:
+    """Qualified names of module-level definitions no other code refers to."""
+    definitions, refs = _definitions()
+    return {qual for qual, name, where in definitions
+            if not any(name in names for key, names in refs.items() if key != where)}
+
+
+def test_every_definition_is_reached_from_the_package():
+    unreached = _unreached() - KEEP.keys()
+    assert not unreached, (
+        f"defined but never referenced in src/crossmae: {sorted(unreached)}; "
+        "give each a caller, delete it with its tests, or add it to KEEP with a reason")
+
+
+def test_keep_list_names_existing_definitions():
+    defined = {qual for qual, _, _ in _definitions()[0]}
+    stale = KEEP.keys() - defined
+    assert not stale, f"KEEP entries that are no longer defined: {sorted(stale)}"

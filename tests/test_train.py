@@ -171,6 +171,19 @@ def test_probe_label_length_mismatch():
               ProbeConfig(), seed=0)
 
 
+@pytest.mark.parametrize("mode, group", [("lp", "head.W"), ("ft", "embed.W")])
+def test_probe_names_the_step_and_group_of_a_non_finite_gradient(monkeypatch, mode, group):
+    ws = _windows(n=12, seed=24)
+    labels = np.array([w.label for w in ws])
+    state = init_model(ARCH, seed=0)
+    state.params["enc0.mlp.W1"][0, 0] = np.nan
+    steps = []
+    monkeypatch.setattr(train, "adamw_step", lambda *args: steps.append(args))
+    with pytest.raises(FloatingPointError,
+                       match=rf"^probe step 0: loss nan, first non-finite gradient in {group}$"):
+        probe(state, ws, labels, 4, ProbeConfig(mode=mode, epochs=2), seed=4)
+    assert steps == []
+
 
 def test_pretrain_stops_at_step_0_on_a_nan_sample(monkeypatch):
     ws = _windows()

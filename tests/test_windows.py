@@ -1,13 +1,15 @@
 """Synthetic windows, splice augmentation, patch grids, dataset files."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossmae.config import ManifestError
-from crossmae.windows import (PatchGrid, SensorWindow, SynthSpec, generate_windows,
+from crossmae.windows import (SensorWindow, SynthSpec, generate_windows,
                               load_dataset, patchify, save_dataset, splice_augment,
-                              standardize, unpatchify)
+                              standardize)
 
 
 def _spec(**kw):
@@ -124,32 +126,23 @@ def test_splice_rejects_degenerate_datasets():
 def test_patchify_counts():
     w = generate_windows(_spec(n_modalities=6, n_samples=200, noise_sd=0.1))[0]
     g = patchify(w, 20)
-    assert g.shape == (6, 10, 20)
+    assert g.patches.shape == (6, 10, 20)
     assert np.array_equal(g.patches[2, 3], w.values[2, 60:80])
+    assert np.array_equal(g.patches.reshape(6, -1), w.values)
 
 
 def test_patchify_single_patch_and_remainder_drop():
     w = SensorWindow(np.arange(20, dtype=float).reshape(2, 10))
     g = patchify(w, 10)
-    assert g.shape == (2, 1, 10)
+    assert g.patches.shape == (2, 1, 10)
     assert np.array_equal(g.patches[:, 0, :], w.values)
 
     w2 = SensorWindow(np.arange(22, dtype=float).reshape(2, 11))
     g2 = patchify(w2, 5)
-    assert g2.shape == (2, 2, 5)
-    assert np.array_equal(unpatchify(g2).values, w2.values[:, :10])
+    assert g2.patches.shape == (2, 2, 5)
+    assert np.array_equal(g2.patches.reshape(2, -1), w2.values[:, :10])
     with pytest.raises(ValueError):
         patchify(w2, 12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_unpatchify_patchify_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    c, p, lp = int(rng.integers(2, 6)), int(rng.integers(1, 7)), int(rng.integers(2, 9))
-    g = PatchGrid(rng.standard_normal((c, p, lp)))
-    back = patchify(unpatchify(g), lp)
-    assert np.array_equal(back.patches, g.patches)
 
 
 def test_standardize_examples_and_idempotence():
@@ -201,4 +194,41 @@ def test_dataset_blob_size_mismatch_rejected(tmp_path):
     blob = tmp_path / "data.f32"
     blob.write_bytes(blob.read_bytes()[:-4])
     with pytest.raises(ValueError):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("labels, message", [
+    (["0", "one", "1"], "line 2: label 'one' is not an integer"),
+    (["0", "1", "-5"], "line 3: label -5 is neither -1 nor a class in [0, 2)"),
+    (["2", "0", "1"], "line 1: label 2 is neither -1 nor a class in [0, 2)"),
+], ids=["non-integer", "negative", "beyond-n-classes"])
+def test_dataset_bad_label_names_path_and_line(tmp_path, labels, message):
+    save_dataset(tmp_path, generate_windows(_spec(n_windows=3)), sample_rate_hz=50.0,
+                 n_classes=2)
+    path = tmp_path / "labels.txt"
+    path.write_text("".join(f"{lab}\n" for lab in labels))
+    with pytest.raises(ManifestError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_dataset(tmp_path)
+
+
+def test_dataset_errors_name_the_full_path(tmp_path):
+    ws = generate_windows(_spec())
+    save_dataset(tmp_path, ws, sample_rate_hz=50.0, n_classes=2)
+    man = tmp_path / "manifest.txt"
+    text = man.read_text()
+    man.write_text(text.replace("n_classes=2\n", ""))
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(man))}: missing key n_classes"):
+        load_dataset(tmp_path)
+    man.write_text(text.replace("C=2", "C=two"))
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(man))}: non-numeric"):
+        load_dataset(tmp_path)
+    man.write_text(text)
+    blob = tmp_path / "data.f32"
+    blob.write_bytes(blob.read_bytes()[:-4])
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(blob))}: size"):
+        load_dataset(tmp_path)
+    blob.write_bytes(b"\0" * (4 * 4 * 2 * 16))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\n")
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(labels))}: 2 labels for 4"):
         load_dataset(tmp_path)
