@@ -14,13 +14,13 @@ from .config import ManifestError, format_kv_lines, load_config, resolve
 from .imputation import (METHODS, TASKS, MissingnessTask, _sample_mask_array,
                          impute_chained, impute_linear, impute_model,
                          impute_nearest, score, task_mask)
-from .kcca import ModelEncoder, RawFlatten, sigma1_experiment
+from .kcca import sigma1_experiment
 from .masking import CROSS, SYNC
 from .model import (ArchSpec, gradcheck_model, load_checkpoint,
                     save_checkpoint)
 from .train import OptimConfig, PretrainConfig, ProbeConfig, pretrain, probe
-from .windows import (SynthSpec, generate_windows, load_dataset, save_dataset,
-                      splice_augment, standardize)
+from .windows import (SynthSpec, as_generator, generate_windows, load_dataset,
+                      save_dataset, splice_augment, standardize)
 
 RUN_FORMAT = "crossmae-run-v1"
 CONFIG_NAME = "config.txt"
@@ -198,8 +198,7 @@ def cmd_impute(cfg: dict, out_dir: str) -> None:
     rows = []
     for t_idx, kind in enumerate(TASKS):
         task = MissingnessTask(kind=kind, ratio=ratio)
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([cfg["seed"], t_idx])))
+        rng = as_generator([cfg["seed"], t_idx])
         masks = [task_mask(task, arch.n_modalities, arch.n_patches, rng)
                  for _ in windows]
         smasks = [_sample_mask_array(m, arch.patch_len, meta["L"]) for m in masks]
@@ -242,25 +241,27 @@ def cmd_probe(cfg: dict, out_dir: str) -> None:
 
 
 def cmd_analyze(cfg: dict, out_dir: str) -> None:
+    n_seeds = cfg["exp.n_seeds"]
+    if n_seeds < 1:
+        raise ManifestError(f"exp.n_seeds must be at least 1, got {n_seeds}")
     if cfg["exp.encoder"] == "raw_flatten":
-        encoder = RawFlatten()
+        state = None
     elif cfg["exp.encoder"] == "model_encoder":
         if not cfg["exp.checkpoint"]:
             raise ManifestError("exp.encoder=model_encoder needs exp.checkpoint")
-        encoder = ModelEncoder(load_checkpoint(cfg["exp.checkpoint"]))
+        state = load_checkpoint(cfg["exp.checkpoint"])
     else:
         raise ManifestError(f"unknown exp.encoder {cfg['exp.encoder']!r}")
     n_trans = cfg["exp.n_transitions"]
     rows = []
     sums = {CROSS: 0.0, SYNC: 0.0}
-    for s in range(cfg["exp.n_seeds"]):
+    for s in range(n_seeds):
         replicate = cfg["seed"] + s
         base = generate_windows(_synth_spec(cfg, replicate))
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([cfg["seed"] + 1000 + s])))
+        rng = as_generator([cfg["seed"] + 1000 + s])
         trans = [splice_augment(base, rng).window for _ in range(n_trans)]
         for policy in (CROSS, SYNC):
-            sigma1 = sigma1_experiment(trans, policy, encoder,
+            sigma1 = sigma1_experiment(trans, policy, state,
                                        pca_k=cfg["exp.pca_k"],
                                        seed=cfg["seed"] + 31 + s,
                                        ratio=cfg["exp.mask_ratio"],
@@ -272,7 +273,6 @@ def cmd_analyze(cfg: dict, out_dir: str) -> None:
         fh.write("policy,seed,n,pca_k,encoder_kind,sigma1\n")
         for row in rows:
             fh.write(row + "\n")
-    n_seeds = cfg["exp.n_seeds"]
     mean_cross = sums[CROSS] / n_seeds
     mean_sync = sums[SYNC] / n_seeds
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tape as T
 from .masking import CROSS, MaskMatrix, floor_count, sample_mask
-from .model import Binding, ModelState, forward_chunks, reconstruct
+from .model import ModelState, forward_frozen, reconstruct
 from .windows import SensorWindow, as_generator, patchify
 
 TASKS = ("random", "temporal", "sensor", "extrapolation")
@@ -74,18 +73,17 @@ def _sample_mask_array(mask: MaskMatrix, patch_len: int, n_samples: int) -> np.n
 def impute_model(state: ModelState, windows, masks) -> list:
     """Reconstruct each window's hidden patches with the pretrained
     autoencoder; visible samples are passed through bit-identically. The
-    windows run in forward-only chunks (model.forward_chunks)."""
+    windows run in forward-only chunks (model.forward_frozen)."""
     if len(windows) != len(masks):
         raise ValueError(f"{len(windows)} windows but {len(masks)} masks")
     if any(m.bits.all() for m in masks):
         raise ValueError("model imputation needs at least one visible patch")
     arch = state.arch
     c_n, p_n, lp = arch.n_modalities, arch.n_patches, arch.patch_len
-    binding = Binding(state, T.Tape(), trainable=False)
+    grids = [patchify(w, lp) for w in windows]
     out = []
-    for chunk in forward_chunks(masks):
-        grids = [patchify(w, lp) for w in windows[chunk]]
-        recon = reconstruct(binding, grids, masks[chunk]).data.reshape(-1, c_n, p_n, lp)
+    for chunk, recon in forward_frozen(state, reconstruct, grids, masks):
+        recon = recon.reshape(-1, c_n, p_n, lp)
         for window, mask, patches in zip(windows[chunk], masks[chunk], recon):
             filled = window.values.copy()
             cells = filled[:, :p_n * lp].reshape(c_n, p_n, lp)

@@ -3,9 +3,12 @@
 The analysis scores a masking policy by how strongly the visible part of a
 window predicts the hidden part: build per-window view features, reduce with
 PCA, and take the top singular value of the whitened cross-covariance
-sigma_1(Gamma), Gamma = S_uu^{-1/2} S_um S_mm^{-1/2}. kcca_solve gives the
-kernel counterpart, the top regularized canonical correlation of two
-caller-built Gram matrices over the same windows.
+sigma_1(Gamma), Gamma = S_uu^{-1/2} S_um S_mm^{-1/2}. The view features are
+the raw cells of each view, or, given a model state, the mean encoder latent
+of each view (model.forward_frozen). kcca_solve gives the kernel
+counterpart, the top regularized canonical correlation of two caller-built
+Gram matrices over the same windows. Both solvers return plain numbers: the
+singular values and rho.
 """
 from dataclasses import dataclass
 
@@ -13,9 +16,8 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .masking import MaskMatrix, sample_mask
-from .model import Binding, ModelState, encode, forward_chunks
-from . import tape as T
-from .windows import SensorWindow, patchify, standardize
+from .model import ModelState, encode, forward_frozen
+from .windows import SensorWindow, as_generator, patchify, standardize
 
 POWER_ITERS = 300
 POWER_TOL = 1e-12
@@ -45,25 +47,6 @@ class ViewGrams:
             raise ValueError("view Grams must share a shape")
 
 
-@dataclass
-class KccaResult:
-    rho: float
-
-
-@dataclass
-class CovTriple:
-    """Within-view and cross-view covariance over PCA feature dimensions."""
-
-    s_uu: np.ndarray
-    s_mm: np.ndarray
-    s_um: np.ndarray
-
-
-@dataclass
-class CcaResult:
-    sigma: np.ndarray
-
-
 def center_gram(k: np.ndarray) -> np.ndarray:
     """Double-center: HKH with H = I - (1/n) 1 1^T."""
     k = np.asarray(k, dtype=np.float64)
@@ -91,7 +74,7 @@ def _chol_or_raise(r: np.ndarray, k: np.ndarray, name: str) -> np.ndarray:
             f"against max {eig[-1]:.6e}") from None
 
 
-def kcca_solve(grams: ViewGrams, gamma_u: float, gamma_m: float, centered: bool) -> KccaResult:
+def kcca_solve(grams: ViewGrams, gamma_u: float, gamma_m: float, centered: bool) -> float:
     """Top regularized kernel canonical correlation.
 
     Stationary system K_U K_M beta = rho (K_U^2 + gamma_U K_U) alpha and
@@ -116,8 +99,7 @@ def kcca_solve(grams: ViewGrams, gamma_u: float, gamma_m: float, centered: bool)
         y = cho_solve((l_m, True), cross.T @ x)
         return solve_triangular(l_u, cross @ y, lower=True)
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(POWER_SEED)))
-    w = rng.standard_normal(n)
+    w = as_generator(POWER_SEED).standard_normal(n)
     w /= np.linalg.norm(w)
     lam = 0.0
     for _ in range(POWER_ITERS):
@@ -131,7 +113,7 @@ def kcca_solve(grams: ViewGrams, gamma_u: float, gamma_m: float, centered: bool)
         lam, w = lam_next, w_next
         if done:
             break
-    return KccaResult(float(np.sqrt(max(lam, 0.0))))
+    return float(np.sqrt(max(lam, 0.0)))
 
 
 def pca_reduce(features: np.ndarray, k: int) -> np.ndarray:
@@ -163,66 +145,53 @@ def _inv_sqrt(s: np.ndarray, name: str) -> np.ndarray:
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
-def cca_sigma(cov: CovTriple) -> CcaResult:
-    """Singular values of Gamma = S_uu^{-1/2} S_um S_mm^{-1/2}, largest first."""
-    wu = _inv_sqrt(np.asarray(cov.s_uu, dtype=np.float64), "S_UU")
-    wm = _inv_sqrt(np.asarray(cov.s_mm, dtype=np.float64), "S_MM")
-    gamma = wu @ np.asarray(cov.s_um, dtype=np.float64) @ wm
+def cca_sigma(s_uu: np.ndarray, s_mm: np.ndarray, s_um: np.ndarray) -> np.ndarray:
+    """Singular values of Gamma = S_uu^{-1/2} S_um S_mm^{-1/2}, largest first,
+    from the within-view and cross-view covariances."""
+    wu = _inv_sqrt(np.asarray(s_uu, dtype=np.float64), "S_UU")
+    wm = _inv_sqrt(np.asarray(s_mm, dtype=np.float64), "S_MM")
+    gamma = wu @ np.asarray(s_um, dtype=np.float64) @ wm
     # The full decomposition, not compute_uv=False: LAPACK's values-only path
     # rounds differently, and sigma1.csv is part of the byte-identical runs.
-    return CcaResult(np.linalg.svd(gamma)[1])
-
-
-@dataclass(frozen=True)
-class RawFlatten:
-    """View features = the C x L window with hidden cells zeroed, flattened."""
-
-
-@dataclass
-class ModelEncoder:
-    """View features = mean of the encoder's per-patch-token latents."""
-
-    state: ModelState
+    return np.linalg.svd(gamma)[1]
 
 
 def _raw_view_features(window: SensorWindow, bits: np.ndarray, keep: int, patch_len: int) -> np.ndarray:
+    """The C x L window, every cell whose mask bit is not keep zeroed, flattened."""
     c_n, p_n = bits.shape
     vals = window.values[:, :p_n * patch_len]
     cell_keep = np.repeat(bits == keep, patch_len, axis=1)
     return np.where(cell_keep, vals, 0.0).ravel()
 
 
-def _encoded_view_features(enc: ModelEncoder, grids, masks) -> np.ndarray:
+def _encoded_view_features(state: ModelState, grids, masks) -> np.ndarray:
     """(n, D) mean patch-token latents of each window's visible view."""
-    binding = Binding(enc.state, T.Tape(), trainable=False)
     feats = []
-    for chunk in forward_chunks(masks):
-        latents = encode(binding, grids[chunk], masks[chunk]).data
+    for chunk, latents in forward_frozen(state, encode, grids, masks):
         blocks = latents.reshape(chunk.stop - chunk.start, -1, latents.shape[1])
         feats.append(blocks[:, 1:].mean(axis=1))  # patch tokens only, class row dropped
     return np.concatenate(feats)
 
 
-def sigma1_experiment(dataset, policy: str, encoder, pca_k: int = 50, seed: int = 0,
-                      ratio: float = 0.15, patch_len: int = 20) -> float:
+def sigma1_experiment(dataset, policy: str, state: ModelState | None = None, pca_k: int = 50,
+                      seed: int = 0, ratio: float = 0.15, patch_len: int = 20) -> float:
     """sigma_1 of the unmasked/masked view cross-covariance under one policy.
 
-    Every window gets its own mask draw; view features depend on the encoder
-    kind; both feature sets are PCA-reduced (k clipped to min(n, q) - 1) and
-    the whitened cross-covariance's top singular value comes from cca_sigma.
+    Every window gets its own mask draw. The view features are raw cells when
+    state is None, else the encoder latents of state (whose arch sets the
+    patch length); both feature sets are PCA-reduced (k clipped to
+    min(n, q) - 1) and the whitened cross-covariance's top singular value
+    comes from cca_sigma.
     """
     if not dataset:
         raise ValueError("sigma1_experiment needs a non-empty dataset")
-    if isinstance(encoder, ModelEncoder):
-        patch_len = encoder.state.arch.patch_len
+    if state is not None:
+        patch_len = state.arch.patch_len
     c_n, length = dataset[0].values.shape
     p_n = length // patch_len
-    if not isinstance(encoder, (RawFlatten, ModelEncoder)):
-        raise ValueError(f"unknown encoder {encoder!r}")
     children = np.random.SeedSequence(seed).spawn(len(dataset))
-    masks = [sample_mask(policy, c_n, p_n, ratio, np.random.Generator(np.random.PCG64(child)))
-             for child in children]
-    if isinstance(encoder, RawFlatten):
+    masks = [sample_mask(policy, c_n, p_n, ratio, child) for child in children]
+    if state is None:
         f_u = np.stack([_raw_view_features(w, m.bits, 0, patch_len)
                         for w, m in zip(dataset, masks)])
         f_m = np.stack([_raw_view_features(w, m.bits, 1, patch_len)
@@ -231,14 +200,12 @@ def sigma1_experiment(dataset, policy: str, encoder, pca_k: int = 50, seed: int 
         # The unmasked view shows the encoder the visible cells; the masked
         # view shows it the hidden ones.
         grids = [patchify(standardize(w), patch_len) for w in dataset]
-        f_u = _encoded_view_features(encoder, grids, masks)
-        f_m = _encoded_view_features(encoder, grids,
-                                     [MaskMatrix(1 - m.bits) for m in masks])
+        f_u = _encoded_view_features(state, grids, masks)
+        f_m = _encoded_view_features(state, grids, [MaskMatrix(1 - m.bits) for m in masks])
     n = f_u.shape[0]
     k = min(pca_k, min(n, f_u.shape[1]) - 1, min(n, f_m.shape[1]) - 1)
     if k < 1:
         raise ValueError("dataset too small for PCA reduction")
     z_u = pca_reduce(f_u, k)
     z_m = pca_reduce(f_m, k)
-    cov = CovTriple(z_u.T @ z_u / n, z_m.T @ z_m / n, z_u.T @ z_m / n)
-    return float(cca_sigma(cov).sigma[0])
+    return float(cca_sigma(z_u.T @ z_u / n, z_m.T @ z_m / n, z_u.T @ z_m / n)[0])

@@ -38,10 +38,6 @@ class MaskMatrix:
             raise ValueError("MaskMatrix bits must be 0/1")
         self.bits = self.bits.astype(np.uint8)
 
-    @property
-    def n_masked(self):
-        return int(self.bits.sum())
-
 
 def sample_mask(policy: str, n_modalities: int, n_patches: int, ratio: float, rng) -> MaskMatrix:
     """Draw one mask under the given policy, uniformly over the admissible set."""

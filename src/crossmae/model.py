@@ -9,8 +9,11 @@ hidden slots with a trainable mask token, and reconstructs every patch.
 The model runs a minibatch of windows as one graph. Every mask of a policy
 or task hides the same number of patches, so the visible tokens of B windows
 stack with no padding: activations are (B*T, D) arrays of B row blocks, one
-per window, and attention stays inside each block. Forward-only callers feed
-at most FORWARD_CHUNK windows at a time (see forward_chunks).
+per window, and attention stays inside each block. A patch grid is a
+(C, P, L_p) array (windows.patchify). Training loops bind the parameters as
+trainable leaves of one tape per step; every forward-only caller (class
+embeddings, imputation, view features) goes through forward_frozen, which
+binds them once as constants and runs FORWARD_CHUNK windows at a time.
 
 The reconstruction loss is the mean squared error over all patches; a
 masked-only variant is available for ablation.
@@ -23,7 +26,6 @@ import numpy as np
 from . import tape as T
 from .config import ManifestError, parse_kv_lines
 from .masking import MaskMatrix
-from .windows import PatchGrid
 
 ARCH_NAME = "manifest.txt"
 PARAMS_NAME = "params.f32"
@@ -69,7 +71,7 @@ def positions_2d(n_modalities: int, n_patches: int, d_model: int) -> np.ndarray:
     half = d_model // 2
     quarter = half // 2
 
-    def axis_table(n, idx_max):
+    def axis_table(n):
         idx = np.arange(n)[:, None]
         k = np.arange(quarter)[None, :]
         omega = 1.0 / np.power(10000.0, 2.0 * k / half)
@@ -79,15 +81,9 @@ def positions_2d(n_modalities: int, n_patches: int, d_model: int) -> np.ndarray:
         out[:, 1::2] = np.cos(ang)
         return out
 
-    mod_tab = axis_table(n_modalities, n_modalities)
-    pat_tab = axis_table(n_patches, n_patches)
     table = np.zeros((n_modalities * n_patches + 1, d_model))
-    row = 1
-    for c in range(n_modalities):
-        for p in range(n_patches):
-            table[row, :half] = mod_tab[c]
-            table[row, half:] = pat_tab[p]
-            row += 1
+    table[1:, :half] = np.repeat(axis_table(n_modalities), n_patches, axis=0)
+    table[1:, half:] = np.tile(axis_table(n_patches), (n_modalities, 1))
     return table
 
 
@@ -190,10 +186,10 @@ def _block(b: Binding, prefix: str, x, n_windows: int):
     return T.add(x, _mlp(b, prefix, y))
 
 
-def _check_shapes(arch: ArchSpec, grid: PatchGrid, mask: MaskMatrix):
-    c_n, p_n, lp = grid.patches.shape
+def _check_shapes(arch: ArchSpec, grid: np.ndarray, mask: MaskMatrix):
+    c_n, p_n, lp = grid.shape
     if (c_n, p_n, lp) != (arch.n_modalities, arch.n_patches, arch.patch_len):
-        raise ValueError(f"grid {grid.patches.shape} does not match arch "
+        raise ValueError(f"grid {grid.shape} does not match arch "
                          f"({arch.n_modalities}, {arch.n_patches}, {arch.patch_len})")
     if mask.bits.shape != (c_n, p_n):
         raise ValueError("mask shape does not match grid")
@@ -214,18 +210,15 @@ def _token_ids(masks) -> np.ndarray:
     return np.hstack([np.zeros((len(masks), 1), dtype=np.intp), 1 + visible])
 
 
-def forward_chunks(masks):
-    """Slices of consecutive windows for forward-only passes: at most
-    FORWARD_CHUNK windows each, all hiding the same number of patches."""
-    hidden = [m.n_masked for m in masks]
-    start = 0
-    while start < len(hidden):
-        stop = start + 1
-        while (stop < len(hidden) and stop - start < FORWARD_CHUNK
-               and hidden[stop] == hidden[start]):
-            stop += 1
-        yield slice(start, stop)
-        start = stop
+def forward_frozen(state: ModelState, fn, grids, masks):
+    """Run fn (encode or reconstruct) with every parameter of state a
+    constant: yield (chunk, fn(binding, grids[chunk], masks[chunk]).data)
+    over consecutive slices of at most FORWARD_CHUNK windows. Nothing is
+    recorded on the tape, so no graph outlives a chunk."""
+    binding = Binding(state, T.Tape(), trainable=False)
+    for start in range(0, len(masks), FORWARD_CHUNK):
+        chunk = slice(start, min(start + FORWARD_CHUNK, len(masks)))
+        yield chunk, fn(binding, grids[chunk], masks[chunk]).data
 
 
 def encode(b: Binding, grids, masks):
@@ -240,7 +233,7 @@ def encode(b: Binding, grids, masks):
         _check_shapes(arch, grid, mask)
     ids = _token_ids(masks)
     n_win = len(ids)
-    patches = np.stack([g.patches for g in grids]).reshape(n_win, arch.n_tokens, arch.patch_len)
+    patches = np.stack(grids).reshape(n_win, arch.n_tokens, arch.patch_len)
     visible = np.take_along_axis(patches, ids[:, 1:, None] - 1, axis=1)
     vis = T.add(T.matmul(b.tape.constant(visible.reshape(-1, arch.patch_len)), b.p["embed.W"]),
                 b.p["embed.b"])
@@ -283,7 +276,7 @@ def mae_loss(b: Binding, grids, masks, masked_only: bool = False):
     number of patches, so this is also the mean of the per-window losses."""
     arch = b.state.arch
     recon = reconstruct(b, grids, masks)
-    target_np = np.stack([g.patches for g in grids]).reshape(-1, arch.patch_len)
+    target_np = np.stack(grids).reshape(-1, arch.patch_len)
     if masked_only:
         masked_ids = np.flatnonzero(np.stack([m.bits.ravel() for m in masks]))
         if len(masked_ids) == 0:

@@ -8,9 +8,10 @@ fires, and then drops the record and every node's backward rule: the graph
 is freed as soon as backward ends, and a tape runs backward at most once.
 Only scalar losses may be differentiated.
 
-Supported broadcasting is deliberately narrow: scalar-with-tensor for add/mul
-and a 1-D bias row added to each row of a 2-D array. Everything else must
-shape-match exactly, which keeps every VJP an exact mirror of its forward.
+Supported broadcasting is deliberately narrow: add takes a 1-D bias row as
+its second operand, added to each row of a 2-D first operand. Everything else
+must shape-match exactly, which keeps every VJP an exact mirror of its
+forward.
 
 A batch of windows travels as one 2-D array of stacked row blocks, one block
 per window. take_rows, scatter_rows and attention are the primitives that
@@ -94,58 +95,36 @@ def _same_tape(*arrs):
 
 
 def add(a, b):
-    """Elementwise sum. Allows equal shapes, a scalar operand, or a 1-D bias
-    row added to a 2-D array."""
+    """Elementwise sum of equal shapes, or a 2-D a plus a 1-D bias row b
+    added to each of its rows."""
     tape = _same_tape(a, b)
     ash, bsh = a.data.shape, b.data.shape
-    if ash == bsh:
-        mode = "same"
-    elif bsh == ():
-        mode = "bscalar"
-    elif ash == ():
-        mode = "ascalar"
-    elif len(ash) == 2 and bsh == (ash[1],):
-        mode = "brow"
-    elif len(bsh) == 2 and ash == (bsh[1],):
-        mode = "arow"
-    else:
+    row = ash != bsh
+    if row and not (len(ash) == 2 and bsh == (ash[1],)):
         raise ValueError(f"add shapes incompatible: {ash} vs {bsh}")
     out_data = a.data + b.data
 
     def backward(g):
         if a.requires_grad:
-            if mode == "ascalar":
-                a.accumulate(g.sum())
-            elif mode == "arow":
-                a.accumulate(g.sum(axis=0))
-            else:
-                a.accumulate(g)
+            a.accumulate(g)
         if b.requires_grad:
-            if mode == "bscalar":
-                b.accumulate(g.sum())
-            elif mode == "brow":
-                b.accumulate(g.sum(axis=0))
-            else:
-                b.accumulate(g)
+            b.accumulate(g.sum(axis=0) if row else g)
 
     return tape._record(out_data, (a, b), backward)
 
 
 def mul(a, b):
-    """Elementwise product of equal shapes, or scalar times tensor."""
+    """Elementwise product of equal shapes."""
     tape = _same_tape(a, b)
-    ash, bsh = a.data.shape, b.data.shape
-    if not (ash == bsh or ash == () or bsh == ()):
-        raise ValueError(f"mul shapes incompatible: {ash} vs {bsh}")
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"mul shapes incompatible: {a.data.shape} vs {b.data.shape}")
     out_data = a.data * b.data
 
     def backward(g):
         if a.requires_grad:
-            ga = g * b.data
-            a.accumulate(ga.sum() if ash == () and bsh != () else ga)
+            a.accumulate(g * b.data)
         if b.requires_grad:
-            gb = g * a.data
-            b.accumulate(gb.sum() if bsh == () and ash != () else gb)
+            b.accumulate(g * a.data)
 
     return tape._record(out_data, (a, b), backward)
 

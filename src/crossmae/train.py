@@ -6,15 +6,18 @@ minibatch through the model as one graph. A dataset window is standardized
 and patchified once per pretrain call; a spliced one each time it is drawn.
 Every mask of a policy hides the same number of patches, so the batch loss
 (the MSE over all its patches) is the mean of the per-sample losses. All
-randomness flows from one seed; reruns are bit-identical. A non-finite loss
-or gradient stops training before the optimizer step it would corrupt, and a
-step that leaves a parameter or AdamW's second moment non-finite (finite
-divergence: the loss grows until the squared gradient overflows) stops it
-right after.
+randomness flows from one seed; reruns are bit-identical.
+
+Every training loop (pretraining and both probe modes) binds its parameters
+on a fresh tape, runs backward, and hands loss and gradients to _update,
+which applies one AdamW step between two checks: a non-finite loss or
+gradient stops training before the step it would corrupt, and a step that
+leaves a parameter or AdamW's second moment non-finite (finite divergence:
+the loss grows until the squared gradient overflows) stops it right after.
 
 Probing: mode "lp" trains a linear head on the frozen class-token latent
-(encoder untouched); mode "ft" trains head and encoder jointly. Both stop on
-non-finite values the way pretraining does.
+(encoder untouched); mode "ft" trains head and encoder jointly, in minibatches
+of OptimConfig.batch_size windows.
 """
 from dataclasses import dataclass, field
 
@@ -23,7 +26,7 @@ import numpy as np
 from . import kernels
 from . import tape as T
 from .masking import CROSS, POLICIES, MaskMatrix, sample_mask
-from .model import (ArchSpec, Binding, ModelState, encode, forward_chunks, init_model,
+from .model import (ArchSpec, Binding, ModelState, encode, forward_frozen, init_model,
                     mae_loss)
 from .windows import as_generator, patchify, splice_augment, standardize
 
@@ -90,7 +93,6 @@ class AdamWState:
     """
 
     def __init__(self, params: dict):
-        self.params = params
         self.names = list(params)
         self.bounds = np.cumsum([0] + [params[k].size for k in self.names])
         self.flat = np.empty(self.bounds[-1])
@@ -112,11 +114,9 @@ class AdamWState:
         return self.names[np.searchsorted(self.bounds, first, side="right") - 1]
 
 
-def adamw_step(params: dict, grads: dict, opt: AdamWState, lr: float, cfg: OptimConfig):
+def adamw_step(opt: AdamWState, grads: dict, lr: float, cfg: OptimConfig):
     """One decoupled-weight-decay Adam update of every parameter, as one
-    kernel call over opt.flat. params must be the dict opt was built from."""
-    if params is not opt.params:
-        raise ValueError("adamw_step needs the parameter dict its AdamWState was built from")
+    kernel call over opt.flat."""
     opt.t += 1
     c1 = 1.0 - cfg.beta1 ** opt.t
     c2 = 1.0 - cfg.beta2 ** opt.t
@@ -137,24 +137,22 @@ def cosine_lr(step: int, warmup_steps: int, total_steps: int, base_lr: float, mi
     return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + np.cos(np.pi * progress))
 
 
-def _check_finite(loop: str, step: int, loss, grads: dict):
-    """Before an update: raise FloatingPointError when the loss or a
-    gradient is not finite, naming the loop ("pretrain", "probe"), the step
-    and the first parameter group with a non-finite gradient."""
+def _update(loop: str, step: int, loss, grads: dict, opt: AdamWState, lr: float,
+            cfg: OptimConfig):
+    """One checked AdamW step. Raises FloatingPointError, naming the loop
+    ("pretrain", "probe") and the step, when the loss or a gradient is not
+    finite (before the update, with the first such parameter group) or when
+    the update left a parameter or its second moment non-finite."""
     bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
     if bad is None and np.isfinite(loss.data):
-        return
-    detail = f"first non-finite gradient in {bad}" if bad else "all gradients finite"
+        adamw_step(opt, grads, lr, cfg)
+        left = opt.non_finite_group()
+        if left is None:
+            return
+        detail = f"AdamW left {left} or its second moment non-finite"
+    else:
+        detail = f"first non-finite gradient in {bad}" if bad else "all gradients finite"
     raise FloatingPointError(f"{loop} step {step}: loss {float(loss.data)!r}, {detail}")
-
-
-def _check_update(loop: str, step: int, loss, opt: AdamWState):
-    """After an update: raise FloatingPointError when it left a parameter
-    or its second moment non-finite."""
-    bad = opt.non_finite_group()
-    if bad is not None:
-        raise FloatingPointError(f"{loop} step {step}: loss {float(loss.data)!r}, "
-                                 f"AdamW left {bad} or its second moment non-finite")
 
 
 def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
@@ -195,19 +193,18 @@ def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
                 else:
                     if grid_cache[i] is None:
                         grid_cache[i] = patchify(standardize(windows[i]), arch.patch_len)
-                        grid_cache[i].patches.flags.writeable = False
+                        grid_cache[i].flags.writeable = False
                     grids.append(grid_cache[i])
                 masks.append(sample_mask(cfg.policy, arch.n_modalities, arch.n_patches,
                                          cfg.mask_ratio, rng))
             tape_ = T.Tape()
             binding = Binding(state, tape_)
             loss = mae_loss(binding, grids, masks, masked_only=cfg.masked_only_loss)
+            # grads lives into the next step: freed earlier, its heap is returned and re-faulted.
             tape_.backward(loss)
             grads = binding.grads()
-            _check_finite("pretrain", step, loss, grads)
             lr = cosine_lr(step, warmup_steps, total_steps, o.lr, o.min_lr)
-            adamw_step(state.params, grads, opt, lr, o)
-            _check_update("pretrain", step, loss, opt)
+            _update("pretrain", step, loss, grads, opt, lr, o)
             step += 1
             epoch_losses.append(float(loss.data))
         trace.append(float(np.mean(epoch_losses)))
@@ -222,11 +219,9 @@ def class_embeddings(state: ModelState, windows) -> np.ndarray:
     """Frozen class-token latents of fully visible standardized windows."""
     arch = state.arch
     masks = [_zero_mask(arch)] * len(windows)
-    binding = Binding(state, T.Tape(), trainable=False)
+    grids = [patchify(standardize(w), arch.patch_len) for w in windows]
     out = np.empty((len(windows), arch.d_model))
-    for chunk in forward_chunks(masks):
-        grids = [patchify(standardize(w), arch.patch_len) for w in windows[chunk]]
-        enc = encode(binding, grids, masks[chunk]).data
+    for chunk, enc in forward_frozen(state, encode, grids, masks):
         out[chunk] = enc[::arch.n_tokens + 1]
     return out
 
@@ -270,27 +265,25 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
     onehot[np.arange(len(labels)), labels] = 1.0
 
     ocfg = OptimConfig(lr=cfg.lr, weight_decay=cfg.weight_decay, epochs=cfg.epochs,
-                       warmup_epochs=0, batch_size=max(len(tr), 1))
+                       warmup_epochs=0)
     trace = []
 
     if cfg.mode == "lp":
         emb = class_embeddings(state, windows)
-        params = {"head.W": head_w, "head.b": head_b}
-        opt = AdamWState(params)
+        head = ModelState(arch, {"head.W": head_w, "head.b": head_b})
+        opt = AdamWState(head.params)
         for epoch in range(cfg.epochs):
             tape_ = T.Tape()
-            w_leaf = tape_.leaf(params["head.W"])
-            b_leaf = tape_.leaf(params["head.b"])
-            logits = T.add(T.matmul(tape_.constant(emb[tr]), w_leaf), b_leaf)
+            binding = Binding(head, tape_)
+            logits = T.add(T.matmul(tape_.constant(emb[tr]), binding.p["head.W"]),
+                           binding.p["head.b"])
             loss = _cross_entropy(logits, onehot[tr])
             tape_.backward(loss)
-            grads = {"head.W": w_leaf.grad, "head.b": b_leaf.grad}
-            _check_finite("probe", epoch, loss, grads)
+            grads = binding.grads()
             lr = cosine_lr(epoch, 0, cfg.epochs, cfg.lr, 0.0)
-            adamw_step(params, grads, opt, lr, ocfg)
-            _check_update("probe", epoch, loss, opt)
+            _update("probe", epoch, loss, grads, opt, lr, ocfg)
             trace.append(float(loss.data))
-        val_logits = emb[va] @ params["head.W"] + params["head.b"]
+        val_logits = emb[va] @ head.params["head.W"] + head.params["head.b"]
         top1 = float((val_logits.argmax(axis=1) == labels[va]).mean())
         return ProbeResult(top1, trace, len(tr), len(va))
 
@@ -302,7 +295,7 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
     mask = _zero_mask(arch)
     grids = [patchify(standardize(w), arch.patch_len) for w in windows]
     loop_rng = as_generator(loop_seq)
-    batch = 16
+    batch = ocfg.batch_size
     step = 0
     total_steps = cfg.epochs * max(1, int(np.ceil(len(tr) / batch)))
     for _ in range(cfg.epochs):
@@ -318,10 +311,8 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
             loss = _cross_entropy(logits, onehot[idx])
             tape_.backward(loss)
             grads = binding.grads()
-            _check_finite("probe", step, loss, grads)
             lr = cosine_lr(step, 0, total_steps, cfg.lr, 0.0)
-            adamw_step(params, grads, opt, lr, ocfg)
-            _check_update("probe", step, loss, opt)
+            _update("probe", step, loss, grads, opt, lr, ocfg)
             step += 1
             ep.append(float(loss.data))
         trace.append(float(np.mean(ep)))

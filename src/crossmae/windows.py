@@ -17,7 +17,8 @@ from .config import ManifestError, parse_kv_lines
 
 
 def as_generator(seed):
-    """Accept an int seed, a SeedSequence, or a ready Generator."""
+    """Accept an int seed or a list of ints (SeedSequence entropy), a
+    SeedSequence, or a ready Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, np.random.SeedSequence):
@@ -41,20 +42,6 @@ class SensorWindow:
             raise ValueError(f"SensorWindow needs C >= 2 and L >= 2, got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("SensorWindow values must be finite")
-
-
-@dataclass
-class PatchGrid:
-    """Patch view of a window: patches has shape (C, P, L_p)."""
-
-    patches: np.ndarray
-
-    def __post_init__(self):
-        self.patches = np.asarray(self.patches, dtype=np.float64)
-        if self.patches.ndim != 3:
-            raise ValueError("PatchGrid patches must be 3-D (C, P, L_p)")
-        if min(self.patches.shape) < 1:
-            raise ValueError("PatchGrid dimensions must be positive")
 
 
 @dataclass
@@ -96,7 +83,7 @@ def generate_windows(spec: SynthSpec) -> list[SensorWindow]:
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_windows)
     out = []
     for w, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
+        rng = as_generator(child)
         label = w % spec.n_classes
         freq = 1.0 + label
         theta = rng.uniform(0.0, 2.0 * np.pi)
@@ -152,15 +139,16 @@ def splice_augment(dataset: list[SensorWindow], seed, matched_start: bool = Fals
     return SpliceResult(SensorWindow(values, dataset[i].label), i, j, lam, s1, s2)
 
 
-def patchify(window: SensorWindow, patch_len: int) -> PatchGrid:
-    """Split each modality into non-overlapping length-patch_len patches.
-    Trailing samples beyond P * patch_len are dropped."""
+def patchify(window: SensorWindow, patch_len: int) -> np.ndarray:
+    """Split each modality into non-overlapping length-patch_len patches:
+    a new (C, P, L_p) array. Trailing samples beyond P * patch_len are
+    dropped."""
     c_n, length = window.values.shape
     if not 1 <= patch_len <= length:
         raise ValueError(f"patch_len must lie in [1, {length}], got {patch_len}")
     p_n = length // patch_len
     trimmed = window.values[:, :p_n * patch_len]
-    return PatchGrid(trimmed.reshape(c_n, p_n, patch_len).copy())
+    return trimmed.reshape(c_n, p_n, patch_len).copy()
 
 
 def standardize(window: SensorWindow) -> SensorWindow:

@@ -220,6 +220,16 @@ def test_analyze_model_encoder_needs_checkpoint(tmp_path):
         cli.main(["analyze", "--out", str(tmp_path / "o"), "--config", cfg])
 
 
+@pytest.mark.parametrize("key, value", [("exp.n_seeds", 0), ("exp.n_seeds", -1),
+                                        ("exp.encoder", "pixels")])
+def test_analyze_rejects_bad_settings_before_writing_results(tmp_path, key, value):
+    cfg = _write_cfg(tmp_path / "a.cfg", **{key: value})
+    with pytest.raises(ManifestError, match=key):
+        cli.main(["analyze", "--out", str(tmp_path / "o"), "--config", cfg])
+    assert not os.path.exists(tmp_path / "o" / "sigma1.csv")
+    assert not os.path.exists(tmp_path / "o" / "summary.txt")
+
+
 def test_gradcheck_command_reports_small_error(tmp_path):
     cfg = _write_cfg(tmp_path / "g.cfg", **{
         "arch.n_modalities": 2, "arch.n_patches": 2, "arch.patch_len": 4,

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from crossmae.kcca import (CovTriple, ConditioningError, ModelEncoder, RawFlatten,
-                           ViewGrams, cca_sigma, center_gram, kcca_solve, pca_reduce,
-                           sigma1_experiment)
+from crossmae.kcca import (ConditioningError, ViewGrams, cca_sigma, center_gram, kcca_solve,
+                           pca_reduce, sigma1_experiment)
 from crossmae.model import ArchSpec, init_model
 from crossmae.windows import SynthSpec, generate_windows
 
@@ -24,8 +23,8 @@ def test_kcca_identical_views_is_perfectly_correlated():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((40, 3))
     k = x @ x.T
-    res = kcca_solve(ViewGrams(k, k.copy()), 1e-6, 1e-6, centered=True)
-    assert res.rho >= 0.999
+    rho = kcca_solve(ViewGrams(k, k.copy()), 1e-6, 1e-6, centered=True)
+    assert rho >= 0.999
 
 
 def test_kcca_permutation_null_stays_low():
@@ -38,7 +37,7 @@ def test_kcca_permutation_null_stays_low():
     for s in range(200):
         perm = np.random.default_rng([77, s]).permutation(n)
         shuffled = k_m[np.ix_(perm, perm)]
-        rhos.append(kcca_solve(ViewGrams(k_u, shuffled), 1e-2, 1e-2, centered=True).rho)
+        rhos.append(kcca_solve(ViewGrams(k_u, shuffled), 1e-2, 1e-2, centered=True))
     assert np.quantile(rhos, 0.95) < 0.35
 
 
@@ -49,10 +48,10 @@ def test_kcca_invariant_under_simultaneous_permutation():
     x = z + 0.3 * rng.standard_normal((n, 2))
     y = z + 0.3 * rng.standard_normal((n, 2))
     k_u, k_m = x @ x.T, y @ y.T
-    base = kcca_solve(ViewGrams(k_u, k_m), 1e-3, 1e-3, centered=True).rho
+    base = kcca_solve(ViewGrams(k_u, k_m), 1e-3, 1e-3, centered=True)
     perm = rng.permutation(n)
     moved = kcca_solve(ViewGrams(k_u[np.ix_(perm, perm)], k_m[np.ix_(perm, perm)]),
-                       1e-3, 1e-3, centered=True).rho
+                       1e-3, 1e-3, centered=True)
     assert abs(base - moved) < 1e-8
 
 
@@ -61,8 +60,8 @@ def test_kcca_rho_of_related_views_is_a_correlation():
     x = rng.standard_normal((25, 3))
     y = x @ rng.standard_normal((3, 3)) + 0.1 * rng.standard_normal((25, 3))
     grams = ViewGrams(x @ x.T, y @ y.T)
-    res = kcca_solve(grams, 1e-3, 1e-3, centered=True)
-    assert 0.0 <= res.rho <= 1.0 + 1e-10
+    rho = kcca_solve(grams, 1e-3, 1e-3, centered=True)
+    assert 0.0 <= rho <= 1.0 + 1e-10
 
 
 def test_kcca_conditioning_error_names_eigenvalue():
@@ -114,14 +113,14 @@ def test_pca_sign_convention_is_deterministic():
 
 def test_cca_sigma_zero_cross_and_identical_views():
     s = np.diag([2.0, 1.0, 0.5])
-    res = cca_sigma(CovTriple(s, s.copy(), np.zeros((3, 3))))
-    assert np.max(np.abs(res.sigma)) < 1e-12
+    sigma = cca_sigma(s, s.copy(), np.zeros((3, 3)))
+    assert np.max(np.abs(sigma)) < 1e-12
 
     rng = np.random.default_rng(14)
     x = rng.standard_normal((500, 3))
     c = x.T @ x / 500
-    res2 = cca_sigma(CovTriple(c, c.copy(), c.copy()))
-    assert abs(res2.sigma[0] - 1.0) < 1e-8
+    sigma2 = cca_sigma(c, c.copy(), c.copy())
+    assert abs(sigma2[0] - 1.0) < 1e-8
 
 
 def test_cca_sigma_invariant_under_linear_mixing():
@@ -135,7 +134,7 @@ def test_cca_sigma_invariant_under_linear_mixing():
         n = u.shape[0]
         u = u - u.mean(axis=0)
         m = m - m.mean(axis=0)
-        return cca_sigma(CovTriple(u.T @ u / n, m.T @ m / n, u.T @ m / n)).sigma
+        return cca_sigma(u.T @ u / n, m.T @ m / n, u.T @ m / n)
 
     base = sig(z_u, z_m)
     mixed = sig(z_u @ a, z_m @ b)
@@ -145,7 +144,7 @@ def test_cca_sigma_invariant_under_linear_mixing():
 def test_cca_sigma_conditioning_error_on_indefinite_view():
     s_uu = np.diag([1.0, -0.1])
     with pytest.raises(ConditioningError, match="eigenvalue"):
-        cca_sigma(CovTriple(s_uu, np.eye(2), 0.1 * np.eye(2)))
+        cca_sigma(s_uu, np.eye(2), 0.1 * np.eye(2))
 
 
 def _transition_windows(n, strength, seed, length=80):
@@ -160,9 +159,9 @@ def test_sigma1_experiment_bounds_and_determinism():
     # length 140 gives P=7, the smallest grid where the synchronized policy
     # is non-degenerate at the default 0.15 ratio
     ws = _transition_windows(30, 0.9, 16, length=140)
-    v1 = sigma1_experiment(ws, "cross", RawFlatten(), pca_k=10, seed=3, patch_len=20)
-    v2 = sigma1_experiment(ws, "cross", RawFlatten(), pca_k=10, seed=3, patch_len=20)
-    v3 = sigma1_experiment(ws, "sync", RawFlatten(), pca_k=10, seed=3, patch_len=20)
+    v1 = sigma1_experiment(ws, "cross", pca_k=10, seed=3, patch_len=20)
+    v2 = sigma1_experiment(ws, "cross", pca_k=10, seed=3, patch_len=20)
+    v3 = sigma1_experiment(ws, "sync", pca_k=10, seed=3, patch_len=20)
     assert v1 == v2
     for v in (v1, v3):
         assert 0.0 <= v <= 1.0 + 1e-8
@@ -172,10 +171,7 @@ def test_sigma1_experiment_model_encoder_runs():
     ws = _transition_windows(12, 0.9, 17)
     arch = ArchSpec(n_modalities=4, n_patches=4, patch_len=20, d_model=8,
                     enc_layers=1, dec_layers=1, n_heads=2)
-    enc = ModelEncoder(init_model(arch, seed=0))
-    v = sigma1_experiment(ws, "cross", enc, pca_k=6, seed=4)
+    v = sigma1_experiment(ws, "cross", init_model(arch, seed=0), pca_k=6, seed=4)
     assert 0.0 <= v <= 1.0 + 1e-8
     with pytest.raises(ValueError):
-        sigma1_experiment(ws, "cross", object(), pca_k=6, seed=4)
-    with pytest.raises(ValueError):
-        sigma1_experiment([], "cross", RawFlatten())
+        sigma1_experiment([], "cross")

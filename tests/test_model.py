@@ -31,6 +31,14 @@ def test_positions_shape_and_zero_class_row():
     tab = positions_2d(6, 10, 32)
     assert tab.shape == (61, 32)
     assert np.array_equal(tab[0], np.zeros(32))
+    # row 1 + c * P + p: modality c in the first half, patch p in the second
+    omega = 1.0 / np.power(10000.0, 2.0 * np.arange(8) / 16)
+    for c in range(6):
+        for p in range(10):
+            row = tab[1 + c * 10 + p]
+            for half, idx in ((row[:16], c), (row[16:], p)):
+                assert np.max(np.abs(half[0::2] - np.sin(idx * omega))) < 1e-15
+                assert np.max(np.abs(half[1::2] - np.cos(idx * omega))) < 1e-15
 
 
 def test_positions_origin_row_is_sin0_cos1_interleaved():
@@ -122,7 +130,7 @@ def test_zero_head_gives_mean_square_loss():
     state.params["head.b"][:] = 0.0
     grid = _grid(TINY, seed=9)
     loss = mae_loss(Binding(state, T.Tape(), trainable=False), [grid], [_mask(TINY)])
-    assert abs(float(loss.data) - float((grid.patches ** 2).mean())) < 1e-12
+    assert abs(float(loss.data) - float((grid ** 2).mean())) < 1e-12
 
 
 def test_masked_only_loss_restricts_to_hidden_patches():
@@ -133,7 +141,7 @@ def test_masked_only_loss_restricts_to_hidden_patches():
     part = mae_loss(Binding(state, T.Tape(), trainable=False), [grid], [mask],
                     masked_only=True)
     recon = reconstruct(Binding(state, T.Tape(), trainable=False), [grid], [mask]).data
-    flat = grid.patches.reshape(TINY.n_tokens, TINY.patch_len)
+    flat = grid.reshape(TINY.n_tokens, TINY.patch_len)
     ids = np.flatnonzero(mask.bits.ravel() == 1)
     manual = float(((recon[ids] - flat[ids]) ** 2).mean())
     assert abs(float(part.data) - manual) < 1e-12

@@ -1,9 +1,11 @@
-"""Every module-level function and class in src/crossmae has a caller in src.
+"""Every module-level function and class in src/crossmae, and every method
+and property of such a class, has a caller in src.
 
 A definition counts as reached when its name appears as a `Name` or as an
 `Attribute` anywhere in the package outside the definition itself. The match
 is by name only, so `x.mean()` on an array also reaches `tape.mean`; the check
-catches definitions whose name nothing in the package mentions. Names kept for
+catches definitions whose name nothing in the package mentions. Dunder
+methods are called by Python itself and are not checked. Names kept for
 callers outside the package are listed in KEEP, each with its reason.
 """
 
@@ -20,7 +22,9 @@ KEEP = {
     "tape.mean": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
     "model.alignment_identity": "acceptance criterion 10",
     "kcca.kcca_solve": "acceptance criterion 05",
+    "model.ModelState.fingerprint": "acceptance criterion 09",
 }
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _module_name(path: Path) -> str:
@@ -40,25 +44,39 @@ def _referenced(node) -> set:
 
 
 def _definitions() -> tuple:
-    """(qualified name, bare name, (file, statement index)) of every
-    module-level function and class, plus the names each top-level statement
-    refers to, keyed by (file, statement index)."""
+    """(qualified name, bare name, units it spans) of every module-level
+    function and class and of every non-dunder method of such a class, plus
+    the names each unit refers to. A unit is a top-level statement, or one
+    statement of a top-level class body (its decorators and bases form one
+    more unit of the class)."""
     definitions = []
-    refs = {}  # (file, statement index) -> names referenced in that statement
+    refs = {}  # unit key -> names referenced in that unit
     for path in sorted(PACKAGE.rglob("*.py")):
         module = _module_name(path)
         for i, stmt in enumerate(ast.parse(path.read_text()).body):
-            refs[(path, i)] = _referenced(stmt)
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((f"{module}.{stmt.name}", stmt.name, (path, i)))
+            if not isinstance(stmt, ast.ClassDef):
+                refs[(path, i)] = _referenced(stmt)
+                if isinstance(stmt, FUNCTIONS):
+                    definitions.append((f"{module}.{stmt.name}", stmt.name, {(path, i)}))
+                continue
+            refs[(path, i, "head")] = set().union(
+                *(_referenced(node) for node in stmt.decorator_list + stmt.bases))
+            units = {(path, i, "head")}
+            for j, sub in enumerate(stmt.body):
+                refs[(path, i, j)] = _referenced(sub)
+                units.add((path, i, j))
+                if isinstance(sub, FUNCTIONS) and not sub.name.startswith("__"):
+                    definitions.append((f"{module}.{stmt.name}.{sub.name}", sub.name,
+                                        {(path, i, j)}))
+            definitions.append((f"{module}.{stmt.name}", stmt.name, units))
     return definitions, refs
 
 
 def _unreached() -> set:
-    """Qualified names of module-level definitions no other code refers to."""
+    """Qualified names of definitions no other code refers to."""
     definitions, refs = _definitions()
     return {qual for qual, name, where in definitions
-            if not any(name in names for key, names in refs.items() if key != where)}
+            if not any(name in names for key, names in refs.items() if key not in where)}
 
 
 def test_every_definition_is_reached_from_the_package():

@@ -72,6 +72,12 @@ def test_shape_mismatch_rejected():
     t = T.Tape()
     with pytest.raises(ValueError):
         T.add(t.leaf(np.ones((2, 3))), t.leaf(np.ones((3, 2))))
+    for a, b in (((2, 3), ()), ((), (2, 3)), ((3,), (2, 3))):
+        with pytest.raises(ValueError):
+            T.add(t.leaf(np.ones(a)), t.leaf(np.ones(b)))
+    for a, b in (((2, 3), ()), ((), (2, 3))):
+        with pytest.raises(ValueError):
+            T.mul(t.leaf(np.ones(a)), t.leaf(np.ones(b)))
     with pytest.raises(ValueError):
         T.matmul(t.leaf(np.ones((2, 3))), t.leaf(np.ones((2, 3))))
     with pytest.raises(ValueError):

@@ -47,14 +47,13 @@ def test_adamw_step_zero_grad_is_pure_decay():
     grads = {"w": np.zeros(2)}
     opt = AdamWState(params)
     cfg = OptimConfig(weight_decay=0.05)
-    adamw_step(params, grads, opt, lr=0.1, cfg=cfg)
+    adamw_step(opt, grads, lr=0.1, cfg=cfg)
     assert np.max(np.abs(params["w"] - np.array([0.995, -1.99]))) < 1e-15
     assert opt.t == 1
 
     params2 = {"w": np.array([3.0])}
     opt2 = AdamWState(params2)
-    adamw_step(params2, {"w": np.zeros(1)}, opt2, lr=0.1,
-               cfg=OptimConfig(weight_decay=0.0))
+    adamw_step(opt2, {"w": np.zeros(1)}, lr=0.1, cfg=OptimConfig(weight_decay=0.0))
     assert params2["w"][0] == 3.0
 
 
@@ -62,7 +61,7 @@ def test_adamw_step_hand_computed_scalar():
     params = {"w": np.array([0.0])}
     opt = AdamWState(params)
     cfg = OptimConfig(weight_decay=0.0, beta1=0.9, beta2=0.95, eps=1e-8)
-    adamw_step(params, {"w": np.array([1.0])}, opt, lr=0.1, cfg=cfg)
+    adamw_step(opt, {"w": np.array([1.0])}, lr=0.1, cfg=cfg)
     m_hat = (1 - 0.9) * 1.0 / (1 - 0.9**1)
     v_hat = (1 - 0.95) * 1.0 / (1 - 0.95**1)
     want = -0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -75,7 +74,7 @@ def test_adamw_step_updates_multi_dim_params_in_place():
     ref = {k: v.copy() for k, v in params.items()}
     grads = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4)}
     opt = AdamWState(params)
-    adamw_step(params, grads, opt, lr=0.01, cfg=OptimConfig())
+    adamw_step(opt, grads, lr=0.01, cfg=OptimConfig())
     for k in params:
         assert params[k].shape == ref[k].shape
         assert np.max(np.abs(params[k] - ref[k])) > 0.0
@@ -234,12 +233,10 @@ def test_adamw_step_is_one_kernel_call_equal_to_one_per_group(monkeypatch):
     real = kernels.adamw_update
     monkeypatch.setattr(kernels, "adamw_update", lambda *a: calls.append(a) or real(*a))
     opt = AdamWState(params)
-    adamw_step(params, grads, opt, lr=0.01, cfg=cfg)
+    adamw_step(opt, grads, lr=0.01, cfg=cfg)
     assert len(params) == 42 and len(calls) == 1
     for k in params:
         assert params[k].tobytes() == per_group[k].tobytes()
-    with pytest.raises(ValueError, match="parameter dict"):
-        adamw_step(dict(params), grads, opt, lr=0.01, cfg=cfg)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -255,7 +252,7 @@ def test_pretrain_stops_on_finite_divergence():
 
 def test_pretrain_grids_each_dataset_window_once_and_never_mutates_it(monkeypatch):
     ws = _windows()
-    fresh = {patchify(standardize(w), ARCH.patch_len).patches.tobytes() for w in ws}
+    fresh = {patchify(standardize(w), ARCH.patch_len).tobytes() for w in ws}
     seen, built = [], []
     real_loss, real_patchify = train.mae_loss, train.patchify
 
@@ -271,8 +268,8 @@ def test_pretrain_grids_each_dataset_window_once_and_never_mutates_it(monkeypatc
     assert len(seen) == 3 * len(ws) and len(built) == len(ws)
     cached = {id(g): g for g in seen}.values()
     assert len(cached) == len(ws)
-    assert all(not g.patches.flags.writeable for g in cached)
-    assert {g.patches.tobytes() for g in cached} == fresh
+    assert all(not g.flags.writeable for g in cached)
+    assert {g.tobytes() for g in cached} == fresh
 
 
 def test_linear_probe_top1_reads_the_trained_head():

@@ -126,21 +126,21 @@ def test_splice_rejects_degenerate_datasets():
 def test_patchify_counts():
     w = generate_windows(_spec(n_modalities=6, n_samples=200, noise_sd=0.1))[0]
     g = patchify(w, 20)
-    assert g.patches.shape == (6, 10, 20)
-    assert np.array_equal(g.patches[2, 3], w.values[2, 60:80])
-    assert np.array_equal(g.patches.reshape(6, -1), w.values)
+    assert g.shape == (6, 10, 20)
+    assert np.array_equal(g[2, 3], w.values[2, 60:80])
+    assert np.array_equal(g.reshape(6, -1), w.values)
 
 
 def test_patchify_single_patch_and_remainder_drop():
     w = SensorWindow(np.arange(20, dtype=float).reshape(2, 10))
     g = patchify(w, 10)
-    assert g.patches.shape == (2, 1, 10)
-    assert np.array_equal(g.patches[:, 0, :], w.values)
+    assert g.shape == (2, 1, 10)
+    assert np.array_equal(g[:, 0, :], w.values)
 
     w2 = SensorWindow(np.arange(22, dtype=float).reshape(2, 11))
     g2 = patchify(w2, 5)
-    assert g2.patches.shape == (2, 2, 5)
-    assert np.array_equal(g2.patches.reshape(2, -1), w2.values[:, :10])
+    assert g2.shape == (2, 2, 5)
+    assert np.array_equal(g2.reshape(2, -1), w2.values[:, :10])
     with pytest.raises(ValueError):
         patchify(w2, 12)
 
