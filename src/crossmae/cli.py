@@ -284,6 +284,10 @@ def cmd_analyze(cfg: dict, out_dir: str) -> None:
 
 
 def cmd_gradcheck(cfg: dict, out_dir: str) -> None:
+    if cfg["check.max_coords"] < 1:
+        raise ManifestError(f"check.max_coords must be at least 1, got {cfg['check.max_coords']}")
+    if not cfg["check.h"] > 0:
+        raise ManifestError(f"check.h must be positive, got {cfg['check.h']!r}")
     err = gradcheck_model(ArchSpec(**_section(cfg, "arch")), seed=cfg["seed"],
                           h=cfg["check.h"], max_coords=cfg["check.max_coords"])
     with open(os.path.join(out_dir, "gradcheck.txt"), "w") as fh:

@@ -4,7 +4,14 @@ All kernels operate on float64 C-contiguous arrays. 2-D inputs are treated
 row-wise (softmax and layernorm normalize the last axis). Each kernel works
 in place on the first temporary it allocates, and keeps the operation order
 of the plain expression written in its docstring, so the results are the
-same bits as that expression's.
+same bits as that expression's. A row mean is a row sum divided in place by
+the row length: the reduction and division ndarray.mean performs, without
+its Python-level wrapper.
+
+adamw_update updates the optimizer's flat parameter and moment buffers in
+place, reading the gradient that backward wrote into AdamWState.grad. Any
+other kernel writes into a caller's array only when asked to with out=, as
+tape.attention asks softmax_fwd to turn its scores into weights.
 """
 import numpy as np
 from scipy.special import erf
@@ -37,10 +44,11 @@ def gelu_bwd(x, cdf, gy):
     return t
 
 
-def softmax_fwd(x):
+def softmax_fwd(x, out=None):
     """Row softmax of a 2-D array, shifted for stability:
-    e / e.sum(row) with e = exp(x - x.max(row))."""
-    e = x - x.max(axis=1, keepdims=True)
+    e / e.sum(row) with e = exp(x - x.max(row)). Written into out when given,
+    which may be x itself."""
+    e = np.subtract(x, x.max(axis=1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
@@ -63,8 +71,12 @@ def layernorm_fwd(x, gain, bias, eps):
 
     Returns (y, xhat, inv_std); xhat and inv_std are consumed by the backward.
     """
-    xhat = x - x.mean(axis=1, keepdims=True)
-    inv_std = np.square(xhat).mean(axis=1, keepdims=True)
+    n = x.shape[1]
+    mu = x.sum(axis=1, keepdims=True)
+    mu /= n
+    xhat = x - mu
+    inv_std = np.square(xhat).sum(axis=1, keepdims=True)
+    inv_std /= n
     inv_std += eps
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
@@ -79,10 +91,13 @@ def layernorm_bwd(xhat, inv_std, gain, gy):
     gxhat = gy * gain,
     gx = (gxhat - gxhat.mean(row) - xhat * (gxhat * xhat).mean(row)) * inv_std,
     ggain = (gy * xhat).sum(axis=0) and gbias = gy.sum(axis=0)."""
+    n = gy.shape[1]
     gx = gy * gain
-    m1 = gx.mean(axis=1, keepdims=True)
+    m1 = gx.sum(axis=1, keepdims=True)
+    m1 /= n
     t = gx * xhat
-    m2 = t.mean(axis=1, keepdims=True)
+    m2 = t.sum(axis=1, keepdims=True)
+    m2 /= n
     gx -= m1
     np.multiply(xhat, m2, out=t)
     gx -= t

@@ -13,11 +13,13 @@ per window, and attention stays inside each block. A patch grid is a
 (C, P, L_p) array (windows.patchify). Training loops bind the parameters as
 trainable leaves of one tape per step; every forward-only caller (class
 embeddings, imputation, view features) goes through forward_frozen, which
-binds them once as constants and runs FORWARD_CHUNK windows at a time.
+binds them once as constants and runs FORWARD_CHUNK windows at a time. A
+trainable Binding writes its gradients into arrays its training loop owns.
 
 The reconstruction loss is the mean squared error over all patches; a
 masked-only variant is available for ablation.
 """
+import functools
 import os
 from dataclasses import dataclass, fields
 
@@ -153,16 +155,48 @@ def init_model(arch: ArchSpec, seed) -> ModelState:
     return ModelState(arch, params)
 
 
-class Binding:
-    """Parameters of one ModelState wrapped as leaves on one tape."""
+# glibc mallopt parameters (malloc.h) and the values _hold_heap sets.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 64 << 20
+TRIM_THRESHOLD_BYTES = 256 << 20
 
-    def __init__(self, state: ModelState, tape: T.Tape, trainable=True):
+
+@functools.cache
+def _hold_heap():
+    """Keep freed memory in this process's heap, once per process.
+
+    A model pass allocates and frees the same arrays on every call, up to
+    about 12 MB each at 150 tokens. By default glibc serves large ones with
+    mmap and returns the top of the heap to the kernel whenever a pass frees
+    enough, so the next pass faults the same pages back in. Raising both
+    thresholds keeps those pages in the heap for reuse. A no-op where the C
+    library has no mallopt."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
+class Binding:
+    """Parameters of one ModelState wrapped as leaves on one tape.
+
+    A training loop passes grads, a dict of one zeroed array per parameter
+    (AdamWState.grad_views, the views of the optimizer's flat gradient
+    buffer), and backward adds each leaf's gradient into its array; without
+    grads a trainable leaf allocates its own. Every training and frozen
+    graph starts here, so the first Binding of a process also holds the
+    heap (_hold_heap)."""
+
+    def __init__(self, state: ModelState, tape: T.Tape, trainable=True, grads=None):
+        _hold_heap()
         self.state = state
         self.tape = tape
-        self.p = {k: tape.leaf(v, requires_grad=trainable) for k, v in state.params.items()}
-
-    def grads(self):
-        return {k: leaf.grad for k, leaf in self.p.items()}
+        self.p = {k: tape.leaf(v, trainable, None if grads is None else grads[k])
+                  for k, v in state.params.items()}
 
 
 def _attention(b: Binding, prefix: str, x, n_windows: int):

@@ -6,7 +6,10 @@ a forward-only tape holds nothing. backward walks the record once in reverse,
 so each node's gradient is fully accumulated before its own backward rule
 fires, and then drops the record and every node's backward rule: the graph
 is freed as soon as backward ends, and a tape runs backward at most once.
-Only scalar losses may be differentiated.
+Only scalar losses may be differentiated. A node allocates its gradient on
+the first contribution; a leaf may instead be given a caller-owned, zeroed
+array to add its gradient into (a training loop passes views of the
+optimizer's flat gradient buffer).
 
 Supported broadcasting is deliberately narrow: add takes a 1-D bias row as
 its second operand, added to each row of a 2-D first operand. Everything else
@@ -27,11 +30,11 @@ class DiffArray:
 
     __slots__ = ("data", "tape", "requires_grad", "_grad", "_backward", "__weakref__")
 
-    def __init__(self, data, tape, requires_grad):
+    def __init__(self, data, tape, requires_grad, grad=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.tape = tape
         self.requires_grad = requires_grad
-        self._grad = None
+        self._grad = grad
         self._backward = None
 
     @property
@@ -56,8 +59,14 @@ class Tape:
     def __init__(self):
         self._nodes = []
 
-    def leaf(self, data, requires_grad=True):
-        return DiffArray(data, self, requires_grad)
+    def leaf(self, data, requires_grad=True, grad=None):
+        """A leaf of the graph. Given grad, an array of data's shape that
+        the caller has zeroed, backward adds the leaf's gradient into it
+        instead of allocating one."""
+        if grad is not None and np.shape(grad) != np.shape(data):
+            raise ValueError(f"leaf gradient shape {np.shape(grad)} does not match "
+                             f"data shape {np.shape(data)}")
+        return DiffArray(data, self, requires_grad, grad)
 
     def constant(self, data):
         return self.leaf(data, requires_grad=False)
@@ -262,9 +271,13 @@ def attention(q, k, v, n_blocks, n_heads):
         return x.transpose(0, 2, 1, 3).reshape(rows, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = qh @ kh.transpose(0, 1, 3, 2)
-    scores *= c
-    attn = kernels.softmax_fwd(scores.reshape(-1, t)).reshape(scores.shape)
+    attn = qh @ kh.transpose(0, 1, 3, 2)
+    attn *= c
+    # The scores become the weights in place, so the pass holds one
+    # (blocks*heads*T, T) array, not two. matmul returns a C-contiguous
+    # array, so the reshape is a view.
+    score_rows = attn.reshape(-1, t)
+    kernels.softmax_fwd(score_rows, out=score_rows)
     out_data = merge(attn @ vh)
 
     def backward(g):

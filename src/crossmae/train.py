@@ -8,12 +8,14 @@ Every mask of a policy hides the same number of patches, so the batch loss
 (the MSE over all its patches) is the mean of the per-sample losses. All
 randomness flows from one seed; reruns are bit-identical.
 
-Every training loop (pretraining and both probe modes) binds its parameters
-on a fresh tape, runs backward, and hands loss and gradients to _update,
-which applies one AdamW step between two checks: a non-finite loss or
-gradient stops training before the step it would corrupt, and a step that
-leaves a parameter or AdamW's second moment non-finite (finite divergence:
-the loss grows until the squared gradient overflows) stops it right after.
+Every training loop (pretraining and both probe modes) keeps its parameters
+and their gradients in one AdamWState. Each step it zeroes the flat gradient
+buffer, binds the parameters on a fresh tape with their gradients pointed at
+views of that buffer, runs backward, and calls _update, which applies one
+AdamW step between two checks: a non-finite loss or gradient stops training
+before the step it would corrupt, and a step that leaves a parameter or
+AdamW's second moment non-finite (finite divergence: the loss grows until
+the squared gradient overflows) stops it right after.
 
 Probing: mode "lp" trains a linear head on the frozen class-token latent
 (encoder untouched); mode "ft" trains head and encoder jointly, in minibatches
@@ -84,43 +86,51 @@ class ProbeConfig:
 
 
 class AdamWState:
-    """AdamW state over one flat float64 buffer.
+    """AdamW state, parameters and gradients over flat float64 buffers.
 
     The constructor copies every parameter into `flat`, in dict order, and
     rebinds each entry of the given dict to a view of its slice, so one
-    update of `flat` updates every parameter. `m` and `v` are the flat
-    moment buffers and `t` the step counter.
+    update of `flat` updates every parameter. `grad` is the flat gradient
+    buffer, laid out like `flat`, and `grad_views` maps each name to the
+    view of its slice: a training loop zeroes `grad` once per step and binds
+    its leaves with grads=grad_views, so backward writes every gradient in
+    place and the buffers outlive the steps. `m` and `v` are the flat moment
+    buffers and `t` the step counter.
     """
 
     def __init__(self, params: dict):
         self.names = list(params)
         self.bounds = np.cumsum([0] + [params[k].size for k in self.names])
         self.flat = np.empty(self.bounds[-1])
+        self.grad = np.zeros_like(self.flat)
+        self.grad_views = {}
         for name, lo, hi in zip(self.names, self.bounds[:-1], self.bounds[1:]):
             shape = np.shape(params[name])
             self.flat[lo:hi] = np.ravel(params[name])
             params[name] = self.flat[lo:hi].reshape(shape)
-        self.grad = np.empty_like(self.flat)
+            self.grad_views[name] = self.grad[lo:hi].reshape(shape)
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.t = 0
+
+    def group_at(self, i) -> str:
+        """Name of the parameter group holding flat index i."""
+        return self.names[np.searchsorted(self.bounds, i, side="right") - 1]
 
     def non_finite_group(self):
         """Name of the first parameter group whose value or second moment is
         not finite, or None when all are finite."""
         if np.isfinite(self.v).all() and np.isfinite(self.flat).all():
             return None
-        first = np.flatnonzero(~(np.isfinite(self.v) & np.isfinite(self.flat)))[0]
-        return self.names[np.searchsorted(self.bounds, first, side="right") - 1]
+        return self.group_at(np.argmin(np.isfinite(self.v) & np.isfinite(self.flat)))
 
 
-def adamw_step(opt: AdamWState, grads: dict, lr: float, cfg: OptimConfig):
-    """One decoupled-weight-decay Adam update of every parameter, as one
-    kernel call over opt.flat."""
+def adamw_step(opt: AdamWState, lr: float, cfg: OptimConfig):
+    """One decoupled-weight-decay Adam update of every parameter from the
+    gradients in opt.grad, as one kernel call over opt.flat."""
     opt.t += 1
     c1 = 1.0 - cfg.beta1 ** opt.t
     c2 = 1.0 - cfg.beta2 ** opt.t
-    np.concatenate([np.ravel(grads[name]) for name in opt.names], out=opt.grad)
     kernels.adamw_update(opt.flat, opt.grad, opt.m, opt.v, lr, cfg.beta1, cfg.beta2,
                          cfg.eps, cfg.weight_decay, c1, c2)
 
@@ -137,15 +147,17 @@ def cosine_lr(step: int, warmup_steps: int, total_steps: int, base_lr: float, mi
     return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + np.cos(np.pi * progress))
 
 
-def _update(loop: str, step: int, loss, grads: dict, opt: AdamWState, lr: float,
-            cfg: OptimConfig):
-    """One checked AdamW step. Raises FloatingPointError, naming the loop
-    ("pretrain", "probe") and the step, when the loss or a gradient is not
-    finite (before the update, with the first such parameter group) or when
-    the update left a parameter or its second moment non-finite."""
-    bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
+def _update(loop: str, step: int, loss, opt: AdamWState, lr: float, cfg: OptimConfig):
+    """One checked AdamW step from the gradients backward wrote into
+    opt.grad. Raises FloatingPointError, naming the loop ("pretrain",
+    "probe") and the step, when the loss or a gradient is not finite (before
+    the update, with the first such parameter group, found by one pass over
+    the flat buffer) or when the update left a parameter or its second
+    moment non-finite."""
+    finite = np.isfinite(opt.grad)
+    bad = None if finite.all() else opt.group_at(np.argmin(finite))
     if bad is None and np.isfinite(loss.data):
-        adamw_step(opt, grads, lr, cfg)
+        adamw_step(opt, lr, cfg)
         left = opt.non_finite_group()
         if left is None:
             return
@@ -198,13 +210,12 @@ def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
                 masks.append(sample_mask(cfg.policy, arch.n_modalities, arch.n_patches,
                                          cfg.mask_ratio, rng))
             tape_ = T.Tape()
-            binding = Binding(state, tape_)
+            binding = Binding(state, tape_, grads=opt.grad_views)
             loss = mae_loss(binding, grids, masks, masked_only=cfg.masked_only_loss)
-            # grads lives into the next step: freed earlier, its heap is returned and re-faulted.
+            opt.grad.fill(0.0)
             tape_.backward(loss)
-            grads = binding.grads()
             lr = cosine_lr(step, warmup_steps, total_steps, o.lr, o.min_lr)
-            _update("pretrain", step, loss, grads, opt, lr, o)
+            _update("pretrain", step, loss, opt, lr, o)
             step += 1
             epoch_losses.append(float(loss.data))
         trace.append(float(np.mean(epoch_losses)))
@@ -252,6 +263,9 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
     labels = np.asarray(labels, dtype=np.int64)
     if len(windows) != len(labels):
         raise ValueError("windows and labels length mismatch")
+    if len(windows) < 2:
+        raise ValueError(f"probe needs at least 2 windows, one to train on and one to "
+                         f"validate on; got {len(windows)}")
     root = np.random.SeedSequence(seed)
     split_seq, init_seq, loop_seq = root.spawn(3)
     tr, va = _split_indices(len(windows), cfg.train_fraction, as_generator(split_seq))
@@ -274,14 +288,14 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
         opt = AdamWState(head.params)
         for epoch in range(cfg.epochs):
             tape_ = T.Tape()
-            binding = Binding(head, tape_)
+            binding = Binding(head, tape_, grads=opt.grad_views)
             logits = T.add(T.matmul(tape_.constant(emb[tr]), binding.p["head.W"]),
                            binding.p["head.b"])
             loss = _cross_entropy(logits, onehot[tr])
+            opt.grad.fill(0.0)
             tape_.backward(loss)
-            grads = binding.grads()
             lr = cosine_lr(epoch, 0, cfg.epochs, cfg.lr, 0.0)
-            _update("probe", epoch, loss, grads, opt, lr, ocfg)
+            _update("probe", epoch, loss, opt, lr, ocfg)
             trace.append(float(loss.data))
         val_logits = emb[va] @ head.params["head.W"] + head.params["head.b"]
         top1 = float((val_logits.argmax(axis=1) == labels[va]).mean())
@@ -304,15 +318,15 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
         for b0 in range(0, len(tr), batch):
             idx = tr[order[b0:b0 + batch]]
             tape_ = T.Tape()
-            binding = Binding(work_state, tape_)
+            binding = Binding(work_state, tape_, grads=opt.grad_views)
             enc = encode(binding, [grids[i] for i in idx], [mask] * len(idx))
             feat = T.take_rows(enc, np.arange(len(idx)) * (arch.n_tokens + 1))
             logits = T.add(T.matmul(feat, binding.p["probe.W"]), binding.p["probe.b"])
             loss = _cross_entropy(logits, onehot[idx])
+            opt.grad.fill(0.0)
             tape_.backward(loss)
-            grads = binding.grads()
             lr = cosine_lr(step, 0, total_steps, cfg.lr, 0.0)
-            _update("probe", step, loss, grads, opt, lr, ocfg)
+            _update("probe", step, loss, opt, lr, ocfg)
             step += 1
             ep.append(float(loss.data))
         trace.append(float(np.mean(ep)))

@@ -230,6 +230,18 @@ def test_analyze_rejects_bad_settings_before_writing_results(tmp_path, key, valu
     assert not os.path.exists(tmp_path / "o" / "summary.txt")
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("check.max_coords", 0, "must be at least 1, got 0"),
+    ("check.max_coords", -3, "must be at least 1, got -3"),
+    ("check.h", 0.0, "must be positive, got 0.0"),
+    ("check.h", -1e-4, "must be positive, got -0.0001")])
+def test_gradcheck_rejects_bad_settings_before_writing_results(tmp_path, key, value, message):
+    cfg = _write_cfg(tmp_path / "g.cfg", **{key: value})
+    with pytest.raises(ManifestError, match=f"^{key} {message}$"):
+        cli.main(["gradcheck", "--out", str(tmp_path / "o"), "--config", cfg])
+    assert not os.path.exists(tmp_path / "o" / "gradcheck.txt")
+
+
 def test_gradcheck_command_reports_small_error(tmp_path):
     cfg = _write_cfg(tmp_path / "g.cfg", **{
         "arch.n_modalities": 2, "arch.n_patches": 2, "arch.patch_len": 4,

@@ -76,6 +76,10 @@ def test_kernels_match_their_formulas_bit_for_bit(x, gy):
 
     s = kernels.softmax_fwd(x)
     _same_bits(s, _softmax_fwd_formula(x))
+    # the in-place form, as tape.attention calls it on its score rows
+    s_in = x.copy()
+    assert kernels.softmax_fwd(s_in, out=s_in) is s_in
+    _same_bits(s_in, _softmax_fwd_formula(x))
     _same_bits(kernels.softmax_bwd(s, gy), _softmax_bwd_formula(s, gy))
 
     gain, bias = GAIN[:x.shape[1]], BIAS[:x.shape[1]]
@@ -87,7 +91,7 @@ def test_kernels_match_their_formulas_bit_for_bit(x, gy):
     for g, w in zip(kernels.layernorm_bwd(xhat, inv_std, gain, gy),
                     _layernorm_bwd_formula(xhat, inv_std, gain, gy)):
         _same_bits(g, w)
-    # no kernel writes to its inputs
+    # no kernel writes to its inputs unless asked to with out=
     _same_bits(x, x_before)
     _same_bits(gy, gy_before)
     _same_bits(cdf, 0.5 * (1.0 + erf(x * kernels.INV_SQRT2)))

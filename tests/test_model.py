@@ -254,7 +254,7 @@ def _loss_and_grads(state, build):
     b = Binding(state, t)
     loss = build(b)
     t.backward(loss)
-    return float(loss.data), b.grads()
+    return float(loss.data), {k: leaf.grad for k, leaf in b.p.items()}
 
 
 @pytest.mark.parametrize("policy", ["cross", "sync"])
@@ -308,3 +308,59 @@ def test_step_node_count_does_not_depend_on_batch_size():
         mae_loss(Binding(state, t), grids, masks)
         counts.append(len(t._nodes))
     assert counts[0] == counts[1] == counts[2]
+
+
+class _FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_heap_is_held_once_per_process(monkeypatch):
+    import ctypes
+    from crossmae import model
+
+    libc = _FakeLibc()
+    opened = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or libc)
+    model._hold_heap.cache_clear()
+    try:
+        state = init_model(TINY, seed=0)
+        Binding(state, T.Tape(), trainable=False)
+        Binding(state, T.Tape())
+        assert opened == [None]
+        assert libc.calls == [(model.M_MMAP_THRESHOLD, 64 << 20),
+                              (model.M_TRIM_THRESHOLD, 256 << 20)]
+    finally:
+        model._hold_heap.cache_clear()
+
+
+def test_heap_hold_is_a_no_op_without_mallopt(monkeypatch):
+    import ctypes
+    from crossmae import model
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    model._hold_heap.cache_clear()
+    try:
+        b = Binding(init_model(TINY, seed=0), T.Tape(), trainable=False)
+        assert encode(b, [_grid(TINY)], [_mask(TINY)]).data.shape == (4, TINY.d_model)
+    finally:
+        model._hold_heap.cache_clear()
+
+
+def test_binding_adds_gradients_into_the_given_arrays():
+    state = init_model(TINY, seed=0)
+    grads = {k: np.zeros_like(v) for k, v in state.params.items()}
+    t = T.Tape()
+    b = Binding(state, t, grads=grads)
+    loss = mae_loss(b, [_grid(TINY)], [_mask(TINY)])
+    t.backward(loss)
+    _, want = _loss_and_grads(state, lambda b2: mae_loss(b2, [_grid(TINY)], [_mask(TINY)]))
+    for k, g in grads.items():
+        assert b.p[k].grad is g
+        assert np.array_equal(g, want[k])
+    with pytest.raises(ValueError, match="gradient shape"):
+        t.leaf(np.zeros(3), grad=np.zeros(4))

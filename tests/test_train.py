@@ -44,16 +44,17 @@ def test_optim_config_validation():
 
 def test_adamw_step_zero_grad_is_pure_decay():
     params = {"w": np.array([1.0, -2.0])}
-    grads = {"w": np.zeros(2)}
     opt = AdamWState(params)
+    opt.grad_views["w"][...] = np.zeros(2)
     cfg = OptimConfig(weight_decay=0.05)
-    adamw_step(opt, grads, lr=0.1, cfg=cfg)
+    adamw_step(opt, lr=0.1, cfg=cfg)
     assert np.max(np.abs(params["w"] - np.array([0.995, -1.99]))) < 1e-15
     assert opt.t == 1
 
     params2 = {"w": np.array([3.0])}
     opt2 = AdamWState(params2)
-    adamw_step(opt2, {"w": np.zeros(1)}, lr=0.1, cfg=OptimConfig(weight_decay=0.0))
+    opt2.grad[...] = np.zeros(1)
+    adamw_step(opt2, lr=0.1, cfg=OptimConfig(weight_decay=0.0))
     assert params2["w"][0] == 3.0
 
 
@@ -61,7 +62,8 @@ def test_adamw_step_hand_computed_scalar():
     params = {"w": np.array([0.0])}
     opt = AdamWState(params)
     cfg = OptimConfig(weight_decay=0.0, beta1=0.9, beta2=0.95, eps=1e-8)
-    adamw_step(opt, {"w": np.array([1.0])}, lr=0.1, cfg=cfg)
+    opt.grad_views["w"][...] = np.array([1.0])
+    adamw_step(opt, lr=0.1, cfg=cfg)
     m_hat = (1 - 0.9) * 1.0 / (1 - 0.9**1)
     v_hat = (1 - 0.95) * 1.0 / (1 - 0.95**1)
     want = -0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -74,7 +76,9 @@ def test_adamw_step_updates_multi_dim_params_in_place():
     ref = {k: v.copy() for k, v in params.items()}
     grads = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4)}
     opt = AdamWState(params)
-    adamw_step(opt, grads, lr=0.01, cfg=OptimConfig())
+    for k, g in grads.items():
+        opt.grad_views[k][...] = g
+    adamw_step(opt, lr=0.01, cfg=OptimConfig())
     for k in params:
         assert params[k].shape == ref[k].shape
         assert np.max(np.abs(params[k] - ref[k])) > 0.0
@@ -233,7 +237,9 @@ def test_adamw_step_is_one_kernel_call_equal_to_one_per_group(monkeypatch):
     real = kernels.adamw_update
     monkeypatch.setattr(kernels, "adamw_update", lambda *a: calls.append(a) or real(*a))
     opt = AdamWState(params)
-    adamw_step(opt, grads, lr=0.01, cfg=cfg)
+    for k, g in grads.items():
+        opt.grad_views[k][...] = g
+    adamw_step(opt, lr=0.01, cfg=cfg)
     assert len(params) == 42 and len(calls) == 1
     for k in params:
         assert params[k].tobytes() == per_group[k].tobytes()
@@ -282,3 +288,54 @@ def test_linear_probe_top1_reads_the_trained_head():
     trained = probe(state, ws, labels, 4, ProbeConfig(mode="lp", epochs=60, lr=5e-2), seed=3)
     assert untrained.top1 == 3 / 12
     assert trained.top1 == 7 / 12
+
+
+@pytest.mark.parametrize("mode", ["lp", "ft"])
+def test_probe_rejects_fewer_than_two_windows(mode):
+    ws = _windows(n=1)
+    labels = np.array([w.label for w in ws])
+    with pytest.raises(ValueError, match="at least 2 windows.*got 1$"):
+        probe(init_model(ARCH, seed=0), ws, labels, 4, ProbeConfig(mode=mode, epochs=2), seed=0)
+
+
+def _spy_on_steps(monkeypatch):
+    """Record every Binding a training loop makes and the AdamWState of each
+    _update call."""
+    bindings, opts = [], []
+    real_binding, real_update = train.Binding, train._update
+
+    def binding(*args, **kwargs):
+        bindings.append(real_binding(*args, **kwargs))
+        return bindings[-1]
+
+    def update(loop, step, loss, opt, lr, cfg):
+        opts.append(opt)
+        return real_update(loop, step, loss, opt, lr, cfg)
+
+    monkeypatch.setattr(train, "Binding", binding)
+    monkeypatch.setattr(train, "_update", update)
+    return bindings, opts
+
+
+@pytest.mark.parametrize("mode", ["pretrain", "lp", "ft"])
+def test_backward_writes_every_gradient_into_the_optimizer_buffer(monkeypatch, mode):
+    ws = _windows(n=12, seed=24)
+    bindings, opts = _spy_on_steps(monkeypatch)
+    if mode == "pretrain":
+        pretrain(ws, ARCH, PretrainConfig(optim=OptimConfig(epochs=2, warmup_epochs=0,
+                                                            batch_size=8)), seed=0)
+    else:
+        labels = np.array([w.label for w in ws])
+        probe(init_model(ARCH, seed=0), ws, labels, 4, ProbeConfig(mode=mode, epochs=2),
+              seed=0)
+    trained = [b for b in bindings if b.p and next(iter(b.p.values())).requires_grad]
+    assert len(trained) == len(opts) == (4 if mode == "pretrain" else 2)
+    opt = opts[0]
+    assert all(o is opt for o in opts)
+    for b in trained:
+        assert list(b.p) == opt.names
+        for name, leaf in b.p.items():
+            assert leaf.grad is opt.grad_views[name]
+            assert np.shares_memory(leaf.grad, opt.grad)
+    # the last step's gradients are still in the buffer, and not all zero
+    assert np.isfinite(opt.grad).all() and opt.grad.any()
