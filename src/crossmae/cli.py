@@ -16,7 +16,7 @@ from .imputation import (METHODS, TASKS, MissingnessTask, _sample_mask_array,
                          impute_nearest, score, task_mask)
 from .kcca import sigma1_experiment
 from .masking import CROSS, SYNC
-from .model import (ArchSpec, gradcheck_model, load_checkpoint,
+from .model import (ArchSpec, _hold_heap, gradcheck_model, load_checkpoint,
                     save_checkpoint)
 from .train import OptimConfig, PretrainConfig, ProbeConfig, pretrain, probe
 from .windows import (SynthSpec, as_generator, generate_windows, load_dataset,
@@ -306,6 +306,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # Every subcommand, not only those that bind a model: raw analyze
+    # allocates and frees the same SVD buffers on every call too.
+    _hold_heap()
     parser = argparse.ArgumentParser(
         prog="crossmae",
         description="Cross-modality masked autoencoding for multi-modal time series.")

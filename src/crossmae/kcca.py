@@ -8,12 +8,12 @@ the raw cells of each view, or, given a model state, the mean encoder latent
 of each view (model.forward_frozen). kcca_solve gives the kernel
 counterpart, the top regularized canonical correlation of two caller-built
 Gram matrices over the same windows. Both solvers return plain numbers: the
-singular values and rho.
+singular values and rho. Only kcca_solve needs scipy.linalg, and it imports
+it when called, so the policy analysis runs without loading scipy.
 """
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .masking import MaskMatrix, sample_mask
 from .model import ModelState, encode, forward_frozen
@@ -82,6 +82,8 @@ def kcca_solve(grams: ViewGrams, gamma_u: float, gamma_m: float, centered: bool)
     into an ordinary symmetric eigenproblem; the top eigenvalue is rho^2 and
     is found by power iteration with a fixed-seed start vector.
     """
+    from scipy.linalg import cho_solve, solve_triangular
+
     if not (gamma_u > 0 and gamma_m > 0):
         raise ValueError("regularizers must be > 0")
     k_u, k_m = grams.k_u, grams.k_m

@@ -12,9 +12,13 @@ adamw_update updates the optimizer's flat parameter and moment buffers in
 place, reading the gradient that backward wrote into AdamWState.grad. Any
 other kernel writes into a caller's array only when asked to with out=, as
 tape.attention asks softmax_fwd to turn its scores into weights.
+
+gelu_fwd imports erf from scipy.special when called, not with this module:
+loading scipy is most of the time `import crossmae.cli` takes, and a
+process that never runs the model (synth, raw-feature analyze, a rejected
+config) need not pay it.
 """
 import numpy as np
-from scipy.special import erf
 
 BACKEND = "numpy"
 
@@ -25,6 +29,7 @@ INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 def gelu_fwd(x):
     """Exact (erf-based) GELU. Returns (y, cdf) with
     cdf = 0.5 * (1 + erf(x / sqrt 2)) and y = x * cdf; gelu_bwd reuses cdf."""
+    from scipy.special import erf
     cdf = erf(x * INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5

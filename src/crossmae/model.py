@@ -49,6 +49,9 @@ class ArchSpec:
     mlp_ratio: int = 2
 
     def __post_init__(self):
+        for name, value in (("d_model", self.d_model), ("n_heads", self.n_heads)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.d_model % 4 != 0:
@@ -188,8 +191,8 @@ class Binding:
     (AdamWState.grad_views, the views of the optimizer's flat gradient
     buffer), and backward adds each leaf's gradient into its array; without
     grads a trainable leaf allocates its own. Every training and frozen
-    graph starts here, so the first Binding of a process also holds the
-    heap (_hold_heap)."""
+    graph starts here, so a Binding holds the heap (_hold_heap) for library
+    callers; cli.main holds it before any subcommand runs."""
 
     def __init__(self, state: ModelState, tape: T.Tape, trainable=True, grads=None):
         _hold_heap()

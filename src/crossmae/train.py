@@ -46,10 +46,15 @@ class OptimConfig:
     min_lr: float = 0.0
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("invalid optimizer configuration")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be at least 0, got {self.epochs}")
         if not 0 <= self.warmup_epochs <= max(self.epochs, 1):
-            raise ValueError("warmup must lie within the schedule")
+            raise ValueError(f"warmup_epochs must lie in [0, {max(self.epochs, 1)}], "
+                             f"got {self.warmup_epochs}")
 
 
 @dataclass

@@ -1,6 +1,11 @@
 """CLI subcommands: run layout, determinism hooks, config plumbing."""
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -250,3 +255,60 @@ def test_gradcheck_command_reports_small_error(tmp_path):
     text = open(os.path.join(out, "gradcheck.txt")).read()
     assert text.startswith("max_rel_err=")
     assert float(text.split("=")[1]) < 1e-3
+
+
+COLD_START = """
+import json, os, sys
+import crossmae.cli
+from crossmae.config import ManifestError
+root = sys.argv[1]
+
+
+def run(cmd):
+    crossmae.cli.main([cmd, "--out", os.path.join(root, cmd),
+                       "--config", os.path.join(root, cmd + ".cfg")])
+
+
+run("synth")
+run("analyze")
+try:
+    run("gradcheck")
+except ManifestError:
+    pass
+else:
+    sys.exit("gradcheck accepted check.max_coords=0")
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_cold_start_runs_synth_raw_analyze_and_a_rejection_without_scipy(tmp_path):
+    _write_cfg(tmp_path / "synth.cfg", **{"data.n_windows": 4, "data.n_samples": 32})
+    _write_cfg(tmp_path / "analyze.cfg", **{
+        "data.n_windows": 12, "data.n_samples": 140, "data.n_modalities": 3,
+        "exp.n_transitions": 12, "exp.n_seeds": 1, "exp.pca_k": 4})
+    _write_cfg(tmp_path / "gradcheck.cfg", **{"check.max_coords": 0})
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert os.path.exists(tmp_path / "analyze" / "summary.txt")
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def test_every_subcommand_holds_the_heap(monkeypatch, tmp_path):
+    import ctypes
+    from crossmae import model
+
+    opened, calls = [], []
+    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or libc)
+    model._hold_heap.cache_clear()
+    try:
+        cfg = _write_cfg(tmp_path / "s.cfg", **{"data.n_windows": 2, "data.n_samples": 16})
+        _run("synth", tmp_path / "o", cfg)
+        assert opened == [None]
+        assert calls == [(model.M_MMAP_THRESHOLD, 64 << 20),
+                         (model.M_TRIM_THRESHOLD, 256 << 20)]
+    finally:
+        model._hold_heap.cache_clear()

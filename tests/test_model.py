@@ -59,6 +59,14 @@ def test_positions_require_d_model_multiple_of_four():
         ArchSpec(n_modalities=2, n_patches=2, patch_len=2, d_model=6, n_heads=2)
 
 
+@pytest.mark.parametrize("field, value", [("d_model", 0), ("d_model", -32),
+                                          ("n_heads", 0), ("n_heads", -1)])
+def test_arch_rejects_a_width_or_head_count_below_one(field, value):
+    kwargs = {"n_modalities": 2, "n_patches": 2, "patch_len": 2, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be at least 1, got {value}$"):
+        ArchSpec(**kwargs)
+
+
 def test_init_model_deterministic_per_seed():
     a = init_model(TINY, seed=3)
     b = init_model(TINY, seed=3)

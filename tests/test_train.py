@@ -42,6 +42,27 @@ def test_optim_config_validation():
         OptimConfig(batch_size=0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"lr": -1.0}, "lr must be positive, got -1.0"),
+    ({"lr": 0.0}, "lr must be positive, got 0.0"),
+    ({"lr": float("nan")}, "lr must be positive, got nan"),
+    ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
+    ({"epochs": -1}, "epochs must be at least 0, got -1"),
+    ({"epochs": 5, "warmup_epochs": 10}, r"warmup_epochs must lie in \[0, 5\], got 10")],
+    ids=["lr-1", "lr0", "lr_nan", "batch_size0", "epochs-1", "warmup_epochs10"])
+def test_optim_config_names_the_bad_field_and_value(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OptimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field, value", [("lr", 0.0), ("epochs", -1)])
+def test_probe_names_a_bad_optimizer_setting(field, value):
+    ws = _windows(n=4)
+    cfg = ProbeConfig(**{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        probe(init_model(ARCH, seed=0), ws, [w.label for w in ws], 4, cfg, seed=0)
+
+
 def test_adamw_step_zero_grad_is_pure_decay():
     params = {"w": np.array([1.0, -2.0])}
     opt = AdamWState(params)
