@@ -244,6 +244,8 @@ def cmd_analyze(cfg: dict, out_dir: str) -> None:
     n_seeds = cfg["exp.n_seeds"]
     if n_seeds < 1:
         raise ManifestError(f"exp.n_seeds must be at least 1, got {n_seeds}")
+    if cfg["exp.pca_k"] < 1:
+        raise ManifestError(f"exp.pca_k must be at least 1, got {cfg['exp.pca_k']}")
     if cfg["exp.encoder"] == "raw_flatten":
         state = None
     elif cfg["exp.encoder"] == "model_encoder":

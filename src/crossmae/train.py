@@ -55,6 +55,15 @@ class OptimConfig:
         if not 0 <= self.warmup_epochs <= max(self.epochs, 1):
             raise ValueError(f"warmup_epochs must lie in [0, {max(self.epochs, 1)}], "
                              f"got {self.warmup_epochs}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps!r}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be at least 0, got {self.weight_decay!r}")
+        if not 0 <= self.min_lr <= self.lr:
+            raise ValueError(f"min_lr must lie in [0, {self.lr!r}], got {self.min_lr!r}")
 
 
 @dataclass

@@ -226,7 +226,7 @@ def test_analyze_model_encoder_needs_checkpoint(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("exp.n_seeds", 0), ("exp.n_seeds", -1),
-                                        ("exp.encoder", "pixels")])
+                                        ("exp.pca_k", 0), ("exp.encoder", "pixels")])
 def test_analyze_rejects_bad_settings_before_writing_results(tmp_path, key, value):
     cfg = _write_cfg(tmp_path / "a.cfg", **{key: value})
     with pytest.raises(ManifestError, match=key):
@@ -277,6 +277,9 @@ except ManifestError:
     pass
 else:
     sys.exit("gradcheck accepted check.max_coords=0")
+import numpy as np
+from crossmae.kcca import ViewGrams, kcca_solve
+kcca_solve(ViewGrams(np.eye(3), np.ones((3, 3)) + np.eye(3)), 1e-2, 1e-2, centered=True)
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 

@@ -64,10 +64,55 @@ def test_kcca_rho_of_related_views_is_a_correlation():
     assert 0.0 <= rho <= 1.0 + 1e-10
 
 
-def test_kcca_conditioning_error_names_eigenvalue():
+def _exact_rho(k_u, k_m, gamma):
+    """sigma_max(R_U^{-1/2} K_U K_M R_M^{-1/2}) of the centred Grams, with
+    R = K^2 + gamma K + eps I and eps = 1e-8 tr(K^2 + gamma K) / n + 1e-12,
+    from full eigendecompositions."""
+    def whiten(k):  # R^{-1/2} K, symmetric
+        lam, q = np.linalg.eigh(center_gram(k))
+        r = lam * lam + gamma * lam
+        return (q * (lam / np.sqrt(r + 1e-8 * r.sum() / len(lam) + 1e-12))) @ q.T
+    return np.linalg.svd(whiten(k_u) @ whiten(k_m), compute_uv=False)[0]
+
+
+def _related_grams(kind, n):
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((n, 2))
+    x = np.hstack([z, rng.standard_normal((n, 3))]) + 0.5 * rng.standard_normal((n, 5))
+    y = np.hstack([z @ rng.standard_normal((2, 2)), rng.standard_normal((n, 2))])
+    y += 0.5 * rng.standard_normal((n, 4))
+    if kind == "linear":
+        return x @ x.T, y @ y.T
+
+    def rbf(a):
+        sq = (a * a).sum(axis=1)
+        k = np.exp(-np.maximum(sq[:, None] + sq[None, :] - 2.0 * a @ a.T, 0.0) / (2 * a.shape[1]))
+        return (k + k.T) / 2
+
+    return rbf(x), rbf(y)
+
+
+@pytest.mark.parametrize("gamma", [1e-4, 1e-2, 1.0])
+@pytest.mark.parametrize("n", [200, 320])
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+def test_kcca_matches_the_exact_definition(kind, n, gamma):
+    # The linear Grams have rank 5; the centred RBF Grams have full rank
+    # apart from the constant direction centring removes.
+    k_u, k_m = _related_grams(kind, n)
+    rho = kcca_solve(ViewGrams(k_u, k_m), gamma, gamma, centered=True)
+    assert abs(rho - _exact_rho(k_u, k_m, gamma)) < 1e-9
+
+
+def test_kcca_of_a_constant_view_is_zero():
+    # Centring leaves the constant Gram with a factor of rank 0.
+    assert kcca_solve(ViewGrams(np.ones((4, 4)), np.eye(4)), 1e-2, 1e-2, centered=True) == 0.0
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e-4])
+def test_kcca_conditioning_error_names_eigenvalue(gamma):
     bad = np.diag([-0.5, 1.0, 1.0])
     with pytest.raises(ConditioningError, match="eigenvalue"):
-        kcca_solve(ViewGrams(bad, np.eye(3)), 1.0, 1.0, centered=False)
+        kcca_solve(ViewGrams(bad, np.eye(3)), gamma, gamma, centered=False)
 
 
 def test_view_grams_validation():

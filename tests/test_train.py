@@ -48,14 +48,25 @@ def test_optim_config_validation():
     ({"lr": float("nan")}, "lr must be positive, got nan"),
     ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
     ({"epochs": -1}, "epochs must be at least 0, got -1"),
-    ({"epochs": 5, "warmup_epochs": 10}, r"warmup_epochs must lie in \[0, 5\], got 10")],
-    ids=["lr-1", "lr0", "lr_nan", "batch_size0", "epochs-1", "warmup_epochs10"])
+    ({"epochs": 5, "warmup_epochs": 10}, r"warmup_epochs must lie in \[0, 5\], got 10"),
+    ({"beta1": 1.5}, r"beta1 must lie in \[0, 1\), got 1.5"),
+    ({"beta1": -0.1}, r"beta1 must lie in \[0, 1\), got -0.1"),
+    ({"beta2": 1.0}, r"beta2 must lie in \[0, 1\), got 1.0"),
+    ({"beta2": float("nan")}, r"beta2 must lie in \[0, 1\), got nan"),
+    ({"eps": 0.0}, "eps must be positive, got 0.0"),
+    ({"weight_decay": -5.0}, "weight_decay must be at least 0, got -5.0"),
+    ({"weight_decay": float("nan")}, "weight_decay must be at least 0, got nan"),
+    ({"min_lr": -1.0}, r"min_lr must lie in \[0, 0.0005\], got -1.0"),
+    ({"lr": 1e-3, "min_lr": 2e-3}, r"min_lr must lie in \[0, 0.001\], got 0.002")],
+    ids=["lr-1", "lr0", "lr_nan", "batch_size0", "epochs-1", "warmup_epochs10",
+         "beta1_1.5", "beta1-0.1", "beta2_1", "beta2_nan", "eps0", "weight_decay-5",
+         "weight_decay_nan", "min_lr-1", "min_lr_above_lr"])
 def test_optim_config_names_the_bad_field_and_value(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         OptimConfig(**kwargs)
 
 
-@pytest.mark.parametrize("field, value", [("lr", 0.0), ("epochs", -1)])
+@pytest.mark.parametrize("field, value", [("lr", 0.0), ("epochs", -1), ("weight_decay", -1.0)])
 def test_probe_names_a_bad_optimizer_setting(field, value):
     ws = _windows(n=4)
     cfg = ProbeConfig(**{field: value})
