@@ -159,6 +159,18 @@ def _arch_for_dataset(cfg: dict, meta: dict) -> ArchSpec:
                     **_section(cfg, "arch"))
 
 
+def _fitting_checkpoint(path: str, n_modalities: int, n_samples: int):
+    """The model state saved at path, or a ManifestError naming path when its
+    patch grid does not fit windows of n_modalities x n_samples."""
+    state = load_checkpoint(path)
+    arch = state.arch
+    if n_modalities != arch.n_modalities or n_samples // arch.patch_len != arch.n_patches:
+        raise ManifestError(
+            f"{path}: dataset {n_modalities}x{n_samples} does not fit checkpoint grid "
+            f"{arch.n_modalities}x{arch.n_patches}x{arch.patch_len}")
+    return state
+
+
 def cmd_pretrain(cfg: dict, out_dir: str) -> None:
     windows, meta = load_dataset(cfg["data.dir"])
     arch = _arch_for_dataset(cfg, meta)
@@ -186,22 +198,18 @@ def cmd_pretrain(cfg: dict, out_dir: str) -> None:
 
 
 def cmd_impute(cfg: dict, out_dir: str) -> None:
-    state = load_checkpoint(cfg["checkpoint"])
     raw_windows, meta = load_dataset(cfg["data.dir"])
+    state = _fitting_checkpoint(cfg["checkpoint"], meta["C"], meta["L"])
     arch = state.arch
-    if meta["C"] != arch.n_modalities or meta["L"] // arch.patch_len != arch.n_patches:
-        raise ManifestError(
-            f"dataset {meta['C']}x{meta['L']} does not fit checkpoint grid "
-            f"{arch.n_modalities}x{arch.n_patches}x{arch.patch_len}")
     windows = [standardize(w) for w in raw_windows]
     ratio = cfg["task.ratio"]
     rows = []
     for t_idx, kind in enumerate(TASKS):
         task = MissingnessTask(kind=kind, ratio=ratio)
         rng = as_generator([cfg["seed"], t_idx])
-        masks = [task_mask(task, arch.n_modalities, arch.n_patches, rng)
-                 for _ in windows]
-        smasks = [_sample_mask_array(m, arch.patch_len, meta["L"]) for m in masks]
+        masks = np.stack([task_mask(task, arch.n_modalities, arch.n_patches, rng)
+                          for _ in windows])
+        smasks = _sample_mask_array(masks, arch.patch_len, meta["L"])
         filled = {
             "model": impute_model(state, windows, masks),
             "linear": [impute_linear(w, sm) for w, sm in zip(windows, smasks)],
@@ -221,8 +229,8 @@ def cmd_impute(cfg: dict, out_dir: str) -> None:
 
 
 def cmd_probe(cfg: dict, out_dir: str) -> None:
-    state = load_checkpoint(cfg["checkpoint"])
     windows, meta = load_dataset(cfg["data.dir"])
+    state = _fitting_checkpoint(cfg["checkpoint"], meta["C"], meta["L"])
     labels = [w.label for w in windows]
     if any(lab is None for lab in labels):
         raise ManifestError("probe needs a fully labeled dataset")
@@ -251,7 +259,8 @@ def cmd_analyze(cfg: dict, out_dir: str) -> None:
     elif cfg["exp.encoder"] == "model_encoder":
         if not cfg["exp.checkpoint"]:
             raise ManifestError("exp.encoder=model_encoder needs exp.checkpoint")
-        state = load_checkpoint(cfg["exp.checkpoint"])
+        state = _fitting_checkpoint(cfg["exp.checkpoint"], cfg["data.n_modalities"],
+                                    cfg["data.n_samples"])
     else:
         raise ManifestError(f"unknown exp.encoder {cfg['exp.encoder']!r}")
     n_trans = cfg["exp.n_transitions"]

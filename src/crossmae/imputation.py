@@ -6,15 +6,17 @@ Four tasks over the patch grid:
 - sensor: everything hidden except one modality, drawn per window;
 - extrapolation: the trailing time columns hidden.
 
-All imputers receive a window whose hidden samples are defined by a patch
-mask, must leave visible samples untouched, and are scored on hidden samples
-only, pooled over all windows.
+A task draws one (C, P) bool patch mask per window (True = hidden); the
+windows of a run stack theirs into a (B, C, P) array. The model imputer takes
+that array, and the statistical ones its per-sample expansion (B, C, L)
+(_sample_mask_array). All imputers must leave visible samples untouched,
+and are scored on hidden samples only, pooled over all windows.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from .masking import CROSS, MaskMatrix, floor_count, sample_mask
+from .masking import CROSS, floor_count, sample_mask
 from .model import ModelState, forward_frozen, reconstruct
 from .windows import SensorWindow, as_generator, patchify
 
@@ -34,63 +36,62 @@ class MissingnessTask:
             raise ValueError("ratio must lie in (0, 1)")
 
 
-def task_mask(task: MissingnessTask, n_modalities: int, n_patches: int, rng) -> MaskMatrix:
-    """Build the patch mask for one window under the given task."""
+def task_mask(task: MissingnessTask, n_modalities: int, n_patches: int, rng) -> np.ndarray:
+    """Build the (C, P) bool patch mask (True = hidden) for one window under
+    the given task."""
     rng = as_generator(rng)
     c_n, p_n = n_modalities, n_patches
     if task.kind == "random":
         return sample_mask(CROSS, c_n, p_n, task.ratio, rng)
-    bits = np.zeros((c_n, p_n), dtype=np.uint8)
+    mask = np.zeros((c_n, p_n), dtype=bool)
     if task.kind == "temporal":
         k = floor_count(task.ratio, p_n)
         if k < 1 or k >= p_n:
             raise ValueError(f"temporal task degenerate at ratio {task.ratio}, P={p_n}")
         cols = rng.permutation(p_n)[:k]
-        bits[:, cols] = 1
+        mask[:, cols] = True
     elif task.kind == "sensor":
         if c_n < 2:
             raise ValueError("sensor task needs C >= 2")
-        bits[:, :] = 1
-        bits[int(rng.integers(0, c_n)), :] = 0
+        mask[:, :] = True
+        mask[int(rng.integers(0, c_n)), :] = False
     else:  # extrapolation
         k = floor_count(task.ratio, p_n)
         if k < 1 or k >= p_n:
             raise ValueError(f"extrapolation task degenerate at ratio {task.ratio}, P={p_n}")
-        bits[:, p_n - k:] = 1
-    return MaskMatrix(bits)
+        mask[:, p_n - k:] = True
+    return mask
 
 
-def _sample_mask_array(mask: MaskMatrix, patch_len: int, n_samples: int) -> np.ndarray:
-    """Expand a patch mask to a per-sample boolean array (C, L). Samples
-    beyond P * patch_len are never hidden."""
-    c_n, p_n = mask.bits.shape
-    out = np.zeros((c_n, n_samples), dtype=bool)
-    hidden = np.repeat(mask.bits.astype(bool), patch_len, axis=1)
-    out[:, :p_n * patch_len] = hidden
+def _sample_mask_array(masks: np.ndarray, patch_len: int, n_samples: int) -> np.ndarray:
+    """Expand (..., C, P) patch masks to per-sample bool masks (..., C, L).
+    Samples beyond P * patch_len are never hidden."""
+    p_n = masks.shape[-1]
+    out = np.zeros(masks.shape[:-1] + (n_samples,), dtype=bool)
+    out[..., :p_n * patch_len] = np.repeat(masks, patch_len, axis=-1)
     return out
 
 
-def impute_model(state: ModelState, windows, masks) -> list:
-    """Reconstruct each window's hidden patches with the pretrained
-    autoencoder; visible samples are passed through bit-identically. The
-    windows run in forward-only chunks (model.forward_frozen)."""
+def impute_model(state: ModelState, windows, masks: np.ndarray) -> list:
+    """Reconstruct each window's hidden patches, given the (B, C, P) masks,
+    with the pretrained autoencoder; visible samples are passed through
+    bit-identically. The windows run in forward-only chunks
+    (model.forward_frozen)."""
     if len(windows) != len(masks):
         raise ValueError(f"{len(windows)} windows but {len(masks)} masks")
-    if any(m.bits.all() for m in masks):
+    if masks.all(axis=(1, 2)).any():
         raise ValueError("model imputation needs at least one visible patch")
     arch = state.arch
     c_n, p_n, lp = arch.n_modalities, arch.n_patches, arch.patch_len
-    grids = [patchify(w, lp) for w in windows]
-    out = []
+    grids = np.stack([patchify(w, lp) for w in windows])
     for chunk, recon in forward_frozen(state, reconstruct, grids, masks):
-        recon = recon.reshape(-1, c_n, p_n, lp)
-        for window, mask, patches in zip(windows[chunk], masks[chunk], recon):
-            filled = window.values.copy()
-            cells = filled[:, :p_n * lp].reshape(c_n, p_n, lp)
-            hidden = mask.bits.astype(bool)
-            cells[hidden] = patches[hidden]
-            filled[:, :p_n * lp] = cells.reshape(c_n, p_n * lp)
-            out.append(SensorWindow(filled, window.label))
+        hidden = masks[chunk]  # written over only after the model has read the chunk
+        grids[chunk][hidden] = recon.reshape(-1, c_n, p_n, lp)[hidden]
+    out = []
+    for window, grid in zip(windows, grids):
+        filled = window.values.copy()
+        filled[:, :p_n * lp] = grid.reshape(c_n, p_n * lp)
+        out.append(SensorWindow(filled, window.label))
     return out
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masking import MaskMatrix, sample_mask
+from .masking import sample_mask
 from .model import ModelState, encode, forward_frozen
-from .windows import SensorWindow, patchify, standardize
+from .windows import patchify, standardize
 
 
 class ConditioningError(RuntimeError):
@@ -36,7 +36,8 @@ class ViewGrams:
             k = np.asarray(k, dtype=np.float64)
             if k.ndim != 2 or k.shape[0] != k.shape[1]:
                 raise ValueError(f"{name} must be square")
-            if np.abs(k - k.T).max() > 1e-10:
+            d = k - k.T
+            if max(d.max(), -d.min()) > 1e-10:
                 raise ValueError(f"{name} not symmetric within 1e-10")
             setattr(self, name, k)
         if self.k_u.shape != self.k_m.shape:
@@ -48,18 +49,23 @@ def center_gram(k: np.ndarray) -> np.ndarray:
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("center_gram needs a square matrix")
-    row = k.mean(axis=0, keepdims=True)
-    col = k.mean(axis=1, keepdims=True)
-    return k - row - col + k.mean()
+    out = k - k.mean(axis=0, keepdims=True)
+    out -= k.mean(axis=1, keepdims=True)
+    out += k.mean()
+    return out
 
 
 def _factor(k: np.ndarray, name: str) -> np.ndarray:
     """G with k = G^T G up to rounding, by pivoted Cholesky down to the floor
     n eps max(diag k) of numpy's matrix_rank. Pivots near the floor put
     rounding error into G: the residual diagonal of PSD, centred RBF Grams of
-    full rank fell to -1.4e-9 max(diag k) at n = 50 to 500. So only a residual
-    below -sqrt(floor max(diag k)), 3.3e-7 max(diag k) at n = 500, means k is
-    indefinite."""
+    full rank fell to -1.4e-9 max(diag k) at n = 50 to 500. So k counts as
+    indefinite only when the residual S = k - G^T G breaks a PSD bound by more
+    than tol = sqrt(floor max(diag k)), 3.3e-7 max(diag k) at n = 500: on
+    its diagonal d, S_ii >= 0, and, since |S_ij| <= sqrt(S_ii S_jj), on one
+    product with a fixed seeded x (not ones, which a centred k maps to 0),
+    |S x| <= sqrt(d) (sqrt(d) . |x|). The product catches [[0, 1], [1, 0]],
+    whose residual diagonal is 0."""
     n = k.shape[0]
     d = k.diagonal().copy()
     top = max(d.max(), 0.0)
@@ -73,12 +79,18 @@ def _factor(k: np.ndarray, name: str) -> np.ndarray:
         d -= g[r] * g[r]
         d[j] = 0.0  # exactly zero; rounding must not make it a pivot again
         r, j = r + 1, int(d.argmax())
-    if not d.min() >= -np.sqrt(floor * top):  # NaN fails too
+    g = g[:r]
+    tol = np.sqrt(floor * top)
+    x = np.random.default_rng(0).standard_normal(n)
+    root = np.sqrt(np.maximum(d, 0.0))
+    bound = root * (root @ np.abs(x)) + tol * np.abs(x).sum()
+    # written so that NaN fails too
+    if not (d.min() >= -tol and (np.abs(k @ x - g.T @ (g @ x)) <= bound).all()):
         eig = np.linalg.eigvalsh(k)
         raise ConditioningError(
             f"{name} indefinite beyond tolerance: min eigenvalue {eig[0]:.6e} "
             f"against max {eig[-1]:.6e}")
-    return g[:r]
+    return g
 
 
 def kcca_solve(grams: ViewGrams, gamma_u: float, gamma_m: float, centered: bool) -> float:
@@ -145,12 +157,13 @@ def cca_sigma(s_uu: np.ndarray, s_mm: np.ndarray, s_um: np.ndarray) -> np.ndarra
     return np.linalg.svd(gamma)[1]
 
 
-def _raw_view_features(window: SensorWindow, bits: np.ndarray, keep: int, patch_len: int) -> np.ndarray:
-    """The C x L window, every cell whose mask bit is not keep zeroed, flattened."""
-    c_n, p_n = bits.shape
-    vals = window.values[:, :p_n * patch_len]
-    cell_keep = np.repeat(bits == keep, patch_len, axis=1)
-    return np.where(cell_keep, vals, 0.0).ravel()
+def _raw_view_features(values: np.ndarray, shown: np.ndarray, patch_len: int) -> np.ndarray:
+    """(n, C * P * patch_len) features of one view: the (n, C, L) windows
+    trimmed to P * patch_len samples, every cell of a patch the (n, C, P)
+    view mask does not show zeroed, each window flattened."""
+    p_n = shown.shape[-1]
+    cells = np.repeat(shown, patch_len, axis=-1)
+    return np.where(cells, values[..., :p_n * patch_len], 0.0).reshape(len(values), -1)
 
 
 def _encoded_view_features(state: ModelState, grids, masks) -> np.ndarray:
@@ -179,18 +192,17 @@ def sigma1_experiment(dataset, policy: str, state: ModelState | None = None, pca
     c_n, length = dataset[0].values.shape
     p_n = length // patch_len
     children = np.random.SeedSequence(seed).spawn(len(dataset))
-    masks = [sample_mask(policy, c_n, p_n, ratio, child) for child in children]
+    masks = np.stack([sample_mask(policy, c_n, p_n, ratio, child) for child in children])
     if state is None:
-        f_u = np.stack([_raw_view_features(w, m.bits, 0, patch_len)
-                        for w, m in zip(dataset, masks)])
-        f_m = np.stack([_raw_view_features(w, m.bits, 1, patch_len)
-                        for w, m in zip(dataset, masks)])
+        values = np.stack([w.values for w in dataset])
+        f_u = _raw_view_features(values, ~masks, patch_len)
+        f_m = _raw_view_features(values, masks, patch_len)
     else:
         # The unmasked view shows the encoder the visible cells; the masked
         # view shows it the hidden ones.
-        grids = [patchify(standardize(w), patch_len) for w in dataset]
+        grids = np.stack([patchify(standardize(w), patch_len) for w in dataset])
         f_u = _encoded_view_features(state, grids, masks)
-        f_m = _encoded_view_features(state, grids, [MaskMatrix(1 - m.bits) for m in masks])
+        f_m = _encoded_view_features(state, grids, ~masks)
     n = f_u.shape[0]
     k = min(pca_k, min(n, f_u.shape[1]) - 1, min(n, f_m.shape[1]) - 1)
     if k < 1:

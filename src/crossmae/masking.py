@@ -1,14 +1,13 @@
 """Masking policies over the C x P patch grid.
 
-Two policies:
+A mask is a (C, P) bool array, True where a patch is hidden; a batch of
+masks is a (B, C, P) bool array. Two policies:
 - cross-modality: exactly floor(rho * C * P) cells masked, drawn uniformly
   from all cells, so a time column can be hidden in one modality and visible
   in another;
 - synchronized: exactly floor(rho * P) whole time columns masked across every
   modality at once.
 """
-from dataclasses import dataclass
-
 import numpy as np
 
 from .windows import as_generator
@@ -24,28 +23,14 @@ def floor_count(ratio: float, n: int) -> int:
     return int(np.floor(ratio * n + 1e-9))
 
 
-@dataclass
-class MaskMatrix:
-    """bits: (C, P) uint8 matrix, 1 = masked."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits)
-        if self.bits.ndim != 2:
-            raise ValueError("MaskMatrix bits must be 2-D (C, P)")
-        if not ((self.bits == 0) | (self.bits == 1)).all():
-            raise ValueError("MaskMatrix bits must be 0/1")
-        self.bits = self.bits.astype(np.uint8)
-
-
-def sample_mask(policy: str, n_modalities: int, n_patches: int, ratio: float, rng) -> MaskMatrix:
-    """Draw one mask under the given policy, uniformly over the admissible set."""
+def sample_mask(policy: str, n_modalities: int, n_patches: int, ratio: float, rng) -> np.ndarray:
+    """Draw one (C, P) bool mask (True = hidden) under the given policy,
+    uniformly over the admissible set."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"mask ratio must lie in (0, 1), got {ratio}")
     rng = as_generator(rng)
     c_n, p_n = n_modalities, n_patches
-    bits = np.zeros((c_n, p_n), dtype=np.uint8)
+    mask = np.zeros((c_n, p_n), dtype=bool)
     if policy == CROSS:
         k = floor_count(ratio, c_n * p_n)
         if k < 1:
@@ -53,7 +38,7 @@ def sample_mask(policy: str, n_modalities: int, n_patches: int, ratio: float, rn
         if k >= c_n * p_n:
             raise ValueError("mask would hide every patch")
         chosen = rng.permutation(c_n * p_n)[:k]
-        bits.flat[chosen] = 1
+        mask.flat[chosen] = True
     elif policy == SYNC:
         k = floor_count(ratio, p_n)
         if k < 1:
@@ -61,7 +46,7 @@ def sample_mask(policy: str, n_modalities: int, n_patches: int, ratio: float, rn
         if k >= p_n:
             raise ValueError("mask would hide every column")
         cols = rng.permutation(p_n)[:k]
-        bits[:, cols] = 1
+        mask[:, cols] = True
     else:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    return MaskMatrix(bits)
+    return mask

@@ -9,12 +9,14 @@ hidden slots with a trainable mask token, and reconstructs every patch.
 The model runs a minibatch of windows as one graph. Every mask of a policy
 or task hides the same number of patches, so the visible tokens of B windows
 stack with no padding: activations are (B*T, D) arrays of B row blocks, one
-per window, and attention stays inside each block. A patch grid is a
-(C, P, L_p) array (windows.patchify). Training loops bind the parameters as
-trainable leaves of one tape per step; every forward-only caller (class
-embeddings, imputation, view features) goes through forward_frozen, which
-binds them once as constants and runs FORWARD_CHUNK windows at a time. A
-trainable Binding writes its gradients into arrays its training loop owns.
+per window, and attention stays inside each block. A batch is two arrays:
+grids (B, C, P, L_p) float64, each window's patches (windows.patchify), and
+masks (B, C, P) bool, True where a patch is hidden (masking.sample_mask).
+Training loops bind the parameters as trainable leaves of one tape per step;
+every forward-only caller (class embeddings, imputation, view features) goes
+through forward_frozen, which binds them once as constants and runs
+FORWARD_CHUNK windows at a time. A trainable Binding writes its gradients
+into arrays its training loop owns.
 
 The reconstruction loss is the mean squared error over all patches; a
 masked-only variant is available for ablation.
@@ -27,7 +29,6 @@ import numpy as np
 
 from . import tape as T
 from .config import ManifestError, parse_kv_lines
-from .masking import MaskMatrix
 
 ARCH_NAME = "manifest.txt"
 PARAMS_NAME = "params.f32"
@@ -223,27 +224,18 @@ def _block(b: Binding, prefix: str, x, n_windows: int):
     return T.add(x, _mlp(b, prefix, y))
 
 
-def _check_shapes(arch: ArchSpec, grid: np.ndarray, mask: MaskMatrix):
-    c_n, p_n, lp = grid.shape
-    if (c_n, p_n, lp) != (arch.n_modalities, arch.n_patches, arch.patch_len):
-        raise ValueError(f"grid {grid.shape} does not match arch "
-                         f"({arch.n_modalities}, {arch.n_patches}, {arch.patch_len})")
-    if mask.bits.shape != (c_n, p_n):
-        raise ValueError("mask shape does not match grid")
-    if mask.bits.all():
-        raise ValueError("at least one patch must stay visible")
-
-
-def _token_ids(masks) -> np.ndarray:
+def _token_ids(masks: np.ndarray) -> np.ndarray:
     """(B, V+1) position-table rows of each window's encoder tokens: 0 for
     the class token, then 1 + the grid index of each visible patch. Every
-    mask of a batch must hide the same number of patches."""
-    bits = np.stack([m.bits.ravel() for m in masks])
-    hidden = bits.sum(axis=1)
+    mask of a batch must leave a patch visible and hide the same number."""
+    flat = masks.reshape(len(masks), -1)
+    hidden = flat.sum(axis=1)
+    if (hidden == flat.shape[1]).any():
+        raise ValueError("at least one patch must stay visible")
     if (hidden != hidden[0]).any():
         raise ValueError("every mask in a batch must hide the same number of patches, "
                          f"got {sorted(set(hidden.tolist()))}")
-    visible = np.nonzero(bits == 0)[1].reshape(len(masks), -1)
+    visible = np.nonzero(np.logical_not(flat))[1].reshape(len(masks), -1)
     return np.hstack([np.zeros((len(masks), 1), dtype=np.intp), 1 + visible])
 
 
@@ -259,18 +251,19 @@ def forward_frozen(state: ModelState, fn, grids, masks):
 
 
 def encode(b: Binding, grids, masks):
-    """Run the encoder over the visible tokens of a batch of B windows whose
-    masks all hide the same number of patches. Returns a (B*(V+1), D)
-    DiffArray of B row blocks: row 0 of a block is the class token, rows
-    1..V the window's visible patches in grid order."""
+    """Run the encoder over the visible tokens of a batch: grids (B, C, P,
+    L_p) and masks (B, C, P) that all hide the same number of patches.
+    Returns a (B*(V+1), D) DiffArray of B row blocks: row 0 of a block is
+    the class token, rows 1..V the window's visible patches in grid order."""
     arch = b.state.arch
-    if len(grids) != len(masks):
-        raise ValueError(f"{len(grids)} grids but {len(masks)} masks")
-    for grid, mask in zip(grids, masks):
-        _check_shapes(arch, grid, mask)
+    want = (arch.n_modalities, arch.n_patches, arch.patch_len)
+    if grids.shape[1:] != want:
+        raise ValueError(f"grid {grids.shape[1:]} does not match arch {want}")
+    if masks.shape != grids.shape[:3]:
+        raise ValueError(f"masks {masks.shape} do not match grids {grids.shape}")
     ids = _token_ids(masks)
     n_win = len(ids)
-    patches = np.stack(grids).reshape(n_win, arch.n_tokens, arch.patch_len)
+    patches = grids.reshape(n_win, arch.n_tokens, arch.patch_len)
     visible = np.take_along_axis(patches, ids[:, 1:, None] - 1, axis=1)
     vis = T.add(T.matmul(b.tape.constant(visible.reshape(-1, arch.patch_len)), b.p["embed.W"]),
                 b.p["embed.b"])
@@ -313,9 +306,9 @@ def mae_loss(b: Binding, grids, masks, masked_only: bool = False):
     number of patches, so this is also the mean of the per-window losses."""
     arch = b.state.arch
     recon = reconstruct(b, grids, masks)
-    target_np = np.stack(grids).reshape(-1, arch.patch_len)
+    target_np = grids.reshape(-1, arch.patch_len)
     if masked_only:
-        masked_ids = np.flatnonzero(np.stack([m.bits.ravel() for m in masks]))
+        masked_ids = np.flatnonzero(masks)
         if len(masked_ids) == 0:
             raise ValueError("masked-only loss needs at least one masked patch")
         recon = T.take_rows(recon, masked_ids)
@@ -441,7 +434,7 @@ def gradcheck_model(arch: ArchSpec, seed: int = 0, h: float = 1e-4,
 
     def build(leaves):
         tape_ = next(iter(leaves.values())).tape
-        return mae_loss(_LeafView(state, leaves, tape_), [grid], [mask])
+        return mae_loss(_LeafView(state, leaves, tape_), grid[None], mask[None])
 
     return T.finite_diff_check(build, state.params, h=h, max_coords=max_coords, seed=seed)
 

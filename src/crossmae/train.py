@@ -1,21 +1,22 @@
 """Pretraining loop, AdamW with cosine schedule, and the classification probe.
 
-Pretraining: per sample, optionally splice-augment, standardize, patchify,
-and draw a fresh mask under the configured policy; then run the whole
-minibatch through the model as one graph. A dataset window is standardized
-and patchified once per pretrain call; a spliced one each time it is drawn.
-Every mask of a policy hides the same number of patches, so the batch loss
-(the MSE over all its patches) is the mean of the per-sample losses. All
-randomness flows from one seed; reruns are bit-identical.
+Pretraining patchifies the standardized dataset once into an (n, C, P, L_p)
+array. A minibatch copies its rows into a (B, C, P, L_p) array, replaces a
+row with a spliced window when augmentation draws one, draws a (B, C, P)
+bool array of fresh masks, and runs as one graph. Every mask of a policy
+hides the same number of patches, so the batch loss (the MSE over all its
+patches) is the mean of the per-sample losses. All randomness flows from one
+seed; reruns are bit-identical.
 
 Every training loop (pretraining and both probe modes) keeps its parameters
-and their gradients in one AdamWState. Each step it zeroes the flat gradient
-buffer, binds the parameters on a fresh tape with their gradients pointed at
-views of that buffer, runs backward, and calls _update, which applies one
-AdamW step between two checks: a non-finite loss or gradient stops training
-before the step it would corrupt, and a step that leaves a parameter or
-AdamW's second moment non-finite (finite divergence: the loss grows until
-the squared gradient overflows) stops it right after.
+and their gradients in one AdamWState, and runs each step through _step: it
+binds the parameters on a fresh tape with their gradients pointed at views
+of the flat gradient buffer, builds the loss, zeroes the buffer, runs
+backward, and applies one AdamW step between two checks. A non-finite loss
+or gradient stops training before the step it would corrupt, and a step
+that leaves a parameter or AdamW's second moment non-finite (finite
+divergence: the loss grows until the squared gradient overflows) stops it
+right after.
 
 Probing: mode "lp" trains a linear head on the frozen class-token latent
 (encoder untouched); mode "ft" trains head and encoder jointly, in minibatches
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from . import tape as T
-from .masking import CROSS, POLICIES, MaskMatrix, sample_mask
+from .masking import CROSS, POLICIES, sample_mask
 from .model import (ArchSpec, Binding, ModelState, encode, forward_frozen, init_model,
                     mae_loss)
 from .windows import as_generator, patchify, splice_augment, standardize
@@ -161,24 +162,34 @@ def cosine_lr(step: int, warmup_steps: int, total_steps: int, base_lr: float, mi
     return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + np.cos(np.pi * progress))
 
 
-def _update(loop: str, step: int, loss, opt: AdamWState, lr: float, cfg: OptimConfig):
-    """One checked AdamW step from the gradients backward wrote into
-    opt.grad. Raises FloatingPointError, naming the loop ("pretrain",
-    "probe") and the step, when the loss or a gradient is not finite (before
-    the update, with the first such parameter group, found by one pass over
-    the flat buffer) or when the update left a parameter or its second
+def _step(loop: str, step: int, state: ModelState, opt: AdamWState, lr: float,
+          cfg: OptimConfig, build_loss) -> float:
+    """Bind state on a fresh tape with its gradients in opt.grad, backward
+    build_loss(binding), and take one checked AdamW step; return the loss.
+    Raises FloatingPointError, naming the loop and the step, when the loss
+    or a gradient is not finite (before the update, with the first such
+    parameter group) or when the update left a parameter or its second
     moment non-finite."""
+    tape_ = T.Tape()
+    loss = build_loss(Binding(state, tape_, grads=opt.grad_views))
+    opt.grad.fill(0.0)
+    tape_.backward(loss)
     finite = np.isfinite(opt.grad)
     bad = None if finite.all() else opt.group_at(np.argmin(finite))
     if bad is None and np.isfinite(loss.data):
         adamw_step(opt, lr, cfg)
         left = opt.non_finite_group()
         if left is None:
-            return
+            return float(loss.data)
         detail = f"AdamW left {left} or its second moment non-finite"
     else:
         detail = f"first non-finite gradient in {bad}" if bad else "all gradients finite"
     raise FloatingPointError(f"{loop} step {step}: loss {float(loss.data)!r}, {detail}")
+
+
+def _grids(windows, patch_len: int) -> np.ndarray:
+    """(n, C, P, L_p) patch grids of the standardized windows."""
+    return np.stack([patchify(standardize(w), patch_len) for w in windows])
 
 
 def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
@@ -202,8 +213,7 @@ def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
     warmup_steps = o.warmup_epochs * batches_per_epoch
 
     can_augment = len(windows) >= 2
-    # Patch grids of the dataset windows, built on first use, then read-only.
-    grid_cache = [None] * n
+    data = _grids(windows, arch.patch_len)
     trace = []
     step = 0
     for _ in range(o.epochs):
@@ -211,40 +221,28 @@ def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
         epoch_losses = []
         for b0 in range(0, n, o.batch_size):
             idx = order[b0:b0 + o.batch_size]
-            grids, masks = [], []
-            for i in idx:
+            grids = data[idx]  # a copy: the loop may overwrite rows with splices
+            masks = np.empty((len(idx), arch.n_modalities, arch.n_patches), dtype=bool)
+            for j in range(len(idx)):
                 if can_augment and rng.uniform() < cfg.augment_prob:
                     w = splice_augment(windows, rng, matched_start=cfg.matched_start).window
-                    grids.append(patchify(standardize(w), arch.patch_len))
-                else:
-                    if grid_cache[i] is None:
-                        grid_cache[i] = patchify(standardize(windows[i]), arch.patch_len)
-                        grid_cache[i].flags.writeable = False
-                    grids.append(grid_cache[i])
-                masks.append(sample_mask(cfg.policy, arch.n_modalities, arch.n_patches,
-                                         cfg.mask_ratio, rng))
-            tape_ = T.Tape()
-            binding = Binding(state, tape_, grads=opt.grad_views)
-            loss = mae_loss(binding, grids, masks, masked_only=cfg.masked_only_loss)
-            opt.grad.fill(0.0)
-            tape_.backward(loss)
+                    grids[j] = patchify(standardize(w), arch.patch_len)
+                masks[j] = sample_mask(cfg.policy, arch.n_modalities, arch.n_patches,
+                                       cfg.mask_ratio, rng)
             lr = cosine_lr(step, warmup_steps, total_steps, o.lr, o.min_lr)
-            _update("pretrain", step, loss, opt, lr, o)
+            epoch_losses.append(_step(
+                "pretrain", step, state, opt, lr, o,
+                lambda b: mae_loss(b, grids, masks, masked_only=cfg.masked_only_loss)))
             step += 1
-            epoch_losses.append(float(loss.data))
         trace.append(float(np.mean(epoch_losses)))
     return state, trace
-
-
-def _zero_mask(arch: ArchSpec) -> MaskMatrix:
-    return MaskMatrix(np.zeros((arch.n_modalities, arch.n_patches), dtype=np.uint8))
 
 
 def class_embeddings(state: ModelState, windows) -> np.ndarray:
     """Frozen class-token latents of fully visible standardized windows."""
     arch = state.arch
-    masks = [_zero_mask(arch)] * len(windows)
-    grids = [patchify(standardize(w), arch.patch_len) for w in windows]
+    grids = _grids(windows, arch.patch_len)
+    masks = np.zeros(grids.shape[:3], dtype=bool)
     out = np.empty((len(windows), arch.d_model))
     for chunk, enc in forward_frozen(state, encode, grids, masks):
         out[chunk] = enc[::arch.n_tokens + 1]
@@ -300,17 +298,14 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
         emb = class_embeddings(state, windows)
         head = ModelState(arch, {"head.W": head_w, "head.b": head_b})
         opt = AdamWState(head.params)
+
+        def lp_loss(b):
+            logits = T.add(T.matmul(b.tape.constant(emb[tr]), b.p["head.W"]), b.p["head.b"])
+            return _cross_entropy(logits, onehot[tr])
+
         for epoch in range(cfg.epochs):
-            tape_ = T.Tape()
-            binding = Binding(head, tape_, grads=opt.grad_views)
-            logits = T.add(T.matmul(tape_.constant(emb[tr]), binding.p["head.W"]),
-                           binding.p["head.b"])
-            loss = _cross_entropy(logits, onehot[tr])
-            opt.grad.fill(0.0)
-            tape_.backward(loss)
             lr = cosine_lr(epoch, 0, cfg.epochs, cfg.lr, 0.0)
-            _update("probe", epoch, loss, opt, lr, ocfg)
-            trace.append(float(loss.data))
+            trace.append(_step("probe", epoch, head, opt, lr, ocfg, lp_loss))
         val_logits = emb[va] @ head.params["head.W"] + head.params["head.b"]
         top1 = float((val_logits.argmax(axis=1) == labels[va]).mean())
         return ProbeResult(top1, trace, len(tr), len(va))
@@ -320,29 +315,28 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
     work_state = ModelState(arch, {**state.params, "probe.W": head_w, "probe.b": head_b})
     params = work_state.params
     opt = AdamWState(params)
-    mask = _zero_mask(arch)
-    grids = [patchify(standardize(w), arch.patch_len) for w in windows]
+    grids = _grids(windows, arch.patch_len)
+    masks = np.zeros(grids.shape[:3], dtype=bool)
     loop_rng = as_generator(loop_seq)
     batch = ocfg.batch_size
     step = 0
     total_steps = cfg.epochs * max(1, int(np.ceil(len(tr) / batch)))
+
+    def ft_loss(b, idx):
+        enc = encode(b, grids[idx], masks[idx])
+        feat = T.take_rows(enc, np.arange(len(idx)) * (arch.n_tokens + 1))
+        logits = T.add(T.matmul(feat, b.p["probe.W"]), b.p["probe.b"])
+        return _cross_entropy(logits, onehot[idx])
+
     for _ in range(cfg.epochs):
         order = loop_rng.permutation(len(tr))
         ep = []
         for b0 in range(0, len(tr), batch):
             idx = tr[order[b0:b0 + batch]]
-            tape_ = T.Tape()
-            binding = Binding(work_state, tape_, grads=opt.grad_views)
-            enc = encode(binding, [grids[i] for i in idx], [mask] * len(idx))
-            feat = T.take_rows(enc, np.arange(len(idx)) * (arch.n_tokens + 1))
-            logits = T.add(T.matmul(feat, binding.p["probe.W"]), binding.p["probe.b"])
-            loss = _cross_entropy(logits, onehot[idx])
-            opt.grad.fill(0.0)
-            tape_.backward(loss)
             lr = cosine_lr(step, 0, total_steps, cfg.lr, 0.0)
-            _update("probe", step, loss, opt, lr, ocfg)
+            ep.append(_step("probe", step, work_state, opt, lr, ocfg,
+                            lambda b: ft_loss(b, idx)))
             step += 1
-            ep.append(float(loss.data))
         trace.append(float(np.mean(ep)))
     emb = class_embeddings(work_state, [windows[i] for i in va])
     val_logits = emb @ params["probe.W"] + params["probe.b"]

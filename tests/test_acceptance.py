@@ -126,11 +126,11 @@ def test_criterion_06_masking_combinatorics():
                     rng = np.random.default_rng(seed)
                     if do_cross:
                         m = sample_mask(CROSS, c, p, rho, rng)
-                        assert int(m.bits.sum()) == k_cross, (c, p, rho, seed)
+                        assert int(m.sum()) == k_cross, (c, p, rho, seed)
                         checked += 1
                     if do_sync:
                         m = sample_mask(SYNC, c, p, rho, rng)
-                        cols = m.bits.sum(axis=0)
+                        cols = m.sum(axis=0)
                         assert int((cols == c).sum()) == k_sync, (c, p, rho, seed)
                         assert int((cols == 0).sum()) == p - k_sync, (c, p, rho, seed)
                         checked += 1
@@ -140,7 +140,7 @@ def test_criterion_06_masking_combinatorics():
     draws = 10_000
     for _ in range(draws):
         m = sample_mask(CROSS, 2, 2, 0.5, rng)
-        key = m.bits.tobytes()
+        key = m.tobytes()
         counts[key] = counts.get(key, 0) + 1
     uniform_ok = (len(counts) == 6 and
                   all(abs(v / draws - 1 / 6) <= 0.02 for v in counts.values()))
@@ -186,8 +186,8 @@ def imputation_sweep():
             masks = [task_mask(task, c_n, p_n, rng) for _ in eval_ws]
             smasks = [_sample_mask_array(m, patch_len, length) for m in masks]
             fillers = {
-                "model_cross": lambda w, m, sm: impute_model(states[CROSS], [w], [m])[0],
-                "model_sync": lambda w, m, sm: impute_model(states[SYNC], [w], [m])[0],
+                "model_cross": lambda w, m, sm: impute_model(states[CROSS], [w], m[None])[0],
+                "model_sync": lambda w, m, sm: impute_model(states[SYNC], [w], m[None])[0],
                 "linear": lambda w, m, sm: impute_linear(w, sm),
                 "mean": lambda w, m, sm: _per_channel_mean(w, sm),
             }

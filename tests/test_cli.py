@@ -170,15 +170,20 @@ def test_impute_report_rows_and_rerun_bytes(data_dir, checkpoint_dir, tmp_path):
     assert all(",0.7," in l for l in temporal_rows)
 
 
-def test_impute_grid_mismatch_rejected(checkpoint_dir, tmp_path):
+@pytest.mark.parametrize("command", ["impute", "probe", "analyze"])
+def test_impute_grid_mismatch_rejected(checkpoint_dir, tmp_path, command):
     other = tmp_path / "odd"
     cfg = _write_cfg(tmp_path / "s.cfg", **{
         "data.n_windows": 3, "data.n_modalities": 3, "data.n_samples": 32})
     _run("synth", other, cfg)
-    bad = _write_cfg(tmp_path / "b.cfg", **{
-        "data.dir": str(other), "checkpoint": checkpoint_dir})
-    with pytest.raises(ManifestError, match="does not fit"):
-        cli.main(["impute", "--out", str(tmp_path / "o"), "--config", bad])
+    settings = {"data.dir": str(other), "checkpoint": checkpoint_dir}
+    if command == "analyze":  # its own 6 x 200 windows, against a 4 x 4 x 8 grid
+        settings = {"exp.encoder": "model_encoder", "exp.checkpoint": checkpoint_dir}
+    bad = _write_cfg(tmp_path / "b.cfg", **settings)
+    with pytest.raises(ManifestError, match="does not fit") as err:
+        cli.main([command, "--out", str(tmp_path / "o"), "--config", bad])
+    assert str(err.value).startswith(checkpoint_dir + ":")
+    assert sorted(os.listdir(tmp_path / "o")) == ["config.txt", "format.txt"]
 
 
 def test_probe_summary(data_dir, checkpoint_dir, tmp_path):

@@ -10,7 +10,6 @@ from crossmae.imputation import (METHODS, TASKS, MissingnessTask,
                                  _sample_mask_array, impute_chained,
                                  impute_linear, impute_model, impute_nearest,
                                  score, task_mask)
-from crossmae.masking import MaskMatrix
 from crossmae.model import ArchSpec
 from crossmae.train import OptimConfig, PretrainConfig, pretrain
 from crossmae.windows import SensorWindow, SynthSpec, generate_windows, standardize
@@ -33,13 +32,13 @@ def test_task_validation():
 def test_random_task_exact_cell_count():
     m = task_mask(MissingnessTask(kind="random", ratio=0.7), 6, 10,
                   np.random.default_rng(0))
-    assert int(m.bits.sum()) == 42
+    assert int(m.sum()) == 42
 
 
 def test_temporal_task_masks_whole_columns():
     m = task_mask(MissingnessTask(kind="temporal", ratio=0.7), 6, 10,
                   np.random.default_rng(1))
-    cols = m.bits.sum(axis=0)
+    cols = m.sum(axis=0)
     assert int((cols == 6).sum()) == 7 and int((cols == 0).sum()) == 3
 
 
@@ -50,7 +49,7 @@ def test_temporal_task_column_subsets_uniform():
     draws = 10_000
     for _ in range(draws):
         m = task_mask(task, 2, 10, rng)
-        key = tuple(np.flatnonzero(m.bits[0]).tolist())
+        key = tuple(np.flatnonzero(m[0]).tolist())
         counts[key] = counts.get(key, 0) + 1
     n_subsets = len(list(itertools.combinations(range(10), 7)))
     assert len(counts) == n_subsets  # 120
@@ -60,21 +59,21 @@ def test_temporal_task_column_subsets_uniform():
 
 def test_sensor_task_hides_all_but_one_modality():
     drawn = task_mask(MissingnessTask(kind="sensor"), 4, 5, np.random.default_rng(4))
-    vis = np.flatnonzero(drawn.bits.sum(axis=1) == 0)
+    vis = np.flatnonzero(drawn.sum(axis=1) == 0)
     assert vis.size == 1
-    assert int(drawn.bits.sum()) == 3 * 5
+    assert int(drawn.sum()) == 3 * 5
 
 
 def test_extrapolation_masks_trailing_columns():
     m = task_mask(MissingnessTask(kind="extrapolation", ratio=0.7), 4, 10,
                   np.random.default_rng(6))
-    assert np.all(m.bits[:, 3:] == 1)
-    assert np.all(m.bits[:, :3] == 0)
+    assert np.all(m[:, 3:] == 1)
+    assert np.all(m[:, :3] == 0)
 
 
 def test_sample_mask_array_expansion():
-    bits = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-    sm = _sample_mask_array(MaskMatrix(bits), patch_len=3, n_samples=8)
+    bits = np.array([[1, 0], [0, 1]], dtype=bool)
+    sm = _sample_mask_array(bits, patch_len=3, n_samples=8)
     assert sm.shape == (2, 8)
     assert np.array_equal(sm[0], [1, 1, 1, 0, 0, 0, 0, 0])
     assert np.array_equal(sm[1], [0, 0, 0, 1, 1, 1, 0, 0])  # samples 6,7 beyond P*L_p stay visible
@@ -205,19 +204,18 @@ def test_impute_model_zero_mask_is_identity_and_visible_bits_kept():
         optim=OptimConfig(epochs=1, warmup_epochs=0, batch_size=4)), seed=0)
     w = standardize(ws[0])
 
-    hole = MaskMatrix(np.zeros((3, 4), dtype=np.uint8))
-    assert np.array_equal(impute_model(state, [w], [hole])[0].values, w.values)
+    hole = np.zeros((3, 4), dtype=bool)
+    assert np.array_equal(impute_model(state, [w], hole[None])[0].values, w.values)
 
-    bits = np.zeros((3, 4), dtype=np.uint8)
-    bits[0, 1] = bits[2, 3] = 1
-    mask = MaskMatrix(bits)
-    out = impute_model(state, [w], [mask])[0]
+    mask = np.zeros((3, 4), dtype=bool)
+    mask[0, 1] = mask[2, 3] = True
+    out = impute_model(state, [w], mask[None])[0]
     sm = _sample_mask_array(mask, 4, 16)
     assert np.array_equal(out.values[~sm], w.values[~sm])
     assert not np.array_equal(out.values[sm], w.values[sm])
 
     with pytest.raises(ValueError):
-        impute_model(state, [w], [MaskMatrix(np.ones((3, 4), dtype=np.uint8))])
+        impute_model(state, [w], np.ones((1, 3, 4), dtype=bool))
 
 
 def test_model_beats_zeros_predictor_after_overfit():
@@ -233,7 +231,7 @@ def test_model_beats_zeros_predictor_after_overfit():
     rng = np.random.default_rng(12)
     evals = [standardize(w) for w in ws]
     task = MissingnessTask(kind="sensor")
-    masks = [task_mask(task, 6, 8, rng) for _ in evals]
+    masks = np.stack([task_mask(task, 6, 8, rng) for _ in evals])
     smasks = [_sample_mask_array(m, 8, 64) for m in masks]
     model_filled = impute_model(state, evals, masks)
     zeros = [SensorWindow(np.where(sm, 0.0, w.values), w.label)

@@ -110,9 +110,10 @@ def test_kcca_of_a_constant_view_is_zero():
 
 @pytest.mark.parametrize("gamma", [1.0, 1e-4])
 def test_kcca_conditioning_error_names_eigenvalue(gamma):
-    bad = np.diag([-0.5, 1.0, 1.0])
-    with pytest.raises(ConditioningError, match="eigenvalue"):
-        kcca_solve(ViewGrams(bad, np.eye(3)), gamma, gamma, centered=False)
+    # the swap matrix (eigenvalues +-1) leaves no residual on the diagonal
+    for bad in (np.diag([-0.5, 1.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(ConditioningError, match="eigenvalue"):
+            kcca_solve(ViewGrams(bad, np.eye(len(bad))), gamma, gamma, centered=False)
 
 
 def test_view_grams_validation():

@@ -1,20 +1,20 @@
-"""Mask sampling counts, column structure, and MaskMatrix validation."""
+"""Mask sampling counts and column structure."""
 
 import numpy as np
 import pytest
 
-from crossmae.masking import CROSS, SYNC, MaskMatrix, floor_count, sample_mask
+from crossmae.masking import CROSS, SYNC, floor_count, sample_mask
 
 
 def test_cross_count_example():
     m = sample_mask(CROSS, 6, 10, 0.75, np.random.default_rng(0))
-    assert int(m.bits.sum()) == 45  # floor(0.75 * 60)
+    assert int(m.sum()) == 45  # floor(0.75 * 60)
 
 
 def test_sync_column_example():
     m = sample_mask(SYNC, 6, 10, 0.75, np.random.default_rng(0))
-    assert int(m.bits.sum()) == 42  # 7 columns * 6 modalities
-    col = m.bits.sum(axis=0)
+    assert int(m.sum()) == 42  # 7 columns * 6 modalities
+    col = m.sum(axis=0)
     assert set(col.tolist()) <= {0, 6}
     assert int((col == 6).sum()) == 7
 
@@ -31,10 +31,10 @@ def test_lattice_counts_and_structure():
                     rng = np.random.default_rng(seed)
                     if 1 <= k_cross < c * p:
                         m = sample_mask(CROSS, c, p, rho, rng)
-                        assert int(m.bits.sum()) == k_cross
+                        assert int(m.sum()) == k_cross
                     if 1 <= k_sync < p:
                         m = sample_mask(SYNC, c, p, rho, rng)
-                        cols = m.bits.sum(axis=0)
+                        cols = m.sum(axis=0)
                         assert int((cols == c).sum()) == k_sync
                         assert int((cols == 0).sum()) == p - k_sync
 
@@ -42,8 +42,8 @@ def test_lattice_counts_and_structure():
 def test_at_least_one_patch_visible():
     for seed in range(200):
         m = sample_mask(CROSS, 2, 2, 0.5, np.random.default_rng(seed))
-        assert int(m.bits.sum()) == 2
-        assert (m.bits == 0).any()
+        assert int(m.sum()) == 2
+        assert (m == 0).any()
 
 
 def test_degenerate_parameters_rejected():
@@ -65,7 +65,7 @@ def test_cross_allows_partially_visible_columns():
     found = False
     for _ in range(1000):
         m = sample_mask(CROSS, 6, 10, 0.75, rng)
-        cols = m.bits.sum(axis=0)
+        cols = m.sum(axis=0)
         if np.any((cols > 0) & (cols < 6)):
             found = True
             break
@@ -77,12 +77,5 @@ def test_cross_small_grid_hits_every_admissible_mask():
     seen = set()
     for _ in range(600):
         m = sample_mask(CROSS, 2, 2, 0.5, rng)
-        seen.add(m.bits.tobytes())
+        seen.add(m.tobytes())
     assert len(seen) == 6  # C(4, 2)
-
-
-def test_mask_matrix_validation():
-    with pytest.raises(ValueError):
-        MaskMatrix(np.array([0, 1]))
-    with pytest.raises(ValueError):
-        MaskMatrix(np.array([[0, 2], [1, 0]]))

@@ -5,7 +5,7 @@ import pytest
 
 from crossmae import tape as T
 from crossmae.config import ManifestError
-from crossmae.masking import CROSS, MaskMatrix, sample_mask
+from crossmae.masking import CROSS, sample_mask
 from crossmae.model import (ArchSpec, Binding, _attention, _LeafView,
                             alignment_identity, encode, gradcheck_model, init_model, load_checkpoint,
                             mae_loss, positions_2d, reconstruct, save_checkpoint)
@@ -82,7 +82,7 @@ def test_encode_token_count_example():
     state = init_model(arch, seed=0)
     mask = _mask(arch, ratio=0.75)
     b = Binding(state, T.Tape(), trainable=False)
-    out = encode(b, [_grid(arch)], [mask])
+    out = encode(b, _grid(arch)[None], mask[None])
     assert out.data.shape == (16, arch.d_model)  # 15 visible patches + class token
 
 
@@ -101,7 +101,7 @@ def test_all_zero_window_stays_finite():
     state = init_model(TINY, seed=0)
     grid = patchify(SensorWindow(np.zeros((2, 12))), TINY.patch_len)
     b = Binding(state, T.Tape(), trainable=False)
-    recon = reconstruct(b, [grid], [_mask(TINY)]).data
+    recon = reconstruct(b, grid[None], _mask(TINY)[None]).data
     assert np.all(np.isfinite(recon))
 
 
@@ -110,8 +110,8 @@ def test_decode_shape_and_determinism():
     grid = _grid(TINY)
     for ratio in (0.2, 0.5, 0.8):
         mask = _mask(TINY, ratio=ratio)
-        out1 = reconstruct(Binding(state, T.Tape(), trainable=False), [grid], [mask]).data
-        out2 = reconstruct(Binding(state, T.Tape(), trainable=False), [grid], [mask]).data
+        out1 = reconstruct(Binding(state, T.Tape(), trainable=False), grid[None], mask[None]).data
+        out2 = reconstruct(Binding(state, T.Tape(), trainable=False), grid[None], mask[None]).data
         assert out1.shape == (TINY.n_tokens, TINY.patch_len)
         assert np.array_equal(out1, out2)
 
@@ -120,14 +120,14 @@ def test_shape_mismatch_rejected():
     state = init_model(TINY, seed=0)
     wrong = patchify(SensorWindow(np.zeros((3, 12))), TINY.patch_len)
     with pytest.raises(ValueError):
-        encode(Binding(state, T.Tape(), trainable=False), [wrong], [_mask(TINY)])
+        encode(Binding(state, T.Tape(), trainable=False), wrong[None], _mask(TINY)[None])
 
 
 def test_mask_token_receives_gradient():
     state = init_model(TINY, seed=2)
     t = T.Tape()
     b = Binding(state, t)
-    loss = mae_loss(b, [_grid(TINY)], [_mask(TINY)])
+    loss = mae_loss(b, _grid(TINY)[None], _mask(TINY)[None])
     t.backward(loss)
     assert np.max(np.abs(b.p["mask_token"].grad)) > 0.0
 
@@ -137,7 +137,7 @@ def test_zero_head_gives_mean_square_loss():
     state.params["head.W"][:] = 0.0
     state.params["head.b"][:] = 0.0
     grid = _grid(TINY, seed=9)
-    loss = mae_loss(Binding(state, T.Tape(), trainable=False), [grid], [_mask(TINY)])
+    loss = mae_loss(Binding(state, T.Tape(), trainable=False), grid[None], _mask(TINY)[None])
     assert abs(float(loss.data) - float((grid ** 2).mean())) < 1e-12
 
 
@@ -145,18 +145,18 @@ def test_masked_only_loss_restricts_to_hidden_patches():
     state = init_model(TINY, seed=4)
     grid = _grid(TINY, seed=10)
     mask = _mask(TINY, ratio=0.5)
-    full = mae_loss(Binding(state, T.Tape(), trainable=False), [grid], [mask])
-    part = mae_loss(Binding(state, T.Tape(), trainable=False), [grid], [mask],
+    full = mae_loss(Binding(state, T.Tape(), trainable=False), grid[None], mask[None])
+    part = mae_loss(Binding(state, T.Tape(), trainable=False), grid[None], mask[None],
                     masked_only=True)
-    recon = reconstruct(Binding(state, T.Tape(), trainable=False), [grid], [mask]).data
+    recon = reconstruct(Binding(state, T.Tape(), trainable=False), grid[None], mask[None]).data
     flat = grid.reshape(TINY.n_tokens, TINY.patch_len)
-    ids = np.flatnonzero(mask.bits.ravel() == 1)
+    ids = np.flatnonzero(mask.ravel() == 1)
     manual = float(((recon[ids] - flat[ids]) ** 2).mean())
     assert abs(float(part.data) - manual) < 1e-12
     assert float(part.data) != float(full.data)
     with pytest.raises(ValueError):
-        mae_loss(Binding(state, T.Tape(), trainable=False), [grid],
-                 [MaskMatrix(np.zeros((2, 3), dtype=np.uint8))], masked_only=True)
+        mae_loss(Binding(state, T.Tape(), trainable=False), grid[None],
+                 np.zeros((1, 2, 3), dtype=bool), masked_only=True)
 
 
 def test_alignment_identity_examples():
@@ -251,9 +251,9 @@ def test_gradcheck_tiny_model():
 
 def _batch(arch, n, policy, seed):
     rng = np.random.default_rng(seed)
-    grids = [_grid(arch, seed=int(s)) for s in rng.integers(0, 2**31, size=n)]
-    masks = [sample_mask(policy, arch.n_modalities, arch.n_patches, 0.5, rng)
-             for _ in range(n)]
+    grids = np.stack([_grid(arch, seed=int(s)) for s in rng.integers(0, 2**31, size=n)])
+    masks = np.stack([sample_mask(policy, arch.n_modalities, arch.n_patches, 0.5, rng)
+                      for _ in range(n)])
     return grids, masks
 
 
@@ -272,7 +272,7 @@ def test_batch_loss_is_mean_of_single_window_losses(policy, masked_only):
                     enc_layers=2, dec_layers=1, n_heads=2, mlp_ratio=2)
     state = init_model(arch, seed=11)
     grids, masks = _batch(arch, 5, policy, seed=12)
-    singles = [_loss_and_grads(state, lambda b, g=g, m=m: mae_loss(b, [g], [m],
+    singles = [_loss_and_grads(state, lambda b, g=g, m=m: mae_loss(b, g[None], m[None],
                                                                   masked_only=masked_only))
                for g, m in zip(grids, masks)]
     mean_loss = float(np.mean([loss for loss, _ in singles]))
@@ -300,11 +300,11 @@ def test_batched_loss_matches_finite_differences():
 
 def test_batch_rejects_unequal_visible_counts():
     state = init_model(TINY, seed=15)
-    bits = np.zeros((2, 3), dtype=np.uint8)
-    bits[0, 0] = 1
-    masks = [_mask(TINY, ratio=0.5), MaskMatrix(bits)]
+    bits = np.zeros((2, 3), dtype=bool)
+    bits[0, 0] = True
+    masks = np.stack([_mask(TINY, ratio=0.5), bits])
     with pytest.raises(ValueError, match="same number"):
-        encode(Binding(state, T.Tape(), trainable=False), [_grid(TINY)] * 2, masks)
+        encode(Binding(state, T.Tape(), trainable=False), np.stack([_grid(TINY)] * 2), masks)
 
 
 def test_step_node_count_does_not_depend_on_batch_size():
@@ -354,7 +354,7 @@ def test_heap_hold_is_a_no_op_without_mallopt(monkeypatch):
     model._hold_heap.cache_clear()
     try:
         b = Binding(init_model(TINY, seed=0), T.Tape(), trainable=False)
-        assert encode(b, [_grid(TINY)], [_mask(TINY)]).data.shape == (4, TINY.d_model)
+        assert encode(b, _grid(TINY)[None], _mask(TINY)[None]).data.shape == (4, TINY.d_model)
     finally:
         model._hold_heap.cache_clear()
 
@@ -364,9 +364,9 @@ def test_binding_adds_gradients_into_the_given_arrays():
     grads = {k: np.zeros_like(v) for k, v in state.params.items()}
     t = T.Tape()
     b = Binding(state, t, grads=grads)
-    loss = mae_loss(b, [_grid(TINY)], [_mask(TINY)])
+    loss = mae_loss(b, _grid(TINY)[None], _mask(TINY)[None])
     t.backward(loss)
-    _, want = _loss_and_grads(state, lambda b2: mae_loss(b2, [_grid(TINY)], [_mask(TINY)]))
+    _, want = _loss_and_grads(state, lambda b2: mae_loss(b2, _grid(TINY)[None], _mask(TINY)[None]))
     for k, g in grads.items():
         assert b.p[k].grad is g
         assert np.array_equal(g, want[k])

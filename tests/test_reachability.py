@@ -15,11 +15,11 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crossmae"
 
 KEEP = {
-    "tape.slice_": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
-    "tape.concat": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
-    "tape.transpose": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
-    "tape.softmax": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
-    "tape.mean": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
+    "tape.slice_": "perfbench/tracer.py wraps it by name (ROADMAP item 1)",
+    "tape.concat": "perfbench/tracer.py wraps it by name (ROADMAP item 1)",
+    "tape.transpose": "perfbench/tracer.py wraps it by name (ROADMAP item 1)",
+    "tape.softmax": "perfbench/tracer.py wraps it by name (ROADMAP item 1)",
+    "tape.mean": "perfbench/tracer.py wraps it by name (ROADMAP item 1)",
     "model.alignment_identity": "acceptance criterion 10",
     "kcca.kcca_solve": "acceptance criterion 05",
     "model.ModelState.fingerprint": "acceptance criterion 09",
