@@ -3,7 +3,8 @@
 Every run resolves a flat key=value config against per-command defaults
 (unknown keys rejected), writes the resolved copy plus a versioned format tag
 into the output directory, and then produces outputs that are byte-identical
-across reruns of the same resolved config.
+across reruns of the same resolved config. Each pipeline gets its dataset
+whole: one (n, C, L) array of windows and one (n,) array of labels.
 """
 import argparse
 import os
@@ -19,8 +20,8 @@ from .masking import CROSS, SYNC
 from .model import (ArchSpec, _hold_heap, gradcheck_model, load_checkpoint,
                     save_checkpoint)
 from .train import OptimConfig, PretrainConfig, ProbeConfig, pretrain, probe
-from .windows import (SynthSpec, as_generator, generate_windows, load_dataset,
-                      save_dataset, splice_augment, standardize)
+from .windows import (LABELS_NAME, SynthSpec, as_generator, generate_windows,
+                      load_dataset, save_dataset, splice_augment, standardize)
 
 RUN_FORMAT = "crossmae-run-v1"
 CONFIG_NAME = "config.txt"
@@ -139,9 +140,9 @@ def _synth_spec(cfg: dict, seed: int) -> SynthSpec:
 
 
 def cmd_synth(cfg: dict, out_dir: str) -> None:
-    windows = generate_windows(_synth_spec(cfg, cfg["seed"]))
-    save_dataset(out_dir, windows, cfg["data.sample_rate_hz"], cfg["data.n_classes"])
-    print(f"wrote {len(windows)} windows to {out_dir}")
+    values, labels = generate_windows(_synth_spec(cfg, cfg["seed"]))
+    save_dataset(out_dir, values, labels, cfg["data.sample_rate_hz"], cfg["data.n_classes"])
+    print(f"wrote {len(values)} windows to {out_dir}")
 
 
 def _section(cfg: dict, prefix: str) -> dict:
@@ -172,7 +173,7 @@ def _fitting_checkpoint(path: str, n_modalities: int, n_samples: int):
 
 
 def cmd_pretrain(cfg: dict, out_dir: str) -> None:
-    windows, meta = load_dataset(cfg["data.dir"])
+    values, _, meta = load_dataset(cfg["data.dir"])
     arch = _arch_for_dataset(cfg, meta)
     init_state = None
     if cfg["resume"]:
@@ -185,7 +186,7 @@ def cmd_pretrain(cfg: dict, out_dir: str) -> None:
                           augment_prob=cfg["augment.prob"],
                           matched_start=cfg["augment.matched_start"],
                           masked_only_loss=cfg["loss.masked_only"], optim=opt)
-    state, trace = pretrain(windows, arch, pcfg, cfg["seed"], init_state=init_state)
+    state, trace = pretrain(values, arch, pcfg, cfg["seed"], init_state=init_state)
     save_checkpoint(state, os.path.join(out_dir, "checkpoint"))
     with open(os.path.join(out_dir, "loss.csv"), "w") as fh:
         fh.write("epoch,loss\n")
@@ -198,44 +199,47 @@ def cmd_pretrain(cfg: dict, out_dir: str) -> None:
 
 
 def cmd_impute(cfg: dict, out_dir: str) -> None:
-    raw_windows, meta = load_dataset(cfg["data.dir"])
+    raw, _, meta = load_dataset(cfg["data.dir"])
     state = _fitting_checkpoint(cfg["checkpoint"], meta["C"], meta["L"])
     arch = state.arch
-    windows = [standardize(w) for w in raw_windows]
+    values = standardize(raw)
     ratio = cfg["task.ratio"]
     rows = []
     for t_idx, kind in enumerate(TASKS):
         task = MissingnessTask(kind=kind, ratio=ratio)
         rng = as_generator([cfg["seed"], t_idx])
         masks = np.stack([task_mask(task, arch.n_modalities, arch.n_patches, rng)
-                          for _ in windows])
+                          for _ in values])
         smasks = _sample_mask_array(masks, arch.patch_len, meta["L"])
         filled = {
-            "model": impute_model(state, windows, masks),
-            "linear": [impute_linear(w, sm) for w, sm in zip(windows, smasks)],
-            "nearest": [impute_nearest(w, sm) for w, sm in zip(windows, smasks)],
-            "chained": impute_chained(windows, smasks, sweeps=cfg["chained.sweeps"]),
+            "model": impute_model(state, values, masks),
+            "linear": impute_linear(values, smasks),
+            "nearest": impute_nearest(values, smasks),
+            "chained": impute_chained(values, smasks, sweeps=cfg["chained.sweeps"]),
         }
         ratio_txt = "NA" if kind == "sensor" else _fmt(ratio)
         for method in METHODS:
-            sc = score(filled[method], windows, smasks)
+            sc = score(filled[method], values, smasks)
             rows.append(f"{kind},{method},{ratio_txt},{_fmt(sc.mae)},{_fmt(sc.mse)},"
-                        f"{len(windows)},{cfg['seed']}")
+                        f"{len(values)},{cfg['seed']}")
     with open(os.path.join(out_dir, "report.csv"), "w") as fh:
         fh.write("task,method,ratio,mae,mse,n_windows,seed\n")
         for row in rows:
             fh.write(row + "\n")
-    print(f"imputation report: {len(rows)} rows over {len(windows)} windows")
+    print(f"imputation report: {len(rows)} rows over {len(values)} windows")
 
 
 def cmd_probe(cfg: dict, out_dir: str) -> None:
-    windows, meta = load_dataset(cfg["data.dir"])
+    values, labels, meta = load_dataset(cfg["data.dir"])
     state = _fitting_checkpoint(cfg["checkpoint"], meta["C"], meta["L"])
-    labels = [w.label for w in windows]
-    if any(lab is None for lab in labels):
-        raise ManifestError("probe needs a fully labeled dataset")
+    if (labels < 0).any():
+        path = os.path.join(cfg["data.dir"], LABELS_NAME)
+        with open(path) as fh:  # blank lines hold no label: count them in
+            lineno = next(k for k, line in enumerate(fh, 1) if line.strip() and int(line) < 0)
+        raise ManifestError(f"{path}: line {lineno}: label -1 marks an unlabeled window; "
+                            "probe needs a fully labeled dataset")
     pcfg = ProbeConfig(**_section(cfg, "probe"))
-    res = probe(state, windows, np.asarray(labels), meta["n_classes"], pcfg, cfg["seed"])
+    res = probe(state, values, labels, meta["n_classes"], pcfg, cfg["seed"])
     with open(os.path.join(out_dir, "curve.csv"), "w") as fh:
         fh.write("epoch,loss\n")
         for epoch, value in enumerate(res.trace):
@@ -268,9 +272,9 @@ def cmd_analyze(cfg: dict, out_dir: str) -> None:
     sums = {CROSS: 0.0, SYNC: 0.0}
     for s in range(n_seeds):
         replicate = cfg["seed"] + s
-        base = generate_windows(_synth_spec(cfg, replicate))
+        base, _ = generate_windows(_synth_spec(cfg, replicate))
         rng = as_generator([cfg["seed"] + 1000 + s])
-        trans = [splice_augment(base, rng).window for _ in range(n_trans)]
+        trans = np.stack([splice_augment(base, rng).window for _ in range(n_trans)])
         for policy in (CROSS, SYNC):
             sigma1 = sigma1_experiment(trans, policy, state,
                                        pca_k=cfg["exp.pca_k"],

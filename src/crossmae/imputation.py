@@ -7,8 +7,9 @@ Four tasks over the patch grid:
 - extrapolation: the trailing time columns hidden.
 
 A task draws one (C, P) bool patch mask per window (True = hidden); the
-windows of a run stack theirs into a (B, C, P) array. The model imputer takes
-that array, and the statistical ones its per-sample expansion (B, C, L)
+windows of a run stack theirs into a (B, C, P) array. Every imputer fills a
+new copy of the (B, C, L) windows: the model imputer reads the patch masks,
+the statistical ones their per-sample expansion (B, C, L)
 (_sample_mask_array). All imputers must leave visible samples untouched,
 and are scored on hidden samples only, pooled over all windows.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .masking import CROSS, floor_count, sample_mask
 from .model import ModelState, forward_frozen, reconstruct
-from .windows import SensorWindow, as_generator, patchify
+from .windows import as_generator, patchify
 
 TASKS = ("random", "temporal", "sensor", "extrapolation")
 METHODS = ("model", "linear", "nearest", "chained")
@@ -72,67 +73,71 @@ def _sample_mask_array(masks: np.ndarray, patch_len: int, n_samples: int) -> np.
     return out
 
 
-def impute_model(state: ModelState, windows, masks: np.ndarray) -> list:
-    """Reconstruct each window's hidden patches, given the (B, C, P) masks,
-    with the pretrained autoencoder; visible samples are passed through
-    bit-identically. The windows run in forward-only chunks
+def impute_model(state: ModelState, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Reconstruct the hidden patches of the (B, C, L) windows, given their
+    (B, C, P) masks, with the pretrained autoencoder; visible samples are
+    passed through bit-identically. The windows run in forward-only chunks
     (model.forward_frozen)."""
-    if len(windows) != len(masks):
-        raise ValueError(f"{len(windows)} windows but {len(masks)} masks")
+    if len(values) != len(masks):
+        raise ValueError(f"{len(values)} windows but {len(masks)} masks")
     if masks.all(axis=(1, 2)).any():
         raise ValueError("model imputation needs at least one visible patch")
     arch = state.arch
     c_n, p_n, lp = arch.n_modalities, arch.n_patches, arch.patch_len
-    grids = np.stack([patchify(w, lp) for w in windows])
+    grids = patchify(values, lp)
     for chunk, recon in forward_frozen(state, reconstruct, grids, masks):
         hidden = masks[chunk]  # written over only after the model has read the chunk
         grids[chunk][hidden] = recon.reshape(-1, c_n, p_n, lp)[hidden]
-    out = []
-    for window, grid in zip(windows, grids):
-        filled = window.values.copy()
-        filled[:, :p_n * lp] = grid.reshape(c_n, p_n * lp)
-        out.append(SensorWindow(filled, window.label))
-    return out
+    filled = values.copy()
+    filled[..., :p_n * lp] = grids.reshape(len(values), c_n, p_n * lp)
+    return filled
 
 
-def impute_linear(window: SensorWindow, sample_mask_: np.ndarray) -> SensorWindow:
-    """Per-channel linear interpolation between visible samples, constant
-    extension at the edges, zero-fill for fully hidden channels."""
-    filled = window.values.copy()
-    length = filled.shape[1]
+def impute_linear(values: np.ndarray, sample_masks: np.ndarray) -> np.ndarray:
+    """Per-channel linear interpolation between visible samples of the
+    (n, C, L) windows, constant extension at the edges, zero-fill for fully
+    hidden channels."""
+    filled = values.copy()
+    length = values.shape[-1]
     t = np.arange(length)
-    for c in range(filled.shape[0]):
-        vis = ~sample_mask_[c]
+    for row, hidden, out in zip(values.reshape(-1, length), sample_masks.reshape(-1, length),
+                                filled.reshape(-1, length)):  # the n * C channels
+        vis = ~hidden
         if not vis.any():
-            filled[c] = 0.0
+            out[:] = 0.0
             continue
-        filled[c, ~vis] = np.interp(t[~vis], t[vis], window.values[c, vis])
-    return SensorWindow(filled, window.label)
+        out[hidden] = np.interp(t[hidden], t[vis], row[vis])
+    return filled
 
 
-def impute_nearest(window: SensorWindow, sample_mask_: np.ndarray) -> SensorWindow:
-    """Each hidden sample copies the temporally nearest visible sample in its
-    channel; distance ties break toward the earlier sample."""
-    filled = window.values.copy()
-    t = np.arange(filled.shape[1])
-    for c in range(filled.shape[0]):
-        vis_idx = t[~sample_mask_[c]]
+def impute_nearest(values: np.ndarray, sample_masks: np.ndarray) -> np.ndarray:
+    """Each hidden sample of the (n, C, L) windows copies the temporally
+    nearest visible sample in its channel; distance ties break toward the
+    earlier sample."""
+    filled = values.copy()
+    length = values.shape[-1]
+    t = np.arange(length)
+    for row, mask, out in zip(values.reshape(-1, length), sample_masks.reshape(-1, length),
+                              filled.reshape(-1, length)):  # the n * C channels
+        vis_idx = t[~mask]
         if vis_idx.size == 0:
-            filled[c] = 0.0
+            out[:] = 0.0
             continue
-        hidden = t[sample_mask_[c]]
+        hidden = t[mask]
         pos = np.searchsorted(vis_idx, hidden)
         left = vis_idx[np.maximum(pos - 1, 0)]
         right = vis_idx[np.minimum(pos, vis_idx.size - 1)]
         # no visible sample on the left: take the right one; none on the
         # right: the clipped right equals the left
         take_left = (pos > 0) & (hidden - left <= right - hidden)
-        filled[c, hidden] = window.values[c, np.where(take_left, left, right)]
-    return SensorWindow(filled, window.label)
+        out[hidden] = row[np.where(take_left, left, right)]
+    return filled
 
 
-def impute_chained(windows, sample_masks, sweeps: int = 3, ridge: float = 1e-3):
-    """Simplified chained-equations imputation, pooled across windows.
+def impute_chained(values: np.ndarray, sample_masks: np.ndarray, sweeps: int = 3,
+                   ridge: float = 1e-3) -> np.ndarray:
+    """Simplified chained-equations imputation, pooled across the (n, C, L)
+    windows.
 
     Missing entries start at the channel means of pooled visible data; each
     sweep ridge-regresses every channel on the other channels' same-time
@@ -141,14 +146,14 @@ def impute_chained(windows, sample_masks, sweeps: int = 3, ridge: float = 1e-3):
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
-    if not windows:
+    if len(values) == 0:
         raise ValueError("impute_chained needs at least one window")
-    c_n = windows[0].values.shape[0]
+    n, c_n, length = values.shape
     if c_n < 2:
         raise ValueError("impute_chained needs C >= 2")
     # rows = (window, time); columns = channels
-    data = np.concatenate([w.values.T for w in windows], axis=0).copy()
-    miss = np.concatenate([m.T for m in sample_masks], axis=0)
+    data = values.transpose(0, 2, 1).copy().reshape(-1, c_n)
+    miss = sample_masks.transpose(0, 2, 1).reshape(-1, c_n)
     for c in range(c_n):
         vis = ~miss[:, c]
         mean_c = data[vis, c].mean() if vis.any() else 0.0
@@ -169,15 +174,8 @@ def impute_chained(windows, sample_masks, sweeps: int = 3, ridge: float = 1e-3):
             coef = np.linalg.solve(gram, xc.T @ (y_fit - ym))
             x_pred = data[np.ix_(pred_rows, others)]
             data[pred_rows, c] = (x_pred - xm) @ coef + ym
-    out = []
-    offset = 0
-    for w, m in zip(windows, sample_masks):
-        length = w.values.shape[1]
-        block = data[offset:offset + length].T
-        filled = np.where(m, block, w.values)
-        out.append(SensorWindow(filled, w.label))
-        offset += length
-    return out
+    block = data.reshape(n, length, c_n).transpose(0, 2, 1)
+    return np.where(sample_masks, block, values)
 
 
 @dataclass
@@ -187,15 +185,17 @@ class ImputeScore:
     n_cells: int
 
 
-def score(filled_windows, truth_windows, sample_masks) -> ImputeScore:
-    """MAE/MSE over hidden samples only, pooled across all windows."""
+def score(filled: np.ndarray, truth: np.ndarray, sample_masks: np.ndarray) -> ImputeScore:
+    """MAE/MSE over hidden samples only, pooled across all the (n, C, L)
+    windows. The sums run window by window, so that the totals do not depend
+    on how many windows share a call."""
+    if filled.shape != truth.shape:
+        raise ValueError("shape mismatch between filled and truth")
     abs_sum = 0.0
     sq_sum = 0.0
     count = 0
-    for filled, truth, miss in zip(filled_windows, truth_windows, sample_masks):
-        if filled.values.shape != truth.values.shape:
-            raise ValueError("shape mismatch between filled and truth")
-        diff = filled.values[miss] - truth.values[miss]
+    for f, t, miss in zip(filled, truth, sample_masks):
+        diff = f[miss] - t[miss]
         abs_sum += np.abs(diff).sum()
         sq_sum += (diff * diff).sum()
         count += diff.size

@@ -3,9 +3,10 @@
 The analysis scores a masking policy by how strongly the visible part of a
 window predicts the hidden part: build per-window view features, reduce with
 PCA, and take the top singular value of the whitened cross-covariance
-sigma_1(Gamma), Gamma = S_uu^{-1/2} S_um S_mm^{-1/2}. The view features are
-the raw cells of each view, or, given a model state, the mean encoder latent
-of each view (model.forward_frozen). kcca_solve gives the kernel
+sigma_1(Gamma), Gamma = S_uu^{-1/2} S_um S_mm^{-1/2}. The windows arrive as
+one (n, C, L) array and their masks as one (n, C, P) array; the view
+features are the raw cells of each view, or, given a model state, the mean
+encoder latent of each view (model.forward_frozen). kcca_solve gives the kernel
 counterpart, the top regularized canonical correlation of two caller-built
 Gram matrices over the same windows, in closed form by the low-rank route of
 Bach & Jordan (JMLR 2002) and Hardoon, Szedmak & Shawe-Taylor (Neural
@@ -175,9 +176,10 @@ def _encoded_view_features(state: ModelState, grids, masks) -> np.ndarray:
     return np.concatenate(feats)
 
 
-def sigma1_experiment(dataset, policy: str, state: ModelState | None = None, pca_k: int = 50,
+def sigma1_experiment(values, policy: str, state: ModelState | None = None, pca_k: int = 50,
                       seed: int = 0, ratio: float = 0.15, patch_len: int = 20) -> float:
-    """sigma_1 of the unmasked/masked view cross-covariance under one policy.
+    """sigma_1 of the unmasked/masked view cross-covariance under one policy,
+    over the (n, C, L) windows.
 
     Every window gets its own mask draw. The view features are raw cells when
     state is None, else the encoder latents of state (whose arch sets the
@@ -185,25 +187,23 @@ def sigma1_experiment(dataset, policy: str, state: ModelState | None = None, pca
     min(n, q) - 1) and the whitened cross-covariance's top singular value
     comes from cca_sigma.
     """
-    if not dataset:
+    if len(values) == 0:
         raise ValueError("sigma1_experiment needs a non-empty dataset")
     if state is not None:
         patch_len = state.arch.patch_len
-    c_n, length = dataset[0].values.shape
+    n, c_n, length = values.shape
     p_n = length // patch_len
-    children = np.random.SeedSequence(seed).spawn(len(dataset))
+    children = np.random.SeedSequence(seed).spawn(n)
     masks = np.stack([sample_mask(policy, c_n, p_n, ratio, child) for child in children])
     if state is None:
-        values = np.stack([w.values for w in dataset])
         f_u = _raw_view_features(values, ~masks, patch_len)
         f_m = _raw_view_features(values, masks, patch_len)
     else:
         # The unmasked view shows the encoder the visible cells; the masked
         # view shows it the hidden ones.
-        grids = np.stack([patchify(standardize(w), patch_len) for w in dataset])
+        grids = patchify(standardize(values), patch_len)
         f_u = _encoded_view_features(state, grids, masks)
         f_m = _encoded_view_features(state, grids, ~masks)
-    n = f_u.shape[0]
     k = min(pca_k, min(n, f_u.shape[1]) - 1, min(n, f_m.shape[1]) - 1)
     if k < 1:
         raise ValueError("dataset too small for PCA reduction")

@@ -421,14 +421,14 @@ def gradcheck_model(arch: ArchSpec, seed: int = 0, h: float = 1e-4,
 
     Returns the worst relative error across all sampled coordinates."""
     from .masking import CROSS, sample_mask
-    from .windows import SensorWindow, as_generator, patchify
+    from .windows import as_generator, patchify
 
     root = np.random.SeedSequence(seed)
     init_seq, data_seq, mask_seq = root.spawn(3)
     state = init_model(arch, init_seq)
     rng = as_generator(data_seq)
     values = rng.standard_normal((arch.n_modalities, arch.n_patches * arch.patch_len))
-    grid = patchify(SensorWindow(values), arch.patch_len)
+    grid = patchify(values, arch.patch_len)
     mask = sample_mask(CROSS, arch.n_modalities, arch.n_patches, 0.5,
                        as_generator(mask_seq))
 

@@ -1,12 +1,13 @@
 """Pretraining loop, AdamW with cosine schedule, and the classification probe.
 
-Pretraining patchifies the standardized dataset once into an (n, C, P, L_p)
-array. A minibatch copies its rows into a (B, C, P, L_p) array, replaces a
-row with a spliced window when augmentation draws one, draws a (B, C, P)
-bool array of fresh masks, and runs as one graph. Every mask of a policy
-hides the same number of patches, so the batch loss (the MSE over all its
-patches) is the mean of the per-sample losses. All randomness flows from one
-seed; reruns are bit-identical.
+Every loop takes its dataset as one (n, C, L) array of windows, and the probe
+its labels as one (n,) array. Pretraining patchifies the standardized dataset
+once into an (n, C, P, L_p) array. A minibatch copies its rows into a
+(B, C, P, L_p) array, replaces a row with a spliced window when augmentation
+draws one, draws a (B, C, P) bool array of fresh masks, and runs as one graph.
+Every mask of a policy hides the same number of patches, so the batch loss
+(the MSE over all its patches) is the mean of the per-sample losses. All
+randomness flows from one seed; reruns are bit-identical.
 
 Every training loop (pretraining and both probe modes) keeps its parameters
 and their gradients in one AdamWState, and runs each step through _step: it
@@ -187,18 +188,13 @@ def _step(loop: str, step: int, state: ModelState, opt: AdamWState, lr: float,
     raise FloatingPointError(f"{loop} step {step}: loss {float(loss.data)!r}, {detail}")
 
 
-def _grids(windows, patch_len: int) -> np.ndarray:
-    """(n, C, P, L_p) patch grids of the standardized windows."""
-    return np.stack([patchify(standardize(w), patch_len) for w in windows])
-
-
-def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
+def pretrain(values: np.ndarray, arch: ArchSpec, cfg: PretrainConfig, seed,
              init_state: ModelState | None = None):
-    """Train a masked autoencoder on the given windows.
+    """Train a masked autoencoder on the (n, C, L) windows.
 
     Returns (state, per-epoch mean loss list). Deterministic per seed.
     """
-    if not windows:
+    if len(values) == 0:
         raise ValueError("pretrain needs a nonempty dataset")
     root = np.random.SeedSequence(seed)
     init_seq, loop_seq = root.spawn(2)
@@ -207,13 +203,13 @@ def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
     opt = AdamWState(state.params)
     o = cfg.optim
 
-    n = len(windows)
+    n = len(values)
     batches_per_epoch = max(1, int(np.ceil(n / o.batch_size)))
     total_steps = o.epochs * batches_per_epoch
     warmup_steps = o.warmup_epochs * batches_per_epoch
 
-    can_augment = len(windows) >= 2
-    data = _grids(windows, arch.patch_len)
+    can_augment = n >= 2
+    data = patchify(standardize(values), arch.patch_len)
     trace = []
     step = 0
     for _ in range(o.epochs):
@@ -225,7 +221,7 @@ def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
             masks = np.empty((len(idx), arch.n_modalities, arch.n_patches), dtype=bool)
             for j in range(len(idx)):
                 if can_augment and rng.uniform() < cfg.augment_prob:
-                    w = splice_augment(windows, rng, matched_start=cfg.matched_start).window
+                    w = splice_augment(values, rng, matched_start=cfg.matched_start).window
                     grids[j] = patchify(standardize(w), arch.patch_len)
                 masks[j] = sample_mask(cfg.policy, arch.n_modalities, arch.n_patches,
                                        cfg.mask_ratio, rng)
@@ -238,12 +234,13 @@ def pretrain(windows, arch: ArchSpec, cfg: PretrainConfig, seed,
     return state, trace
 
 
-def class_embeddings(state: ModelState, windows) -> np.ndarray:
-    """Frozen class-token latents of fully visible standardized windows."""
+def class_embeddings(state: ModelState, values: np.ndarray) -> np.ndarray:
+    """Frozen class-token latents of the fully visible, standardized (n, C, L)
+    windows."""
     arch = state.arch
-    grids = _grids(windows, arch.patch_len)
+    grids = patchify(standardize(values), arch.patch_len)
     masks = np.zeros(grids.shape[:3], dtype=bool)
-    out = np.empty((len(windows), arch.d_model))
+    out = np.empty((len(values), arch.d_model))
     for chunk, enc in forward_frozen(state, encode, grids, masks):
         out[chunk] = enc[::arch.n_tokens + 1]
     return out
@@ -270,17 +267,19 @@ class ProbeResult:
     val_size: int
 
 
-def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, seed) -> ProbeResult:
-    """Train a classification head per cfg.mode and report validation top-1."""
+def probe(state: ModelState, values: np.ndarray, labels: np.ndarray, n_classes: int,
+          cfg: ProbeConfig, seed) -> ProbeResult:
+    """Train a classification head on the (n, C, L) windows and their (n,)
+    labels per cfg.mode and report validation top-1."""
     labels = np.asarray(labels, dtype=np.int64)
-    if len(windows) != len(labels):
+    if len(values) != len(labels):
         raise ValueError("windows and labels length mismatch")
-    if len(windows) < 2:
+    if len(values) < 2:
         raise ValueError(f"probe needs at least 2 windows, one to train on and one to "
-                         f"validate on; got {len(windows)}")
+                         f"validate on; got {len(values)}")
     root = np.random.SeedSequence(seed)
     split_seq, init_seq, loop_seq = root.spawn(3)
-    tr, va = _split_indices(len(windows), cfg.train_fraction, as_generator(split_seq))
+    tr, va = _split_indices(len(values), cfg.train_fraction, as_generator(split_seq))
     arch = state.arch
     rng = as_generator(init_seq)
     head_w = rng.uniform(-1.0 / np.sqrt(arch.d_model), 1.0 / np.sqrt(arch.d_model),
@@ -295,7 +294,7 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
     trace = []
 
     if cfg.mode == "lp":
-        emb = class_embeddings(state, windows)
+        emb = class_embeddings(state, values)
         head = ModelState(arch, {"head.W": head_w, "head.b": head_b})
         opt = AdamWState(head.params)
 
@@ -315,7 +314,7 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
     work_state = ModelState(arch, {**state.params, "probe.W": head_w, "probe.b": head_b})
     params = work_state.params
     opt = AdamWState(params)
-    grids = _grids(windows, arch.patch_len)
+    grids = patchify(standardize(values), arch.patch_len)
     masks = np.zeros(grids.shape[:3], dtype=bool)
     loop_rng = as_generator(loop_seq)
     batch = ocfg.batch_size
@@ -338,7 +337,7 @@ def probe(state: ModelState, windows, labels, n_classes: int, cfg: ProbeConfig, 
                             lambda b: ft_loss(b, idx)))
             step += 1
         trace.append(float(np.mean(ep)))
-    emb = class_embeddings(work_state, [windows[i] for i in va])
+    emb = class_embeddings(work_state, values[va])
     val_logits = emb @ params["probe.W"] + params["probe.b"]
     top1 = float((val_logits.argmax(axis=1) == labels[va]).mean())
     return ProbeResult(top1, trace, len(tr), len(va))

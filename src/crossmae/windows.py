@@ -1,7 +1,12 @@
 """Synthetic multi-sensor windows, splice augmentation, patching, and the
 on-disk dataset format.
 
-A window is a C x L array: C sensor modalities sampled at a common rate.
+A dataset is two arrays: `values`, an (n, C, L) float64 array of n windows
+of C sensor modalities sampled at a common rate, and `labels`, an (n,) int64
+array in which -1 marks an unlabeled window. `standardize` and `patchify`
+work on the last axes of a (..., C, L) array, so one call handles one window
+or a whole dataset.
+
 Generated windows share a class-specific base oscillation across modalities;
 `shared_latent_strength` interpolates between perfectly coupled channels
 (strength 1: every modality is an affine image of one latent) and fully
@@ -27,24 +32,6 @@ def as_generator(seed):
 
 
 @dataclass
-class SensorWindow:
-    """One multi-modality window: values has shape (C, L)."""
-
-    values: np.ndarray
-    label: int | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("SensorWindow values must be 2-D (C, L)")
-        c, l = self.values.shape
-        if c < 2 or l < 2:
-            raise ValueError(f"SensorWindow needs C >= 2 and L >= 2, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("SensorWindow values must be finite")
-
-
-@dataclass
 class SynthSpec:
     n_windows: int
     n_modalities: int
@@ -62,12 +49,17 @@ class SynthSpec:
             raise ValueError("SynthSpec requires n_classes >= 1")
         if not 0.0 <= self.shared_latent_strength <= 1.0:
             raise ValueError("shared_latent_strength must lie in [0, 1]")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
+        # written so that NaN fails too
+        if not 0.0 <= self.noise_sd < np.inf:
+            raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd!r}")
+        if not 0.0 < self.sample_rate_hz < np.inf:
+            raise ValueError(f"sample_rate_hz must be positive and finite, "
+                             f"got {self.sample_rate_hz!r}")
 
 
-def generate_windows(spec: SynthSpec) -> list[SensorWindow]:
-    """Generate spec.n_windows windows with round-robin labels.
+def generate_windows(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Generate spec.n_windows windows with round-robin labels: the
+    (n, C, L) values and the (n,) labels.
 
     Modality c of a window with class k:
         gain_c * [ s * sin(2 pi f_k t / L + theta + (1-s) * disp_c)
@@ -81,11 +73,11 @@ def generate_windows(spec: SynthSpec) -> list[SensorWindow]:
     s = spec.shared_latent_strength
     t = np.arange(length) / length
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_windows)
-    out = []
+    values = np.empty((spec.n_windows, c_n, length))
+    labels = np.arange(spec.n_windows, dtype=np.int64) % spec.n_classes
     for w, child in enumerate(children):
         rng = as_generator(child)
-        label = w % spec.n_classes
-        freq = 1.0 + label
+        freq = 1.0 + labels[w]
         theta = rng.uniform(0.0, 2.0 * np.pi)
         gains = rng.uniform(0.5, 1.5, size=c_n)
         disp = rng.uniform(0.0, np.pi / 4.0, size=c_n)
@@ -94,16 +86,16 @@ def generate_windows(spec: SynthSpec) -> list[SensorWindow]:
         noise = rng.standard_normal((c_n, length))
         shared = np.sin(2.0 * np.pi * freq * t[None, :] + theta + (1.0 - s) * disp[:, None])
         own = np.sin(2.0 * np.pi * f_own[:, None] * t[None, :] + phi[:, None])
-        values = gains[:, None] * (s * shared + (1.0 - s) * own) + spec.noise_sd * noise
-        out.append(SensorWindow(values, label))
-    return out
+        values[w] = gains[:, None] * (s * shared + (1.0 - s) * own) + spec.noise_sd * noise
+    return values, labels
 
 
 @dataclass
 class SpliceResult:
-    """Output of splice_augment plus the sampled parameters, for replay."""
+    """Output of splice_augment, the spliced (C, L) window, plus the sampled
+    parameters, for replay."""
 
-    window: SensorWindow
+    window: np.ndarray
     source_a: int
     source_b: int
     length: int
@@ -111,53 +103,53 @@ class SpliceResult:
     start_b: int
 
 
-def splice_augment(dataset: list[SensorWindow], seed, matched_start: bool = False) -> SpliceResult:
-    """Draw two windows and splice a random segment of the second into the
-    first, jointly across all modalities.
+def splice_augment(values: np.ndarray, seed, matched_start: bool = False) -> SpliceResult:
+    """Draw two of the (n, C, L) windows and splice a random segment of the
+    second into the first, jointly across all modalities.
 
     Segment length is uniform on [ceil(0.2 L), floor(0.5 L)]; both start
     offsets are uniform on [0, L - length]. matched_start forces the
     destination offset to equal the source offset.
     """
-    if len(dataset) < 2:
+    if len(values) < 2:
         raise ValueError("splice_augment needs at least 2 windows")
-    shape = dataset[0].values.shape
-    for w in dataset[1:]:
-        if w.values.shape != shape:
-            raise ValueError("splice_augment windows must share (C, L)")
     rng = as_generator(seed)
-    length = shape[1]
-    i = int(rng.integers(0, len(dataset)))
-    j = int(rng.integers(0, len(dataset)))
+    length = values.shape[-1]
+    i = int(rng.integers(0, len(values)))
+    j = int(rng.integers(0, len(values)))
     lam_lo = int(np.ceil(0.2 * length))
     lam_hi = int(np.floor(0.5 * length))
     lam = int(rng.integers(lam_lo, lam_hi + 1))
     s1 = int(rng.integers(0, length - lam + 1))
     s2 = s1 if matched_start else int(rng.integers(0, length - lam + 1))
-    values = dataset[i].values.copy()
-    values[:, s1:s1 + lam] = dataset[j].values[:, s2:s2 + lam]
-    return SpliceResult(SensorWindow(values, dataset[i].label), i, j, lam, s1, s2)
+    window = values[i].copy()
+    window[:, s1:s1 + lam] = values[j, :, s2:s2 + lam]
+    return SpliceResult(window, i, j, lam, s1, s2)
 
 
-def patchify(window: SensorWindow, patch_len: int) -> np.ndarray:
-    """Split each modality into non-overlapping length-patch_len patches:
-    a new (C, P, L_p) array. Trailing samples beyond P * patch_len are
-    dropped."""
-    c_n, length = window.values.shape
+def patchify(values: np.ndarray, patch_len: int) -> np.ndarray:
+    """Split each modality of (..., C, L) windows into non-overlapping
+    length-patch_len patches: a new (..., C, P, L_p) array. Trailing samples
+    beyond P * patch_len are dropped."""
+    length = values.shape[-1]
     if not 1 <= patch_len <= length:
         raise ValueError(f"patch_len must lie in [1, {length}], got {patch_len}")
     p_n = length // patch_len
-    trimmed = window.values[:, :p_n * patch_len]
-    return trimmed.reshape(c_n, p_n, patch_len).copy()
+    return np.array(values[..., :p_n * patch_len]).reshape(values.shape[:-1] + (p_n, patch_len))
 
 
-def standardize(window: SensorWindow) -> SensorWindow:
-    """Per-channel z-score; constant channels map to all zeros."""
-    mu = window.values.mean(axis=1, keepdims=True)
-    sd = window.values.std(axis=1, keepdims=True)
-    safe = np.where(sd == 0.0, 1.0, sd)
-    out = np.where(sd == 0.0, 0.0, (window.values - mu) / safe)
-    return SensorWindow(out, window.label)
+def standardize(values: np.ndarray) -> np.ndarray:
+    """Per-channel z-score over the last axis of (..., C, L) windows;
+    constant channels map to all zeros. Non-finite input raises a
+    ValueError naming the first bad index."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = tuple(np.argwhere(~finite)[0].tolist())
+        raise ValueError(f"standardize needs finite values; index {bad} is not")
+    mu = values.mean(axis=-1, keepdims=True)
+    sd = values.std(axis=-1, keepdims=True)
+    # sd == 0 only where every sample equals mu, so values - mu is already 0
+    return (values - mu) / np.where(sd == 0.0, 1.0, sd)
 
 
 MANIFEST_NAME = "manifest.txt"
@@ -165,17 +157,16 @@ BLOB_NAME = "data.f32"
 LABELS_NAME = "labels.txt"
 
 
-def save_dataset(directory, windows: list[SensorWindow], sample_rate_hz: float, n_classes: int):
-    """Write manifest + float32 blob (window-major, modality-major,
-    time-minor) + one label per line."""
+def save_dataset(directory, values: np.ndarray, labels: np.ndarray, sample_rate_hz: float,
+                 n_classes: int):
+    """Write manifest + float32 blob of the (n, C, L) values (window-major,
+    modality-major, time-minor) + one label per line, -1 for unlabeled."""
+    n, c_n, length = values.shape
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} windows")
     os.makedirs(directory, exist_ok=True)
-    shape = windows[0].values.shape
-    for w in windows:
-        if w.values.shape != shape:
-            raise ValueError("all windows in a dataset must share (C, L)")
-    c_n, length = shape
     manifest = (
-        f"n_windows={len(windows)}\n"
+        f"n_windows={n}\n"
         f"C={c_n}\n"
         f"L={length}\n"
         f"sample_rate_hz={sample_rate_hz!r}\n"
@@ -183,17 +174,16 @@ def save_dataset(directory, windows: list[SensorWindow], sample_rate_hz: float, 
     )
     with open(os.path.join(directory, MANIFEST_NAME), "w") as fh:
         fh.write(manifest)
-    blob = np.stack([w.values for w in windows]).astype("<f4")
-    blob.tofile(os.path.join(directory, BLOB_NAME))
+    values.astype("<f4").tofile(os.path.join(directory, BLOB_NAME))
     with open(os.path.join(directory, LABELS_NAME), "w") as fh:
-        for w in windows:
-            fh.write(f"{w.label if w.label is not None else -1}\n")
+        fh.write("".join(f"{int(label)}\n" for label in labels))
 
 
 def load_dataset(directory):
-    """Read a dataset directory back. Returns (windows, meta dict). Malformed
-    files raise a ManifestError naming the file's path and, for labels, the
-    line; a label is -1 (unlabeled) or a class index below n_classes."""
+    """Read a dataset directory back. Returns (values, labels, meta dict).
+    Malformed files raise a ManifestError naming the file's path and the
+    field, window or line at fault: n_windows >= 1, C >= 2, L >= 2, finite
+    values, and labels that are -1 (unlabeled) or a class below n_classes."""
     man_path = os.path.join(directory, MANIFEST_NAME)
     blob_path = os.path.join(directory, BLOB_NAME)
     labels_path = os.path.join(directory, LABELS_NAME)
@@ -211,13 +201,20 @@ def load_dataset(directory):
         rate = float(meta["sample_rate_hz"])
     except ValueError as exc:
         raise ManifestError(f"{man_path}: non-numeric field ({exc})") from None
+    for key, value, least in (("n_windows", n, 1), ("C", c_n, 2), ("L", length, 2)):
+        if value < least:
+            raise ManifestError(f"{man_path}: {key}={value} must be at least {least}")
     expected = n * c_n * length * 4
     actual = os.path.getsize(blob_path)
     if actual != expected:
         raise ManifestError(
             f"{blob_path}: size {actual} does not match manifest "
             f"(n_windows*C*L*4 = {expected})")
-    raw = np.fromfile(blob_path, dtype="<f4").astype(np.float64).reshape(n, c_n, length)
+    blob = np.fromfile(blob_path, dtype="<f4").reshape(n, c_n, length)
+    finite = np.isfinite(blob).all(axis=(1, 2))
+    if not finite.all():
+        raise ManifestError(f"{blob_path}: window {int(np.argmin(finite))} holds a "
+                            "non-finite value")
     labels = []
     with open(labels_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -234,6 +231,5 @@ def load_dataset(directory):
             labels.append(label)
     if len(labels) != n:
         raise ManifestError(f"{labels_path}: {len(labels)} labels for {n} windows")
-    windows = [SensorWindow(raw[i], labels[i] if labels[i] >= 0 else None) for i in range(n)]
-    return windows, {"n_windows": n, "C": c_n, "L": length,
-                     "sample_rate_hz": rate, "n_classes": n_classes}
+    return blob.astype(np.float64), np.array(labels, dtype=np.int64), {
+        "n_windows": n, "C": c_n, "L": length, "sample_rate_hz": rate, "n_classes": n_classes}

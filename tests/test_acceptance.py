@@ -20,8 +20,7 @@ from crossmae.model import (ArchSpec, alignment_identity, gradcheck_model,
 from crossmae.train import OptimConfig, PretrainConfig, ProbeConfig, pretrain, probe
 from crossmae.imputation import (MissingnessTask, _sample_mask_array,
                                  impute_linear, impute_model, score, task_mask)
-from crossmae.windows import (SensorWindow, SynthSpec, generate_windows,
-                              standardize)
+from crossmae.windows import SynthSpec, generate_windows, standardize
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -40,9 +39,9 @@ def test_criterion_01_gradient_correctness():
 
 def test_criterion_02_overfit_sanity():
     t0 = time.time()
-    ws = generate_windows(SynthSpec(n_windows=8, n_modalities=6, n_samples=64,
-                                    n_classes=4, shared_latent_strength=0.9,
-                                    noise_sd=0.0, seed=11))
+    ws, _ = generate_windows(SynthSpec(n_windows=8, n_modalities=6, n_samples=64,
+                                       n_classes=4, shared_latent_strength=0.9,
+                                       noise_sd=0.0, seed=11))
     arch = ArchSpec(n_modalities=6, n_patches=8, patch_len=8)
     opt = OptimConfig(lr=1e-2, epochs=500, warmup_epochs=10, batch_size=8)
     _, trace = pretrain(ws, arch,
@@ -151,11 +150,11 @@ def test_criterion_06_masking_combinatorics():
 
 
 def _per_channel_mean(window, smask):
-    filled = window.values.copy()
+    filled = window.copy()
     for c in range(filled.shape[0]):
         vis = ~smask[c]
         filled[c, smask[c]] = filled[c, vis].mean() if vis.any() else 0.0
-    return SensorWindow(filled, window.label)
+    return filled
 
 
 @pytest.fixture(scope="module")
@@ -167,12 +166,12 @@ def imputation_sweep():
     opt = OptimConfig(lr=5e-3, epochs=200, batch_size=8)
     per_seed = []
     for seed in range(5):
-        train_ws = generate_windows(SynthSpec(
+        train_ws, _ = generate_windows(SynthSpec(
             n_windows=32, n_modalities=c_n, n_samples=length, n_classes=4,
             shared_latent_strength=0.9, noise_sd=0.3, seed=seed))
-        eval_ws = [standardize(w) for w in generate_windows(SynthSpec(
+        eval_ws = standardize(generate_windows(SynthSpec(
             n_windows=32, n_modalities=c_n, n_samples=length, n_classes=4,
-            shared_latent_strength=0.9, noise_sd=0.3, seed=seed + 10_000))]
+            shared_latent_strength=0.9, noise_sd=0.3, seed=seed + 10_000))[0])
         states = {}
         for policy in (CROSS, SYNC):
             states[policy], _ = pretrain(
@@ -183,16 +182,16 @@ def imputation_sweep():
         mses = {}
         for kind in ("temporal", "sensor"):
             task = MissingnessTask(kind=kind, ratio=0.7)
-            masks = [task_mask(task, c_n, p_n, rng) for _ in eval_ws]
-            smasks = [_sample_mask_array(m, patch_len, length) for m in masks]
+            masks = np.stack([task_mask(task, c_n, p_n, rng) for _ in eval_ws])
+            smasks = _sample_mask_array(masks, patch_len, length)
             fillers = {
-                "model_cross": lambda w, m, sm: impute_model(states[CROSS], [w], m[None])[0],
-                "model_sync": lambda w, m, sm: impute_model(states[SYNC], [w], m[None])[0],
-                "linear": lambda w, m, sm: impute_linear(w, sm),
+                "model_cross": lambda w, m, sm: impute_model(states[CROSS], w[None], m[None])[0],
+                "model_sync": lambda w, m, sm: impute_model(states[SYNC], w[None], m[None])[0],
+                "linear": lambda w, m, sm: impute_linear(w[None], sm[None])[0],
                 "mean": lambda w, m, sm: _per_channel_mean(w, sm),
             }
             for name, fill in fillers.items():
-                filled = [fill(w, m, sm) for w, m, sm in zip(eval_ws, masks, smasks)]
+                filled = np.stack([fill(w, m, sm) for w, m, sm in zip(eval_ws, masks, smasks)])
                 mses[(kind, name)] = score(filled, eval_ws, smasks).mse
         per_seed.append(mses)
     return per_seed
@@ -226,11 +225,10 @@ def test_criterion_09_probe_gain():
     c_n, length, patch_len = 6, 64, 8
     arch = ArchSpec(n_modalities=c_n, n_patches=length // patch_len,
                     patch_len=patch_len)
-    ws = generate_windows(SynthSpec(n_windows=400, n_modalities=c_n,
-                                    n_samples=length, n_classes=4,
-                                    shared_latent_strength=0.9, noise_sd=0.3,
-                                    seed=42))
-    labels = np.array([w.label for w in ws])
+    ws, labels = generate_windows(SynthSpec(n_windows=400, n_modalities=c_n,
+                                            n_samples=length, n_classes=4,
+                                            shared_latent_strength=0.9, noise_sd=0.3,
+                                            seed=42))
     pre_state, _ = pretrain(
         ws[:128], arch,
         PretrainConfig(optim=OptimConfig(lr=5e-3, epochs=100, batch_size=16)),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from crossmae import cli
 from crossmae.config import ManifestError
 from crossmae.model import load_checkpoint
 from crossmae.train import OptimConfig, PretrainConfig, pretrain
-from crossmae.windows import SensorWindow, load_dataset, save_dataset
+from crossmae.windows import load_dataset, save_dataset
 
 
 def _write_cfg(path, **kv):
@@ -62,7 +63,7 @@ def test_run_dir_records_config_and_format(data_dir):
 
 
 def test_synth_layout_and_blob_identity(data_dir, tmp_path):
-    windows, meta = load_dataset(data_dir)
+    _, _, meta = load_dataset(data_dir)
     assert meta["n_windows"] == 12 and meta["C"] == 4 and meta["L"] == 32
     blob = os.path.join(data_dir, "data.f32")
     assert os.path.getsize(blob) == 12 * 4 * 32 * 4
@@ -104,7 +105,7 @@ def test_pretrain_outputs_and_epoch_zero_matches_init(data_dir, tmp_path):
     assert open(os.path.join(out1, "summary.txt")).read() == "final_loss=nan\n"
     assert open(os.path.join(out1, "loss.csv")).read() == "epoch,loss\n"
 
-    windows, meta = load_dataset(data_dir)
+    windows, _, meta = load_dataset(data_dir)
     state, _ = pretrain(windows, load_checkpoint(os.path.join(out1, "checkpoint")).arch,
                         PretrainConfig(optim=OptimConfig(epochs=0, warmup_epochs=0)),
                         seed=5)
@@ -201,11 +202,12 @@ def test_probe_summary(data_dir, checkpoint_dir, tmp_path):
 
 def test_probe_rejects_unlabeled_dataset(checkpoint_dir, tmp_path):
     rng = np.random.default_rng(0)
-    ws = [SensorWindow(rng.standard_normal((4, 32)), label=None) for _ in range(3)]
-    save_dataset(tmp_path / "unlabeled", ws, sample_rate_hz=50.0, n_classes=0)
+    save_dataset(tmp_path / "unlabeled", rng.standard_normal((3, 4, 32)), np.array([0, -1, -1]),
+                 sample_rate_hz=50.0, n_classes=1)
     cfg = _write_cfg(tmp_path / "u.cfg", **{
         "data.dir": str(tmp_path / "unlabeled"), "checkpoint": checkpoint_dir})
-    with pytest.raises(ManifestError, match="labeled"):
+    labels = tmp_path / "unlabeled" / "labels.txt"
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(labels))}: line 2: .*labeled"):
         cli.main(["probe", "--out", str(tmp_path / "o"), "--config", cfg])
 
 

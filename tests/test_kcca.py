@@ -194,10 +194,10 @@ def test_cca_sigma_conditioning_error_on_indefinite_view():
 
 
 def _transition_windows(n, strength, seed, length=80):
-    base = generate_windows(SynthSpec(n_windows=n, n_modalities=4,
-                                      n_samples=length, n_classes=3,
-                                      shared_latent_strength=strength,
-                                      noise_sd=1.0, seed=seed))
+    base, _ = generate_windows(SynthSpec(n_windows=n, n_modalities=4,
+                                         n_samples=length, n_classes=3,
+                                         shared_latent_strength=strength,
+                                         noise_sd=1.0, seed=seed))
     return base
 
 
@@ -220,4 +220,4 @@ def test_sigma1_experiment_model_encoder_runs():
     v = sigma1_experiment(ws, "cross", init_model(arch, seed=0), pca_k=6, seed=4)
     assert 0.0 <= v <= 1.0 + 1e-8
     with pytest.raises(ValueError):
-        sigma1_experiment([], "cross")
+        sigma1_experiment(np.empty((0, 4, 80)), "cross")

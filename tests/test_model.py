@@ -9,7 +9,7 @@ from crossmae.masking import CROSS, sample_mask
 from crossmae.model import (ArchSpec, Binding, _attention, _LeafView,
                             alignment_identity, encode, gradcheck_model, init_model, load_checkpoint,
                             mae_loss, positions_2d, reconstruct, save_checkpoint)
-from crossmae.windows import SensorWindow, patchify
+from crossmae.windows import patchify
 
 TINY = ArchSpec(n_modalities=2, n_patches=3, patch_len=4, d_model=8,
                 enc_layers=1, dec_layers=1, n_heads=2, mlp_ratio=2)
@@ -17,8 +17,7 @@ TINY = ArchSpec(n_modalities=2, n_patches=3, patch_len=4, d_model=8,
 
 def _grid(arch, seed=0):
     rng = np.random.default_rng(seed)
-    w = SensorWindow(rng.standard_normal((arch.n_modalities,
-                                          arch.n_patches * arch.patch_len)))
+    w = rng.standard_normal((arch.n_modalities, arch.n_patches * arch.patch_len))
     return patchify(w, arch.patch_len)
 
 
@@ -99,7 +98,7 @@ def test_attention_is_permutation_equivariant():
 
 def test_all_zero_window_stays_finite():
     state = init_model(TINY, seed=0)
-    grid = patchify(SensorWindow(np.zeros((2, 12))), TINY.patch_len)
+    grid = patchify(np.zeros((2, 12)), TINY.patch_len)
     b = Binding(state, T.Tape(), trainable=False)
     recon = reconstruct(b, grid[None], _mask(TINY)[None]).data
     assert np.all(np.isfinite(recon))
@@ -118,7 +117,7 @@ def test_decode_shape_and_determinism():
 
 def test_shape_mismatch_rejected():
     state = init_model(TINY, seed=0)
-    wrong = patchify(SensorWindow(np.zeros((3, 12))), TINY.patch_len)
+    wrong = patchify(np.zeros((3, 12)), TINY.patch_len)
     with pytest.raises(ValueError):
         encode(Binding(state, T.Tape(), trainable=False), wrong[None], _mask(TINY)[None])
 

@@ -18,6 +18,7 @@ ARCH = ArchSpec(n_modalities=3, n_patches=4, patch_len=8, d_model=8,
 
 
 def _windows(n=8, seed=0, noise=0.3, classes=4, length=32):
+    """(values, labels) of n synthetic windows."""
     return generate_windows(SynthSpec(n_windows=n, n_modalities=3, n_samples=length,
                                       n_classes=classes, shared_latent_strength=0.9,
                                       noise_sd=noise, seed=seed))
@@ -70,10 +71,10 @@ def test_optim_config_names_the_bad_field_and_value(kwargs, message):
 
 @pytest.mark.parametrize("field, value", [("lr", 0.0), ("epochs", -1), ("weight_decay", -1.0)])
 def test_probe_names_a_bad_optimizer_setting(field, value):
-    ws = _windows(n=4)
+    ws, labels = _windows(n=4)
     cfg = ProbeConfig(**{field: value})
     with pytest.raises(ValueError, match=f"^{field} must "):
-        probe(init_model(ARCH, seed=0), ws, [w.label for w in ws], 4, cfg, seed=0)
+        probe(init_model(ARCH, seed=0), ws, labels, 4, cfg, seed=0)
 
 
 def test_adamw_step_zero_grad_is_pure_decay():
@@ -119,7 +120,7 @@ def test_adamw_step_updates_multi_dim_params_in_place():
 
 
 def test_pretrain_deterministic_per_seed():
-    ws = _windows()
+    ws, _ = _windows()
     cfg = PretrainConfig(optim=OptimConfig(epochs=3, warmup_epochs=1, batch_size=4))
     s1, t1 = pretrain(ws, ARCH, cfg, seed=5)
     s2, t2 = pretrain(ws, ARCH, cfg, seed=5)
@@ -130,7 +131,7 @@ def test_pretrain_deterministic_per_seed():
 
 
 def test_pretrain_zero_epochs_returns_init():
-    ws = _windows()
+    ws, _ = _windows()
     cfg = PretrainConfig(optim=OptimConfig(epochs=0, warmup_epochs=0))
     init = init_model(ARCH, seed=99)
     state, trace = pretrain(ws, ARCH, cfg, seed=0, init_state=init)
@@ -140,7 +141,7 @@ def test_pretrain_zero_epochs_returns_init():
 
 
 def test_pretrain_policies_give_distinct_states():
-    ws = _windows()
+    ws, _ = _windows()
     opt = OptimConfig(epochs=2, warmup_epochs=0, batch_size=8)
     a, _ = pretrain(ws, ARCH, PretrainConfig(policy=CROSS, optim=opt), seed=1)
     b, _ = pretrain(ws, ARCH, PretrainConfig(policy=SYNC, optim=opt), seed=1)
@@ -149,11 +150,11 @@ def test_pretrain_policies_give_distinct_states():
 
 def test_pretrain_rejects_empty_dataset():
     with pytest.raises(ValueError):
-        pretrain([], ARCH, PretrainConfig(), seed=0)
+        pretrain(np.empty((0, 3, 32)), ARCH, PretrainConfig(), seed=0)
 
 
 def test_class_embeddings_shape_and_determinism():
-    ws = _windows(n=6)
+    ws, _ = _windows(n=6)
     state = init_model(ARCH, seed=0)
     e1 = class_embeddings(state, ws)
     e2 = class_embeddings(state, ws)
@@ -162,8 +163,7 @@ def test_class_embeddings_shape_and_determinism():
 
 
 def test_probe_untrained_head_is_chance_level():
-    ws = _windows(n=400, seed=21, classes=4)
-    labels = np.array([w.label for w in ws])
+    ws, labels = _windows(n=400, seed=21, classes=4)
     state = init_model(ARCH, seed=0)
     cfg = ProbeConfig(mode="lp", epochs=0, train_fraction=0.7)
     res = probe(state, ws, labels, 4, cfg, seed=3)
@@ -172,8 +172,7 @@ def test_probe_untrained_head_is_chance_level():
 
 
 def test_linear_probe_leaves_encoder_bit_identical():
-    ws = _windows(n=40, seed=22)
-    labels = np.array([w.label for w in ws])
+    ws, labels = _windows(n=40, seed=22)
     state = init_model(ARCH, seed=1)
     before = state.fingerprint()
     res = probe(state, ws, labels, 4, ProbeConfig(mode="lp", epochs=10), seed=3)
@@ -182,8 +181,7 @@ def test_linear_probe_leaves_encoder_bit_identical():
 
 
 def test_probe_deterministic_per_seed():
-    ws = _windows(n=30, seed=23)
-    labels = np.array([w.label for w in ws])
+    ws, labels = _windows(n=30, seed=23)
     state = init_model(ARCH, seed=2)
     cfg = ProbeConfig(mode="lp", epochs=5)
     r1 = probe(state, ws, labels, 4, cfg, seed=9)
@@ -192,8 +190,7 @@ def test_probe_deterministic_per_seed():
 
 
 def test_fine_tune_mode_updates_encoder():
-    ws = _windows(n=12, seed=24)
-    labels = np.array([w.label for w in ws])
+    ws, labels = _windows(n=12, seed=24)
     state = init_model(ARCH, seed=3)
     before = state.fingerprint()
     res = probe(state, ws, labels, 4, ProbeConfig(mode="ft", epochs=2), seed=4)
@@ -202,7 +199,7 @@ def test_fine_tune_mode_updates_encoder():
 
 
 def test_probe_label_length_mismatch():
-    ws = _windows(n=5)
+    ws, _ = _windows(n=5)
     with pytest.raises(ValueError):
         probe(init_model(ARCH, seed=0), ws, np.zeros(4, dtype=int), 4,
               ProbeConfig(), seed=0)
@@ -210,8 +207,7 @@ def test_probe_label_length_mismatch():
 
 @pytest.mark.parametrize("mode, group", [("lp", "head.W"), ("ft", "embed.W")])
 def test_probe_names_the_step_and_group_of_a_non_finite_gradient(monkeypatch, mode, group):
-    ws = _windows(n=12, seed=24)
-    labels = np.array([w.label for w in ws])
+    ws, labels = _windows(n=12, seed=24)
     state = init_model(ARCH, seed=0)
     state.params["enc0.mlp.W1"][0, 0] = np.nan
     steps = []
@@ -223,8 +219,8 @@ def test_probe_names_the_step_and_group_of_a_non_finite_gradient(monkeypatch, mo
 
 
 def test_pretrain_stops_at_step_0_on_a_nan_sample(monkeypatch):
-    ws = _windows()
-    ws[3].values[1, 5] = np.nan  # written after SensorWindow validated the array
+    ws, _ = _windows()
+    ws[3, 1, 5] = np.nan
     steps = []
     monkeypatch.setattr(train, "adamw_step", lambda *args: steps.append(args))
     cfg = PretrainConfig(augment_prob=0.0,
@@ -240,7 +236,7 @@ def test_pretrain_names_the_step_and_group_of_a_non_finite_gradient():
     cfg = PretrainConfig(optim=OptimConfig(epochs=2, warmup_epochs=0, batch_size=8))
     with pytest.raises(FloatingPointError,
                        match=r"step 0: loss nan, first non-finite gradient in embed\.W"):
-        pretrain(_windows(), ARCH, cfg, seed=0, init_state=init)
+        pretrain(_windows()[0], ARCH, cfg, seed=0, init_state=init)
 
 
 def test_adamw_state_entries_share_one_buffer():
@@ -287,12 +283,12 @@ def test_pretrain_stops_on_finite_divergence():
     with pytest.raises(FloatingPointError,
                        match=r"pretrain step \d+: loss [-+0-9.e]+, AdamW left embed\.W or its "
                              r"second moment non-finite"):
-        pretrain(_windows(), ARCH, cfg, seed=0)
+        pretrain(_windows()[0], ARCH, cfg, seed=0)
 
 
 def test_pretrain_grids_each_dataset_window_once_and_never_mutates_it(monkeypatch):
-    ws = _windows()
-    fresh = {patchify(standardize(w), ARCH.patch_len).tobytes() for w in ws}
+    ws, _ = _windows()
+    fresh = {g.tobytes() for g in patchify(standardize(ws), ARCH.patch_len)}
     seen, built = [], []
     real_loss, real_patchify = train.mae_loss, train.patchify
 
@@ -306,7 +302,7 @@ def test_pretrain_grids_each_dataset_window_once_and_never_mutates_it(monkeypatc
     cfg = PretrainConfig(augment_prob=0.0,
                          optim=OptimConfig(epochs=3, warmup_epochs=0, batch_size=3))
     pretrain(ws, ARCH, cfg, seed=0)
-    assert len(seen) == 3 * len(ws) and len(built) == len(ws)
+    assert len(seen) == 3 * len(ws) and len(built) == 1  # one call for the whole dataset
     # every window, unchanged, once per epoch
     assert Counter(seen) == {g: 3 for g in fresh}
 
@@ -314,8 +310,7 @@ def test_pretrain_grids_each_dataset_window_once_and_never_mutates_it(monkeypatc
 def test_linear_probe_top1_reads_the_trained_head():
     # Both values were recorded before the head moved into AdamWState's flat
     # buffer; a probe scoring the stale initial head would report 0.25.
-    ws = _windows(n=40, seed=25)
-    labels = np.array([w.label for w in ws])
+    ws, labels = _windows(n=40, seed=25)
     state = init_model(ARCH, seed=1)
     untrained = probe(state, ws, labels, 4, ProbeConfig(mode="lp", epochs=0, lr=5e-2), seed=3)
     trained = probe(state, ws, labels, 4, ProbeConfig(mode="lp", epochs=60, lr=5e-2), seed=3)
@@ -325,8 +320,7 @@ def test_linear_probe_top1_reads_the_trained_head():
 
 @pytest.mark.parametrize("mode", ["lp", "ft"])
 def test_probe_rejects_fewer_than_two_windows(mode):
-    ws = _windows(n=1)
-    labels = np.array([w.label for w in ws])
+    ws, labels = _windows(n=1)
     with pytest.raises(ValueError, match="at least 2 windows.*got 1$"):
         probe(init_model(ARCH, seed=0), ws, labels, 4, ProbeConfig(mode=mode, epochs=2), seed=0)
 
@@ -352,13 +346,12 @@ def _spy_on_steps(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["pretrain", "lp", "ft"])
 def test_backward_writes_every_gradient_into_the_optimizer_buffer(monkeypatch, mode):
-    ws = _windows(n=12, seed=24)
+    ws, labels = _windows(n=12, seed=24)
     bindings, opts = _spy_on_steps(monkeypatch)
     if mode == "pretrain":
         pretrain(ws, ARCH, PretrainConfig(optim=OptimConfig(epochs=2, warmup_epochs=0,
                                                             batch_size=8)), seed=0)
     else:
-        labels = np.array([w.label for w in ws])
         probe(init_model(ARCH, seed=0), ws, labels, 4, ProbeConfig(mode=mode, epochs=2),
               seed=0)
     trained = [b for b in bindings if b.p and next(iter(b.p.values())).requires_grad]

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossmae.config import ManifestError
-from crossmae.windows import (SensorWindow, SynthSpec, generate_windows,
-                              load_dataset, patchify, save_dataset, splice_augment,
-                              standardize)
+from crossmae.windows import (SynthSpec, generate_windows, load_dataset, patchify,
+                              save_dataset, splice_augment, standardize)
 
 
 def _spec(**kw):
@@ -20,42 +19,42 @@ def _spec(**kw):
 
 
 def test_generate_deterministic_per_seed():
-    a = generate_windows(_spec())
-    b = generate_windows(_spec())
+    a, a_labels = generate_windows(_spec())
+    b, b_labels = generate_windows(_spec())
     assert len(a) == 4
-    for wa, wb in zip(a, b):
-        assert np.array_equal(wa.values, wb.values)
-        assert wa.label == wb.label
-    c = generate_windows(_spec(seed=8))
-    assert not np.array_equal(a[0].values, c[0].values)
+    for i in range(4):
+        assert np.array_equal(a[i], b[i])
+        assert a_labels[i] == b_labels[i]
+    c, _ = generate_windows(_spec(seed=8))
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_full_strength_noiseless_channels_are_affine():
-    for w in generate_windows(_spec(n_modalities=4, n_samples=64)):
-        base = w.values[0]
+    for w in generate_windows(_spec(n_modalities=4, n_samples=64))[0]:
+        base = w[0]
         design = np.stack([base, np.ones_like(base)], axis=1)
         for c in range(1, 4):
-            _, res, _, _ = np.linalg.lstsq(design, w.values[c], rcond=None)
+            _, res, _, _ = np.linalg.lstsq(design, w[c], rcond=None)
             assert res.size == 0 or res[0] <= 1e-10
-            r = np.corrcoef(base, w.values[c])[0, 1]
+            r = np.corrcoef(base, w[c])[0, 1]
             assert abs(abs(r) - 1.0) < 1e-10
 
 
 def test_partial_strength_keeps_strong_cross_modal_correlation():
-    ws = generate_windows(SynthSpec(n_windows=200, n_modalities=6, n_samples=200,
-                                    n_classes=4, shared_latent_strength=0.9,
-                                    noise_sd=0.3, seed=1))
+    ws, _ = generate_windows(SynthSpec(n_windows=200, n_modalities=6, n_samples=200,
+                                       n_classes=4, shared_latent_strength=0.9,
+                                       noise_sd=0.3, seed=1))
     cors = []
     for w in ws:
-        r = np.corrcoef(w.values)
+        r = np.corrcoef(w)
         iu = np.triu_indices(6, k=1)
         cors.append(np.abs(r[iu]).mean())
     assert np.mean(cors) >= 0.5
 
 
 def test_labels_round_robin():
-    ws = generate_windows(_spec(n_windows=7, n_classes=3))
-    assert [w.label for w in ws] == [0, 1, 2, 0, 1, 2, 0]
+    _, labels = generate_windows(_spec(n_windows=7, n_classes=3))
+    assert labels.tolist() == [0, 1, 2, 0, 1, 2, 0]
 
 
 def test_invalid_spec_rejected():
@@ -67,17 +66,22 @@ def test_invalid_spec_rejected():
         _spec(shared_latent_strength=1.5)
     with pytest.raises(ValueError):
         _spec(noise_sd=-0.1)
+    for field, value in (("noise_sd", float("inf")), ("noise_sd", float("nan")),
+                         ("sample_rate_hz", -5.0), ("sample_rate_hz", 0.0),
+                         ("sample_rate_hz", float("nan")), ("sample_rate_hz", float("inf"))):
+        with pytest.raises(ValueError, match=f"^{field} must .*, got {value!r}$"):
+            _spec(**{field: value})
 
 
-def test_window_validation():
-    with pytest.raises(ValueError):
-        SensorWindow(np.zeros(5))
-    with pytest.raises(ValueError):
-        SensorWindow(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+def test_standardize_rejects_non_finite_values():
+    values = np.zeros((3, 2, 4))
+    values[1, 0, 2] = np.inf
+    with pytest.raises(ValueError, match=r"finite values; index \(1, 0, 2\)"):
+        standardize(values)
 
 
 def test_splice_length_range_and_bounds():
-    ws = generate_windows(_spec(n_windows=6, n_samples=200, noise_sd=0.1))
+    ws, _ = generate_windows(_spec(n_windows=6, n_samples=200, noise_sd=0.1))
     lengths = set()
     for s in range(300):
         r = splice_augment(ws, seed=s)
@@ -89,97 +93,91 @@ def test_splice_length_range_and_bounds():
 
 
 def test_splice_identical_windows_matched_start_is_identity():
-    w = generate_windows(_spec(n_windows=1, n_samples=50, noise_sd=0.2))[0]
-    twin = [SensorWindow(w.values.copy(), w.label), SensorWindow(w.values.copy(), w.label)]
+    w = generate_windows(_spec(n_windows=1, n_samples=50, noise_sd=0.2))[0][0]
+    twin = np.stack([w, w])
     for s in range(20):
         out = splice_augment(twin, seed=s, matched_start=True)
-        assert np.array_equal(out.window.values, w.values)
+        assert np.array_equal(out.window, w)
         assert out.start_a == out.start_b
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_splice_span_matches_source_and_rest_matches_dest(seed):
-    ws = generate_windows(_spec(n_windows=5, n_modalities=3, n_samples=60, noise_sd=0.5))
-    before = [w.values.copy() for w in ws]
+    ws, _ = generate_windows(_spec(n_windows=5, n_modalities=3, n_samples=60, noise_sd=0.5))
+    before = ws.copy()
     r = splice_augment(ws, seed=seed)
     a, b, lam, s1, s2 = r.source_a, r.source_b, r.length, r.start_a, r.start_b
-    out = r.window.values
+    out = r.window
     assert out.shape == (3, 60)
     assert np.array_equal(out[:, s1:s1 + lam], before[b][:, s2:s2 + lam])
     rest = np.ones(60, dtype=bool)
     rest[s1:s1 + lam] = False
     assert np.array_equal(out[:, rest], before[a][:, rest])
-    for w, orig in zip(ws, before):  # inputs untouched
-        assert np.array_equal(w.values, orig)
+    assert np.array_equal(ws, before)  # inputs untouched
 
 
 def test_splice_rejects_degenerate_datasets():
-    ws = generate_windows(_spec(n_windows=1))
+    ws, _ = generate_windows(_spec(n_windows=1))
     with pytest.raises(ValueError):
         splice_augment(ws, seed=0)
-    mixed = generate_windows(_spec(n_windows=2)) + generate_windows(_spec(n_samples=32))
-    with pytest.raises(ValueError):
-        splice_augment(mixed, seed=0)
 
 
 def test_patchify_counts():
-    w = generate_windows(_spec(n_modalities=6, n_samples=200, noise_sd=0.1))[0]
+    w = generate_windows(_spec(n_modalities=6, n_samples=200, noise_sd=0.1))[0][0]
     g = patchify(w, 20)
     assert g.shape == (6, 10, 20)
-    assert np.array_equal(g[2, 3], w.values[2, 60:80])
-    assert np.array_equal(g.reshape(6, -1), w.values)
+    assert np.array_equal(g[2, 3], w[2, 60:80])
+    assert np.array_equal(g.reshape(6, -1), w)
 
 
 def test_patchify_single_patch_and_remainder_drop():
-    w = SensorWindow(np.arange(20, dtype=float).reshape(2, 10))
+    w = np.arange(20, dtype=float).reshape(2, 10)
     g = patchify(w, 10)
     assert g.shape == (2, 1, 10)
-    assert np.array_equal(g[:, 0, :], w.values)
+    assert np.array_equal(g[:, 0, :], w)
 
-    w2 = SensorWindow(np.arange(22, dtype=float).reshape(2, 11))
+    w2 = np.arange(22, dtype=float).reshape(2, 11)
     g2 = patchify(w2, 5)
     assert g2.shape == (2, 2, 5)
-    assert np.array_equal(g2.reshape(2, -1), w2.values[:, :10])
+    assert np.array_equal(g2.reshape(2, -1), w2[:, :10])
     with pytest.raises(ValueError):
         patchify(w2, 12)
 
 
 def test_standardize_examples_and_idempotence():
-    w = SensorWindow(np.array([[2.0, 4.0, 6.0], [5.0, 5.0, 5.0]]))
+    w = np.array([[2.0, 4.0, 6.0], [5.0, 5.0, 5.0]])
     out = standardize(w)
-    assert abs(out.values[0].mean()) < 1e-12
-    assert abs(out.values[0].std() - 1.0) < 1e-12
-    assert np.array_equal(out.values[1], np.zeros(3))
+    assert abs(out[0].mean()) < 1e-12
+    assert abs(out[0].std() - 1.0) < 1e-12
+    assert np.array_equal(out[1], np.zeros(3))
     twice = standardize(out)
-    assert np.max(np.abs(twice.values - out.values)) <= 1e-12
-    assert out.label == w.label
+    assert np.max(np.abs(twice - out)) <= 1e-12
 
 
 def test_dataset_save_load_round_trip(tmp_path):
-    ws = generate_windows(_spec(n_windows=5, n_modalities=3, n_samples=24,
-                                n_classes=3, noise_sd=0.4))
-    save_dataset(tmp_path, ws, sample_rate_hz=50.0, n_classes=3)
+    ws, labels = generate_windows(_spec(n_windows=5, n_modalities=3, n_samples=24,
+                                        n_classes=3, noise_sd=0.4))
+    save_dataset(tmp_path, ws, labels, sample_rate_hz=50.0, n_classes=3)
     (tmp_path / "data.f32").stat()
-    back, meta = load_dataset(tmp_path)
+    back, back_labels, meta = load_dataset(tmp_path)
     assert meta["n_windows"] == 5 and meta["C"] == 3 and meta["L"] == 24
     assert meta["n_classes"] == 3 and meta["sample_rate_hz"] == 50.0
-    for w, b in zip(ws, back):
-        assert np.array_equal(b.values, w.values.astype(np.float32).astype(np.float64))
-        assert b.label == w.label
+    for i in range(5):
+        assert np.array_equal(back[i], ws[i].astype(np.float32).astype(np.float64))
+        assert back_labels[i] == labels[i]
 
 
 def test_dataset_unlabeled_round_trip(tmp_path):
-    ws = [SensorWindow(np.random.default_rng(0).standard_normal((2, 8)), label=None)
-          for _ in range(2)]
-    save_dataset(tmp_path, ws, sample_rate_hz=20.0, n_classes=0)
-    back, _ = load_dataset(tmp_path)
-    assert all(b.label is None for b in back)
+    ws = np.stack([np.random.default_rng(0).standard_normal((2, 8)) for _ in range(2)])
+    save_dataset(tmp_path, ws, np.full(2, -1), sample_rate_hz=20.0, n_classes=0)
+    _, back_labels, _ = load_dataset(tmp_path)
+    assert all(label == -1 for label in back_labels)
 
 
 def test_dataset_corrupt_manifest_names_line(tmp_path):
-    ws = generate_windows(_spec())
-    save_dataset(tmp_path, ws, sample_rate_hz=50.0, n_classes=2)
+    ws, labels = generate_windows(_spec())
+    save_dataset(tmp_path, ws, labels, sample_rate_hz=50.0, n_classes=2)
     man = tmp_path / "manifest.txt"
     lines = man.read_text().splitlines()
     lines[1] = "garbage with no equals"
@@ -189,8 +187,8 @@ def test_dataset_corrupt_manifest_names_line(tmp_path):
 
 
 def test_dataset_blob_size_mismatch_rejected(tmp_path):
-    ws = generate_windows(_spec())
-    save_dataset(tmp_path, ws, sample_rate_hz=50.0, n_classes=2)
+    ws, labels = generate_windows(_spec())
+    save_dataset(tmp_path, ws, labels, sample_rate_hz=50.0, n_classes=2)
     blob = tmp_path / "data.f32"
     blob.write_bytes(blob.read_bytes()[:-4])
     with pytest.raises(ValueError):
@@ -203,7 +201,7 @@ def test_dataset_blob_size_mismatch_rejected(tmp_path):
     (["2", "0", "1"], "line 1: label 2 is neither -1 nor a class in [0, 2)"),
 ], ids=["non-integer", "negative", "beyond-n-classes"])
 def test_dataset_bad_label_names_path_and_line(tmp_path, labels, message):
-    save_dataset(tmp_path, generate_windows(_spec(n_windows=3)), sample_rate_hz=50.0,
+    save_dataset(tmp_path, *generate_windows(_spec(n_windows=3)), sample_rate_hz=50.0,
                  n_classes=2)
     path = tmp_path / "labels.txt"
     path.write_text("".join(f"{lab}\n" for lab in labels))
@@ -212,8 +210,8 @@ def test_dataset_bad_label_names_path_and_line(tmp_path, labels, message):
 
 
 def test_dataset_errors_name_the_full_path(tmp_path):
-    ws = generate_windows(_spec())
-    save_dataset(tmp_path, ws, sample_rate_hz=50.0, n_classes=2)
+    ws, labels = generate_windows(_spec())
+    save_dataset(tmp_path, ws, labels, sample_rate_hz=50.0, n_classes=2)
     man = tmp_path / "manifest.txt"
     text = man.read_text()
     man.write_text(text.replace("n_classes=2\n", ""))
@@ -231,4 +229,29 @@ def test_dataset_errors_name_the_full_path(tmp_path):
     labels = tmp_path / "labels.txt"
     labels.write_text("0\n1\n")
     with pytest.raises(ManifestError, match=f"^{re.escape(str(labels))}: 2 labels for 4"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("fault, name, message", [
+    ("NaN in window 2", "data.f32", "window 2 holds a non-finite value"),
+    ("n_windows=0", "manifest.txt", "n_windows=0 must be at least 1"),
+    ("n_windows=-4", "manifest.txt", "n_windows=-4 must be at least 1"),
+    ("C=1", "manifest.txt", "C=1 must be at least 2"),
+    ("C=-2", "manifest.txt", "C=-2 must be at least 2"),
+    ("L=1", "manifest.txt", "L=1 must be at least 2"),
+], ids=["nan-blob", "no-windows", "negative-windows", "one-modality", "negative-modalities",
+        "one-sample"])
+def test_dataset_bad_dimensions_and_values_name_the_file(tmp_path, fault, name, message):
+    save_dataset(tmp_path, *generate_windows(_spec()), sample_rate_hz=50.0, n_classes=2)
+    if fault.startswith("NaN"):
+        blob = np.fromfile(tmp_path / "data.f32", dtype="<f4")
+        blob[2 * 2 * 16 + 5] = np.nan  # window 2 of (4, 2, 16)
+        blob.tofile(tmp_path / "data.f32")
+    else:
+        man = tmp_path / "manifest.txt"
+        key = fault.split("=")[0]
+        man.write_text("".join(fault + "\n" if line.startswith(key + "=") else line + "\n"
+                               for line in man.read_text().splitlines()))
+    path = tmp_path / name
+    with pytest.raises(ManifestError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_dataset(tmp_path)
