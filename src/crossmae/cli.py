@@ -1,22 +1,26 @@
 """Command-line front end: reproducible runs of the five pipelines.
 
 Every run resolves a flat key=value config against per-command defaults
-(unknown keys rejected), writes the resolved copy plus a versioned format tag
-into the output directory, and then produces outputs that are byte-identical
-across reruns of the same resolved config. Each pipeline gets its dataset
-whole: one (n, C, L) array of windows and one (n,) array of labels.
+(unknown keys rejected); a default that sets a dataclass field is that
+field's default. A command loads its inputs, builds every object it needs
+and runs every check before it creates the output directory: a bad setting
+raises a ManifestError `<config path>: key <key>: <message>`. It then writes
+the resolved config plus a versioned format tag there, and outputs that are
+byte-identical across reruns of the same resolved config. Each pipeline gets
+its dataset whole: one (n, C, L) array of windows and one (n,) array of labels.
 """
 import argparse
 import os
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .config import ManifestError, format_kv_lines, load_config, resolve
+from .config import ManifestError, format_kv_lines, load_config
 from .imputation import (METHODS, TASKS, MissingnessTask, _sample_mask_array,
                          impute_chained, impute_linear, impute_model,
                          impute_nearest, score, task_mask)
 from .kcca import sigma1_experiment
-from .masking import CROSS, SYNC
+from .masking import CROSS, SYNC, sample_mask
 from .model import (ArchSpec, _hold_heap, gradcheck_model, load_checkpoint,
                     save_checkpoint)
 from .train import OptimConfig, PretrainConfig, ProbeConfig, pretrain, probe
@@ -27,137 +31,120 @@ RUN_FORMAT = "crossmae-run-v1"
 CONFIG_NAME = "config.txt"
 FORMAT_NAME = "format.txt"
 
-SYNTH_DEFAULTS = {
-    "data.n_windows": 200,
-    "data.n_modalities": 6,
-    "data.n_samples": 200,
-    "data.n_classes": 4,
-    "data.strength": 0.9,
-    "data.noise_sd": 0.3,
-    "data.sample_rate_hz": 50.0,
-    "seed": 0,
-}
 
-PRETRAIN_DEFAULTS = {
-    "data.dir": "",
-    "resume": "",
-    "arch.patch_len": 8,
-    "arch.d_model": 32,
-    "arch.enc_layers": 2,
-    "arch.dec_layers": 1,
-    "arch.n_heads": 4,
-    "arch.mlp_ratio": 2,
-    "mask.policy": CROSS,
-    "mask.ratio": 0.75,
-    "augment.prob": 0.5,
-    "augment.matched_start": False,
-    "loss.masked_only": False,
-    "optim.lr": 5e-4,
-    "optim.weight_decay": 5e-2,
-    "optim.beta1": 0.9,
-    "optim.beta2": 0.95,
-    "optim.eps": 1e-8,
-    "optim.epochs": 200,
-    "optim.warmup_epochs": 10,
-    "optim.batch_size": 16,
-    "optim.min_lr": 0.0,
-    "seed": 0,
-}
+def _keys(cls, prefix: str, **named) -> dict:
+    """The config key of each field of cls: prefix + its name, unless named."""
+    return {f.name: named.get(f.name, prefix + f.name) for f in fields(cls) if f.init}
 
-IMPUTE_DEFAULTS = {
-    "data.dir": "",
-    "checkpoint": "",
-    "task.ratio": 0.7,
-    "chained.sweeps": 3,
-    "seed": 0,
-}
 
-PROBE_DEFAULTS = {
-    "data.dir": "",
-    "checkpoint": "",
-    "probe.mode": "lp",
-    "probe.epochs": 200,
-    "probe.lr": 1e-2,
-    "probe.weight_decay": 0.0,
-    "probe.train_fraction": 0.7,
-    "seed": 0,
-}
+SYNTH_KEYS = _keys(SynthSpec, "data.", shared_latent_strength="data.strength", seed="seed")
+ARCH_KEYS = _keys(ArchSpec, "arch.")
+OPTIM_KEYS = _keys(OptimConfig, "optim.")
+PRETRAIN_KEYS = {"policy": "mask.policy", "mask_ratio": "mask.ratio",
+                 "augment_prob": "augment.prob", "matched_start": "augment.matched_start",
+                 "masked_only_loss": "loss.masked_only"}
+PROBE_KEYS = _keys(ProbeConfig, "probe.")
+TASK_KEYS = {"ratio": "task.ratio"}
 
-ANALYZE_DEFAULTS = {
-    "data.n_windows": 200,
-    "data.n_modalities": 6,
-    "data.n_samples": 200,
-    "data.n_classes": 4,
-    "data.strength": 0.9,
-    "data.noise_sd": 1.0,
-    "data.sample_rate_hz": 50.0,
-    "exp.n_transitions": 200,
-    "exp.patch_len": 20,
-    "exp.mask_ratio": 0.15,
-    "exp.pca_k": 50,
-    "exp.n_seeds": 5,
-    "exp.encoder": "raw_flatten",
-    "exp.checkpoint": "",
-    "seed": 0,
-}
 
-GRADCHECK_DEFAULTS = {
-    "arch.n_modalities": 3,
-    "arch.n_patches": 4,
-    "arch.patch_len": 6,
-    "arch.d_model": 32,
-    "arch.enc_layers": 2,
-    "arch.dec_layers": 1,
-    "arch.n_heads": 4,
-    "arch.mlp_ratio": 2,
-    "check.h": 1e-4,
-    "check.max_coords": 6,
-    "seed": 0,
-}
+def _defaults(cls, keys: dict) -> dict:
+    """{key: default} of every field of cls that keys maps and that has a default."""
+    return {keys[f.name]: f.default for f in fields(cls)
+            if f.name in keys and f.default is not MISSING}
+
+
+SYNTH_DEFAULTS = {"data.n_windows": 200, "data.n_modalities": 6, "data.n_samples": 200,
+                  "data.n_classes": 4, "data.strength": 0.9, "data.noise_sd": 0.3,
+                  **_defaults(SynthSpec, SYNTH_KEYS), "seed": 0}
+PRETRAIN_DEFAULTS = {"data.dir": "", "resume": "", "arch.patch_len": 8,
+                     **_defaults(ArchSpec, ARCH_KEYS), **_defaults(PretrainConfig, PRETRAIN_KEYS),
+                     **_defaults(OptimConfig, OPTIM_KEYS), "seed": 0}
+IMPUTE_DEFAULTS = {"data.dir": "", "checkpoint": "", **_defaults(MissingnessTask, TASK_KEYS),
+                   "chained.sweeps": 3, "seed": 0}
+PROBE_DEFAULTS = {"data.dir": "", "checkpoint": "", **_defaults(ProbeConfig, PROBE_KEYS),
+                  "seed": 0}
+ANALYZE_DEFAULTS = {**SYNTH_DEFAULTS, "data.noise_sd": 1.0, "exp.n_transitions": 200,
+                    "exp.patch_len": 20, "exp.mask_ratio": 0.15, "exp.pca_k": 50,
+                    "exp.n_seeds": 5, "exp.encoder": "raw_flatten", "exp.checkpoint": ""}
+GRADCHECK_DEFAULTS = {"arch.n_modalities": 3, "arch.n_patches": 4, "arch.patch_len": 6,
+                      **_defaults(ArchSpec, ARCH_KEYS), "check.h": 1e-4, "check.max_coords": 6,
+                      "seed": 0}
 
 
 def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _start_run(out_dir: str, command: str, cfg: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, CONFIG_NAME), "w") as fh:
-        fh.write(format_kv_lines(cfg))
-    with open(os.path.join(out_dir, FORMAT_NAME), "w") as fh:
-        fh.write(f"{RUN_FORMAT}\ncommand={command}\n")
+@dataclass
+class Run:
+    """One command's resolved settings, the config they came from (or
+    `<defaults>`) and its output directory."""
+    command: str
+    cfg: dict
+    source: str
+    out_dir: str
+
+    def error(self, key: str, message: str) -> ManifestError:
+        """The error of the setting at key; a value left at its default says so."""
+        if self.cfg[key] == COMMANDS[self.command][0][key]:
+            message += f" ({format_kv_lines({key: self.cfg[key]}).strip()} is the default)"
+        return ManifestError(f"{self.source}: key {key}: {message}")
+
+    def check(self, key: str, fn, *args):
+        """fn(*args); its ValueError becomes an error of key."""
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            raise self.error(key, str(exc)) from None
+
+    def build(self, cls, keys: dict, **fixed):
+        """cls built from fixed and from the setting that keys names for each
+        other field. A failed check is an error of the key of the field that
+        its message starts with; fixed values must be valid already."""
+        try:
+            return cls(**{name: self.cfg[key] for name, key in keys.items()
+                          if key in self.cfg}, **fixed)
+        except ValueError as exc:
+            raise self.error(keys[str(exc).split()[0]], str(exc)) from None
+
+    def at_least(self, key: str, least: int) -> int:
+        if self.cfg[key] < least:
+            raise self.error(key, f"must be at least {least}, got {self.cfg[key]}")
+        return self.cfg[key]
+
+    def load(self, key: str, loader, *args):
+        """loader(path, *args) for the path at key; a path that names
+        nothing is an error of key."""
+        path = self.cfg[key]
+        if not path:
+            raise self.error(key, "no path given")
+        try:
+            return loader(path, *args)
+        except FileNotFoundError as exc:
+            raise self.error(key, f"no such file or directory: {exc.filename!r}") from None
+
+    def start(self) -> None:
+        """Create the output directory and record the config and format."""
+        os.makedirs(self.out_dir, exist_ok=True)
+        self.write(CONFIG_NAME, format_kv_lines(self.cfg))
+        self.write(FORMAT_NAME, f"{RUN_FORMAT}\ncommand={self.command}\n")
+
+    def write(self, name: str, text: str) -> None:
+        with open(os.path.join(self.out_dir, name), "w") as fh:
+            fh.write(text)
 
 
-def _synth_spec(cfg: dict, seed: int) -> SynthSpec:
-    return SynthSpec(n_windows=cfg["data.n_windows"],
-                     n_modalities=cfg["data.n_modalities"],
-                     n_samples=cfg["data.n_samples"],
-                     n_classes=cfg["data.n_classes"],
-                     shared_latent_strength=cfg["data.strength"],
-                     noise_sd=cfg["data.noise_sd"],
-                     seed=seed,
-                     sample_rate_hz=cfg["data.sample_rate_hz"])
+def _curve(trace: list) -> str:
+    return "epoch,loss\n" + "".join(f"{epoch},{_fmt(value)}\n"
+                                    for epoch, value in enumerate(trace))
 
 
-def cmd_synth(cfg: dict, out_dir: str) -> None:
-    values, labels = generate_windows(_synth_spec(cfg, cfg["seed"]))
-    save_dataset(out_dir, values, labels, cfg["data.sample_rate_hz"], cfg["data.n_classes"])
-    print(f"wrote {len(values)} windows to {out_dir}")
-
-
-def _section(cfg: dict, prefix: str) -> dict:
-    """The keys of one config section with the `prefix.` stripped; each
-    suffix is a field name of the dataclass the section configures."""
-    return {k[len(prefix) + 1:]: v for k, v in cfg.items() if k.startswith(prefix + ".")}
-
-
-def _arch_for_dataset(cfg: dict, meta: dict) -> ArchSpec:
-    patch_len = cfg["arch.patch_len"]
-    if patch_len > meta["L"]:
-        raise ManifestError(
-            f"patch_len {patch_len} exceeds window length {meta['L']}")
-    return ArchSpec(n_modalities=meta["C"], n_patches=meta["L"] // patch_len,
-                    **_section(cfg, "arch"))
+def _n_patches(run: Run, key: str, length: int) -> int:
+    """Patches of the patch length at key in a window of length samples."""
+    patch_len = run.cfg[key]
+    if not 1 <= patch_len <= length:
+        raise run.error(key, f"must lie in [1, {length}], got {patch_len}")
+    return length // patch_len
 
 
 def _fitting_checkpoint(path: str, n_modalities: int, n_samples: int):
@@ -172,41 +159,50 @@ def _fitting_checkpoint(path: str, n_modalities: int, n_samples: int):
     return state
 
 
-def cmd_pretrain(cfg: dict, out_dir: str) -> None:
-    values, _, meta = load_dataset(cfg["data.dir"])
-    arch = _arch_for_dataset(cfg, meta)
-    init_state = None
-    if cfg["resume"]:
-        init_state = load_checkpoint(cfg["resume"])
-        if init_state.arch != arch:
-            raise ManifestError(
-                f"resume checkpoint arch {init_state.arch} does not match run arch {arch}")
-    opt = OptimConfig(**_section(cfg, "optim"))
-    pcfg = PretrainConfig(policy=cfg["mask.policy"], mask_ratio=cfg["mask.ratio"],
-                          augment_prob=cfg["augment.prob"],
-                          matched_start=cfg["augment.matched_start"],
-                          masked_only_loss=cfg["loss.masked_only"], optim=opt)
+def cmd_synth(run: Run) -> None:
+    spec = run.build(SynthSpec, SYNTH_KEYS)
+    run.start()
+    values, labels = generate_windows(spec)
+    save_dataset(run.out_dir, values, labels, spec.sample_rate_hz, spec.n_classes)
+    print(f"wrote {len(values)} windows to {run.out_dir}")
+
+
+def cmd_pretrain(run: Run) -> None:
+    cfg = run.cfg
+    pcfg = run.build(PretrainConfig, PRETRAIN_KEYS, optim=run.build(OptimConfig, OPTIM_KEYS))
+    values, _, meta = run.load("data.dir", load_dataset)
+    arch = run.build(ArchSpec, ARCH_KEYS, n_modalities=meta["C"],
+                     n_patches=_n_patches(run, "arch.patch_len", meta["L"]))
+    run.check("mask.ratio", sample_mask, pcfg.policy, arch.n_modalities, arch.n_patches,
+              pcfg.mask_ratio, 0)
+    init_state = run.load("resume", load_checkpoint) if cfg["resume"] else None
+    if init_state is not None and init_state.arch != arch:
+        raise run.error("resume", f"checkpoint arch {init_state.arch} does not match "
+                                  f"run arch {arch}")
+    run.start()
     state, trace = pretrain(values, arch, pcfg, cfg["seed"], init_state=init_state)
-    save_checkpoint(state, os.path.join(out_dir, "checkpoint"))
-    with open(os.path.join(out_dir, "loss.csv"), "w") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, value in enumerate(trace):
-            fh.write(f"{epoch},{_fmt(value)}\n")
+    save_checkpoint(state, os.path.join(run.out_dir, "checkpoint"))
+    run.write("loss.csv", _curve(trace))
     final = _fmt(trace[-1]) if trace else "nan"
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write(f"final_loss={final}\n")
-    print(f"pretrained {opt.epochs} epochs, final loss {final}")
+    run.write("summary.txt", f"final_loss={final}\n")
+    print(f"pretrained {pcfg.optim.epochs} epochs, final loss {final}")
 
 
-def cmd_impute(cfg: dict, out_dir: str) -> None:
-    raw, _, meta = load_dataset(cfg["data.dir"])
-    state = _fitting_checkpoint(cfg["checkpoint"], meta["C"], meta["L"])
+def cmd_impute(run: Run) -> None:
+    cfg = run.cfg
+    tasks = [run.build(MissingnessTask, TASK_KEYS, kind=kind) for kind in TASKS]
+    raw, _, meta = run.load("data.dir", load_dataset)
+    state = run.load("checkpoint", _fitting_checkpoint, meta["C"], meta["L"])
     arch = state.arch
+    for task in tasks:  # one throwaway draw each, for the checks that need the grid
+        run.check("task.ratio", task_mask, task, arch.n_modalities, arch.n_patches, 0)
+    # impute_chained's own sweeps check, on one fully visible window: it fills nothing
+    run.check("chained.sweeps", impute_chained, raw[:1], np.zeros(raw[:1].shape, dtype=bool),
+              cfg["chained.sweeps"])
+    run.start()
     values = standardize(raw)
-    ratio = cfg["task.ratio"]
     rows = []
-    for t_idx, kind in enumerate(TASKS):
-        task = MissingnessTask(kind=kind, ratio=ratio)
+    for t_idx, task in enumerate(tasks):
         rng = as_generator([cfg["seed"], t_idx])
         masks = np.stack([task_mask(task, arch.n_modalities, arch.n_patches, rng)
                           for _ in values])
@@ -217,96 +213,90 @@ def cmd_impute(cfg: dict, out_dir: str) -> None:
             "nearest": impute_nearest(values, smasks),
             "chained": impute_chained(values, smasks, sweeps=cfg["chained.sweeps"]),
         }
-        ratio_txt = "NA" if kind == "sensor" else _fmt(ratio)
+        ratio_txt = "NA" if task.kind == "sensor" else _fmt(task.ratio)
         for method in METHODS:
             sc = score(filled[method], values, smasks)
-            rows.append(f"{kind},{method},{ratio_txt},{_fmt(sc.mae)},{_fmt(sc.mse)},"
-                        f"{len(values)},{cfg['seed']}")
-    with open(os.path.join(out_dir, "report.csv"), "w") as fh:
-        fh.write("task,method,ratio,mae,mse,n_windows,seed\n")
-        for row in rows:
-            fh.write(row + "\n")
+            rows.append(f"{task.kind},{method},{ratio_txt},{_fmt(sc.mae)},{_fmt(sc.mse)},"
+                        f"{len(values)},{cfg['seed']}\n")
+    run.write("report.csv", "task,method,ratio,mae,mse,n_windows,seed\n" + "".join(rows))
     print(f"imputation report: {len(rows)} rows over {len(values)} windows")
 
 
-def cmd_probe(cfg: dict, out_dir: str) -> None:
-    values, labels, meta = load_dataset(cfg["data.dir"])
-    state = _fitting_checkpoint(cfg["checkpoint"], meta["C"], meta["L"])
+def cmd_probe(run: Run) -> None:
+    cfg = run.cfg
+    pcfg = run.build(ProbeConfig, PROBE_KEYS)
+    values, labels, meta = run.load("data.dir", load_dataset)
+    state = run.load("checkpoint", _fitting_checkpoint, meta["C"], meta["L"])
     if (labels < 0).any():
         path = os.path.join(cfg["data.dir"], LABELS_NAME)
         with open(path) as fh:  # blank lines hold no label: count them in
             lineno = next(k for k, line in enumerate(fh, 1) if line.strip() and int(line) < 0)
         raise ManifestError(f"{path}: line {lineno}: label -1 marks an unlabeled window; "
                             "probe needs a fully labeled dataset")
-    pcfg = ProbeConfig(**_section(cfg, "probe"))
+    run.start()
     res = probe(state, values, labels, meta["n_classes"], pcfg, cfg["seed"])
-    with open(os.path.join(out_dir, "curve.csv"), "w") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, value in enumerate(res.trace):
-            fh.write(f"{epoch},{_fmt(value)}\n")
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write(f"top1={_fmt(res.top1)}\n")
-        fh.write(f"final_loss={_fmt(res.trace[-1]) if res.trace else 'nan'}\n")
-        fh.write(f"train_size={res.train_size}\n")
-        fh.write(f"val_size={res.val_size}\n")
+    run.write("curve.csv", _curve(res.trace))
+    run.write("summary.txt", f"top1={_fmt(res.top1)}\n"
+                             f"final_loss={_fmt(res.trace[-1]) if res.trace else 'nan'}\n"
+                             f"train_size={res.train_size}\nval_size={res.val_size}\n")
     print(f"{pcfg.mode} top-1 {res.top1:.4f} on {res.val_size} held-out windows")
 
 
-def cmd_analyze(cfg: dict, out_dir: str) -> None:
-    n_seeds = cfg["exp.n_seeds"]
-    if n_seeds < 1:
-        raise ManifestError(f"exp.n_seeds must be at least 1, got {n_seeds}")
-    if cfg["exp.pca_k"] < 1:
-        raise ManifestError(f"exp.pca_k must be at least 1, got {cfg['exp.pca_k']}")
+def cmd_analyze(run: Run) -> None:
+    cfg = run.cfg
+    # PCA of one transition keeps min(n, q) - 1 = 0 dimensions
+    n_trans = run.at_least("exp.n_transitions", 2)
+    pca_k = run.at_least("exp.pca_k", 1)
+    n_seeds = run.at_least("exp.n_seeds", 1)
+    spec = run.build(SynthSpec, SYNTH_KEYS)
     if cfg["exp.encoder"] == "raw_flatten":
         state = None
+        n_patches = _n_patches(run, "exp.patch_len", spec.n_samples)
     elif cfg["exp.encoder"] == "model_encoder":
-        if not cfg["exp.checkpoint"]:
-            raise ManifestError("exp.encoder=model_encoder needs exp.checkpoint")
-        state = _fitting_checkpoint(cfg["exp.checkpoint"], cfg["data.n_modalities"],
-                                    cfg["data.n_samples"])
+        state = run.load("exp.checkpoint", _fitting_checkpoint, spec.n_modalities,
+                         spec.n_samples)
+        n_patches = state.arch.n_patches
     else:
-        raise ManifestError(f"unknown exp.encoder {cfg['exp.encoder']!r}")
-    n_trans = cfg["exp.n_transitions"]
+        raise run.error("exp.encoder", f"must be raw_flatten or model_encoder, "
+                                       f"got {cfg['exp.encoder']!r}")
+    for policy in (CROSS, SYNC):
+        run.check("exp.mask_ratio", sample_mask, policy, spec.n_modalities, n_patches,
+                  cfg["exp.mask_ratio"], 0)
+    run.start()
     rows = []
     sums = {CROSS: 0.0, SYNC: 0.0}
     for s in range(n_seeds):
         replicate = cfg["seed"] + s
-        base, _ = generate_windows(_synth_spec(cfg, replicate))
+        base, _ = generate_windows(replace(spec, seed=replicate))
         rng = as_generator([cfg["seed"] + 1000 + s])
         trans = np.stack([splice_augment(base, rng).window for _ in range(n_trans)])
         for policy in (CROSS, SYNC):
-            sigma1 = sigma1_experiment(trans, policy, state,
-                                       pca_k=cfg["exp.pca_k"],
+            sigma1 = sigma1_experiment(trans, policy, state, pca_k=pca_k,
                                        seed=cfg["seed"] + 31 + s,
                                        ratio=cfg["exp.mask_ratio"],
                                        patch_len=cfg["exp.patch_len"])
             sums[policy] += sigma1
-            rows.append(f"{policy},{replicate},{n_trans},{cfg['exp.pca_k']},"
-                        f"{cfg['exp.encoder']},{_fmt(sigma1)}")
-    with open(os.path.join(out_dir, "sigma1.csv"), "w") as fh:
-        fh.write("policy,seed,n,pca_k,encoder_kind,sigma1\n")
-        for row in rows:
-            fh.write(row + "\n")
+            rows.append(f"{policy},{replicate},{n_trans},{pca_k},"
+                        f"{cfg['exp.encoder']},{_fmt(sigma1)}\n")
+    run.write("sigma1.csv", "policy,seed,n,pca_k,encoder_kind,sigma1\n" + "".join(rows))
     mean_cross = sums[CROSS] / n_seeds
     mean_sync = sums[SYNC] / n_seeds
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write(f"mean_sigma1_cross={_fmt(mean_cross)}\n")
-        fh.write(f"mean_sigma1_sync={_fmt(mean_sync)}\n")
-        fh.write(f"mean_gap={_fmt(mean_cross - mean_sync)}\n")
+    run.write("summary.txt", f"mean_sigma1_cross={_fmt(mean_cross)}\n"
+                             f"mean_sigma1_sync={_fmt(mean_sync)}\n"
+                             f"mean_gap={_fmt(mean_cross - mean_sync)}\n")
     print(f"sigma1 cross {mean_cross:.4f} vs sync {mean_sync:.4f} "
           f"(gap {mean_cross - mean_sync:+.4f}) over {n_seeds} seeds")
 
 
-def cmd_gradcheck(cfg: dict, out_dir: str) -> None:
-    if cfg["check.max_coords"] < 1:
-        raise ManifestError(f"check.max_coords must be at least 1, got {cfg['check.max_coords']}")
+def cmd_gradcheck(run: Run) -> None:
+    cfg = run.cfg
+    max_coords = run.at_least("check.max_coords", 1)
     if not cfg["check.h"] > 0:
-        raise ManifestError(f"check.h must be positive, got {cfg['check.h']!r}")
-    err = gradcheck_model(ArchSpec(**_section(cfg, "arch")), seed=cfg["seed"],
-                          h=cfg["check.h"], max_coords=cfg["check.max_coords"])
-    with open(os.path.join(out_dir, "gradcheck.txt"), "w") as fh:
-        fh.write(f"max_rel_err={_fmt(err)}\n")
+        raise run.error("check.h", f"must be positive, got {cfg['check.h']!r}")
+    arch = run.build(ArchSpec, ARCH_KEYS)
+    run.start()
+    err = gradcheck_model(arch, seed=cfg["seed"], h=cfg["check.h"], max_coords=max_coords)
+    run.write("gradcheck.txt", f"max_rel_err={_fmt(err)}\n")
     print(f"max relative error {_fmt(err)}")
 
 
@@ -335,14 +325,14 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)
     defaults, fn = COMMANDS[args.command]
-    if args.config:
-        cfg = load_config(args.config, defaults)
-    else:
-        cfg = resolve(defaults, {}, source="<defaults>")
+    cfg = load_config(args.config, defaults) if args.config else dict(defaults)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    _start_run(args.out, args.command, cfg)
-    fn(cfg, args.out)
+    run = Run(args.command, cfg, args.config or "<defaults>", args.out)
+    if cfg["seed"] < 0:
+        where = "--seed" if args.seed is not None else run.source
+        raise ManifestError(f"{where}: key seed: must be at least 0, got {cfg['seed']}")
+    fn(run)
     return 0
 
 

@@ -32,9 +32,9 @@ class MissingnessTask:
 
     def __post_init__(self):
         if self.kind not in TASKS:
-            raise ValueError(f"task kind must be one of {TASKS}")
+            raise ValueError(f"kind must be one of {TASKS}, got {self.kind!r}")
         if self.kind != "sensor" and not 0.0 < self.ratio < 1.0:
-            raise ValueError("ratio must lie in (0, 1)")
+            raise ValueError(f"ratio must lie in (0, 1), got {self.ratio!r}")
 
 
 def task_mask(task: MissingnessTask, n_modalities: int, n_patches: int, rng) -> np.ndarray:

@@ -50,17 +50,14 @@ class ArchSpec:
     mlp_ratio: int = 2
 
     def __post_init__(self):
-        for name, value in (("d_model", self.d_model), ("n_heads", self.n_heads)):
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be at least 1, got {getattr(self, f.name)}")
         if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
+            raise ValueError(f"n_heads must divide d_model {self.d_model}, got {self.n_heads}")
         if self.d_model % 4 != 0:
-            raise ValueError("d_model must be divisible by 4 for 2-D sinusoidal positions")
-        if min(self.n_modalities, self.n_patches, self.patch_len) < 1:
-            raise ValueError("grid dimensions must be positive")
-        if self.enc_layers < 1 or self.dec_layers < 1 or self.mlp_ratio < 1:
-            raise ValueError("layer counts and mlp_ratio must be >= 1")
+            raise ValueError(f"d_model must be divisible by 4 for 2-D sinusoidal positions, "
+                             f"got {self.d_model}")
 
     @property
     def n_tokens(self):

@@ -79,26 +79,31 @@ class PretrainConfig:
 
     def __post_init__(self):
         if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
+            raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if not 0.0 < self.mask_ratio < 1.0:
-            raise ValueError("mask_ratio must lie in (0, 1)")
+            raise ValueError(f"mask_ratio must lie in (0, 1), got {self.mask_ratio!r}")
         if not 0.0 <= self.augment_prob <= 1.0:
-            raise ValueError("augment_prob must lie in [0, 1]")
+            raise ValueError(f"augment_prob must lie in [0, 1], got {self.augment_prob!r}")
 
 
 @dataclass
 class ProbeConfig:
+    """Probe settings. `optim`, the head's optimizer with no warmup, is
+    built from them, so its checks run when the probe is configured."""
     mode: str = "lp"  # lp | ft
     epochs: int = 200
     lr: float = 1e-2
     weight_decay: float = 0.0
     train_fraction: float = 0.7
+    optim: OptimConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("lp", "ft"):
-            raise ValueError("probe mode must be 'lp' or 'ft'")
+            raise ValueError(f"mode must be 'lp' or 'ft', got {self.mode!r}")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
+            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction!r}")
+        self.optim = OptimConfig(lr=self.lr, weight_decay=self.weight_decay,
+                                 epochs=self.epochs, warmup_epochs=0)
 
 
 class AdamWState:
@@ -289,8 +294,7 @@ def probe(state: ModelState, values: np.ndarray, labels: np.ndarray, n_classes: 
     onehot = np.zeros((len(labels), n_classes))
     onehot[np.arange(len(labels)), labels] = 1.0
 
-    ocfg = OptimConfig(lr=cfg.lr, weight_decay=cfg.weight_decay, epochs=cfg.epochs,
-                       warmup_epochs=0)
+    ocfg = cfg.optim
     trace = []
 
     if cfg.mode == "lp":

@@ -43,12 +43,13 @@ class SynthSpec:
     sample_rate_hz: float = 50.0
 
     def __post_init__(self):
-        if self.n_windows < 1 or self.n_modalities < 2 or self.n_samples < 2:
-            raise ValueError("SynthSpec requires n_windows >= 1, C >= 2, L >= 2")
-        if self.n_classes < 1:
-            raise ValueError("SynthSpec requires n_classes >= 1")
+        for name, least in (("n_windows", 1), ("n_modalities", 2), ("n_samples", 2),
+                            ("n_classes", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not 0.0 <= self.shared_latent_strength <= 1.0:
-            raise ValueError("shared_latent_strength must lie in [0, 1]")
+            raise ValueError(f"shared_latent_strength must lie in [0, 1], "
+                             f"got {self.shared_latent_strength!r}")
         # written so that NaN fails too
         if not 0.0 <= self.noise_sd < np.inf:
             raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd!r}")
@@ -148,8 +149,12 @@ def standardize(values: np.ndarray) -> np.ndarray:
         raise ValueError(f"standardize needs finite values; index {bad} is not")
     mu = values.mean(axis=-1, keepdims=True)
     sd = values.std(axis=-1, keepdims=True)
-    # sd == 0 only where every sample equals mu, so values - mu is already 0
-    return (values - mu) / np.where(sd == 0.0, 1.0, sd)
+    # The mean of a constant channel can miss its value by a few ulps (three
+    # 0.1s average to 0.1 + 1.4e-17), which leaves an sd of the same size
+    # and would map the channel to +-1. Such an sd stays below 4.7 eps |mu|
+    # for lengths 2 to 10,000, so the floor is 8 eps |mu|.
+    flat = sd <= 8 * np.finfo(np.float64).eps * np.abs(mu)
+    return np.where(flat, 0.0, (values - mu) / np.where(flat, 1.0, sd))
 
 
 MANIFEST_NAME = "manifest.txt"
@@ -182,8 +187,10 @@ def save_dataset(directory, values: np.ndarray, labels: np.ndarray, sample_rate_
 def load_dataset(directory):
     """Read a dataset directory back. Returns (values, labels, meta dict).
     Malformed files raise a ManifestError naming the file's path and the
-    field, window or line at fault: n_windows >= 1, C >= 2, L >= 2, finite
-    values, and labels that are -1 (unlabeled) or a class below n_classes."""
+    field, window or line at fault: n_windows >= 1, C >= 2, L >= 2,
+    n_classes >= 0 (0 for a wholly unlabeled dataset), a positive and finite
+    sample_rate_hz, finite values, and labels that are -1 (unlabeled) or a
+    class below n_classes."""
     man_path = os.path.join(directory, MANIFEST_NAME)
     blob_path = os.path.join(directory, BLOB_NAME)
     labels_path = os.path.join(directory, LABELS_NAME)
@@ -201,9 +208,12 @@ def load_dataset(directory):
         rate = float(meta["sample_rate_hz"])
     except ValueError as exc:
         raise ManifestError(f"{man_path}: non-numeric field ({exc})") from None
-    for key, value, least in (("n_windows", n, 1), ("C", c_n, 2), ("L", length, 2)):
+    for key, value, least in (("n_windows", n, 1), ("C", c_n, 2), ("L", length, 2),
+                              ("n_classes", n_classes, 0)):
         if value < least:
             raise ManifestError(f"{man_path}: {key}={value} must be at least {least}")
+    if not 0.0 < rate < np.inf:
+        raise ManifestError(f"{man_path}: sample_rate_hz={rate!r} must be positive and finite")
     expected = n * c_n * length * 4
     actual = os.path.getsize(blob_path)
     if actual != expected:

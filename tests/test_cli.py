@@ -184,7 +184,7 @@ def test_impute_grid_mismatch_rejected(checkpoint_dir, tmp_path, command):
     with pytest.raises(ManifestError, match="does not fit") as err:
         cli.main([command, "--out", str(tmp_path / "o"), "--config", bad])
     assert str(err.value).startswith(checkpoint_dir + ":")
-    assert sorted(os.listdir(tmp_path / "o")) == ["config.txt", "format.txt"]
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_probe_summary(data_dir, checkpoint_dir, tmp_path):
@@ -238,8 +238,7 @@ def test_analyze_rejects_bad_settings_before_writing_results(tmp_path, key, valu
     cfg = _write_cfg(tmp_path / "a.cfg", **{key: value})
     with pytest.raises(ManifestError, match=key):
         cli.main(["analyze", "--out", str(tmp_path / "o"), "--config", cfg])
-    assert not os.path.exists(tmp_path / "o" / "sigma1.csv")
-    assert not os.path.exists(tmp_path / "o" / "summary.txt")
+    assert not os.path.exists(tmp_path / "o")
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -249,9 +248,67 @@ def test_analyze_rejects_bad_settings_before_writing_results(tmp_path, key, valu
     ("check.h", -1e-4, "must be positive, got -0.0001")])
 def test_gradcheck_rejects_bad_settings_before_writing_results(tmp_path, key, value, message):
     cfg = _write_cfg(tmp_path / "g.cfg", **{key: value})
-    with pytest.raises(ManifestError, match=f"^{key} {message}$"):
+    with pytest.raises(ManifestError, match=f"^{re.escape(cfg)}: key {key}: {message}$"):
         cli.main(["gradcheck", "--out", str(tmp_path / "o"), "--config", cfg])
-    assert not os.path.exists(tmp_path / "o" / "gradcheck.txt")
+    assert not os.path.exists(tmp_path / "o")
+
+
+# (command, settings written to the config file, key the error must name).
+# None drops a setting that the command's base config would write; a key
+# missing from the settings is at fault with its default value.
+BAD_SETTINGS = [
+    ("synth", {"data.strength": 2}, "data.strength"),
+    ("synth", {"seed": -1}, "seed"),
+    ("synth", {"--seed": -1}, "seed"),
+    ("pretrain", {"optim.lr": -1}, "optim.lr"),
+    ("pretrain", {"optim.epochs": 0}, "optim.warmup_epochs"),
+    ("pretrain", {"mask.ratio": 1.5}, "mask.ratio"),
+    ("pretrain", {"mask.ratio": 0.05}, "mask.ratio"),  # no cell of a 4 x 4 grid
+    ("pretrain", {"mask.policy": "foo"}, "mask.policy"),
+    ("pretrain", {"arch.n_heads": 3}, "arch.n_heads"),
+    ("pretrain", {"arch.patch_len": 0}, "arch.patch_len"),
+    ("pretrain", {"arch.patch_len": 33}, "arch.patch_len"),
+    ("pretrain", {"data.dir": None}, "data.dir"),
+    ("pretrain", {"data.dir": "nowhere"}, "data.dir"),
+    ("pretrain", {"resume": "nowhere"}, "resume"),
+    ("impute", {"task.ratio": 0}, "task.ratio"),
+    ("impute", {"task.ratio": 0.05}, "task.ratio"),  # no column of 4 patches
+    ("impute", {"chained.sweeps": 0}, "chained.sweeps"),
+    ("impute", {"checkpoint": "nowhere"}, "checkpoint"),
+    ("probe", {"probe.mode": "xx"}, "probe.mode"),
+    ("probe", {"probe.lr": 0.0}, "probe.lr"),
+    ("probe", {"checkpoint": None}, "checkpoint"),
+    ("analyze", {"data.strength": 2}, "data.strength"),
+    ("analyze", {"exp.n_transitions": 0}, "exp.n_transitions"),
+    ("analyze", {"exp.patch_len": 0}, "exp.patch_len"),
+    ("analyze", {"exp.mask_ratio": 0}, "exp.mask_ratio"),
+    ("analyze", {"exp.encoder": "model_encoder", "exp.checkpoint": "nowhere"},
+     "exp.checkpoint"),
+    ("gradcheck", {"arch.n_heads": 3}, "arch.n_heads"),
+]
+
+
+@pytest.mark.parametrize("command, settings, key", BAD_SETTINGS,
+                         ids=[f"{c}-{'-'.join(f'{k}={v}' for k, v in s.items())}"
+                              for c, s, _ in BAD_SETTINGS])
+def test_bad_setting_names_its_key_before_the_run_directory_exists(
+        data_dir, checkpoint_dir, tmp_path, command, settings, key):
+    base = {"pretrain": {"data.dir": data_dir},
+            "impute": {"data.dir": data_dir, "checkpoint": checkpoint_dir},
+            "probe": {"data.dir": data_dir, "checkpoint": checkpoint_dir}}.get(command, {})
+    written = {k: str(tmp_path / v) if v == "nowhere" else v
+               for k, v in {**base, **settings}.items() if v is not None and k != "--seed"}
+    cfg = _write_cfg(tmp_path / "bad.cfg", **written)
+    argv = [command, "--out", str(tmp_path / "o"), "--config", cfg]
+    if "--seed" in settings:
+        argv += ["--seed", str(settings["--seed"])]
+    with pytest.raises(ManifestError) as err:
+        cli.main(argv)
+    where = "--seed" if "--seed" in settings else cfg
+    assert str(err.value).startswith(f"{where}: key {key}: ")
+    if key not in written and where == cfg:
+        assert str(err.value).endswith(" is the default)")
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_gradcheck_command_reports_small_error(tmp_path):

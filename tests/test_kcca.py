@@ -123,6 +123,18 @@ def test_view_grams_validation():
         ViewGrams(np.ones((2, 3)), np.eye(2))
     with pytest.raises(ValueError, match="share a shape"):
         ViewGrams(np.eye(2), np.eye(3))
+    # NaN makes every comparison false, so a check written as "fail when the
+    # asymmetry exceeds the bound" passes it.
+    for bad in ([[np.nan, 1.0], [1.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]],
+                [[1.0, np.inf], [np.inf, 1.0]]):
+        with pytest.raises(ValueError, match="^k_m holds a non-finite value$"):
+            ViewGrams(np.eye(2), np.array(bad))
+    k = np.random.default_rng(3).standard_normal((300, 300))
+    k = k + k.T
+    ViewGrams(k, k)  # 300 spans three tiles of the symmetry check
+    k[290, 5] += 1e-9
+    with pytest.raises(ValueError, match="^k_u not symmetric within 1e-10$"):
+        ViewGrams(k, k.T)
 
 
 def test_pca_rank_one_recovery_and_centering():

@@ -71,10 +71,8 @@ def test_optim_config_names_the_bad_field_and_value(kwargs, message):
 
 @pytest.mark.parametrize("field, value", [("lr", 0.0), ("epochs", -1), ("weight_decay", -1.0)])
 def test_probe_names_a_bad_optimizer_setting(field, value):
-    ws, labels = _windows(n=4)
-    cfg = ProbeConfig(**{field: value})
     with pytest.raises(ValueError, match=f"^{field} must "):
-        probe(init_model(ARCH, seed=0), ws, labels, 4, cfg, seed=0)
+        ProbeConfig(**{field: value})
 
 
 def test_adamw_step_zero_grad_is_pure_decay():

@@ -155,6 +155,19 @@ def test_standardize_examples_and_idempotence():
     assert np.max(np.abs(twice - out)) <= 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-1e100, max_value=1e100), st.integers(min_value=2, max_value=600))
+def test_standardize_maps_a_constant_channel_to_zeros(value, length):
+    # A constant channel is what a stuck sensor records. Its mean can miss
+    # the value by a few ulps: three 0.1s average to 0.1 + 1.4e-17.
+    w = np.random.default_rng(length).standard_normal((2, 2, length))
+    w[1, 0] = value
+    out = standardize(w)
+    assert np.array_equal(out[1, 0], np.zeros(length))
+    assert np.array_equal(np.delete(out.reshape(4, length), 2, axis=0),
+                          standardize(np.delete(w.reshape(4, length), 2, axis=0)))
+
+
 def test_dataset_save_load_round_trip(tmp_path):
     ws, labels = generate_windows(_spec(n_windows=5, n_modalities=3, n_samples=24,
                                         n_classes=3, noise_sd=0.4))
@@ -239,8 +252,14 @@ def test_dataset_errors_name_the_full_path(tmp_path):
     ("C=1", "manifest.txt", "C=1 must be at least 2"),
     ("C=-2", "manifest.txt", "C=-2 must be at least 2"),
     ("L=1", "manifest.txt", "L=1 must be at least 2"),
+    ("n_classes=-3", "manifest.txt", "n_classes=-3 must be at least 0"),
+    ("sample_rate_hz=-5.0", "manifest.txt", "sample_rate_hz=-5.0 must be positive and finite"),
+    ("sample_rate_hz=0", "manifest.txt", "sample_rate_hz=0.0 must be positive and finite"),
+    ("sample_rate_hz=nan", "manifest.txt", "sample_rate_hz=nan must be positive and finite"),
+    ("sample_rate_hz=inf", "manifest.txt", "sample_rate_hz=inf must be positive and finite"),
 ], ids=["nan-blob", "no-windows", "negative-windows", "one-modality", "negative-modalities",
-        "one-sample"])
+        "one-sample", "negative-classes", "negative-rate", "zero-rate", "nan-rate",
+        "inf-rate"])
 def test_dataset_bad_dimensions_and_values_name_the_file(tmp_path, fault, name, message):
     save_dataset(tmp_path, *generate_windows(_spec()), sample_rate_hz=50.0, n_classes=2)
     if fault.startswith("NaN"):
