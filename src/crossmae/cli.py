@@ -23,7 +23,7 @@ from .kcca import sigma1_experiment
 from .masking import CROSS, SYNC, sample_mask
 from .model import (ArchSpec, _hold_heap, gradcheck_model, load_checkpoint,
                     save_checkpoint)
-from .train import OptimConfig, PretrainConfig, ProbeConfig, pretrain, probe
+from .train import OptimConfig, PretrainConfig, ProbeConfig, _split_indices, pretrain, probe
 from .windows import (LABELS_NAME, SynthSpec, as_generator, generate_windows,
                       load_dataset, save_dataset, splice_augment, standardize)
 
@@ -233,6 +233,7 @@ def cmd_probe(run: Run) -> None:
             lineno = next(k for k, line in enumerate(fh, 1) if line.strip() and int(line) < 0)
         raise ManifestError(f"{path}: line {lineno}: label -1 marks an unlabeled window; "
                             "probe needs a fully labeled dataset")
+    run.check("data.dir", _split_indices, len(values), pcfg.train_fraction, as_generator(0))
     run.start()
     res = probe(state, values, labels, meta["n_classes"], pcfg, cfg["seed"])
     run.write("curve.csv", _curve(res.trace))
@@ -262,6 +263,9 @@ def cmd_analyze(run: Run) -> None:
     for policy in (CROSS, SYNC):
         run.check("exp.mask_ratio", sample_mask, policy, spec.n_modalities, n_patches,
                   cfg["exp.mask_ratio"], 0)
+    # one throwaway splice of windows shaped like each replicate's, for its size check
+    run.check("data.n_windows", splice_augment,
+              np.broadcast_to(0.0, (spec.n_windows, spec.n_modalities, spec.n_samples)), 0)
     run.start()
     rows = []
     sums = {CROSS: 0.0, SYNC: 0.0}

@@ -23,6 +23,8 @@ from .windows import as_generator, patchify
 
 TASKS = ("random", "temporal", "sensor", "extrapolation")
 METHODS = ("model", "linear", "nearest", "chained")
+# Ridge added to the Gram of impute_chained's regressions.
+CHAINED_RIDGE = 1e-3
 
 
 @dataclass
@@ -134,8 +136,7 @@ def impute_nearest(values: np.ndarray, sample_masks: np.ndarray) -> np.ndarray:
     return filled
 
 
-def impute_chained(values: np.ndarray, sample_masks: np.ndarray, sweeps: int = 3,
-                   ridge: float = 1e-3) -> np.ndarray:
+def impute_chained(values: np.ndarray, sample_masks: np.ndarray, sweeps: int) -> np.ndarray:
     """Simplified chained-equations imputation, pooled across the (n, C, L)
     windows.
 
@@ -170,7 +171,7 @@ def impute_chained(values: np.ndarray, sample_masks: np.ndarray, sweeps: int = 3
             xm = x_fit.mean(axis=0)
             ym = y_fit.mean()
             xc = x_fit - xm
-            gram = xc.T @ xc + ridge * np.eye(len(others))
+            gram = xc.T @ xc + CHAINED_RIDGE * np.eye(len(others))
             coef = np.linalg.solve(gram, xc.T @ (y_fit - ym))
             x_pred = data[np.ix_(pred_rows, others)]
             data[pred_rows, c] = (x_pred - xm) @ coef + ym

@@ -189,8 +189,8 @@ def _encoded_view_features(state: ModelState, grids, masks) -> np.ndarray:
     return np.concatenate(feats)
 
 
-def sigma1_experiment(values, policy: str, state: ModelState | None = None, pca_k: int = 50,
-                      seed: int = 0, ratio: float = 0.15, patch_len: int = 20) -> float:
+def sigma1_experiment(values, policy: str, state: ModelState | None = None, *, pca_k: int,
+                      seed: int, ratio: float, patch_len: int) -> float:
     """sigma_1 of the unmasked/masked view cross-covariance under one policy,
     over the (n, C, L) windows.
 

@@ -12,11 +12,11 @@ stack with no padding: activations are (B*T, D) arrays of B row blocks, one
 per window, and attention stays inside each block. A batch is two arrays:
 grids (B, C, P, L_p) float64, each window's patches (windows.patchify), and
 masks (B, C, P) bool, True where a patch is hidden (masking.sample_mask).
-Training loops bind the parameters as trainable leaves of one tape per step;
-every forward-only caller (class embeddings, imputation, view features) goes
-through forward_frozen, which binds them once as constants and runs
-FORWARD_CHUNK windows at a time. A trainable Binding writes its gradients
-into arrays its training loop owns.
+Training loops bind the parameters as leaves of one tape per step, writing
+their gradients into arrays the loop owns. Every forward-only caller (class
+embeddings, imputation, view features) goes through forward_frozen, which
+binds the parameter arrays themselves as constants, so every primitive
+returns a plain array, and runs FORWARD_CHUNK windows at a time.
 
 The reconstruction loss is the mean squared error over all patches; a
 masked-only variant is available for ablation.
@@ -183,21 +183,23 @@ def _hold_heap():
 
 
 class Binding:
-    """Parameters of one ModelState wrapped as leaves on one tape.
+    """The parameters of one ModelState as the model reads them: p is
+    state.params itself when tape is None, else one leaf per parameter on tape.
 
     A training loop passes grads, a dict of one zeroed array per parameter
     (AdamWState.grad_views, the views of the optimizer's flat gradient
-    buffer), and backward adds each leaf's gradient into its array; without
-    grads a trainable leaf allocates its own. Every training and frozen
-    graph starts here, so a Binding holds the heap (_hold_heap) for library
-    callers; cli.main holds it before any subcommand runs."""
+    buffer), and backward adds each leaf's gradient into its array. Every
+    training and frozen pass starts here, so a Binding holds the heap
+    (_hold_heap) for library callers; cli.main holds it first."""
 
-    def __init__(self, state: ModelState, tape: T.Tape, trainable=True, grads=None):
+    def __init__(self, state: ModelState, tape: T.Tape | None, grads=None):
         _hold_heap()
         self.state = state
-        self.tape = tape
-        self.p = {k: tape.leaf(v, trainable, None if grads is None else grads[k])
-                  for k, v in state.params.items()}
+        if tape is None:
+            self.p = state.params
+        else:
+            self.p = {k: tape.leaf(v, None if grads is None else grads[k])
+                      for k, v in state.params.items()}
 
 
 def _attention(b: Binding, prefix: str, x, n_windows: int):
@@ -238,20 +240,20 @@ def _token_ids(masks: np.ndarray) -> np.ndarray:
 
 def forward_frozen(state: ModelState, fn, grids, masks):
     """Run fn (encode or reconstruct) with every parameter of state a
-    constant: yield (chunk, fn(binding, grids[chunk], masks[chunk]).data)
-    over consecutive slices of at most FORWARD_CHUNK windows. Nothing is
-    recorded on the tape, so no graph outlives a chunk."""
-    binding = Binding(state, T.Tape(), trainable=False)
+    constant: yield (chunk, fn(binding, grids[chunk], masks[chunk])), a plain
+    array, over consecutive slices of at most FORWARD_CHUNK windows. No tape
+    is involved, so nothing outlives a chunk."""
+    binding = Binding(state, None)
     for start in range(0, len(masks), FORWARD_CHUNK):
         chunk = slice(start, min(start + FORWARD_CHUNK, len(masks)))
-        yield chunk, fn(binding, grids[chunk], masks[chunk]).data
+        yield chunk, fn(binding, grids[chunk], masks[chunk])
 
 
 def encode(b: Binding, grids, masks):
     """Run the encoder over the visible tokens of a batch: grids (B, C, P,
     L_p) and masks (B, C, P) that all hide the same number of patches.
-    Returns a (B*(V+1), D) DiffArray of B row blocks: row 0 of a block is
-    the class token, rows 1..V the window's visible patches in grid order."""
+    Returns (B*(V+1), D) values in B row blocks: row 0 of a block is the
+    class token, rows 1..V the window's visible patches in grid order."""
     arch = b.state.arch
     want = (arch.n_modalities, arch.n_patches, arch.patch_len)
     if grids.shape[1:] != want:
@@ -262,11 +264,10 @@ def encode(b: Binding, grids, masks):
     n_win = len(ids)
     patches = grids.reshape(n_win, arch.n_tokens, arch.patch_len)
     visible = np.take_along_axis(patches, ids[:, 1:, None] - 1, axis=1)
-    vis = T.add(T.matmul(b.tape.constant(visible.reshape(-1, arch.patch_len)), b.p["embed.W"]),
-                b.p["embed.b"])
+    vis = T.add(T.matmul(visible.reshape(-1, arch.patch_len), b.p["embed.W"]), b.p["embed.b"])
     # the class-token rows are the ones at position row 0
     x = T.scatter_rows(vis, np.flatnonzero(ids), ids.size, b.p["cls"])
-    x = T.add(x, b.tape.constant(b.state.positions[ids.ravel()]))
+    x = T.add(x, b.state.positions[ids.ravel()])
     for i in range(arch.enc_layers):
         x = _block(b, f"enc{i}", x, n_win)
     return T.layernorm(x, b.p["enc.norm.g"], b.p["enc.norm.b"])
@@ -275,15 +276,15 @@ def encode(b: Binding, grids, masks):
 def decode(b: Binding, encoded, masks):
     """Scatter each window's encoder outputs back to its grid slots, fill
     hidden slots with the mask token, re-add positions everywhere, run the
-    decoder, and project every patch token back to patch space. Returns a
-    (B*N, L_p) DiffArray, window by window in grid order."""
+    decoder, and project every patch token back to patch space. Returns
+    (B*N, L_p) values, window by window in grid order."""
     arch = b.state.arch
     ids = _token_ids(masks)
     n_win, n_rows = len(ids), arch.n_tokens + 1
     starts = np.arange(n_win) * n_rows
     x = T.scatter_rows(encoded, (starts[:, None] + ids).ravel(), n_win * n_rows,
                        b.p["mask_token"])
-    x = T.add(x, b.tape.constant(np.tile(b.state.positions, (n_win, 1))))
+    x = T.add(x, np.tile(b.state.positions, (n_win, 1)))
 
     for i in range(arch.dec_layers):
         x = _block(b, f"dec{i}", x, n_win)
@@ -310,7 +311,7 @@ def mae_loss(b: Binding, grids, masks, masked_only: bool = False):
             raise ValueError("masked-only loss needs at least one masked patch")
         recon = T.take_rows(recon, masked_ids)
         target_np = target_np[masked_ids]
-    return T.mse(recon, b.tape.constant(target_np))
+    return T.mse(recon, target_np)
 
 
 def alignment_identity(u: np.ndarray, v: np.ndarray):
@@ -403,17 +404,7 @@ def load_checkpoint(directory) -> ModelState:
     return ModelState(arch, params)
 
 
-@dataclass
-class _LeafView:
-    """Binding look-alike whose leaves are supplied by the caller."""
-
-    state: ModelState
-    p: dict
-    tape: T.Tape
-
-
-def gradcheck_model(arch: ArchSpec, seed: int = 0, h: float = 1e-4,
-                    max_coords: int | None = 6) -> float:
+def gradcheck_model(arch: ArchSpec, seed: int, h: float, max_coords: int | None) -> float:
     """Finite-difference check of mae_loss over every parameter group.
 
     Returns the worst relative error across all sampled coordinates."""
@@ -429,9 +420,8 @@ def gradcheck_model(arch: ArchSpec, seed: int = 0, h: float = 1e-4,
     mask = sample_mask(CROSS, arch.n_modalities, arch.n_patches, 0.5,
                        as_generator(mask_seq))
 
-    def build(leaves):
-        tape_ = next(iter(leaves.values())).tape
-        return mae_loss(_LeafView(state, leaves, tape_), grid[None], mask[None])
+    def build(params):
+        return mae_loss(Binding(ModelState(arch, params), None), grid[None], mask[None])
 
     return T.finite_diff_check(build, state.params, h=h, max_coords=max_coords, seed=seed)
 

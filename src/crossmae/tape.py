@@ -1,15 +1,17 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A Tape records, in creation order, every primitive application that needs a
-gradient; applications on constants alone are computed but not recorded, so
-a forward-only tape holds nothing. backward walks the record once in reverse,
-so each node's gradient is fully accumulated before its own backward rule
-fires, and then drops the record and every node's backward rule: the graph
-is freed as soon as backward ends, and a tape runs backward at most once.
-Only scalar losses may be differentiated. A node allocates its gradient on
-the first contribution; a leaf may instead be given a caller-owned, zeroed
-array to add its gradient into (a training loop passes views of the
-optimizer's flat gradient buffer).
+A constant is a plain ndarray, and a DiffArray is a value that depends on a
+leaf of a Tape. Every primitive takes either for each operand. It records a
+node on its tracked operands' one tape, and when every operand is a constant
+it returns a plain array and records nothing, so a pass over constants alone
+never touches a tape. backward walks the record once in reverse, so each
+node's gradient is fully accumulated before its own backward rule fires, and
+then drops the record and every node's backward rule: the graph is freed as
+soon as backward ends, and a tape runs backward at most once. Only scalar
+losses that depend on a leaf may be differentiated. A node allocates its
+gradient on the first contribution; a leaf may instead be given a
+caller-owned, zeroed array to add its gradient into (a training loop passes
+views of the optimizer's flat gradient buffer).
 
 Supported broadcasting is deliberately narrow: add takes a 1-D bias row as
 its second operand, added to each row of a 2-D first operand. Everything else
@@ -26,14 +28,13 @@ from . import kernels
 
 
 class DiffArray:
-    """A tensor tracked on a tape, carrying its gradient after backward."""
+    """A value that depends on a leaf of a tape, carrying its gradient after backward."""
 
-    __slots__ = ("data", "tape", "requires_grad", "_grad", "_backward", "__weakref__")
+    __slots__ = ("data", "tape", "_grad", "_backward", "__weakref__")
 
-    def __init__(self, data, tape, requires_grad, grad=None):
+    def __init__(self, data, tape, grad=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.tape = tape
-        self.requires_grad = requires_grad
         self._grad = grad
         self._backward = None
 
@@ -54,35 +55,28 @@ class DiffArray:
 
 
 class Tape:
-    """Ordered record of the primitive applications that need a gradient."""
+    """Ordered record of the primitive applications that depend on a leaf."""
 
     def __init__(self):
         self._nodes = []
 
-    def leaf(self, data, requires_grad=True, grad=None):
+    def leaf(self, data, grad=None):
         """A leaf of the graph. Given grad, an array of data's shape that
         the caller has zeroed, backward adds the leaf's gradient into it
         instead of allocating one."""
         if grad is not None and np.shape(grad) != np.shape(data):
             raise ValueError(f"leaf gradient shape {np.shape(grad)} does not match "
                              f"data shape {np.shape(data)}")
-        return DiffArray(data, self, requires_grad, grad)
-
-    def constant(self, data):
-        return self.leaf(data, requires_grad=False)
-
-    def _record(self, data, parents, backward):
-        out = DiffArray(data, self, any(p.requires_grad for p in parents))
-        if out.requires_grad:
-            out._backward = backward
-            self._nodes.append(out)
-        return out
+        return DiffArray(data, self, grad)
 
     def backward(self, loss):
         """Accumulate d(loss)/d(node) into every reachable node's grad, then
         release the graph. A second call on the same tape raises."""
         if self._nodes is None:
             raise ValueError("backward already ran on this tape")
+        if not isinstance(loss, DiffArray):
+            raise ValueError("loss depends on no leaf: a primitive of constants alone "
+                             "returns a plain array, which has no gradient")
         if loss.data.shape != ():
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
         if loss.tape is not self:
@@ -95,156 +89,166 @@ class Tape:
             node._backward = None
 
 
-def _same_tape(*arrs):
-    tape = arrs[0].tape
-    for a in arrs[1:]:
-        if a.tape is not tape:
-            raise ValueError("operands recorded on different tapes")
-    return tape
+def _data(x):
+    """The array of an operand: a DiffArray's data, or the constant as a leaf would hold it."""
+    return x.data if isinstance(x, DiffArray) else np.asarray(x, dtype=np.float64)
+
+
+def _record(data, parents, backward):
+    """data as a node on its tracked parents' one tape, or data itself when every
+    parent is a constant: a one-operand backward only ever sees a DiffArray."""
+    tape = None
+    for p in parents:
+        if isinstance(p, DiffArray):
+            if tape is None:
+                tape = p.tape
+            elif p.tape is not tape:
+                raise ValueError("operands recorded on different tapes")
+    if tape is None:
+        return data
+    out = DiffArray(data, tape)
+    out._backward = backward
+    tape._nodes.append(out)
+    return out
 
 
 def add(a, b):
     """Elementwise sum of equal shapes, or a 2-D a plus a 1-D bias row b
     added to each of its rows."""
-    tape = _same_tape(a, b)
-    ash, bsh = a.data.shape, b.data.shape
+    ad, bd = _data(a), _data(b)
+    ash, bsh = ad.shape, bd.shape
     row = ash != bsh
     if row and not (len(ash) == 2 and bsh == (ash[1],)):
         raise ValueError(f"add shapes incompatible: {ash} vs {bsh}")
-    out_data = a.data + b.data
+    out_data = ad + bd
 
     def backward(g):
-        if a.requires_grad:
+        if isinstance(a, DiffArray):
             a.accumulate(g)
-        if b.requires_grad:
+        if isinstance(b, DiffArray):
             b.accumulate(g.sum(axis=0) if row else g)
 
-    return tape._record(out_data, (a, b), backward)
+    return _record(out_data, (a, b), backward)
 
 
 def mul(a, b):
     """Elementwise product of equal shapes."""
-    tape = _same_tape(a, b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul shapes incompatible: {a.data.shape} vs {b.data.shape}")
-    out_data = a.data * b.data
+    ad, bd = _data(a), _data(b)
+    if ad.shape != bd.shape:
+        raise ValueError(f"mul shapes incompatible: {ad.shape} vs {bd.shape}")
+    out_data = ad * bd
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * b.data)
-        if b.requires_grad:
-            b.accumulate(g * a.data)
+        if isinstance(a, DiffArray):
+            a.accumulate(g * bd)
+        if isinstance(b, DiffArray):
+            b.accumulate(g * ad)
 
-    return tape._record(out_data, (a, b), backward)
+    return _record(out_data, (a, b), backward)
 
 
 def matmul(a, b):
-    tape = _same_tape(a, b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    ad, bd = _data(a), _data(b)
+    if ad.ndim != 2 or bd.ndim != 2:
         raise ValueError("matmul requires 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
+    if ad.shape[1] != bd.shape[0]:
+        raise ValueError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
+    out_data = ad @ bd
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate(a.data.T @ g)
+        if isinstance(a, DiffArray):
+            a.accumulate(g @ bd.T)
+        if isinstance(b, DiffArray):
+            b.accumulate(ad.T @ g)
 
-    return tape._record(out_data, (a, b), backward)
+    return _record(out_data, (a, b), backward)
 
 
 def transpose(a):
-    if a.data.ndim != 2:
+    ad = _data(a)
+    if ad.ndim != 2:
         raise ValueError("transpose requires a 2-D operand")
-    out_data = np.ascontiguousarray(a.data.T)
+    out_data = np.ascontiguousarray(ad.T)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g.T)
+        a.accumulate(g.T)
 
-    return a.tape._record(out_data, (a,), backward)
+    return _record(out_data, (a,), backward)
 
 
 def slice_(a, key):
     """Basic slicing with a slice or tuple of slices (no steps)."""
+    ad = _data(a)
     if isinstance(key, slice):
         key = (key,)
     for k in key:
         if not isinstance(k, slice) or k.step not in (None, 1):
             raise ValueError("slice_ supports contiguous slices only")
-    out_data = np.ascontiguousarray(a.data[key])
+    out_data = np.ascontiguousarray(ad[key])
 
     def backward(g):
-        if a.requires_grad:
-            if a._grad is None:
-                a._grad = np.zeros_like(a.data)
-            a._grad[key] += g
+        a.grad[key] += g
 
-    return a.tape._record(out_data, (a,), backward)
+    return _record(out_data, (a,), backward)
 
 
 def concat(parts, axis=0):
     if not parts:
         raise ValueError("concat of zero arrays")
-    tape = _same_tape(*parts)
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    datas = [_data(p) for p in parts]
+    out_data = np.concatenate(datas, axis=axis)
+    offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
 
     def backward(g):
         moved = np.moveaxis(g, axis, 0)
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
+            if isinstance(p, DiffArray):
                 p.accumulate(np.moveaxis(moved[lo:hi], 0, axis))
 
-    return tape._record(out_data, tuple(parts), backward)
+    return _record(out_data, parts, backward)
 
 
 def take_rows(a, idx):
     """Rows idx of a 2-D array, in order and repeats allowed. The backward
     scatter-adds each gradient row into the row it came from."""
+    ad = _data(a)
     idx = np.asarray(idx, dtype=np.intp)
-    if a.data.ndim != 2 or idx.ndim != 1:
+    if ad.ndim != 2 or idx.ndim != 1:
         raise ValueError("take_rows needs a 2-D operand and 1-D row indices")
-    out_data = a.data[idx]
+    out_data = ad[idx]
 
     def backward(g):
-        if a.requires_grad:
-            if a._grad is None:
-                a._grad = np.zeros_like(a.data)
-            np.add.at(a._grad, idx, g)
+        np.add.at(a.grad, idx, g)
 
-    return a.tape._record(out_data, (a,), backward)
+    return _record(out_data, (a,), backward)
 
 
 def scatter_rows(a, idx, n_rows, fill):
     """An (n_rows, D) array whose rows idx are the rows of a, in order, and
     whose other rows each hold the single row of fill, shape (1, D). The
     indices must be distinct."""
-    tape = _same_tape(a, fill)
+    ad, fd = _data(a), _data(fill)
     idx = np.asarray(idx, dtype=np.intp)
-    if a.data.ndim != 2 or idx.shape != a.data.shape[:1]:
+    if ad.ndim != 2 or idx.shape != ad.shape[:1]:
         raise ValueError("scatter_rows needs a 2-D operand and one index per row")
-    d = a.data.shape[1]
-    if fill.data.shape != (1, d):
-        raise ValueError(f"scatter_rows fill must have shape (1, {d}), got {fill.data.shape}")
+    d = ad.shape[1]
+    if fd.shape != (1, d):
+        raise ValueError(f"scatter_rows fill must have shape (1, {d}), got {fd.shape}")
     rest = np.ones(n_rows, dtype=bool)
     rest[idx] = False
     if np.count_nonzero(rest) != n_rows - idx.size:
         raise ValueError("scatter_rows indices must be distinct")
     out_data = np.empty((n_rows, d))
-    out_data[rest] = fill.data
-    out_data[idx] = a.data
+    out_data[rest] = fd
+    out_data[idx] = ad
 
     def backward(g):
-        if a.requires_grad:
+        if isinstance(a, DiffArray):
             a.accumulate(g[idx])
-        if fill.requires_grad:
+        if isinstance(fill, DiffArray):
             fill.accumulate(g[rest].sum(axis=0, keepdims=True))
 
-    return tape._record(out_data, (a, fill), backward)
+    return _record(out_data, (a, fill), backward)
 
 
 def attention(q, k, v, n_blocks, n_heads):
@@ -254,12 +258,12 @@ def attention(q, k, v, n_blocks, n_heads):
     Heads come from a reshape to (blocks, heads, T, D / heads); each head
     computes softmax(q k^T / sqrt(D / heads)) v over its own block, and the
     heads are merged back to (rows, D) in head order."""
-    tape = _same_tape(q, k, v)
-    if q.data.ndim != 2 or k.data.shape != q.data.shape or v.data.shape != q.data.shape:
+    qd, kd, vd = _data(q), _data(k), _data(v)
+    if qd.ndim != 2 or kd.shape != qd.shape or vd.shape != qd.shape:
         raise ValueError("attention needs 2-D queries, keys and values of one shape")
-    rows, d = q.data.shape
+    rows, d = qd.shape
     if n_blocks < 1 or rows % n_blocks or d % n_heads:
-        raise ValueError(f"attention cannot split {q.data.shape} into {n_blocks} blocks "
+        raise ValueError(f"attention cannot split {qd.shape} into {n_blocks} blocks "
                          f"of {n_heads} heads")
     t, dh = rows // n_blocks, d // n_heads
     c = 1.0 / np.sqrt(dh)
@@ -270,7 +274,7 @@ def attention(q, k, v, n_blocks, n_heads):
     def merge(x):
         return x.transpose(0, 2, 1, 3).reshape(rows, d)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = split(qd), split(kd), split(vd)
     attn = qh @ kh.transpose(0, 1, 3, 2)
     attn *= c
     # The scores become the weights in place, so the pass holds one
@@ -282,152 +286,146 @@ def attention(q, k, v, n_blocks, n_heads):
 
     def backward(g):
         gh = split(g)
-        if v.requires_grad:
+        if isinstance(v, DiffArray):
             v.accumulate(merge(attn.transpose(0, 1, 3, 2) @ gh))
-        if q.requires_grad or k.requires_grad:
+        if isinstance(q, DiffArray) or isinstance(k, DiffArray):
             ga = (gh @ vh.transpose(0, 1, 3, 2)).reshape(-1, t)
             gs = kernels.softmax_bwd(attn.reshape(-1, t), ga).reshape(attn.shape)
             gs *= c
-            if q.requires_grad:
+            if isinstance(q, DiffArray):
                 q.accumulate(merge(gs @ kh))
-            if k.requires_grad:
+            if isinstance(k, DiffArray):
                 k.accumulate(merge(gs.transpose(0, 1, 3, 2) @ qh))
 
-    return tape._record(out_data, (q, k, v), backward)
+    return _record(out_data, (q, k, v), backward)
 
 
 def mean(a):
-    if a.data.size == 0:
+    ad = _data(a)
+    if ad.size == 0:
         raise ValueError("mean of empty array")
-    out_data = np.asarray(a.data.mean())
-    inv_n = 1.0 / a.data.size
+    out_data = np.asarray(ad.mean())
+    inv_n = 1.0 / ad.size
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(np.full_like(a.data, g * inv_n))
+        a.accumulate(np.full_like(ad, g * inv_n))
 
-    return a.tape._record(out_data, (a,), backward)
+    return _record(out_data, (a,), backward)
 
 
 def sum_(a):
-    out_data = np.asarray(a.data.sum())
+    ad = _data(a)
+    out_data = np.asarray(ad.sum())
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(np.full_like(a.data, g))
+        a.accumulate(np.full_like(ad, g))
 
-    return a.tape._record(out_data, (a,), backward)
+    return _record(out_data, (a,), backward)
 
 
 def scale(a, c):
     c = float(c)
-    out_data = a.data * c
+    out_data = _data(a) * c
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * c)
+        a.accumulate(g * c)
 
-    return a.tape._record(out_data, (a,), backward)
+    return _record(out_data, (a,), backward)
 
 
 def gelu(a):
-    out_data, cdf = kernels.gelu_fwd(a.data)
+    ad = _data(a)
+    out_data, cdf = kernels.gelu_fwd(ad)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(kernels.gelu_bwd(a.data, cdf, g))
+        a.accumulate(kernels.gelu_bwd(ad, cdf, g))
 
-    return a.tape._record(out_data, (a,), backward)
+    return _record(out_data, (a,), backward)
 
 
 def softmax(a):
     """Row softmax over the last axis of a 2-D array."""
-    if a.data.ndim != 2 or a.data.shape[1] == 0:
+    ad = _data(a)
+    if ad.ndim != 2 or ad.shape[1] == 0:
         raise ValueError("softmax requires a 2-D array with nonempty rows")
-    y = kernels.softmax_fwd(a.data)
+    y = kernels.softmax_fwd(ad)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(kernels.softmax_bwd(y, g))
+        a.accumulate(kernels.softmax_bwd(y, g))
 
-    return a.tape._record(y, (a,), backward)
+    return _record(y, (a,), backward)
 
 
 def log_softmax(a):
     """Row log-softmax; the stable companion of softmax for likelihood losses."""
-    if a.data.ndim != 2 or a.data.shape[1] == 0:
+    ad = _data(a)
+    if ad.ndim != 2 or ad.shape[1] == 0:
         raise ValueError("log_softmax requires a 2-D array with nonempty rows")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    shifted = ad - ad.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     out_data = shifted - lse
     soft = np.exp(out_data)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g - soft * g.sum(axis=1, keepdims=True))
+        a.accumulate(g - soft * g.sum(axis=1, keepdims=True))
 
-    return a.tape._record(out_data, (a,), backward)
+    return _record(out_data, (a,), backward)
 
 
 def layernorm(x, gain, bias, eps=1e-5):
     """Row layernorm of a 2-D array followed by affine scale/shift."""
+    xd, gd, bd = _data(x), _data(gain), _data(bias)
     if eps <= 0:
         raise ValueError("layernorm eps must be positive")
-    if x.data.ndim != 2:
+    if xd.ndim != 2:
         raise ValueError("layernorm requires a 2-D operand")
-    if gain.data.shape != (x.data.shape[1],) or bias.data.shape != (x.data.shape[1],):
+    if gd.shape != (xd.shape[1],) or bd.shape != (xd.shape[1],):
         raise ValueError("layernorm gain/bias must match the row width")
-    tape = _same_tape(x, gain, bias)
-    y, xhat, inv_std = kernels.layernorm_fwd(x.data, gain.data, bias.data, eps)
+    y, xhat, inv_std = kernels.layernorm_fwd(xd, gd, bd, eps)
 
     def backward(g):
-        gx, ggain, gbias = kernels.layernorm_bwd(xhat, inv_std, gain.data, g)
-        if x.requires_grad:
+        gx, ggain, gbias = kernels.layernorm_bwd(xhat, inv_std, gd, g)
+        if isinstance(x, DiffArray):
             x.accumulate(gx)
-        if gain.requires_grad:
+        if isinstance(gain, DiffArray):
             gain.accumulate(ggain)
-        if bias.requires_grad:
+        if isinstance(bias, DiffArray):
             bias.accumulate(gbias)
 
-    return tape._record(y, (x, gain, bias), backward)
+    return _record(y, (x, gain, bias), backward)
 
 
 def mse(a, b):
-    """Mean squared error over all elements, as a scalar node."""
-    tape = _same_tape(a, b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mse shapes differ: {a.data.shape} vs {b.data.shape}")
-    diff = a.data - b.data
+    """Mean squared error over all elements, as a scalar."""
+    ad, bd = _data(a), _data(b)
+    if ad.shape != bd.shape:
+        raise ValueError(f"mse shapes differ: {ad.shape} vs {bd.shape}")
+    diff = ad - bd
     out_data = np.asarray((diff * diff).mean())
     coef = 2.0 / diff.size
 
     def backward(g):
-        if a.requires_grad:
+        if isinstance(a, DiffArray):
             a.accumulate(g * coef * diff)
-        if b.requires_grad:
+        if isinstance(b, DiffArray):
             b.accumulate(-g * coef * diff)
 
-    return tape._record(out_data, (a, b), backward)
+    return _record(out_data, (a, b), backward)
 
 
 def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0):
     """Compare backward grads against central finite differences.
 
-    build: callable taking a dict name -> DiffArray of leaves (on a fresh tape)
-    and returning a scalar DiffArray loss. params: dict name -> ndarray.
-    Checks every coordinate, or a seeded subset of max_coords per parameter.
-    Returns the maximum relative error |analytic - numeric| /
-    max(1e-8, |analytic| + |numeric|).
+    build: callable taking a dict name -> operand and returning a scalar
+    loss. It gets the parameters as leaves of a fresh tape once, for the
+    analytic gradients, and as plain arrays for every bumped evaluation.
+    params: dict name -> ndarray. Checks every coordinate, or a seeded subset
+    of max_coords per parameter. Returns the maximum relative error
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
-    def evaluate(values, requires_grad=False):
-        tape = Tape()
-        leaves = {k: tape.leaf(v, requires_grad) for k, v in values.items()}
-        loss = build(leaves)
-        return tape, leaves, loss
-
-    tape, leaves, loss = evaluate(params, requires_grad=True)
-    tape.backward(loss)
-    analytic = {k: leaves[k].grad.copy() for k in params}
+    tape = Tape()
+    leaves = {k: tape.leaf(v) for k, v in params.items()}
+    tape.backward(build(leaves))
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     worst = 0.0
@@ -443,12 +441,12 @@ def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0):
         for idx in coords:
             x = work.flat[idx]
             work.flat[idx] += h
-            _, _, lp = evaluate(bumped)
+            lp = float(build(bumped))
             work.flat[idx] -= 2 * h
-            _, _, lm = evaluate(bumped)
+            lm = float(build(bumped))
             work.flat[idx] = x
-            numeric = (float(lp.data) - float(lm.data)) / (2 * h)
-            a = analytic[name].flat[idx]
+            numeric = (lp - lm) / (2 * h)
+            a = leaves[name].grad.flat[idx]
             rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             worst = max(worst, rel)
     return worst

@@ -252,6 +252,10 @@ def class_embeddings(state: ModelState, values: np.ndarray) -> np.ndarray:
 
 
 def _split_indices(n: int, train_fraction: float, rng) -> tuple:
+    """Shuffled (train, validation) indices of range(n), at least one on each side."""
+    if n < 2:
+        raise ValueError(f"probe needs at least 2 windows, one to train on and one to "
+                         f"validate on; got {n}")
     order = rng.permutation(n)
     cut = int(round(train_fraction * n))
     cut = min(max(cut, 1), n - 1)
@@ -260,7 +264,7 @@ def _split_indices(n: int, train_fraction: float, rng) -> tuple:
 
 def _cross_entropy(logits, labels_onehot):
     logp = T.log_softmax(logits)
-    picked = T.mul(logp, logits.tape.constant(labels_onehot))
+    picked = T.mul(logp, labels_onehot)
     return T.scale(T.sum_(picked), -1.0 / labels_onehot.shape[0])
 
 
@@ -279,9 +283,6 @@ def probe(state: ModelState, values: np.ndarray, labels: np.ndarray, n_classes: 
     labels = np.asarray(labels, dtype=np.int64)
     if len(values) != len(labels):
         raise ValueError("windows and labels length mismatch")
-    if len(values) < 2:
-        raise ValueError(f"probe needs at least 2 windows, one to train on and one to "
-                         f"validate on; got {len(values)}")
     root = np.random.SeedSequence(seed)
     split_seq, init_seq, loop_seq = root.spawn(3)
     tr, va = _split_indices(len(values), cfg.train_fraction, as_generator(split_seq))
@@ -303,7 +304,7 @@ def probe(state: ModelState, values: np.ndarray, labels: np.ndarray, n_classes: 
         opt = AdamWState(head.params)
 
         def lp_loss(b):
-            logits = T.add(T.matmul(b.tape.constant(emb[tr]), b.p["head.W"]), b.p["head.b"])
+            logits = T.add(T.matmul(emb[tr], b.p["head.W"]), b.p["head.b"])
             return _cross_entropy(logits, onehot[tr])
 
         for epoch in range(cfg.epochs):

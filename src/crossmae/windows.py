@@ -113,7 +113,7 @@ def splice_augment(values: np.ndarray, seed, matched_start: bool = False) -> Spl
     destination offset to equal the source offset.
     """
     if len(values) < 2:
-        raise ValueError("splice_augment needs at least 2 windows")
+        raise ValueError(f"splice_augment needs at least 2 windows, got {len(values)}")
     rng = as_generator(seed)
     length = values.shape[-1]
     i = int(rng.integers(0, len(values)))

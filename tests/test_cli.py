@@ -255,7 +255,8 @@ def test_gradcheck_rejects_bad_settings_before_writing_results(tmp_path, key, va
 
 # (command, settings written to the config file, key the error must name).
 # None drops a setting that the command's base config would write; a key
-# missing from the settings is at fault with its default value.
+# missing from the settings is at fault with its default value. "one-window"
+# stands for a copy of the test dataset cut to its first window.
 BAD_SETTINGS = [
     ("synth", {"data.strength": 2}, "data.strength"),
     ("synth", {"seed": -1}, "seed"),
@@ -278,10 +279,12 @@ BAD_SETTINGS = [
     ("probe", {"probe.mode": "xx"}, "probe.mode"),
     ("probe", {"probe.lr": 0.0}, "probe.lr"),
     ("probe", {"checkpoint": None}, "checkpoint"),
+    ("probe", {"data.dir": "one-window"}, "data.dir"),
     ("analyze", {"data.strength": 2}, "data.strength"),
     ("analyze", {"exp.n_transitions": 0}, "exp.n_transitions"),
     ("analyze", {"exp.patch_len": 0}, "exp.patch_len"),
     ("analyze", {"exp.mask_ratio": 0}, "exp.mask_ratio"),
+    ("analyze", {"data.n_windows": 1}, "data.n_windows"),
     ("analyze", {"exp.encoder": "model_encoder", "exp.checkpoint": "nowhere"},
      "exp.checkpoint"),
     ("gradcheck", {"arch.n_heads": 3}, "arch.n_heads"),
@@ -296,7 +299,11 @@ def test_bad_setting_names_its_key_before_the_run_directory_exists(
     base = {"pretrain": {"data.dir": data_dir},
             "impute": {"data.dir": data_dir, "checkpoint": checkpoint_dir},
             "probe": {"data.dir": data_dir, "checkpoint": checkpoint_dir}}.get(command, {})
-    written = {k: str(tmp_path / v) if v == "nowhere" else v
+    if settings.get("data.dir") == "one-window":
+        values, labels, meta = load_dataset(data_dir)
+        save_dataset(tmp_path / "one-window", values[:1], labels[:1], meta["sample_rate_hz"],
+                     meta["n_classes"])
+    written = {k: str(tmp_path / v) if v in ("nowhere", "one-window") else v
                for k, v in {**base, **settings}.items() if v is not None and k != "--seed"}
     cfg = _write_cfg(tmp_path / "bad.cfg", **written)
     argv = [command, "--out", str(tmp_path / "o"), "--config", cfg]

@@ -217,9 +217,9 @@ def test_sigma1_experiment_bounds_and_determinism():
     # length 140 gives P=7, the smallest grid where the synchronized policy
     # is non-degenerate at the default 0.15 ratio
     ws = _transition_windows(30, 0.9, 16, length=140)
-    v1 = sigma1_experiment(ws, "cross", pca_k=10, seed=3, patch_len=20)
-    v2 = sigma1_experiment(ws, "cross", pca_k=10, seed=3, patch_len=20)
-    v3 = sigma1_experiment(ws, "sync", pca_k=10, seed=3, patch_len=20)
+    v1 = sigma1_experiment(ws, "cross", pca_k=10, seed=3, ratio=0.15, patch_len=20)
+    v2 = sigma1_experiment(ws, "cross", pca_k=10, seed=3, ratio=0.15, patch_len=20)
+    v3 = sigma1_experiment(ws, "sync", pca_k=10, seed=3, ratio=0.15, patch_len=20)
     assert v1 == v2
     for v in (v1, v3):
         assert 0.0 <= v <= 1.0 + 1e-8
@@ -229,7 +229,9 @@ def test_sigma1_experiment_model_encoder_runs():
     ws = _transition_windows(12, 0.9, 17)
     arch = ArchSpec(n_modalities=4, n_patches=4, patch_len=20, d_model=8,
                     enc_layers=1, dec_layers=1, n_heads=2)
-    v = sigma1_experiment(ws, "cross", init_model(arch, seed=0), pca_k=6, seed=4)
+    v = sigma1_experiment(ws, "cross", init_model(arch, seed=0), pca_k=6, seed=4, ratio=0.15,
+                          patch_len=20)
     assert 0.0 <= v <= 1.0 + 1e-8
     with pytest.raises(ValueError):
-        sigma1_experiment(np.empty((0, 4, 80)), "cross")
+        sigma1_experiment(np.empty((0, 4, 80)), "cross", pca_k=50, seed=0, ratio=0.15,
+                          patch_len=20)

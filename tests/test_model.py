@@ -6,8 +6,8 @@ import pytest
 from crossmae import tape as T
 from crossmae.config import ManifestError
 from crossmae.masking import CROSS, sample_mask
-from crossmae.model import (ArchSpec, Binding, _attention, _LeafView,
-                            alignment_identity, encode, gradcheck_model, init_model, load_checkpoint,
+from crossmae.model import (ArchSpec, Binding, ModelState, _attention, alignment_identity,
+                            encode, forward_frozen, gradcheck_model, init_model, load_checkpoint,
                             mae_loss, positions_2d, reconstruct, save_checkpoint)
 from crossmae.windows import patchify
 
@@ -80,27 +80,26 @@ def test_encode_token_count_example():
     arch = ArchSpec(n_modalities=6, n_patches=10, patch_len=4)
     state = init_model(arch, seed=0)
     mask = _mask(arch, ratio=0.75)
-    b = Binding(state, T.Tape(), trainable=False)
+    b = Binding(state, None)
     out = encode(b, _grid(arch)[None], mask[None])
-    assert out.data.shape == (16, arch.d_model)  # 15 visible patches + class token
+    assert out.shape == (16, arch.d_model)  # 15 visible patches + class token
 
 
 def test_attention_is_permutation_equivariant():
     state = init_model(TINY, seed=5)
-    t = T.Tape()
-    b = Binding(state, t, trainable=False)
+    b = Binding(state, None)
     x = np.random.default_rng(6).standard_normal((7, TINY.d_model))
     perm = np.random.default_rng(7).permutation(7)
-    base = _attention(b, "enc0", t.constant(x), 1).data
-    moved = _attention(b, "enc0", t.constant(x[perm]), 1).data
+    base = _attention(b, "enc0", x, 1)
+    moved = _attention(b, "enc0", x[perm], 1)
     assert np.max(np.abs(moved - base[perm])) < 1e-10
 
 
 def test_all_zero_window_stays_finite():
     state = init_model(TINY, seed=0)
     grid = patchify(np.zeros((2, 12)), TINY.patch_len)
-    b = Binding(state, T.Tape(), trainable=False)
-    recon = reconstruct(b, grid[None], _mask(TINY)[None]).data
+    b = Binding(state, None)
+    recon = reconstruct(b, grid[None], _mask(TINY)[None])
     assert np.all(np.isfinite(recon))
 
 
@@ -109,8 +108,8 @@ def test_decode_shape_and_determinism():
     grid = _grid(TINY)
     for ratio in (0.2, 0.5, 0.8):
         mask = _mask(TINY, ratio=ratio)
-        out1 = reconstruct(Binding(state, T.Tape(), trainable=False), grid[None], mask[None]).data
-        out2 = reconstruct(Binding(state, T.Tape(), trainable=False), grid[None], mask[None]).data
+        out1 = reconstruct(Binding(state, None), grid[None], mask[None])
+        out2 = reconstruct(Binding(state, None), grid[None], mask[None])
         assert out1.shape == (TINY.n_tokens, TINY.patch_len)
         assert np.array_equal(out1, out2)
 
@@ -119,7 +118,7 @@ def test_shape_mismatch_rejected():
     state = init_model(TINY, seed=0)
     wrong = patchify(np.zeros((3, 12)), TINY.patch_len)
     with pytest.raises(ValueError):
-        encode(Binding(state, T.Tape(), trainable=False), wrong[None], _mask(TINY)[None])
+        encode(Binding(state, None), wrong[None], _mask(TINY)[None])
 
 
 def test_mask_token_receives_gradient():
@@ -136,25 +135,24 @@ def test_zero_head_gives_mean_square_loss():
     state.params["head.W"][:] = 0.0
     state.params["head.b"][:] = 0.0
     grid = _grid(TINY, seed=9)
-    loss = mae_loss(Binding(state, T.Tape(), trainable=False), grid[None], _mask(TINY)[None])
-    assert abs(float(loss.data) - float((grid ** 2).mean())) < 1e-12
+    loss = mae_loss(Binding(state, None), grid[None], _mask(TINY)[None])
+    assert abs(float(loss) - float((grid ** 2).mean())) < 1e-12
 
 
 def test_masked_only_loss_restricts_to_hidden_patches():
     state = init_model(TINY, seed=4)
     grid = _grid(TINY, seed=10)
     mask = _mask(TINY, ratio=0.5)
-    full = mae_loss(Binding(state, T.Tape(), trainable=False), grid[None], mask[None])
-    part = mae_loss(Binding(state, T.Tape(), trainable=False), grid[None], mask[None],
-                    masked_only=True)
-    recon = reconstruct(Binding(state, T.Tape(), trainable=False), grid[None], mask[None]).data
+    full = mae_loss(Binding(state, None), grid[None], mask[None])
+    part = mae_loss(Binding(state, None), grid[None], mask[None], masked_only=True)
+    recon = reconstruct(Binding(state, None), grid[None], mask[None])
     flat = grid.reshape(TINY.n_tokens, TINY.patch_len)
     ids = np.flatnonzero(mask.ravel() == 1)
     manual = float(((recon[ids] - flat[ids]) ** 2).mean())
-    assert abs(float(part.data) - manual) < 1e-12
-    assert float(part.data) != float(full.data)
+    assert abs(float(part) - manual) < 1e-12
+    assert float(part) != float(full)
     with pytest.raises(ValueError):
-        mae_loss(Binding(state, T.Tape(), trainable=False), grid[None],
+        mae_loss(Binding(state, None), grid[None],
                  np.zeros((1, 2, 3), dtype=bool), masked_only=True)
 
 
@@ -243,6 +241,14 @@ def test_checkpoint_negative_offset_rejected(tmp_path):
         load_checkpoint(tmp_path)
 
 
+def test_forward_frozen_matches_a_pass_on_leaves_bit_for_bit():
+    state = init_model(TINY, seed=6)
+    grids, masks = _batch(TINY, 5, CROSS, seed=7)
+    got = np.concatenate([recon for _, recon in forward_frozen(state, reconstruct, grids, masks)])
+    want = reconstruct(Binding(state, T.Tape()), grids, masks).data
+    assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+
+
 def test_gradcheck_tiny_model():
     err = gradcheck_model(TINY, seed=0, h=1e-4, max_coords=3)
     assert err < 1e-3
@@ -290,9 +296,8 @@ def test_batched_loss_matches_finite_differences():
     state = init_model(TINY, seed=13)
     grids, masks = _batch(TINY, 3, CROSS, seed=14)
 
-    def build(leaves):
-        t = next(iter(leaves.values())).tape
-        return mae_loss(_LeafView(state, leaves, t), grids, masks)
+    def build(params):
+        return mae_loss(Binding(ModelState(TINY, params), None), grids, masks)
 
     assert T.finite_diff_check(build, state.params, h=1e-4, max_coords=3) < 1e-3
 
@@ -303,7 +308,7 @@ def test_batch_rejects_unequal_visible_counts():
     bits[0, 0] = True
     masks = np.stack([_mask(TINY, ratio=0.5), bits])
     with pytest.raises(ValueError, match="same number"):
-        encode(Binding(state, T.Tape(), trainable=False), np.stack([_grid(TINY)] * 2), masks)
+        encode(Binding(state, None), np.stack([_grid(TINY)] * 2), masks)
 
 
 def test_step_node_count_does_not_depend_on_batch_size():
@@ -336,7 +341,7 @@ def test_heap_is_held_once_per_process(monkeypatch):
     model._hold_heap.cache_clear()
     try:
         state = init_model(TINY, seed=0)
-        Binding(state, T.Tape(), trainable=False)
+        Binding(state, None)
         Binding(state, T.Tape())
         assert opened == [None]
         assert libc.calls == [(model.M_MMAP_THRESHOLD, 64 << 20),
@@ -352,8 +357,8 @@ def test_heap_hold_is_a_no_op_without_mallopt(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
     model._hold_heap.cache_clear()
     try:
-        b = Binding(init_model(TINY, seed=0), T.Tape(), trainable=False)
-        assert encode(b, _grid(TINY)[None], _mask(TINY)[None]).data.shape == (4, TINY.d_model)
+        b = Binding(init_model(TINY, seed=0), None)
+        assert encode(b, _grid(TINY)[None], _mask(TINY)[None]).shape == (4, TINY.d_model)
     finally:
         model._hold_heap.cache_clear()
 

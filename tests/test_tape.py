@@ -1,6 +1,7 @@
 """Reverse-mode tape: forward values, exact gradients, finite differences."""
 
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -29,14 +30,14 @@ def test_softmax_rows_normalized_and_shift_invariant():
 def test_layernorm_constant_row_is_zero_before_affine():
     t = T.Tape()
     x = t.leaf(np.full((3, 8), 4.2))
-    out = T.layernorm(x, t.constant(np.ones(8)), t.constant(np.zeros(8)))
+    out = T.layernorm(x, np.ones(8), np.zeros(8))
     assert np.max(np.abs(out.data)) < 1e-6
 
 
 def test_mse_identity_is_zero_with_zero_grad():
     t = T.Tape()
     a = t.leaf(np.arange(6, dtype=float).reshape(2, 3))
-    loss = T.mse(a, t.constant(a.data.copy()))
+    loss = T.mse(a, a.data.copy())
     t.backward(loss)
     assert loss.data == 0.0
     assert np.array_equal(a.grad, np.zeros((2, 3)))
@@ -81,7 +82,7 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         T.matmul(t.leaf(np.ones((2, 3))), t.leaf(np.ones((2, 3))))
     with pytest.raises(ValueError):
-        T.mse(t.leaf(np.ones(3)), t.constant(np.ones(4)))
+        T.mse(t.leaf(np.ones(3)), np.ones(4))
 
 
 def test_bias_row_broadcast_gradient():
@@ -94,42 +95,79 @@ def test_bias_row_broadcast_gradient():
 
 
 PRIMITIVES = {
-    "add": lambda t, p: T.mean(T.add(p["a"], p["b"])),
-    "mul": lambda t, p: T.mean(T.mul(p["a"], p["b"])),
-    "matmul": lambda t, p: T.mean(T.matmul(p["a"], p["m"])),
-    "transpose": lambda t, p: T.mean(T.mul(T.transpose(p["a"]), T.transpose(p["a"]))),
-    "slice": lambda t, p: T.mean(T.slice_(p["a"], (slice(1, 3), slice(None)))),
-    "concat": lambda t, p: T.mean(T.concat([p["a"], p["b"]], axis=0)),
-    "sum": lambda t, p: T.sum_(T.mul(p["a"], p["a"])),
-    "scale": lambda t, p: T.mean(T.scale(p["a"], 2.5)),
-    "gelu": lambda t, p: T.mean(T.gelu(p["a"])),
-    "softmax": lambda t, p: T.mean(T.mul(T.softmax(p["a"]), p["b"])),
-    "log_softmax": lambda t, p: T.mean(T.mul(T.log_softmax(p["a"]), p["b"])),
-    "layernorm": lambda t, p: T.mean(T.layernorm(p["a"], p["g"], p["c"])),
-    "mse": lambda t, p: T.mse(p["a"], p["b"]),
-    "take_rows": lambda t, p: T.mean(T.mul(T.take_rows(p["a"], [3, 0, 3]),
+    "add": lambda p: T.mean(T.add(p["a"], p["b"])),
+    "mul": lambda p: T.mean(T.mul(p["a"], p["b"])),
+    "matmul": lambda p: T.mean(T.matmul(p["a"], p["m"])),
+    "transpose": lambda p: T.mean(T.mul(T.transpose(p["a"]), T.transpose(p["a"]))),
+    "slice": lambda p: T.mean(T.slice_(p["a"], (slice(1, 3), slice(None)))),
+    "concat": lambda p: T.mean(T.concat([p["a"], p["b"]], axis=0)),
+    "sum": lambda p: T.sum_(T.mul(p["a"], p["a"])),
+    "scale": lambda p: T.mean(T.scale(p["a"], 2.5)),
+    "gelu": lambda p: T.mean(T.gelu(p["a"])),
+    "softmax": lambda p: T.mean(T.mul(T.softmax(p["a"]), p["b"])),
+    "log_softmax": lambda p: T.mean(T.mul(T.log_softmax(p["a"]), p["b"])),
+    "layernorm": lambda p: T.mean(T.layernorm(p["a"], p["g"], p["c"])),
+    "mse": lambda p: T.mse(p["a"], p["b"]),
+    "take_rows": lambda p: T.mean(T.mul(T.take_rows(p["a"], [3, 0, 3]),
                                            T.slice_(p["b"], (slice(0, 3), slice(None))))),
-    "scatter_rows": lambda t, p: T.mean(T.mul(T.scatter_rows(p["a"], [5, 0, 2, 3], 7, p["f"]),
-                                              t.constant(np.arange(35.0).reshape(7, 5)))),
-    "attention": lambda t, p: T.mean(T.mul(T.attention(p["q"], p["k"], p["v"], 2, 2), p["w"])),
+    "scatter_rows": lambda p: T.mean(T.mul(T.scatter_rows(p["a"], [5, 0, 2, 3], 7, p["f"]),
+                                              np.arange(35.0).reshape(7, 5))),
+    "attention": lambda p: T.mean(T.mul(T.attention(p["q"], p["k"], p["v"], 2, 2), p["w"])),
 }
+
+
+def _operands():
+    rng = np.random.default_rng(17)
+    return {"a": rng.standard_normal((4, 5)), "b": rng.standard_normal((4, 5)),
+            "m": rng.standard_normal((5, 3)), "g": rng.standard_normal(5) + 2.0,
+            "c": rng.standard_normal(5), "f": rng.standard_normal((1, 5)),
+            "q": rng.standard_normal((6, 4)), "k": rng.standard_normal((6, 4)),
+            "v": rng.standard_normal((6, 4)), "w": rng.standard_normal((6, 4))}
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_each_primitive_matches_finite_differences(name):
-    rng = np.random.default_rng(17)
-    params = {"a": rng.standard_normal((4, 5)), "b": rng.standard_normal((4, 5)),
-              "m": rng.standard_normal((5, 3)), "g": rng.standard_normal(5) + 2.0,
-              "c": rng.standard_normal(5), "f": rng.standard_normal((1, 5)),
-              "q": rng.standard_normal((6, 4)), "k": rng.standard_normal((6, 4)),
-              "v": rng.standard_normal((6, 4)), "w": rng.standard_normal((6, 4))}
-
-    def build(leaves):
-        t = next(iter(leaves.values())).tape
-        return PRIMITIVES[name](t, leaves)
-
-    err = T.finite_diff_check(build, params, h=1e-4)
+    err = T.finite_diff_check(PRIMITIVES[name], _operands(), h=1e-4)
     assert err < 1e-5, f"{name}: {err:.2e}"
+
+
+# One call of each public primitive, with every array operand passed
+# through w: the identity for constants, a tape's leaf for tracked operands.
+CALLS = {
+    "add": lambda w, p: T.add(w(p["a"]), w(p["c"])),
+    "mul": lambda w, p: T.mul(w(p["a"]), w(p["b"])),
+    "matmul": lambda w, p: T.matmul(w(p["a"]), w(p["m"])),
+    "transpose": lambda w, p: T.transpose(w(p["a"])),
+    "slice_": lambda w, p: T.slice_(w(p["a"]), (slice(1, 3), slice(None))),
+    "concat": lambda w, p: T.concat([w(p["a"]), w(p["b"])], axis=1),
+    "take_rows": lambda w, p: T.take_rows(w(p["a"]), [3, 0, 3]),
+    "scatter_rows": lambda w, p: T.scatter_rows(w(p["a"]), [5, 0, 2, 3], 7, w(p["f"])),
+    "attention": lambda w, p: T.attention(w(p["q"]), w(p["k"]), w(p["v"]), 2, 2),
+    "mean": lambda w, p: T.mean(w(p["a"])),
+    "sum_": lambda w, p: T.sum_(w(p["a"])),
+    "scale": lambda w, p: T.scale(w(p["a"]), 2.5),
+    "gelu": lambda w, p: T.gelu(w(p["a"])),
+    "softmax": lambda w, p: T.softmax(w(p["a"])),
+    "log_softmax": lambda w, p: T.log_softmax(w(p["a"])),
+    "layernorm": lambda w, p: T.layernorm(w(p["a"]), w(p["g"]), w(p["c"])),
+    "mse": lambda w, p: T.mse(w(p["a"]), w(p["b"])),
+}
+
+
+def _public_primitives():
+    return sorted(name for name, fn in vars(T).items()
+                  if inspect.isfunction(fn) and fn.__module__ == T.__name__
+                  and not name.startswith("_") and name != "finite_diff_check")
+
+
+@pytest.mark.parametrize("name", _public_primitives())
+def test_each_primitive_of_constants_returns_the_array_a_leaf_would_carry(name):
+    const = CALLS[name](lambda x: x, _operands())
+    t = T.Tape()
+    tracked = CALLS[name](t.leaf, _operands())
+    assert type(const) is np.ndarray and isinstance(tracked, T.DiffArray)
+    assert const.dtype == tracked.data.dtype and const.shape == tracked.data.shape
+    assert const.tobytes() == tracked.data.tobytes()
 
 
 def test_three_layer_composition_matches_finite_differences():
@@ -141,10 +179,9 @@ def test_three_layer_composition_matches_finite_differences():
     target = rng.standard_normal((5, 2))
 
     def build(p):
-        t = p["w1"].tape
-        h1 = T.gelu(T.add(T.matmul(t.constant(x), p["w1"]), p["b1"]))
+        h1 = T.gelu(T.add(T.matmul(x, p["w1"]), p["b1"]))
         h2 = T.layernorm(T.matmul(h1, p["w2"]), p["g"], p["c"])
-        return T.mse(T.matmul(T.softmax(h2), p["w3"]), t.constant(target))
+        return T.mse(T.matmul(T.softmax(h2), p["w3"]), target)
 
     assert T.finite_diff_check(build, params, h=1e-4) < 1e-3
 
@@ -156,7 +193,7 @@ def test_finite_diff_quadratic_and_constant():
     assert T.finite_diff_check(quad, {"x": np.array([1.0, -2.0, 0.5])}, h=1e-4) < 1e-8
 
     def const(p):
-        return T.scale(T.sum_(T.mul(p["x"], p["x"].tape.constant(np.zeros(3)))), 1.0)
+        return T.scale(T.sum_(T.mul(p["x"], np.zeros(3))), 1.0)
 
     assert T.finite_diff_check(const, {"x": np.array([1.0, 2.0, 3.0])}, h=1e-4) == 0.0
 
@@ -185,11 +222,10 @@ def test_grad_accumulates_across_reuse():
 def test_attention_blocks_do_not_mix():
     rng = np.random.default_rng(8)
     q, k, v = (rng.standard_normal((6, 4)) for _ in range(3))
-    t = T.Tape()
-    both = T.attention(t.constant(q), t.constant(k), t.constant(v), 2, 2).data
+    both = T.attention(q, k, v, 2, 2)
     for rows in (slice(0, 3), slice(3, 6)):
-        one = T.attention(t.constant(q[rows]), t.constant(k[rows]), t.constant(v[rows]), 1, 2)
-        assert np.max(np.abs(one.data - both[rows])) < 1e-15
+        one = T.attention(q[rows], k[rows], v[rows], 1, 2)
+        assert np.max(np.abs(one - both[rows])) < 1e-15
 
 
 def test_scatter_rows_rejects_repeated_indices():
@@ -199,10 +235,21 @@ def test_scatter_rows_rejects_repeated_indices():
 
 
 def test_forward_only_tape_records_nothing():
+    # Constants alone give a plain array and record nothing; a leaf is
+    # recorded only where it enters.
     t = T.Tape()
-    x = t.leaf(np.ones((3, 4)), requires_grad=False)
-    T.mean(T.gelu(T.matmul(x, t.constant(np.ones((4, 2))))))
+    hidden = T.gelu(T.matmul(np.ones((3, 4)), np.ones((4, 2))))
+    assert type(T.mean(hidden)) is np.ndarray
     assert t._nodes == []
+    out = T.add(t.leaf(np.ones((3, 2))), hidden)
+    assert isinstance(out, T.DiffArray) and t._nodes == [out]
+
+
+def test_backward_rejects_a_loss_that_depends_on_no_leaf():
+    t = T.Tape()
+    t.leaf(np.ones(3))
+    with pytest.raises(ValueError, match="depends on no leaf"):
+        t.backward(T.sum_(np.ones(3)))
 
 
 def test_graph_is_freed_when_backward_ends():
@@ -238,7 +285,7 @@ def test_attention_matches_its_formula_bit_for_bit():
     t = T.Tape()
     ql, kl, vl = t.leaf(q), t.leaf(k), t.leaf(v)
     out = T.attention(ql, kl, vl, n_blocks, n_heads)
-    t.backward(T.sum_(T.mul(out, t.constant(w))))  # the output gradient is w
+    t.backward(T.sum_(T.mul(out, w)))  # the output gradient is w
 
     def split(x):
         return x.reshape(n_blocks, t_len, n_heads, d // n_heads).transpose(0, 2, 1, 3)
@@ -279,13 +326,17 @@ def test_finite_diff_bumps_one_coordinate_and_restores_it():
     seen = []
 
     def build(p):
-        seen.append({k: leaf.data.copy() for k, leaf in p.items()})
+        seen.append({k: T._data(v).copy() for k, v in p.items()})
+        tracked.append([isinstance(v, T.DiffArray) for v in p.values()])
         return T.sum_(T.mul(T.mul(p["x"], p["x"]), p["x"]))
 
     h = 1e-3
+    tracked = []
     T.finite_diff_check(build, params, h=h)
     assert all(np.array_equal(params[k], before[k]) for k in params)
     assert len(seen) == 1 + 2 * (3 + 2)
+    # leaves for the analytic pass only; every bumped evaluation gets arrays
+    assert tracked == [[True, True]] + [[False, False]] * (2 * (3 + 2))
     for j, (name, i) in enumerate([("x", 0), ("x", 1), ("x", 2), ("y", 0), ("y", 1)]):
         plus, minus = seen[1 + 2 * j], seen[2 + 2 * j]
         x = before[name][i]
