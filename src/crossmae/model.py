@@ -64,12 +64,14 @@ class ArchSpec:
         return self.n_modalities * self.n_patches
 
 
+@functools.cache
 def positions_2d(n_modalities: int, n_patches: int, d_model: int) -> np.ndarray:
     """Fixed sinusoidal position table of shape (C*P + 1, D).
 
     Row 0 (class token) is zero. For a patch token, the first D/2 channels
     encode its modality index and the last D/2 its patch index, each as
-    interleaved sin/cos pairs with frequencies 10000^(-2k/(D/2)).
+    interleaved sin/cos pairs with frequencies 10000^(-2k/(D/2)). Computed
+    once per grid: every caller shares one read-only table.
     """
     half = d_model // 2
     quarter = half // 2
@@ -87,6 +89,7 @@ def positions_2d(n_modalities: int, n_patches: int, d_model: int) -> np.ndarray:
     table = np.zeros((n_modalities * n_patches + 1, d_model))
     table[1:, :half] = np.repeat(axis_table(n_modalities), n_patches, axis=0)
     table[1:, half:] = np.tile(axis_table(n_patches), (n_modalities, 1))
+    table.flags.writeable = False
     return table
 
 
@@ -348,8 +351,8 @@ def save_checkpoint(state: ModelState, directory):
 def load_checkpoint(directory) -> ModelState:
     """Read a checkpoint back. The manifest must list every parameter of
     init_model(arch) once, with its shape, at offsets that tile the blob
-    exactly; anything else raises a ManifestError naming the file and the
-    parameter."""
+    exactly, and every value must be finite; anything else raises a
+    ManifestError naming the file and the parameter."""
     man_path = os.path.join(directory, ARCH_NAME)
     blob_path = os.path.join(directory, PARAMS_NAME)
     with open(man_path) as fh:
@@ -398,6 +401,8 @@ def load_checkpoint(directory) -> ModelState:
             raise ManifestError(f"{blob_path}: blob too short for {name} "
                                 f"(needs {end}, have {blob.size})")
         params[name] = blob[offset:end].reshape(shape).copy()
+        if not np.isfinite(params[name]).all():
+            raise ManifestError(f"{blob_path}: parameter {name} holds a non-finite value")
     if end != blob.size:
         raise ManifestError(f"{blob_path}: blob has {blob.size} values, manifest maps {end} "
                             f"(last parameter {name})")

@@ -9,8 +9,10 @@ Every mask of a policy hides the same number of patches, so the batch loss
 (the MSE over all its patches) is the mean of the per-sample losses. All
 randomness flows from one seed; reruns are bit-identical.
 
-Every training loop (pretraining and both probe modes) keeps its parameters
-and their gradients in one AdamWState, and runs each step through _step: it
+Pretraining and both probe modes train through one loop, _fit. It keeps the
+parameters and their gradients in one AdamWState, owns the step counter and
+the cosine schedule, slices each epoch's sample order into minibatches, and
+asks its caller only for each minibatch's loss. _step runs one step: it
 binds the parameters on a fresh tape with their gradients pointed at views
 of the flat gradient buffer, builds the loss, zeroes the buffer, runs
 backward, and applies one AdamW step between two checks. A non-finite loss
@@ -19,11 +21,12 @@ that leaves a parameter or AdamW's second moment non-finite (finite
 divergence: the loss grows until the squared gradient overflows) stops it
 right after.
 
-Probing: mode "lp" trains a linear head on the frozen class-token latent
-(encoder untouched); mode "ft" trains head and encoder jointly, in minibatches
-of OptimConfig.batch_size windows.
+Probing trains one linear head, probe.W and probe.b, on the class-token
+latent. Mode "lp" trains the head alone on the frozen latents (encoder
+untouched), one full batch per epoch; mode "ft" trains head and encoder
+jointly, in shuffled minibatches of OptimConfig.batch_size windows.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -193,6 +196,33 @@ def _step(loop: str, step: int, state: ModelState, opt: AdamWState, lr: float,
     raise FloatingPointError(f"{loop} step {step}: loss {float(loss.data)!r}, {detail}")
 
 
+def _fit(loop: str, state: ModelState, optim: OptimConfig, n: int, rng, batch_loss) -> list:
+    """Train state.params in place for optim.epochs passes over n samples and
+    return each epoch's mean loss.
+
+    Each epoch visits the samples in rng.permutation(n) order, or in index
+    order when rng is None, in minibatches of optim.batch_size. For each
+    minibatch, batch_loss(idx) draws what the batch of sample indices idx
+    needs and returns its loss builder, and _step takes one AdamW step at the
+    cosine schedule's learning rate (warmup over optim.warmup_epochs)."""
+    opt = AdamWState(state.params)
+    per_epoch = max(1, int(np.ceil(n / optim.batch_size)))
+    total_steps = optim.epochs * per_epoch
+    warmup_steps = optim.warmup_epochs * per_epoch
+    trace = []
+    step = 0
+    for _ in range(optim.epochs):
+        order = np.arange(n) if rng is None else rng.permutation(n)
+        losses = []
+        for b0 in range(0, n, optim.batch_size):
+            build_loss = batch_loss(order[b0:b0 + optim.batch_size])
+            lr = cosine_lr(step, warmup_steps, total_steps, optim.lr, optim.min_lr)
+            losses.append(_step(loop, step, state, opt, lr, optim, build_loss))
+            step += 1
+        trace.append(float(np.mean(losses)))
+    return trace
+
+
 def pretrain(values: np.ndarray, arch: ArchSpec, cfg: PretrainConfig, seed,
              init_state: ModelState | None = None):
     """Train a masked autoencoder on the (n, C, L) windows.
@@ -205,38 +235,21 @@ def pretrain(values: np.ndarray, arch: ArchSpec, cfg: PretrainConfig, seed,
     init_seq, loop_seq = root.spawn(2)
     state = init_state.copy() if init_state is not None else init_model(arch, init_seq)
     rng = as_generator(loop_seq)
-    opt = AdamWState(state.params)
-    o = cfg.optim
-
-    n = len(values)
-    batches_per_epoch = max(1, int(np.ceil(n / o.batch_size)))
-    total_steps = o.epochs * batches_per_epoch
-    warmup_steps = o.warmup_epochs * batches_per_epoch
-
-    can_augment = n >= 2
+    can_augment = len(values) >= 2
     data = patchify(standardize(values), arch.patch_len)
-    trace = []
-    step = 0
-    for _ in range(o.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for b0 in range(0, n, o.batch_size):
-            idx = order[b0:b0 + o.batch_size]
-            grids = data[idx]  # a copy: the loop may overwrite rows with splices
-            masks = np.empty((len(idx), arch.n_modalities, arch.n_patches), dtype=bool)
-            for j in range(len(idx)):
-                if can_augment and rng.uniform() < cfg.augment_prob:
-                    w = splice_augment(values, rng, matched_start=cfg.matched_start).window
-                    grids[j] = patchify(standardize(w), arch.patch_len)
-                masks[j] = sample_mask(cfg.policy, arch.n_modalities, arch.n_patches,
-                                       cfg.mask_ratio, rng)
-            lr = cosine_lr(step, warmup_steps, total_steps, o.lr, o.min_lr)
-            epoch_losses.append(_step(
-                "pretrain", step, state, opt, lr, o,
-                lambda b: mae_loss(b, grids, masks, masked_only=cfg.masked_only_loss)))
-            step += 1
-        trace.append(float(np.mean(epoch_losses)))
-    return state, trace
+
+    def batch_loss(idx):
+        grids = data[idx]  # a copy: the loop may overwrite rows with splices
+        masks = np.empty((len(idx), arch.n_modalities, arch.n_patches), dtype=bool)
+        for j in range(len(idx)):
+            if can_augment and rng.uniform() < cfg.augment_prob:
+                w = splice_augment(values, rng, matched_start=cfg.matched_start).window
+                grids[j] = patchify(standardize(w), arch.patch_len)
+            masks[j] = sample_mask(cfg.policy, arch.n_modalities, arch.n_patches,
+                                   cfg.mask_ratio, rng)
+        return lambda b: mae_loss(b, grids, masks, masked_only=cfg.masked_only_loss)
+
+    return state, _fit("pretrain", state, cfg.optim, len(values), rng, batch_loss)
 
 
 def class_embeddings(state: ModelState, values: np.ndarray) -> np.ndarray:
@@ -287,62 +300,40 @@ def probe(state: ModelState, values: np.ndarray, labels: np.ndarray, n_classes: 
     split_seq, init_seq, loop_seq = root.spawn(3)
     tr, va = _split_indices(len(values), cfg.train_fraction, as_generator(split_seq))
     arch = state.arch
-    rng = as_generator(init_seq)
-    head_w = rng.uniform(-1.0 / np.sqrt(arch.d_model), 1.0 / np.sqrt(arch.d_model),
-                         size=(arch.d_model, n_classes))
-    head_b = np.zeros(n_classes)
-
+    bound = 1.0 / np.sqrt(arch.d_model)
+    head = {"probe.W": as_generator(init_seq).uniform(-bound, bound,
+                                                      size=(arch.d_model, n_classes)),
+            "probe.b": np.zeros(n_classes)}
     onehot = np.zeros((len(labels), n_classes))
     onehot[np.arange(len(labels)), labels] = 1.0
 
-    ocfg = cfg.optim
-    trace = []
-
     if cfg.mode == "lp":
+        # the head alone, on the frozen class-token latents; one full batch
+        # per epoch, in order, since shuffling it would only reorder its sums
         emb = class_embeddings(state, values)
-        head = ModelState(arch, {"head.W": head_w, "head.b": head_b})
-        opt = AdamWState(head.params)
+        work = ModelState(arch, head)
+        optim, loop_rng = replace(cfg.optim, batch_size=len(tr)), None
 
-        def lp_loss(b):
-            logits = T.add(T.matmul(emb[tr], b.p["head.W"]), b.p["head.b"])
-            return _cross_entropy(logits, onehot[tr])
+        def features(b, rows):
+            return emb[rows]
+    else:
+        # head and encoder end to end, on AdamWState's own copy of the parameters
+        work = ModelState(arch, {**state.params, **head})
+        grids = patchify(standardize(values), arch.patch_len)
+        masks = np.zeros(grids.shape[:3], dtype=bool)
+        optim, loop_rng = cfg.optim, as_generator(loop_seq)
 
-        for epoch in range(cfg.epochs):
-            lr = cosine_lr(epoch, 0, cfg.epochs, cfg.lr, 0.0)
-            trace.append(_step("probe", epoch, head, opt, lr, ocfg, lp_loss))
-        val_logits = emb[va] @ head.params["head.W"] + head.params["head.b"]
-        top1 = float((val_logits.argmax(axis=1) == labels[va]).mean())
-        return ProbeResult(top1, trace, len(tr), len(va))
+        def features(b, rows):
+            enc = encode(b, grids[rows], masks[rows])
+            return T.take_rows(enc, np.arange(len(rows)) * (arch.n_tokens + 1))
 
-    # fine-tune: head + encoder end to end, on AdamWState's own copy of the
-    # parameters
-    work_state = ModelState(arch, {**state.params, "probe.W": head_w, "probe.b": head_b})
-    params = work_state.params
-    opt = AdamWState(params)
-    grids = patchify(standardize(values), arch.patch_len)
-    masks = np.zeros(grids.shape[:3], dtype=bool)
-    loop_rng = as_generator(loop_seq)
-    batch = ocfg.batch_size
-    step = 0
-    total_steps = cfg.epochs * max(1, int(np.ceil(len(tr) / batch)))
+    def batch_loss(idx):
+        rows = tr[idx]
+        return lambda b: _cross_entropy(
+            T.add(T.matmul(features(b, rows), b.p["probe.W"]), b.p["probe.b"]), onehot[rows])
 
-    def ft_loss(b, idx):
-        enc = encode(b, grids[idx], masks[idx])
-        feat = T.take_rows(enc, np.arange(len(idx)) * (arch.n_tokens + 1))
-        logits = T.add(T.matmul(feat, b.p["probe.W"]), b.p["probe.b"])
-        return _cross_entropy(logits, onehot[idx])
-
-    for _ in range(cfg.epochs):
-        order = loop_rng.permutation(len(tr))
-        ep = []
-        for b0 in range(0, len(tr), batch):
-            idx = tr[order[b0:b0 + batch]]
-            lr = cosine_lr(step, 0, total_steps, cfg.lr, 0.0)
-            ep.append(_step("probe", step, work_state, opt, lr, ocfg,
-                            lambda b: ft_loss(b, idx)))
-            step += 1
-        trace.append(float(np.mean(ep)))
-    emb = class_embeddings(work_state, values[va])
-    val_logits = emb @ params["probe.W"] + params["probe.b"]
+    trace = _fit("probe", work, optim, len(tr), loop_rng, batch_loss)
+    val = emb[va] if cfg.mode == "lp" else class_embeddings(work, values[va])
+    val_logits = val @ work.params["probe.W"] + work.params["probe.b"]
     top1 = float((val_logits.argmax(axis=1) == labels[va]).mean())
     return ProbeResult(top1, trace, len(tr), len(va))

@@ -187,6 +187,24 @@ def test_impute_grid_mismatch_rejected(checkpoint_dir, tmp_path, command):
     assert not os.path.exists(tmp_path / "o")
 
 
+@pytest.mark.parametrize("command, key", [("impute", "checkpoint"), ("probe", "checkpoint"),
+                                          ("pretrain", "resume")])
+def test_non_finite_checkpoint_rejected_before_the_run_directory_exists(
+        data_dir, checkpoint_dir, tmp_path, command, key):
+    bad = tmp_path / "nan_checkpoint"
+    bad.mkdir()
+    for name in ("manifest.txt", "params.f32"):
+        (bad / name).write_bytes((Path(checkpoint_dir) / name).read_bytes())
+    blob = np.fromfile(bad / "params.f32", dtype="<f4")
+    blob[0] = np.nan
+    blob.tofile(bad / "params.f32")
+    cfg = _write_cfg(tmp_path / "c.cfg", **{"data.dir": data_dir, key: str(bad)})
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(bad / 'params.f32'))}: "
+                                            "parameter .* holds a non-finite value$"):
+        cli.main([command, "--out", str(tmp_path / "o"), "--config", cfg])
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_probe_summary(data_dir, checkpoint_dir, tmp_path):
     cfg = _write_cfg(tmp_path / "p.cfg", **{
         "data.dir": data_dir, "checkpoint": checkpoint_dir,

@@ -1,5 +1,7 @@
 """Encoder/decoder assembly: positions, shapes, loss, checkpoints, gradients."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,13 @@ def test_positions_deterministic_and_distinct():
     b = positions_2d(64, 64, 32)
     assert np.array_equal(a, b)
     assert np.unique(a, axis=0).shape[0] == a.shape[0]
+
+
+def test_positions_are_computed_once_per_grid_and_read_only():
+    tab = positions_2d(3, 4, 8)
+    assert positions_2d(3, 4, 8) is tab
+    with pytest.raises(ValueError):
+        tab[0, 0] = 1.0
 
 
 def test_positions_require_d_model_multiple_of_four():
@@ -208,6 +217,19 @@ def test_checkpoint_blob_size_mismatch_rejected(tmp_path):
     blob = tmp_path / "params.f32"
     blob.write_bytes(blob.read_bytes()[:-8])
     with pytest.raises(ManifestError):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_non_finite_parameter_rejected(tmp_path):
+    save_checkpoint(init_model(TINY, seed=13), tmp_path)
+    offset = int((tmp_path / "manifest.txt").read_text()
+                 .split("param.mask_token=")[1].split("@")[1].split()[0])
+    blob = np.fromfile(tmp_path / "params.f32", dtype="<f4")
+    blob[offset + 1] = np.nan
+    blob.tofile(tmp_path / "params.f32")
+    path = re.escape(str(tmp_path / "params.f32"))
+    with pytest.raises(ManifestError,
+                       match=f"^{path}: parameter mask_token holds a non-finite value$"):
         load_checkpoint(tmp_path)
 
 

@@ -204,7 +204,7 @@ def test_probe_label_length_mismatch():
               ProbeConfig(), seed=0)
 
 
-@pytest.mark.parametrize("mode, group", [("lp", "head.W"), ("ft", "embed.W")])
+@pytest.mark.parametrize("mode, group", [("lp", "probe.W"), ("ft", "embed.W")])
 def test_probe_names_the_step_and_group_of_a_non_finite_gradient(monkeypatch, mode, group):
     ws, labels = _windows(n=12, seed=24)
     state = init_model(ARCH, seed=0)
@@ -341,6 +341,30 @@ def _spy_on_steps(monkeypatch):
     monkeypatch.setattr(train, "Binding", binding)
     monkeypatch.setattr(train, "_step", step)
     return bindings, opts
+
+
+@pytest.mark.parametrize("mode, epochs, per_epoch, warmup_epochs, lr, min_lr", [
+    ("pretrain", 3, 3, 1, 2e-3, 1e-4),  # 12 windows in batches of 5, 5 and 2
+    ("lp", 3, 1, 0, 1e-2, 0.0),  # one full batch of the 8 training windows
+    ("ft", 2, 2, 0, 1e-2, 0.0),  # 28 training windows in batches of 16 and 12
+])
+def test_every_step_gets_the_cosine_schedule_lr(monkeypatch, mode, epochs, per_epoch,
+                                                warmup_epochs, lr, min_lr):
+    lrs = []
+    real = train.adamw_step
+    monkeypatch.setattr(train, "adamw_step",
+                        lambda opt, lr, cfg: lrs.append(lr) or real(opt, lr, cfg))
+    if mode == "pretrain":
+        pretrain(_windows(n=12)[0], ARCH,
+                 PretrainConfig(optim=OptimConfig(lr=lr, min_lr=min_lr, epochs=epochs,
+                                                  warmup_epochs=warmup_epochs, batch_size=5)),
+                 seed=0)
+    else:
+        ws, labels = _windows(n=12 if mode == "lp" else 40, seed=24)
+        probe(init_model(ARCH, seed=0), ws, labels, 4,
+              ProbeConfig(mode=mode, epochs=epochs, lr=lr), seed=0)
+    total, warmup = epochs * per_epoch, warmup_epochs * per_epoch
+    assert lrs == [cosine_lr(s, warmup, total, lr, min_lr) for s in range(total)]
 
 
 @pytest.mark.parametrize("mode", ["pretrain", "lp", "ft"])
