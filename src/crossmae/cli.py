@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .config import ManifestError, format_kv_lines, load_config
+from .config import MANIFEST_NAME, ManifestError, format_kv_lines, load_config
 from .imputation import (METHODS, TASKS, MissingnessTask, _sample_mask_array,
                          impute_chained, impute_linear, impute_model,
                          impute_nearest, score, task_mask)
@@ -148,14 +148,15 @@ def _n_patches(run: Run, key: str, length: int) -> int:
 
 
 def _fitting_checkpoint(path: str, n_modalities: int, n_samples: int):
-    """The model state saved at path, or a ManifestError naming path when its
-    patch grid does not fit windows of n_modalities x n_samples."""
+    """The model state saved at path, or a ManifestError naming its manifest
+    when its patch grid does not fit windows of n_modalities x n_samples."""
     state = load_checkpoint(path)
     arch = state.arch
     if n_modalities != arch.n_modalities or n_samples // arch.patch_len != arch.n_patches:
         raise ManifestError(
-            f"{path}: dataset {n_modalities}x{n_samples} does not fit checkpoint grid "
-            f"{arch.n_modalities}x{arch.n_patches}x{arch.patch_len}")
+            f"{os.path.join(path, MANIFEST_NAME)}: dataset {n_modalities}x{n_samples} does not "
+            f"fit checkpoint grid {arch.n_modalities}x{arch.n_patches}x{arch.patch_len} "
+            "(n_modalities x n_patches x patch_len)")
     return state
 
 

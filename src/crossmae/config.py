@@ -1,9 +1,22 @@
-"""Flat key=value configuration and manifest parsing.
+"""Flat key=value configuration and manifest parsing; the one array format.
 
 One syntax everywhere: `key=value`, one per line, `#` starts a comment,
 sections are expressed with dotted key prefixes (optim.lr=5e-4). No nesting,
 no quoting. Parse errors always carry the source name and line number.
+
+Datasets and checkpoints are array directories (save_arrays, load_arrays):
+manifest.txt holds a format= tag, typed header keys and one
+array.<name>=<d0>x<d1>x... line per array; data.f32 holds their values as
+little-endian float32, in manifest order.
 """
+import math
+import os
+
+import numpy as np
+
+MANIFEST_NAME = "manifest.txt"
+BLOB_NAME = "data.f32"
+BOOL_SPELLINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 class ManifestError(ValueError):
@@ -29,28 +42,26 @@ def parse_kv_lines(text: str, source: str = "<config>") -> dict:
     return out
 
 
+def _render(key, val) -> str:
+    if isinstance(val, bool):
+        val = "true" if val else "false"
+    elif isinstance(val, float):  # numpy floats too: repr(np.float64(1.0)) names its type
+        val = repr(float(val))
+    return f"{key}={val}\n"
+
+
 def format_kv_lines(values: dict) -> str:
     """Serialize a flat dict, sorted by key, floats in full round-trip form."""
-    lines = []
-    for key in sorted(values):
-        val = values[key]
-        if isinstance(val, bool):
-            rendered = "true" if val else "false"
-        elif isinstance(val, float):
-            rendered = repr(val)
-        else:
-            rendered = str(val)
-        lines.append(f"{key}={rendered}")
-    return "\n".join(lines) + "\n"
+    return "".join(_render(key, values[key]) for key in sorted(values))
 
 
-def _parse_bool(raw: str, key: str, source: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ManifestError(f"{source}: key {key}: expected boolean, got {raw!r}")
+def _parse(kind: type, raw: str, key: str, source: str):
+    """raw as a value of kind: bool (a spelling in BOOL_SPELLINGS), int, float or str."""
+    try:
+        return BOOL_SPELLINGS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ManifestError(
+            f"{source}: key {key}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
 def resolve(defaults: dict, overrides: dict, source: str = "<config>") -> dict:
@@ -64,19 +75,7 @@ def resolve(defaults: dict, overrides: dict, source: str = "<config>") -> dict:
         if key not in defaults:
             known = ", ".join(sorted(defaults))
             raise ManifestError(f"{source}: unknown key {key!r} (known: {known})")
-        ref = defaults[key]
-        try:
-            if isinstance(ref, bool):
-                out[key] = _parse_bool(raw, key, source)
-            elif isinstance(ref, int):
-                out[key] = int(raw)
-            elif isinstance(ref, float):
-                out[key] = float(raw)
-            else:
-                out[key] = raw
-        except ValueError:
-            raise ManifestError(
-                f"{source}: key {key}: cannot parse {raw!r} as {type(ref).__name__}") from None
+        out[key] = _parse(type(defaults[key]), raw, key, source)
     return out
 
 
@@ -84,3 +83,82 @@ def load_config(path, defaults: dict) -> dict:
     with open(path) as fh:
         overrides = parse_kv_lines(fh.read(), source=str(path))
     return resolve(defaults, overrides, source=str(path))
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the bytes-like chunks to path.tmp, then rename it to path, so
+    that path holds either its old content or all of the new."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        try:
+            fh.writelines(chunks)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    os.replace(tmp, path)
+
+
+def save_arrays(directory, fmt: str, header: dict, arrays: dict) -> None:
+    """Write an array directory: format fmt, then the header's keys and the
+    arrays, each in order, the arrays' values rounded to float32. The blob
+    goes first, so a failed write leaves the old pair."""
+    os.makedirs(directory, exist_ok=True)
+    write_atomic(os.path.join(directory, BLOB_NAME),
+                 (np.ascontiguousarray(a, dtype="<f4") for a in arrays.values()))
+    lines = [f"format={fmt}\n"] + [_render(key, val) for key, val in header.items()]
+    lines += [f"array.{name}={'x'.join(map(str, a.shape))}\n" for name, a in arrays.items()]
+    write_atomic(os.path.join(directory, MANIFEST_NAME), ["".join(lines).encode()])
+
+
+def load_arrays(directory, fmt: str, header_types: dict, check) -> tuple[dict, dict]:
+    """Read an array directory of format fmt: the header, each key parsed as
+    its type in header_types, and {name: float64 array} in manifest order.
+    check(header, shapes) sees the manifest alone, before the blob is read;
+    its ValueError is an error of the manifest. Every fault is a
+    ManifestError that starts with the path of the file at fault and names
+    the key, or the array and its first non-finite index."""
+    man = os.path.join(directory, MANIFEST_NAME)
+    blob_path = os.path.join(directory, BLOB_NAME)
+    with open(man) as fh:
+        meta = parse_kv_lines(fh.read(), source=man)
+    got = meta.pop("format", None)
+    if got != fmt:
+        raise ManifestError(f"{man}: key format: expected {fmt}, got {got!r}")
+    header, shapes = {}, {}
+    for key, raw in meta.items():
+        if key in header_types:
+            header[key] = _parse(header_types[key], raw, key, man)
+        elif key.startswith("array."):
+            try:
+                shape = tuple(int(d) for d in raw.split("x"))
+                if min(shape) < 0:
+                    raise ValueError
+            except ValueError:
+                raise ManifestError(f"{man}: key {key}: expected a shape such as 3x4, "
+                                    f"got {raw!r}") from None
+            shapes[key[len("array."):]] = shape
+        else:
+            raise ManifestError(f"{man}: unknown key {key!r}")
+    for key in header_types:
+        if key not in header:
+            raise ManifestError(f"{man}: missing key {key}")
+    try:
+        check(header, shapes)
+    except ValueError as exc:
+        raise ManifestError(f"{man}: {exc}") from None
+    total = sum(math.prod(shape) for shape in shapes.values())
+    size = os.path.getsize(blob_path)
+    if size != 4 * total:
+        raise ManifestError(f"{blob_path}: size {size} does not match the manifest's "
+                            f"{total} float32 values ({4 * total} bytes)")
+    blob = np.fromfile(blob_path, dtype="<f4")
+    arrays, start = {}, 0
+    for name, shape in shapes.items():
+        part = blob[start:start + math.prod(shape)].reshape(shape)
+        start += part.size
+        bad = ~np.isfinite(part)
+        if bad.any():
+            raise ManifestError(f"{blob_path}: array {name} holds a non-finite value at "
+                                f"index {tuple(np.argwhere(bad)[0].tolist())}")
+        arrays[name] = part.astype(np.float64)
+    return header, arrays

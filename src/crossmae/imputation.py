@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masking import CROSS, floor_count, sample_mask
+from .masking import CROSS, SYNC, floor_count, sample_mask
 from .model import ModelState, forward_frozen, reconstruct
 from .windows import as_generator, patchify
 
@@ -46,14 +46,10 @@ def task_mask(task: MissingnessTask, n_modalities: int, n_patches: int, rng) -> 
     c_n, p_n = n_modalities, n_patches
     if task.kind == "random":
         return sample_mask(CROSS, c_n, p_n, task.ratio, rng)
-    mask = np.zeros((c_n, p_n), dtype=bool)
     if task.kind == "temporal":
-        k = floor_count(task.ratio, p_n)
-        if k < 1 or k >= p_n:
-            raise ValueError(f"temporal task degenerate at ratio {task.ratio}, P={p_n}")
-        cols = rng.permutation(p_n)[:k]
-        mask[:, cols] = True
-    elif task.kind == "sensor":
+        return sample_mask(SYNC, c_n, p_n, task.ratio, rng)
+    mask = np.zeros((c_n, p_n), dtype=bool)
+    if task.kind == "sensor":
         if c_n < 2:
             raise ValueError("sensor task needs C >= 2")
         mask[:, :] = True
@@ -82,8 +78,6 @@ def impute_model(state: ModelState, values: np.ndarray, masks: np.ndarray) -> np
     (model.forward_frozen)."""
     if len(values) != len(masks):
         raise ValueError(f"{len(values)} windows but {len(masks)} masks")
-    if masks.all(axis=(1, 2)).any():
-        raise ValueError("model imputation needs at least one visible patch")
     arch = state.arch
     c_n, p_n, lp = arch.n_modalities, arch.n_patches, arch.patch_len
     grids = patchify(values, lp)

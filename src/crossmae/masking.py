@@ -27,24 +27,24 @@ def sample_mask(policy: str, n_modalities: int, n_patches: int, ratio: float, rn
     """Draw one (C, P) bool mask (True = hidden) under the given policy,
     uniformly over the admissible set."""
     if not 0.0 < ratio < 1.0:
-        raise ValueError(f"mask ratio must lie in (0, 1), got {ratio}")
+        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
     rng = as_generator(rng)
     c_n, p_n = n_modalities, n_patches
     mask = np.zeros((c_n, p_n), dtype=bool)
     if policy == CROSS:
         k = floor_count(ratio, c_n * p_n)
         if k < 1:
-            raise ValueError(f"cross policy masks zero cells at ratio {ratio} on {c_n}x{p_n}")
+            raise ValueError(f"ratio {ratio} hides no patch of a {c_n}x{p_n} grid")
         if k >= c_n * p_n:
-            raise ValueError("mask would hide every patch")
+            raise ValueError(f"ratio {ratio} hides every patch of a {c_n}x{p_n} grid")
         chosen = rng.permutation(c_n * p_n)[:k]
         mask.flat[chosen] = True
     elif policy == SYNC:
         k = floor_count(ratio, p_n)
         if k < 1:
-            raise ValueError(f"sync policy masks zero columns at ratio {ratio} on P={p_n}")
+            raise ValueError(f"ratio {ratio} hides no column of {p_n} patches")
         if k >= p_n:
-            raise ValueError("mask would hide every column")
+            raise ValueError(f"ratio {ratio} hides every column of {p_n} patches")
         cols = rng.permutation(p_n)[:k]
         mask[:, cols] = True
     else:

@@ -20,19 +20,19 @@ returns a plain array, and runs FORWARD_CHUNK windows at a time.
 
 The reconstruction loss is the mean squared error over all patches; a
 masked-only variant is available for ablation.
+
+A checkpoint is an array directory (config.save_arrays) of the ArchSpec fields
+and the parameters; loading one allocates nothing in proportion to its arch.
 """
 import functools
-import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import tape as T
-from .config import ManifestError, parse_kv_lines
+from .config import load_arrays, save_arrays
 
-ARCH_NAME = "manifest.txt"
-PARAMS_NAME = "params.f32"
-CHECKPOINT_FORMAT = "crossmae-checkpoint-v1"
+CHECKPOINT_FORMAT = "crossmae-checkpoint-v2"
 # Windows per forward-only graph. Larger chunks cost memory and buy no speed
 # at 150 tokens.
 FORWARD_CHUNK = 16
@@ -99,7 +99,11 @@ class ModelState:
     def __init__(self, arch: ArchSpec, params: dict):
         self.arch = arch
         self.params = params
-        self.positions = positions_2d(arch.n_modalities, arch.n_patches, arch.d_model)
+
+    @property
+    def positions(self):
+        """The arch's position table, built at first use."""
+        return positions_2d(self.arch.n_modalities, self.arch.n_patches, self.arch.d_model)
 
     def copy(self):
         return ModelState(self.arch, {k: v.copy() for k, v in self.params.items()})
@@ -114,48 +118,38 @@ class ModelState:
         return h.hexdigest()
 
 
-def _uniform_fan_in(rng, fan_in, shape):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def _param_layout(arch: ArchSpec):
+    """Yield (name, shape) of every parameter, in init order, lazily: a
+    checkpoint's arrays are checked against an arch without building it."""
+    d, hidden, lp = arch.d_model, arch.d_model * arch.mlp_ratio, arch.patch_len
+    yield from (("embed.W", (lp, d)), ("embed.b", (d,)), ("cls", (1, d)), ("mask_token", (1, d)))
+    for stack, n_layers in (("enc", arch.enc_layers), ("dec", arch.dec_layers)):
+        for i in range(n_layers):
+            p = f"{stack}{i}"
+            yield from ((f"{p}.ln1.g", (d,)), (f"{p}.ln1.b", (d,)))
+            yield from ((f"{p}.attn.W{x}", (d, d)) for x in "qkvo")
+            yield from ((f"{p}.attn.b{x}", (d,)) for x in "qkvo")
+            yield from ((f"{p}.ln2.g", (d,)), (f"{p}.ln2.b", (d,)),
+                        (f"{p}.mlp.W1", (d, hidden)), (f"{p}.mlp.b1", (hidden,)),
+                        (f"{p}.mlp.W2", (hidden, d)), (f"{p}.mlp.b2", (d,)))
+        yield from ((f"{stack}.norm.g", (d,)), (f"{stack}.norm.b", (d,)))
+    yield from (("head.W", (d, lp)), ("head.b", (lp,)))
 
 
 def init_model(arch: ArchSpec, seed) -> ModelState:
-    """Uniform(+-1/sqrt(fan_in)) weights, zero biases, unit layernorm gains,
-    Gaussian(sd 0.02) class and mask tokens."""
+    """Uniform(+-1/sqrt(fan_in)) weight matrices (fan_in: first axis), zero
+    biases, unit layernorm gains (*.g), Gaussian(sd 0.02) class and mask tokens."""
     from .windows import as_generator
     rng = as_generator(seed)
-    d = arch.d_model
-    hidden = d * arch.mlp_ratio
     params = {}
-    params["embed.W"] = _uniform_fan_in(rng, arch.patch_len, (arch.patch_len, d))
-    params["embed.b"] = np.zeros(d)
-    params["cls"] = rng.normal(0.0, 0.02, size=(1, d))
-    params["mask_token"] = rng.normal(0.0, 0.02, size=(1, d))
-
-    def block(prefix):
-        params[f"{prefix}.ln1.g"] = np.ones(d)
-        params[f"{prefix}.ln1.b"] = np.zeros(d)
-        for nm in ("Wq", "Wk", "Wv", "Wo"):
-            params[f"{prefix}.attn.{nm}"] = _uniform_fan_in(rng, d, (d, d))
-        for nm in ("bq", "bk", "bv", "bo"):
-            params[f"{prefix}.attn.{nm}"] = np.zeros(d)
-        params[f"{prefix}.ln2.g"] = np.ones(d)
-        params[f"{prefix}.ln2.b"] = np.zeros(d)
-        params[f"{prefix}.mlp.W1"] = _uniform_fan_in(rng, d, (d, hidden))
-        params[f"{prefix}.mlp.b1"] = np.zeros(hidden)
-        params[f"{prefix}.mlp.W2"] = _uniform_fan_in(rng, hidden, (hidden, d))
-        params[f"{prefix}.mlp.b2"] = np.zeros(d)
-
-    for i in range(arch.enc_layers):
-        block(f"enc{i}")
-    params["enc.norm.g"] = np.ones(d)
-    params["enc.norm.b"] = np.zeros(d)
-    for i in range(arch.dec_layers):
-        block(f"dec{i}")
-    params["dec.norm.g"] = np.ones(d)
-    params["dec.norm.b"] = np.zeros(d)
-    params["head.W"] = _uniform_fan_in(rng, d, (d, arch.patch_len))
-    params["head.b"] = np.zeros(arch.patch_len)
+    for name, shape in _param_layout(arch):
+        if name in ("cls", "mask_token"):
+            params[name] = rng.normal(0.0, 0.02, size=shape)
+        elif len(shape) == 2:
+            bound = 1.0 / np.sqrt(shape[0])
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            params[name] = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
     return ModelState(arch, params)
 
 
@@ -330,83 +324,35 @@ def alignment_identity(u: np.ndarray, v: np.ndarray):
 
 
 def save_checkpoint(state: ModelState, directory):
-    """Arch + name/shape/offset manifest plus a little-endian float32 blob."""
-    os.makedirs(directory, exist_ok=True)
-    lines = [f"format={CHECKPOINT_FORMAT}"]
-    lines += [f"{f.name}={getattr(state.arch, f.name)}" for f in fields(ArchSpec)]
-    offset = 0
-    names = sorted(state.params)
-    for name in names:
-        shape = state.params[name].shape
-        size = int(np.prod(shape))
-        shape_txt = "x".join(str(s) for s in shape)
-        lines.append(f"param.{name}={shape_txt}@{offset}")
-        offset += size
-    with open(os.path.join(directory, ARCH_NAME), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    blob = np.concatenate([state.params[n].ravel() for n in names]).astype("<f4")
-    blob.tofile(os.path.join(directory, PARAMS_NAME))
+    """Write the arch and every parameter, in name order, as a checkpoint
+    directory (config.save_arrays). Values are rounded to float32."""
+    save_arrays(directory, CHECKPOINT_FORMAT, asdict(state.arch),
+                {name: state.params[name] for name in sorted(state.params)})
+
+
+def _check_params(header: dict, shapes: dict):
+    """The arrays must be the parameters of ArchSpec(**header), each once
+    with its shape. The first mismatch raises; nothing is allocated."""
+    seen = set()
+    for name, shape in _param_layout(ArchSpec(**header)):
+        if name not in shapes:
+            raise ValueError(f"missing key array.{name}")
+        if shapes[name] != shape:
+            raise ValueError(f"key array.{name}: shape {shapes[name]}, the arch needs {shape}")
+        seen.add(name)
+    for name in shapes:
+        if name not in seen:
+            raise ValueError(f"unknown key array.{name}")
 
 
 def load_checkpoint(directory) -> ModelState:
-    """Read a checkpoint back. The manifest must list every parameter of
-    init_model(arch) once, with its shape, at offsets that tile the blob
-    exactly, and every value must be finite; anything else raises a
-    ManifestError naming the file and the parameter."""
-    man_path = os.path.join(directory, ARCH_NAME)
-    blob_path = os.path.join(directory, PARAMS_NAME)
-    with open(man_path) as fh:
-        meta = parse_kv_lines(fh.read(), source=man_path)
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise ManifestError(f"{man_path}: unsupported format {meta.get('format')!r}")
-    try:
-        arch = ArchSpec(**{f.name: int(meta[f.name]) for f in fields(ArchSpec)})
-    except KeyError as exc:
-        raise ManifestError(f"{man_path}: missing arch field {exc}") from None
-    except ValueError as exc:
-        raise ManifestError(f"{man_path}: invalid arch ({exc})") from None
-    want = {name: value.shape for name, value in init_model(arch, 0).params.items()}
-    entries = []
-    for key, val in meta.items():
-        if not key.startswith("param."):
-            continue
-        name = key[len("param."):]
-        try:
-            shape_txt, off_txt = val.split("@")
-            shape = tuple(int(s) for s in shape_txt.split("x"))
-            offset = int(off_txt)
-        except ValueError:
-            raise ManifestError(f"{man_path}: malformed param entry {key}={val}") from None
-        if name not in want:
-            raise ManifestError(f"{man_path}: unknown parameter {name}")
-        if shape != want[name]:
-            raise ManifestError(f"{man_path}: parameter {name} has shape {shape}, "
-                                f"the arch needs {want[name]}")
-        if offset < 0:
-            raise ManifestError(f"{man_path}: parameter {name} has negative offset {offset}")
-        entries.append((offset, name, shape))
-    missing = sorted(want.keys() - {name for _, name, _ in entries})
-    if missing:
-        raise ManifestError(f"{man_path}: missing parameter {missing[0]}")
-    blob = np.fromfile(blob_path, dtype="<f4").astype(np.float64)
-    params = {}
-    end = 0
-    for offset, name, shape in sorted(entries):
-        if offset != end:
-            how = "overlaps the parameter before it" if offset < end else "leaves a gap"
-            raise ManifestError(f"{man_path}: parameter {name} at offset {offset} {how} "
-                                f"(expected offset {end})")
-        end = offset + int(np.prod(shape))
-        if end > blob.size:
-            raise ManifestError(f"{blob_path}: blob too short for {name} "
-                                f"(needs {end}, have {blob.size})")
-        params[name] = blob[offset:end].reshape(shape).copy()
-        if not np.isfinite(params[name]).all():
-            raise ManifestError(f"{blob_path}: parameter {name} holds a non-finite value")
-    if end != blob.size:
-        raise ManifestError(f"{blob_path}: blob has {blob.size} values, manifest maps {end} "
-                            f"(last parameter {name})")
-    return ModelState(arch, params)
+    """Read a checkpoint back. The manifest must list every parameter of the
+    arch once, with its shape, and every value must be finite; anything else
+    raises a ManifestError naming the file and the key or parameter
+    (config.load_arrays, _check_params)."""
+    header, params = load_arrays(directory, CHECKPOINT_FORMAT,
+                                 {f.name: int for f in fields(ArchSpec)}, _check_params)
+    return ModelState(ArchSpec(**header), params)
 
 
 def gradcheck_model(arch: ArchSpec, seed: int, h: float, max_coords: int | None) -> float:

@@ -1,11 +1,12 @@
-"""Synthetic multi-sensor windows, splice augmentation, patching, and the
-on-disk dataset format.
+"""Synthetic multi-sensor windows, splice augmentation, patching, and dataset
+directories.
 
 A dataset is two arrays: `values`, an (n, C, L) float64 array of n windows
 of C sensor modalities sampled at a common rate, and `labels`, an (n,) int64
 array in which -1 marks an unlabeled window. `standardize` and `patchify`
 work on the last axes of a (..., C, L) array, so one call handles one window
-or a whole dataset.
+or a whole dataset. On disk, `values` is the one array of an array
+directory (config.save_arrays), and labels.txt holds one label per line.
 
 Generated windows share a class-specific base oscillation across modalities;
 `shared_latent_strength` interpolates between perfectly coupled channels
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ManifestError, parse_kv_lines
+from .config import ManifestError, load_arrays, save_arrays, write_atomic
 
 
 def as_generator(seed):
@@ -157,74 +158,48 @@ def standardize(values: np.ndarray) -> np.ndarray:
     return np.where(flat, 0.0, (values - mu) / np.where(flat, 1.0, sd))
 
 
-MANIFEST_NAME = "manifest.txt"
-BLOB_NAME = "data.f32"
+DATASET_FORMAT = "crossmae-dataset-v2"
 LABELS_NAME = "labels.txt"
 
 
 def save_dataset(directory, values: np.ndarray, labels: np.ndarray, sample_rate_hz: float,
                  n_classes: int):
-    """Write manifest + float32 blob of the (n, C, L) values (window-major,
-    modality-major, time-minor) + one label per line, -1 for unlabeled."""
-    n, c_n, length = values.shape
-    if len(labels) != n:
-        raise ValueError(f"{len(labels)} labels for {n} windows")
-    os.makedirs(directory, exist_ok=True)
-    manifest = (
-        f"n_windows={n}\n"
-        f"C={c_n}\n"
-        f"L={length}\n"
-        f"sample_rate_hz={sample_rate_hz!r}\n"
-        f"n_classes={n_classes}\n"
-    )
-    with open(os.path.join(directory, MANIFEST_NAME), "w") as fh:
-        fh.write(manifest)
-    values.astype("<f4").tofile(os.path.join(directory, BLOB_NAME))
-    with open(os.path.join(directory, LABELS_NAME), "w") as fh:
-        fh.write("".join(f"{int(label)}\n" for label in labels))
+    """Write the (n, C, L) values as the array `values` of an array directory
+    (config.save_arrays), and labels.txt, one label per line, -1 unlabeled."""
+    if len(labels) != len(values):
+        raise ValueError(f"{len(labels)} labels for {len(values)} windows")
+    save_arrays(directory, DATASET_FORMAT,
+                {"sample_rate_hz": sample_rate_hz, "n_classes": n_classes}, {"values": values})
+    write_atomic(os.path.join(directory, LABELS_NAME),
+                 ["".join(f"{int(label)}\n" for label in labels).encode()])
+
+
+def _check_dataset(header: dict, shapes: dict):
+    """One array, values, (n, C, L) with n >= 1, C >= 2 and L >= 2; n_classes
+    >= 0 (0 for a wholly unlabeled dataset); a positive, finite rate."""
+    if list(shapes) != ["values"] or len(shapes["values"]) != 3:
+        raise ValueError(f"key array.values: a dataset has one array, values, of shape "
+                         f"n x C x L; the manifest lists {shapes}")
+    for name, size, least in zip(("n_windows", "C", "L"), shapes["values"], (1, 2, 2)):
+        if size < least:
+            raise ValueError(f"key array.values: {name}={size} must be at least {least}")
+    if header["n_classes"] < 0:
+        raise ValueError(f"key n_classes: must be at least 0, got {header['n_classes']}")
+    if not 0.0 < header["sample_rate_hz"] < np.inf:
+        raise ValueError(f"key sample_rate_hz: must be positive and finite, "
+                         f"got {header['sample_rate_hz']!r}")
 
 
 def load_dataset(directory):
-    """Read a dataset directory back. Returns (values, labels, meta dict).
-    Malformed files raise a ManifestError naming the file's path and the
-    field, window or line at fault: n_windows >= 1, C >= 2, L >= 2,
-    n_classes >= 0 (0 for a wholly unlabeled dataset), a positive and finite
-    sample_rate_hz, finite values, and labels that are -1 (unlabeled) or a
-    class below n_classes."""
-    man_path = os.path.join(directory, MANIFEST_NAME)
-    blob_path = os.path.join(directory, BLOB_NAME)
+    """Read a dataset directory back: (values, labels, meta dict), with
+    n_windows, C and L from the shape of values. A malformed file raises a
+    ManifestError naming its path and the key, array or line at fault."""
+    header, arrays = load_arrays(directory, DATASET_FORMAT,
+                                 {"sample_rate_hz": float, "n_classes": int}, _check_dataset)
+    values = arrays["values"]
+    n, c_n, length = values.shape
+    n_classes = header["n_classes"]
     labels_path = os.path.join(directory, LABELS_NAME)
-    with open(man_path) as fh:
-        meta = parse_kv_lines(fh.read(), source=man_path)
-    required = ("n_windows", "C", "L", "sample_rate_hz", "n_classes")
-    for key in required:
-        if key not in meta:
-            raise ManifestError(f"{man_path}: missing key {key}")
-    try:
-        n = int(meta["n_windows"])
-        c_n = int(meta["C"])
-        length = int(meta["L"])
-        n_classes = int(meta["n_classes"])
-        rate = float(meta["sample_rate_hz"])
-    except ValueError as exc:
-        raise ManifestError(f"{man_path}: non-numeric field ({exc})") from None
-    for key, value, least in (("n_windows", n, 1), ("C", c_n, 2), ("L", length, 2),
-                              ("n_classes", n_classes, 0)):
-        if value < least:
-            raise ManifestError(f"{man_path}: {key}={value} must be at least {least}")
-    if not 0.0 < rate < np.inf:
-        raise ManifestError(f"{man_path}: sample_rate_hz={rate!r} must be positive and finite")
-    expected = n * c_n * length * 4
-    actual = os.path.getsize(blob_path)
-    if actual != expected:
-        raise ManifestError(
-            f"{blob_path}: size {actual} does not match manifest "
-            f"(n_windows*C*L*4 = {expected})")
-    blob = np.fromfile(blob_path, dtype="<f4").reshape(n, c_n, length)
-    finite = np.isfinite(blob).all(axis=(1, 2))
-    if not finite.all():
-        raise ManifestError(f"{blob_path}: window {int(np.argmin(finite))} holds a "
-                            "non-finite value")
     labels = []
     with open(labels_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -241,5 +216,5 @@ def load_dataset(directory):
             labels.append(label)
     if len(labels) != n:
         raise ManifestError(f"{labels_path}: {len(labels)} labels for {n} windows")
-    return blob.astype(np.float64), np.array(labels, dtype=np.int64), {
-        "n_windows": n, "C": c_n, "L": length, "sample_rate_hz": rate, "n_classes": n_classes}
+    return values, np.array(labels, dtype=np.int64), {"n_windows": n, "C": c_n, "L": length,
+                                                      **header}

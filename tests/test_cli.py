@@ -99,8 +99,8 @@ def test_pretrain_outputs_and_epoch_zero_matches_init(data_dir, tmp_path):
             "optim.warmup_epochs": 0, "seed": 5}
     out1 = _run("pretrain", tmp_path / "a", _write_cfg(tmp_path / "c1.cfg", **base))
     out2 = _run("pretrain", tmp_path / "b", _write_cfg(tmp_path / "c2.cfg", **base))
-    blob1 = open(os.path.join(out1, "checkpoint", "params.f32"), "rb").read()
-    blob2 = open(os.path.join(out2, "checkpoint", "params.f32"), "rb").read()
+    blob1 = open(os.path.join(out1, "checkpoint", "data.f32"), "rb").read()
+    blob2 = open(os.path.join(out2, "checkpoint", "data.f32"), "rb").read()
     assert blob1 == blob2
     assert open(os.path.join(out1, "summary.txt")).read() == "final_loss=nan\n"
     assert open(os.path.join(out1, "loss.csv")).read() == "epoch,loss\n"
@@ -183,25 +183,80 @@ def test_impute_grid_mismatch_rejected(checkpoint_dir, tmp_path, command):
     bad = _write_cfg(tmp_path / "b.cfg", **settings)
     with pytest.raises(ManifestError, match="does not fit") as err:
         cli.main([command, "--out", str(tmp_path / "o"), "--config", bad])
-    assert str(err.value).startswith(checkpoint_dir + ":")
+    assert str(err.value).startswith(os.path.join(checkpoint_dir, "manifest.txt") + ":")
     assert not os.path.exists(tmp_path / "o")
+
+
+def _copy_checkpoint(checkpoint_dir, to):
+    to.mkdir()
+    for name in ("manifest.txt", "data.f32"):
+        (to / name).write_bytes((Path(checkpoint_dir) / name).read_bytes())
+    return to / "manifest.txt"
 
 
 @pytest.mark.parametrize("command, key", [("impute", "checkpoint"), ("probe", "checkpoint"),
                                           ("pretrain", "resume")])
 def test_non_finite_checkpoint_rejected_before_the_run_directory_exists(
         data_dir, checkpoint_dir, tmp_path, command, key):
-    bad = tmp_path / "nan_checkpoint"
-    bad.mkdir()
-    for name in ("manifest.txt", "params.f32"):
-        (bad / name).write_bytes((Path(checkpoint_dir) / name).read_bytes())
-    blob = np.fromfile(bad / "params.f32", dtype="<f4")
+    bad = _copy_checkpoint(checkpoint_dir, tmp_path / "nan_checkpoint").parent
+    blob = np.fromfile(bad / "data.f32", dtype="<f4")
     blob[0] = np.nan
-    blob.tofile(bad / "params.f32")
+    blob.tofile(bad / "data.f32")
     cfg = _write_cfg(tmp_path / "c.cfg", **{"data.dir": data_dir, key: str(bad)})
-    with pytest.raises(ManifestError, match=f"^{re.escape(str(bad / 'params.f32'))}: "
-                                            "parameter .* holds a non-finite value$"):
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(bad / 'data.f32'))}: "
+                                            "array .* holds a non-finite value at index .*$"):
         cli.main([command, "--out", str(tmp_path / "o"), "--config", cfg])
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_checkpoint_grid_too_large_to_build_rejected_before_the_run_directory_exists(
+        data_dir, checkpoint_dir, tmp_path, monkeypatch):
+    from crossmae import model
+
+    man = _copy_checkpoint(checkpoint_dir, tmp_path / "huge")
+    man.write_text(man.read_text().replace("n_patches=4\n", "n_patches=99999999999\n"))
+
+    def fail(*args):
+        raise AssertionError("built a position table before checking the grid")
+
+    monkeypatch.setattr(model, "positions_2d", fail)
+    cfg = _write_cfg(tmp_path / "c.cfg", **{"data.dir": data_dir, "checkpoint": str(man.parent)})
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(man))}: dataset 4x32 does not "
+                                            "fit checkpoint grid 4x99999999999x8 "):
+        cli.main(["impute", "--out", str(tmp_path / "o"), "--config", cfg])
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("kind", ["dataset", "checkpoint"])
+def test_older_format_rejected_before_the_run_directory_exists(data_dir, checkpoint_dir,
+                                                               tmp_path, kind):
+    """A dataset without a format line and a crossmae-checkpoint-v1 checkpoint,
+    as earlier versions wrote them, with name@offset parameter lines and the
+    blob in params.f32."""
+    old = tmp_path / kind
+    old.mkdir()
+    if kind == "dataset":
+        for name in ("data.f32", "labels.txt"):
+            (old / name).write_bytes((Path(data_dir) / name).read_bytes())
+        (old / "manifest.txt").write_text("n_windows=12\nC=4\nL=32\nsample_rate_hz=50.0\n"
+                                          "n_classes=4\n")
+        settings, fmt, got = {"data.dir": old, "checkpoint": checkpoint_dir}, "dataset-v2", None
+    else:
+        state = load_checkpoint(checkpoint_dir)
+        lines, offset = ["format=crossmae-checkpoint-v1"], 0
+        lines += [f"{k}={v}" for k, v in vars(state.arch).items()]
+        for name in sorted(state.params):
+            shape = state.params[name].shape
+            lines.append(f"param.{name}={'x'.join(map(str, shape))}@{offset}")
+            offset += state.params[name].size
+        (old / "manifest.txt").write_text("\n".join(lines) + "\n")
+        (old / "params.f32").write_bytes((Path(checkpoint_dir) / "data.f32").read_bytes())
+        settings = {"data.dir": data_dir, "checkpoint": old}
+        fmt, got = "checkpoint-v2", "'crossmae-checkpoint-v1'"
+    cfg = _write_cfg(tmp_path / "c.cfg", **settings)
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(old / 'manifest.txt'))}: key "
+                                            f"format: expected crossmae-{fmt}, got {got}$"):
+        cli.main(["impute", "--out", str(tmp_path / "o"), "--config", cfg])
     assert not os.path.exists(tmp_path / "o")
 
 

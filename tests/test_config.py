@@ -1,12 +1,18 @@
 """Flat key=value config parsing, formatting, and typed resolution."""
 
 import math
+import shutil
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crossmae.config import (ManifestError, format_kv_lines, load_config,
                              parse_kv_lines, resolve)
+from crossmae.model import ArchSpec, init_model, load_checkpoint, save_checkpoint
+from crossmae.windows import load_dataset, save_dataset
 
 DEFAULTS = {"optim.lr": 5e-4, "optim.epochs": 200, "mask.policy": "cross",
             "augment.matched_start": False}
@@ -88,3 +94,61 @@ def test_float_values_round_trip_exactly(x):
 def test_int_values_round_trip_exactly(n):
     back = resolve({"v": 0}, parse_kv_lines(format_kv_lines({"v": n})))["v"]
     assert back == n
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A saved dataset and a saved checkpoint, with the loader of each."""
+    root = tmp_path_factory.mktemp("arrays")
+    rng = np.random.default_rng(0)
+    save_dataset(root / "dataset", rng.standard_normal((3, 2, 8)), np.array([0, 1, -1]),
+                 sample_rate_hz=50.0, n_classes=2)
+    arch = ArchSpec(n_modalities=2, n_patches=2, patch_len=4, d_model=8, enc_layers=1,
+                    dec_layers=1, n_heads=2)
+    save_checkpoint(init_model(arch, 0), root / "checkpoint")
+    return {"dataset": (root / "dataset", load_dataset),
+            "checkpoint": (root / "checkpoint", load_checkpoint)}
+
+
+VALUES = st.one_of(st.integers(-3, 10**4).map(str),
+                   st.sampled_from(["", "x", "2x", "3.5", "nan", "inf", "1e3"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["dataset", "checkpoint"]), data=st.data())
+def test_any_one_mutation_of_an_array_directory_is_a_manifest_error(saved, kind, data):
+    """One edit of a saved manifest or blob either loads or raises a
+    ManifestError that starts with the path of a file of the directory: the
+    blob's after a blob edit; after a manifest edit, the manifest's, or
+    labels.txt's once n_classes no longer covers the labels. Never an
+    IndexError, a reshape error or an allocation the size of the edit."""
+    source, load = saved[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(shutil.copytree(source, Path(tmp) / kind))
+        man, blob = directory / "manifest.txt", directory / "data.f32"
+        lines = man.read_text().splitlines()
+        mutation = data.draw(st.sampled_from(["replace", "drop", "truncate", "extend", "nan"]))
+        if mutation in ("replace", "drop"):
+            i = data.draw(st.integers(0, len(lines) - 1))
+            if mutation == "replace":
+                lines[i] = lines[i].split("=")[0] + "=" + data.draw(VALUES)
+            else:
+                del lines[i]
+            man.write_text("\n".join(lines) + "\n")
+            at_fault = (man, directory / "labels.txt")
+        else:
+            values = np.fromfile(blob, dtype="<f4")
+            if mutation == "truncate":
+                values = values[:-1]
+            elif mutation == "extend":
+                values = np.append(values, np.float32(0.0))
+            else:
+                values[data.draw(st.integers(0, values.size - 1))] = np.nan
+            values.tofile(blob)
+            at_fault = (blob,)
+        try:
+            load(directory)
+        except ManifestError as exc:
+            assert str(exc).startswith(tuple(f"{path}:" for path in at_fault)), str(exc)
+        else:
+            assert mutation == "replace"

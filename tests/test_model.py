@@ -196,8 +196,8 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(back.params[name],
                               val.astype(np.float32).astype(np.float64))
     save_checkpoint(back, tmp_path / "again")
-    assert (tmp_path / "params.f32").read_bytes() == \
-        (tmp_path / "again" / "params.f32").read_bytes()
+    assert (tmp_path / "data.f32").read_bytes() == \
+        (tmp_path / "again" / "data.f32").read_bytes()
     assert (tmp_path / "manifest.txt").read_text() == \
         (tmp_path / "again" / "manifest.txt").read_text()
 
@@ -206,61 +206,91 @@ def test_checkpoint_corrupt_manifest_rejected(tmp_path):
     state = init_model(TINY, seed=8)
     save_checkpoint(state, tmp_path)
     man = tmp_path / "manifest.txt"
-    man.write_text(man.read_text().replace("crossmae-checkpoint-v1", "other-v9"))
-    with pytest.raises(ManifestError, match="unsupported format"):
+    man.write_text(man.read_text().replace("crossmae-checkpoint-v2", "crossmae-checkpoint-v1"))
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(man))}: key format: expected "
+                                            "crossmae-checkpoint-v2, got 'crossmae-checkpoint-v1'"):
         load_checkpoint(tmp_path)
 
 
 def test_checkpoint_blob_size_mismatch_rejected(tmp_path):
     state = init_model(TINY, seed=9)
     save_checkpoint(state, tmp_path)
-    blob = tmp_path / "params.f32"
+    blob = tmp_path / "data.f32"
     blob.write_bytes(blob.read_bytes()[:-8])
     with pytest.raises(ManifestError):
         load_checkpoint(tmp_path)
 
 
 def test_checkpoint_non_finite_parameter_rejected(tmp_path):
-    save_checkpoint(init_model(TINY, seed=13), tmp_path)
-    offset = int((tmp_path / "manifest.txt").read_text()
-                 .split("param.mask_token=")[1].split("@")[1].split()[0])
-    blob = np.fromfile(tmp_path / "params.f32", dtype="<f4")
+    state = init_model(TINY, seed=13)
+    save_checkpoint(state, tmp_path)
+    # the blob holds the parameters in name order
+    offset = sum(state.params[name].size for name in sorted(state.params) if name < "mask_token")
+    blob = np.fromfile(tmp_path / "data.f32", dtype="<f4")
     blob[offset + 1] = np.nan
-    blob.tofile(tmp_path / "params.f32")
-    path = re.escape(str(tmp_path / "params.f32"))
-    with pytest.raises(ManifestError,
-                       match=f"^{path}: parameter mask_token holds a non-finite value$"):
+    blob.tofile(tmp_path / "data.f32")
+    path = re.escape(str(tmp_path / "data.f32"))
+    with pytest.raises(ManifestError, match=f"^{path}: array mask_token holds a non-finite "
+                                            r"value at index \(0, 1\)$"):
         load_checkpoint(tmp_path)
 
 
-def _edit_param_line(directory, name, edit):
+def _edit_manifest_line(directory, key, value):
     man = directory / "manifest.txt"
     lines = man.read_text().splitlines()
-    key = f"param.{name}="
-    lines = [key + edit(line[len(key):]) if line.startswith(key) else line for line in lines]
+    lines = [f"{key}={value}" if line.startswith(key + "=") else line for line in lines]
     man.write_text("\n".join(lines) + "\n")
-
-
-def test_checkpoint_aliased_offsets_rejected(tmp_path):
-    save_checkpoint(init_model(TINY, seed=10), tmp_path)
-    offset = (tmp_path / "manifest.txt").read_text().split("param.cls=")[1].split("@")[1].split()[0]
-    _edit_param_line(tmp_path, "mask_token", lambda v: v.split("@")[0] + "@" + offset)
-    with pytest.raises(ManifestError, match=r"manifest\.txt: parameter .* overlaps"):
-        load_checkpoint(tmp_path)
 
 
 def test_checkpoint_transposed_shape_rejected(tmp_path):
     save_checkpoint(init_model(TINY, seed=11), tmp_path)
-    _edit_param_line(tmp_path, "embed.W", lambda v: "8x4@" + v.split("@")[1])
-    with pytest.raises(ManifestError, match=r"manifest\.txt: parameter embed\.W has shape"):
+    _edit_manifest_line(tmp_path, "array.embed.W", "8x4")
+    with pytest.raises(ManifestError, match=r"manifest\.txt: key array\.embed\.W: "
+                                            r"shape \(8, 4\), the arch needs \(4, 8\)$"):
         load_checkpoint(tmp_path)
 
 
-def test_checkpoint_negative_offset_rejected(tmp_path):
+@pytest.mark.parametrize("key, value, message", [
+    ("d_model", "abc", "key d_model: cannot parse 'abc' as int"),
+    ("d_model", "0", "d_model must be at least 1, got 0"),
+    ("d_model", "16", "key array.embed.W: shape (4, 8), the arch needs (4, 16)"),
+    ("enc_layers", "100000", "missing key array.enc1.ln1.g"),
+    ("array.enc0.ln1.g", "8x1", "key array.enc0.ln1.g: shape (8, 1), the arch needs (8,)"),
+    ("array.head.b", "4x", "key array.head.b: expected a shape such as 3x4, got '4x'"),
+], ids=["text-width", "zero-width", "other-width", "many-layers", "extra-axis", "bad-shape"])
+def test_checkpoint_manifest_errors_name_the_file_and_key(tmp_path, key, value, message):
     save_checkpoint(init_model(TINY, seed=12), tmp_path)
-    _edit_param_line(tmp_path, "head.b", lambda v: v.split("@")[0] + "@-4")
-    with pytest.raises(ManifestError, match=r"manifest\.txt: parameter head\.b has negative"):
+    _edit_manifest_line(tmp_path, key, value)
+    man = re.escape(str(tmp_path / "manifest.txt"))
+    with pytest.raises(ManifestError, match=f"^{man}: {re.escape(message)}$"):
         load_checkpoint(tmp_path)
+
+
+def test_checkpoint_unknown_and_missing_arrays_rejected(tmp_path):
+    save_checkpoint(init_model(TINY, seed=12), tmp_path)
+    man = tmp_path / "manifest.txt"
+    text = man.read_text()
+    man.write_text(text + "array.enc9.ln1.g=8\n")
+    with pytest.raises(ManifestError, match=r"manifest\.txt: unknown key array\.enc9\.ln1\.g$"):
+        load_checkpoint(tmp_path)
+    man.write_text(text.replace("array.head.W=8x4\n", ""))
+    with pytest.raises(ManifestError, match=r"manifest\.txt: missing key array\.head\.W$"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_loads_without_building_a_model(tmp_path, monkeypatch):
+    from crossmae import model
+
+    state = init_model(TINY, seed=14)
+    save_checkpoint(state, tmp_path)
+
+    def fail(*args):
+        raise AssertionError("loading a checkpoint built a model or a position table")
+
+    monkeypatch.setattr(model, "init_model", fail)
+    monkeypatch.setattr(model, "positions_2d", fail)
+    back = load_checkpoint(tmp_path)
+    assert back.arch == TINY and list(back.params) == sorted(state.params)
 
 
 def test_forward_frozen_matches_a_pass_on_leaves_bit_for_bit():

@@ -183,9 +183,9 @@ def test_dataset_save_load_round_trip(tmp_path):
 
 def test_dataset_unlabeled_round_trip(tmp_path):
     ws = np.stack([np.random.default_rng(0).standard_normal((2, 8)) for _ in range(2)])
-    save_dataset(tmp_path, ws, np.full(2, -1), sample_rate_hz=20.0, n_classes=0)
-    _, back_labels, _ = load_dataset(tmp_path)
-    assert all(label == -1 for label in back_labels)
+    save_dataset(tmp_path, ws, np.full(2, -1), sample_rate_hz=np.float64(20.0), n_classes=0)
+    _, back_labels, meta = load_dataset(tmp_path)
+    assert all(label == -1 for label in back_labels) and meta["sample_rate_hz"] == 20.0
 
 
 def test_dataset_corrupt_manifest_names_line(tmp_path):
@@ -230,8 +230,8 @@ def test_dataset_errors_name_the_full_path(tmp_path):
     man.write_text(text.replace("n_classes=2\n", ""))
     with pytest.raises(ManifestError, match=f"^{re.escape(str(man))}: missing key n_classes"):
         load_dataset(tmp_path)
-    man.write_text(text.replace("C=2", "C=two"))
-    with pytest.raises(ManifestError, match=f"^{re.escape(str(man))}: non-numeric"):
+    man.write_text(text.replace("array.values=4x2x16", "array.values=4xtwox16"))
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(man))}: key array.values: "):
         load_dataset(tmp_path)
     man.write_text(text)
     blob = tmp_path / "data.f32"
@@ -246,31 +246,79 @@ def test_dataset_errors_name_the_full_path(tmp_path):
 
 
 @pytest.mark.parametrize("fault, name, message", [
-    ("NaN in window 2", "data.f32", "window 2 holds a non-finite value"),
-    ("n_windows=0", "manifest.txt", "n_windows=0 must be at least 1"),
-    ("n_windows=-4", "manifest.txt", "n_windows=-4 must be at least 1"),
-    ("C=1", "manifest.txt", "C=1 must be at least 2"),
-    ("C=-2", "manifest.txt", "C=-2 must be at least 2"),
-    ("L=1", "manifest.txt", "L=1 must be at least 2"),
-    ("n_classes=-3", "manifest.txt", "n_classes=-3 must be at least 0"),
-    ("sample_rate_hz=-5.0", "manifest.txt", "sample_rate_hz=-5.0 must be positive and finite"),
-    ("sample_rate_hz=0", "manifest.txt", "sample_rate_hz=0.0 must be positive and finite"),
-    ("sample_rate_hz=nan", "manifest.txt", "sample_rate_hz=nan must be positive and finite"),
-    ("sample_rate_hz=inf", "manifest.txt", "sample_rate_hz=inf must be positive and finite"),
+    ("NaN in window 2", "data.f32", "array values holds a non-finite value at index (2, 0, 5)"),
+    ("array.values=0x2x16", "manifest.txt", "key array.values: n_windows=0 must be at least 1"),
+    ("array.values=-4x2x16", "manifest.txt",
+     "key array.values: expected a shape such as 3x4, got '-4x2x16'"),
+    ("array.values=4x1x16", "manifest.txt", "key array.values: C=1 must be at least 2"),
+    ("array.values=4x-2x16", "manifest.txt",
+     "key array.values: expected a shape such as 3x4, got '4x-2x16'"),
+    ("array.values=4x2x1", "manifest.txt", "key array.values: L=1 must be at least 2"),
+    ("n_classes=-3", "manifest.txt", "key n_classes: must be at least 0, got -3"),
+    ("sample_rate_hz=-5.0", "manifest.txt",
+     "key sample_rate_hz: must be positive and finite, got -5.0"),
+    ("sample_rate_hz=0", "manifest.txt", "key sample_rate_hz: must be positive and finite, got 0.0"),
+    ("sample_rate_hz=nan", "manifest.txt",
+     "key sample_rate_hz: must be positive and finite, got nan"),
+    ("sample_rate_hz=inf", "manifest.txt",
+     "key sample_rate_hz: must be positive and finite, got inf"),
+    ("n_classes=2.0", "manifest.txt", "key n_classes: cannot parse '2.0' as int"),
+    ("C=2", "manifest.txt", "unknown key 'C'"),
+    ("array.labels=4", "manifest.txt", "key array.values: a dataset has one array, values, "
+     "of shape n x C x L; the manifest lists {'values': (4, 2, 16), 'labels': (4,)}"),
+    ("array.values=", "manifest.txt", "key array.values: expected a shape such as 3x4, got ''"),
+    ("array.values=4x32", "manifest.txt", "key array.values: a dataset has one array, values, "
+     "of shape n x C x L; the manifest lists {'values': (4, 32)}"),
 ], ids=["nan-blob", "no-windows", "negative-windows", "one-modality", "negative-modalities",
         "one-sample", "negative-classes", "negative-rate", "zero-rate", "nan-rate",
-        "inf-rate"])
+        "inf-rate", "float-classes", "unknown-key", "unknown-array", "empty-shape",
+        "two-dimensions"])
 def test_dataset_bad_dimensions_and_values_name_the_file(tmp_path, fault, name, message):
     save_dataset(tmp_path, *generate_windows(_spec()), sample_rate_hz=50.0, n_classes=2)
     if fault.startswith("NaN"):
         blob = np.fromfile(tmp_path / "data.f32", dtype="<f4")
         blob[2 * 2 * 16 + 5] = np.nan  # window 2 of (4, 2, 16)
         blob.tofile(tmp_path / "data.f32")
-    else:
+    else:  # replace the line of the fault's key, or add one
         man = tmp_path / "manifest.txt"
         key = fault.split("=")[0]
-        man.write_text("".join(fault + "\n" if line.startswith(key + "=") else line + "\n"
-                               for line in man.read_text().splitlines()))
+        lines = [line for line in man.read_text().splitlines() if not line.startswith(key + "=")]
+        man.write_text("\n".join(lines + [fault]) + "\n")
     path = tmp_path / name
     with pytest.raises(ManifestError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_dataset(tmp_path)
+
+
+def test_dataset_in_the_untagged_older_format_rejected(tmp_path):
+    save_dataset(tmp_path, *generate_windows(_spec()), sample_rate_hz=50.0, n_classes=2)
+    man = tmp_path / "manifest.txt"
+    man.write_text("n_windows=4\nC=2\nL=16\nsample_rate_hz=50.0\nn_classes=2\n")
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(man))}: key format: expected "
+                                            "crossmae-dataset-v2, got None$"):
+        load_dataset(tmp_path)
+
+
+def test_failed_save_leaves_the_old_dataset(tmp_path, monkeypatch):
+    from crossmae import config
+
+    old, labels = generate_windows(_spec())
+    save_dataset(tmp_path, old, labels, sample_rate_hz=50.0, n_classes=2)
+    real = config.write_atomic
+
+    def blob_write_fails(path, chunks):
+        if not str(path).endswith("data.f32"):
+            return real(path, chunks)
+
+        def chunks_then_fail():
+            yield from chunks
+            raise OSError("no space left on device")
+        return real(path, chunks_then_fail())
+
+    monkeypatch.setattr(config, "write_atomic", blob_write_fails)
+    with pytest.raises(OSError, match="no space left"):
+        save_dataset(tmp_path, old[:3] + 1.0, labels[:3], sample_rate_hz=25.0, n_classes=2)
+    values, back_labels, meta = load_dataset(tmp_path)
+    assert np.array_equal(values, old.astype(np.float32).astype(np.float64))
+    assert np.array_equal(back_labels, labels) and meta["sample_rate_hz"] == 50.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.f32", "labels.txt",
+                                                          "manifest.txt"]
