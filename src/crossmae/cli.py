@@ -30,6 +30,10 @@ from .windows import (LABELS_NAME, SynthSpec, as_generator, generate_windows,
 RUN_FORMAT = "crossmae-run-v1"
 CONFIG_NAME = "config.txt"
 FORMAT_NAME = "format.txt"
+# The most float64 values (1 GiB) that gradcheck's window of C x P x L_p
+# values, or one attention layer's n_heads x (C x P + 1)^2 scores, may hold:
+# a grid that a config alone sets must not outgrow a desk machine's memory.
+MAX_ARRAY_VALUES = 2**27
 
 
 def _keys(cls, prefix: str, **named) -> dict:
@@ -299,6 +303,15 @@ def cmd_gradcheck(run: Run) -> None:
     if not cfg["check.h"] > 0:
         raise run.error("check.h", f"must be positive, got {cfg['check.h']!r}")
     arch = run.build(ArchSpec, ARCH_KEYS)
+    tokens = arch.n_tokens + 1
+    for what, size, factors in (
+            ("window values C x P x L_p", arch.n_tokens * arch.patch_len,
+             ("n_modalities", "n_patches", "patch_len")),
+            ("attention scores n_heads x (C x P + 1)^2", arch.n_heads * tokens * tokens,
+             ("n_modalities", "n_patches", "n_heads"))):
+        if size > MAX_ARRAY_VALUES:  # at fault: the largest factor
+            key = ARCH_KEYS[max(factors, key=lambda name: getattr(arch, name))]
+            raise run.error(key, f"{size} {what} exceed the limit of {MAX_ARRAY_VALUES}")
     run.start()
     err = gradcheck_model(arch, seed=cfg["seed"], h=cfg["check.h"], max_coords=max_coords)
     run.write("gradcheck.txt", f"max_rel_err={_fmt(err)}\n")

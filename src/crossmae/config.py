@@ -79,9 +79,18 @@ def resolve(defaults: dict, overrides: dict, source: str = "<config>") -> dict:
     return out
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path, newlines translated as open()
+    translates them; a file that is not UTF-8 is a ManifestError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_config(path, defaults: dict) -> dict:
-    with open(path) as fh:
-        overrides = parse_kv_lines(fh.read(), source=str(path))
+    overrides = parse_kv_lines(read_text(path), source=str(path))
     return resolve(defaults, overrides, source=str(path))
 
 
@@ -119,8 +128,7 @@ def load_arrays(directory, fmt: str, header_types: dict, check) -> tuple[dict, d
     the key, or the array and its first non-finite index."""
     man = os.path.join(directory, MANIFEST_NAME)
     blob_path = os.path.join(directory, BLOB_NAME)
-    with open(man) as fh:
-        meta = parse_kv_lines(fh.read(), source=man)
+    meta = parse_kv_lines(read_text(man), source=man)
     got = meta.pop("format", None)
     if got != fmt:
         raise ManifestError(f"{man}: key format: expected {fmt}, got {got!r}")

@@ -3,10 +3,13 @@
 The analysis scores a masking policy by how strongly the visible part of a
 window predicts the hidden part: build per-window view features, reduce with
 PCA, and take the top singular value of the whitened cross-covariance
-sigma_1(Gamma), Gamma = S_uu^{-1/2} S_um S_mm^{-1/2}. The windows arrive as
-one (n, C, L) array and their masks as one (n, C, P) array; the view
-features are the raw cells of each view, or, given a model state, the mean
-encoder latent of each view (model.forward_frozen). kcca_solve gives the kernel
+sigma_1(Gamma), Gamma = S_uu^{-1/2} S_um S_mm^{-1/2}. PCA eigendecomposes the
+smaller Gram of the centred features (n x n for fewer windows than features,
+as in Sirovich's method of snapshots, Q. Appl. Math. 1987), so it never builds
+a thin SVD's two factors only to keep k score columns. The windows arrive as
+one (n, C, L) array and their masks as one (n, C, P) array; the view features
+are the raw cells of each view, or, given a model state, the mean encoder
+latent of each view (model.forward_frozen). kcca_solve gives the kernel
 counterpart, the top regularized canonical correlation of two caller-built
 Gram matrices over the same windows, in closed form by the low-rank route of
 Bach & Jordan (JMLR 2002) and Hardoon, Szedmak & Shawe-Taylor (Neural
@@ -132,8 +135,16 @@ def kcca_solve(grams: ViewGrams, gamma_u: float, gamma_m: float, centered: bool)
 
 
 def pca_reduce(features: np.ndarray, k: int) -> np.ndarray:
-    """Column-center and project onto the top-k right singular vectors.
+    """Column-center and project onto the top-k principal directions: the
+    (n, k) scores, largest variance first.
 
+    The directions come from the eigendecomposition of the smaller Gram of
+    the centred features xc, not from a thin SVD. With more features than
+    rows, q > n (the method of snapshots), the top eigenvectors u_j of
+    xc xc^T, with eigenvalues s_j^2, give the directions v_j = xc^T u_j / s_j
+    and the scores xc v_j = s_j u_j, so nothing is divided: past the
+    numerical rank s_j is rounding noise, and so are the scores. Otherwise
+    the top eigenvectors of xc^T xc are the directions.
     Each component's sign is fixed so its largest-magnitude loading is
     positive, making the scores reproducible across LAPACK builds.
     """
@@ -144,10 +155,17 @@ def pca_reduce(features: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= min(n, q):
         raise ValueError(f"k={k} out of range for {n}x{q} features")
     xc = x - x.mean(axis=0, keepdims=True)
-    u, s, vt = np.linalg.svd(xc, full_matrices=False)
-    flip = np.sign(vt[np.arange(vt.shape[0]), np.abs(vt).argmax(axis=1)])
+    if n < q:
+        lam, u = np.linalg.eigh(xc @ xc.T)  # ascending
+        u = u[:, :-k - 1:-1]
+        v = xc.T @ u  # v_j scaled by s_j, which leaves its signs
+        scores = u * np.sqrt(np.maximum(lam[:-k - 1:-1], 0.0))
+    else:
+        v = np.linalg.eigh(xc.T @ xc)[1][:, :-k - 1:-1]
+        scores = xc @ v
+    flip = np.sign(v[np.abs(v).argmax(axis=0), np.arange(k)])
     flip[flip == 0] = 1.0
-    return xc @ (vt[:k] * flip[:k, None]).T
+    return scores * flip
 
 
 def _inv_sqrt(s: np.ndarray, name: str) -> np.ndarray:
@@ -166,9 +184,7 @@ def cca_sigma(s_uu: np.ndarray, s_mm: np.ndarray, s_um: np.ndarray) -> np.ndarra
     wu = _inv_sqrt(np.asarray(s_uu, dtype=np.float64), "S_UU")
     wm = _inv_sqrt(np.asarray(s_mm, dtype=np.float64), "S_MM")
     gamma = wu @ np.asarray(s_um, dtype=np.float64) @ wm
-    # The full decomposition, not compute_uv=False: LAPACK's values-only path
-    # rounds differently, and sigma1.csv is part of the byte-identical runs.
-    return np.linalg.svd(gamma)[1]
+    return np.linalg.svd(gamma, compute_uv=False)
 
 
 def _raw_view_features(values: np.ndarray, shown: np.ndarray, patch_len: int) -> np.ndarray:

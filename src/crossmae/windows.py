@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ManifestError, load_arrays, save_arrays, write_atomic
+from .config import ManifestError, load_arrays, read_text, save_arrays, write_atomic
 
 
 def as_generator(seed):
@@ -201,19 +201,18 @@ def load_dataset(directory):
     n_classes = header["n_classes"]
     labels_path = os.path.join(directory, LABELS_NAME)
     labels = []
-    with open(labels_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                label = int(line.strip())
-            except ValueError:
-                raise ManifestError(f"{labels_path}: line {lineno}: label {line.strip()!r} "
-                                    "is not an integer") from None
-            if not (label == -1 or 0 <= label < n_classes):
-                raise ManifestError(f"{labels_path}: line {lineno}: label {label} is neither "
-                                    f"-1 nor a class in [0, {n_classes})")
-            labels.append(label)
+    for lineno, line in enumerate(read_text(labels_path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            label = int(line.strip())
+        except ValueError:
+            raise ManifestError(f"{labels_path}: line {lineno}: label {line.strip()!r} "
+                                "is not an integer") from None
+        if not (label == -1 or 0 <= label < n_classes):
+            raise ManifestError(f"{labels_path}: line {lineno}: label {label} is neither "
+                                f"-1 nor a class in [0, {n_classes})")
+        labels.append(label)
     if len(labels) != n:
         raise ManifestError(f"{labels_path}: {len(labels)} labels for {n} windows")
     return values, np.array(labels, dtype=np.int64), {"n_windows": n, "C": c_n, "L": length,

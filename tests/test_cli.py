@@ -318,7 +318,10 @@ def test_analyze_rejects_bad_settings_before_writing_results(tmp_path, key, valu
     ("check.max_coords", 0, "must be at least 1, got 0"),
     ("check.max_coords", -3, "must be at least 1, got -3"),
     ("check.h", 0.0, "must be positive, got 0.0"),
-    ("check.h", -1e-4, "must be positive, got -0.0001")])
+    ("check.h", -1e-4, "must be positive, got -0.0001"),
+    # 3 x 99999999999 x 6 float64 values would be 13.1 TiB
+    ("arch.n_patches", 99999999999,
+     "1799999999982 window values C x P x L_p exceed the limit of 134217728")])
 def test_gradcheck_rejects_bad_settings_before_writing_results(tmp_path, key, value, message):
     cfg = _write_cfg(tmp_path / "g.cfg", **{key: value})
     with pytest.raises(ManifestError, match=f"^{re.escape(cfg)}: key {key}: {message}$"):
@@ -361,6 +364,8 @@ BAD_SETTINGS = [
     ("analyze", {"exp.encoder": "model_encoder", "exp.checkpoint": "nowhere"},
      "exp.checkpoint"),
     ("gradcheck", {"arch.n_heads": 3}, "arch.n_heads"),
+    ("gradcheck", {"arch.patch_len": 10**9}, "arch.patch_len"),
+    ("gradcheck", {"arch.n_modalities": 20000, "arch.n_patches": 1}, "arch.n_modalities"),
 ]
 
 

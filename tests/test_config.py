@@ -152,3 +152,45 @@ def test_any_one_mutation_of_an_array_directory_is_a_manifest_error(saved, kind,
             assert str(exc).startswith(tuple(f"{path}:" for path in at_fault)), str(exc)
         else:
             assert mutation == "replace"
+
+
+LINES = st.one_of(st.text(max_size=30), st.sampled_from(["optim.lr", "=", "a=b=c", "#x=1"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["config", "labels"]), data=st.data())
+def test_any_one_edit_of_a_config_or_labels_file_is_a_manifest_error(saved, kind, data):
+    """One edit of one line of a config file or of labels.txt either loads or
+    raises a ManifestError that starts with that file's path: never a
+    UnicodeDecodeError, an int() or float() error or a KeyError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if kind == "config":
+            path = Path(tmp) / "run.cfg"
+            path.write_text(format_kv_lines(DEFAULTS))
+
+            def load():
+                load_config(path, DEFAULTS)
+        else:
+            directory = Path(shutil.copytree(saved["dataset"][0], Path(tmp) / "dataset"))
+            path = directory / "labels.txt"
+
+            def load():
+                load_dataset(directory)
+        lines = path.read_bytes().splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        mutation = data.draw(st.sampled_from(["text", "value", "bytes", "drop", "repeat"]))
+        if mutation == "text":
+            lines[i] = data.draw(LINES).encode()
+        elif mutation == "value":
+            lines[i] = lines[i].split(b"=")[0] + b"=" + data.draw(LINES).encode()
+        elif mutation == "bytes":
+            lines[i] = data.draw(st.binary(max_size=8))
+        elif mutation == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        try:
+            load()
+        except ManifestError as exc:
+            assert str(exc).startswith(f"{path}:"), str(exc)

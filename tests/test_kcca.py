@@ -1,8 +1,11 @@
 """Gram centering, (K)CCA solvers, PCA, and the sigma_1 experiment."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from crossmae import kcca
 from crossmae.kcca import (ConditioningError, ViewGrams, cca_sigma, center_gram, kcca_solve,
                            pca_reduce, sigma1_experiment)
 from crossmae.model import ArchSpec, init_model
@@ -169,6 +172,65 @@ def test_pca_sign_convention_is_deterministic():
     assert np.array_equal(pca_reduce(x, 3), pca_reduce(x.copy(), 3))
 
 
+def _svd_pca(features, k):
+    """PCA by the thin SVD of the centred features, signs fixed as pca_reduce
+    fixes them: the reference that pca_reduce's Gram route is held to."""
+    xc = features - features.mean(axis=0, keepdims=True)
+    vt = np.linalg.svd(xc, full_matrices=False)[2][:k]
+    flip = np.sign(vt[np.arange(k), np.abs(vt).argmax(axis=1)])
+    flip[flip == 0] = 1.0
+    return xc @ (vt * flip[:, None]).T
+
+
+def _svd_cca_sigma(s_uu, s_mm, s_um):
+    """cca_sigma's values from the full SVD of Gamma."""
+    gamma = kcca._inv_sqrt(s_uu, "S_UU") @ s_um @ kcca._inv_sqrt(s_mm, "S_MM")
+    return np.linalg.svd(gamma)[1]
+
+
+# The Gram route squares the features' condition: eigh's backward error of
+# about m eps s_1^2 on an m x m Gram moves the k-th component by about
+# m eps (s_1 / s_k)^2 of its own scale, 3.6e-11 for m = 16 and s_1 / s_k = 100.
+PCA_RTOL = 1e-10
+
+
+def _spectrum_features(n, q, seed):
+    """(n, q) features whose centred singular values run geometrically from
+    100 down to 1 over rank min(n, q) - 1, plus a column offset."""
+    rng = np.random.default_rng(seed)
+    r = min(n, q) - 1
+    a = rng.standard_normal((n, r))
+    u = np.linalg.qr(a - a.mean(axis=0))[0]  # orthogonal to the ones column
+    v = np.linalg.qr(rng.standard_normal((q, r)))[0]
+    return (u * np.geomspace(100.0, 1.0, r)) @ v.T + rng.standard_normal(q)
+
+
+@pytest.mark.parametrize("n, q", [(12, 30), (30, 12), (16, 16)])
+def test_pca_matches_the_thin_svd(n, q):
+    x = _spectrum_features(n, q, seed=n * q)
+    for k in range(1, min(n, q)):
+        z, ref = pca_reduce(x, k), _svd_pca(x, k)
+        assert z.shape == ref.shape == (n, k)
+        assert (np.abs(z - ref).max(axis=0) <= PCA_RTOL * np.abs(ref).max(axis=0)).all(), k
+
+
+@pytest.mark.parametrize("n, q", [(12, 30), (30, 12)])
+def test_pca_past_the_rank_of_masked_features_is_finite_and_empty(n, q):
+    # a view that hides the same cells of every window leaves zero columns
+    x = np.random.default_rng(q).standard_normal((n, q))
+    x[:, 4:] = 0.0
+    k = min(n, q) - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z = pca_reduce(x, k)
+    ref = _svd_pca(x, k)
+    assert np.isfinite(z).all()
+    assert (np.abs(z - ref)[:, :4].max(axis=0) <= PCA_RTOL * np.abs(ref[:, :4]).max(axis=0)).all()
+    # past rank 4 only rounding is left: s_j <= sqrt(m eps) s_1 on an m x m Gram
+    bound = np.sqrt(min(n, q) * np.finfo(np.float64).eps) * np.linalg.norm(z[:, 0])
+    assert np.abs(z[:, 4:]).max() <= bound
+
+
 def test_cca_sigma_zero_cross_and_identical_views():
     s = np.diag([2.0, 1.0, 0.5])
     sigma = cca_sigma(s, s.copy(), np.zeros((3, 3)))
@@ -223,6 +285,22 @@ def test_sigma1_experiment_bounds_and_determinism():
     assert v1 == v2
     for v in (v1, v3):
         assert 0.0 <= v <= 1.0 + 1e-8
+
+
+@pytest.mark.parametrize("policy", ["cross", "sync"])
+@pytest.mark.parametrize("encoder", ["raw_flatten", "model_encoder"])
+def test_sigma1_experiment_matches_the_thin_svd_route(monkeypatch, encoder, policy):
+    ws = _transition_windows(30, 0.9, 18, length=140)
+    state = None
+    if encoder == "model_encoder":
+        state = init_model(ArchSpec(n_modalities=4, n_patches=7, patch_len=20, d_model=8,
+                                    enc_layers=1, dec_layers=1, n_heads=2), seed=0)
+    args = dict(pca_k=10, seed=5, ratio=0.15, patch_len=20)
+    sigma = sigma1_experiment(ws, policy, state, **args)
+    monkeypatch.setattr(kcca, "pca_reduce", _svd_pca)
+    monkeypatch.setattr(kcca, "cca_sigma", _svd_cca_sigma)
+    ref = sigma1_experiment(ws, policy, state, **args)
+    assert abs(sigma - ref) <= PCA_RTOL * ref
 
 
 def test_sigma1_experiment_model_encoder_runs():
