@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .config import MANIFEST_NAME, ManifestError, format_kv_lines, load_config
+from .config import MANIFEST_NAME, ManifestError, blob_error, format_kv_lines, load_config
 from .imputation import (METHODS, TASKS, MissingnessTask, _sample_mask_array,
                          impute_chained, impute_linear, impute_model,
                          impute_nearest, score, task_mask)
@@ -24,15 +24,14 @@ from .masking import CROSS, SYNC, sample_mask
 from .model import (ArchSpec, _hold_heap, gradcheck_model, load_checkpoint,
                     save_checkpoint)
 from .train import OptimConfig, PretrainConfig, ProbeConfig, _split_indices, pretrain, probe
-from .windows import (LABELS_NAME, SynthSpec, as_generator, generate_windows,
-                      load_dataset, save_dataset, splice_augment, standardize)
+from .windows import (SynthSpec, as_generator, generate_windows, load_dataset, save_dataset,
+                      splice_augment, standardize)
 
 RUN_FORMAT = "crossmae-run-v1"
 CONFIG_NAME = "config.txt"
 FORMAT_NAME = "format.txt"
-# The most float64 values (1 GiB) that gradcheck's window of C x P x L_p
-# values, or one attention layer's n_heads x (C x P + 1)^2 scores, may hold:
-# a grid that a config alone sets must not outgrow a desk machine's memory.
+# The most float64 values (1 GiB) that one array a config sizes may hold (see
+# _check_sizes): a run must not outgrow a desk machine's memory.
 MAX_ARRAY_VALUES = 2**27
 
 
@@ -151,6 +150,20 @@ def _n_patches(run: Run, key: str, length: int) -> int:
     return length // patch_len
 
 
+def _check_sizes(run: Run, arch: ArchSpec, **named) -> None:
+    """Reject an arch with an array past MAX_ARRAY_VALUES, naming its largest factor's key."""
+    for what, size, factors in (
+            ("window values C x P x L_p", arch.n_tokens * arch.patch_len,
+             ("n_modalities", "n_patches", "patch_len")),
+            ("attention scores n_heads x (C x P + 1)^2", arch.n_heads * (arch.n_tokens + 1) ** 2,
+             ("n_modalities", "n_patches", "n_heads")),
+            ("MLP weight values d_model x d_model * mlp_ratio",
+             arch.d_model ** 2 * arch.mlp_ratio, ("d_model", "mlp_ratio"))):
+        if size > MAX_ARRAY_VALUES:  # at fault: the largest factor
+            key = _keys(ArchSpec, "arch.", **named)[max(factors, key=lambda f: getattr(arch, f))]
+            raise run.error(key, f"{size} {what} exceed the limit of {MAX_ARRAY_VALUES}")
+
+
 def _fitting_checkpoint(path: str, n_modalities: int, n_samples: int):
     """The model state saved at path, or a ManifestError naming its manifest
     when its patch grid does not fit windows of n_modalities x n_samples."""
@@ -178,6 +191,7 @@ def cmd_pretrain(run: Run) -> None:
     values, _, meta = run.load("data.dir", load_dataset)
     arch = run.build(ArchSpec, ARCH_KEYS, n_modalities=meta["C"],
                      n_patches=_n_patches(run, "arch.patch_len", meta["L"]))
+    _check_sizes(run, arch, n_modalities="data.dir", n_patches="arch.patch_len")
     run.check("mask.ratio", sample_mask, pcfg.policy, arch.n_modalities, arch.n_patches,
               pcfg.mask_ratio, 0)
     init_state = run.load("resume", load_checkpoint) if cfg["resume"] else None
@@ -233,11 +247,8 @@ def cmd_probe(run: Run) -> None:
     values, labels, meta = run.load("data.dir", load_dataset)
     state = run.load("checkpoint", _fitting_checkpoint, meta["C"], meta["L"])
     if (labels < 0).any():
-        path = os.path.join(cfg["data.dir"], LABELS_NAME)
-        with open(path) as fh:  # blank lines hold no label: count them in
-            lineno = next(k for k, line in enumerate(fh, 1) if line.strip() and int(line) < 0)
-        raise ManifestError(f"{path}: line {lineno}: label -1 marks an unlabeled window; "
-                            "probe needs a fully labeled dataset")
+        raise blob_error(cfg["data.dir"], "labels", np.flatnonzero(labels < 0)[:1],
+                         "-1, an unlabeled window; probe needs a fully labeled dataset")
     run.check("data.dir", _split_indices, len(values), pcfg.train_fraction, as_generator(0))
     run.start()
     res = probe(state, values, labels, meta["n_classes"], pcfg, cfg["seed"])
@@ -303,15 +314,7 @@ def cmd_gradcheck(run: Run) -> None:
     if not cfg["check.h"] > 0:
         raise run.error("check.h", f"must be positive, got {cfg['check.h']!r}")
     arch = run.build(ArchSpec, ARCH_KEYS)
-    tokens = arch.n_tokens + 1
-    for what, size, factors in (
-            ("window values C x P x L_p", arch.n_tokens * arch.patch_len,
-             ("n_modalities", "n_patches", "patch_len")),
-            ("attention scores n_heads x (C x P + 1)^2", arch.n_heads * tokens * tokens,
-             ("n_modalities", "n_patches", "n_heads"))):
-        if size > MAX_ARRAY_VALUES:  # at fault: the largest factor
-            key = ARCH_KEYS[max(factors, key=lambda name: getattr(arch, name))]
-            raise run.error(key, f"{size} {what} exceed the limit of {MAX_ARRAY_VALUES}")
+    _check_sizes(run, arch)
     run.start()
     err = gradcheck_model(arch, seed=cfg["seed"], h=cfg["check.h"], max_coords=max_coords)
     run.write("gradcheck.txt", f"max_rel_err={_fmt(err)}\n")

@@ -4,10 +4,10 @@ One syntax everywhere: `key=value`, one per line, `#` starts a comment,
 sections are expressed with dotted key prefixes (optim.lr=5e-4). No nesting,
 no quoting. Parse errors always carry the source name and line number.
 
-Datasets and checkpoints are array directories (save_arrays, load_arrays):
-manifest.txt holds a format= tag, typed header keys and one
-array.<name>=<d0>x<d1>x... line per array; data.f32 holds their values as
-little-endian float32, in manifest order.
+Datasets (values, then labels) and checkpoints (parameters) are array
+directories (save_arrays, load_arrays): manifest.txt holds a format= tag,
+typed header keys and one array.<name>=<d0>x<d1>x... line per array;
+data.f32 holds their values as little-endian float32, in manifest order.
 """
 import math
 import os
@@ -166,7 +166,12 @@ def load_arrays(directory, fmt: str, header_types: dict, check) -> tuple[dict, d
         start += part.size
         bad = ~np.isfinite(part)
         if bad.any():
-            raise ManifestError(f"{blob_path}: array {name} holds a non-finite value at "
-                                f"index {tuple(np.argwhere(bad)[0].tolist())}")
+            raise blob_error(directory, name, np.argwhere(bad)[0], "a non-finite value")
         arrays[name] = part.astype(np.float64)
     return header, arrays
+
+
+def blob_error(directory, name: str, index, what: str) -> ManifestError:
+    """The error of the value (what) at index of the array name in directory's blob."""
+    return ManifestError(f"{os.path.join(directory, BLOB_NAME)}: array {name} holds {what} "
+                         f"at index {tuple(int(i) for i in index)}")

@@ -209,16 +209,18 @@ def concat(parts, axis=0):
 
 
 def take_rows(a, idx):
-    """Rows idx of a 2-D array, in order and repeats allowed. The backward
-    scatter-adds each gradient row into the row it came from."""
+    """Rows idx of a 2-D array, in order. The indices must be distinct, so the
+    backward adds each gradient row into its row by one indexed add."""
     ad = _data(a)
     idx = np.asarray(idx, dtype=np.intp)
     if ad.ndim != 2 or idx.ndim != 1:
         raise ValueError("take_rows needs a 2-D operand and 1-D row indices")
     out_data = ad[idx]
+    if np.unique(idx % len(ad)).size != idx.size:
+        raise ValueError("take_rows indices must be distinct")
 
     def backward(g):
-        np.add.at(a.grad, idx, g)
+        a.grad[idx] += g
 
     return _record(out_data, (a,), backward)
 

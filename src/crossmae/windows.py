@@ -5,8 +5,8 @@ A dataset is two arrays: `values`, an (n, C, L) float64 array of n windows
 of C sensor modalities sampled at a common rate, and `labels`, an (n,) int64
 array in which -1 marks an unlabeled window. `standardize` and `patchify`
 work on the last axes of a (..., C, L) array, so one call handles one window
-or a whole dataset. On disk, `values` is the one array of an array
-directory (config.save_arrays), and labels.txt holds one label per line.
+or a whole dataset. On disk, both are the arrays of one array directory
+(config.save_arrays), where float32 holds every label below LABEL_LIMIT.
 
 Generated windows share a class-specific base oscillation across modalities;
 `shared_latent_strength` interpolates between perfectly coupled channels
@@ -14,12 +14,11 @@ Generated windows share a class-specific base oscillation across modalities;
 independent channels (strength 0: each modality gets its own frequency and
 phase). Gaussian noise is added on top.
 """
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ManifestError, load_arrays, read_text, save_arrays, write_atomic
+from .config import blob_error, load_arrays, save_arrays
 
 
 def as_generator(seed):
@@ -44,10 +43,11 @@ class SynthSpec:
     sample_rate_hz: float = 50.0
 
     def __post_init__(self):
-        for name, least in (("n_windows", 1), ("n_modalities", 2), ("n_samples", 2),
-                            ("n_classes", 1)):
+        for name, least in (("n_windows", 1), ("n_modalities", 2), ("n_samples", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not 1 <= self.n_classes <= LABEL_LIMIT:
+            raise ValueError(f"n_classes must lie in [1, {LABEL_LIMIT}], got {self.n_classes}")
         if not 0.0 <= self.shared_latent_strength <= 1.0:
             raise ValueError(f"shared_latent_strength must lie in [0, 1], "
                              f"got {self.shared_latent_strength!r}")
@@ -158,62 +158,51 @@ def standardize(values: np.ndarray) -> np.ndarray:
     return np.where(flat, 0.0, (values - mu) / np.where(flat, 1.0, sd))
 
 
-DATASET_FORMAT = "crossmae-dataset-v2"
-LABELS_NAME = "labels.txt"
+DATASET_FORMAT = "crossmae-dataset-v3"
+LABEL_LIMIT = 2**24  # float32 holds every integer below it exactly
 
 
 def save_dataset(directory, values: np.ndarray, labels: np.ndarray, sample_rate_hz: float,
                  n_classes: int):
-    """Write the (n, C, L) values as the array `values` of an array directory
-    (config.save_arrays), and labels.txt, one label per line, -1 unlabeled."""
+    """Write the (n, C, L) values and the (n,) labels, each -1 (unlabeled) or
+    below LABEL_LIMIT, as the arrays of an array directory (config.save_arrays)."""
     if len(labels) != len(values):
         raise ValueError(f"{len(labels)} labels for {len(values)} windows")
+    bad = np.flatnonzero((labels < -1) | (labels >= LABEL_LIMIT))
+    if bad.size:
+        raise ValueError(f"label {labels[bad[0]]} at index {bad[0]} is not in [-1, {LABEL_LIMIT})")
     save_arrays(directory, DATASET_FORMAT,
-                {"sample_rate_hz": sample_rate_hz, "n_classes": n_classes}, {"values": values})
-    write_atomic(os.path.join(directory, LABELS_NAME),
-                 ["".join(f"{int(label)}\n" for label in labels).encode()])
+                {"sample_rate_hz": sample_rate_hz, "n_classes": n_classes},
+                {"values": values, "labels": labels})
 
 
 def _check_dataset(header: dict, shapes: dict):
-    """One array, values, (n, C, L) with n >= 1, C >= 2 and L >= 2; n_classes
-    >= 0 (0 for a wholly unlabeled dataset); a positive, finite rate."""
-    if list(shapes) != ["values"] or len(shapes["values"]) != 3:
-        raise ValueError(f"key array.values: a dataset has one array, values, of shape "
-                         f"n x C x L; the manifest lists {shapes}")
+    """Arrays values (n, C, L), n >= 1, C >= 2 and L >= 2, then labels (n,);
+    n_classes in [0, LABEL_LIMIT] (0: wholly unlabeled); a positive, finite rate."""
+    if (list(shapes) != ["values", "labels"] or len(shapes["values"]) != 3
+            or shapes["labels"] != shapes["values"][:1]):
+        raise ValueError(f"a dataset has two arrays, values of shape n x C x L, then labels "
+                         f"of shape n; the manifest lists {shapes}")
     for name, size, least in zip(("n_windows", "C", "L"), shapes["values"], (1, 2, 2)):
         if size < least:
             raise ValueError(f"key array.values: {name}={size} must be at least {least}")
-    if header["n_classes"] < 0:
-        raise ValueError(f"key n_classes: must be at least 0, got {header['n_classes']}")
+    if not 0 <= header["n_classes"] <= LABEL_LIMIT:
+        raise ValueError(f"key n_classes: {header['n_classes']} is not in [0, {LABEL_LIMIT}]")
     if not 0.0 < header["sample_rate_hz"] < np.inf:
         raise ValueError(f"key sample_rate_hz: must be positive and finite, "
                          f"got {header['sample_rate_hz']!r}")
 
 
 def load_dataset(directory):
-    """Read a dataset directory back: (values, labels, meta dict), with
-    n_windows, C and L from the shape of values. A malformed file raises a
-    ManifestError naming its path and the key, array or line at fault."""
+    """Read a dataset directory back: (values, int64 labels, meta dict), with
+    n_windows, C and L from values' shape. A malformed file, or a label neither
+    -1 nor a class, is a ManifestError naming its path and the fault's place."""
     header, arrays = load_arrays(directory, DATASET_FORMAT,
                                  {"sample_rate_hz": float, "n_classes": int}, _check_dataset)
-    values = arrays["values"]
+    values, labels, n_classes = arrays["values"], arrays["labels"], header["n_classes"]
+    bad = np.flatnonzero((labels < -1) | (labels >= n_classes) | (labels % 1 != 0))
+    if bad.size:
+        raise blob_error(directory, "labels", bad[:1], f"{float(labels[bad[0]])!r}, which is "
+                         f"neither -1 nor a class in [0, {n_classes})")
     n, c_n, length = values.shape
-    n_classes = header["n_classes"]
-    labels_path = os.path.join(directory, LABELS_NAME)
-    labels = []
-    for lineno, line in enumerate(read_text(labels_path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            label = int(line.strip())
-        except ValueError:
-            raise ManifestError(f"{labels_path}: line {lineno}: label {line.strip()!r} "
-                                "is not an integer") from None
-        if not (label == -1 or 0 <= label < n_classes):
-            raise ManifestError(f"{labels_path}: line {lineno}: label {label} is neither "
-                                f"-1 nor a class in [0, {n_classes})")
-        labels.append(label)
-    if len(labels) != n:
-        raise ManifestError(f"{labels_path}: {len(labels)} labels for {n} windows")
-    return values, np.array(labels, dtype=np.int64), {"n_windows": n, "C": c_n, "L": length,
-                                                      **header}
+    return values, labels.astype(np.int64), {"n_windows": n, "C": c_n, "L": length, **header}

@@ -66,7 +66,7 @@ def test_synth_layout_and_blob_identity(data_dir, tmp_path):
     _, _, meta = load_dataset(data_dir)
     assert meta["n_windows"] == 12 and meta["C"] == 4 and meta["L"] == 32
     blob = os.path.join(data_dir, "data.f32")
-    assert os.path.getsize(blob) == 12 * 4 * 32 * 4
+    assert os.path.getsize(blob) == (12 * 4 * 32 + 12) * 4  # the values, then the labels
 
     cfg = _write_cfg(tmp_path / "again.cfg", **{
         "data.n_windows": 12, "data.n_modalities": 4, "data.n_samples": 32,
@@ -227,20 +227,26 @@ def test_checkpoint_grid_too_large_to_build_rejected_before_the_run_directory_ex
     assert not os.path.exists(tmp_path / "o")
 
 
-@pytest.mark.parametrize("kind", ["dataset", "checkpoint"])
+@pytest.mark.parametrize("kind", ["dataset", "dataset-v2", "checkpoint"])
 def test_older_format_rejected_before_the_run_directory_exists(data_dir, checkpoint_dir,
                                                                tmp_path, kind):
-    """A dataset without a format line and a crossmae-checkpoint-v1 checkpoint,
-    as earlier versions wrote them, with name@offset parameter lines and the
-    blob in params.f32."""
+    """A dataset without a format line; a crossmae-dataset-v2 dataset, whose
+    labels.txt held one label per line; and a crossmae-checkpoint-v1
+    checkpoint, with name@offset parameter lines and the blob in params.f32:
+    each as earlier versions wrote them."""
     old = tmp_path / kind
     old.mkdir()
-    if kind == "dataset":
-        for name in ("data.f32", "labels.txt"):
-            (old / name).write_bytes((Path(data_dir) / name).read_bytes())
-        (old / "manifest.txt").write_text("n_windows=12\nC=4\nL=32\nsample_rate_hz=50.0\n"
-                                          "n_classes=4\n")
-        settings, fmt, got = {"data.dir": old, "checkpoint": checkpoint_dir}, "dataset-v2", None
+    if kind.startswith("dataset"):
+        values, labels, _ = load_dataset(data_dir)
+        values.astype("<f4").tofile(old / "data.f32")
+        if kind == "dataset":
+            head, got = "n_windows=12\nC=4\nL=32\n", None
+        else:
+            head, got = "format=crossmae-dataset-v2\narray.values=12x4x32\n", \
+                "'crossmae-dataset-v2'"
+            (old / "labels.txt").write_text("".join(f"{label}\n" for label in labels))
+        (old / "manifest.txt").write_text(head + "sample_rate_hz=50.0\nn_classes=4\n")
+        settings, fmt = {"data.dir": old, "checkpoint": checkpoint_dir}, "dataset-v3"
     else:
         state = load_checkpoint(checkpoint_dir)
         lines, offset = ["format=crossmae-checkpoint-v1"], 0
@@ -279,9 +285,11 @@ def test_probe_rejects_unlabeled_dataset(checkpoint_dir, tmp_path):
                  sample_rate_hz=50.0, n_classes=1)
     cfg = _write_cfg(tmp_path / "u.cfg", **{
         "data.dir": str(tmp_path / "unlabeled"), "checkpoint": checkpoint_dir})
-    labels = tmp_path / "unlabeled" / "labels.txt"
-    with pytest.raises(ManifestError, match=f"^{re.escape(str(labels))}: line 2: .*labeled"):
+    blob = tmp_path / "unlabeled" / "data.f32"
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(blob))}: array labels holds -1, "
+                                            r".*labeled dataset at index \(1,\)$"):
         cli.main(["probe", "--out", str(tmp_path / "o"), "--config", cfg])
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_analyze_rows_and_summary(tmp_path):
@@ -337,6 +345,7 @@ BAD_SETTINGS = [
     ("synth", {"data.strength": 2}, "data.strength"),
     ("synth", {"seed": -1}, "seed"),
     ("synth", {"--seed": -1}, "seed"),
+    ("synth", {"data.n_classes": 2**24 + 1}, "data.n_classes"),  # a label float32 cannot hold
     ("pretrain", {"optim.lr": -1}, "optim.lr"),
     ("pretrain", {"optim.epochs": 0}, "optim.warmup_epochs"),
     ("pretrain", {"mask.ratio": 1.5}, "mask.ratio"),
@@ -393,6 +402,44 @@ def test_bad_setting_names_its_key_before_the_run_directory_exists(
     assert str(err.value).startswith(f"{where}: key {key}: ")
     if key not in written and where == cfg:
         assert str(err.value).endswith(" is the default)")
+    assert not os.path.exists(tmp_path / "o")
+
+
+# Runs one command with the address space capped, so that an allocation the
+# size checks miss fails fast instead of exhausting the machine's memory.
+CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+from crossmae import cli
+from crossmae.config import ManifestError
+try:
+    cli.main(sys.argv[1:])
+except ManifestError as exc:
+    print(exc)
+else:
+    sys.exit("accepted")
+"""
+
+
+@pytest.mark.parametrize("command, key, value, size", [
+    ("gradcheck", "arch.d_model", 4000000, 32000000000000),
+    ("gradcheck", "arch.mlp_ratio", 100000000, 102400000000),
+    ("pretrain", "arch.d_model", 4000000, 32000000000000),
+    ("pretrain", "arch.mlp_ratio", 100000000, 102400000000)])
+def test_mlp_weight_too_large_rejected_before_the_run_directory_exists(
+        data_dir, tmp_path, command, key, value, size):
+    settings = {key: value, "arch.n_heads": 4}
+    if command == "pretrain":
+        settings["data.dir"] = data_dir
+    cfg = _write_cfg(tmp_path / "c.cfg", **settings)
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", CAPPED, command, "--out", str(tmp_path / "o"),
+                           "--config", cfg],
+                          env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (f"{cfg}: key {key}: {size} MLP weight values d_model x "
+                                   "d_model * mlp_ratio exceed the limit of 134217728")
     assert not os.path.exists(tmp_path / "o")
 
 

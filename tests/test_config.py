@@ -112,6 +112,8 @@ def saved(tmp_path_factory):
 
 VALUES = st.one_of(st.integers(-3, 10**4).map(str),
                    st.sampled_from(["", "x", "2x", "3.5", "nan", "inf", "1e3"]))
+# values written into one element of a blob: a dataset's label must be -1 or a class
+ELEMENTS = st.one_of(st.sampled_from([0.5, -2.0, 7.0, 1e9, -1.0, 1.0]), st.floats(width=32))
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,15 +121,16 @@ VALUES = st.one_of(st.integers(-3, 10**4).map(str),
 def test_any_one_mutation_of_an_array_directory_is_a_manifest_error(saved, kind, data):
     """One edit of a saved manifest or blob either loads or raises a
     ManifestError that starts with the path of a file of the directory: the
-    blob's after a blob edit; after a manifest edit, the manifest's, or
-    labels.txt's once n_classes no longer covers the labels. Never an
-    IndexError, a reshape error or an allocation the size of the edit."""
+    blob's after a blob edit; after a manifest edit, the manifest's, or the
+    blob's once n_classes no longer covers the labels. Never an IndexError, a
+    reshape error or an allocation the size of the edit."""
     source, load = saved[kind]
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(shutil.copytree(source, Path(tmp) / kind))
         man, blob = directory / "manifest.txt", directory / "data.f32"
         lines = man.read_text().splitlines()
-        mutation = data.draw(st.sampled_from(["replace", "drop", "truncate", "extend", "nan"]))
+        mutation = data.draw(st.sampled_from(["replace", "drop", "truncate", "extend", "nan",
+                                              "value"]))
         if mutation in ("replace", "drop"):
             i = data.draw(st.integers(0, len(lines) - 1))
             if mutation == "replace":
@@ -135,7 +138,7 @@ def test_any_one_mutation_of_an_array_directory_is_a_manifest_error(saved, kind,
             else:
                 del lines[i]
             man.write_text("\n".join(lines) + "\n")
-            at_fault = (man, directory / "labels.txt")
+            at_fault = (man, blob)
         else:
             values = np.fromfile(blob, dtype="<f4")
             if mutation == "truncate":
@@ -143,7 +146,8 @@ def test_any_one_mutation_of_an_array_directory_is_a_manifest_error(saved, kind,
             elif mutation == "extend":
                 values = np.append(values, np.float32(0.0))
             else:
-                values[data.draw(st.integers(0, values.size - 1))] = np.nan
+                values[data.draw(st.integers(0, values.size - 1))] = (
+                    np.nan if mutation == "nan" else data.draw(ELEMENTS))
             values.tofile(blob)
             at_fault = (blob,)
         try:
@@ -151,31 +155,21 @@ def test_any_one_mutation_of_an_array_directory_is_a_manifest_error(saved, kind,
         except ManifestError as exc:
             assert str(exc).startswith(tuple(f"{path}:" for path in at_fault)), str(exc)
         else:
-            assert mutation == "replace"
+            assert mutation in ("replace", "value")
 
 
 LINES = st.one_of(st.text(max_size=30), st.sampled_from(["optim.lr", "=", "a=b=c", "#x=1"]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(["config", "labels"]), data=st.data())
-def test_any_one_edit_of_a_config_or_labels_file_is_a_manifest_error(saved, kind, data):
-    """One edit of one line of a config file or of labels.txt either loads or
-    raises a ManifestError that starts with that file's path: never a
+@given(data=st.data())
+def test_any_one_edit_of_a_config_file_is_a_manifest_error(data):
+    """One edit of one line of a config file either loads or raises a
+    ManifestError that starts with that file's path: never a
     UnicodeDecodeError, an int() or float() error or a KeyError."""
     with tempfile.TemporaryDirectory() as tmp:
-        if kind == "config":
-            path = Path(tmp) / "run.cfg"
-            path.write_text(format_kv_lines(DEFAULTS))
-
-            def load():
-                load_config(path, DEFAULTS)
-        else:
-            directory = Path(shutil.copytree(saved["dataset"][0], Path(tmp) / "dataset"))
-            path = directory / "labels.txt"
-
-            def load():
-                load_dataset(directory)
+        path = Path(tmp) / "run.cfg"
+        path.write_text(format_kv_lines(DEFAULTS))
         lines = path.read_bytes().splitlines()
         i = data.draw(st.integers(0, len(lines) - 1))
         mutation = data.draw(st.sampled_from(["text", "value", "bytes", "drop", "repeat"]))
@@ -191,6 +185,6 @@ def test_any_one_edit_of_a_config_or_labels_file_is_a_manifest_error(saved, kind
             lines.insert(i, lines[i])
         path.write_bytes(b"\n".join(lines) + b"\n")
         try:
-            load()
+            load_config(path, DEFAULTS)
         except ManifestError as exc:
             assert str(exc).startswith(f"{path}:"), str(exc)

@@ -108,7 +108,7 @@ PRIMITIVES = {
     "log_softmax": lambda p: T.mean(T.mul(T.log_softmax(p["a"]), p["b"])),
     "layernorm": lambda p: T.mean(T.layernorm(p["a"], p["g"], p["c"])),
     "mse": lambda p: T.mse(p["a"], p["b"]),
-    "take_rows": lambda p: T.mean(T.mul(T.take_rows(p["a"], [3, 0, 3]),
+    "take_rows": lambda p: T.mean(T.mul(T.take_rows(p["a"], [3, 0, 2]),
                                            T.slice_(p["b"], (slice(0, 3), slice(None))))),
     "scatter_rows": lambda p: T.mean(T.mul(T.scatter_rows(p["a"], [5, 0, 2, 3], 7, p["f"]),
                                               np.arange(35.0).reshape(7, 5))),
@@ -140,7 +140,7 @@ CALLS = {
     "transpose": lambda w, p: T.transpose(w(p["a"])),
     "slice_": lambda w, p: T.slice_(w(p["a"]), (slice(1, 3), slice(None))),
     "concat": lambda w, p: T.concat([w(p["a"]), w(p["b"])], axis=1),
-    "take_rows": lambda w, p: T.take_rows(w(p["a"]), [3, 0, 3]),
+    "take_rows": lambda w, p: T.take_rows(w(p["a"]), [3, 0, 2]),
     "scatter_rows": lambda w, p: T.scatter_rows(w(p["a"]), [5, 0, 2, 3], 7, w(p["f"])),
     "attention": lambda w, p: T.attention(w(p["q"]), w(p["k"]), w(p["v"]), 2, 2),
     "mean": lambda w, p: T.mean(w(p["a"])),
@@ -232,6 +232,13 @@ def test_scatter_rows_rejects_repeated_indices():
     t = T.Tape()
     with pytest.raises(ValueError):
         T.scatter_rows(t.leaf(np.ones((2, 3))), [1, 1], 4, t.leaf(np.zeros((1, 3))))
+
+
+@pytest.mark.parametrize("idx", [[3, 0, 3], [3, -1]], ids=["repeat", "negative-alias"])
+def test_take_rows_rejects_repeated_indices(idx):
+    t = T.Tape()
+    with pytest.raises(ValueError, match="distinct"):
+        T.take_rows(t.leaf(np.ones((4, 3))), idx)
 
 
 def test_forward_only_tape_records_nothing():

@@ -68,7 +68,8 @@ def test_invalid_spec_rejected():
         _spec(noise_sd=-0.1)
     for field, value in (("noise_sd", float("inf")), ("noise_sd", float("nan")),
                          ("sample_rate_hz", -5.0), ("sample_rate_hz", 0.0),
-                         ("sample_rate_hz", float("nan")), ("sample_rate_hz", float("inf"))):
+                         ("sample_rate_hz", float("nan")), ("sample_rate_hz", float("inf")),
+                         ("n_classes", 2**24 + 1)):
         with pytest.raises(ValueError, match=f"^{field} must .*, got {value!r}$"):
             _spec(**{field: value})
 
@@ -181,6 +182,22 @@ def test_dataset_save_load_round_trip(tmp_path):
         assert back_labels[i] == labels[i]
 
 
+def test_dataset_labels_round_trip_exactly(tmp_path):
+    labels = np.array([0, -1, 2**24 - 1, 5, -1])
+    save_dataset(tmp_path, np.zeros((5, 2, 4)), labels, sample_rate_hz=50.0, n_classes=2**24)
+    _, back_labels, _ = load_dataset(tmp_path)
+    assert back_labels.dtype == np.int64 and back_labels.tolist() == labels.tolist()
+
+
+def test_save_dataset_rejects_a_label_float32_cannot_hold(tmp_path):
+    for label in (2**24, -2):
+        with pytest.raises(ValueError, match=rf"^label {label} at index 1 is not in "
+                                             r"\[-1, 16777216\)$"):
+            save_dataset(tmp_path, np.zeros((2, 2, 4)), np.array([0, label]),
+                         sample_rate_hz=50.0, n_classes=2**24)
+    assert not any(tmp_path.iterdir())
+
+
 def test_dataset_unlabeled_round_trip(tmp_path):
     ws = np.stack([np.random.default_rng(0).standard_normal((2, 8)) for _ in range(2)])
     save_dataset(tmp_path, ws, np.full(2, -1), sample_rate_hz=np.float64(20.0), n_classes=0)
@@ -208,17 +225,19 @@ def test_dataset_blob_size_mismatch_rejected(tmp_path):
         load_dataset(tmp_path)
 
 
-@pytest.mark.parametrize("labels, message", [
-    (["0", "one", "1"], "line 2: label 'one' is not an integer"),
-    (["0", "1", "-5"], "line 3: label -5 is neither -1 nor a class in [0, 2)"),
-    (["2", "0", "1"], "line 1: label 2 is neither -1 nor a class in [0, 2)"),
+@pytest.mark.parametrize("index, label, message", [
+    (1, 0.5, "0.5"), (2, -2, "-2.0"), (0, 2, "2.0"),
 ], ids=["non-integer", "negative", "beyond-n-classes"])
-def test_dataset_bad_label_names_path_and_line(tmp_path, labels, message):
+def test_dataset_bad_label_names_blob_array_and_index(tmp_path, index, label, message):
     save_dataset(tmp_path, *generate_windows(_spec(n_windows=3)), sample_rate_hz=50.0,
                  n_classes=2)
-    path = tmp_path / "labels.txt"
-    path.write_text("".join(f"{lab}\n" for lab in labels))
-    with pytest.raises(ManifestError, match=f"^{re.escape(f'{path}: {message}')}$"):
+    blob = np.fromfile(tmp_path / "data.f32", dtype="<f4")
+    blob[3 * 2 * 16 + index] = label  # the labels follow the (3, 2, 16) values
+    blob.tofile(tmp_path / "data.f32")
+    path = tmp_path / "data.f32"
+    with pytest.raises(ManifestError, match=f"^{re.escape(f'{path}: array labels holds ')}"
+                                            f"{re.escape(message)}, which is neither -1 nor a "
+                                            rf"class in \[0, 2\) at index \({index},\)$"):
         load_dataset(tmp_path)
 
 
@@ -238,23 +257,20 @@ def test_dataset_errors_name_the_full_path(tmp_path):
     blob.write_bytes(blob.read_bytes()[:-4])
     with pytest.raises(ManifestError, match=f"^{re.escape(str(blob))}: size"):
         load_dataset(tmp_path)
-    blob.write_bytes(b"\0" * (4 * 4 * 2 * 16))
-    labels = tmp_path / "labels.txt"
-    labels.write_text("0\n1\n")
-    with pytest.raises(ManifestError, match=f"^{re.escape(str(labels))}: 2 labels for 4"):
-        load_dataset(tmp_path)
 
 
 @pytest.mark.parametrize("fault, name, message", [
     ("NaN in window 2", "data.f32", "array values holds a non-finite value at index (2, 0, 5)"),
-    ("array.values=0x2x16", "manifest.txt", "key array.values: n_windows=0 must be at least 1"),
+    ("array.values=0x2x16;array.labels=0", "manifest.txt",
+     "key array.values: n_windows=0 must be at least 1"),
     ("array.values=-4x2x16", "manifest.txt",
      "key array.values: expected a shape such as 3x4, got '-4x2x16'"),
     ("array.values=4x1x16", "manifest.txt", "key array.values: C=1 must be at least 2"),
     ("array.values=4x-2x16", "manifest.txt",
      "key array.values: expected a shape such as 3x4, got '4x-2x16'"),
     ("array.values=4x2x1", "manifest.txt", "key array.values: L=1 must be at least 2"),
-    ("n_classes=-3", "manifest.txt", "key n_classes: must be at least 0, got -3"),
+    ("n_classes=-3", "manifest.txt", "key n_classes: -3 is not in [0, 16777216]"),
+    ("n_classes=16777217", "manifest.txt", "key n_classes: 16777217 is not in [0, 16777216]"),
     ("sample_rate_hz=-5.0", "manifest.txt",
      "key sample_rate_hz: must be positive and finite, got -5.0"),
     ("sample_rate_hz=0", "manifest.txt", "key sample_rate_hz: must be positive and finite, got 0.0"),
@@ -264,26 +280,35 @@ def test_dataset_errors_name_the_full_path(tmp_path):
      "key sample_rate_hz: must be positive and finite, got inf"),
     ("n_classes=2.0", "manifest.txt", "key n_classes: cannot parse '2.0' as int"),
     ("C=2", "manifest.txt", "unknown key 'C'"),
-    ("array.labels=4", "manifest.txt", "key array.values: a dataset has one array, values, "
-     "of shape n x C x L; the manifest lists {'values': (4, 2, 16), 'labels': (4,)}"),
+    ("array.extra=4", "manifest.txt", "a dataset has two arrays, values of shape n x C x L, "
+     "then labels of shape n; the manifest lists {'values': (4, 2, 16), 'labels': (4,), "
+     "'extra': (4,)}"),
     ("array.values=", "manifest.txt", "key array.values: expected a shape such as 3x4, got ''"),
-    ("array.values=4x32", "manifest.txt", "key array.values: a dataset has one array, values, "
-     "of shape n x C x L; the manifest lists {'values': (4, 32)}"),
+    ("array.values=4x32", "manifest.txt", "a dataset has two arrays, values of shape n x C x L, "
+     "then labels of shape n; the manifest lists {'values': (4, 32), 'labels': (4,)}"),
+    ("array.labels=4x1", "manifest.txt", "a dataset has two arrays, values of shape n x C x L, "
+     "then labels of shape n; the manifest lists {'values': (4, 2, 16), 'labels': (4, 1)}"),
+    ("array.labels=3", "manifest.txt", "a dataset has two arrays, values of shape n x C x L, "
+     "then labels of shape n; the manifest lists {'values': (4, 2, 16), 'labels': (3,)}"),
 ], ids=["nan-blob", "no-windows", "negative-windows", "one-modality", "negative-modalities",
-        "one-sample", "negative-classes", "negative-rate", "zero-rate", "nan-rate",
-        "inf-rate", "float-classes", "unknown-key", "unknown-array", "empty-shape",
-        "two-dimensions"])
+        "one-sample", "negative-classes", "too-many-classes", "negative-rate", "zero-rate",
+        "nan-rate", "inf-rate", "float-classes", "unknown-key", "unknown-array", "empty-shape",
+        "two-dimensions", "two-dimensional-labels", "labels-for-fewer-windows"])
 def test_dataset_bad_dimensions_and_values_name_the_file(tmp_path, fault, name, message):
     save_dataset(tmp_path, *generate_windows(_spec()), sample_rate_hz=50.0, n_classes=2)
     if fault.startswith("NaN"):
         blob = np.fromfile(tmp_path / "data.f32", dtype="<f4")
         blob[2 * 2 * 16 + 5] = np.nan  # window 2 of (4, 2, 16)
         blob.tofile(tmp_path / "data.f32")
-    else:  # replace the line of the fault's key, or add one
+    else:  # replace the line of each edit's key in place, keeping the arrays' order, or add one
         man = tmp_path / "manifest.txt"
-        key = fault.split("=")[0]
-        lines = [line for line in man.read_text().splitlines() if not line.startswith(key + "=")]
-        man.write_text("\n".join(lines + [fault]) + "\n")
+        lines = man.read_text().splitlines()
+        for edit in fault.split(";"):
+            key = edit.split("=")[0]
+            at = next((i for i, line in enumerate(lines) if line.startswith(key + "=")),
+                      len(lines))
+            lines[at:at + 1] = [edit]
+        man.write_text("\n".join(lines) + "\n")
     path = tmp_path / name
     with pytest.raises(ManifestError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_dataset(tmp_path)
@@ -294,7 +319,7 @@ def test_dataset_in_the_untagged_older_format_rejected(tmp_path):
     man = tmp_path / "manifest.txt"
     man.write_text("n_windows=4\nC=2\nL=16\nsample_rate_hz=50.0\nn_classes=2\n")
     with pytest.raises(ManifestError, match=f"^{re.escape(str(man))}: key format: expected "
-                                            "crossmae-dataset-v2, got None$"):
+                                            "crossmae-dataset-v3, got None$"):
         load_dataset(tmp_path)
 
 
@@ -320,5 +345,4 @@ def test_failed_save_leaves_the_old_dataset(tmp_path, monkeypatch):
     values, back_labels, meta = load_dataset(tmp_path)
     assert np.array_equal(values, old.astype(np.float32).astype(np.float64))
     assert np.array_equal(back_labels, labels) and meta["sample_rate_hz"] == 50.0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.f32", "labels.txt",
-                                                          "manifest.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.f32", "manifest.txt"]
