@@ -15,7 +15,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .config import MANIFEST_NAME, ManifestError, blob_error, format_kv_lines, load_config
+from .config import (BLOB_NAME, MANIFEST_NAME, ManifestError, array_fault, format_kv_lines,
+                     load_config)
 from .imputation import (METHODS, TASKS, MissingnessTask, _sample_mask_array,
                          impute_chained, impute_linear, impute_model,
                          impute_nearest, score, task_mask)
@@ -57,8 +58,7 @@ def _defaults(cls, keys: dict) -> dict:
 
 
 SYNTH_DEFAULTS = {"data.n_windows": 200, "data.n_modalities": 6, "data.n_samples": 200,
-                  "data.n_classes": 4, "data.strength": 0.9, "data.noise_sd": 0.3,
-                  **_defaults(SynthSpec, SYNTH_KEYS), "seed": 0}
+                  "data.n_classes": 4, "data.strength": 0.9, "data.noise_sd": 0.3, "seed": 0}
 PRETRAIN_DEFAULTS = {"data.dir": "", "resume": "", "arch.patch_len": 8,
                      **_defaults(ArchSpec, ARCH_KEYS), **_defaults(PretrainConfig, PRETRAIN_KEYS),
                      **_defaults(OptimConfig, OPTIM_KEYS), "seed": 0}
@@ -150,18 +150,36 @@ def _n_patches(run: Run, key: str, length: int) -> int:
     return length // patch_len
 
 
-def _check_sizes(run: Run, arch: ArchSpec, **named) -> None:
-    """Reject an arch with an array past MAX_ARRAY_VALUES, naming its largest factor's key."""
-    for what, size, factors in (
-            ("window values C x P x L_p", arch.n_tokens * arch.patch_len,
-             ("n_modalities", "n_patches", "patch_len")),
-            ("attention scores n_heads x (C x P + 1)^2", arch.n_heads * (arch.n_tokens + 1) ** 2,
-             ("n_modalities", "n_patches", "n_heads")),
-            ("MLP weight values d_model x d_model * mlp_ratio",
-             arch.d_model ** 2 * arch.mlp_ratio, ("d_model", "mlp_ratio"))):
-        if size > MAX_ARRAY_VALUES:  # at fault: the largest factor
-            key = _keys(ArchSpec, "arch.", **named)[max(factors, key=lambda f: getattr(arch, f))]
+def _check_sizes(run: Run, *arrays) -> None:
+    """Reject settings that size an array past MAX_ARRAY_VALUES. Each array is
+    (what, size, [(key, factor), ...]); the error names the largest factor's key."""
+    for what, size, factors in arrays:
+        if size > MAX_ARRAY_VALUES:
+            key = max(factors, key=lambda kf: kf[1])[0]
             raise run.error(key, f"{size} {what} exceed the limit of {MAX_ARRAY_VALUES}")
+
+
+def _arch_arrays(arch: ArchSpec, **named) -> tuple:
+    """For _check_sizes: a window's patch grid, the attention scores and one
+    MLP weight of arch, each factor under its key (arch.<field>, unless named)."""
+    keys = _keys(ArchSpec, "arch.", **named)
+
+    def factors(*names):
+        return [(keys[name], getattr(arch, name)) for name in names]
+    return (("window values C x P x L_p", arch.n_tokens * arch.patch_len,
+             factors("n_modalities", "n_patches", "patch_len")),
+            ("attention scores n_heads x (C x P + 1)^2", arch.n_heads * (arch.n_tokens + 1) ** 2,
+             factors("n_modalities", "n_patches", "n_heads")),
+            ("MLP weight values d_model x d_model * mlp_ratio",
+             arch.d_model ** 2 * arch.mlp_ratio, factors("d_model", "mlp_ratio")))
+
+
+def _windows_array(spec: SynthSpec, what: str, key: str, n: int) -> tuple:
+    """For _check_sizes: n windows shaped as spec's, n set at key."""
+    return (f"{what} values {key.split('.')[-1]} x n_modalities x n_samples",
+            n * spec.n_modalities * spec.n_samples,
+            [(key, n), ("data.n_modalities", spec.n_modalities),
+             ("data.n_samples", spec.n_samples)])
 
 
 def _fitting_checkpoint(path: str, n_modalities: int, n_samples: int):
@@ -179,19 +197,22 @@ def _fitting_checkpoint(path: str, n_modalities: int, n_samples: int):
 
 def cmd_synth(run: Run) -> None:
     spec = run.build(SynthSpec, SYNTH_KEYS)
-    run.start()
+    _check_sizes(run, _windows_array(spec, "dataset", "data.n_windows", spec.n_windows))
     values, labels = generate_windows(spec)
-    save_dataset(run.out_dir, values, labels, spec.sample_rate_hz, spec.n_classes)
+    # save_dataset creates the directory only once the dataset passes its checks;
+    # of the settings, only the noise scale can push a value past float32
+    run.check("data.noise_sd", save_dataset, run.out_dir, values, labels, spec.n_classes)
+    run.start()
     print(f"wrote {len(values)} windows to {run.out_dir}")
 
 
 def cmd_pretrain(run: Run) -> None:
     cfg = run.cfg
     pcfg = run.build(PretrainConfig, PRETRAIN_KEYS, optim=run.build(OptimConfig, OPTIM_KEYS))
-    values, _, meta = run.load("data.dir", load_dataset)
-    arch = run.build(ArchSpec, ARCH_KEYS, n_modalities=meta["C"],
-                     n_patches=_n_patches(run, "arch.patch_len", meta["L"]))
-    _check_sizes(run, arch, n_modalities="data.dir", n_patches="arch.patch_len")
+    values, _, _ = run.load("data.dir", load_dataset)
+    arch = run.build(ArchSpec, ARCH_KEYS, n_modalities=values.shape[1],
+                     n_patches=_n_patches(run, "arch.patch_len", values.shape[2]))
+    _check_sizes(run, *_arch_arrays(arch, n_modalities="data.dir", n_patches="arch.patch_len"))
     run.check("mask.ratio", sample_mask, pcfg.policy, arch.n_modalities, arch.n_patches,
               pcfg.mask_ratio, 0)
     init_state = run.load("resume", load_checkpoint) if cfg["resume"] else None
@@ -210,8 +231,8 @@ def cmd_pretrain(run: Run) -> None:
 def cmd_impute(run: Run) -> None:
     cfg = run.cfg
     tasks = [run.build(MissingnessTask, TASK_KEYS, kind=kind) for kind in TASKS]
-    raw, _, meta = run.load("data.dir", load_dataset)
-    state = run.load("checkpoint", _fitting_checkpoint, meta["C"], meta["L"])
+    raw, _, _ = run.load("data.dir", load_dataset)
+    state = run.load("checkpoint", _fitting_checkpoint, *raw.shape[1:])
     arch = state.arch
     for task in tasks:  # one throwaway draw each, for the checks that need the grid
         run.check("task.ratio", task_mask, task, arch.n_modalities, arch.n_patches, 0)
@@ -225,7 +246,7 @@ def cmd_impute(run: Run) -> None:
         rng = as_generator([cfg["seed"], t_idx])
         masks = np.stack([task_mask(task, arch.n_modalities, arch.n_patches, rng)
                           for _ in values])
-        smasks = _sample_mask_array(masks, arch.patch_len, meta["L"])
+        smasks = _sample_mask_array(masks, arch.patch_len, raw.shape[2])
         filled = {
             "model": impute_model(state, values, masks),
             "linear": impute_linear(values, smasks),
@@ -244,14 +265,15 @@ def cmd_impute(run: Run) -> None:
 def cmd_probe(run: Run) -> None:
     cfg = run.cfg
     pcfg = run.build(ProbeConfig, PROBE_KEYS)
-    values, labels, meta = run.load("data.dir", load_dataset)
-    state = run.load("checkpoint", _fitting_checkpoint, meta["C"], meta["L"])
+    values, labels, n_classes = run.load("data.dir", load_dataset)
+    state = run.load("checkpoint", _fitting_checkpoint, *values.shape[1:])
     if (labels < 0).any():
-        raise blob_error(cfg["data.dir"], "labels", np.flatnonzero(labels < 0)[:1],
-                         "-1, an unlabeled window; probe needs a fully labeled dataset")
+        fault = array_fault("labels", np.flatnonzero(labels < 0)[:1],
+                            "-1, an unlabeled window; probe needs a fully labeled dataset")
+        raise ManifestError(f"{os.path.join(cfg['data.dir'], BLOB_NAME)}: {fault}")
     run.check("data.dir", _split_indices, len(values), pcfg.train_fraction, as_generator(0))
     run.start()
-    res = probe(state, values, labels, meta["n_classes"], pcfg, cfg["seed"])
+    res = probe(state, values, labels, n_classes, pcfg, cfg["seed"])
     run.write("curve.csv", _curve(res.trace))
     run.write("summary.txt", f"top1={_fmt(res.top1)}\n"
                              f"final_loss={_fmt(res.trace[-1]) if res.trace else 'nan'}\n"
@@ -266,6 +288,8 @@ def cmd_analyze(run: Run) -> None:
     pca_k = run.at_least("exp.pca_k", 1)
     n_seeds = run.at_least("exp.n_seeds", 1)
     spec = run.build(SynthSpec, SYNTH_KEYS)
+    _check_sizes(run, _windows_array(spec, "dataset", "data.n_windows", spec.n_windows),
+                 _windows_array(spec, "transition", "exp.n_transitions", n_trans))
     if cfg["exp.encoder"] == "raw_flatten":
         state = None
         n_patches = _n_patches(run, "exp.patch_len", spec.n_samples)
@@ -314,7 +338,7 @@ def cmd_gradcheck(run: Run) -> None:
     if not cfg["check.h"] > 0:
         raise run.error("check.h", f"must be positive, got {cfg['check.h']!r}")
     arch = run.build(ArchSpec, ARCH_KEYS)
-    _check_sizes(run, arch)
+    _check_sizes(run, *_arch_arrays(arch))
     run.start()
     err = gradcheck_model(arch, seed=cfg["seed"], h=cfg["check.h"], max_coords=max_coords)
     run.write("gradcheck.txt", f"max_rel_err={_fmt(err)}\n")

@@ -4,10 +4,10 @@ One syntax everywhere: `key=value`, one per line, `#` starts a comment,
 sections are expressed with dotted key prefixes (optim.lr=5e-4). No nesting,
 no quoting. Parse errors always carry the source name and line number.
 
-Datasets (values, then labels) and checkpoints (parameters) are array
-directories (save_arrays, load_arrays): manifest.txt holds a format= tag,
-typed header keys and one array.<name>=<d0>x<d1>x... line per array;
-data.f32 holds their values as little-endian float32, in manifest order.
+Datasets and checkpoints are array directories: manifest.txt holds a
+format= tag, typed header keys and one array.<name>=<d0>x<d1>x... line per
+array, data.f32 their values as little-endian float32, in manifest order.
+save_arrays and load_arrays both run a format's check and need finite values.
 """
 import math
 import os
@@ -107,10 +107,13 @@ def write_atomic(path, chunks) -> None:
     os.replace(tmp, path)
 
 
-def save_arrays(directory, fmt: str, header: dict, arrays: dict) -> None:
+def save_arrays(directory, fmt: str, header: dict, arrays: dict, check) -> None:
     """Write an array directory: format fmt, then the header's keys and the
-    arrays, each in order, the arrays' values rounded to float32. The blob
-    goes first, so a failed write leaves the old pair."""
+    arrays, each in order, values rounded to float32. A save that load_arrays
+    would refuse (check(header, shapes), a non-finite value) raises its
+    ValueError and creates nothing; a failed write leaves the old pair."""
+    check(header, {name: a.shape for name, a in arrays.items()})
+    _check_finite(arrays)
     os.makedirs(directory, exist_ok=True)
     write_atomic(os.path.join(directory, BLOB_NAME),
                  (np.ascontiguousarray(a, dtype="<f4") for a in arrays.values()))
@@ -150,10 +153,7 @@ def load_arrays(directory, fmt: str, header_types: dict, check) -> tuple[dict, d
     for key in header_types:
         if key not in header:
             raise ManifestError(f"{man}: missing key {key}")
-    try:
-        check(header, shapes)
-    except ValueError as exc:
-        raise ManifestError(f"{man}: {exc}") from None
+    checked(man, check, header, shapes)
     total = sum(math.prod(shape) for shape in shapes.values())
     size = os.path.getsize(blob_path)
     if size != 4 * total:
@@ -162,16 +162,29 @@ def load_arrays(directory, fmt: str, header_types: dict, check) -> tuple[dict, d
     blob = np.fromfile(blob_path, dtype="<f4")
     arrays, start = {}, 0
     for name, shape in shapes.items():
-        part = blob[start:start + math.prod(shape)].reshape(shape)
-        start += part.size
-        bad = ~np.isfinite(part)
+        arrays[name] = blob[start:start + math.prod(shape)].reshape(shape)
+        start += math.prod(shape)
+    checked(blob_path, _check_finite, arrays)
+    return header, {name: a.astype(np.float64) for name, a in arrays.items()}
+
+
+def checked(path, fn, *args):
+    """fn(*args); its ValueError becomes a ManifestError of the file at path."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
+
+
+def array_fault(name: str, index, what: str) -> str:
+    """The fault of the value (what) at index of the array name."""
+    return f"array {name} holds {what} at index {tuple(int(i) for i in index)}"
+
+
+def _check_finite(arrays: dict) -> None:
+    """Raise the fault of the first value, in order, that float32 holds as inf or NaN."""
+    for name, a in arrays.items():
+        with np.errstate(over="ignore"):  # the overflow is the fault raised
+            bad = ~np.isfinite(np.asarray(a, dtype="<f4"))
         if bad.any():
-            raise blob_error(directory, name, np.argwhere(bad)[0], "a non-finite value")
-        arrays[name] = part.astype(np.float64)
-    return header, arrays
-
-
-def blob_error(directory, name: str, index, what: str) -> ManifestError:
-    """The error of the value (what) at index of the array name in directory's blob."""
-    return ManifestError(f"{os.path.join(directory, BLOB_NAME)}: array {name} holds {what} "
-                         f"at index {tuple(int(i) for i in index)}")
+            raise ValueError(array_fault(name, np.argwhere(bad)[0], "a non-finite value"))

@@ -25,6 +25,7 @@ A checkpoint is an array directory (config.save_arrays) of the ArchSpec fields
 and the parameters; loading one allocates nothing in proportion to its arch.
 """
 import functools
+import operator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -324,10 +325,12 @@ def alignment_identity(u: np.ndarray, v: np.ndarray):
 
 
 def save_checkpoint(state: ModelState, directory):
-    """Write the arch and every parameter, in name order, as a checkpoint
-    directory (config.save_arrays). Values are rounded to float32."""
-    save_arrays(directory, CHECKPOINT_FORMAT, asdict(state.arch),
-                {name: state.params[name] for name in sorted(state.params)})
+    """Write the arch, its fields as ints, and every parameter, in name order,
+    rounded to float32, as a checkpoint directory (config.save_arrays,
+    _check_params); an arch field that is not an integer is a TypeError."""
+    header = {name: operator.index(value) for name, value in asdict(state.arch).items()}
+    save_arrays(directory, CHECKPOINT_FORMAT, header,
+                {name: state.params[name] for name in sorted(state.params)}, _check_params)
 
 
 def _check_params(header: dict, shapes: dict):

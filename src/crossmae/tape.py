@@ -26,6 +26,8 @@ import numpy as np
 
 from . import kernels
 
+LAYERNORM_EPS = 1e-5
+
 
 class DiffArray:
     """A value that depends on a leaf of a tape, carrying its gradient after backward."""
@@ -374,16 +376,15 @@ def log_softmax(a):
     return _record(out_data, (a,), backward)
 
 
-def layernorm(x, gain, bias, eps=1e-5):
-    """Row layernorm of a 2-D array followed by affine scale/shift."""
+def layernorm(x, gain, bias):
+    """Row layernorm of a 2-D array, with LAYERNORM_EPS added to the row
+    variance, followed by affine scale/shift."""
     xd, gd, bd = _data(x), _data(gain), _data(bias)
-    if eps <= 0:
-        raise ValueError("layernorm eps must be positive")
     if xd.ndim != 2:
         raise ValueError("layernorm requires a 2-D operand")
     if gd.shape != (xd.shape[1],) or bd.shape != (xd.shape[1],):
         raise ValueError("layernorm gain/bias must match the row width")
-    y, xhat, inv_std = kernels.layernorm_fwd(xd, gd, bd, eps)
+    y, xhat, inv_std = kernels.layernorm_fwd(xd, gd, bd, LAYERNORM_EPS)
 
     def backward(g):
         gx, ggain, gbias = kernels.layernorm_bwd(xhat, inv_std, gd, g)

@@ -1,12 +1,12 @@
 """Synthetic multi-sensor windows, splice augmentation, patching, and dataset
 directories.
 
-A dataset is two arrays: `values`, an (n, C, L) float64 array of n windows
-of C sensor modalities sampled at a common rate, and `labels`, an (n,) int64
-array in which -1 marks an unlabeled window. `standardize` and `patchify`
-work on the last axes of a (..., C, L) array, so one call handles one window
-or a whole dataset. On disk, both are the arrays of one array directory
-(config.save_arrays), where float32 holds every label below LABEL_LIMIT.
+A dataset is `values`, an (n, C, L) float64 array of n windows of C sensor
+modalities of L samples, `labels`, an (n,) int64 array of classes in [0,
+n_classes) with -1 for an unlabeled window, and n_classes. `standardize` and
+`patchify` work on the last axes of a (..., C, L) array, so one call handles
+one window or a whole dataset. On disk it is an array directory whose one
+rule save_dataset runs before writing and load_dataset after reading.
 
 Generated windows share a class-specific base oscillation across modalities;
 `shared_latent_strength` interpolates between perfectly coupled channels
@@ -14,11 +14,13 @@ Generated windows share a class-specific base oscillation across modalities;
 independent channels (strength 0: each modality gets its own frequency and
 phase). Gaussian noise is added on top.
 """
+import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import blob_error, load_arrays, save_arrays
+from .config import BLOB_NAME, array_fault, checked, load_arrays, save_arrays
 
 
 def as_generator(seed):
@@ -40,7 +42,6 @@ class SynthSpec:
     shared_latent_strength: float
     noise_sd: float
     seed: int
-    sample_rate_hz: float = 50.0
 
     def __post_init__(self):
         for name, least in (("n_windows", 1), ("n_modalities", 2), ("n_samples", 2)):
@@ -54,9 +55,6 @@ class SynthSpec:
         # written so that NaN fails too
         if not 0.0 <= self.noise_sd < np.inf:
             raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd!r}")
-        if not 0.0 < self.sample_rate_hz < np.inf:
-            raise ValueError(f"sample_rate_hz must be positive and finite, "
-                             f"got {self.sample_rate_hz!r}")
 
 
 def generate_windows(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -158,51 +156,49 @@ def standardize(values: np.ndarray) -> np.ndarray:
     return np.where(flat, 0.0, (values - mu) / np.where(flat, 1.0, sd))
 
 
-DATASET_FORMAT = "crossmae-dataset-v3"
+DATASET_FORMAT = "crossmae-dataset-v4"
 LABEL_LIMIT = 2**24  # float32 holds every integer below it exactly
 
 
-def save_dataset(directory, values: np.ndarray, labels: np.ndarray, sample_rate_hz: float,
-                 n_classes: int):
-    """Write the (n, C, L) values and the (n,) labels, each -1 (unlabeled) or
-    below LABEL_LIMIT, as the arrays of an array directory (config.save_arrays)."""
-    if len(labels) != len(values):
-        raise ValueError(f"{len(labels)} labels for {len(values)} windows")
-    bad = np.flatnonzero((labels < -1) | (labels >= LABEL_LIMIT))
-    if bad.size:
-        raise ValueError(f"label {labels[bad[0]]} at index {bad[0]} is not in [-1, {LABEL_LIMIT})")
-    save_arrays(directory, DATASET_FORMAT,
-                {"sample_rate_hz": sample_rate_hz, "n_classes": n_classes},
-                {"values": values, "labels": labels})
+def save_dataset(directory, values: np.ndarray, labels: np.ndarray, n_classes: int):
+    """Write the (n, C, L) values, the (n,) labels and n_classes as an array
+    directory (config.save_arrays). A dataset that load_dataset would reject
+    raises its ValueError and writes nothing; a non-integer n_classes, a TypeError."""
+    def check(header, shapes):
+        _check_dataset(header, shapes)
+        _check_labels(labels, header["n_classes"])
+
+    save_arrays(directory, DATASET_FORMAT, {"n_classes": operator.index(n_classes)},
+                {"values": values, "labels": labels}, check)
 
 
 def _check_dataset(header: dict, shapes: dict):
     """Arrays values (n, C, L), n >= 1, C >= 2 and L >= 2, then labels (n,);
-    n_classes in [0, LABEL_LIMIT] (0: wholly unlabeled); a positive, finite rate."""
+    n_classes in [0, LABEL_LIMIT] (0: wholly unlabeled)."""
     if (list(shapes) != ["values", "labels"] or len(shapes["values"]) != 3
             or shapes["labels"] != shapes["values"][:1]):
         raise ValueError(f"a dataset has two arrays, values of shape n x C x L, then labels "
-                         f"of shape n; the manifest lists {shapes}")
+                         f"of shape n; got {shapes}")
     for name, size, least in zip(("n_windows", "C", "L"), shapes["values"], (1, 2, 2)):
         if size < least:
             raise ValueError(f"key array.values: {name}={size} must be at least {least}")
     if not 0 <= header["n_classes"] <= LABEL_LIMIT:
         raise ValueError(f"key n_classes: {header['n_classes']} is not in [0, {LABEL_LIMIT}]")
-    if not 0.0 < header["sample_rate_hz"] < np.inf:
-        raise ValueError(f"key sample_rate_hz: must be positive and finite, "
-                         f"got {header['sample_rate_hz']!r}")
+
+
+def _check_labels(labels: np.ndarray, n_classes: int):
+    """Each label must be -1 (unlabeled) or an integer class in [0, n_classes)."""
+    bad = np.flatnonzero((labels < -1) | (labels >= n_classes) | (labels != np.floor(labels)))
+    if bad.size:
+        raise ValueError(array_fault("labels", bad[:1], f"{float(labels[bad[0]])!r}, which is "
+                                     f"neither -1 nor a class in [0, {n_classes})"))
 
 
 def load_dataset(directory):
-    """Read a dataset directory back: (values, int64 labels, meta dict), with
-    n_windows, C and L from values' shape. A malformed file, or a label neither
-    -1 nor a class, is a ManifestError naming its path and the fault's place."""
-    header, arrays = load_arrays(directory, DATASET_FORMAT,
-                                 {"sample_rate_hz": float, "n_classes": int}, _check_dataset)
-    values, labels, n_classes = arrays["values"], arrays["labels"], header["n_classes"]
-    bad = np.flatnonzero((labels < -1) | (labels >= n_classes) | (labels % 1 != 0))
-    if bad.size:
-        raise blob_error(directory, "labels", bad[:1], f"{float(labels[bad[0]])!r}, which is "
-                         f"neither -1 nor a class in [0, {n_classes})")
-    n, c_n, length = values.shape
-    return values, labels.astype(np.int64), {"n_windows": n, "C": c_n, "L": length, **header}
+    """Read a dataset directory back: (values, int64 labels, n_classes). A
+    malformed file, or a label neither -1 nor a class, is a ManifestError
+    naming its path and the fault's place."""
+    header, arrays = load_arrays(directory, DATASET_FORMAT, {"n_classes": int}, _check_dataset)
+    labels = arrays["labels"]
+    checked(os.path.join(directory, BLOB_NAME), _check_labels, labels, header["n_classes"])
+    return arrays["values"], labels.astype(np.int64), header["n_classes"]

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -63,8 +64,8 @@ def test_run_dir_records_config_and_format(data_dir):
 
 
 def test_synth_layout_and_blob_identity(data_dir, tmp_path):
-    _, _, meta = load_dataset(data_dir)
-    assert meta["n_windows"] == 12 and meta["C"] == 4 and meta["L"] == 32
+    values, _, n_classes = load_dataset(data_dir)
+    assert values.shape == (12, 4, 32) and n_classes == 4
     blob = os.path.join(data_dir, "data.f32")
     assert os.path.getsize(blob) == (12 * 4 * 32 + 12) * 4  # the values, then the labels
 
@@ -105,7 +106,7 @@ def test_pretrain_outputs_and_epoch_zero_matches_init(data_dir, tmp_path):
     assert open(os.path.join(out1, "summary.txt")).read() == "final_loss=nan\n"
     assert open(os.path.join(out1, "loss.csv")).read() == "epoch,loss\n"
 
-    windows, _, meta = load_dataset(data_dir)
+    windows, _, _ = load_dataset(data_dir)
     state, _ = pretrain(windows, load_checkpoint(os.path.join(out1, "checkpoint")).arch,
                         PretrainConfig(optim=OptimConfig(epochs=0, warmup_epochs=0)),
                         seed=5)
@@ -227,26 +228,31 @@ def test_checkpoint_grid_too_large_to_build_rejected_before_the_run_directory_ex
     assert not os.path.exists(tmp_path / "o")
 
 
-@pytest.mark.parametrize("kind", ["dataset", "dataset-v2", "checkpoint"])
+@pytest.mark.parametrize("kind", ["dataset", "dataset-v2", "dataset-v3", "checkpoint"])
 def test_older_format_rejected_before_the_run_directory_exists(data_dir, checkpoint_dir,
                                                                tmp_path, kind):
     """A dataset without a format line; a crossmae-dataset-v2 dataset, whose
-    labels.txt held one label per line; and a crossmae-checkpoint-v1
-    checkpoint, with name@offset parameter lines and the blob in params.f32:
-    each as earlier versions wrote them."""
+    labels.txt held one label per line; a crossmae-dataset-v3 dataset, with a
+    sample_rate_hz key; and a crossmae-checkpoint-v1 checkpoint, with
+    name@offset parameter lines and the blob in params.f32: each as earlier
+    versions wrote them."""
     old = tmp_path / kind
     old.mkdir()
     if kind.startswith("dataset"):
         values, labels, _ = load_dataset(data_dir)
-        values.astype("<f4").tofile(old / "data.f32")
         if kind == "dataset":
             head, got = "n_windows=12\nC=4\nL=32\n", None
-        else:
+        elif kind == "dataset-v2":
             head, got = "format=crossmae-dataset-v2\narray.values=12x4x32\n", \
                 "'crossmae-dataset-v2'"
             (old / "labels.txt").write_text("".join(f"{label}\n" for label in labels))
+        else:
+            head, got = "format=crossmae-dataset-v3\narray.values=12x4x32\narray.labels=12\n", \
+                "'crossmae-dataset-v3'"
+        arrays = (values, labels) if kind == "dataset-v3" else (values,)
+        (old / "data.f32").write_bytes(b"".join(a.astype("<f4").tobytes() for a in arrays))
         (old / "manifest.txt").write_text(head + "sample_rate_hz=50.0\nn_classes=4\n")
-        settings, fmt = {"data.dir": old, "checkpoint": checkpoint_dir}, "dataset-v3"
+        settings, fmt = {"data.dir": old, "checkpoint": checkpoint_dir}, "dataset-v4"
     else:
         state = load_checkpoint(checkpoint_dir)
         lines, offset = ["format=crossmae-checkpoint-v1"], 0
@@ -282,7 +288,7 @@ def test_probe_summary(data_dir, checkpoint_dir, tmp_path):
 def test_probe_rejects_unlabeled_dataset(checkpoint_dir, tmp_path):
     rng = np.random.default_rng(0)
     save_dataset(tmp_path / "unlabeled", rng.standard_normal((3, 4, 32)), np.array([0, -1, -1]),
-                 sample_rate_hz=50.0, n_classes=1)
+                 n_classes=1)
     cfg = _write_cfg(tmp_path / "u.cfg", **{
         "data.dir": str(tmp_path / "unlabeled"), "checkpoint": checkpoint_dir})
     blob = tmp_path / "unlabeled" / "data.f32"
@@ -346,6 +352,7 @@ BAD_SETTINGS = [
     ("synth", {"seed": -1}, "seed"),
     ("synth", {"--seed": -1}, "seed"),
     ("synth", {"data.n_classes": 2**24 + 1}, "data.n_classes"),  # a label float32 cannot hold
+    ("synth", {"data.noise_sd": 1e39}, "data.noise_sd"),  # a value float32 cannot hold
     ("pretrain", {"optim.lr": -1}, "optim.lr"),
     ("pretrain", {"optim.epochs": 0}, "optim.warmup_epochs"),
     ("pretrain", {"mask.ratio": 1.5}, "mask.ratio"),
@@ -387,9 +394,8 @@ def test_bad_setting_names_its_key_before_the_run_directory_exists(
             "impute": {"data.dir": data_dir, "checkpoint": checkpoint_dir},
             "probe": {"data.dir": data_dir, "checkpoint": checkpoint_dir}}.get(command, {})
     if settings.get("data.dir") == "one-window":
-        values, labels, meta = load_dataset(data_dir)
-        save_dataset(tmp_path / "one-window", values[:1], labels[:1], meta["sample_rate_hz"],
-                     meta["n_classes"])
+        values, labels, n_classes = load_dataset(data_dir)
+        save_dataset(tmp_path / "one-window", values[:1], labels[:1], n_classes)
     written = {k: str(tmp_path / v) if v in ("nowhere", "one-window") else v
                for k, v in {**base, **settings}.items() if v is not None and k != "--seed"}
     cfg = _write_cfg(tmp_path / "bad.cfg", **written)
@@ -421,6 +427,17 @@ else:
 """
 
 
+def _run_capped(command, out, cfg):
+    """Run command under CAPPED in a child process: (its result, its wall seconds)."""
+    src = Path(cli.__file__).resolve().parent.parent
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", CAPPED, command, "--out", str(out),
+                           "--config", cfg],
+                          env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=120)
+    return done, time.monotonic() - start
+
+
 @pytest.mark.parametrize("command, key, value, size", [
     ("gradcheck", "arch.d_model", 4000000, 32000000000000),
     ("gradcheck", "arch.mlp_ratio", 100000000, 102400000000),
@@ -432,14 +449,41 @@ def test_mlp_weight_too_large_rejected_before_the_run_directory_exists(
     if command == "pretrain":
         settings["data.dir"] = data_dir
     cfg = _write_cfg(tmp_path / "c.cfg", **settings)
-    src = Path(cli.__file__).resolve().parent.parent
-    done = subprocess.run([sys.executable, "-c", CAPPED, command, "--out", str(tmp_path / "o"),
-                           "--config", cfg],
-                          env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
-                          capture_output=True, text=True, timeout=120)
+    done, _ = _run_capped(command, tmp_path / "o", cfg)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == (f"{cfg}: key {key}: {size} MLP weight values d_model x "
                                    "d_model * mlp_ratio exceed the limit of 134217728")
+    assert not os.path.exists(tmp_path / "o")
+
+
+# Each key set to 10^11 over the defaults: 200 windows (and transitions) of
+# 6 modalities x 200 samples. Unchecked, each run creates its run directory
+# and then runs out of memory, in SeedSequence.spawn after 86 s for
+# data.n_windows.
+@pytest.mark.parametrize("command, key, size, what", [
+    ("synth", "data.n_windows", 120000000000000, "dataset values n_windows"),
+    ("synth", "data.n_modalities", 4000000000000000, "dataset values n_windows"),
+    ("synth", "data.n_samples", 120000000000000, "dataset values n_windows"),
+    ("analyze", "data.n_windows", 120000000000000, "dataset values n_windows"),
+    ("analyze", "data.n_samples", 120000000000000, "dataset values n_windows"),
+    ("analyze", "exp.n_transitions", 120000000000000, "transition values n_transitions")])
+def test_dataset_too_large_rejected_before_the_run_directory_exists(tmp_path, command, key,
+                                                                    size, what):
+    cfg = _write_cfg(tmp_path / "c.cfg", **{key: 10**11})
+    done, seconds = _run_capped(command, tmp_path / "o", cfg)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (f"{cfg}: key {key}: {size} {what} x n_modalities x "
+                                   "n_samples exceed the limit of 134217728")
+    assert not os.path.exists(tmp_path / "o")
+    assert seconds < 20
+
+
+@pytest.mark.parametrize("command", ["synth", "analyze"])
+def test_sample_rate_is_an_unknown_key(tmp_path, command):
+    cfg = _write_cfg(tmp_path / "c.cfg", **{"data.sample_rate_hz": 50.0})
+    with pytest.raises(ManifestError, match=f"^{re.escape(cfg)}: unknown key "
+                                            "'data.sample_rate_hz' "):
+        cli.main([command, "--out", str(tmp_path / "o"), "--config", cfg])
     assert not os.path.exists(tmp_path / "o")
 
 

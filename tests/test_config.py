@@ -102,7 +102,7 @@ def saved(tmp_path_factory):
     root = tmp_path_factory.mktemp("arrays")
     rng = np.random.default_rng(0)
     save_dataset(root / "dataset", rng.standard_normal((3, 2, 8)), np.array([0, 1, -1]),
-                 sample_rate_hz=50.0, n_classes=2)
+                 n_classes=2)
     arch = ArchSpec(n_modalities=2, n_patches=2, patch_len=4, d_model=8, enc_layers=1,
                     dec_layers=1, n_heads=2)
     save_checkpoint(init_model(arch, 0), root / "checkpoint")

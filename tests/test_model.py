@@ -1,6 +1,7 @@
 """Encoder/decoder assembly: positions, shapes, loss, checkpoints, gradients."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,6 +234,21 @@ def test_checkpoint_non_finite_parameter_rejected(tmp_path):
     with pytest.raises(ManifestError, match=f"^{path}: array mask_token holds a non-finite "
                                             r"value at index \(0, 1\)$"):
         load_checkpoint(tmp_path)
+
+
+def test_save_checkpoint_refuses_what_load_checkpoint_rejects(tmp_path):
+    state = init_model(TINY, seed=13)
+    state.params["mask_token"][0, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^array mask_token holds a non-finite value at "
+                                         r"index \(0, 1\)$"):
+        save_checkpoint(state, tmp_path / "nan")
+    del state.params["mask_token"]
+    with pytest.raises(ValueError, match="^missing key array.mask_token$"):
+        save_checkpoint(state, tmp_path / "missing")
+    # the manifest line n_modalities=2.0 would not parse as an int
+    with pytest.raises(TypeError):
+        save_checkpoint(init_model(replace(TINY, n_modalities=2.0), seed=13), tmp_path / "float")
+    assert not any(tmp_path.iterdir())
 
 
 def _edit_manifest_line(directory, key, value):

@@ -1,6 +1,8 @@
 """Synthetic windows, splice augmentation, patch grids, dataset files."""
 
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,8 +69,6 @@ def test_invalid_spec_rejected():
     with pytest.raises(ValueError):
         _spec(noise_sd=-0.1)
     for field, value in (("noise_sd", float("inf")), ("noise_sd", float("nan")),
-                         ("sample_rate_hz", -5.0), ("sample_rate_hz", 0.0),
-                         ("sample_rate_hz", float("nan")), ("sample_rate_hz", float("inf")),
                          ("n_classes", 2**24 + 1)):
         with pytest.raises(ValueError, match=f"^{field} must .*, got {value!r}$"):
             _spec(**{field: value})
@@ -172,11 +172,10 @@ def test_standardize_maps_a_constant_channel_to_zeros(value, length):
 def test_dataset_save_load_round_trip(tmp_path):
     ws, labels = generate_windows(_spec(n_windows=5, n_modalities=3, n_samples=24,
                                         n_classes=3, noise_sd=0.4))
-    save_dataset(tmp_path, ws, labels, sample_rate_hz=50.0, n_classes=3)
+    save_dataset(tmp_path, ws, labels, n_classes=3)
     (tmp_path / "data.f32").stat()
-    back, back_labels, meta = load_dataset(tmp_path)
-    assert meta["n_windows"] == 5 and meta["C"] == 3 and meta["L"] == 24
-    assert meta["n_classes"] == 3 and meta["sample_rate_hz"] == 50.0
+    back, back_labels, n_classes = load_dataset(tmp_path)
+    assert back.shape == (5, 3, 24) and n_classes == 3
     for i in range(5):
         assert np.array_equal(back[i], ws[i].astype(np.float32).astype(np.float64))
         assert back_labels[i] == labels[i]
@@ -184,30 +183,30 @@ def test_dataset_save_load_round_trip(tmp_path):
 
 def test_dataset_labels_round_trip_exactly(tmp_path):
     labels = np.array([0, -1, 2**24 - 1, 5, -1])
-    save_dataset(tmp_path, np.zeros((5, 2, 4)), labels, sample_rate_hz=50.0, n_classes=2**24)
+    save_dataset(tmp_path, np.zeros((5, 2, 4)), labels, n_classes=2**24)
     _, back_labels, _ = load_dataset(tmp_path)
     assert back_labels.dtype == np.int64 and back_labels.tolist() == labels.tolist()
 
 
 def test_save_dataset_rejects_a_label_float32_cannot_hold(tmp_path):
     for label in (2**24, -2):
-        with pytest.raises(ValueError, match=rf"^label {label} at index 1 is not in "
-                                             r"\[-1, 16777216\)$"):
-            save_dataset(tmp_path, np.zeros((2, 2, 4)), np.array([0, label]),
-                         sample_rate_hz=50.0, n_classes=2**24)
+        with pytest.raises(ValueError, match=rf"^array labels holds {float(label)!r}, which is "
+                                             r"neither -1 nor a class in \[0, 16777216\) at "
+                                             r"index \(1,\)$"):
+            save_dataset(tmp_path, np.zeros((2, 2, 4)), np.array([0, label]), n_classes=2**24)
     assert not any(tmp_path.iterdir())
 
 
 def test_dataset_unlabeled_round_trip(tmp_path):
     ws = np.stack([np.random.default_rng(0).standard_normal((2, 8)) for _ in range(2)])
-    save_dataset(tmp_path, ws, np.full(2, -1), sample_rate_hz=np.float64(20.0), n_classes=0)
-    _, back_labels, meta = load_dataset(tmp_path)
-    assert all(label == -1 for label in back_labels) and meta["sample_rate_hz"] == 20.0
+    save_dataset(tmp_path, ws, np.full(2, -1), n_classes=np.int64(0))
+    _, back_labels, n_classes = load_dataset(tmp_path)
+    assert all(label == -1 for label in back_labels) and n_classes == 0
 
 
 def test_dataset_corrupt_manifest_names_line(tmp_path):
     ws, labels = generate_windows(_spec())
-    save_dataset(tmp_path, ws, labels, sample_rate_hz=50.0, n_classes=2)
+    save_dataset(tmp_path, ws, labels, n_classes=2)
     man = tmp_path / "manifest.txt"
     lines = man.read_text().splitlines()
     lines[1] = "garbage with no equals"
@@ -218,7 +217,7 @@ def test_dataset_corrupt_manifest_names_line(tmp_path):
 
 def test_dataset_blob_size_mismatch_rejected(tmp_path):
     ws, labels = generate_windows(_spec())
-    save_dataset(tmp_path, ws, labels, sample_rate_hz=50.0, n_classes=2)
+    save_dataset(tmp_path, ws, labels, n_classes=2)
     blob = tmp_path / "data.f32"
     blob.write_bytes(blob.read_bytes()[:-4])
     with pytest.raises(ValueError):
@@ -229,8 +228,7 @@ def test_dataset_blob_size_mismatch_rejected(tmp_path):
     (1, 0.5, "0.5"), (2, -2, "-2.0"), (0, 2, "2.0"),
 ], ids=["non-integer", "negative", "beyond-n-classes"])
 def test_dataset_bad_label_names_blob_array_and_index(tmp_path, index, label, message):
-    save_dataset(tmp_path, *generate_windows(_spec(n_windows=3)), sample_rate_hz=50.0,
-                 n_classes=2)
+    save_dataset(tmp_path, *generate_windows(_spec(n_windows=3)), n_classes=2)
     blob = np.fromfile(tmp_path / "data.f32", dtype="<f4")
     blob[3 * 2 * 16 + index] = label  # the labels follow the (3, 2, 16) values
     blob.tofile(tmp_path / "data.f32")
@@ -243,7 +241,7 @@ def test_dataset_bad_label_names_blob_array_and_index(tmp_path, index, label, me
 
 def test_dataset_errors_name_the_full_path(tmp_path):
     ws, labels = generate_windows(_spec())
-    save_dataset(tmp_path, ws, labels, sample_rate_hz=50.0, n_classes=2)
+    save_dataset(tmp_path, ws, labels, n_classes=2)
     man = tmp_path / "manifest.txt"
     text = man.read_text()
     man.write_text(text.replace("n_classes=2\n", ""))
@@ -271,31 +269,24 @@ def test_dataset_errors_name_the_full_path(tmp_path):
     ("array.values=4x2x1", "manifest.txt", "key array.values: L=1 must be at least 2"),
     ("n_classes=-3", "manifest.txt", "key n_classes: -3 is not in [0, 16777216]"),
     ("n_classes=16777217", "manifest.txt", "key n_classes: 16777217 is not in [0, 16777216]"),
-    ("sample_rate_hz=-5.0", "manifest.txt",
-     "key sample_rate_hz: must be positive and finite, got -5.0"),
-    ("sample_rate_hz=0", "manifest.txt", "key sample_rate_hz: must be positive and finite, got 0.0"),
-    ("sample_rate_hz=nan", "manifest.txt",
-     "key sample_rate_hz: must be positive and finite, got nan"),
-    ("sample_rate_hz=inf", "manifest.txt",
-     "key sample_rate_hz: must be positive and finite, got inf"),
     ("n_classes=2.0", "manifest.txt", "key n_classes: cannot parse '2.0' as int"),
     ("C=2", "manifest.txt", "unknown key 'C'"),
     ("array.extra=4", "manifest.txt", "a dataset has two arrays, values of shape n x C x L, "
-     "then labels of shape n; the manifest lists {'values': (4, 2, 16), 'labels': (4,), "
+     "then labels of shape n; got {'values': (4, 2, 16), 'labels': (4,), "
      "'extra': (4,)}"),
     ("array.values=", "manifest.txt", "key array.values: expected a shape such as 3x4, got ''"),
     ("array.values=4x32", "manifest.txt", "a dataset has two arrays, values of shape n x C x L, "
-     "then labels of shape n; the manifest lists {'values': (4, 32), 'labels': (4,)}"),
+     "then labels of shape n; got {'values': (4, 32), 'labels': (4,)}"),
     ("array.labels=4x1", "manifest.txt", "a dataset has two arrays, values of shape n x C x L, "
-     "then labels of shape n; the manifest lists {'values': (4, 2, 16), 'labels': (4, 1)}"),
+     "then labels of shape n; got {'values': (4, 2, 16), 'labels': (4, 1)}"),
     ("array.labels=3", "manifest.txt", "a dataset has two arrays, values of shape n x C x L, "
-     "then labels of shape n; the manifest lists {'values': (4, 2, 16), 'labels': (3,)}"),
+     "then labels of shape n; got {'values': (4, 2, 16), 'labels': (3,)}"),
 ], ids=["nan-blob", "no-windows", "negative-windows", "one-modality", "negative-modalities",
-        "one-sample", "negative-classes", "too-many-classes", "negative-rate", "zero-rate",
-        "nan-rate", "inf-rate", "float-classes", "unknown-key", "unknown-array", "empty-shape",
-        "two-dimensions", "two-dimensional-labels", "labels-for-fewer-windows"])
+        "one-sample", "negative-classes", "too-many-classes", "float-classes", "unknown-key",
+        "unknown-array", "empty-shape", "two-dimensions", "two-dimensional-labels",
+        "labels-for-fewer-windows"])
 def test_dataset_bad_dimensions_and_values_name_the_file(tmp_path, fault, name, message):
-    save_dataset(tmp_path, *generate_windows(_spec()), sample_rate_hz=50.0, n_classes=2)
+    save_dataset(tmp_path, *generate_windows(_spec()), n_classes=2)
     if fault.startswith("NaN"):
         blob = np.fromfile(tmp_path / "data.f32", dtype="<f4")
         blob[2 * 2 * 16 + 5] = np.nan  # window 2 of (4, 2, 16)
@@ -315,11 +306,11 @@ def test_dataset_bad_dimensions_and_values_name_the_file(tmp_path, fault, name, 
 
 
 def test_dataset_in_the_untagged_older_format_rejected(tmp_path):
-    save_dataset(tmp_path, *generate_windows(_spec()), sample_rate_hz=50.0, n_classes=2)
+    save_dataset(tmp_path, *generate_windows(_spec()), n_classes=2)
     man = tmp_path / "manifest.txt"
     man.write_text("n_windows=4\nC=2\nL=16\nsample_rate_hz=50.0\nn_classes=2\n")
     with pytest.raises(ManifestError, match=f"^{re.escape(str(man))}: key format: expected "
-                                            "crossmae-dataset-v3, got None$"):
+                                            "crossmae-dataset-v4, got None$"):
         load_dataset(tmp_path)
 
 
@@ -327,7 +318,7 @@ def test_failed_save_leaves_the_old_dataset(tmp_path, monkeypatch):
     from crossmae import config
 
     old, labels = generate_windows(_spec())
-    save_dataset(tmp_path, old, labels, sample_rate_hz=50.0, n_classes=2)
+    save_dataset(tmp_path, old, labels, n_classes=2)
     real = config.write_atomic
 
     def blob_write_fails(path, chunks):
@@ -341,8 +332,101 @@ def test_failed_save_leaves_the_old_dataset(tmp_path, monkeypatch):
 
     monkeypatch.setattr(config, "write_atomic", blob_write_fails)
     with pytest.raises(OSError, match="no space left"):
-        save_dataset(tmp_path, old[:3] + 1.0, labels[:3], sample_rate_hz=25.0, n_classes=2)
-    values, back_labels, meta = load_dataset(tmp_path)
+        save_dataset(tmp_path, old[:3] + 1.0, labels[:3], n_classes=3)
+    values, back_labels, n_classes = load_dataset(tmp_path)
     assert np.array_equal(values, old.astype(np.float32).astype(np.float64))
-    assert np.array_equal(back_labels, labels) and meta["sample_rate_hz"] == 50.0
+    assert np.array_equal(back_labels, labels) and n_classes == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.f32", "manifest.txt"]
+
+
+def _with(value, index):
+    values = np.zeros((3, 2, 4))
+    values[index] = value
+    return values
+
+
+LABELS = np.array([0, 1, 1])
+
+
+# Each dataset that an earlier save_dataset wrote and load_dataset then
+# rejected: the writer now raises the reader's error and creates nothing.
+@pytest.mark.parametrize("values, labels, n_classes, message", [
+    (_with(np.nan, (1, 0, 2)), LABELS, 2,
+     "array values holds a non-finite value at index (1, 0, 2)"),
+    (_with(1e39, (2, 1, 3)), LABELS, 2,  # float32 rounds it to inf
+     "array values holds a non-finite value at index (2, 1, 3)"),
+    (np.zeros((3, 1, 4)), LABELS, 2, "key array.values: C=1 must be at least 2"),
+    (np.zeros((0, 2, 4)), np.zeros(0), 2, "key array.values: n_windows=0 must be at least 1"),
+    (np.zeros((3, 2, 4)), np.array([0, 0.5, 1]), 2,
+     "array labels holds 0.5, which is neither -1 nor a class in [0, 2) at index (1,)"),
+    (np.zeros((3, 2, 4)), np.array([0, 5, 1]), 2,
+     "array labels holds 5.0, which is neither -1 nor a class in [0, 2) at index (1,)"),
+    (np.zeros((3, 2, 4)), np.full(3, -1), -1, "key n_classes: -1 is not in [0, 16777216]"),
+], ids=["nan-value", "float32-overflow", "one-modality", "no-windows", "half-label",
+        "label-beyond-n-classes", "negative-classes"])
+def test_save_dataset_refuses_what_load_dataset_rejects(tmp_path, values, labels, n_classes,
+                                                        message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        save_dataset(tmp_path / "d", values, labels, n_classes)
+    assert not (tmp_path / "d").exists()
+
+
+def test_save_dataset_takes_no_sample_rate(tmp_path):
+    """The calls of the earlier signature, (values, labels, sample_rate_hz,
+    n_classes), write nothing."""
+    with pytest.raises(TypeError):
+        save_dataset(tmp_path / "d", np.zeros((3, 2, 4)), LABELS, 0.0, 2)
+    with pytest.raises(TypeError):  # the rate would land in n_classes
+        save_dataset(tmp_path / "d", np.zeros((3, 2, 4)), np.full(3, -1), 50.0)
+    assert not (tmp_path / "d").exists()
+
+
+def test_refused_save_leaves_the_old_dataset_byte_identical(tmp_path):
+    save_dataset(tmp_path, *generate_windows(_spec()), n_classes=2)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ValueError, match="non-finite value at index"):
+        save_dataset(tmp_path, _with(np.nan, (0, 0, 0)), LABELS, 2)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+EXTREMES = [np.nan, np.inf, -np.inf, 1e39, -1e39, 0.5, -2.0, 2.0**24, 2.0**24 - 1]
+
+
+def _draw_with_one_extreme(data, elements, size):
+    """size drawn elements, one of them replaced by an extreme one time in three."""
+    out = np.array(data.draw(st.lists(elements, min_size=size, max_size=size)), dtype=np.float64)
+    if size and data.draw(st.integers(0, 2)) == 0:
+        out[data.draw(st.integers(0, size - 1))] = data.draw(st.sampled_from(EXTREMES))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_save_dataset_refuses_or_the_dataset_loads_back(data):
+    """A drawn dataset either is refused with a ValueError that leaves the
+    target as it was, or loads back as the float32 rounding of its values,
+    its labels and its n_classes, exactly."""
+    # every size in 0-3, most of them ones a dataset may have
+    n, c_n, length, n_labels = (data.draw(st.one_of(st.integers(2, 3), st.integers(0, 3)))
+                                for _ in range(4))
+    if data.draw(st.integers(0, 3)):
+        n_labels = n
+    values = _draw_with_one_extreme(data, st.floats(-1e3, 1e3), n * c_n * length)
+    values = values.reshape(n, c_n, length)
+    labels = _draw_with_one_extreme(data, st.integers(-1, 1), n_labels)
+    n_classes = data.draw(st.one_of(st.integers(-2, 5), st.integers(2**24 - 2, 2**24 + 2)))
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "dataset"
+        if data.draw(st.booleans()):  # over an existing dataset
+            save_dataset(target, np.ones((2, 2, 2)), np.array([0, -1]), 1)
+        before = {p.name: p.read_bytes() for p in target.iterdir()} if target.exists() else None
+        try:
+            save_dataset(target, values, labels, n_classes)
+        except ValueError:
+            after = {p.name: p.read_bytes() for p in target.iterdir()} if target.exists() else None
+            assert after == before
+            return
+        back, back_labels, back_classes = load_dataset(target)
+        assert np.array_equal(back, values.astype(np.float32).astype(np.float64))
+        assert back_labels.dtype == np.int64 and np.array_equal(back_labels, labels)
+        assert back_classes == n_classes
