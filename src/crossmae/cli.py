@@ -22,7 +22,7 @@ from .imputation import (METHODS, TASKS, MissingnessTask, _sample_mask_array,
                          impute_nearest, score, task_mask)
 from .kcca import sigma1_experiment
 from .masking import CROSS, SYNC, sample_mask
-from .model import (ArchSpec, _hold_heap, gradcheck_model, load_checkpoint,
+from .model import (ArchSpec, _hold_heap, gradcheck_model, load_checkpoint, param_count,
                     save_checkpoint)
 from .train import OptimConfig, PretrainConfig, ProbeConfig, _split_indices, pretrain, probe
 from .windows import (SynthSpec, as_generator, generate_windows, load_dataset, save_dataset,
@@ -34,6 +34,9 @@ FORMAT_NAME = "format.txt"
 # The most float64 values (1 GiB) that one array a config sizes may hold (see
 # _check_sizes): a run must not outgrow a desk machine's memory.
 MAX_ARRAY_VALUES = 2**27
+# A window's SeedSequence, spawned one per window or transition, holds about
+# 512 B, which _check_sizes counts as 64 float64 values.
+SEED_VALUES = 64
 
 
 def _keys(cls, prefix: str, **named) -> dict:
@@ -160,8 +163,9 @@ def _check_sizes(run: Run, *arrays) -> None:
 
 
 def _arch_arrays(arch: ArchSpec, **named) -> tuple:
-    """For _check_sizes: a window's patch grid, the attention scores and one
-    MLP weight of arch, each factor under its key (arch.<field>, unless named)."""
+    """For _check_sizes: a window's patch grid, the attention scores, one MLP
+    weight and the parameters of arch, each factor under its key
+    (arch.<field>, unless named)."""
     keys = _keys(ArchSpec, "arch.", **named)
 
     def factors(*names):
@@ -171,7 +175,9 @@ def _arch_arrays(arch: ArchSpec, **named) -> tuple:
             ("attention scores n_heads x (C x P + 1)^2", arch.n_heads * (arch.n_tokens + 1) ** 2,
              factors("n_modalities", "n_patches", "n_heads")),
             ("MLP weight values d_model x d_model * mlp_ratio",
-             arch.d_model ** 2 * arch.mlp_ratio, factors("d_model", "mlp_ratio")))
+             arch.d_model ** 2 * arch.mlp_ratio, factors("d_model", "mlp_ratio")),
+            ("parameter values", param_count(arch),
+             factors("enc_layers", "dec_layers", "d_model", "mlp_ratio", "patch_len")))
 
 
 def _windows_array(spec: SynthSpec, what: str, key: str, n: int) -> tuple:
@@ -180,6 +186,11 @@ def _windows_array(spec: SynthSpec, what: str, key: str, n: int) -> tuple:
             n * spec.n_modalities * spec.n_samples,
             [(key, n), ("data.n_modalities", spec.n_modalities),
              ("data.n_samples", spec.n_samples)])
+
+
+def _seeds_array(key: str, n: int) -> tuple:
+    """For _check_sizes: the seeds of n windows, one each, n set at key."""
+    return (f"seed values {key.split('.')[-1]} x {SEED_VALUES}", n * SEED_VALUES, [(key, n)])
 
 
 def _fitting_checkpoint(path: str, n_modalities: int, n_samples: int):
@@ -197,7 +208,8 @@ def _fitting_checkpoint(path: str, n_modalities: int, n_samples: int):
 
 def cmd_synth(run: Run) -> None:
     spec = run.build(SynthSpec, SYNTH_KEYS)
-    _check_sizes(run, _windows_array(spec, "dataset", "data.n_windows", spec.n_windows))
+    _check_sizes(run, _windows_array(spec, "dataset", "data.n_windows", spec.n_windows),
+                 _seeds_array("data.n_windows", spec.n_windows))
     values, labels = generate_windows(spec)
     # save_dataset creates the directory only once the dataset passes its checks;
     # of the settings, only the noise scale can push a value past float32
@@ -289,7 +301,9 @@ def cmd_analyze(run: Run) -> None:
     n_seeds = run.at_least("exp.n_seeds", 1)
     spec = run.build(SynthSpec, SYNTH_KEYS)
     _check_sizes(run, _windows_array(spec, "dataset", "data.n_windows", spec.n_windows),
-                 _windows_array(spec, "transition", "exp.n_transitions", n_trans))
+                 _windows_array(spec, "transition", "exp.n_transitions", n_trans),
+                 _seeds_array("data.n_windows", spec.n_windows),
+                 _seeds_array("exp.n_transitions", n_trans))
     if cfg["exp.encoder"] == "raw_flatten":
         state = None
         n_patches = _n_patches(run, "exp.patch_len", spec.n_samples)

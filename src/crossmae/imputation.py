@@ -74,16 +74,15 @@ def _sample_mask_array(masks: np.ndarray, patch_len: int, n_samples: int) -> np.
 def impute_model(state: ModelState, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Reconstruct the hidden patches of the (B, C, L) windows, given their
     (B, C, P) masks, with the pretrained autoencoder; visible samples are
-    passed through bit-identically. The windows run in forward-only chunks
+    passed through bit-identically. The model runs frozen
     (model.forward_frozen)."""
     if len(values) != len(masks):
         raise ValueError(f"{len(values)} windows but {len(masks)} masks")
     arch = state.arch
     c_n, p_n, lp = arch.n_modalities, arch.n_patches, arch.patch_len
     grids = patchify(values, lp)
-    for chunk, recon in forward_frozen(state, reconstruct, grids, masks):
-        hidden = masks[chunk]  # written over only after the model has read the chunk
-        grids[chunk][hidden] = recon.reshape(-1, c_n, p_n, lp)[hidden]
+    recon = forward_frozen(state, reconstruct, grids, masks, lambda w: w)
+    grids[masks] = recon.reshape(grids.shape)[masks]
     filled = values.copy()
     filled[..., :p_n * lp] = grids.reshape(len(values), c_n, p_n * lp)
     return filled

@@ -8,8 +8,9 @@ smaller Gram of the centred features (n x n for fewer windows than features,
 as in Sirovich's method of snapshots, Q. Appl. Math. 1987), so it never builds
 a thin SVD's two factors only to keep k score columns. The windows arrive as
 one (n, C, L) array and their masks as one (n, C, P) array; the view features
-are the raw cells of each view, or, given a model state, the mean encoder
-latent of each view (model.forward_frozen). kcca_solve gives the kernel
+are the raw cells of each view, or, given a model state, the mean
+patch-token latent of one frozen encoder pass over each view
+(model.forward_frozen). kcca_solve gives the kernel
 counterpart, the top regularized canonical correlation of two caller-built
 Gram matrices over the same windows, in closed form by the low-rank route of
 Bach & Jordan (JMLR 2002) and Hardoon, Szedmak & Shawe-Taylor (Neural
@@ -196,15 +197,6 @@ def _raw_view_features(values: np.ndarray, shown: np.ndarray, patch_len: int) ->
     return np.where(cells, values[..., :p_n * patch_len], 0.0).reshape(len(values), -1)
 
 
-def _encoded_view_features(state: ModelState, grids, masks) -> np.ndarray:
-    """(n, D) mean patch-token latents of each window's visible view."""
-    feats = []
-    for chunk, latents in forward_frozen(state, encode, grids, masks):
-        blocks = latents.reshape(chunk.stop - chunk.start, -1, latents.shape[1])
-        feats.append(blocks[:, 1:].mean(axis=1))  # patch tokens only, class row dropped
-    return np.concatenate(feats)
-
-
 def sigma1_experiment(values, policy: str, state: ModelState | None = None, *, pca_k: int,
                       seed: int, ratio: float, patch_len: int) -> float:
     """sigma_1 of the unmasked/masked view cross-covariance under one policy,
@@ -229,10 +221,11 @@ def sigma1_experiment(values, policy: str, state: ModelState | None = None, *, p
         f_m = _raw_view_features(values, masks, patch_len)
     else:
         # The unmasked view shows the encoder the visible cells; the masked
-        # view shows it the hidden ones.
+        # view shows it the hidden ones. A view's features are the mean of
+        # its patch-token latents, the class row dropped.
         grids = patchify(standardize(values), patch_len)
-        f_u = _encoded_view_features(state, grids, masks)
-        f_m = _encoded_view_features(state, grids, ~masks)
+        f_u, f_m = (forward_frozen(state, encode, grids, shown, lambda w: w[:, 1:].mean(axis=1))
+                    for shown in (masks, ~masks))
     k = min(pca_k, min(n, f_u.shape[1]) - 1, min(n, f_m.shape[1]) - 1)
     if k < 1:
         raise ValueError("dataset too small for PCA reduction")

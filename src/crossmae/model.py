@@ -12,11 +12,12 @@ stack with no padding: activations are (B*T, D) arrays of B row blocks, one
 per window, and attention stays inside each block. A batch is two arrays:
 grids (B, C, P, L_p) float64, each window's patches (windows.patchify), and
 masks (B, C, P) bool, True where a patch is hidden (masking.sample_mask).
-Training loops bind the parameters as leaves of one tape per step, writing
-their gradients into arrays the loop owns. Every forward-only caller (class
-embeddings, imputation, view features) goes through forward_frozen, which
-binds the parameter arrays themselves as constants, so every primitive
-returns a plain array, and runs FORWARD_CHUNK windows at a time.
+Training loops bind the parameters as leaves of one tape per step. Every
+forward-only caller (class embeddings, imputation, view features) goes
+through forward_frozen, which binds the parameter arrays themselves as
+constants, so every primitive returns a plain array, runs FORWARD_CHUNK
+windows at a time and returns the concatenation of what the caller keeps of
+each chunk.
 
 The reconstruction loss is the mean squared error over all patches; a
 masked-only variant is available for ablation.
@@ -137,6 +138,14 @@ def _param_layout(arch: ArchSpec):
     yield from (("head.W", (d, lp)), ("head.b", (lp,)))
 
 
+def param_count(arch: ArchSpec) -> int:
+    """The number of parameter values _param_layout lays out, in closed form,
+    so that an arch of any depth is sized without walking its layers."""
+    d, hidden, lp = arch.d_model, arch.d_model * arch.mlp_ratio, arch.patch_len
+    per_layer = 4 * d * d + 2 * d * hidden + 9 * d + hidden
+    return (arch.enc_layers + arch.dec_layers) * per_layer + 2 * lp * d + lp + 7 * d
+
+
 def init_model(arch: ArchSpec, seed) -> ModelState:
     """Uniform(+-1/sqrt(fan_in)) weight matrices (fan_in: first axis), zero
     biases, unit layernorm gains (*.g), Gaussian(sd 0.02) class and mask tokens."""
@@ -182,22 +191,17 @@ def _hold_heap():
 
 class Binding:
     """The parameters of one ModelState as the model reads them: p is
-    state.params itself when tape is None, else one leaf per parameter on tape.
+    state.params itself when tape is None, else one leaf per parameter on
+    tape, in state.params' order.
 
-    A training loop passes grads, a dict of one zeroed array per parameter
-    (AdamWState.grad_views, the views of the optimizer's flat gradient
-    buffer), and backward adds each leaf's gradient into its array. Every
-    training and frozen pass starts here, so a Binding holds the heap
+    Every training and frozen pass starts here, so a Binding holds the heap
     (_hold_heap) for library callers; cli.main holds it first."""
 
-    def __init__(self, state: ModelState, tape: T.Tape | None, grads=None):
+    def __init__(self, state: ModelState, tape: T.Tape | None):
         _hold_heap()
         self.state = state
-        if tape is None:
-            self.p = state.params
-        else:
-            self.p = {k: tape.leaf(v, None if grads is None else grads[k])
-                      for k, v in state.params.items()}
+        self.p = (state.params if tape is None
+                  else {k: tape.leaf(v) for k, v in state.params.items()})
 
 
 def _attention(b: Binding, prefix: str, x, n_windows: int):
@@ -236,15 +240,20 @@ def _token_ids(masks: np.ndarray) -> np.ndarray:
     return np.hstack([np.zeros((len(masks), 1), dtype=np.intp), 1 + visible])
 
 
-def forward_frozen(state: ModelState, fn, grids, masks):
+def forward_frozen(state: ModelState, fn, grids, masks, per_window):
     """Run fn (encode or reconstruct) with every parameter of state a
-    constant: yield (chunk, fn(binding, grids[chunk], masks[chunk])), a plain
-    array, over consecutive slices of at most FORWARD_CHUNK windows. No tape
-    is involved, so nothing outlives a chunk."""
+    constant, over consecutive chunks of at most FORWARD_CHUNK windows, and
+    return the concatenation of per_window(out) over the chunks. out is
+    fn's plain-array output for the chunk as (B, rows, width): its row
+    blocks, one per window. No tape is involved, so nothing outlives a chunk
+    but what per_window keeps of it."""
     binding = Binding(state, None)
+    kept = []
     for start in range(0, len(masks), FORWARD_CHUNK):
-        chunk = slice(start, min(start + FORWARD_CHUNK, len(masks)))
-        yield chunk, fn(binding, grids[chunk], masks[chunk])
+        chunk = slice(start, start + FORWARD_CHUNK)
+        out = fn(binding, grids[chunk], masks[chunk])
+        kept.append(per_window(out.reshape(len(masks[chunk]), -1, out.shape[1])))
+    return np.concatenate(kept)
 
 
 def encode(b: Binding, grids, masks):

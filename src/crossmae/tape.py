@@ -8,10 +8,8 @@ never touches a tape. backward walks the record once in reverse, so each
 node's gradient is fully accumulated before its own backward rule fires, and
 then drops the record and every node's backward rule: the graph is freed as
 soon as backward ends, and a tape runs backward at most once. Only scalar
-losses that depend on a leaf may be differentiated. A node allocates its
-gradient on the first contribution; a leaf may instead be given a
-caller-owned, zeroed array to add its gradient into (a training loop passes
-views of the optimizer's flat gradient buffer).
+losses that depend on a leaf may be differentiated. Every node, leaves
+included, allocates its gradient on the first contribution.
 
 Supported broadcasting is deliberately narrow: add takes a 1-D bias row as
 its second operand, added to each row of a 2-D first operand. Everything else
@@ -34,10 +32,10 @@ class DiffArray:
 
     __slots__ = ("data", "tape", "_grad", "_backward", "__weakref__")
 
-    def __init__(self, data, tape, grad=None):
+    def __init__(self, data, tape):
         self.data = np.asarray(data, dtype=np.float64)
         self.tape = tape
-        self._grad = grad
+        self._grad = None
         self._backward = None
 
     @property
@@ -62,14 +60,9 @@ class Tape:
     def __init__(self):
         self._nodes = []
 
-    def leaf(self, data, grad=None):
-        """A leaf of the graph. Given grad, an array of data's shape that
-        the caller has zeroed, backward adds the leaf's gradient into it
-        instead of allocating one."""
-        if grad is not None and np.shape(grad) != np.shape(data):
-            raise ValueError(f"leaf gradient shape {np.shape(grad)} does not match "
-                             f"data shape {np.shape(data)}")
-        return DiffArray(data, self, grad)
+    def leaf(self, data):
+        """A leaf of the graph."""
+        return DiffArray(data, self)
 
     def backward(self, loss):
         """Accumulate d(loss)/d(node) into every reachable node's grad, then

@@ -13,9 +13,9 @@ Pretraining and both probe modes train through one loop, _fit. It keeps the
 parameters and their gradients in one AdamWState, owns the step counter and
 the cosine schedule, slices each epoch's sample order into minibatches, and
 asks its caller only for each minibatch's loss. _step runs one step: it
-binds the parameters on a fresh tape with their gradients pointed at views
-of the flat gradient buffer, builds the loss, zeroes the buffer, runs
-backward, and applies one AdamW step between two checks. A non-finite loss
+binds the parameters on a fresh tape, builds the loss, runs backward,
+gathers the leaves' gradients into the flat gradient buffer in one copy, and
+applies one AdamW step between two checks. A non-finite loss
 or gradient stops training before the step it would corrupt, and a step
 that leaves a parameter or AdamW's second moment non-finite (finite
 divergence: the loss grows until the squared gradient overflows) stops it
@@ -112,14 +112,11 @@ class ProbeConfig:
 class AdamWState:
     """AdamW state, parameters and gradients over flat float64 buffers.
 
-    The constructor copies every parameter into `flat`, in dict order, and
-    rebinds each entry of the given dict to a view of its slice, so one
-    update of `flat` updates every parameter. `grad` is the flat gradient
-    buffer, laid out like `flat`, and `grad_views` maps each name to the
-    view of its slice: a training loop zeroes `grad` once per step and binds
-    its leaves with grads=grad_views, so backward writes every gradient in
-    place and the buffers outlive the steps. `m` and `v` are the flat moment
-    buffers and `t` the step counter.
+    The constructor copies every parameter into `flat`, in dict order
+    (`names`), and rebinds each entry of the given dict to a view of its
+    slice, so one update of `flat` updates every parameter. `grad` is the
+    flat gradient buffer, laid out like `flat`, which adamw_step reads. `m`
+    and `v` are the flat moment buffers and `t` the step counter.
     """
 
     def __init__(self, params: dict):
@@ -127,12 +124,10 @@ class AdamWState:
         self.bounds = np.cumsum([0] + [params[k].size for k in self.names])
         self.flat = np.empty(self.bounds[-1])
         self.grad = np.zeros_like(self.flat)
-        self.grad_views = {}
         for name, lo, hi in zip(self.names, self.bounds[:-1], self.bounds[1:]):
             shape = np.shape(params[name])
             self.flat[lo:hi] = np.ravel(params[name])
             params[name] = self.flat[lo:hi].reshape(shape)
-            self.grad_views[name] = self.grad[lo:hi].reshape(shape)
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.t = 0
@@ -173,16 +168,20 @@ def cosine_lr(step: int, warmup_steps: int, total_steps: int, base_lr: float, mi
 
 def _step(loop: str, step: int, state: ModelState, opt: AdamWState, lr: float,
           cfg: OptimConfig, build_loss) -> float:
-    """Bind state on a fresh tape with its gradients in opt.grad, backward
-    build_loss(binding), and take one checked AdamW step; return the loss.
+    """Bind state on a fresh tape, backward build_loss(binding), gather the
+    leaves' gradients into opt.grad, and take one checked AdamW step; return
+    the loss.
     Raises FloatingPointError, naming the loop and the step, when the loss
     or a gradient is not finite (before the update, with the first such
     parameter group) or when the update left a parameter or its second
     moment non-finite."""
     tape_ = T.Tape()
-    loss = build_loss(Binding(state, tape_, grads=opt.grad_views))
-    opt.grad.fill(0.0)
+    binding = Binding(state, tape_)
+    loss = build_loss(binding)
     tape_.backward(loss)
+    # binding.p follows state.params, whose order is opt.names; a leaf that no
+    # gradient reached gives zeros through its grad property
+    np.concatenate([leaf.grad.ravel() for leaf in binding.p.values()], out=opt.grad)
     finite = np.isfinite(opt.grad)
     bad = None if finite.all() else opt.group_at(np.argmin(finite))
     if bad is None and np.isfinite(loss.data):
@@ -258,10 +257,7 @@ def class_embeddings(state: ModelState, values: np.ndarray) -> np.ndarray:
     arch = state.arch
     grids = patchify(standardize(values), arch.patch_len)
     masks = np.zeros(grids.shape[:3], dtype=bool)
-    out = np.empty((len(values), arch.d_model))
-    for chunk, enc in forward_frozen(state, encode, grids, masks):
-        out[chunk] = enc[::arch.n_tokens + 1]
-    return out
+    return forward_frozen(state, encode, grids, masks, lambda w: w[:, 0])
 
 
 def _split_indices(n: int, train_fraction: float, rng) -> tuple:

@@ -456,6 +456,43 @@ def test_mlp_weight_too_large_rejected_before_the_run_directory_exists(
     assert not os.path.exists(tmp_path / "o")
 
 
+# Each layer count at 10^9: unchecked, the run creates its run directory and
+# then grows in init_model until a MemoryError.
+@pytest.mark.parametrize("command, key, size", [
+    ("gradcheck", "arch.enc_layers", 8544000009158),
+    ("gradcheck", "arch.dec_layers", 8544000017702),
+    ("pretrain", "arch.enc_layers", 8544000009288),
+    ("pretrain", "arch.dec_layers", 8544000017832)])
+def test_parameter_count_too_large_rejected_before_the_run_directory_exists(
+        data_dir, tmp_path, command, key, size):
+    settings = {key: 10**9}
+    if command == "pretrain":
+        settings["data.dir"] = data_dir
+    cfg = _write_cfg(tmp_path / "c.cfg", **settings)
+    done, seconds = _run_capped(command, tmp_path / "o", cfg)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (f"{cfg}: key {key}: {size} parameter values exceed the "
+                                   "limit of 134217728")
+    assert not os.path.exists(tmp_path / "o")
+    assert seconds < 20
+
+
+# 2^22 windows (or transitions) of 2 x 2 values pass the values bound; their
+# SeedSequences alone would take about 1.7 GB.
+@pytest.mark.parametrize("command, key", [("synth", "data.n_windows"),
+                                          ("analyze", "exp.n_transitions")])
+def test_window_seeds_too_many_rejected_before_the_run_directory_exists(tmp_path, command,
+                                                                         key):
+    cfg = _write_cfg(tmp_path / "c.cfg", **{key: 2**22, "data.n_modalities": 2,
+                                           "data.n_samples": 2})
+    done, seconds = _run_capped(command, tmp_path / "o", cfg)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (f"{cfg}: key {key}: 268435456 seed values "
+                                   f"{key.split('.')[-1]} x 64 exceed the limit of 134217728")
+    assert not os.path.exists(tmp_path / "o")
+    assert seconds < 20
+
+
 # Each key set to 10^11 over the defaults: 200 windows (and transitions) of
 # 6 modalities x 200 samples. Unchecked, each run creates its run directory
 # and then runs out of memory, in SeedSequence.spawn after 86 s for

@@ -9,9 +9,10 @@ import pytest
 from crossmae import tape as T
 from crossmae.config import ManifestError
 from crossmae.masking import CROSS, sample_mask
-from crossmae.model import (ArchSpec, Binding, ModelState, _attention, alignment_identity,
-                            encode, forward_frozen, gradcheck_model, init_model, load_checkpoint,
-                            mae_loss, positions_2d, reconstruct, save_checkpoint)
+from crossmae.model import (FORWARD_CHUNK, ArchSpec, Binding, ModelState, _attention,
+                            _param_layout, alignment_identity, encode, forward_frozen,
+                            gradcheck_model, init_model, load_checkpoint, mae_loss,
+                            param_count, positions_2d, reconstruct, save_checkpoint)
 from crossmae.windows import patchify
 
 TINY = ArchSpec(n_modalities=2, n_patches=3, patch_len=4, d_model=8,
@@ -309,12 +310,23 @@ def test_checkpoint_loads_without_building_a_model(tmp_path, monkeypatch):
     assert back.arch == TINY and list(back.params) == sorted(state.params)
 
 
+@pytest.mark.parametrize("changes", [{}, {"enc_layers": 3, "dec_layers": 2},
+                                     {"d_model": 12, "n_heads": 3, "mlp_ratio": 3},
+                                     {"patch_len": 7, "mlp_ratio": 1}])
+def test_param_count_is_the_layout_size(changes):
+    arch = replace(TINY, **changes)
+    assert param_count(arch) == sum(int(np.prod(shape)) for _, shape in _param_layout(arch))
+
+
 def test_forward_frozen_matches_a_pass_on_leaves_bit_for_bit():
     state = init_model(TINY, seed=6)
-    grids, masks = _batch(TINY, 5, CROSS, seed=7)
-    got = np.concatenate([recon for _, recon in forward_frozen(state, reconstruct, grids, masks)])
-    want = reconstruct(Binding(state, T.Tape()), grids, masks).data
-    assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+    # one chunk, and three chunks whose last is partial
+    for n in (5, 2 * FORWARD_CHUNK + 3):
+        grids, masks = _batch(TINY, n, CROSS, seed=7)
+        got = forward_frozen(state, reconstruct, grids, masks, lambda w: w)
+        want = reconstruct(Binding(state, T.Tape()), grids, masks).data
+        assert type(got) is np.ndarray and got.shape == (n, TINY.n_tokens, TINY.patch_len)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_gradcheck_tiny_model():
@@ -429,18 +441,3 @@ def test_heap_hold_is_a_no_op_without_mallopt(monkeypatch):
         assert encode(b, _grid(TINY)[None], _mask(TINY)[None]).shape == (4, TINY.d_model)
     finally:
         model._hold_heap.cache_clear()
-
-
-def test_binding_adds_gradients_into_the_given_arrays():
-    state = init_model(TINY, seed=0)
-    grads = {k: np.zeros_like(v) for k, v in state.params.items()}
-    t = T.Tape()
-    b = Binding(state, t, grads=grads)
-    loss = mae_loss(b, _grid(TINY)[None], _mask(TINY)[None])
-    t.backward(loss)
-    _, want = _loss_and_grads(state, lambda b2: mae_loss(b2, _grid(TINY)[None], _mask(TINY)[None]))
-    for k, g in grads.items():
-        assert b.p[k].grad is g
-        assert np.array_equal(g, want[k])
-    with pytest.raises(ValueError, match="gradient shape"):
-        t.leaf(np.zeros(3), grad=np.zeros(4))

@@ -10,6 +10,7 @@ callers outside the package are listed in KEEP, each with its reason.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crossmae"
@@ -90,3 +91,22 @@ def test_keep_list_names_existing_definitions():
     defined = {qual for qual, _, _ in _definitions()[0]}
     stale = KEEP.keys() - defined
     assert not stale, f"KEEP entries that are no longer defined: {sorted(stale)}"
+
+
+def test_perfbench_tracer_installs_and_restores_its_patches():
+    """perfbench/tracer.py wraps every name in its LAYERS, TAPE_OTHER and
+    METHODS by name; renaming or deleting one of them breaks its per-layer
+    run at install."""
+    import crossmae.model
+    import crossmae.tape
+
+    path = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    matmul, binding_init = crossmae.tape.matmul, crossmae.model.Binding.__init__
+    with tracer.Tracer():
+        assert crossmae.tape.matmul.__wrapped__ is matmul
+        assert crossmae.model.Binding.__init__ is not binding_init
+    assert crossmae.tape.matmul is matmul
+    assert crossmae.model.Binding.__init__ is binding_init

@@ -79,7 +79,7 @@ def test_probe_names_a_bad_optimizer_setting(field, value):
 def test_adamw_step_zero_grad_is_pure_decay():
     params = {"w": np.array([1.0, -2.0])}
     opt = AdamWState(params)
-    opt.grad_views["w"][...] = np.zeros(2)
+    opt.grad[...] = np.zeros(2)
     cfg = OptimConfig(weight_decay=0.05)
     adamw_step(opt, lr=0.1, cfg=cfg)
     assert np.max(np.abs(params["w"] - np.array([0.995, -1.99]))) < 1e-15
@@ -96,7 +96,7 @@ def test_adamw_step_hand_computed_scalar():
     params = {"w": np.array([0.0])}
     opt = AdamWState(params)
     cfg = OptimConfig(weight_decay=0.0, beta1=0.9, beta2=0.95, eps=1e-8)
-    opt.grad_views["w"][...] = np.array([1.0])
+    opt.grad[...] = np.array([1.0])
     adamw_step(opt, lr=0.1, cfg=cfg)
     m_hat = (1 - 0.9) * 1.0 / (1 - 0.9**1)
     v_hat = (1 - 0.95) * 1.0 / (1 - 0.95**1)
@@ -110,8 +110,7 @@ def test_adamw_step_updates_multi_dim_params_in_place():
     ref = {k: v.copy() for k, v in params.items()}
     grads = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4)}
     opt = AdamWState(params)
-    for k, g in grads.items():
-        opt.grad_views[k][...] = g
+    opt.grad[...] = np.concatenate([grads[k].ravel() for k in opt.names])
     adamw_step(opt, lr=0.01, cfg=OptimConfig())
     for k in params:
         assert params[k].shape == ref[k].shape
@@ -266,8 +265,7 @@ def test_adamw_step_is_one_kernel_call_equal_to_one_per_group(monkeypatch):
     real = kernels.adamw_update
     monkeypatch.setattr(kernels, "adamw_update", lambda *a: calls.append(a) or real(*a))
     opt = AdamWState(params)
-    for k, g in grads.items():
-        opt.grad_views[k][...] = g
+    opt.grad[...] = np.concatenate([grads[k].ravel() for k in opt.names])
     adamw_step(opt, lr=0.01, cfg=cfg)
     assert len(params) == 42 and len(calls) == 1
     for k in params:
@@ -383,8 +381,8 @@ def test_backward_writes_every_gradient_into_the_optimizer_buffer(monkeypatch, m
     assert all(o is opt for o in opts)
     for b in trained:
         assert list(b.p) == opt.names
-        for name, leaf in b.p.items():
-            assert leaf.grad is opt.grad_views[name]
-            assert np.shares_memory(leaf.grad, opt.grad)
-    # the last step's gradients are still in the buffer, and not all zero
+    # the buffer holds the last step's leaf gradients in opt.names order,
+    # finite and not all zero
+    last = np.concatenate([leaf.grad.ravel() for leaf in trained[-1].p.values()])
+    assert np.array_equal(opt.grad, last)
     assert np.isfinite(opt.grad).all() and opt.grad.any()
