@@ -162,22 +162,33 @@ def _check_sizes(run: Run, *arrays) -> None:
             raise run.error(key, f"{size} {what} exceed the limit of {MAX_ARRAY_VALUES}")
 
 
-def _arch_arrays(arch: ArchSpec, **named) -> tuple:
+def _arch_arrays(arch: ArchSpec, batch: tuple | None = None, **named) -> tuple:
     """For _check_sizes: a window's patch grid, the attention scores, one MLP
     weight and the parameters of arch, each factor under its key
-    (arch.<field>, unless named)."""
+    (arch.<field>, unless named). With batch, (key, windows) of a training
+    step, also the step's attention scores and MLP activations."""
     keys = _keys(ArchSpec, "arch.", **named)
 
     def factors(*names):
         return [(keys[name], getattr(arch, name)) for name in names]
-    return (("window values C x P x L_p", arch.n_tokens * arch.patch_len,
-             factors("n_modalities", "n_patches", "patch_len")),
-            ("attention scores n_heads x (C x P + 1)^2", arch.n_heads * (arch.n_tokens + 1) ** 2,
-             factors("n_modalities", "n_patches", "n_heads")),
-            ("MLP weight values d_model x d_model * mlp_ratio",
-             arch.d_model ** 2 * arch.mlp_ratio, factors("d_model", "mlp_ratio")),
-            ("parameter values", param_count(arch),
-             factors("enc_layers", "dec_layers", "d_model", "mlp_ratio", "patch_len")))
+    rows = arch.n_tokens + 1
+    arrays = (("window values C x P x L_p", arch.n_tokens * arch.patch_len,
+               factors("n_modalities", "n_patches", "patch_len")),
+              ("attention scores n_heads x (C x P + 1)^2", arch.n_heads * rows ** 2,
+               factors("n_modalities", "n_patches", "n_heads")),
+              ("MLP weight values d_model x d_model * mlp_ratio",
+               arch.d_model ** 2 * arch.mlp_ratio, factors("d_model", "mlp_ratio")),
+              ("parameter values", param_count(arch),
+               factors("enc_layers", "dec_layers", "d_model", "mlp_ratio", "patch_len")))
+    if batch is None:
+        return arrays
+    n = batch[1]
+    return arrays + (
+        ("step attention scores batch x n_heads x (C x P + 1)^2", n * arch.n_heads * rows ** 2,
+         [batch, *factors("n_modalities", "n_patches", "n_heads")]),
+        ("step MLP activations batch x (C x P + 1) x d_model * mlp_ratio",
+         n * rows * arch.d_model * arch.mlp_ratio,
+         [batch, *factors("n_modalities", "n_patches", "d_model", "mlp_ratio")]))
 
 
 def _windows_array(spec: SynthSpec, what: str, key: str, n: int) -> tuple:
@@ -224,7 +235,12 @@ def cmd_pretrain(run: Run) -> None:
     values, _, _ = run.load("data.dir", load_dataset)
     arch = run.build(ArchSpec, ARCH_KEYS, n_modalities=values.shape[1],
                      n_patches=_n_patches(run, "arch.patch_len", values.shape[2]))
-    _check_sizes(run, *_arch_arrays(arch, n_modalities="data.dir", n_patches="arch.patch_len"))
+    # a step holds min(batch_size, n) windows: the dataset's size when it is the smaller
+    batch_size = pcfg.optim.batch_size
+    batch = (("optim.batch_size", batch_size) if batch_size <= len(values)
+             else ("data.dir", len(values)))
+    _check_sizes(run, *_arch_arrays(arch, batch, n_modalities="data.dir",
+                                    n_patches="arch.patch_len"))
     run.check("mask.ratio", sample_mask, pcfg.policy, arch.n_modalities, arch.n_patches,
               pcfg.mask_ratio, 0)
     init_state = run.load("resume", load_checkpoint) if cfg["resume"] else None

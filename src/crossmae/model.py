@@ -19,6 +19,18 @@ constants, so every primitive returns a plain array, runs FORWARD_CHUNK
 windows at a time and returns the concatenation of what the caller keeps of
 each chunk.
 
+The forward pass is one ordered chain of stages (_chain), each declaring
+the parameter scopes it reads (a scope is a name up to its first dot): embed
+(embed, cls), one per encoder block (encN), the encoder's norm (enc), the
+decoder entry that scatters the encoder rows and fills the rest with the
+mask token (mask_token), one per decoder block (decN), the decoder's norm
+with the take of the patch rows (dec), the head (head), and the loss, which
+reads none. encode and decode each run a slice of the chain, reconstruct
+runs both, and mae_loss runs reconstruct and then the loss stage. The stages
+of one pass share a _Pass, so a batch's token ids are derived once.
+gradcheck_model keeps each stage's input from one unbumped pass and starts
+every bumped evaluation at the first stage that reads the bumped parameter.
+
 The reconstruction loss is the mean squared error over all patches; a
 masked-only variant is available for ablation.
 
@@ -27,7 +39,9 @@ and the parameters; loading one allocates nothing in proportion to its arch.
 """
 import functools
 import operator
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,13 +232,6 @@ def _mlp(b: Binding, prefix: str, x):
     return T.add(T.matmul(h, b.p[f"{prefix}.mlp.W2"]), b.p[f"{prefix}.mlp.b2"])
 
 
-def _block(b: Binding, prefix: str, x, n_windows: int):
-    y = T.layernorm(x, b.p[f"{prefix}.ln1.g"], b.p[f"{prefix}.ln1.b"])
-    x = T.add(x, _attention(b, prefix, y, n_windows))
-    y = T.layernorm(x, b.p[f"{prefix}.ln2.g"], b.p[f"{prefix}.ln2.b"])
-    return T.add(x, _mlp(b, prefix, y))
-
-
 def _token_ids(masks: np.ndarray) -> np.ndarray:
     """(B, V+1) position-table rows of each window's encoder tokens: 0 for
     the class token, then 1 + the grid index of each visible patch. Every
@@ -238,6 +245,133 @@ def _token_ids(masks: np.ndarray) -> np.ndarray:
                          f"got {sorted(set(hidden.tolist()))}")
     visible = np.nonzero(np.logical_not(flat))[1].reshape(len(masks), -1)
     return np.hstack([np.zeros((len(masks), 1), dtype=np.intp), 1 + visible])
+
+
+class _Pass:
+    """What the stages of one forward pass share: the batch's (B, C, P)
+    masks, their token ids (_token_ids, derived and checked at first use,
+    once per pass), and the loss stage's target grids and masked_only flag."""
+
+    def __init__(self, masks, target=None, masked_only=False):
+        self.masks = masks
+        self.target = target
+        self.masked_only = masked_only
+
+    @functools.cached_property
+    def ids(self):
+        return _token_ids(self.masks)
+
+
+def _pass(masks) -> _Pass:
+    """masks as a _Pass: itself when it is the _Pass of a pass in progress."""
+    return masks if isinstance(masks, _Pass) else _Pass(masks)
+
+
+class Stage(NamedTuple):
+    """One link of the forward chain: run(b, ps, x) maps the previous
+    stage's output x to this stage's, in the _Pass ps, and reads only the
+    parameters whose scope (_scope) is in reads."""
+    name: str
+    reads: tuple
+    run: Callable
+
+
+def _scope(name: str) -> str:
+    """A parameter's scope: its name up to the first dot."""
+    return name.partition(".")[0]
+
+
+def _embed(b: Binding, ps: _Pass, grids):
+    """Project each window's visible patches, put the class token at row 0 of
+    its block and add positions: (B*(V+1), D)."""
+    arch = b.state.arch
+    ids = ps.ids
+    patches = grids.reshape(len(ids), arch.n_tokens, arch.patch_len)
+    visible = np.take_along_axis(patches, ids[:, 1:, None] - 1, axis=1)
+    vis = T.add(T.matmul(visible.reshape(-1, arch.patch_len), b.p["embed.W"]), b.p["embed.b"])
+    # the class-token rows are the ones at position row 0
+    x = T.scatter_rows(vis, np.flatnonzero(ids), ids.size, b.p["cls"])
+    return T.add(x, b.state.positions[ids.ravel()])
+
+
+def _block(prefix: str, b: Binding, ps: _Pass, x):
+    n_windows = len(ps.masks)
+    y = T.layernorm(x, b.p[f"{prefix}.ln1.g"], b.p[f"{prefix}.ln1.b"])
+    x = T.add(x, _attention(b, prefix, y, n_windows))
+    y = T.layernorm(x, b.p[f"{prefix}.ln2.g"], b.p[f"{prefix}.ln2.b"])
+    return T.add(x, _mlp(b, prefix, y))
+
+
+def _enc_norm(b: Binding, ps: _Pass, x):
+    return T.layernorm(x, b.p["enc.norm.g"], b.p["enc.norm.b"])
+
+
+def _dec_entry(b: Binding, ps: _Pass, encoded):
+    """Scatter each window's encoder rows to their grid slots, fill the
+    hidden slots with the mask token and add positions: (B*(N+1), D)."""
+    n_win, n_rows = len(ps.masks), b.state.arch.n_tokens + 1
+    starts = np.arange(n_win) * n_rows
+    x = T.scatter_rows(encoded, (starts[:, None] + ps.ids).ravel(), n_win * n_rows,
+                       b.p["mask_token"])
+    return T.add(x, np.tile(b.state.positions, (n_win, 1)))
+
+
+def _dec_norm(b: Binding, ps: _Pass, x):
+    """The decoder's final layernorm, then each window's patch rows: (B*N, D)."""
+    n_win, n_rows = len(ps.masks), b.state.arch.n_tokens + 1
+    x = T.layernorm(x, b.p["dec.norm.g"], b.p["dec.norm.b"])
+    return T.take_rows(x, np.delete(np.arange(n_win * n_rows), np.arange(n_win) * n_rows))
+
+
+def _head(b: Binding, ps: _Pass, x):
+    return T.add(T.matmul(x, b.p["head.W"]), b.p["head.b"])
+
+
+def _loss(b: Binding, ps: _Pass, recon):
+    """MSE of the (B*N, L_p) reconstruction against ps.target, over every
+    patch or, with ps.masked_only, over the masked ones."""
+    target_np = ps.target.reshape(-1, b.state.arch.patch_len)
+    if ps.masked_only:
+        masked_ids = np.flatnonzero(ps.masks)
+        if len(masked_ids) == 0:
+            raise ValueError("masked-only loss needs at least one masked patch")
+        recon = T.take_rows(recon, masked_ids)
+        target_np = target_np[masked_ids]
+    return T.mse(recon, target_np)
+
+
+def _blocks(stack: str, n_layers: int) -> list:
+    return [Stage(f"{stack}{i}", (f"{stack}{i}",), functools.partial(_block, f"{stack}{i}"))
+            for i in range(n_layers)]
+
+
+def _encoder(arch: ArchSpec) -> list:
+    """The stages encode runs: grids (B, C, P, L_p) to (B*(V+1), D)."""
+    return [Stage("embed", ("embed", "cls"), _embed), *_blocks("enc", arch.enc_layers),
+            Stage("enc.norm", ("enc",), _enc_norm)]
+
+
+def _decoder(arch: ArchSpec) -> list:
+    """The stages decode runs: (B*(V+1), D) encoder rows to (B*N, L_p)."""
+    return [Stage("dec.entry", ("mask_token",), _dec_entry), *_blocks("dec", arch.dec_layers),
+            Stage("dec.norm", ("dec",), _dec_norm), Stage("head", ("head",), _head)]
+
+
+_LOSS = Stage("loss", (), _loss)
+
+
+def _chain(arch: ArchSpec) -> list:
+    """The whole forward pass, grids to loss, as one ordered list of stages."""
+    return [*_encoder(arch), *_decoder(arch), _LOSS]
+
+
+def _run(b: Binding, ps: _Pass, x, stages, inputs=None):
+    """x through stages in order; each stage's input is appended to inputs when given."""
+    for stage in stages:
+        if inputs is not None:
+            inputs.append(x)
+        x = stage.run(b, ps, x)
+    return x
 
 
 def forward_frozen(state: ModelState, fn, grids, masks, per_window):
@@ -257,68 +391,41 @@ def forward_frozen(state: ModelState, fn, grids, masks, per_window):
 
 
 def encode(b: Binding, grids, masks):
-    """Run the encoder over the visible tokens of a batch: grids (B, C, P,
-    L_p) and masks (B, C, P) that all hide the same number of patches.
-    Returns (B*(V+1), D) values in B row blocks: row 0 of a block is the
-    class token, rows 1..V the window's visible patches in grid order."""
+    """Run the encoder stages over the visible tokens of a batch: grids (B,
+    C, P, L_p) and masks (B, C, P) that all hide the same number of patches
+    (or the _Pass of a pass in progress). Returns (B*(V+1), D) values in B
+    row blocks: row 0 of a block is the class token, rows 1..V the window's
+    visible patches in grid order."""
     arch = b.state.arch
+    ps = _pass(masks)
     want = (arch.n_modalities, arch.n_patches, arch.patch_len)
     if grids.shape[1:] != want:
         raise ValueError(f"grid {grids.shape[1:]} does not match arch {want}")
-    if masks.shape != grids.shape[:3]:
-        raise ValueError(f"masks {masks.shape} do not match grids {grids.shape}")
-    ids = _token_ids(masks)
-    n_win = len(ids)
-    patches = grids.reshape(n_win, arch.n_tokens, arch.patch_len)
-    visible = np.take_along_axis(patches, ids[:, 1:, None] - 1, axis=1)
-    vis = T.add(T.matmul(visible.reshape(-1, arch.patch_len), b.p["embed.W"]), b.p["embed.b"])
-    # the class-token rows are the ones at position row 0
-    x = T.scatter_rows(vis, np.flatnonzero(ids), ids.size, b.p["cls"])
-    x = T.add(x, b.state.positions[ids.ravel()])
-    for i in range(arch.enc_layers):
-        x = _block(b, f"enc{i}", x, n_win)
-    return T.layernorm(x, b.p["enc.norm.g"], b.p["enc.norm.b"])
+    if ps.masks.shape != grids.shape[:3]:
+        raise ValueError(f"masks {ps.masks.shape} do not match grids {grids.shape}")
+    return _run(b, ps, grids, _encoder(arch))
 
 
 def decode(b: Binding, encoded, masks):
-    """Scatter each window's encoder outputs back to its grid slots, fill
-    hidden slots with the mask token, re-add positions everywhere, run the
-    decoder, and project every patch token back to patch space. Returns
-    (B*N, L_p) values, window by window in grid order."""
-    arch = b.state.arch
-    ids = _token_ids(masks)
-    n_win, n_rows = len(ids), arch.n_tokens + 1
-    starts = np.arange(n_win) * n_rows
-    x = T.scatter_rows(encoded, (starts[:, None] + ids).ravel(), n_win * n_rows,
-                       b.p["mask_token"])
-    x = T.add(x, np.tile(b.state.positions, (n_win, 1)))
-
-    for i in range(arch.dec_layers):
-        x = _block(b, f"dec{i}", x, n_win)
-    x = T.layernorm(x, b.p["dec.norm.g"], b.p["dec.norm.b"])
-    patch_tokens = T.take_rows(x, np.delete(np.arange(n_win * n_rows), starts))
-    return T.add(T.matmul(patch_tokens, b.p["head.W"]), b.p["head.b"])
+    """Run the decoder stages: scatter each window's encoder outputs back to
+    its grid slots, fill hidden slots with the mask token, re-add positions
+    everywhere, run the decoder, and project every patch token back to patch
+    space. Returns (B*N, L_p) values, window by window in grid order."""
+    return _run(b, _pass(masks), encoded, _decoder(b.state.arch))
 
 
 def reconstruct(b: Binding, grids, masks):
-    """encode + decode, returning the (B*N, L_p) reconstruction."""
-    return decode(b, encode(b, grids, masks), masks)
+    """encode + decode in one _Pass, returning the (B*N, L_p) reconstruction."""
+    ps = _pass(masks)
+    return decode(b, encode(b, grids, ps), ps)
 
 
 def mae_loss(b: Binding, grids, masks, masked_only: bool = False):
     """Reconstruction MSE over a batch, averaged over every patch (default)
     or over masked patches only (ablation). Every window hides the same
     number of patches, so this is also the mean of the per-window losses."""
-    arch = b.state.arch
-    recon = reconstruct(b, grids, masks)
-    target_np = grids.reshape(-1, arch.patch_len)
-    if masked_only:
-        masked_ids = np.flatnonzero(masks)
-        if len(masked_ids) == 0:
-            raise ValueError("masked-only loss needs at least one masked patch")
-        recon = T.take_rows(recon, masked_ids)
-        target_np = target_np[masked_ids]
-    return T.mse(recon, target_np)
+    ps = _Pass(masks, grids, masked_only)
+    return _run(b, ps, reconstruct(b, grids, ps), [_LOSS])
 
 
 def alignment_identity(u: np.ndarray, v: np.ndarray):
@@ -370,6 +477,9 @@ def load_checkpoint(directory) -> ModelState:
 def gradcheck_model(arch: ArchSpec, seed: int, h: float, max_coords: int | None) -> float:
     """Finite-difference check of mae_loss over every parameter group.
 
+    The chain runs once on the unbumped parameters and keeps each stage's
+    input; a bumped evaluation resumes at the first stage that reads the
+    bumped group, since no earlier stage's output can change.
     Returns the worst relative error across all sampled coordinates."""
     from .masking import CROSS, sample_mask
     from .windows import as_generator, patchify
@@ -383,8 +493,17 @@ def gradcheck_model(arch: ArchSpec, seed: int, h: float, max_coords: int | None)
     mask = sample_mask(CROSS, arch.n_modalities, arch.n_patches, 0.5,
                        as_generator(mask_seq))
 
-    def build(params):
-        return mae_loss(Binding(ModelState(arch, params), None), grid[None], mask[None])
+    chain = _chain(arch)
+    ps = _Pass(mask[None], grid[None])
+    inputs = []
+    _run(Binding(state, None), ps, grid[None], chain, inputs)
+    first = {scope: i for i, stage in enumerate(chain) for scope in stage.reads}
+
+    def build(params, bumped):
+        b = Binding(ModelState(arch, params), None)
+        if bumped is None:
+            return mae_loss(b, grid[None], mask[None])
+        start = first[_scope(bumped)]
+        return _run(b, ps, inputs[start], chain[start:])
 
     return T.finite_diff_check(build, state.params, h=h, max_coords=max_coords, seed=seed)
-

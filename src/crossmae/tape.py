@@ -412,16 +412,18 @@ def mse(a, b):
 def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0):
     """Compare backward grads against central finite differences.
 
-    build: callable taking a dict name -> operand and returning a scalar
-    loss. It gets the parameters as leaves of a fresh tape once, for the
-    analytic gradients, and as plain arrays for every bumped evaluation.
+    build(params, bumped) returns a scalar loss. It is called once with the
+    parameters as leaves of a fresh tape and bumped None, for the analytic
+    gradients. Every later call is a bumped evaluation: params holds plain
+    arrays, and bumped names the one parameter whose values differ from the
+    arrays given here, so build may reuse whatever does not depend on it.
     params: dict name -> ndarray. Checks every coordinate, or a seeded subset
-    of max_coords per parameter. Returns the maximum relative error
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    of max_coords per parameter, in params order. Returns the maximum
+    relative error |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
     tape = Tape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
-    tape.backward(build(leaves))
+    tape.backward(build(leaves, None))
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     worst = 0.0
@@ -433,13 +435,13 @@ def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0):
             coords = np.arange(flat_n)
         # One copy of the bumped group; each coordinate is put back after use.
         work = base.copy()
-        bumped = {**params, name: work}
+        moved = {**params, name: work}
         for idx in coords:
             x = work.flat[idx]
             work.flat[idx] += h
-            lp = float(build(bumped))
+            lp = float(build(moved, name))
             work.flat[idx] -= 2 * h
-            lm = float(build(bumped))
+            lm = float(build(moved, name))
             work.flat[idx] = x
             numeric = (lp - lm) / (2 * h)
             a = leaves[name].grad.flat[idx]

@@ -477,6 +477,31 @@ def test_parameter_count_too_large_rejected_before_the_run_directory_exists(
     assert seconds < 20
 
 
+# A dataset of 16 windows of 2 x 1000 samples, so a step holds 16 windows.
+# At arch.patch_len=1 its 2,000 tokens pass every per-window bound, but the
+# step holds 16 x 4 x 2001^2 attention scores: unchecked, the run creates its
+# run directory and then fails to allocate 1.91 GiB in its first step. At
+# arch.patch_len=10 and arch.mlp_ratio=2048, the step's MLP activations
+# outgrow the limit in the same way.
+@pytest.mark.parametrize("settings, message", [
+    ({"arch.patch_len": 1},
+     "arch.patch_len: 256256064 step attention scores batch x n_heads x (C x P + 1)^2"),
+    ({"arch.patch_len": 10, "arch.mlp_ratio": 2048},
+     "arch.mlp_ratio: 210763776 step MLP activations batch x (C x P + 1) x d_model * "
+     "mlp_ratio")])
+def test_step_too_large_rejected_before_the_run_directory_exists(tmp_path, settings, message):
+    synth = _write_cfg(tmp_path / "s.cfg", **{"data.n_windows": 16, "data.n_modalities": 2,
+                                             "data.n_samples": 1000})
+    data = _run("synth", tmp_path / "data", synth)
+    cfg = _write_cfg(tmp_path / "c.cfg", **{"data.dir": data, "optim.warmup_epochs": 0,
+                                           "optim.epochs": 1, **settings})
+    done, seconds = _run_capped("pretrain", tmp_path / "o", cfg)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"{cfg}: key {message} exceed the limit of 134217728"
+    assert not os.path.exists(tmp_path / "o")
+    assert seconds < 20
+
+
 # 2^22 windows (or transitions) of 2 x 2 values pass the values bound; their
 # SeedSequences alone would take about 1.7 GB.
 @pytest.mark.parametrize("command, key", [("synth", "data.n_windows"),

@@ -9,10 +9,11 @@ import pytest
 from crossmae import tape as T
 from crossmae.config import ManifestError
 from crossmae.masking import CROSS, sample_mask
-from crossmae.model import (FORWARD_CHUNK, ArchSpec, Binding, ModelState, _attention,
-                            _param_layout, alignment_identity, encode, forward_frozen,
-                            gradcheck_model, init_model, load_checkpoint, mae_loss,
-                            param_count, positions_2d, reconstruct, save_checkpoint)
+from crossmae.model import (FORWARD_CHUNK, ArchSpec, Binding, ModelState, _attention, _chain,
+                            _param_layout, _Pass, _run, _scope, alignment_identity, decode,
+                            encode, forward_frozen, gradcheck_model, init_model,
+                            load_checkpoint, mae_loss, param_count, positions_2d, reconstruct,
+                            save_checkpoint)
 from crossmae.windows import patchify
 
 TINY = ArchSpec(n_modalities=2, n_patches=3, patch_len=4, d_model=8,
@@ -334,6 +335,80 @@ def test_gradcheck_tiny_model():
     assert err < 1e-3
 
 
+# gradcheck's own arch (cli.GRADCHECK_DEFAULTS), and a deeper one
+GRADCHECK_ARCHS = [ArchSpec(n_modalities=3, n_patches=4, patch_len=6),
+                   ArchSpec(n_modalities=3, n_patches=4, patch_len=6, enc_layers=3,
+                            dec_layers=2)]
+
+
+@pytest.mark.parametrize("arch", GRADCHECK_ARCHS)
+@pytest.mark.parametrize("seed", [0, 1009])
+def test_staged_gradcheck_equals_whole_model_reruns_bit_for_bit(arch, seed):
+    # gradcheck_model's inputs, rebuilt here; every bumped evaluation of the
+    # oracle reruns mae_loss whole
+    init_seq, data_seq, mask_seq = np.random.SeedSequence(seed).spawn(3)
+    state = init_model(arch, init_seq)
+    values = np.random.default_rng(data_seq).standard_normal(
+        (arch.n_modalities, arch.n_patches * arch.patch_len))
+    grid = patchify(values, arch.patch_len)
+    mask = sample_mask(CROSS, arch.n_modalities, arch.n_patches, 0.5,
+                       np.random.default_rng(mask_seq))
+
+    def whole(params, bumped):
+        return mae_loss(Binding(ModelState(arch, params), None), grid[None], mask[None])
+
+    want = T.finite_diff_check(whole, state.params, h=1e-4, max_coords=6, seed=seed)
+    assert gradcheck_model(arch, seed=seed, h=1e-4, max_coords=6) == want
+
+
+@pytest.mark.parametrize("enc_layers", [1, 3])
+@pytest.mark.parametrize("dec_layers", [1, 2])
+def test_every_parameter_is_read_by_exactly_one_stage(enc_layers, dec_layers):
+    arch = replace(TINY, enc_layers=enc_layers, dec_layers=dec_layers)
+    chain = _chain(arch)
+    assert len({stage.name for stage in chain}) == len(chain)
+    for name, _ in _param_layout(arch):
+        assert sum(_scope(name) in stage.reads for stage in chain) == 1, name
+
+
+@pytest.mark.parametrize("enc_layers", [1, 3])
+@pytest.mark.parametrize("dec_layers", [1, 2])
+def test_a_bump_moves_no_earlier_stage_input_and_resuming_is_exact(enc_layers, dec_layers):
+    arch = replace(TINY, enc_layers=enc_layers, dec_layers=dec_layers)
+    state = init_model(arch, seed=3)
+    grids, masks = _batch(arch, 2, CROSS, seed=4)
+    chain = _chain(arch)
+    ps = _Pass(masks, grids)
+    base = []
+    _run(Binding(state, None), ps, grids, chain, base)
+    for name in state.params:
+        params = {**state.params, name: state.params[name] + 0.5}
+        b = Binding(ModelState(arch, params), None)
+        inputs = []
+        loss = _run(b, _Pass(masks, grids), grids, chain, inputs)
+        start = next(i for i, stage in enumerate(chain) if _scope(name) in stage.reads)
+        for before, after in zip(base[:start + 1], inputs[:start + 1]):
+            assert after.tobytes() == before.tobytes(), name
+        resumed = _run(b, ps, base[start], chain[start:])
+        assert resumed.tobytes() == loss.tobytes() == mae_loss(b, grids, masks).tobytes()
+
+
+def test_decode_alone_matches_reconstruct_and_ids_are_derived_once_per_pass(monkeypatch):
+    from crossmae import model
+
+    state = init_model(TINY, seed=5)
+    grids, masks = _batch(TINY, 3, CROSS, seed=6)
+    b = Binding(state, None)
+    alone = decode(b, encode(b, grids, masks), masks)
+    assert alone.tobytes() == reconstruct(b, grids, masks).tobytes()
+    calls = []
+    real = model._token_ids
+    monkeypatch.setattr(model, "_token_ids", lambda m: calls.append(1) or real(m))
+    mae_loss(b, grids, masks)
+    reconstruct(b, grids, masks)
+    assert len(calls) == 2
+
+
 def _batch(arch, n, policy, seed):
     rng = np.random.default_rng(seed)
     grids = np.stack([_grid(arch, seed=int(s)) for s in rng.integers(0, 2**31, size=n)])
@@ -376,7 +451,7 @@ def test_batched_loss_matches_finite_differences():
     state = init_model(TINY, seed=13)
     grids, masks = _batch(TINY, 3, CROSS, seed=14)
 
-    def build(params):
+    def build(params, bumped):
         return mae_loss(Binding(ModelState(TINY, params), None), grids, masks)
 
     assert T.finite_diff_check(build, state.params, h=1e-4, max_coords=3) < 1e-3

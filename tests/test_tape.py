@@ -127,7 +127,7 @@ def _operands():
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_each_primitive_matches_finite_differences(name):
-    err = T.finite_diff_check(PRIMITIVES[name], _operands(), h=1e-4)
+    err = T.finite_diff_check(lambda p, bumped: PRIMITIVES[name](p), _operands(), h=1e-4)
     assert err < 1e-5, f"{name}: {err:.2e}"
 
 
@@ -178,7 +178,7 @@ def test_three_layer_composition_matches_finite_differences():
     x = rng.standard_normal((5, 6))
     target = rng.standard_normal((5, 2))
 
-    def build(p):
+    def build(p, bumped):
         h1 = T.gelu(T.add(T.matmul(x, p["w1"]), p["b1"]))
         h2 = T.layernorm(T.matmul(h1, p["w2"]), p["g"], p["c"])
         return T.mse(T.matmul(T.softmax(h2), p["w3"]), target)
@@ -187,12 +187,12 @@ def test_three_layer_composition_matches_finite_differences():
 
 
 def test_finite_diff_quadratic_and_constant():
-    def quad(p):
+    def quad(p, bumped):
         return T.sum_(T.mul(p["x"], p["x"]))
 
     assert T.finite_diff_check(quad, {"x": np.array([1.0, -2.0, 0.5])}, h=1e-4) < 1e-8
 
-    def const(p):
+    def const(p, bumped):
         return T.scale(T.sum_(T.mul(p["x"], np.zeros(3))), 1.0)
 
     assert T.finite_diff_check(const, {"x": np.array([1.0, 2.0, 3.0])}, h=1e-4) == 0.0
@@ -332,14 +332,17 @@ def test_finite_diff_bumps_one_coordinate_and_restores_it():
     before = {k: v.copy() for k, v in params.items()}
     seen = []
 
-    def build(p):
+    def build(p, bumped):
         seen.append({k: T._data(v).copy() for k, v in p.items()})
         tracked.append([isinstance(v, T.DiffArray) for v in p.values()])
+        names.append(bumped)
         return T.sum_(T.mul(T.mul(p["x"], p["x"]), p["x"]))
 
     h = 1e-3
-    tracked = []
+    tracked, names = [], []
     T.finite_diff_check(build, params, h=h)
+    # None for the analytic pass, then the bumped group's name, in params order
+    assert names == [None] + ["x"] * (2 * 3) + ["y"] * (2 * 2)
     assert all(np.array_equal(params[k], before[k]) for k in params)
     assert len(seen) == 1 + 2 * (3 + 2)
     # leaves for the analytic pass only; every bumped evaluation gets arrays
