@@ -114,12 +114,25 @@ def layernorm_bwd(xhat, inv_std, gain, gy):
 def adamw_update(param, grad, m, v, lr, beta1, beta2, eps, weight_decay, bias_c1, bias_c2):
     """Fused decoupled-weight-decay Adam step, in place on flat float64 arrays.
 
-    bias_c1/bias_c2 are the precomputed 1 - beta^t correction terms.
+    bias_c1/bias_c2 are the precomputed 1 - beta^t correction terms. The
+    update is, in this operation order,
+    m = beta1 * m + (1 - beta1) * grad, v = beta2 * v + (1 - beta2) * grad * grad,
+    param -= lr * (m / bias_c1 / (sqrt(v / bias_c2) + eps) + weight_decay * param),
+    worked through two scratch arrays of the flat size.
     """
+    s = np.multiply(grad, 1.0 - beta1)
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += s
+    np.multiply(grad, 1.0 - beta2, out=s)
+    s *= grad
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    mhat = m / bias_c1
-    vhat = v / bias_c2
-    param -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * param)
+    v += s
+    t = np.divide(v, bias_c2)
+    np.sqrt(t, out=t)
+    t += eps
+    np.divide(m, bias_c1, out=s)
+    s /= t
+    np.multiply(param, weight_decay, out=t)
+    s += t
+    s *= lr
+    param -= s

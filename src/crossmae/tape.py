@@ -46,10 +46,9 @@ class DiffArray:
 
     def accumulate(self, g):
         if self._grad is None:
-            # The first gradient is copied, not added to zeros: one pass, and
-            # a -0.0 stays -0.0, which no later use tells from +0.0.
-            self._grad = np.empty_like(self.data)
-            np.copyto(self._grad, g)
+            # The first gradient is adopted, not copied: every backward rule
+            # hands an operand an array no other operand holds.
+            self._grad = g
         else:
             self._grad += g
 
@@ -79,8 +78,10 @@ class Tape:
         loss.accumulate(np.ones_like(loss.data))
         nodes, self._nodes = self._nodes, None
         for node in reversed(nodes):
-            if node._grad is not None:
-                node._backward(node._grad)
+            # the node lets go of its gradient, so its rule may hand it on
+            g, node._grad = node._grad, None
+            if g is not None:
+                node._backward(g)
             node._backward = None
 
 
@@ -121,7 +122,8 @@ def add(a, b):
         if isinstance(a, DiffArray):
             a.accumulate(g)
         if isinstance(b, DiffArray):
-            b.accumulate(g.sum(axis=0) if row else g)
+            # a holds g now, and a's later gradients add into it
+            b.accumulate(g.sum(axis=0) if row else g.copy())
 
     return _record(out_data, (a, b), backward)
 
@@ -268,8 +270,12 @@ def attention(q, k, v, n_blocks, n_heads):
     def split(x):
         return x.reshape(n_blocks, t, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x):
-        return x.transpose(0, 2, 1, 3).reshape(rows, d)
+    def merged(a, b):
+        """The head products a @ b, written through split's view of a fresh
+        (rows, D) array, so merging the heads copies nothing."""
+        buf = np.empty((rows, d))
+        np.matmul(a, b, out=split(buf))
+        return buf
 
     qh, kh, vh = split(qd), split(kd), split(vd)
     attn = qh @ kh.transpose(0, 1, 3, 2)
@@ -279,20 +285,20 @@ def attention(q, k, v, n_blocks, n_heads):
     # array, so the reshape is a view.
     score_rows = attn.reshape(-1, t)
     kernels.softmax_fwd(score_rows, out=score_rows)
-    out_data = merge(attn @ vh)
+    out_data = merged(attn, vh)
 
     def backward(g):
         gh = split(g)
         if isinstance(v, DiffArray):
-            v.accumulate(merge(attn.transpose(0, 1, 3, 2) @ gh))
+            v.accumulate(merged(attn.transpose(0, 1, 3, 2), gh))
         if isinstance(q, DiffArray) or isinstance(k, DiffArray):
             ga = (gh @ vh.transpose(0, 1, 3, 2)).reshape(-1, t)
             gs = kernels.softmax_bwd(attn.reshape(-1, t), ga).reshape(attn.shape)
             gs *= c
             if isinstance(q, DiffArray):
-                q.accumulate(merge(gs @ kh))
+                q.accumulate(merged(gs, kh))
             if isinstance(k, DiffArray):
-                k.accumulate(merge(gs.transpose(0, 1, 3, 2) @ qh))
+                k.accumulate(merged(gs.transpose(0, 1, 3, 2), qh))
 
     return _record(out_data, (q, k, v), backward)
 

@@ -4,7 +4,8 @@ Every loop takes its dataset as one (n, C, L) array of windows, and the probe
 its labels as one (n,) array. Pretraining patchifies the standardized dataset
 once into an (n, C, P, L_p) array. A minibatch copies its rows into a
 (B, C, P, L_p) array, replaces a row with a spliced window when augmentation
-draws one, draws a (B, C, P) bool array of fresh masks, and runs as one graph.
+draws one (standardizing and patchifying the batch's spliced windows in one
+call), draws a (B, C, P) bool array of fresh masks, and runs as one graph.
 Every mask of a policy hides the same number of patches, so the batch loss
 (the MSE over all its patches) is the mean of the per-sample losses. All
 randomness flows from one seed; reruns are bit-identical.
@@ -238,14 +239,18 @@ def pretrain(values: np.ndarray, arch: ArchSpec, cfg: PretrainConfig, seed,
     data = patchify(standardize(values), arch.patch_len)
 
     def batch_loss(idx):
-        grids = data[idx]  # a copy: the loop may overwrite rows with splices
+        grids = data[idx]  # a copy: the spliced windows overwrite their rows
         masks = np.empty((len(idx), arch.n_modalities, arch.n_patches), dtype=bool)
+        rows, spliced = [], []
         for j in range(len(idx)):
             if can_augment and rng.uniform() < cfg.augment_prob:
-                w = splice_augment(values, rng, matched_start=cfg.matched_start).window
-                grids[j] = patchify(standardize(w), arch.patch_len)
+                rows.append(j)
+                spliced.append(splice_augment(values, rng,
+                                              matched_start=cfg.matched_start).window)
             masks[j] = sample_mask(cfg.policy, arch.n_modalities, arch.n_patches,
                                    cfg.mask_ratio, rng)
+        if rows:
+            grids[rows] = patchify(standardize(np.stack(spliced)), arch.patch_len)
         return lambda b: mae_loss(b, grids, masks, masked_only=cfg.masked_only_loss)
 
     return state, _fit("pretrain", state, cfg.optim, len(values), rng, batch_loss)
