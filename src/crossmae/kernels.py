@@ -18,12 +18,32 @@ loading scipy is most of the time `import crossmae.cli` takes, and a
 process that never runs the model (synth, raw-feature analyze, a rejected
 config) need not pay it.
 """
+import functools
+
 import numpy as np
 
 BACKEND = "numpy"
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+@functools.cache
+def _ones(n):
+    """A read-only vector of n ones, built once per length."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
+def row_sums(x):
+    """The row sums of a 2-D array, x.sum(axis=1), as one BLAS GEMV."""
+    return x @ _ones(x.shape[1])
+
+
+def col_sums(x):
+    """The column sums of a 2-D array, x.sum(axis=0), as one BLAS GEMV."""
+    return _ones(x.shape[0]) @ x
 
 
 def gelu_fwd(x):
@@ -55,7 +75,7 @@ def softmax_fwd(x, out=None):
     which may be x itself."""
     e = np.subtract(x, x.max(axis=1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= row_sums(e)[:, None]
     return e
 
 
@@ -63,8 +83,7 @@ def softmax_bwd(y, gy):
     """Row-softmax backward given the forward output y:
     y * (gy - (gy * y).sum(row))."""
     t = gy * y
-    dot = t.sum(axis=1, keepdims=True)
-    np.subtract(gy, dot, out=t)
+    np.subtract(gy, row_sums(t)[:, None], out=t)
     t *= y
     return t
 
@@ -77,18 +96,18 @@ def layernorm_fwd(x, gain, bias, eps):
     Returns (y, xhat, inv_std); xhat and inv_std are consumed by the backward.
     """
     n = x.shape[1]
-    mu = x.sum(axis=1, keepdims=True)
+    mu = row_sums(x)
     mu /= n
-    xhat = x - mu
-    inv_std = np.square(xhat).sum(axis=1, keepdims=True)
+    xhat = x - mu[:, None]
+    inv_std = row_sums(np.square(xhat))
     inv_std /= n
     inv_std += eps
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
-    xhat *= inv_std
+    xhat *= inv_std[:, None]
     y = xhat * gain
     y += bias
-    return y, xhat, inv_std[:, 0]
+    return y, xhat, inv_std
 
 
 def layernorm_bwd(xhat, inv_std, gain, gy):
@@ -98,17 +117,17 @@ def layernorm_bwd(xhat, inv_std, gain, gy):
     ggain = (gy * xhat).sum(axis=0) and gbias = gy.sum(axis=0)."""
     n = gy.shape[1]
     gx = gy * gain
-    m1 = gx.sum(axis=1, keepdims=True)
+    m1 = row_sums(gx)
     m1 /= n
     t = gx * xhat
-    m2 = t.sum(axis=1, keepdims=True)
+    m2 = row_sums(t)
     m2 /= n
-    gx -= m1
-    np.multiply(xhat, m2, out=t)
+    gx -= m1[:, None]
+    np.multiply(xhat, m2[:, None], out=t)
     gx -= t
     gx *= inv_std[:, None]
     np.multiply(gy, xhat, out=t)
-    return gx, t.sum(axis=0), gy.sum(axis=0)
+    return gx, col_sums(t), col_sums(gy)
 
 
 def adamw_update(param, grad, m, v, lr, beta1, beta2, eps, weight_decay, bias_c1, bias_c2):

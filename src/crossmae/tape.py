@@ -123,7 +123,7 @@ def add(a, b):
             a.accumulate(g)
         if isinstance(b, DiffArray):
             # a holds g now, and a's later gradients add into it
-            b.accumulate(g.sum(axis=0) if row else g.copy())
+            b.accumulate(kernels.col_sums(g) if row else g.copy())
 
     return _record(out_data, (a, b), backward)
 
@@ -245,7 +245,7 @@ def scatter_rows(a, idx, n_rows, fill):
         if isinstance(a, DiffArray):
             a.accumulate(g[idx])
         if isinstance(fill, DiffArray):
-            fill.accumulate(g[rest].sum(axis=0, keepdims=True))
+            fill.accumulate(kernels.col_sums(g[rest])[None])
 
     return _record(out_data, (a, fill), backward)
 
