@@ -22,8 +22,8 @@ from .imputation import (METHODS, TASKS, MissingnessTask, _sample_mask_array,
                          impute_nearest, score, task_mask)
 from .kcca import sigma1_experiment
 from .masking import CROSS, SYNC, sample_mask
-from .model import (ArchSpec, _hold_heap, gradcheck_model, load_checkpoint, param_count,
-                    save_checkpoint)
+from .model import (FORWARD_CHUNK, ArchSpec, _hold_heap, gradcheck_model, load_checkpoint,
+                    param_count, save_checkpoint)
 from .train import OptimConfig, PretrainConfig, ProbeConfig, _split_indices, pretrain, probe
 from .windows import (SynthSpec, as_generator, generate_windows, load_dataset, save_dataset,
                       splice_augment, standardize)
@@ -162,11 +162,12 @@ def _check_sizes(run: Run, *arrays) -> None:
             raise run.error(key, f"{size} {what} exceed the limit of {MAX_ARRAY_VALUES}")
 
 
-def _arch_arrays(arch: ArchSpec, batch: tuple | None = None, **named) -> tuple:
+def _arch_arrays(arch: ArchSpec, batch: tuple | None = None, per: str = "step",
+                 **named) -> tuple:
     """For _check_sizes: a window's patch grid, the attention scores, one MLP
     weight and the parameters of arch, each factor under its key
-    (arch.<field>, unless named). With batch, (key, windows) of a training
-    step, also the step's attention scores and MLP activations."""
+    (arch.<field>, unless named). With batch, (key, windows) of one training
+    step or frozen pass (per), also its attention scores and MLP activations."""
     keys = _keys(ArchSpec, "arch.", **named)
 
     def factors(*names):
@@ -184,11 +185,17 @@ def _arch_arrays(arch: ArchSpec, batch: tuple | None = None, **named) -> tuple:
         return arrays
     n = batch[1]
     return arrays + (
-        ("step attention scores batch x n_heads x (C x P + 1)^2", n * arch.n_heads * rows ** 2,
+        (f"{per} attention scores batch x n_heads x (C x P + 1)^2", n * arch.n_heads * rows ** 2,
          [batch, *factors("n_modalities", "n_patches", "n_heads")]),
-        ("step MLP activations batch x (C x P + 1) x d_model * mlp_ratio",
+        (f"{per} MLP activations batch x (C x P + 1) x d_model * mlp_ratio",
          n * rows * arch.d_model * arch.mlp_ratio,
          [batch, *factors("n_modalities", "n_patches", "d_model", "mlp_ratio")]))
+
+
+def _checkpoint_arrays(arch: ArchSpec, key: str, batch: tuple, per: str = "pass") -> tuple:
+    """_arch_arrays of a checkpoint's arch, every factor of the arch under
+    key, for a frozen pass (or training step) of batch (key, windows)."""
+    return _arch_arrays(arch, batch, per, **{f.name: key for f in fields(ArchSpec)})
 
 
 def _windows_array(spec: SynthSpec, what: str, key: str, n: int) -> tuple:
@@ -262,6 +269,8 @@ def cmd_impute(run: Run) -> None:
     raw, _, _ = run.load("data.dir", load_dataset)
     state = run.load("checkpoint", _fitting_checkpoint, *raw.shape[1:])
     arch = state.arch
+    _check_sizes(run, *_checkpoint_arrays(arch, "checkpoint",
+                                          ("data.dir", min(FORWARD_CHUNK, len(raw)))))
     for task in tasks:  # one throwaway draw each, for the checks that need the grid
         run.check("task.ratio", task_mask, task, arch.n_modalities, arch.n_patches, 0)
     # impute_chained's own sweeps check, on one fully visible window: it fills nothing
@@ -299,7 +308,15 @@ def cmd_probe(run: Run) -> None:
         fault = array_fault("labels", np.flatnonzero(labels < 0)[:1],
                             "-1, an unlabeled window; probe needs a fully labeled dataset")
         raise ManifestError(f"{os.path.join(cfg['data.dir'], BLOB_NAME)}: {fault}")
-    run.check("data.dir", _split_indices, len(values), pcfg.train_fraction, as_generator(0))
+    tr, va = run.check("data.dir", _split_indices, len(values), pcfg.train_fraction,
+                       as_generator(0))
+    if pcfg.mode == "lp":  # every window through the frozen encoder
+        passes = [("pass", min(FORWARD_CHUNK, len(values)))]
+    else:  # minibatch steps on the training windows, then the validation windows frozen
+        passes = [("step", min(pcfg.optim.batch_size, len(tr))),
+                  ("pass", min(FORWARD_CHUNK, len(va)))]
+    for per, n in passes:
+        _check_sizes(run, *_checkpoint_arrays(state.arch, "checkpoint", ("data.dir", n), per))
     run.start()
     res = probe(state, values, labels, n_classes, pcfg, cfg["seed"])
     run.write("curve.csv", _curve(res.trace))
@@ -327,6 +344,8 @@ def cmd_analyze(run: Run) -> None:
         state = run.load("exp.checkpoint", _fitting_checkpoint, spec.n_modalities,
                          spec.n_samples)
         n_patches = state.arch.n_patches
+        _check_sizes(run, *_checkpoint_arrays(
+            state.arch, "exp.checkpoint", ("exp.n_transitions", min(FORWARD_CHUNK, n_trans))))
     else:
         raise run.error("exp.encoder", f"must be raw_flatten or model_encoder, "
                                        f"got {cfg['exp.encoder']!r}")

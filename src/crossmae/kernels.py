@@ -3,10 +3,16 @@
 All kernels operate on float64 C-contiguous arrays. 2-D inputs are treated
 row-wise (softmax and layernorm normalize the last axis). Each kernel works
 in place on the first temporary it allocates, and keeps the operation order
-of the plain expression written in its docstring, so the results are the
-same bits as that expression's. A row mean is a row sum divided in place by
-the row length: the reduction and division ndarray.mean performs, without
-its Python-level wrapper.
+of the plain expression written in its docstring.
+
+A row or column sum is one BLAS GEMV against a cached read-only ones vector
+(row_sums, col_sums): on (784, 13) to (3,136, 49) arrays it ran 3-7x
+faster than ndarray.sum along either axis (one BLAS thread). A row mean is a
+row sum divided in place by the row length. The GEMV adds in its own order,
+so softmax_fwd, softmax_bwd, layernorm_fwd and layernorm_bwd match their
+expressions within the summation bound, n * eps * sum(|terms|) for a sum of
+n terms, not bit for bit. gelu_fwd, gelu_bwd and adamw_update take no sums
+and give the same bits as their expressions.
 
 adamw_update updates the optimizer's flat parameter and moment buffers in
 place, reading the gradient that backward wrote into AdamWState.grad. Any

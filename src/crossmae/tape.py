@@ -8,8 +8,14 @@ never touches a tape. backward walks the record once in reverse, so each
 node's gradient is fully accumulated before its own backward rule fires, and
 then drops the record and every node's backward rule: the graph is freed as
 soon as backward ends, and a tape runs backward at most once. Only scalar
-losses that depend on a leaf may be differentiated. Every node, leaves
-included, allocates its gradient on the first contribution.
+losses that depend on a leaf may be differentiated.
+
+A node adopts its first gradient as its own array, without a copy, and adds
+any later one into it. So every backward rule hands each operand an array
+that no other operand holds: a fresh result, or, for at most one operand,
+the upstream gradient itself (add gives a second same-shape operand a
+copy). backward takes each node's gradient off the node before its rule
+fires, so after backward only the leaves hold gradients.
 
 Supported broadcasting is deliberately narrow: add takes a 1-D bias row as
 its second operand, added to each row of a 2-D first operand. Everything else
@@ -64,8 +70,9 @@ class Tape:
         return DiffArray(data, self)
 
     def backward(self, loss):
-        """Accumulate d(loss)/d(node) into every reachable node's grad, then
-        release the graph. A second call on the same tape raises."""
+        """Accumulate d(loss)/d(leaf) into every leaf's grad, then release the
+        graph and every other node's gradient. A second call on the same tape
+        raises."""
         if self._nodes is None:
             raise ValueError("backward already ran on this tape")
         if not isinstance(loss, DiffArray):

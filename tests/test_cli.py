@@ -14,7 +14,7 @@ import pytest
 
 from crossmae import cli
 from crossmae.config import ManifestError
-from crossmae.model import load_checkpoint
+from crossmae.model import ArchSpec, init_model, load_checkpoint, save_checkpoint
 from crossmae.train import OptimConfig, PretrainConfig, pretrain
 from crossmae.windows import load_dataset, save_dataset
 
@@ -496,6 +496,38 @@ def test_step_too_large_rejected_before_the_run_directory_exists(tmp_path, setti
     cfg = _write_cfg(tmp_path / "c.cfg", **{"data.dir": data, "optim.warmup_epochs": 0,
                                            "optim.epochs": 1, **settings})
     done, seconds = _run_capped("pretrain", tmp_path / "o", cfg)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"{cfg}: key {message} exceed the limit of 134217728"
+    assert not os.path.exists(tmp_path / "o")
+    assert seconds < 20
+
+
+# A checkpoint with arch.patch_len=1 on windows of 2 x 1000 samples: 2,000
+# tokens pass every per-window bound, but a pass over 16 windows holds
+# 16 x 4 x 2001^2 attention scores. Unchecked, `probe.mode=ft` creates its run
+# directory and then fails to allocate 1.31 GiB for its first step of 11
+# training windows.
+@pytest.mark.parametrize("command, settings, message", [
+    ("probe", {"probe.mode": "ft"},
+     "checkpoint: 176176044 step attention scores batch x n_heads x (C x P + 1)^2"),
+    ("probe", {"probe.mode": "lp"},
+     "checkpoint: 256256064 pass attention scores batch x n_heads x (C x P + 1)^2"),
+    ("impute", {}, "checkpoint: 256256064 pass attention scores batch x n_heads x "
+                   "(C x P + 1)^2"),
+    ("analyze", {"exp.encoder": "model_encoder", "data.n_modalities": 2,
+                 "data.n_samples": 1000},
+     "exp.checkpoint: 256256064 pass attention scores batch x n_heads x (C x P + 1)^2")])
+def test_frozen_pass_too_large_rejected_before_the_run_directory_exists(tmp_path, command,
+                                                                        settings, message):
+    synth = _write_cfg(tmp_path / "s.cfg", **{"data.n_windows": 16, "data.n_modalities": 2,
+                                             "data.n_samples": 1000})
+    data = _run("synth", tmp_path / "data", synth)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(init_model(ArchSpec(n_modalities=2, n_patches=1000, patch_len=1), 0), ckpt)
+    paths = ({"exp.checkpoint": ckpt} if command == "analyze"
+             else {"data.dir": data, "checkpoint": ckpt})
+    cfg = _write_cfg(tmp_path / "c.cfg", **paths, **settings)
+    done, seconds = _run_capped(command, tmp_path / "o", cfg)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"{cfg}: key {message} exceed the limit of 134217728"
     assert not os.path.exists(tmp_path / "o")

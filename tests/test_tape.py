@@ -327,6 +327,56 @@ def test_first_gradient_is_a_private_copy():
     assert x.grad.tolist() == [2.0, 2.0]
 
 
+# Each primitive with one leaf as every operand, and the plain formula of
+# that leaf's gradient when the output's gradient is w.
+ALIASED = {
+    "add": (lambda x: T.add(x, x), lambda x, w: 2.0 * w),
+    "mul": (lambda x: T.mul(x, x), lambda x, w: 2.0 * x * w),
+    "matmul": (lambda x: T.matmul(x, x), lambda x, w: w @ x.T + x.T @ w),
+    "attention": (lambda x: T.attention(x, x, x, 2, 2), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALIASED))
+def test_a_leaf_used_as_every_operand_gets_the_formula_gradient(name):
+    rng = np.random.default_rng(11)
+    x, w = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+    op, formula = ALIASED[name]
+    t = T.Tape()
+    leaf = t.leaf(x)
+    t.backward(T.sum_(T.mul(op(leaf), w)))
+    if formula is None:
+        # attention's gradient is the sum of its three operands' gradients,
+        # each taken with the other two held at the same values
+        t = T.Tape()
+        q, k, v = t.leaf(x), t.leaf(x), t.leaf(x)
+        t.backward(T.sum_(T.mul(T.attention(q, k, v, 2, 2), w)))
+        want = q.grad + k.grad + v.grad
+    else:
+        want = formula(x, w)
+    assert np.allclose(leaf.grad, want, rtol=1e-13, atol=1e-15)
+
+
+def test_no_two_leaves_of_a_model_backward_share_gradient_memory():
+    from crossmae.model import ArchSpec, Binding, init_model, mae_loss
+    from crossmae.windows import patchify
+
+    arch = ArchSpec(n_modalities=3, n_patches=4, patch_len=4, d_model=8, n_heads=2)
+    rng = np.random.default_rng(12)
+    grids = patchify(rng.standard_normal((2, 3, 16)), 4)
+    masks = np.zeros((2, 3, 4), dtype=bool)
+    masks[:, 0, :2] = True
+    t = T.Tape()
+    b = Binding(init_model(arch, 0), t)
+    loss = mae_loss(b, grids, masks)
+    t.backward(loss)
+    grads = [leaf.grad for leaf in b.p.values()]
+    assert all(g.any() for g in grads)
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
+    assert loss._grad is None  # only leaves keep their gradients
+
+
 def test_finite_diff_bumps_one_coordinate_and_restores_it():
     params = {"x": np.array([1.0, -2.0, 0.5]), "y": np.array([0.25, 3.0])}
     before = {k: v.copy() for k, v in params.items()}

@@ -304,6 +304,29 @@ def test_pretrain_grids_each_dataset_window_once_and_never_mutates_it(monkeypatc
     assert Counter(seen) == {g: 3 for g in fresh}
 
 
+def test_every_spliced_row_is_its_window_standardized_and_patchified(monkeypatch):
+    ws, _ = _windows()
+    spliced, seen = [], []
+    real_splice, real_loss = train.splice_augment, train.mae_loss
+
+    def spy_splice(*args, **kwargs):
+        res = real_splice(*args, **kwargs)
+        spliced.append(res.window.copy())
+        return res
+
+    def spy_loss(b, grids, masks, **kwargs):
+        seen.extend(g.tobytes() for g in grids)
+        return real_loss(b, grids, masks, **kwargs)
+
+    monkeypatch.setattr(train, "splice_augment", spy_splice)
+    monkeypatch.setattr(train, "mae_loss", spy_loss)
+    cfg = PretrainConfig(augment_prob=1.0,
+                         optim=OptimConfig(epochs=2, warmup_epochs=0, batch_size=3))
+    pretrain(ws, ARCH, cfg, seed=0)
+    assert len(seen) == len(spliced) == 2 * len(ws)
+    assert seen == [patchify(standardize(w), ARCH.patch_len).tobytes() for w in spliced]
+
+
 def test_linear_probe_top1_reads_the_trained_head():
     # Both values were recorded before the head moved into AdamWState's flat
     # buffer; a probe scoring the stale initial head would report 0.25.
