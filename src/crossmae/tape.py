@@ -11,11 +11,12 @@ soon as backward ends, and a tape runs backward at most once. Only scalar
 losses that depend on a leaf may be differentiated.
 
 A node adopts its first gradient as its own array, without a copy, and adds
-any later one into it. So every backward rule hands each operand an array
-that no other operand holds: a fresh result, or, for at most one operand,
-the upstream gradient itself (add gives a second same-shape operand a
-copy). backward takes each node's gradient off the node before its rule
-fires, so after backward only the leaves hold gradients.
+any later one into it. So every backward rule hands each operand memory that
+no other operand holds: a fresh result; the upstream gradient itself, to at
+most one operand (add gives a second same-shape operand a copy); or, in
+transpose and concat, views of it that do not overlap. backward takes each
+node's gradient off the node before its rule fires, so after backward only
+the leaves hold gradients.
 
 Supported broadcasting is deliberately narrow: add takes a 1-D bias row as
 its second operand, added to each row of a 2-D first operand. Everything else

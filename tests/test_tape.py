@@ -9,6 +9,8 @@ import pytest
 
 from crossmae import kernels
 from crossmae import tape as T
+from crossmae.model import ArchSpec, Binding, init_model, mae_loss
+from crossmae.windows import patchify
 
 
 def _leaf(rng, shape):
@@ -358,9 +360,6 @@ def test_a_leaf_used_as_every_operand_gets_the_formula_gradient(name):
 
 
 def test_no_two_leaves_of_a_model_backward_share_gradient_memory():
-    from crossmae.model import ArchSpec, Binding, init_model, mae_loss
-    from crossmae.windows import patchify
-
     arch = ArchSpec(n_modalities=3, n_patches=4, patch_len=4, d_model=8, n_heads=2)
     rng = np.random.default_rng(12)
     grids = patchify(rng.standard_normal((2, 3, 16)), 4)
