@@ -345,7 +345,10 @@ def cmd_analyze(run: Run) -> None:
                          spec.n_samples)
         n_patches = state.arch.n_patches
         _check_sizes(run, *_checkpoint_arrays(
-            state.arch, "exp.checkpoint", ("exp.n_transitions", min(FORWARD_CHUNK, n_trans))))
+            state.arch, "exp.checkpoint", ("exp.n_transitions", min(FORWARD_CHUNK, n_trans))),
+            # each view's features; its PCA Gram is no larger
+            ("view features n_transitions x d_model", n_trans * state.arch.d_model,
+             [("exp.n_transitions", n_trans), ("exp.checkpoint", state.arch.d_model)]))
     else:
         raise run.error("exp.encoder", f"must be raw_flatten or model_encoder, "
                                        f"got {cfg['exp.encoder']!r}")
@@ -387,10 +390,12 @@ def cmd_gradcheck(run: Run) -> None:
     if not cfg["check.h"] > 0:
         raise run.error("check.h", f"must be positive, got {cfg['check.h']!r}")
     arch = run.build(ArchSpec, ARCH_KEYS)
-    _check_sizes(run, *_arch_arrays(arch))
+    # a group's bumped evaluations run as one pass of two windows per coordinate
+    _check_sizes(run, *_arch_arrays(arch, ("check.max_coords",
+                                           min(2 * max_coords, FORWARD_CHUNK)), "pass"))
     run.start()
     err = gradcheck_model(arch, seed=cfg["seed"], h=cfg["check.h"], max_coords=max_coords)
-    run.write("gradcheck.txt", f"max_rel_err={_fmt(err)}\n")
+    run.write("gradcheck.txt", f"max_rel_err={_fmt(err)}\nworst_group={err.group}\n")
     print(f"max relative error {_fmt(err)}")
 
 

@@ -182,7 +182,10 @@ class ImputeScore:
 def score(filled: np.ndarray, truth: np.ndarray, sample_masks: np.ndarray) -> ImputeScore:
     """MAE/MSE over hidden samples only, pooled across all the (n, C, L)
     windows. The sums run window by window, so that the totals do not depend
-    on how many windows share a call."""
+    on how many windows share a call. impute_model's fill can: a window's
+    frozen output (model.forward_frozen) can move by a few ulps with the
+    windows that share its model.FORWARD_CHUNK, since BLAS orders a short
+    row sum by where the row falls in the call."""
     if filled.shape != truth.shape:
         raise ValueError("shape mismatch between filled and truth")
     abs_sum = 0.0

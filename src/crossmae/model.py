@@ -20,16 +20,20 @@ windows at a time and returns the concatenation of what the caller keeps of
 each chunk.
 
 The forward pass is one ordered chain of stages (_chain), each declaring
-the parameter scopes it reads (a scope is a name up to its first dot): embed
-(embed, cls), one per encoder block (encN), the encoder's norm (enc), the
+the parameter scopes it reads (a scope is a name without its last
+component, _scope): embed (embed, cls); per encoder block, encN.attn (its
+ln1 and attn: layernorm, attention, residual add) then encN.mlp (its ln2
+and mlp: layernorm, MLP, residual add); the encoder's norm (enc.norm); the
 decoder entry that scatters the encoder rows and fills the rest with the
-mask token (mask_token), one per decoder block (decN), the decoder's norm
-with the take of the patch rows (dec), the head (head), and the loss, which
-reads none. encode and decode each run a slice of the chain, reconstruct
-runs both, and mae_loss runs reconstruct and then the loss stage. The stages
-of one pass share a _Pass, so a batch's token ids are derived once.
-gradcheck_model keeps each stage's input from one unbumped pass and starts
-every bumped evaluation at the first stage that reads the bumped parameter.
+mask token (mask_token); decN.attn and decN.mlp per decoder block; the
+decoder's norm with the take of the patch rows (dec.norm); the head (head);
+and the loss, which reads none. encode and decode each run a slice of the
+chain, reconstruct runs both, and mae_loss runs reconstruct and then the
+loss stage. The stages of one pass share a _Pass, so a batch's token ids
+are derived once. gradcheck_model keeps each stage's input from one
+unbumped pass. A group's bumped evaluations differ only in that group, so
+only the first stage that reads it runs once per evaluation; the rest of
+the chain runs once over their outputs, stacked as a batch of windows.
 
 The reconstruction loss is the mean squared error over all patches; a
 masked-only variant is available for ablation.
@@ -48,7 +52,7 @@ import numpy as np
 from . import tape as T
 from .config import load_arrays, save_arrays
 
-CHECKPOINT_FORMAT = "crossmae-checkpoint-v2"
+CHECKPOINT_FORMAT = "crossmae-checkpoint-v3"
 # Windows per forward-only graph. Larger chunks cost memory and buy no speed
 # at 150 tokens.
 FORWARD_CHUNK = 16
@@ -144,7 +148,7 @@ def _param_layout(arch: ArchSpec):
             p = f"{stack}{i}"
             yield from ((f"{p}.ln1.g", (d,)), (f"{p}.ln1.b", (d,)))
             yield from ((f"{p}.attn.W{x}", (d, d)) for x in "qkvo")
-            yield from ((f"{p}.attn.b{x}", (d,)) for x in "qkvo")
+            yield from ((f"{p}.attn.b{x}", (d,)) for x in "qvo")
             yield from ((f"{p}.ln2.g", (d,)), (f"{p}.ln2.b", (d,)),
                         (f"{p}.mlp.W1", (d, hidden)), (f"{p}.mlp.b1", (hidden,)),
                         (f"{p}.mlp.W2", (hidden, d)), (f"{p}.mlp.b2", (d,)))
@@ -156,7 +160,7 @@ def param_count(arch: ArchSpec) -> int:
     """The number of parameter values _param_layout lays out, in closed form,
     so that an arch of any depth is sized without walking its layers."""
     d, hidden, lp = arch.d_model, arch.d_model * arch.mlp_ratio, arch.patch_len
-    per_layer = 4 * d * d + 2 * d * hidden + 9 * d + hidden
+    per_layer = 4 * d * d + 2 * d * hidden + 8 * d + hidden
     return (arch.enc_layers + arch.dec_layers) * per_layer + 2 * lp * d + lp + 7 * d
 
 
@@ -219,10 +223,13 @@ class Binding:
 
 
 def _attention(b: Binding, prefix: str, x, n_windows: int):
+    """Multi-head self-attention of x. Keys carry no bias: q.bk would add one
+    constant to each query's scores, which the softmax takes back out."""
     def proj(name):
         return T.add(T.matmul(x, b.p[f"{prefix}.attn.W{name}"]), b.p[f"{prefix}.attn.b{name}"])
 
-    merged = T.attention(proj("q"), proj("k"), proj("v"), n_windows, b.state.arch.n_heads)
+    keys = T.matmul(x, b.p[f"{prefix}.attn.Wk"])
+    merged = T.attention(proj("q"), keys, proj("v"), n_windows, b.state.arch.n_heads)
     return T.add(T.matmul(merged, b.p[f"{prefix}.attn.Wo"]), b.p[f"{prefix}.attn.bo"])
 
 
@@ -277,8 +284,9 @@ class Stage(NamedTuple):
 
 
 def _scope(name: str) -> str:
-    """A parameter's scope: its name up to the first dot."""
-    return name.partition(".")[0]
+    """A parameter's scope: its name without its last component (enc0.attn.Wq
+    is in enc0.attn, embed.W in embed), or the name itself when it has one."""
+    return name.rpartition(".")[0] or name
 
 
 def _embed(b: Binding, ps: _Pass, grids):
@@ -294,10 +302,14 @@ def _embed(b: Binding, ps: _Pass, grids):
     return T.add(x, b.state.positions[ids.ravel()])
 
 
-def _block(prefix: str, b: Binding, ps: _Pass, x):
-    n_windows = len(ps.masks)
+def _attention_half(prefix: str, b: Binding, ps: _Pass, x):
+    """The first half of a pre-norm block: x + attention(ln1(x))."""
     y = T.layernorm(x, b.p[f"{prefix}.ln1.g"], b.p[f"{prefix}.ln1.b"])
-    x = T.add(x, _attention(b, prefix, y, n_windows))
+    return T.add(x, _attention(b, prefix, y, len(ps.masks)))
+
+
+def _mlp_half(prefix: str, b: Binding, ps: _Pass, x):
+    """The second half of a pre-norm block: x + mlp(ln2(x))."""
     y = T.layernorm(x, b.p[f"{prefix}.ln2.g"], b.p[f"{prefix}.ln2.b"])
     return T.add(x, _mlp(b, prefix, y))
 
@@ -341,20 +353,25 @@ def _loss(b: Binding, ps: _Pass, recon):
 
 
 def _blocks(stack: str, n_layers: int) -> list:
-    return [Stage(f"{stack}{i}", (f"{stack}{i}",), functools.partial(_block, f"{stack}{i}"))
-            for i in range(n_layers)]
+    """Two stages per block, each with its layernorm: stackN.attn and stackN.mlp."""
+    stages = []
+    for p in (f"{stack}{i}" for i in range(n_layers)):
+        stages += [Stage(f"{p}.attn", (f"{p}.ln1", f"{p}.attn"),
+                         functools.partial(_attention_half, p)),
+                   Stage(f"{p}.mlp", (f"{p}.ln2", f"{p}.mlp"), functools.partial(_mlp_half, p))]
+    return stages
 
 
 def _encoder(arch: ArchSpec) -> list:
     """The stages encode runs: grids (B, C, P, L_p) to (B*(V+1), D)."""
     return [Stage("embed", ("embed", "cls"), _embed), *_blocks("enc", arch.enc_layers),
-            Stage("enc.norm", ("enc",), _enc_norm)]
+            Stage("enc.norm", ("enc.norm",), _enc_norm)]
 
 
 def _decoder(arch: ArchSpec) -> list:
     """The stages decode runs: (B*(V+1), D) encoder rows to (B*N, L_p)."""
     return [Stage("dec.entry", ("mask_token",), _dec_entry), *_blocks("dec", arch.dec_layers),
-            Stage("dec.norm", ("dec",), _dec_norm), Stage("head", ("head",), _head)]
+            Stage("dec.norm", ("dec.norm",), _dec_norm), Stage("head", ("head",), _head)]
 
 
 _LOSS = Stage("loss", (), _loss)
@@ -474,13 +491,17 @@ def load_checkpoint(directory) -> ModelState:
     return ModelState(ArchSpec(**header), params)
 
 
-def gradcheck_model(arch: ArchSpec, seed: int, h: float, max_coords: int | None) -> float:
-    """Finite-difference check of mae_loss over every parameter group.
+def gradcheck_model(arch: ArchSpec, seed: int, h: float, max_coords: int | None) -> T.RelErr:
+    """Finite-difference check of mae_loss over every parameter group, on one
+    window (tape.finite_diff_check).
 
     The chain runs once on the unbumped parameters and keeps each stage's
-    input; a bumped evaluation resumes at the first stage that reads the
-    bumped group, since no earlier stage's output can change.
-    Returns the worst relative error across all sampled coordinates."""
+    input. A group's bumped evaluations differ only in that group, so only
+    the first stage that reads it runs once per evaluation, from its kept
+    input. Its outputs stack into one batch of windows with the same mask,
+    which the rest of the chain runs with unbumped parameters, and each
+    window's loss is the MSE of its own row block. Returns the worst relative
+    error across all sampled coordinates, with its group."""
     from .masking import CROSS, sample_mask
     from .windows import as_generator, patchify
 
@@ -494,16 +515,23 @@ def gradcheck_model(arch: ArchSpec, seed: int, h: float, max_coords: int | None)
                        as_generator(mask_seq))
 
     chain = _chain(arch)
+    frozen = Binding(state, None)
     ps = _Pass(mask[None], grid[None])
     inputs = []
-    _run(Binding(state, None), ps, grid[None], chain, inputs)
+    _run(frozen, ps, grid[None], chain, inputs)
     first = {scope: i for i, stage in enumerate(chain) for scope in stage.reads}
 
-    def build(params, bumped):
-        b = Binding(ModelState(arch, params), None)
-        if bumped is None:
-            return mae_loss(b, grid[None], mask[None])
-        start = first[_scope(bumped)]
-        return _run(b, ps, inputs[start], chain[start:])
+    def build(params, name, bumps):
+        if name is None:
+            return mae_loss(Binding(ModelState(arch, params), None), grid[None], mask[None])
+        start = first[_scope(name)]
+        outs = [chain[start].run(Binding(ModelState(arch, {**params, name: bumped}), None),
+                                 ps, inputs[start]) for bumped in bumps]
+        batch = _Pass(np.repeat(mask[None], len(outs), axis=0))
+        # the rest of the chain up to the loss stage, whose T.mse is taken per row block
+        recon = _run(frozen, batch, np.concatenate(outs), chain[start + 1:-1])
+        diff = recon.reshape(len(outs), -1) - grid.reshape(1, -1)
+        return (diff * diff).mean(axis=1)
 
-    return T.finite_diff_check(build, state.params, h=h, max_coords=max_coords, seed=seed)
+    return T.finite_diff_check(build, state.params, h=h, max_coords=max_coords, seed=seed,
+                               batch=FORWARD_CHUNK // 2)

@@ -423,42 +423,60 @@ def mse(a, b):
     return _record(out_data, (a, b), backward)
 
 
-def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0):
+class RelErr(float):
+    """finite_diff_check's result: the worst relative error, as a float, and
+    group, the name of the parameter it was found in."""
+
+    def __new__(cls, value, group):
+        err = super().__new__(cls, value)
+        err.group = group
+        return err
+
+
+def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0, batch=None):
     """Compare backward grads against central finite differences.
 
-    build(params, bumped) returns a scalar loss. It is called once with the
-    parameters as leaves of a fresh tape and bumped None, for the analytic
-    gradients. Every later call is a bumped evaluation: params holds plain
-    arrays, and bumped names the one parameter whose values differ from the
-    arrays given here, so build may reuse whatever does not depend on it.
+    build(params, name, bumps) is called once with the parameters as leaves
+    of a fresh tape and name and bumps None, and returns the scalar loss, for
+    the analytic gradients. Every later call evaluates bumped copies of one
+    group: params holds plain arrays, name names the group, and bumps is a
+    (2k, *shape) array of copies of params[name], each with one coordinate
+    moved: by +h in row 2j and by -h in row 2j + 1, for the j-th of k
+    coordinates. build returns the 2k losses in row order, each with every
+    other parameter as given here, so it may reuse whatever does not depend
+    on the group. Both losses of a coordinate come from one call.
+
     params: dict name -> ndarray. Checks every coordinate, or a seeded subset
-    of max_coords per parameter, in params order. Returns the maximum
-    relative error |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    of max_coords per parameter, in params order, at most batch coordinates
+    per call (all of a group's when None). Returns the maximum relative error
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|) as a RelErr.
     """
     tape = Tape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
-    tape.backward(build(leaves, None))
+    tape.backward(build(leaves, None, None))
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    worst = 0.0
+    worst, worst_group = 0.0, None
     for name, base in params.items():
         flat_n = base.size
         if max_coords is not None and flat_n > max_coords:
             coords = rng.choice(flat_n, size=max_coords, replace=False)
         else:
             coords = np.arange(flat_n)
-        # One copy of the bumped group; each coordinate is put back after use.
-        work = base.copy()
-        moved = {**params, name: work}
-        for idx in coords:
-            x = work.flat[idx]
-            work.flat[idx] += h
-            lp = float(build(moved, name))
-            work.flat[idx] -= 2 * h
-            lm = float(build(moved, name))
-            work.flat[idx] = x
-            numeric = (lp - lm) / (2 * h)
-            a = leaves[name].grad.flat[idx]
-            rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            worst = max(worst, rel)
-    return worst
+        step = batch or max(len(coords), 1)
+        for at in range(0, len(coords), step):
+            chunk = coords[at:at + step]
+            bumps = np.repeat(base[None], 2 * len(chunk), axis=0)
+            flat = bumps.reshape(len(bumps), -1)
+            rows = np.arange(len(chunk))
+            flat[2 * rows, chunk] += h
+            flat[2 * rows + 1, chunk] -= h
+            losses = np.asarray(build(params, name, bumps), dtype=np.float64)
+            numeric = (losses[0::2] - losses[1::2]) / (2 * h)
+            analytic = leaves[name].grad.flat[chunk]
+            rel = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
+            top = float(rel.max())
+            # a NaN error is kept: no comparison can pass it
+            if worst_group is None or top > worst or np.isnan(top):
+                worst, worst_group = top, name
+    return RelErr(worst, worst_group)

@@ -14,7 +14,8 @@ import pytest
 
 from crossmae import cli
 from crossmae.config import ManifestError
-from crossmae.model import ArchSpec, init_model, load_checkpoint, save_checkpoint
+from crossmae.model import (ArchSpec, _param_layout, init_model, load_checkpoint,
+                            save_checkpoint)
 from crossmae.train import OptimConfig, PretrainConfig, pretrain
 from crossmae.windows import load_dataset, save_dataset
 
@@ -228,14 +229,16 @@ def test_checkpoint_grid_too_large_to_build_rejected_before_the_run_directory_ex
     assert not os.path.exists(tmp_path / "o")
 
 
-@pytest.mark.parametrize("kind", ["dataset", "dataset-v2", "dataset-v3", "checkpoint"])
+@pytest.mark.parametrize("kind", ["dataset", "dataset-v2", "dataset-v3", "checkpoint",
+                                  "checkpoint-v2"])
 def test_older_format_rejected_before_the_run_directory_exists(data_dir, checkpoint_dir,
                                                                tmp_path, kind):
     """A dataset without a format line; a crossmae-dataset-v2 dataset, whose
     labels.txt held one label per line; a crossmae-dataset-v3 dataset, with a
-    sample_rate_hz key; and a crossmae-checkpoint-v1 checkpoint, with
-    name@offset parameter lines and the blob in params.f32: each as earlier
-    versions wrote them."""
+    sample_rate_hz key; a crossmae-checkpoint-v1 checkpoint, with name@offset
+    parameter lines and the blob in params.f32; and a crossmae-checkpoint-v2
+    checkpoint, with an attn.bk array per block: each as earlier versions
+    wrote them."""
     old = tmp_path / kind
     old.mkdir()
     if kind.startswith("dataset"):
@@ -253,7 +256,7 @@ def test_older_format_rejected_before_the_run_directory_exists(data_dir, checkpo
         (old / "data.f32").write_bytes(b"".join(a.astype("<f4").tobytes() for a in arrays))
         (old / "manifest.txt").write_text(head + "sample_rate_hz=50.0\nn_classes=4\n")
         settings, fmt = {"data.dir": old, "checkpoint": checkpoint_dir}, "dataset-v4"
-    else:
+    elif kind == "checkpoint":
         state = load_checkpoint(checkpoint_dir)
         lines, offset = ["format=crossmae-checkpoint-v1"], 0
         lines += [f"{k}={v}" for k, v in vars(state.arch).items()]
@@ -264,7 +267,23 @@ def test_older_format_rejected_before_the_run_directory_exists(data_dir, checkpo
         (old / "manifest.txt").write_text("\n".join(lines) + "\n")
         (old / "params.f32").write_bytes((Path(checkpoint_dir) / "data.f32").read_bytes())
         settings = {"data.dir": data_dir, "checkpoint": old}
-        fmt, got = "checkpoint-v2", "'crossmae-checkpoint-v1'"
+        fmt, got = "checkpoint-v3", "'crossmae-checkpoint-v1'"
+    else:
+        state = load_checkpoint(checkpoint_dir)
+        arch = state.arch
+        arrays = {**state.params, **{f"{stack}{i}.attn.bk": np.zeros(arch.d_model)
+                                     for stack, n in (("enc", arch.enc_layers),
+                                                      ("dec", arch.dec_layers))
+                                     for i in range(n)}}
+        lines = ["format=crossmae-checkpoint-v2"]
+        lines += [f"{k}={v}" for k, v in vars(arch).items()]
+        lines += [f"array.{name}={'x'.join(map(str, arrays[name].shape))}"
+                  for name in sorted(arrays)]
+        (old / "manifest.txt").write_text("\n".join(lines) + "\n")
+        (old / "data.f32").write_bytes(b"".join(arrays[name].astype("<f4").tobytes()
+                                                for name in sorted(arrays)))
+        settings = {"data.dir": data_dir, "checkpoint": old}
+        fmt, got = "checkpoint-v3", "'crossmae-checkpoint-v2'"
     cfg = _write_cfg(tmp_path / "c.cfg", **settings)
     with pytest.raises(ManifestError, match=f"^{re.escape(str(old / 'manifest.txt'))}: key "
                                             f"format: expected crossmae-{fmt}, got {got}$"):
@@ -459,10 +478,10 @@ def test_mlp_weight_too_large_rejected_before_the_run_directory_exists(
 # Each layer count at 10^9: unchecked, the run creates its run directory and
 # then grows in init_model until a MemoryError.
 @pytest.mark.parametrize("command, key, size", [
-    ("gradcheck", "arch.enc_layers", 8544000009158),
-    ("gradcheck", "arch.dec_layers", 8544000017702),
-    ("pretrain", "arch.enc_layers", 8544000009288),
-    ("pretrain", "arch.dec_layers", 8544000017832)])
+    ("gradcheck", "arch.enc_layers", 8512000009126),
+    ("gradcheck", "arch.dec_layers", 8512000017638),
+    ("pretrain", "arch.enc_layers", 8512000009256),
+    ("pretrain", "arch.dec_layers", 8512000017768)])
 def test_parameter_count_too_large_rejected_before_the_run_directory_exists(
         data_dir, tmp_path, command, key, size):
     settings = {key: 10**9}
@@ -534,6 +553,41 @@ def test_frozen_pass_too_large_rejected_before_the_run_directory_exists(tmp_path
     assert seconds < 20
 
 
+# 2^20 transitions of 2 x 32 samples pass the transition, seed and frozen-pass
+# bounds, but each view's model-encoder features at d_model 256 hold 2^28
+# values. Unchecked, from the code: the run creates its run directory, splices
+# 2^20 transitions one by one and then needs 2 GiB for the first view.
+def test_view_features_too_large_rejected_before_the_run_directory_exists(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(init_model(ArchSpec(n_modalities=2, n_patches=4, patch_len=8, d_model=256),
+                               0), ckpt)
+    cfg = _write_cfg(tmp_path / "c.cfg", **{"exp.encoder": "model_encoder",
+                                           "exp.checkpoint": ckpt, "exp.n_transitions": 2**20,
+                                           "data.n_modalities": 2, "data.n_samples": 32})
+    done, seconds = _run_capped("analyze", tmp_path / "o", cfg)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (f"{cfg}: key exp.n_transitions: 268435456 view features "
+                                   "n_transitions x d_model exceed the limit of 134217728")
+    assert not os.path.exists(tmp_path / "o")
+    assert seconds < 20
+
+
+# A gradcheck arch of 2 x 1000 patches of one sample passes every one-window
+# bound, but at check.max_coords=8 a group's 16 bumped evaluations run as one
+# pass of 16 x 4 x 2001^2 attention scores. Unchecked, the run creates its run
+# directory and then fails to allocate 1.91 GiB in its first group.
+def test_gradcheck_batch_too_large_rejected_before_the_run_directory_exists(tmp_path):
+    cfg = _write_cfg(tmp_path / "c.cfg", **{"arch.n_modalities": 2, "arch.n_patches": 1000,
+                                           "arch.patch_len": 1, "check.max_coords": 8})
+    done, seconds = _run_capped("gradcheck", tmp_path / "o", cfg)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (f"{cfg}: key arch.n_patches: 256256064 pass attention "
+                                   "scores batch x n_heads x (C x P + 1)^2 exceed the limit "
+                                   "of 134217728")
+    assert not os.path.exists(tmp_path / "o")
+    assert seconds < 20
+
+
 # 2^22 windows (or transitions) of 2 x 2 values pass the values bound; their
 # SeedSequences alone would take about 1.7 GB.
 @pytest.mark.parametrize("command, key", [("synth", "data.n_windows"),
@@ -586,9 +640,11 @@ def test_gradcheck_command_reports_small_error(tmp_path):
         "arch.n_modalities": 2, "arch.n_patches": 2, "arch.patch_len": 4,
         "arch.d_model": 8, "arch.n_heads": 2, "check.max_coords": 2})
     out = _run("gradcheck", tmp_path / "g", cfg)
-    text = open(os.path.join(out, "gradcheck.txt")).read()
-    assert text.startswith("max_rel_err=")
-    assert float(text.split("=")[1]) < 1e-3
+    lines = open(os.path.join(out, "gradcheck.txt")).read().splitlines()
+    assert [line.split("=")[0] for line in lines] == ["max_rel_err", "worst_group"]
+    assert float(lines[0].split("=")[1]) < 1e-3
+    arch = ArchSpec(n_modalities=2, n_patches=2, patch_len=4, d_model=8, n_heads=2)
+    assert lines[1].split("=")[1] in dict(_param_layout(arch))
 
 
 COLD_START = """

@@ -127,9 +127,18 @@ def _operands():
             "v": rng.standard_normal((6, 4)), "w": rng.standard_normal((6, 4))}
 
 
+def _each_bump(loss):
+    """A finite_diff_check build of loss(params): one evaluation per bumped array."""
+    def build(p, name, bumps):
+        if name is None:
+            return loss(p)
+        return [float(loss({**p, name: bumped})) for bumped in bumps]
+    return build
+
+
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_each_primitive_matches_finite_differences(name):
-    err = T.finite_diff_check(lambda p, bumped: PRIMITIVES[name](p), _operands(), h=1e-4)
+    err = T.finite_diff_check(_each_bump(PRIMITIVES[name]), _operands(), h=1e-4)
     assert err < 1e-5, f"{name}: {err:.2e}"
 
 
@@ -180,24 +189,36 @@ def test_three_layer_composition_matches_finite_differences():
     x = rng.standard_normal((5, 6))
     target = rng.standard_normal((5, 2))
 
-    def build(p, bumped):
+    def loss(p):
         h1 = T.gelu(T.add(T.matmul(x, p["w1"]), p["b1"]))
         h2 = T.layernorm(T.matmul(h1, p["w2"]), p["g"], p["c"])
         return T.mse(T.matmul(T.softmax(h2), p["w3"]), target)
 
-    assert T.finite_diff_check(build, params, h=1e-4) < 1e-3
+    assert T.finite_diff_check(_each_bump(loss), params, h=1e-4) < 1e-3
 
 
 def test_finite_diff_quadratic_and_constant():
-    def quad(p, bumped):
+    def quad(p):
         return T.sum_(T.mul(p["x"], p["x"]))
 
-    assert T.finite_diff_check(quad, {"x": np.array([1.0, -2.0, 0.5])}, h=1e-4) < 1e-8
+    assert T.finite_diff_check(_each_bump(quad), {"x": np.array([1.0, -2.0, 0.5])},
+                               h=1e-4) < 1e-8
 
-    def const(p, bumped):
+    def const(p):
         return T.scale(T.sum_(T.mul(p["x"], np.zeros(3))), 1.0)
 
-    assert T.finite_diff_check(const, {"x": np.array([1.0, 2.0, 3.0])}, h=1e-4) == 0.0
+    assert T.finite_diff_check(_each_bump(const), {"x": np.array([1.0, 2.0, 3.0])},
+                               h=1e-4) == 0.0
+
+
+def test_finite_diff_reports_a_nan_error_and_its_group():
+    def build(p, name, bumps):
+        if name is None:
+            return T.sum_(T.mul(T.mul(p["x"], p["x"]), p["y"]))
+        return [np.nan if name == "x" else 0.0 for _ in bumps]
+
+    err = T.finite_diff_check(build, {"x": np.array([1.0, -2.0]), "y": np.array([0.5, 1.5])})
+    assert np.isnan(err) and err.group == "x"
 
 
 def test_backward_deterministic():
@@ -379,27 +400,34 @@ def test_no_two_leaves_of_a_model_backward_share_gradient_memory():
 def test_finite_diff_bumps_one_coordinate_and_restores_it():
     params = {"x": np.array([1.0, -2.0, 0.5]), "y": np.array([0.25, 3.0])}
     before = {k: v.copy() for k, v in params.items()}
-    seen = []
+    calls = []
 
-    def build(p, bumped):
-        seen.append({k: T._data(v).copy() for k, v in p.items()})
-        tracked.append([isinstance(v, T.DiffArray) for v in p.values()])
-        names.append(bumped)
+    def loss(p):
         return T.sum_(T.mul(T.mul(p["x"], p["x"]), p["x"]))
 
+    def build(p, name, bumps):
+        calls.append((name, [isinstance(v, T.DiffArray) for v in p.values()],
+                      {k: T._data(v).copy() for k, v in p.items()},
+                      None if bumps is None else bumps.copy()))
+        return _each_bump(loss)(p, name, bumps)
+
     h = 1e-3
-    tracked, names = [], []
-    T.finite_diff_check(build, params, h=h)
-    # None for the analytic pass, then the bumped group's name, in params order
-    assert names == [None] + ["x"] * (2 * 3) + ["y"] * (2 * 2)
+    T.finite_diff_check(build, params, h=h, batch=2)
+    # None for the analytic pass, then each group in params order, at most
+    # two coordinates (four bumped arrays) per call
+    assert [name for name, *_ in calls] == [None, "x", "x", "y"]
+    # leaves for the analytic pass only; every call sees the given values
+    assert [tracked for _, tracked, *_ in calls] == [[True, True]] + [[False, False]] * 3
+    for _, _, seen, _ in calls:
+        assert all(np.array_equal(seen[k], before[k]) for k in params)
     assert all(np.array_equal(params[k], before[k]) for k in params)
-    assert len(seen) == 1 + 2 * (3 + 2)
-    # leaves for the analytic pass only; every bumped evaluation gets arrays
-    assert tracked == [[True, True]] + [[False, False]] * (2 * (3 + 2))
-    for j, (name, i) in enumerate([("x", 0), ("x", 1), ("x", 2), ("y", 0), ("y", 1)]):
-        plus, minus = seen[1 + 2 * j], seen[2 + 2 * j]
-        x = before[name][i]
-        assert plus[name][i] == x + h and minus[name][i] == (x + h) - 2 * h
-        for vals in (plus, minus):
-            vals[name][i] = x
-            assert all(np.array_equal(vals[k], before[k]) for k in params)
+    # +h then -h on one coordinate at a time, so a coordinate's two bumps share a call
+    got = {"x": np.concatenate([calls[1][3], calls[2][3]]), "y": calls[3][3]}
+    for name, bumped in got.items():
+        want = []
+        for i in range(before[name].size):
+            for step in (h, -h):
+                moved = before[name].copy()
+                moved[i] += step
+                want.append(moved)
+        assert bumped.tobytes() == np.array(want).tobytes(), name
