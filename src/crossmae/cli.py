@@ -389,6 +389,8 @@ def cmd_gradcheck(run: Run) -> None:
     max_coords = run.at_least("check.max_coords", 1)
     if not cfg["check.h"] > 0:
         raise run.error("check.h", f"must be positive, got {cfg['check.h']!r}")
+    if not np.isfinite(cfg["check.h"]):
+        raise run.error("check.h", f"must be finite, got {cfg['check.h']!r}")
     arch = run.build(ArchSpec, ARCH_KEYS)
     # a group's bumped evaluations run as one pass of two windows per coordinate
     _check_sizes(run, *_arch_arrays(arch, ("check.max_coords",

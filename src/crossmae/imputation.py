@@ -176,7 +176,6 @@ def impute_chained(values: np.ndarray, sample_masks: np.ndarray, sweeps: int) ->
 class ImputeScore:
     mae: float
     mse: float
-    n_cells: int
 
 
 def score(filled: np.ndarray, truth: np.ndarray, sample_masks: np.ndarray) -> ImputeScore:
@@ -198,4 +197,4 @@ def score(filled: np.ndarray, truth: np.ndarray, sample_masks: np.ndarray) -> Im
         count += diff.size
     if count == 0:
         raise ValueError("score needs at least one hidden cell")
-    return ImputeScore(abs_sum / count, sq_sum / count, count)
+    return ImputeScore(abs_sum / count, sq_sum / count)

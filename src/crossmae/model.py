@@ -225,18 +225,17 @@ class Binding:
 def _attention(b: Binding, prefix: str, x, n_windows: int):
     """Multi-head self-attention of x. Keys carry no bias: q.bk would add one
     constant to each query's scores, which the softmax takes back out."""
-    def proj(name):
-        return T.add(T.matmul(x, b.p[f"{prefix}.attn.W{name}"]), b.p[f"{prefix}.attn.b{name}"])
-
+    # the projections' order sets the order in which x's three gradients add
     keys = T.matmul(x, b.p[f"{prefix}.attn.Wk"])
-    merged = T.attention(proj("q"), keys, proj("v"), n_windows, b.state.arch.n_heads)
-    return T.add(T.matmul(merged, b.p[f"{prefix}.attn.Wo"]), b.p[f"{prefix}.attn.bo"])
+    queries = T.matmul(x, b.p[f"{prefix}.attn.Wq"], b.p[f"{prefix}.attn.bq"])
+    values = T.matmul(x, b.p[f"{prefix}.attn.Wv"], b.p[f"{prefix}.attn.bv"])
+    merged = T.attention(queries, keys, values, n_windows, b.state.arch.n_heads)
+    return T.matmul(merged, b.p[f"{prefix}.attn.Wo"], b.p[f"{prefix}.attn.bo"])
 
 
 def _mlp(b: Binding, prefix: str, x):
-    h = T.add(T.matmul(x, b.p[f"{prefix}.mlp.W1"]), b.p[f"{prefix}.mlp.b1"])
-    h = T.gelu(h)
-    return T.add(T.matmul(h, b.p[f"{prefix}.mlp.W2"]), b.p[f"{prefix}.mlp.b2"])
+    h = T.gelu(T.matmul(x, b.p[f"{prefix}.mlp.W1"], b.p[f"{prefix}.mlp.b1"]))
+    return T.matmul(h, b.p[f"{prefix}.mlp.W2"], b.p[f"{prefix}.mlp.b2"])
 
 
 def _token_ids(masks: np.ndarray) -> np.ndarray:
@@ -296,7 +295,7 @@ def _embed(b: Binding, ps: _Pass, grids):
     ids = ps.ids
     patches = grids.reshape(len(ids), arch.n_tokens, arch.patch_len)
     visible = np.take_along_axis(patches, ids[:, 1:, None] - 1, axis=1)
-    vis = T.add(T.matmul(visible.reshape(-1, arch.patch_len), b.p["embed.W"]), b.p["embed.b"])
+    vis = T.matmul(visible.reshape(-1, arch.patch_len), b.p["embed.W"], b.p["embed.b"])
     # the class-token rows are the ones at position row 0
     x = T.scatter_rows(vis, np.flatnonzero(ids), ids.size, b.p["cls"])
     return T.add(x, b.state.positions[ids.ravel()])
@@ -336,7 +335,7 @@ def _dec_norm(b: Binding, ps: _Pass, x):
 
 
 def _head(b: Binding, ps: _Pass, x):
-    return T.add(T.matmul(x, b.p["head.W"]), b.p["head.b"])
+    return T.matmul(x, b.p["head.W"], b.p["head.b"])
 
 
 def _loss(b: Binding, ps: _Pass, recon):

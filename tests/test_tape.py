@@ -75,7 +75,7 @@ def test_shape_mismatch_rejected():
     t = T.Tape()
     with pytest.raises(ValueError):
         T.add(t.leaf(np.ones((2, 3))), t.leaf(np.ones((3, 2))))
-    for a, b in (((2, 3), ()), ((), (2, 3)), ((3,), (2, 3))):
+    for a, b in (((2, 3), ()), ((), (2, 3)), ((3,), (2, 3)), ((2, 3), (3,))):
         with pytest.raises(ValueError):
             T.add(t.leaf(np.ones(a)), t.leaf(np.ones(b)))
     for a, b in (((2, 3), ()), ((), (2, 3))):
@@ -83,23 +83,41 @@ def test_shape_mismatch_rejected():
             T.mul(t.leaf(np.ones(a)), t.leaf(np.ones(b)))
     with pytest.raises(ValueError):
         T.matmul(t.leaf(np.ones((2, 3))), t.leaf(np.ones((2, 3))))
+    for bias in ((2,), (3,), (1, 4)):
+        with pytest.raises(ValueError, match="matmul bias"):
+            T.matmul(t.leaf(np.ones((2, 3))), t.leaf(np.ones((3, 4))), t.leaf(np.ones(bias)))
     with pytest.raises(ValueError):
         T.mse(t.leaf(np.ones(3)), np.ones(4))
 
 
-def test_bias_row_broadcast_gradient():
+def test_matmul_bias_gradient_is_the_column_sum():
     t = T.Tape()
     x = t.leaf(np.random.default_rng(3).standard_normal((4, 5)))
-    b = t.leaf(np.random.default_rng(4).standard_normal(5))
-    t.backward(T.mean(T.mul(T.add(x, b), T.add(x, b))))
-    assert b.grad.shape == (5,)
-    assert np.max(np.abs(b.grad - 2.0 * (x.data + b.data).sum(axis=0) / 20.0)) < 1e-12
+    w = t.leaf(np.random.default_rng(4).standard_normal((5, 3)))
+    b = t.leaf(np.random.default_rng(5).standard_normal(3))
+    y = T.matmul(x, w, b)
+    t.backward(T.mean(T.mul(y, y)))
+    assert b.grad.shape == (3,)
+    want = 2.0 * (x.data @ w.data + b.data).sum(axis=0) / 12.0
+    assert np.max(np.abs(b.grad - want)) < 1e-12
+
+
+def test_biased_matmul_matches_its_formula_bit_for_bit():
+    rng = np.random.default_rng(6)
+    x, w, b, g = (rng.standard_normal(s) for s in ((7, 5), (5, 3), (3,), (7, 3)))
+    t = T.Tape()
+    xl, wl, bl = t.leaf(x), t.leaf(w), t.leaf(b)
+    y = T.matmul(xl, wl, bl)
+    t.backward(T.sum_(T.mul(y, g)))  # y's gradient is g itself
+    for got, want in ((y.data, x @ w + b), (bl.grad, kernels.col_sums(g)),
+                      (xl.grad, g @ w.T), (wl.grad, x.T @ g)):
+        assert got.tobytes() == want.tobytes()
 
 
 PRIMITIVES = {
     "add": lambda p: T.mean(T.add(p["a"], p["b"])),
     "mul": lambda p: T.mean(T.mul(p["a"], p["b"])),
-    "matmul": lambda p: T.mean(T.matmul(p["a"], p["m"])),
+    "matmul": lambda p: T.mean(T.matmul(p["a"], p["m"], p["r"])),
     "transpose": lambda p: T.mean(T.mul(T.transpose(p["a"]), T.transpose(p["a"]))),
     "slice": lambda p: T.mean(T.slice_(p["a"], (slice(1, 3), slice(None)))),
     "concat": lambda p: T.mean(T.concat([p["a"], p["b"]], axis=0)),
@@ -124,7 +142,8 @@ def _operands():
             "m": rng.standard_normal((5, 3)), "g": rng.standard_normal(5) + 2.0,
             "c": rng.standard_normal(5), "f": rng.standard_normal((1, 5)),
             "q": rng.standard_normal((6, 4)), "k": rng.standard_normal((6, 4)),
-            "v": rng.standard_normal((6, 4)), "w": rng.standard_normal((6, 4))}
+            "v": rng.standard_normal((6, 4)), "w": rng.standard_normal((6, 4)),
+            "r": rng.standard_normal(3)}
 
 
 def _each_bump(loss):
@@ -145,9 +164,9 @@ def test_each_primitive_matches_finite_differences(name):
 # One call of each public primitive, with every array operand passed
 # through w: the identity for constants, a tape's leaf for tracked operands.
 CALLS = {
-    "add": lambda w, p: T.add(w(p["a"]), w(p["c"])),
+    "add": lambda w, p: T.add(w(p["a"]), w(p["b"])),
     "mul": lambda w, p: T.mul(w(p["a"]), w(p["b"])),
-    "matmul": lambda w, p: T.matmul(w(p["a"]), w(p["m"])),
+    "matmul": lambda w, p: T.matmul(w(p["a"]), w(p["m"]), w(p["r"])),
     "transpose": lambda w, p: T.transpose(w(p["a"])),
     "slice_": lambda w, p: T.slice_(w(p["a"]), (slice(1, 3), slice(None))),
     "concat": lambda w, p: T.concat([w(p["a"]), w(p["b"])], axis=1),
@@ -190,7 +209,7 @@ def test_three_layer_composition_matches_finite_differences():
     target = rng.standard_normal((5, 2))
 
     def loss(p):
-        h1 = T.gelu(T.add(T.matmul(x, p["w1"]), p["b1"]))
+        h1 = T.gelu(T.matmul(x, p["w1"], p["b1"]))
         h2 = T.layernorm(T.matmul(h1, p["w2"]), p["g"], p["c"])
         return T.mse(T.matmul(T.softmax(h2), p["w3"]), target)
 

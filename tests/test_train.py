@@ -62,16 +62,22 @@ def test_optim_config_validation():
     ({"weight_decay": -5.0}, "weight_decay must be at least 0, got -5.0"),
     ({"weight_decay": float("nan")}, "weight_decay must be at least 0, got nan"),
     ({"min_lr": -1.0}, r"min_lr must lie in \[0, 0.0005\], got -1.0"),
-    ({"lr": 1e-3, "min_lr": 2e-3}, r"min_lr must lie in \[0, 0.001\], got 0.002")],
+    ({"lr": 1e-3, "min_lr": 2e-3}, r"min_lr must lie in \[0, 0.001\], got 0.002"),
+    ({"lr": float("inf")}, "lr must be finite, got inf"),
+    ({"lr": float("-inf")}, "lr must be positive, got -inf"),
+    ({"eps": float("inf")}, "eps must be finite, got inf"),
+    ({"weight_decay": float("inf")}, "weight_decay must be finite, got inf")],
     ids=["lr-1", "lr0", "lr_nan", "batch_size0", "epochs-1", "warmup_epochs10",
          "beta1_1.5", "beta1-0.1", "beta2_1", "beta2_nan", "eps0", "weight_decay-5",
-         "weight_decay_nan", "min_lr-1", "min_lr_above_lr"])
+         "weight_decay_nan", "min_lr-1", "min_lr_above_lr", "lr_inf", "lr-inf", "eps_inf",
+         "weight_decay_inf"])
 def test_optim_config_names_the_bad_field_and_value(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         OptimConfig(**kwargs)
 
 
-@pytest.mark.parametrize("field, value", [("lr", 0.0), ("epochs", -1), ("weight_decay", -1.0)])
+@pytest.mark.parametrize("field, value", [("lr", 0.0), ("epochs", -1), ("weight_decay", -1.0),
+                                          ("lr", float("inf")), ("weight_decay", float("inf"))])
 def test_probe_names_a_bad_optimizer_setting(field, value):
     with pytest.raises(ValueError, match=f"^{field} must "):
         ProbeConfig(**{field: value})
