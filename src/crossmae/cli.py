@@ -397,6 +397,9 @@ def cmd_gradcheck(run: Run) -> None:
                                            min(2 * max_coords, FORWARD_CHUNK)), "pass"))
     run.start()
     err = gradcheck_model(arch, seed=cfg["seed"], h=cfg["check.h"], max_coords=max_coords)
+    if not np.isfinite(err):
+        raise FloatingPointError(f"{run.source}: key check.h: {cfg['check.h']!r} gives "
+                                 f"max_rel_err={_fmt(err)} in group {err.group}")
     run.write("gradcheck.txt", f"max_rel_err={_fmt(err)}\nworst_group={err.group}\n")
     print(f"max relative error {_fmt(err)}")
 

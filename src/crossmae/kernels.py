@@ -15,9 +15,8 @@ n terms, not bit for bit. gelu_fwd, gelu_bwd and adamw_update take no sums
 and give the same bits as their expressions.
 
 adamw_update updates the optimizer's flat parameter and moment buffers in
-place, reading the gradient that backward wrote into AdamWState.grad. Any
-other kernel writes into a caller's array only when asked to with out=, as
-tape.attention asks softmax_fwd to turn its scores into weights.
+place, reading the gradient that backward wrote into AdamWState.grad. Every
+other kernel returns fresh arrays and leaves its inputs as they were.
 
 gelu_fwd imports erf from scipy.special when called, not with this module:
 loading scipy is most of the time `import crossmae.cli` takes, and a
@@ -75,11 +74,10 @@ def gelu_bwd(x, cdf, gy):
     return t
 
 
-def softmax_fwd(x, out=None):
+def softmax_fwd(x):
     """Row softmax of a 2-D array, shifted for stability:
-    e / e.sum(row) with e = exp(x - x.max(row)). Written into out when given,
-    which may be x itself."""
-    e = np.subtract(x, x.max(axis=1, keepdims=True), out=out)
+    e / e.sum(row) with e = exp(x - x.max(row))."""
+    e = x - x.max(axis=1, keepdims=True)
     np.exp(e, out=e)
     e /= row_sums(e)[:, None]
     return e

@@ -21,12 +21,19 @@ leaves hold gradients.
 A batch of windows travels as one 2-D array of stacked row blocks, one block
 per window. take_rows, scatter_rows and attention are the primitives that
 know about that structure.
+
+attention normalizes its softmax after the value product and forms the
+weights only in backward. A pass that records nothing makes no pass over the
+scores but their matmul, exp, row sums and value product, plus a row-max
+shift when the scores are not provably small.
 """
 import numpy as np
 
 from . import kernels
 
 LAYERNORM_EPS = 1e-5
+# attention skips the softmax's row-max shift when no |score| can exceed this
+SHIFT_FREE_BOUND = 64.0
 
 
 class DiffArray:
@@ -264,7 +271,23 @@ def attention(q, k, v, n_blocks, n_heads):
 
     Heads come from a reshape to (blocks, heads, T, D / heads); each head
     computes softmax(q k^T / sqrt(D / heads)) v over its own block, and the
-    heads are merged back to (rows, D) in head order."""
+    heads are merged back to (rows, D) in head order.
+
+    Only the two matmuls, exp and the row sums pass over the (rows, T)
+    scores, in this order: the queries are scaled, qs = c q with
+    c = 1 / sqrt(D / heads); the scores are s = qs k^T; e = exp(s), taken
+    in place; the output is (e v) / e.sum(row), the row sums dividing the
+    (rows, D / heads) value products instead of the scores (the deferred
+    normalization of Milakov and Gimelshein, arXiv:1805.02867, and of
+    FlashAttention, Dao et al., arXiv:2205.14135). The softmax's row-max
+    shift is skipped when Cauchy-Schwarz bounds every |s| by
+    c max_i ||q_i|| max_j ||k_j||, over full rows, and that bound is at most
+    SHIFT_FREE_BOUND (64): every exp then lies in [e^-64, e^64], a normal
+    float, and even T e^64 |v| stays finite. A larger or NaN bound subtracts
+    each row's max from s first. backward turns e into the weights
+    e / e.sum(row) in place, first thing, so a pass that records nothing
+    never forms them. The gradients are dq = c (gs k), dk = c (gs^T q) and
+    dv = weights^T g, with gs the softmax backward of the weights."""
     qd, kd, vd = _data(q), _data(k), _data(v)
     if qd.ndim != 2 or kd.shape != qd.shape or vd.shape != qd.shape:
         raise ValueError("attention needs 2-D queries, keys and values of one shape")
@@ -285,28 +308,39 @@ def attention(q, k, v, n_blocks, n_heads):
         np.matmul(a, b, out=split(buf))
         return buf
 
+    # Row dot products, so no second (rows, D) array is live at the score
+    # matmul; a NaN bound fails the test below and takes the shifted path.
+    bound = c * np.sqrt(np.einsum("ij,ij->i", qd, qd).max() * np.einsum("ij,ij->i", kd, kd).max())
     qh, kh, vh = split(qd), split(kd), split(vd)
-    attn = qh @ kh.transpose(0, 1, 3, 2)
-    attn *= c
-    # The scores become the weights in place, so the pass holds one
-    # (blocks*heads*T, T) array, not two. matmul returns a C-contiguous
-    # array, so the reshape is a view.
-    score_rows = attn.reshape(-1, t)
-    kernels.softmax_fwd(score_rows, out=score_rows)
-    out_data = merged(attn, vh)
+    # the scaled queries die with the score matmul
+    e = split(qd * c) @ kh.transpose(0, 1, 3, 2)
+    # matmul returns a C-contiguous array, so the reshape is a view
+    e_rows = e.reshape(-1, t)
+    if not bound <= SHIFT_FREE_BOUND:
+        e_rows -= e_rows.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    sums = kernels.row_sums(e_rows).reshape(n_blocks, n_heads, t, 1)
+    out_data = merged(e, vh)
+    out_heads = split(out_data)
+    np.divide(out_heads, sums, out=out_heads)
 
     def backward(g):
+        # e becomes the weights in place: a tape runs backward at most once
+        np.divide(e, sums, out=e)
         gh = split(g)
         if isinstance(v, DiffArray):
-            v.accumulate(merged(attn.transpose(0, 1, 3, 2), gh))
+            v.accumulate(merged(e.transpose(0, 1, 3, 2), gh))
         if isinstance(q, DiffArray) or isinstance(k, DiffArray):
             ga = (gh @ vh.transpose(0, 1, 3, 2)).reshape(-1, t)
-            gs = kernels.softmax_bwd(attn.reshape(-1, t), ga).reshape(attn.shape)
-            gs *= c
+            gs = kernels.softmax_bwd(e_rows, ga).reshape(e.shape)
             if isinstance(q, DiffArray):
-                q.accumulate(merged(gs, kh))
+                gq = merged(gs, kh)
+                gq *= c
+                q.accumulate(gq)
             if isinstance(k, DiffArray):
-                k.accumulate(merged(gs.transpose(0, 1, 3, 2), qh))
+                gk = merged(gs.transpose(0, 1, 3, 2), qh)
+                gk *= c
+                k.accumulate(gk)
 
     return _record(out_data, (q, k, v), backward)
 

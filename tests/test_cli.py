@@ -640,6 +640,16 @@ def test_sample_rate_is_an_unknown_key(tmp_path, command):
     assert not os.path.exists(tmp_path / "o")
 
 
+def test_gradcheck_refuses_a_non_finite_error(tmp_path):
+    # with a step of 1e300 the bumped losses overflow, and their difference is NaN
+    cfg = _write_cfg(tmp_path / "g.cfg", **{"check.h": 1e300})
+    with pytest.raises(FloatingPointError,
+                       match=f"^{re.escape(cfg)}: key check.h: 1e\\+300 gives "
+                             r"max_rel_err=nan in group \S+$"):
+        cli.main(["gradcheck", "--out", str(tmp_path / "o"), "--config", cfg])
+    assert not os.path.exists(tmp_path / "o" / "gradcheck.txt")
+
+
 def test_gradcheck_command_reports_small_error(tmp_path):
     cfg = _write_cfg(tmp_path / "g.cfg", **{
         "arch.n_modalities": 2, "arch.n_patches": 2, "arch.patch_len": 4,

@@ -137,16 +137,12 @@ def test_kernels_match_their_formulas_bit_for_bit(x, gy):
     _same_bits(kernels.gelu_bwd(x, cdf, gy), _gelu_bwd_formula(x, gy))
 
     s = kernels.softmax_fwd(x)
-    # the in-place form, as tape.attention calls it on its score rows
-    s_in = x.copy()
-    assert kernels.softmax_fwd(s_in, out=s_in) is s_in
-    _same_bits(s_in, s)
     kernels.softmax_bwd(s, gy)
     gain, bias = GAIN[:x.shape[1]], BIAS[:x.shape[1]]
     _, xhat, inv_std = kernels.layernorm_fwd(x, gain, bias, 1e-5)
     xhat_before = xhat.copy()
     kernels.layernorm_bwd(xhat, inv_std, gain, gy)
-    # no kernel writes to its inputs unless asked to with out=
+    # no kernel writes to its inputs
     _same_bits(x, x_before)
     _same_bits(gy, gy_before)
     _same_bits(cdf, 0.5 * (1.0 + erf(x * kernels.INV_SQRT2)))

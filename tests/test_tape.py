@@ -327,32 +327,107 @@ def test_second_backward_raises():
         t.backward(loss)
 
 
-def test_attention_matches_its_formula_bit_for_bit():
-    rng = np.random.default_rng(9)
-    n_blocks, n_heads, t_len, d = 3, 2, 5, 8
-    q, k, v, w = (rng.standard_normal((n_blocks * t_len, d)) for _ in range(4))
+def _attention_taped(q, k, v, w, n_blocks, n_heads):
+    """attention's output and its q, k and v gradients when the output's
+    gradient is w."""
     t = T.Tape()
     ql, kl, vl = t.leaf(q), t.leaf(k), t.leaf(v)
     out = T.attention(ql, kl, vl, n_blocks, n_heads)
-    t.backward(T.sum_(T.mul(out, w)))  # the output gradient is w
+    t.backward(T.sum_(T.mul(out, w)))
+    return out.data, ql.grad, kl.grad, vl.grad
 
+
+def _heads(n_blocks, n_heads, t_len, d):
     def split(x):
         return x.reshape(n_blocks, t_len, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
     def merge(x):
         return x.transpose(0, 2, 1, 3).reshape(n_blocks * t_len, d)
 
+    return split, merge
+
+
+def _score_bound(q, k, n_heads):
+    """The Cauchy-Schwarz bound on every |score|, from full-row norms."""
+    c = 1.0 / np.sqrt(q.shape[1] // n_heads)
+    return c * np.linalg.norm(q, axis=1).max() * np.linalg.norm(k, axis=1).max()
+
+
+def test_attention_matches_its_formula_bit_for_bit():
+    rng = np.random.default_rng(9)
+    n_blocks, n_heads, t_len, d = 3, 2, 5, 8
+    q, k, v, w = (rng.standard_normal((n_blocks * t_len, d)) for _ in range(4))
+    split, merge = _heads(n_blocks, n_heads, t_len, d)
+    c = 1.0 / np.sqrt(d // n_heads)
+    # the scores' bound is about 10 at scale 1 and 16,000 at scale 40
+    for scale, shifted in ((1.0, False), (40.0, True)):
+        qx, kx = q * scale, k * scale
+        assert (_score_bound(qx, kx, n_heads) > T.SHIFT_FREE_BOUND) == shifted
+        got = _attention_taped(qx, kx, v, w, n_blocks, n_heads)
+
+        qh, kh, vh, gh = split(qx), split(kx), split(v), split(w)
+        s = (split(qx * c) @ kh.transpose(0, 1, 3, 2)).reshape(-1, t_len)
+        if shifted:
+            s = s - s.max(axis=1, keepdims=True)
+        e = np.exp(s).reshape(n_blocks, n_heads, t_len, t_len)
+        sums = kernels.row_sums(e.reshape(-1, t_len)).reshape(n_blocks, n_heads, t_len, 1)
+        attn = e / sums
+        ga = (gh @ vh.transpose(0, 1, 3, 2)).reshape(-1, t_len)
+        gs = kernels.softmax_bwd(attn.reshape(-1, t_len), ga).reshape(attn.shape)
+        want = (merge(e @ vh / sums), merge(gs @ kh) * c,
+                merge(gs.transpose(0, 1, 3, 2) @ qh) * c, merge(attn.transpose(0, 1, 3, 2) @ gh))
+        for g, w_ in zip(got, want):
+            assert g.tobytes() == w_.tobytes()
+
+
+@pytest.mark.parametrize("t_len", [5, 49, 151])
+@pytest.mark.parametrize("scale", [1.0, 2.0, 3.0, 10.0, 40.0])
+def test_attention_matches_the_normalized_softmax_formula(t_len, scale):
+    # The plain formula softmax_fwd(c q k^T) @ v scales the scores and
+    # normalizes them before the value product; the two orders round apart
+    # by a few ulps of the largest score's exp argument.
+    rng = np.random.default_rng(t_len)
+    n_blocks, n_heads, d = 2, 2, 8
+    q, k, v, w = (rng.standard_normal((n_blocks * t_len, d)) for _ in range(4))
+    q, k = q * scale, k * scale
+    got = _attention_taped(q, k, v, w, n_blocks, n_heads)
+
+    split, merge = _heads(n_blocks, n_heads, t_len, d)
     c = 1.0 / np.sqrt(d // n_heads)
     qh, kh, vh, gh = split(q), split(k), split(v), split(w)
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
     attn = kernels.softmax_fwd(scores.reshape(-1, t_len)).reshape(scores.shape)
     ga = (gh @ vh.transpose(0, 1, 3, 2)).reshape(-1, t_len)
     gs = kernels.softmax_bwd(attn.reshape(-1, t_len), ga).reshape(attn.shape) * c
-    for got, want in ((out.data, merge(attn @ vh)),
-                      (vl.grad, merge(attn.transpose(0, 1, 3, 2) @ gh)),
-                      (ql.grad, merge(gs @ kh)),
-                      (kl.grad, merge(gs.transpose(0, 1, 3, 2) @ qh))):
-        assert got.tobytes() == want.tobytes()
+    want = (merge(attn @ vh), merge(gs @ kh), merge(gs.transpose(0, 1, 3, 2) @ qh),
+            merge(attn.transpose(0, 1, 3, 2) @ gh))
+    eps = np.finfo(np.float64).eps
+    tol = 8 * eps * (1 + np.abs(scores).max())
+    for g, w_ in zip(got, want):
+        assert np.max(np.abs(g - w_)) <= tol * np.abs(w_).max()
+
+
+def test_attention_stays_finite_at_extreme_scores_and_values():
+    rng = np.random.default_rng(13)
+    n_blocks, n_heads, t_len, d = 2, 2, 6, 8
+    # scores near +-1000: the row-max shift keeps every exp finite
+    q = rng.choice([-1.0, 1.0], size=(n_blocks * t_len, d)) * np.sqrt(1000.0 / 2)
+    k = np.tile(q[:1], (n_blocks * t_len, 1))
+    v = rng.standard_normal((n_blocks * t_len, d))
+    assert _score_bound(q, k, n_heads) > T.SHIFT_FREE_BOUND
+    out = T.attention(q, k, v, n_blocks, n_heads)
+    assert np.all(np.isfinite(out))
+    assert np.max(np.abs(out)) <= np.max(np.abs(v)) * (1 + 1e-12)
+    # a bound just under the threshold, every first-head score at it, and
+    # |v| = 1e200: T e^64 |v| is still finite, so the unshifted exp cannot
+    # overflow
+    dh = d // n_heads
+    q = np.zeros((n_blocks * t_len, d))
+    q[:, :dh] = np.sqrt(0.999 * T.SHIFT_FREE_BOUND / np.sqrt(dh))
+    v = np.full((n_blocks * t_len, d), 1e200)
+    assert 0.99 * T.SHIFT_FREE_BOUND < _score_bound(q, q, n_heads) < T.SHIFT_FREE_BOUND
+    out = T.attention(q, q, v, n_blocks, n_heads)
+    assert np.allclose(out, 1e200, rtol=1e-12, atol=0)
 
 
 def test_first_gradient_is_a_private_copy():
