@@ -25,8 +25,8 @@ from .masking import CROSS, SYNC, sample_mask
 from .model import (FORWARD_CHUNK, ArchSpec, _hold_heap, gradcheck_model, load_checkpoint,
                     param_count, save_checkpoint)
 from .train import OptimConfig, PretrainConfig, ProbeConfig, _split_indices, pretrain, probe
-from .windows import (SynthSpec, as_generator, generate_windows, load_dataset, save_dataset,
-                      splice_augment, standardize)
+from .windows import (SynthSpec, generate_windows, load_dataset, save_dataset, splice_augment,
+                      standardize)
 
 RUN_FORMAT = "crossmae-run-v1"
 CONFIG_NAME = "config.txt"
@@ -129,6 +129,24 @@ class Run:
         except FileNotFoundError as exc:
             raise self.error(key, f"no such file or directory: {exc.filename!r}") from None
 
+    def checkpoint(self, key: str, n_modalities: int, n_samples: int, *passes):
+        """The model state saved at the path at key, for windows of
+        n_modalities x n_samples. A patch grid that does not fit them is an
+        error of the checkpoint's manifest. Its arch is bounded for each of
+        passes, (per, batch key, windows) as _arch_arrays takes them, with
+        every arch factor under key."""
+        state = self.load(key, load_checkpoint)
+        arch = state.arch
+        if n_modalities != arch.n_modalities or n_samples // arch.patch_len != arch.n_patches:
+            raise ManifestError(
+                f"{os.path.join(self.cfg[key], MANIFEST_NAME)}: dataset {n_modalities}x"
+                f"{n_samples} does not fit checkpoint grid {arch.n_modalities}x"
+                f"{arch.n_patches}x{arch.patch_len} (n_modalities x n_patches x patch_len)")
+        for per, batch_key, n in passes:
+            _check_sizes(self, *_arch_arrays(arch, (batch_key, n), per,
+                                             **{f.name: key for f in fields(ArchSpec)}))
+        return state
+
     def start(self) -> None:
         """Create the output directory and record the config and format."""
         os.makedirs(self.out_dir, exist_ok=True)
@@ -162,72 +180,48 @@ def _check_sizes(run: Run, *arrays) -> None:
             raise run.error(key, f"{size} {what} exceed the limit of {MAX_ARRAY_VALUES}")
 
 
-def _arch_arrays(arch: ArchSpec, batch: tuple | None = None, per: str = "step",
-                 **named) -> tuple:
+def _arch_arrays(arch: ArchSpec, batch: tuple, per: str = "step", **named) -> tuple:
     """For _check_sizes: a window's patch grid, the attention scores, one MLP
-    weight and the parameters of arch, each factor under its key
-    (arch.<field>, unless named). With batch, (key, windows) of one training
-    step or frozen pass (per), also its attention scores and MLP activations."""
+    weight and the parameters of arch, and the attention scores and MLP
+    activations of one training step or frozen pass (per) of batch, (key,
+    windows); each arch factor under its key (arch.<field>, unless named)."""
     keys = _keys(ArchSpec, "arch.", **named)
 
     def factors(*names):
         return [(keys[name], getattr(arch, name)) for name in names]
     rows = arch.n_tokens + 1
-    arrays = (("window values C x P x L_p", arch.n_tokens * arch.patch_len,
-               factors("n_modalities", "n_patches", "patch_len")),
-              ("attention scores n_heads x (C x P + 1)^2", arch.n_heads * rows ** 2,
-               factors("n_modalities", "n_patches", "n_heads")),
-              ("MLP weight values d_model x d_model * mlp_ratio",
-               arch.d_model ** 2 * arch.mlp_ratio, factors("d_model", "mlp_ratio")),
-              ("parameter values", param_count(arch),
-               factors("enc_layers", "dec_layers", "d_model", "mlp_ratio", "patch_len")))
-    if batch is None:
-        return arrays
     n = batch[1]
-    return arrays + (
-        (f"{per} attention scores batch x n_heads x (C x P + 1)^2", n * arch.n_heads * rows ** 2,
-         [batch, *factors("n_modalities", "n_patches", "n_heads")]),
-        (f"{per} MLP activations batch x (C x P + 1) x d_model * mlp_ratio",
-         n * rows * arch.d_model * arch.mlp_ratio,
-         [batch, *factors("n_modalities", "n_patches", "d_model", "mlp_ratio")]))
+    return (("window values C x P x L_p", arch.n_tokens * arch.patch_len,
+             factors("n_modalities", "n_patches", "patch_len")),
+            ("attention scores n_heads x (C x P + 1)^2", arch.n_heads * rows ** 2,
+             factors("n_modalities", "n_patches", "n_heads")),
+            ("MLP weight values d_model x d_model * mlp_ratio",
+             arch.d_model ** 2 * arch.mlp_ratio, factors("d_model", "mlp_ratio")),
+            ("parameter values", param_count(arch),
+             factors("enc_layers", "dec_layers", "d_model", "mlp_ratio", "patch_len")),
+            (f"{per} attention scores batch x n_heads x (C x P + 1)^2",
+             n * arch.n_heads * rows ** 2,
+             [batch, *factors("n_modalities", "n_patches", "n_heads")]),
+            (f"{per} MLP activations batch x (C x P + 1) x d_model * mlp_ratio",
+             n * rows * arch.d_model * arch.mlp_ratio,
+             [batch, *factors("n_modalities", "n_patches", "d_model", "mlp_ratio")]))
 
 
-def _checkpoint_arrays(arch: ArchSpec, key: str, batch: tuple, per: str = "pass") -> tuple:
-    """_arch_arrays of a checkpoint's arch, every factor of the arch under
-    key, for a frozen pass (or training step) of batch (key, windows)."""
-    return _arch_arrays(arch, batch, per, **{f.name: key for f in fields(ArchSpec)})
-
-
-def _windows_array(spec: SynthSpec, what: str, key: str, n: int) -> tuple:
-    """For _check_sizes: n windows shaped as spec's, n set at key."""
-    return (f"{what} values {key.split('.')[-1]} x n_modalities x n_samples",
-            n * spec.n_modalities * spec.n_samples,
-            [(key, n), ("data.n_modalities", spec.n_modalities),
-             ("data.n_samples", spec.n_samples)])
-
-
-def _seeds_array(key: str, n: int) -> tuple:
-    """For _check_sizes: the seeds of n windows, one each, n set at key."""
-    return (f"seed values {key.split('.')[-1]} x {SEED_VALUES}", n * SEED_VALUES, [(key, n)])
-
-
-def _fitting_checkpoint(path: str, n_modalities: int, n_samples: int):
-    """The model state saved at path, or a ManifestError naming its manifest
-    when its patch grid does not fit windows of n_modalities x n_samples."""
-    state = load_checkpoint(path)
-    arch = state.arch
-    if n_modalities != arch.n_modalities or n_samples // arch.patch_len != arch.n_patches:
-        raise ManifestError(
-            f"{os.path.join(path, MANIFEST_NAME)}: dataset {n_modalities}x{n_samples} does not "
-            f"fit checkpoint grid {arch.n_modalities}x{arch.n_patches}x{arch.patch_len} "
-            "(n_modalities x n_patches x patch_len)")
-    return state
+def _window_arrays(spec: SynthSpec, *sets) -> tuple:
+    """For _check_sizes: the values of each set (what, key, n) of n windows
+    shaped as spec's, n set at key, then the sets' seeds, one per window."""
+    values = [(f"{what} values {key.split('.')[-1]} x n_modalities x n_samples",
+               n * spec.n_modalities * spec.n_samples,
+               [(key, n), ("data.n_modalities", spec.n_modalities),
+                ("data.n_samples", spec.n_samples)]) for what, key, n in sets]
+    seeds = [(f"seed values {key.split('.')[-1]} x {SEED_VALUES}", n * SEED_VALUES, [(key, n)])
+             for _, key, n in sets]
+    return (*values, *seeds)
 
 
 def cmd_synth(run: Run) -> None:
     spec = run.build(SynthSpec, SYNTH_KEYS)
-    _check_sizes(run, _windows_array(spec, "dataset", "data.n_windows", spec.n_windows),
-                 _seeds_array("data.n_windows", spec.n_windows))
+    _check_sizes(run, *_window_arrays(spec, ("dataset", "data.n_windows", spec.n_windows)))
     values, labels = generate_windows(spec)
     # save_dataset creates the directory only once the dataset passes its checks;
     # of the settings, only the noise scale can push a value past float32
@@ -267,10 +261,9 @@ def cmd_impute(run: Run) -> None:
     cfg = run.cfg
     tasks = [run.build(MissingnessTask, TASK_KEYS, kind=kind) for kind in TASKS]
     raw, _, _ = run.load("data.dir", load_dataset)
-    state = run.load("checkpoint", _fitting_checkpoint, *raw.shape[1:])
+    state = run.checkpoint("checkpoint", *raw.shape[1:],
+                           ("pass", "data.dir", min(FORWARD_CHUNK, len(raw))))
     arch = state.arch
-    _check_sizes(run, *_checkpoint_arrays(arch, "checkpoint",
-                                          ("data.dir", min(FORWARD_CHUNK, len(raw)))))
     for task in tasks:  # one throwaway draw each, for the checks that need the grid
         run.check("task.ratio", task_mask, task, arch.n_modalities, arch.n_patches, 0)
     # impute_chained's own sweeps check, on one fully visible window: it fills nothing
@@ -280,7 +273,7 @@ def cmd_impute(run: Run) -> None:
     values = standardize(raw)
     rows = []
     for t_idx, task in enumerate(tasks):
-        rng = as_generator([cfg["seed"], t_idx])
+        rng = np.random.default_rng([cfg["seed"], t_idx])
         masks = np.stack([task_mask(task, arch.n_modalities, arch.n_patches, rng)
                           for _ in values])
         smasks = _sample_mask_array(masks, arch.patch_len, raw.shape[2])
@@ -303,20 +296,18 @@ def cmd_probe(run: Run) -> None:
     cfg = run.cfg
     pcfg = run.build(ProbeConfig, PROBE_KEYS)
     values, labels, n_classes = run.load("data.dir", load_dataset)
-    state = run.load("checkpoint", _fitting_checkpoint, *values.shape[1:])
     if (labels < 0).any():
         fault = array_fault("labels", np.flatnonzero(labels < 0)[:1],
                             "-1, an unlabeled window; probe needs a fully labeled dataset")
         raise ManifestError(f"{os.path.join(cfg['data.dir'], BLOB_NAME)}: {fault}")
     tr, va = run.check("data.dir", _split_indices, len(values), pcfg.train_fraction,
-                       as_generator(0))
+                       np.random.default_rng(0))
     if pcfg.mode == "lp":  # every window through the frozen encoder
-        passes = [("pass", min(FORWARD_CHUNK, len(values)))]
+        passes = [("pass", "data.dir", min(FORWARD_CHUNK, len(values)))]
     else:  # minibatch steps on the training windows, then the validation windows frozen
-        passes = [("step", min(pcfg.optim.batch_size, len(tr))),
-                  ("pass", min(FORWARD_CHUNK, len(va)))]
-    for per, n in passes:
-        _check_sizes(run, *_checkpoint_arrays(state.arch, "checkpoint", ("data.dir", n), per))
+        passes = [("step", "data.dir", min(pcfg.optim.batch_size, len(tr))),
+                  ("pass", "data.dir", min(FORWARD_CHUNK, len(va)))]
+    state = run.checkpoint("checkpoint", *values.shape[1:], *passes)
     run.start()
     res = probe(state, values, labels, n_classes, pcfg, cfg["seed"])
     run.write("curve.csv", _curve(res.trace))
@@ -333,22 +324,19 @@ def cmd_analyze(run: Run) -> None:
     pca_k = run.at_least("exp.pca_k", 1)
     n_seeds = run.at_least("exp.n_seeds", 1)
     spec = run.build(SynthSpec, SYNTH_KEYS)
-    _check_sizes(run, _windows_array(spec, "dataset", "data.n_windows", spec.n_windows),
-                 _windows_array(spec, "transition", "exp.n_transitions", n_trans),
-                 _seeds_array("data.n_windows", spec.n_windows),
-                 _seeds_array("exp.n_transitions", n_trans))
+    _check_sizes(run, *_window_arrays(spec, ("dataset", "data.n_windows", spec.n_windows),
+                                      ("transition", "exp.n_transitions", n_trans)))
     if cfg["exp.encoder"] == "raw_flatten":
         state = None
         n_patches = _n_patches(run, "exp.patch_len", spec.n_samples)
     elif cfg["exp.encoder"] == "model_encoder":
-        state = run.load("exp.checkpoint", _fitting_checkpoint, spec.n_modalities,
-                         spec.n_samples)
+        state = run.checkpoint("exp.checkpoint", spec.n_modalities, spec.n_samples,
+                               ("pass", "exp.n_transitions", min(FORWARD_CHUNK, n_trans)))
         n_patches = state.arch.n_patches
-        _check_sizes(run, *_checkpoint_arrays(
-            state.arch, "exp.checkpoint", ("exp.n_transitions", min(FORWARD_CHUNK, n_trans))),
-            # each view's features; its PCA Gram is no larger
-            ("view features n_transitions x d_model", n_trans * state.arch.d_model,
-             [("exp.n_transitions", n_trans), ("exp.checkpoint", state.arch.d_model)]))
+        # each view's features; its PCA Gram is no larger
+        _check_sizes(run, ("view features n_transitions x d_model", n_trans * state.arch.d_model,
+                           [("exp.n_transitions", n_trans),
+                            ("exp.checkpoint", state.arch.d_model)]))
     else:
         raise run.error("exp.encoder", f"must be raw_flatten or model_encoder, "
                                        f"got {cfg['exp.encoder']!r}")
@@ -364,7 +352,7 @@ def cmd_analyze(run: Run) -> None:
     for s in range(n_seeds):
         replicate = cfg["seed"] + s
         base, _ = generate_windows(replace(spec, seed=replicate))
-        rng = as_generator([cfg["seed"] + 1000 + s])
+        rng = np.random.default_rng([cfg["seed"] + 1000 + s])
         trans = np.stack([splice_augment(base, rng).window for _ in range(n_trans)])
         for policy in (CROSS, SYNC):
             sigma1 = sigma1_experiment(trans, policy, state, pca_k=pca_k,
@@ -396,7 +384,7 @@ def cmd_gradcheck(run: Run) -> None:
     _check_sizes(run, *_arch_arrays(arch, ("check.max_coords",
                                            min(2 * max_coords, FORWARD_CHUNK)), "pass"))
     run.start()
-    err = gradcheck_model(arch, seed=cfg["seed"], h=cfg["check.h"], max_coords=max_coords)
+    err = run.check("check.h", gradcheck_model, arch, cfg["seed"], cfg["check.h"], max_coords)
     if not np.isfinite(err):
         raise FloatingPointError(f"{run.source}: key check.h: {cfg['check.h']!r} gives "
                                  f"max_rel_err={_fmt(err)} in group {err.group}")

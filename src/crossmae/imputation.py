@@ -19,7 +19,7 @@ import numpy as np
 
 from .masking import CROSS, SYNC, floor_count, sample_mask
 from .model import ModelState, forward_frozen, reconstruct
-from .windows import as_generator, patchify
+from .windows import patchify
 
 TASKS = ("random", "temporal", "sensor", "extrapolation")
 METHODS = ("model", "linear", "nearest", "chained")
@@ -42,7 +42,7 @@ class MissingnessTask:
 def task_mask(task: MissingnessTask, n_modalities: int, n_patches: int, rng) -> np.ndarray:
     """Build the (C, P) bool patch mask (True = hidden) for one window under
     the given task."""
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     c_n, p_n = n_modalities, n_patches
     if task.kind == "random":
         return sample_mask(CROSS, c_n, p_n, task.ratio, rng)
@@ -108,24 +108,17 @@ def impute_linear(values: np.ndarray, sample_masks: np.ndarray) -> np.ndarray:
 def impute_nearest(values: np.ndarray, sample_masks: np.ndarray) -> np.ndarray:
     """Each hidden sample of the (n, C, L) windows copies the temporally
     nearest visible sample in its channel; distance ties break toward the
-    earlier sample."""
-    filled = values.copy()
+    earlier sample. Fully hidden channels are filled with 0."""
     length = values.shape[-1]
     t = np.arange(length)
-    for row, mask, out in zip(values.reshape(-1, length), sample_masks.reshape(-1, length),
-                              filled.reshape(-1, length)):  # the n * C channels
-        vis_idx = t[~mask]
-        if vis_idx.size == 0:
-            out[:] = 0.0
-            continue
-        hidden = t[mask]
-        pos = np.searchsorted(vis_idx, hidden)
-        left = vis_idx[np.maximum(pos - 1, 0)]
-        right = vis_idx[np.minimum(pos, vis_idx.size - 1)]
-        # no visible sample on the left: take the right one; none on the
-        # right: the clipped right equals the left
-        take_left = (pos > 0) & (hidden - left <= right - hidden)
-        out[hidden] = row[np.where(take_left, left, right)]
+    # the last visible index at or before each sample (-1: none) and the
+    # first at or after it (length: none)
+    left = np.maximum.accumulate(np.where(sample_masks, -1, t), axis=-1)
+    right = np.minimum.accumulate(np.where(sample_masks, length, t)[..., ::-1], axis=-1)[..., ::-1]
+    take_left = (left >= 0) & ((right == length) | (t - left <= right - t))
+    nearest = np.where(take_left, left, right)
+    filled = np.take_along_axis(values, np.minimum(nearest, length - 1), axis=-1)
+    filled[nearest == length] = 0.0
     return filled
 
 

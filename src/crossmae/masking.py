@@ -10,8 +10,6 @@ masks is a (B, C, P) bool array. Two policies:
 """
 import numpy as np
 
-from .windows import as_generator
-
 CROSS = "cross"
 SYNC = "sync"
 POLICIES = (CROSS, SYNC)
@@ -28,7 +26,7 @@ def sample_mask(policy: str, n_modalities: int, n_patches: int, ratio: float, rn
     uniformly over the admissible set."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     c_n, p_n = n_modalities, n_patches
     mask = np.zeros((c_n, p_n), dtype=bool)
     if policy == CROSS:

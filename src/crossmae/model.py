@@ -167,8 +167,7 @@ def param_count(arch: ArchSpec) -> int:
 def init_model(arch: ArchSpec, seed) -> ModelState:
     """Uniform(+-1/sqrt(fan_in)) weight matrices (fan_in: first axis), zero
     biases, unit layernorm gains (*.g), Gaussian(sd 0.02) class and mask tokens."""
-    from .windows import as_generator
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     params = {}
     for name, shape in _param_layout(arch):
         if name in ("cls", "mask_token"):
@@ -502,16 +501,16 @@ def gradcheck_model(arch: ArchSpec, seed: int, h: float, max_coords: int | None)
     window's loss is the MSE of its own row block. Returns the worst relative
     error across all sampled coordinates, with its group."""
     from .masking import CROSS, sample_mask
-    from .windows import as_generator, patchify
+    from .windows import patchify
 
     root = np.random.SeedSequence(seed)
     init_seq, data_seq, mask_seq = root.spawn(3)
     state = init_model(arch, init_seq)
-    rng = as_generator(data_seq)
+    rng = np.random.default_rng(data_seq)
     values = rng.standard_normal((arch.n_modalities, arch.n_patches * arch.patch_len))
     grid = patchify(values, arch.patch_len)
     mask = sample_mask(CROSS, arch.n_modalities, arch.n_patches, 0.5,
-                       as_generator(mask_seq))
+                       np.random.default_rng(mask_seq))
 
     chain = _chain(arch)
     frozen = Binding(state, None)

@@ -484,12 +484,14 @@ def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0, batch=None
     of max_coords per parameter, in params order, at most batch coordinates
     per call (all of a group's when None). Returns the maximum relative error
     |analytic - numeric| / max(1e-8, |analytic| + |numeric|) as a RelErr.
+    Raises ValueError when a bump of h leaves a checked coordinate unchanged:
+    its numeric gradient would read 0 whatever the loss.
     """
     tape = Tape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
     tape.backward(build(leaves, None, None))
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     worst, worst_group = 0.0, None
     for name, base in params.items():
         flat_n = base.size
@@ -500,6 +502,12 @@ def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0, batch=None
         step = batch or max(len(coords), 1)
         for at in range(0, len(coords), step):
             chunk = coords[at:at + step]
+            orig = base.flat[chunk]
+            stuck = (orig + h == orig) | (orig - h == orig)
+            if stuck.any():
+                i = np.argmax(stuck)
+                raise ValueError(f"a step of {h!r} leaves {name}.flat[{chunk[i]}] = "
+                                 f"{float(orig[i])!r} unchanged")
             bumps = np.repeat(base[None], 2 * len(chunk), axis=0)
             flat = bumps.reshape(len(bumps), -1)
             rows = np.arange(len(chunk))

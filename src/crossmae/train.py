@@ -36,7 +36,7 @@ from . import tape as T
 from .masking import CROSS, POLICIES, sample_mask
 from .model import (ArchSpec, Binding, ModelState, encode, forward_frozen, init_model,
                     mae_loss)
-from .windows import as_generator, patchify, splice_augment, standardize
+from .windows import patchify, splice_augment, standardize
 
 
 @dataclass
@@ -237,7 +237,7 @@ def pretrain(values: np.ndarray, arch: ArchSpec, cfg: PretrainConfig, seed,
     root = np.random.SeedSequence(seed)
     init_seq, loop_seq = root.spawn(2)
     state = init_state.copy() if init_state is not None else init_model(arch, init_seq)
-    rng = as_generator(loop_seq)
+    rng = np.random.default_rng(loop_seq)
     can_augment = len(values) >= 2
     data = patchify(standardize(values), arch.patch_len)
 
@@ -302,11 +302,11 @@ def probe(state: ModelState, values: np.ndarray, labels: np.ndarray, n_classes: 
         raise ValueError("windows and labels length mismatch")
     root = np.random.SeedSequence(seed)
     split_seq, init_seq, loop_seq = root.spawn(3)
-    tr, va = _split_indices(len(values), cfg.train_fraction, as_generator(split_seq))
+    tr, va = _split_indices(len(values), cfg.train_fraction, np.random.default_rng(split_seq))
     arch = state.arch
     bound = 1.0 / np.sqrt(arch.d_model)
-    head = {"probe.W": as_generator(init_seq).uniform(-bound, bound,
-                                                      size=(arch.d_model, n_classes)),
+    head = {"probe.W": np.random.default_rng(init_seq).uniform(-bound, bound,
+                                                               size=(arch.d_model, n_classes)),
             "probe.b": np.zeros(n_classes)}
     onehot = np.zeros((len(labels), n_classes))
     onehot[np.arange(len(labels)), labels] = 1.0
@@ -325,7 +325,7 @@ def probe(state: ModelState, values: np.ndarray, labels: np.ndarray, n_classes: 
         work = ModelState(arch, {**state.params, **head})
         grids = patchify(standardize(values), arch.patch_len)
         masks = np.zeros(grids.shape[:3], dtype=bool)
-        optim, loop_rng = cfg.optim, as_generator(loop_seq)
+        optim, loop_rng = cfg.optim, np.random.default_rng(loop_seq)
 
         def features(b, rows):
             enc = encode(b, grids[rows], masks[rows])

@@ -23,16 +23,6 @@ import numpy as np
 from .config import BLOB_NAME, array_fault, checked, load_arrays, save_arrays
 
 
-def as_generator(seed):
-    """Accept an int seed or a list of ints (SeedSequence entropy), a
-    SeedSequence, or a ready Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 @dataclass
 class SynthSpec:
     n_windows: int
@@ -76,7 +66,7 @@ def generate_windows(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
     values = np.empty((spec.n_windows, c_n, length))
     labels = np.arange(spec.n_windows, dtype=np.int64) % spec.n_classes
     for w, child in enumerate(children):
-        rng = as_generator(child)
+        rng = np.random.default_rng(child)
         freq = 1.0 + labels[w]
         theta = rng.uniform(0.0, 2.0 * np.pi)
         gains = rng.uniform(0.5, 1.5, size=c_n)
@@ -113,7 +103,7 @@ def splice_augment(values: np.ndarray, seed, matched_start: bool = False) -> Spl
     """
     if len(values) < 2:
         raise ValueError(f"splice_augment needs at least 2 windows, got {len(values)}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     length = values.shape[-1]
     i = int(rng.integers(0, len(values)))
     j = int(rng.integers(0, len(values)))

@@ -650,6 +650,17 @@ def test_gradcheck_refuses_a_non_finite_error(tmp_path):
     assert not os.path.exists(tmp_path / "o" / "gradcheck.txt")
 
 
+def test_gradcheck_refuses_a_step_that_moves_no_parameter(tmp_path):
+    # a step of 1e-300 rounds away on every nonzero parameter, so every
+    # numeric gradient of such a parameter would read 0
+    cfg = _write_cfg(tmp_path / "g.cfg", **{"check.h": 1e-300})
+    with pytest.raises(ManifestError, match=f"^{re.escape(cfg)}: key check.h: a step of "
+                                            r"1e-300 leaves embed\.W\.flat\[\d+\] = \S+ "
+                                            "unchanged$"):
+        cli.main(["gradcheck", "--out", str(tmp_path / "o"), "--config", cfg])
+    assert not os.path.exists(tmp_path / "o" / "gradcheck.txt")
+
+
 def test_gradcheck_command_reports_small_error(tmp_path):
     cfg = _write_cfg(tmp_path / "g.cfg", **{
         "arch.n_modalities": 2, "arch.n_patches": 2, "arch.patch_len": 4,

@@ -240,6 +240,17 @@ def test_finite_diff_reports_a_nan_error_and_its_group():
     assert np.isnan(err) and err.group == "x"
 
 
+def test_finite_diff_rejects_a_step_that_leaves_a_coordinate_unchanged():
+    def quad(p):
+        return T.sum_(T.mul(p["x"], p["x"]))
+
+    # 0.0 moves by 1e-300, but 1e-300 is below half an ulp of -2.0
+    params = {"x": np.array([0.0, -2.0, 0.5])}
+    with pytest.raises(ValueError, match=r"^a step of 1e-300 leaves x\.flat\[1\] = -2\.0 "
+                                         "unchanged$"):
+        T.finite_diff_check(_each_bump(quad), params, h=1e-300)
+
+
 def test_backward_deterministic():
     def run():
         t = T.Tape()
