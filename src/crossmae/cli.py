@@ -15,15 +15,15 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .config import (BLOB_NAME, MANIFEST_NAME, ManifestError, array_fault, format_kv_lines,
-                     load_config)
+from .config import (BLOB_NAME, MANIFEST_NAME, ManifestError, array_fault, checked,
+                     format_kv_lines, load_config)
 from .imputation import (METHODS, TASKS, MissingnessTask, _sample_mask_array,
                          impute_chained, impute_linear, impute_model,
                          impute_nearest, score, task_mask)
 from .kcca import sigma1_experiment
 from .masking import CROSS, SYNC, sample_mask
-from .model import (FORWARD_CHUNK, ArchSpec, _hold_heap, gradcheck_model, load_checkpoint,
-                    param_count, save_checkpoint)
+from .model import (FORWARD_CHUNK, GRADCHECK_MASK_RATIO, ArchSpec, _hold_heap, gradcheck_model,
+                    load_checkpoint, param_count, save_checkpoint)
 from .train import OptimConfig, PretrainConfig, ProbeConfig, _split_indices, pretrain, probe
 from .windows import (SynthSpec, generate_windows, load_dataset, save_dataset, splice_augment,
                       standardize)
@@ -250,7 +250,9 @@ def cmd_pretrain(run: Run) -> None:
                                   f"run arch {arch}")
     run.start()
     state, trace = pretrain(values, arch, pcfg, cfg["seed"], init_state=init_state)
-    save_checkpoint(state, os.path.join(run.out_dir, "checkpoint"))
+    # float64 training can leave a finite parameter beyond float32's range
+    checkpoint = os.path.join(run.out_dir, "checkpoint")
+    checked(checkpoint, save_checkpoint, state, checkpoint)
     run.write("loss.csv", _curve(trace))
     final = _fmt(trace[-1]) if trace else "nan"
     run.write("summary.txt", f"final_loss={final}\n")
@@ -383,6 +385,9 @@ def cmd_gradcheck(run: Run) -> None:
     # a group's bumped evaluations run as one pass of two windows per coordinate
     _check_sizes(run, *_arch_arrays(arch, ("check.max_coords",
                                            min(2 * max_coords, FORWARD_CHUNK)), "pass"))
+    # gradcheck_model's mask must hide a patch and leave one visible
+    run.check("arch.n_patches", sample_mask, CROSS, arch.n_modalities, arch.n_patches,
+              GRADCHECK_MASK_RATIO, 0)
     run.start()
     err = run.check("check.h", gradcheck_model, arch, cfg["seed"], cfg["check.h"], max_coords)
     if not np.isfinite(err):

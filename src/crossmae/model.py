@@ -26,13 +26,13 @@ ln1 and attn: layernorm, attention, residual add) then encN.mlp (its ln2
 and mlp: layernorm, MLP, residual add); the encoder's norm (enc.norm); the
 decoder entry that scatters the encoder rows and fills the rest with the
 mask token (mask_token); decN.attn and decN.mlp per decoder block; the
-decoder's norm with the take of the patch rows (dec.norm); the head (head);
-and the loss, which reads none. encode and decode each run a slice of the
-chain, reconstruct runs both, and mae_loss runs reconstruct and then the
-loss stage. The stages of one pass share a _Pass, so a batch's token ids
-are derived once. gradcheck_model keeps each stage's input from one
-unbumped pass. A group's bumped evaluations differ only in that group, so
-only the first stage that reads it runs once per evaluation; the rest of
+decoder's norm with the take of the patch rows (dec.norm); and the head
+(head). The chain ends at the reconstruction: encode and decode each run a
+slice of it, reconstruct runs both, and mae_loss takes the loss (_loss) of
+reconstruct's output. The stages of one pass share a _Pass, so a batch's
+token ids are derived once. gradcheck_model keeps each stage's input from
+one unbumped pass. A group's bumped evaluations differ only in that group,
+so only the first stage that reads it runs once per evaluation; the rest of
 the chain runs once over their outputs, stacked as a batch of windows.
 
 The reconstruction loss is the mean squared error over all patches; a
@@ -56,6 +56,8 @@ CHECKPOINT_FORMAT = "crossmae-checkpoint-v3"
 # Windows per forward-only graph. Larger chunks cost memory and buy no speed
 # at 150 tokens.
 FORWARD_CHUNK = 16
+# The share of patches gradcheck_model's cross mask hides.
+GRADCHECK_MASK_RATIO = 0.5
 
 
 @dataclass
@@ -221,22 +223,6 @@ class Binding:
                   else {k: tape.leaf(v) for k, v in state.params.items()})
 
 
-def _attention(b: Binding, prefix: str, x, n_windows: int):
-    """Multi-head self-attention of x. Keys carry no bias: q.bk would add one
-    constant to each query's scores, which the softmax takes back out."""
-    # the projections' order sets the order in which x's three gradients add
-    keys = T.matmul(x, b.p[f"{prefix}.attn.Wk"])
-    queries = T.matmul(x, b.p[f"{prefix}.attn.Wq"], b.p[f"{prefix}.attn.bq"])
-    values = T.matmul(x, b.p[f"{prefix}.attn.Wv"], b.p[f"{prefix}.attn.bv"])
-    merged = T.attention(queries, keys, values, n_windows, b.state.arch.n_heads)
-    return T.matmul(merged, b.p[f"{prefix}.attn.Wo"], b.p[f"{prefix}.attn.bo"])
-
-
-def _mlp(b: Binding, prefix: str, x):
-    h = T.gelu(T.matmul(x, b.p[f"{prefix}.mlp.W1"], b.p[f"{prefix}.mlp.b1"]))
-    return T.matmul(h, b.p[f"{prefix}.mlp.W2"], b.p[f"{prefix}.mlp.b2"])
-
-
 def _token_ids(masks: np.ndarray) -> np.ndarray:
     """(B, V+1) position-table rows of each window's encoder tokens: 0 for
     the class token, then 1 + the grid index of each visible patch. Every
@@ -254,13 +240,11 @@ def _token_ids(masks: np.ndarray) -> np.ndarray:
 
 class _Pass:
     """What the stages of one forward pass share: the batch's (B, C, P)
-    masks, their token ids (_token_ids, derived and checked at first use,
-    once per pass), and the loss stage's target grids and masked_only flag."""
+    masks and their token ids (_token_ids, derived and checked at first use,
+    once per pass)."""
 
-    def __init__(self, masks, target=None, masked_only=False):
+    def __init__(self, masks):
         self.masks = masks
-        self.target = target
-        self.masked_only = masked_only
 
     @functools.cached_property
     def ids(self):
@@ -301,15 +285,25 @@ def _embed(b: Binding, ps: _Pass, grids):
 
 
 def _attention_half(prefix: str, b: Binding, ps: _Pass, x):
-    """The first half of a pre-norm block: x + attention(ln1(x))."""
-    y = T.layernorm(x, b.p[f"{prefix}.ln1.g"], b.p[f"{prefix}.ln1.b"])
-    return T.add(x, _attention(b, prefix, y, len(ps.masks)))
+    """The first half of a pre-norm block: x + attention(ln1(x)), multi-head
+    self-attention within each window. Keys carry no bias: q.bk would add one
+    constant to each query's scores, which the softmax takes back out."""
+    p = b.p
+    y = T.layernorm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
+    # the projections' order sets the order in which y's three gradients add
+    keys = T.matmul(y, p[f"{prefix}.attn.Wk"])
+    queries = T.matmul(y, p[f"{prefix}.attn.Wq"], p[f"{prefix}.attn.bq"])
+    values = T.matmul(y, p[f"{prefix}.attn.Wv"], p[f"{prefix}.attn.bv"])
+    merged = T.attention(queries, keys, values, len(ps.masks), b.state.arch.n_heads)
+    return T.add(x, T.matmul(merged, p[f"{prefix}.attn.Wo"], p[f"{prefix}.attn.bo"]))
 
 
 def _mlp_half(prefix: str, b: Binding, ps: _Pass, x):
     """The second half of a pre-norm block: x + mlp(ln2(x))."""
-    y = T.layernorm(x, b.p[f"{prefix}.ln2.g"], b.p[f"{prefix}.ln2.b"])
-    return T.add(x, _mlp(b, prefix, y))
+    p = b.p
+    y = T.layernorm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
+    h = T.gelu(T.matmul(y, p[f"{prefix}.mlp.W1"], p[f"{prefix}.mlp.b1"]))
+    return T.add(x, T.matmul(h, p[f"{prefix}.mlp.W2"], p[f"{prefix}.mlp.b2"]))
 
 
 def _enc_norm(b: Binding, ps: _Pass, x):
@@ -337,19 +331,6 @@ def _head(b: Binding, ps: _Pass, x):
     return T.matmul(x, b.p["head.W"], b.p["head.b"])
 
 
-def _loss(b: Binding, ps: _Pass, recon):
-    """MSE of the (B*N, L_p) reconstruction against ps.target, over every
-    patch or, with ps.masked_only, over the masked ones."""
-    target_np = ps.target.reshape(-1, b.state.arch.patch_len)
-    if ps.masked_only:
-        masked_ids = np.flatnonzero(ps.masks)
-        if len(masked_ids) == 0:
-            raise ValueError("masked-only loss needs at least one masked patch")
-        recon = T.take_rows(recon, masked_ids)
-        target_np = target_np[masked_ids]
-    return T.mse(recon, target_np)
-
-
 def _blocks(stack: str, n_layers: int) -> list:
     """Two stages per block, each with its layernorm: stackN.attn and stackN.mlp."""
     stages = []
@@ -372,12 +353,9 @@ def _decoder(arch: ArchSpec) -> list:
             Stage("dec.norm", ("dec.norm",), _dec_norm), Stage("head", ("head",), _head)]
 
 
-_LOSS = Stage("loss", (), _loss)
-
-
 def _chain(arch: ArchSpec) -> list:
-    """The whole forward pass, grids to loss, as one ordered list of stages."""
-    return [*_encoder(arch), *_decoder(arch), _LOSS]
+    """The whole forward pass, grids to reconstruction, as one ordered list of stages."""
+    return [*_encoder(arch), *_decoder(arch)]
 
 
 def _run(b: Binding, ps: _Pass, x, stages, inputs=None):
@@ -435,12 +413,24 @@ def reconstruct(b: Binding, grids, masks):
     return decode(b, encode(b, grids, ps), ps)
 
 
+def _loss(recon, grids, masks, masked_only: bool = False):
+    """MSE of the (B*N, L_p) reconstruction against grids (B, C, P, L_p),
+    over every patch or, with masked_only, over the ones masks hides."""
+    target = grids.reshape(-1, grids.shape[-1])
+    if masked_only:
+        masked_ids = np.flatnonzero(masks)
+        if len(masked_ids) == 0:
+            raise ValueError("masked-only loss needs at least one masked patch")
+        recon = T.take_rows(recon, masked_ids)
+        target = target[masked_ids]
+    return T.mse(recon, target)
+
+
 def mae_loss(b: Binding, grids, masks, masked_only: bool = False):
     """Reconstruction MSE over a batch, averaged over every patch (default)
     or over masked patches only (ablation). Every window hides the same
     number of patches, so this is also the mean of the per-window losses."""
-    ps = _Pass(masks, grids, masked_only)
-    return _run(b, ps, reconstruct(b, grids, ps), [_LOSS])
+    return _loss(reconstruct(b, grids, masks), grids, masks, masked_only)
 
 
 def alignment_identity(u: np.ndarray, v: np.ndarray):
@@ -509,12 +499,12 @@ def gradcheck_model(arch: ArchSpec, seed: int, h: float, max_coords: int | None)
     rng = np.random.default_rng(data_seq)
     values = rng.standard_normal((arch.n_modalities, arch.n_patches * arch.patch_len))
     grid = patchify(values, arch.patch_len)
-    mask = sample_mask(CROSS, arch.n_modalities, arch.n_patches, 0.5,
+    mask = sample_mask(CROSS, arch.n_modalities, arch.n_patches, GRADCHECK_MASK_RATIO,
                        np.random.default_rng(mask_seq))
 
     chain = _chain(arch)
     frozen = Binding(state, None)
-    ps = _Pass(mask[None], grid[None])
+    ps = _Pass(mask[None])
     inputs = []
     _run(frozen, ps, grid[None], chain, inputs)
     first = {scope: i for i, stage in enumerate(chain) for scope in stage.reads}
@@ -526,8 +516,8 @@ def gradcheck_model(arch: ArchSpec, seed: int, h: float, max_coords: int | None)
         outs = [chain[start].run(Binding(ModelState(arch, {**params, name: bumped}), None),
                                  ps, inputs[start]) for bumped in bumps]
         batch = _Pass(np.repeat(mask[None], len(outs), axis=0))
-        # the rest of the chain up to the loss stage, whose T.mse is taken per row block
-        recon = _run(frozen, batch, np.concatenate(outs), chain[start + 1:-1])
+        # the rest of the chain, then _loss's T.mse taken per row block
+        recon = _run(frozen, batch, np.concatenate(outs), chain[start + 1:])
         diff = recon.reshape(len(outs), -1) - grid.reshape(1, -1)
         return (diff * diff).mean(axis=1)
 

@@ -296,10 +296,15 @@ class ProbeResult:
 def probe(state: ModelState, values: np.ndarray, labels: np.ndarray, n_classes: int,
           cfg: ProbeConfig, seed) -> ProbeResult:
     """Train a classification head on the (n, C, L) windows and their (n,)
-    labels per cfg.mode and report validation top-1."""
+    labels, each a class in [0, n_classes), per cfg.mode and report
+    validation top-1."""
     labels = np.asarray(labels, dtype=np.int64)
     if len(values) != len(labels):
         raise ValueError("windows and labels length mismatch")
+    outside = np.flatnonzero((labels < 0) | (labels >= n_classes))
+    if len(outside):
+        i = outside[0]
+        raise ValueError(f"label {labels[i]} at index {i} is not a class in [0, {n_classes})")
     root = np.random.SeedSequence(seed)
     split_seq, init_seq, loop_seq = root.spawn(3)
     tr, va = _split_indices(len(values), cfg.train_fraction, np.random.default_rng(split_seq))

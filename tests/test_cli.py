@@ -149,6 +149,20 @@ def test_pretrain_resume_continues_trace(data_dir, tmp_path):
     assert abs(t_resumed[0] - t_first[-1]) < 0.5 * drop + 0.05
 
 
+def test_pretrain_names_the_checkpoint_float32_cannot_hold(tmp_path):
+    # one step at lr 1e40 leaves finite float64 parameters past float32's range
+    save_dataset(tmp_path / "data", np.random.default_rng(0).standard_normal((24, 4, 64)),
+                 np.zeros(24, dtype=np.int64), n_classes=1)
+    cfg = _write_cfg(tmp_path / "lr.cfg", **{
+        "data.dir": tmp_path / "data", "optim.lr": 1e40, "optim.epochs": 1,
+        "optim.warmup_epochs": 0, "optim.batch_size": 32})
+    checkpoint = tmp_path / "o" / "checkpoint"
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(checkpoint))}: array \\S+ holds "
+                                            "a non-finite value at index"):
+        cli.main(["pretrain", "--out", str(tmp_path / "o"), "--config", cfg])
+    assert not os.path.exists(checkpoint)
+
+
 def test_pretrain_resume_arch_mismatch_rejected(data_dir, checkpoint_dir, tmp_path):
     cfg = _write_cfg(tmp_path / "m.cfg", **{
         "data.dir": data_dir, "arch.patch_len": 4, "optim.epochs": 1,
@@ -406,6 +420,7 @@ BAD_SETTINGS = [
     ("gradcheck", {"arch.n_heads": 3}, "arch.n_heads"),
     ("gradcheck", {"arch.patch_len": 10**9}, "arch.patch_len"),
     ("gradcheck", {"arch.n_modalities": 20000, "arch.n_patches": 1}, "arch.n_modalities"),
+    ("gradcheck", {"arch.n_modalities": 1, "arch.n_patches": 1}, "arch.n_patches"),  # 0.5 of 1 cell
 ]
 
 

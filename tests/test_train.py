@@ -225,6 +225,16 @@ def test_probe_label_length_mismatch():
               ProbeConfig(), seed=0)
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_probe_rejects_a_label_outside_its_classes(monkeypatch, bad):
+    ws, labels = _windows(n=6, seed=25)
+    labels[[2, 4]] = bad
+    # the check comes before any draw
+    monkeypatch.setattr(train, "_split_indices", lambda *a: pytest.fail("drew a split"))
+    with pytest.raises(ValueError, match=f"^label {bad} at index 2 is not a class in \\[0, 4\\)$"):
+        probe(init_model(ARCH, seed=0), ws, labels, 4, ProbeConfig(epochs=3), seed=0)
+
+
 @pytest.mark.parametrize("mode, group", [("lp", "probe.W"), ("ft", "embed.W")])
 def test_probe_names_the_step_and_group_of_a_non_finite_gradient(monkeypatch, mode, group):
     ws, labels = _windows(n=12, seed=24)
