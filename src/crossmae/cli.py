@@ -37,6 +37,9 @@ MAX_ARRAY_VALUES = 2**27
 # A window's SeedSequence, spawned one per window or transition, holds about
 # 512 B, which _check_sizes counts as 64 float64 values.
 SEED_VALUES = 64
+# gradcheck fails, after writing gradcheck.txt, unless max_rel_err lies below
+# this: acceptance criterion 01's bound
+GRADCHECK_TOL = 1e-3
 
 
 def _keys(cls, prefix: str, **named) -> dict:
@@ -250,7 +253,7 @@ def cmd_pretrain(run: Run) -> None:
                                   f"run arch {arch}")
     run.start()
     state, trace = pretrain(values, arch, pcfg, cfg["seed"], init_state=init_state)
-    # float64 training can leave a finite parameter beyond float32's range
+    # train._step stops a parameter float32 cannot hold; the writer checks again
     checkpoint = os.path.join(run.out_dir, "checkpoint")
     checked(checkpoint, save_checkpoint, state, checkpoint)
     run.write("loss.csv", _curve(trace))
@@ -390,10 +393,13 @@ def cmd_gradcheck(run: Run) -> None:
               GRADCHECK_MASK_RATIO, 0)
     run.start()
     err = run.check("check.h", gradcheck_model, arch, cfg["seed"], cfg["check.h"], max_coords)
+    failed = (f"{run.source}: key check.h: {cfg['check.h']!r} gives "
+              f"max_rel_err={_fmt(err)} in group {err.group}")
     if not np.isfinite(err):
-        raise FloatingPointError(f"{run.source}: key check.h: {cfg['check.h']!r} gives "
-                                 f"max_rel_err={_fmt(err)} in group {err.group}")
+        raise FloatingPointError(failed)
     run.write("gradcheck.txt", f"max_rel_err={_fmt(err)}\nworst_group={err.group}\n")
+    if not err < GRADCHECK_TOL:
+        raise FloatingPointError(f"{failed}, not below {GRADCHECK_TOL:g}")
     print(f"max relative error {_fmt(err)}")
 
 

@@ -6,15 +6,18 @@ PCA, and take the top singular value of the whitened cross-covariance
 sigma_1(Gamma), Gamma = S_uu^{-1/2} S_um S_mm^{-1/2}. PCA eigendecomposes the
 smaller Gram of the centred features (n x n for fewer windows than features,
 as in Sirovich's method of snapshots, Q. Appl. Math. 1987), so it never builds
-a thin SVD's two factors only to keep k score columns. The windows arrive as
-one (n, C, L) array and their masks as one (n, C, P) array; the view features
-are the raw cells of each view, or, given a model state, the mean
-patch-token latent of one frozen encoder pass over each view
-(model.forward_frozen). kcca_solve gives the kernel
-counterpart, the top regularized canonical correlation of two caller-built
-Gram matrices over the same windows, in closed form by the low-rank route of
-Bach & Jordan (JMLR 2002) and Hardoon, Szedmak & Shawe-Taylor (Neural
-Computation 2004). Both return plain numbers: the singular values and rho.
+a thin SVD's two factors only to keep k score columns. The sign of each score
+column is whatever the eigensolver returns: sigma_1 does not read it, since
+flipping a column of either view leaves Gamma's singular values unchanged.
+The windows arrive as one (n, C, L) array and their masks as one (n, C, P)
+array; the view features are the raw cells of each view, or, given a model
+state, the mean patch-token latent of one frozen encoder pass over each view
+(model.forward_frozen). kcca_solve gives the kernel counterpart, the top
+regularized canonical correlation of two caller-built Gram matrices over the
+same windows, both centred and both regularized by one gamma, in closed form
+by the low-rank route of Bach & Jordan (JMLR 2002) and Hardoon, Szedmak &
+Shawe-Taylor (Neural Computation 2004). Both return plain numbers: the
+singular values and rho.
 """
 from dataclasses import dataclass
 
@@ -111,20 +114,19 @@ def _factor(k: np.ndarray, name: str) -> np.ndarray:
     return g
 
 
-def kcca_solve(grams: ViewGrams, gamma_u: float, gamma_m: float, centered: bool) -> float:
-    """Top regularized kernel canonical correlation,
+def kcca_solve(grams: ViewGrams, gamma: float) -> float:
+    """Top regularized kernel canonical correlation of the centred Grams,
     rho = sigma_max(R_U^{-1/2} K_U K_M R_M^{-1/2}) with R = K^2 + gamma K + eps I
-    and eps = 1e-8 tr(K^2 + gamma K) / n + 1e-12. The thin SVD of each Gram's
-    factor gives K = Q diag(lam) Q^T, so R^{-1/2} K = A Q^T with A = Q
-    diag(lam / sqrt(lam^2 + gamma lam + eps)), and rho is the top singular
-    value of A_U^T A_M. ConditioningError names the eigenvalues of a Gram
-    that is not positive semi-definite."""
-    if not (gamma_u > 0 and gamma_m > 0):
-        raise ValueError("regularizers must be > 0")
+    and eps = 1e-8 tr(K^2 + gamma K) / n + 1e-12, one gamma for both views.
+    The thin SVD of each centred Gram's factor gives K = Q diag(lam) Q^T, so
+    R^{-1/2} K = A Q^T with A = Q diag(lam / sqrt(lam^2 + gamma lam + eps)),
+    and rho is the top singular value of A_U^T A_M. ConditioningError names
+    the eigenvalues of a centred Gram that is not positive semi-definite."""
+    if not gamma > 0:
+        raise ValueError("regularizer must be > 0")
     bases = []
-    for k, gamma, name in ((grams.k_u, gamma_u, "K_U"), (grams.k_m, gamma_m, "K_M")):
-        if centered:
-            k = center_gram(k)
+    for k, name in ((grams.k_u, "K_U"), (grams.k_m, "K_M")):
+        k = center_gram(k)
         q, s, _ = np.linalg.svd(_factor(k, name).T, full_matrices=False)
         lam = s * s
         r = lam * lam + gamma * lam
@@ -137,7 +139,7 @@ def kcca_solve(grams: ViewGrams, gamma_u: float, gamma_m: float, centered: bool)
 
 def pca_reduce(features: np.ndarray, k: int) -> np.ndarray:
     """Column-center and project onto the top-k principal directions: the
-    (n, k) scores, largest variance first.
+    (n, k) scores, largest variance first, each column's sign arbitrary.
 
     The directions come from the eigendecomposition of the smaller Gram of
     the centred features xc, not from a thin SVD. With more features than
@@ -146,8 +148,6 @@ def pca_reduce(features: np.ndarray, k: int) -> np.ndarray:
     and the scores xc v_j = s_j u_j, so nothing is divided: past the
     numerical rank s_j is rounding noise, and so are the scores. Otherwise
     the top eigenvectors of xc^T xc are the directions.
-    Each component's sign is fixed so its largest-magnitude loading is
-    positive, making the scores reproducible across LAPACK builds.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -158,15 +158,8 @@ def pca_reduce(features: np.ndarray, k: int) -> np.ndarray:
     xc = x - x.mean(axis=0, keepdims=True)
     if n < q:
         lam, u = np.linalg.eigh(xc @ xc.T)  # ascending
-        u = u[:, :-k - 1:-1]
-        v = xc.T @ u  # v_j scaled by s_j, which leaves its signs
-        scores = u * np.sqrt(np.maximum(lam[:-k - 1:-1], 0.0))
-    else:
-        v = np.linalg.eigh(xc.T @ xc)[1][:, :-k - 1:-1]
-        scores = xc @ v
-    flip = np.sign(v[np.abs(v).argmax(axis=0), np.arange(k)])
-    flip[flip == 0] = 1.0
-    return scores * flip
+        return u[:, :-k - 1:-1] * np.sqrt(np.maximum(lam[:-k - 1:-1], 0.0))
+    return xc @ np.linalg.eigh(xc.T @ xc)[1][:, :-k - 1:-1]
 
 
 def _inv_sqrt(s: np.ndarray, name: str) -> np.ndarray:
@@ -203,10 +196,10 @@ def sigma1_experiment(values, policy: str, state: ModelState | None = None, *, p
     over the (n, C, L) windows.
 
     Every window gets its own mask draw. The view features are raw cells when
-    state is None, else the encoder latents of state (whose arch sets the
-    patch length); both feature sets are PCA-reduced (k clipped to
-    min(n, q) - 1) and the whitened cross-covariance's top singular value
-    comes from cca_sigma.
+    state is None, else the encoder latents of state; then state.arch sets
+    the patch length and the patch_len argument is ignored. Both feature sets
+    are PCA-reduced (k clipped to min(n, q) - 1) and the whitened
+    cross-covariance's top singular value comes from cca_sigma.
     """
     if len(values) == 0:
         raise ValueError("sigma1_experiment needs a non-empty dataset")

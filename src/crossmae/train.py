@@ -18,9 +18,9 @@ binds the parameters on a fresh tape, builds the loss, runs backward,
 gathers the leaves' gradients into the flat gradient buffer in one copy, and
 applies one AdamW step between two checks. A non-finite loss
 or gradient stops training before the step it would corrupt, and a step
-that leaves a parameter or AdamW's second moment non-finite (finite
-divergence: the loss grows until the squared gradient overflows) stops it
-right after.
+that leaves AdamW's second moment non-finite (finite divergence: the loss
+grows until the squared gradient overflows) or a parameter beyond what a
+float32 checkpoint holds stops it right after.
 
 Probing trains one linear head, probe.W and probe.b, on the class-token
 latent. Mode "lp" trains the head alone on the frozen latents (encoder
@@ -37,6 +37,9 @@ from .masking import CROSS, POLICIES, sample_mask
 from .model import (ArchSpec, Binding, ModelState, encode, forward_frozen, init_model,
                     mae_loss)
 from .windows import patchify, splice_augment, standardize
+
+# a checkpoint rounds parameters to float32, which holds no larger magnitude
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -141,11 +144,11 @@ class AdamWState:
         return self.names[np.searchsorted(self.bounds, i, side="right") - 1]
 
     def non_finite_group(self):
-        """Name of the first parameter group whose value or second moment is
-        not finite, or None when all are finite."""
-        if np.isfinite(self.v).all() and np.isfinite(self.flat).all():
-            return None
-        return self.group_at(np.argmin(np.isfinite(self.v) & np.isfinite(self.flat)))
+        """Name of the first parameter group whose second moment is not
+        finite or whose value float32 cannot hold (a checkpoint rounds to
+        it), or None when all pass. NaN fails both comparisons."""
+        ok = np.isfinite(self.v) & (np.abs(self.flat) <= FLOAT32_MAX)
+        return None if ok.all() else self.group_at(np.argmin(ok))
 
 
 def adamw_step(opt: AdamWState, lr: float, cfg: OptimConfig):
@@ -177,8 +180,8 @@ def _step(loop: str, step: int, state: ModelState, opt: AdamWState, lr: float,
     the loss.
     Raises FloatingPointError, naming the loop and the step, when the loss
     or a gradient is not finite (before the update, with the first such
-    parameter group) or when the update left a parameter or its second
-    moment non-finite."""
+    parameter group) or when the update left a parameter's second moment
+    non-finite or its value beyond float32's range."""
     tape_ = T.Tape()
     binding = Binding(state, tape_)
     loss = build_loss(binding)
@@ -193,7 +196,8 @@ def _step(loop: str, step: int, state: ModelState, opt: AdamWState, lr: float,
         left = opt.non_finite_group()
         if left is None:
             return float(loss.data)
-        detail = f"AdamW left {left} or its second moment non-finite"
+        detail = (f"AdamW left {left} or its second moment non-finite, or past "
+                  f"float32's largest value {FLOAT32_MAX:.8g}")
     else:
         detail = f"first non-finite gradient in {bad}" if bad else "all gradients finite"
     raise FloatingPointError(f"{loop} step {step}: loss {float(loss.data)!r}, {detail}")

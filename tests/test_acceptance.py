@@ -101,7 +101,7 @@ def test_criterion_05_cca_oracles():
     y1 = 0.8 * z1 + 0.6 * rng.standard_normal(nk)
     x = z1[:, None]
     y = y1[:, None]
-    rho_k = kcca_solve(ViewGrams(x @ x.T, y @ y.T), 1e-4, 1e-4, centered=True)
+    rho_k = kcca_solve(ViewGrams(x @ x.T, y @ y.T), 1e-4)
     kcca_ok = abs(rho_k - 0.80) <= 0.02
     _verdict(5, "cca oracle",
              cca_ok and kcca_ok,

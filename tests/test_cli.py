@@ -150,15 +150,18 @@ def test_pretrain_resume_continues_trace(data_dir, tmp_path):
 
 
 def test_pretrain_names_the_checkpoint_float32_cannot_hold(tmp_path):
-    # one step at lr 1e40 leaves finite float64 parameters past float32's range
+    # one step at lr 1e40 leaves finite float64 parameters past float32's
+    # range, and the step that does so stops the run before any checkpoint
     save_dataset(tmp_path / "data", np.random.default_rng(0).standard_normal((24, 4, 64)),
                  np.zeros(24, dtype=np.int64), n_classes=1)
     cfg = _write_cfg(tmp_path / "lr.cfg", **{
         "data.dir": tmp_path / "data", "optim.lr": 1e40, "optim.epochs": 1,
         "optim.warmup_epochs": 0, "optim.batch_size": 32})
     checkpoint = tmp_path / "o" / "checkpoint"
-    with pytest.raises(ManifestError, match=f"^{re.escape(str(checkpoint))}: array \\S+ holds "
-                                            "a non-finite value at index"):
+    with pytest.raises(FloatingPointError, match=r"^pretrain step 0: loss \S+, AdamW left "
+                                                 r"embed\.W or its second moment non-finite, "
+                                                 r"or past float32's largest value "
+                                                 r"3\.4028235e\+38$"):
         cli.main(["pretrain", "--out", str(tmp_path / "o"), "--config", cfg])
     assert not os.path.exists(checkpoint)
 
@@ -676,6 +679,20 @@ def test_gradcheck_refuses_a_step_that_moves_no_parameter(tmp_path):
     assert not os.path.exists(tmp_path / "o" / "gradcheck.txt")
 
 
+def test_gradcheck_fails_when_the_error_reaches_the_bound(tmp_path):
+    # a step of 1e-13 moves every parameter, but rounding swamps the
+    # difference of the bumped losses
+    cfg = _write_cfg(tmp_path / "g.cfg", **{"check.h": 1e-13})
+    with pytest.raises(FloatingPointError, match=f"^{re.escape(cfg)}: key check.h: 1e-13 gives "
+                                                 r"max_rel_err=\S+ in group \S+, not below "
+                                                 "0.001$") as caught:
+        cli.main(["gradcheck", "--out", str(tmp_path / "o"), "--config", cfg])
+    lines = open(tmp_path / "o" / "gradcheck.txt").read().splitlines()
+    err, group = (line.split("=")[1] for line in lines)
+    assert f"max_rel_err={err} in group {group}," in str(caught.value)
+    assert float(err) >= cli.GRADCHECK_TOL
+
+
 def test_gradcheck_command_reports_small_error(tmp_path):
     cfg = _write_cfg(tmp_path / "g.cfg", **{
         "arch.n_modalities": 2, "arch.n_patches": 2, "arch.patch_len": 4,
@@ -710,7 +727,7 @@ else:
     sys.exit("gradcheck accepted check.max_coords=0")
 import numpy as np
 from crossmae.kcca import ViewGrams, kcca_solve
-kcca_solve(ViewGrams(np.eye(3), np.ones((3, 3)) + np.eye(3)), 1e-2, 1e-2, centered=True)
+kcca_solve(ViewGrams(np.eye(3), np.ones((3, 3)) + np.eye(3)), 1e-2)
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 

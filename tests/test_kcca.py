@@ -26,7 +26,7 @@ def test_kcca_identical_views_is_perfectly_correlated():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((40, 3))
     k = x @ x.T
-    rho = kcca_solve(ViewGrams(k, k.copy()), 1e-6, 1e-6, centered=True)
+    rho = kcca_solve(ViewGrams(k, k.copy()), 1e-6)
     assert rho >= 0.999
 
 
@@ -40,7 +40,7 @@ def test_kcca_permutation_null_stays_low():
     for s in range(200):
         perm = np.random.default_rng([77, s]).permutation(n)
         shuffled = k_m[np.ix_(perm, perm)]
-        rhos.append(kcca_solve(ViewGrams(k_u, shuffled), 1e-2, 1e-2, centered=True))
+        rhos.append(kcca_solve(ViewGrams(k_u, shuffled), 1e-2))
     assert np.quantile(rhos, 0.95) < 0.35
 
 
@@ -51,10 +51,9 @@ def test_kcca_invariant_under_simultaneous_permutation():
     x = z + 0.3 * rng.standard_normal((n, 2))
     y = z + 0.3 * rng.standard_normal((n, 2))
     k_u, k_m = x @ x.T, y @ y.T
-    base = kcca_solve(ViewGrams(k_u, k_m), 1e-3, 1e-3, centered=True)
+    base = kcca_solve(ViewGrams(k_u, k_m), 1e-3)
     perm = rng.permutation(n)
-    moved = kcca_solve(ViewGrams(k_u[np.ix_(perm, perm)], k_m[np.ix_(perm, perm)]),
-                       1e-3, 1e-3, centered=True)
+    moved = kcca_solve(ViewGrams(k_u[np.ix_(perm, perm)], k_m[np.ix_(perm, perm)]), 1e-3)
     assert abs(base - moved) < 1e-8
 
 
@@ -63,7 +62,7 @@ def test_kcca_rho_of_related_views_is_a_correlation():
     x = rng.standard_normal((25, 3))
     y = x @ rng.standard_normal((3, 3)) + 0.1 * rng.standard_normal((25, 3))
     grams = ViewGrams(x @ x.T, y @ y.T)
-    rho = kcca_solve(grams, 1e-3, 1e-3, centered=True)
+    rho = kcca_solve(grams, 1e-3)
     assert 0.0 <= rho <= 1.0 + 1e-10
 
 
@@ -102,21 +101,25 @@ def test_kcca_matches_the_exact_definition(kind, n, gamma):
     # The linear Grams have rank 5; the centred RBF Grams have full rank
     # apart from the constant direction centring removes.
     k_u, k_m = _related_grams(kind, n)
-    rho = kcca_solve(ViewGrams(k_u, k_m), gamma, gamma, centered=True)
+    rho = kcca_solve(ViewGrams(k_u, k_m), gamma)
     assert abs(rho - _exact_rho(k_u, k_m, gamma)) < 1e-9
 
 
 def test_kcca_of_a_constant_view_is_zero():
     # Centring leaves the constant Gram with a factor of rank 0.
-    assert kcca_solve(ViewGrams(np.ones((4, 4)), np.eye(4)), 1e-2, 1e-2, centered=True) == 0.0
+    assert kcca_solve(ViewGrams(np.ones((4, 4)), np.eye(4)), 1e-2) == 0.0
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1e-4])
 def test_kcca_conditioning_error_names_eigenvalue(gamma):
-    # the swap matrix (eigenvalues +-1) leaves no residual on the diagonal
-    for bad in (np.diag([-0.5, 1.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
+    # Both stay indefinite once centred. The first leaves a residual diagonal
+    # of -0.5; the signed cycle (eigenvalues -2, 0, 0, 2 after centring) has a
+    # zero diagonal and leaves none, so only the product check catches it.
+    cycle = np.array([[0.0, 1.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0],
+                      [-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0]])
+    for bad in (np.diag([-1.0, 1.0, 1.0, 1.0]), cycle):
         with pytest.raises(ConditioningError, match="eigenvalue"):
-            kcca_solve(ViewGrams(bad, np.eye(len(bad))), gamma, gamma, centered=False)
+            kcca_solve(ViewGrams(bad, np.eye(len(bad))), gamma)
 
 
 def test_view_grams_validation():
@@ -166,20 +169,29 @@ def test_pca_full_rank_round_trip_and_bounds():
         pca_reduce(x, 0)
 
 
-def test_pca_sign_convention_is_deterministic():
+def test_pca_is_deterministic():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((15, 5))
     assert np.array_equal(pca_reduce(x, 3), pca_reduce(x.copy(), 3))
 
 
 def _svd_pca(features, k):
-    """PCA by the thin SVD of the centred features, signs fixed as pca_reduce
-    fixes them: the reference that pca_reduce's Gram route is held to."""
+    """PCA by the thin SVD of the centred features: the reference that
+    pca_reduce's Gram route is held to, each column up to its sign."""
     xc = features - features.mean(axis=0, keepdims=True)
-    vt = np.linalg.svd(xc, full_matrices=False)[2][:k]
-    flip = np.sign(vt[np.arange(k), np.abs(vt).argmax(axis=1)])
-    flip[flip == 0] = 1.0
-    return xc @ (vt * flip[:, None]).T
+    return xc @ np.linalg.svd(xc, full_matrices=False)[2][:k].T
+
+
+def _column_err(z, ref):
+    """Each column's largest difference from ref's, up to the column's sign."""
+    return np.minimum(np.abs(z - ref).max(axis=0), np.abs(z + ref).max(axis=0))
+
+
+def _flipped_pca(features, k):
+    """pca_reduce with every other score column negated."""
+    z = pca_reduce(features, k)
+    z[:, ::2] *= -1.0
+    return z
 
 
 def _svd_cca_sigma(s_uu, s_mm, s_um):
@@ -211,7 +223,7 @@ def test_pca_matches_the_thin_svd(n, q):
     for k in range(1, min(n, q)):
         z, ref = pca_reduce(x, k), _svd_pca(x, k)
         assert z.shape == ref.shape == (n, k)
-        assert (np.abs(z - ref).max(axis=0) <= PCA_RTOL * np.abs(ref).max(axis=0)).all(), k
+        assert (_column_err(z, ref) <= PCA_RTOL * np.abs(ref).max(axis=0)).all(), k
 
 
 @pytest.mark.parametrize("n, q", [(12, 30), (30, 12)])
@@ -225,7 +237,7 @@ def test_pca_past_the_rank_of_masked_features_is_finite_and_empty(n, q):
         z = pca_reduce(x, k)
     ref = _svd_pca(x, k)
     assert np.isfinite(z).all()
-    assert (np.abs(z - ref)[:, :4].max(axis=0) <= PCA_RTOL * np.abs(ref[:, :4]).max(axis=0)).all()
+    assert (_column_err(z[:, :4], ref[:, :4]) <= PCA_RTOL * np.abs(ref[:, :4]).max(axis=0)).all()
     # past rank 4 only rounding is left: s_j <= sqrt(m eps) s_1 on an m x m Gram
     bound = np.sqrt(min(n, q) * np.finfo(np.float64).eps) * np.linalg.norm(z[:, 0])
     assert np.abs(z[:, 4:]).max() <= bound
@@ -287,9 +299,18 @@ def test_sigma1_experiment_bounds_and_determinism():
         assert 0.0 <= v <= 1.0 + 1e-8
 
 
-@pytest.mark.parametrize("policy", ["cross", "sync"])
-@pytest.mark.parametrize("encoder", ["raw_flatten", "model_encoder"])
-def test_sigma1_experiment_matches_the_thin_svd_route(monkeypatch, encoder, policy):
+# The thin-SVD route replaces the PCA and the CCA; the flipped route negates
+# score columns, which sigma_1 must not read.
+REFERENCES = {"svd": ({"pca_reduce": _svd_pca, "cca_sigma": _svd_cca_sigma}, PCA_RTOL),
+              "flipped_columns": ({"pca_reduce": _flipped_pca}, 1e-12)}
+
+
+@pytest.mark.parametrize("encoder, policy, reference", [
+    pytest.param(encoder, policy, reference,
+                 id=f"{encoder}-{policy}" + ("" if reference == "svd" else f"-{reference}"))
+    for reference in REFERENCES for encoder in ("raw_flatten", "model_encoder")
+    for policy in ("cross", "sync")])
+def test_sigma1_experiment_matches_the_thin_svd_route(monkeypatch, encoder, policy, reference):
     ws = _transition_windows(30, 0.9, 18, length=140)
     state = None
     if encoder == "model_encoder":
@@ -297,10 +318,11 @@ def test_sigma1_experiment_matches_the_thin_svd_route(monkeypatch, encoder, poli
                                     enc_layers=1, dec_layers=1, n_heads=2), seed=0)
     args = dict(pca_k=10, seed=5, ratio=0.15, patch_len=20)
     sigma = sigma1_experiment(ws, policy, state, **args)
-    monkeypatch.setattr(kcca, "pca_reduce", _svd_pca)
-    monkeypatch.setattr(kcca, "cca_sigma", _svd_cca_sigma)
+    replaced, rtol = REFERENCES[reference]
+    for name, fn in replaced.items():
+        monkeypatch.setattr(kcca, name, fn)
     ref = sigma1_experiment(ws, policy, state, **args)
-    assert abs(sigma - ref) <= PCA_RTOL * ref
+    assert abs(sigma - ref) <= rtol * ref
 
 
 def test_sigma1_experiment_model_encoder_runs():
