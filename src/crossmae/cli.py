@@ -6,11 +6,15 @@ field's default. A command loads its inputs, builds every object it needs
 and runs every check before it creates the output directory: a bad setting
 raises a ManifestError `<config path>: key <key>: <message>`. It then writes
 the resolved config plus a versioned format tag there, and outputs that are
-byte-identical across reruns of the same resolved config. Each pipeline gets
-its dataset whole: one (n, C, L) array of windows and one (n,) array of labels.
+byte-identical across reruns of the same resolved config. A command that
+fails after that writes its error's message to error.txt there and raises.
+Each pipeline gets its dataset whole: one (n, C, L) array of windows and one
+(n,) array of labels. The console script runs console, which prints the
+message of a failure it can name instead of a traceback.
 """
 import argparse
 import os
+import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -31,6 +35,7 @@ from .windows import (SynthSpec, generate_windows, load_dataset, save_dataset, s
 RUN_FORMAT = "crossmae-run-v1"
 CONFIG_NAME = "config.txt"
 FORMAT_NAME = "format.txt"
+ERROR_NAME = "error.txt"
 # The most float64 values (1 GiB) that one array a config sizes may hold (see
 # _check_sizes): a run must not outgrow a desk machine's memory.
 MAX_ARRAY_VALUES = 2**27
@@ -92,6 +97,7 @@ class Run:
     cfg: dict
     source: str
     out_dir: str
+    started: bool = False
 
     def error(self, key: str, message: str) -> ManifestError:
         """The error of the setting at key; a value left at its default says so."""
@@ -151,8 +157,13 @@ class Run:
         return state
 
     def start(self) -> None:
-        """Create the output directory and record the config and format."""
+        """Create the output directory and record the config and format. An
+        error.txt left there by an earlier failed run is removed."""
         os.makedirs(self.out_dir, exist_ok=True)
+        self.started = True
+        error = os.path.join(self.out_dir, ERROR_NAME)
+        if os.path.exists(error):
+            os.remove(error)
         self.write(CONFIG_NAME, format_kv_lines(self.cfg))
         self.write(FORMAT_NAME, f"{RUN_FORMAT}\ncommand={self.command}\n")
 
@@ -435,9 +446,25 @@ def main(argv=None) -> int:
     if cfg["seed"] < 0:
         where = "--seed" if args.seed is not None else run.source
         raise ManifestError(f"{where}: key seed: must be at least 0, got {cfg['seed']}")
-    fn(run)
+    try:
+        fn(run)
+    except Exception as exc:
+        # a run directory holds its results or the reason it has none
+        if run.started:
+            run.write(ERROR_NAME, " ".join(str(exc).splitlines()) + "\n")
+        raise
     return 0
 
 
+def console(argv=None) -> int:
+    """main for a shell: a ManifestError, FloatingPointError or ValueError
+    prints `crossmae: <message>` to stderr, with no traceback, and exits 1."""
+    try:
+        return main(argv)
+    except (ManifestError, FloatingPointError, ValueError) as exc:
+        print(f"crossmae: {exc}", file=sys.stderr)
+        return 1
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console())

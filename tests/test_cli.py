@@ -34,6 +34,7 @@ def _run(cmd, out, cfg_path=None, seed=None):
     if seed is not None:
         argv += ["--seed", str(seed)]
     assert cli.main(argv) == 0
+    assert not os.path.exists(os.path.join(out, cli.ERROR_NAME))
     return str(out)
 
 
@@ -164,6 +165,8 @@ def test_pretrain_names_the_checkpoint_float32_cannot_hold(tmp_path):
                                                  r"3\.4028235e\+38$"):
         cli.main(["pretrain", "--out", str(tmp_path / "o"), "--config", cfg])
     assert not os.path.exists(checkpoint)
+    error = open(tmp_path / "o" / cli.ERROR_NAME).read()
+    assert error.startswith("pretrain step 0: ") and error.count("\n") == 1
 
 
 def test_pretrain_resume_arch_mismatch_rejected(data_dir, checkpoint_dir, tmp_path):
@@ -691,6 +694,29 @@ def test_gradcheck_fails_when_the_error_reaches_the_bound(tmp_path):
     err, group = (line.split("=")[1] for line in lines)
     assert f"max_rel_err={err} in group {group}," in str(caught.value)
     assert float(err) >= cli.GRADCHECK_TOL
+    assert open(tmp_path / "o" / cli.ERROR_NAME).read() == f"{caught.value}\n"
+
+
+def test_a_rerun_that_succeeds_removes_the_failed_run_s_error(tmp_path):
+    (tmp_path / "o").mkdir()
+    (tmp_path / "o" / cli.ERROR_NAME).write_text("an earlier failure\n")
+    cfg = _write_cfg(tmp_path / "s.cfg", **{"data.n_windows": 2, "data.n_samples": 16})
+    _run("synth", tmp_path / "o", cfg)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"arch.d_model": 0}, r"key arch\.d_model: d_model must be at least 1, got 0"),
+    ({"check.h": 1e-13}, r"key check\.h: 1e-13 gives max_rel_err=\S+ in group \S+, not below")])
+def test_console_prints_the_message_and_exits_1_without_a_traceback(tmp_path, settings, message):
+    cfg = _write_cfg(tmp_path / "g.cfg", **settings)
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "crossmae.cli", "gradcheck",
+                           "--out", str(tmp_path / "o"), "--config", cfg],
+                          env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert re.fullmatch(f"crossmae: {re.escape(cfg)}: {message}.*\n", done.stderr)
+    assert "Traceback" not in done.stderr and done.stdout == ""
 
 
 def test_gradcheck_command_reports_small_error(tmp_path):

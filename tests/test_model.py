@@ -335,6 +335,27 @@ def test_forward_frozen_matches_a_pass_on_leaves_bit_for_bit():
         assert got.tobytes() == want.tobytes()
 
 
+def test_attention_tiles_move_no_bit_of_a_frozen_pass_or_a_step(monkeypatch):
+    # 6 x 25 patches: 151 tokens, one window per attention tile at the
+    # default budget. 6 x 8 patches: 49 decoder tokens, tiles of 13 + 3 windows.
+    wide = ArchSpec(n_modalities=6, n_patches=25, patch_len=8)
+    wide_state = init_model(wide, seed=18)
+    wide_grids, wide_masks = _batch(wide, 20, CROSS, seed=19)
+    step = ArchSpec(n_modalities=6, n_patches=8, patch_len=8)
+    step_state = init_model(step, seed=20)
+    step_grids, step_masks = _batch(step, 16, CROSS, seed=21)
+    runs = []
+    for budget in (1, T.ATTENTION_TILE_BYTES, 2**40):
+        monkeypatch.setattr(T, "ATTENTION_TILE_BYTES", budget)
+        frozen = forward_frozen(wide_state, reconstruct, wide_grids, wide_masks, lambda w: w)
+        loss, grads = _loss_and_grads(step_state,
+                                      lambda b: mae_loss(b, step_grids, step_masks))
+        monkeypatch.undo()
+        runs.append([frozen.tobytes(), np.float64(loss).tobytes(),
+                     *(grads[k].tobytes() for k in step_state.params)])
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_gradcheck_tiny_model():
     err = gradcheck_model(TINY, seed=0, h=1e-4, max_coords=3)
     assert err < 1e-3

@@ -2,6 +2,7 @@
 
 import gc
 import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -364,31 +365,56 @@ def _score_bound(q, k, n_heads):
     return c * np.linalg.norm(q, axis=1).max() * np.linalg.norm(k, axis=1).max()
 
 
-def test_attention_matches_its_formula_bit_for_bit():
+def test_attention_matches_its_formula_bit_for_bit(monkeypatch):
+    # The formula runs on the whole batch at once, so every tiling that
+    # matches it bit for bit matches every other. Blocks x T: 3 x 5 is one
+    # tile at every budget but 1; 16 x 49 is tiles of 13 + 3 blocks at the
+    # default 1 MiB; 3 x 151 is one block per tile at the default. With one
+    # or three heads and an odd T, a block holds a number of score rows that
+    # is not a multiple of 4, which a tile must not split the row sums at.
     rng = np.random.default_rng(9)
-    n_blocks, n_heads, t_len, d = 3, 2, 5, 8
-    q, k, v, w = (rng.standard_normal((n_blocks * t_len, d)) for _ in range(4))
-    split, merge = _heads(n_blocks, n_heads, t_len, d)
-    c = 1.0 / np.sqrt(d // n_heads)
-    # the scores' bound is about 10 at scale 1 and 16,000 at scale 40
-    for scale, shifted in ((1.0, False), (40.0, True)):
-        qx, kx = q * scale, k * scale
-        assert (_score_bound(qx, kx, n_heads) > T.SHIFT_FREE_BOUND) == shifted
-        got = _attention_taped(qx, kx, v, w, n_blocks, n_heads)
+    for n_blocks, n_heads, t_len, d in ((3, 2, 5, 8), (16, 4, 49, 32), (3, 4, 151, 32),
+                                        (6, 1, 151, 8), (7, 3, 31, 12)):
+        q, k, v, w = (rng.standard_normal((n_blocks * t_len, d)) for _ in range(4))
+        split, merge = _heads(n_blocks, n_heads, t_len, d)
+        c = 1.0 / np.sqrt(d // n_heads)
+        # the scores' bound is at most about 35 at scale 1 and 16,000 at scale 40
+        for scale, shifted in ((1.0, False), (40.0, True)):
+            qx, kx = q * scale, k * scale
+            assert (_score_bound(qx, kx, n_heads) > T.SHIFT_FREE_BOUND) == shifted
+            qh, kh, vh, gh = split(qx), split(kx), split(v), split(w)
+            s = (split(qx * c) @ kh.transpose(0, 1, 3, 2)).reshape(-1, t_len)
+            if shifted:
+                s = s - s.max(axis=1, keepdims=True)
+            e = np.exp(s).reshape(n_blocks, n_heads, t_len, t_len)
+            sums = kernels.row_sums(e.reshape(-1, t_len)).reshape(n_blocks, n_heads, t_len, 1)
+            attn = e / sums
+            ga = (gh @ vh.transpose(0, 1, 3, 2)).reshape(-1, t_len)
+            gs = kernels.softmax_bwd(attn.reshape(-1, t_len), ga).reshape(attn.shape)
+            want = (merge(e @ vh / sums), merge(gs @ kh) * c,
+                    merge(gs.transpose(0, 1, 3, 2) @ qh) * c,
+                    merge(attn.transpose(0, 1, 3, 2) @ gh))
+            for budget in (1, T.ATTENTION_TILE_BYTES, 2**40):
+                monkeypatch.setattr(T, "ATTENTION_TILE_BYTES", budget)
+                got = _attention_taped(qx, kx, v, w, n_blocks, n_heads)
+                monkeypatch.undo()
+                for g, w_ in zip(got, want):
+                    assert g.tobytes() == w_.tobytes()
 
-        qh, kh, vh, gh = split(qx), split(kx), split(v), split(w)
-        s = (split(qx * c) @ kh.transpose(0, 1, 3, 2)).reshape(-1, t_len)
-        if shifted:
-            s = s - s.max(axis=1, keepdims=True)
-        e = np.exp(s).reshape(n_blocks, n_heads, t_len, t_len)
-        sums = kernels.row_sums(e.reshape(-1, t_len)).reshape(n_blocks, n_heads, t_len, 1)
-        attn = e / sums
-        ga = (gh @ vh.transpose(0, 1, 3, 2)).reshape(-1, t_len)
-        gs = kernels.softmax_bwd(attn.reshape(-1, t_len), ga).reshape(attn.shape)
-        want = (merge(e @ vh / sums), merge(gs @ kh) * c,
-                merge(gs.transpose(0, 1, 3, 2) @ qh) * c, merge(attn.transpose(0, 1, 3, 2) @ gh))
-        for g, w_ in zip(got, want):
-            assert g.tobytes() == w_.tobytes()
+
+def test_frozen_attention_keeps_one_tile_of_scores():
+    # 16 blocks of 4 heads x 151 rows: the whole batch's scores take 11.1 MiB,
+    # a tile of one block 0.7 MiB
+    rng = np.random.default_rng(10)
+    n_blocks, n_heads, t_len, d = 16, 4, 151, 32
+    q, k, v = (rng.standard_normal((n_blocks * t_len, d)) for _ in range(3))
+    tracemalloc.start()
+    try:
+        T.attention(q, k, v, n_blocks, n_heads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_blocks * n_heads * t_len**2 / 4
 
 
 @pytest.mark.parametrize("t_len", [5, 49, 151])
