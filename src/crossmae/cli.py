@@ -24,7 +24,7 @@ from .config import (BLOB_NAME, MANIFEST_NAME, ManifestError, array_fault, check
 from .imputation import (METHODS, TASKS, MissingnessTask, _sample_mask_array,
                          impute_chained, impute_linear, impute_model,
                          impute_nearest, score, task_mask)
-from .kcca import sigma1_experiment
+from .kcca import ConditioningError, sigma1_experiment
 from .masking import CROSS, SYNC, sample_mask
 from .model import (FORWARD_CHUNK, GRADCHECK_MASK_RATIO, ArchSpec, _hold_heap, gradcheck_model,
                     load_checkpoint, param_count, save_checkpoint)
@@ -403,12 +403,13 @@ def cmd_gradcheck(run: Run) -> None:
     run.check("arch.n_patches", sample_mask, CROSS, arch.n_modalities, arch.n_patches,
               GRADCHECK_MASK_RATIO, 0)
     run.start()
-    err = run.check("check.h", gradcheck_model, arch, cfg["seed"], cfg["check.h"], max_coords)
+    err, group = run.check("check.h", gradcheck_model, arch, cfg["seed"], cfg["check.h"],
+                           max_coords)
     failed = (f"{run.source}: key check.h: {cfg['check.h']!r} gives "
-              f"max_rel_err={_fmt(err)} in group {err.group}")
+              f"max_rel_err={_fmt(err)} in group {group}")
     if not np.isfinite(err):
         raise FloatingPointError(failed)
-    run.write("gradcheck.txt", f"max_rel_err={_fmt(err)}\nworst_group={err.group}\n")
+    run.write("gradcheck.txt", f"max_rel_err={_fmt(err)}\nworst_group={group}\n")
     if not err < GRADCHECK_TOL:
         raise FloatingPointError(f"{failed}, not below {GRADCHECK_TOL:g}")
     print(f"max relative error {_fmt(err)}")
@@ -457,11 +458,12 @@ def main(argv=None) -> int:
 
 
 def console(argv=None) -> int:
-    """main for a shell: a ManifestError, FloatingPointError or ValueError
-    prints `crossmae: <message>` to stderr, with no traceback, and exits 1."""
+    """main for a shell: a ManifestError, FloatingPointError, ValueError,
+    ConditioningError (kcca) or OSError prints `crossmae: <message>` to
+    stderr, with no traceback, and exits 1."""
     try:
         return main(argv)
-    except (ManifestError, FloatingPointError, ValueError) as exc:
+    except (ManifestError, FloatingPointError, ValueError, ConditioningError, OSError) as exc:
         print(f"crossmae: {exc}", file=sys.stderr)
         return 1
 

@@ -29,11 +29,13 @@ mask token (mask_token); decN.attn and decN.mlp per decoder block; the
 decoder's norm with the take of the patch rows (dec.norm); and the head
 (head). The chain ends at the reconstruction: encode and decode each run a
 slice of it, reconstruct runs both, and mae_loss takes the loss (_loss) of
-reconstruct's output. The stages of one pass share a _Pass, so a batch's
-token ids are derived once. gradcheck_model keeps each stage's input from
-one unbumped pass. A group's bumped evaluations differ only in that group,
-so only the first stage that reads it runs once per evaluation; the rest of
-the chain runs once over their outputs, stacked as a batch of windows.
+reconstruct's output. Every stage takes the batch's (B, C, P) masks. Only
+embed derives the token ids from them, so a pass derives them once; decode,
+which may run alone, checks the masks itself. gradcheck_model keeps each
+stage's input from one unbumped pass. A group's bumped evaluations differ
+only in that group, so only the first stage that reads it runs once per
+evaluation; the rest of the chain runs once over their outputs, stacked as
+a batch of windows.
 
 The reconstruction loss is the mean squared error over all patches; a
 masked-only variant is available for ablation.
@@ -226,43 +228,30 @@ class Binding:
                   else {k: tape.leaf(v) for k, v in state.params.items()})
 
 
-def _token_ids(masks: np.ndarray) -> np.ndarray:
-    """(B, V+1) position-table rows of each window's encoder tokens: 0 for
-    the class token, then 1 + the grid index of each visible patch. Every
-    mask of a batch must leave a patch visible and hide the same number."""
-    flat = masks.reshape(len(masks), -1)
-    hidden = flat.sum(axis=1)
-    if (hidden == flat.shape[1]).any():
+def _check_masks(masks: np.ndarray) -> None:
+    """Every mask of a batch must leave a patch visible and hide the same number."""
+    hidden = masks.reshape(len(masks), -1).sum(axis=1)
+    if (hidden == masks[0].size).any():
         raise ValueError("at least one patch must stay visible")
     if (hidden != hidden[0]).any():
         raise ValueError("every mask in a batch must hide the same number of patches, "
                          f"got {sorted(set(hidden.tolist()))}")
+
+
+def _token_ids(masks: np.ndarray) -> np.ndarray:
+    """(B, V+1) position-table rows of each window's encoder tokens: 0 for
+    the class token, then 1 + the grid index of each visible patch. The
+    masks must pass _check_masks."""
+    _check_masks(masks)
+    flat = masks.reshape(len(masks), -1)
     visible = np.nonzero(np.logical_not(flat))[1].reshape(len(masks), -1)
     return np.hstack([np.zeros((len(masks), 1), dtype=np.intp), 1 + visible])
 
 
-class _Pass:
-    """What the stages of one forward pass share: the batch's (B, C, P)
-    masks and their token ids (_token_ids, derived and checked at first use,
-    once per pass)."""
-
-    def __init__(self, masks):
-        self.masks = masks
-
-    @functools.cached_property
-    def ids(self):
-        return _token_ids(self.masks)
-
-
-def _pass(masks) -> _Pass:
-    """masks as a _Pass: itself when it is the _Pass of a pass in progress."""
-    return masks if isinstance(masks, _Pass) else _Pass(masks)
-
-
 class Stage(NamedTuple):
-    """One link of the forward chain: run(b, ps, x) maps the previous
-    stage's output x to this stage's, in the _Pass ps, and reads only the
-    parameters whose scope (_scope) is in reads."""
+    """One link of the forward chain: run(b, masks, x) maps the previous
+    stage's output x to this stage's, for the batch's (B, C, P) masks, and
+    reads only the parameters whose scope (_scope) is in reads."""
     name: str
     reads: tuple
     run: Callable
@@ -274,11 +263,11 @@ def _scope(name: str) -> str:
     return name.rpartition(".")[0] or name
 
 
-def _embed(b: Binding, ps: _Pass, grids):
+def _embed(b: Binding, masks, grids):
     """Project each window's visible patches, put the class token at row 0 of
     its block and add positions: (B*(V+1), D)."""
     arch = b.state.arch
-    ids = ps.ids
+    ids = _token_ids(masks)
     patches = grids.reshape(len(ids), arch.n_tokens, arch.patch_len)
     visible = np.take_along_axis(patches, ids[:, 1:, None] - 1, axis=1)
     vis = T.matmul(visible.reshape(-1, arch.patch_len), b.p["embed.W"], b.p["embed.b"])
@@ -287,7 +276,7 @@ def _embed(b: Binding, ps: _Pass, grids):
     return T.add(x, b.state.positions[ids.ravel()])
 
 
-def _attention_half(prefix: str, b: Binding, ps: _Pass, x):
+def _attention_half(prefix: str, b: Binding, masks, x):
     """The first half of a pre-norm block: x + attention(ln1(x)), multi-head
     self-attention within each window. Keys carry no bias: q.bk would add one
     constant to each query's scores, which the softmax takes back out."""
@@ -297,11 +286,11 @@ def _attention_half(prefix: str, b: Binding, ps: _Pass, x):
     keys = T.matmul(y, p[f"{prefix}.attn.Wk"])
     queries = T.matmul(y, p[f"{prefix}.attn.Wq"], p[f"{prefix}.attn.bq"])
     values = T.matmul(y, p[f"{prefix}.attn.Wv"], p[f"{prefix}.attn.bv"])
-    merged = T.attention(queries, keys, values, len(ps.masks), b.state.arch.n_heads)
+    merged = T.attention(queries, keys, values, len(masks), b.state.arch.n_heads)
     return T.add(x, T.matmul(merged, p[f"{prefix}.attn.Wo"], p[f"{prefix}.attn.bo"]))
 
 
-def _mlp_half(prefix: str, b: Binding, ps: _Pass, x):
+def _mlp_half(prefix: str, b: Binding, masks, x):
     """The second half of a pre-norm block: x + mlp(ln2(x))."""
     p = b.p
     y = T.layernorm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
@@ -309,28 +298,29 @@ def _mlp_half(prefix: str, b: Binding, ps: _Pass, x):
     return T.add(x, T.matmul(h, p[f"{prefix}.mlp.W2"], p[f"{prefix}.mlp.b2"]))
 
 
-def _enc_norm(b: Binding, ps: _Pass, x):
+def _enc_norm(b: Binding, masks, x):
     return T.layernorm(x, b.p["enc.norm.g"], b.p["enc.norm.b"])
 
 
-def _dec_entry(b: Binding, ps: _Pass, encoded):
-    """Scatter each window's encoder rows to their grid slots, fill the
-    hidden slots with the mask token and add positions: (B*(N+1), D)."""
-    n_win, n_rows = len(ps.masks), b.state.arch.n_tokens + 1
-    starts = np.arange(n_win) * n_rows
-    x = T.scatter_rows(encoded, (starts[:, None] + ps.ids).ravel(), n_win * n_rows,
-                       b.p["mask_token"])
+def _dec_entry(b: Binding, masks, encoded):
+    """Scatter each window's encoder rows to their grid slots (its class row,
+    then its visible patches), fill the hidden slots with the mask token and
+    add positions: (B*(N+1), D)."""
+    n_win = len(masks)
+    slots = np.ones((n_win, b.state.arch.n_tokens + 1), dtype=bool)
+    slots[:, 1:] = np.logical_not(masks.reshape(n_win, -1))
+    x = T.scatter_rows(encoded, np.flatnonzero(slots), slots.size, b.p["mask_token"])
     return T.add(x, np.tile(b.state.positions, (n_win, 1)))
 
 
-def _dec_norm(b: Binding, ps: _Pass, x):
+def _dec_norm(b: Binding, masks, x):
     """The decoder's final layernorm, then each window's patch rows: (B*N, D)."""
-    n_win, n_rows = len(ps.masks), b.state.arch.n_tokens + 1
+    n_win, n_rows = len(masks), b.state.arch.n_tokens + 1
     x = T.layernorm(x, b.p["dec.norm.g"], b.p["dec.norm.b"])
     return T.take_rows(x, np.delete(np.arange(n_win * n_rows), np.arange(n_win) * n_rows))
 
 
-def _head(b: Binding, ps: _Pass, x):
+def _head(b: Binding, masks, x):
     return T.matmul(x, b.p["head.W"], b.p["head.b"])
 
 
@@ -361,12 +351,12 @@ def _chain(arch: ArchSpec) -> list:
     return [*_encoder(arch), *_decoder(arch)]
 
 
-def _run(b: Binding, ps: _Pass, x, stages, inputs=None):
+def _run(b: Binding, masks, x, stages, inputs=None):
     """x through stages in order; each stage's input is appended to inputs when given."""
     for stage in stages:
         if inputs is not None:
             inputs.append(x)
-        x = stage.run(b, ps, x)
+        x = stage.run(b, masks, x)
     return x
 
 
@@ -388,32 +378,31 @@ def forward_frozen(state: ModelState, fn, grids, masks, per_window):
 
 def encode(b: Binding, grids, masks):
     """Run the encoder stages over the visible tokens of a batch: grids (B,
-    C, P, L_p) and masks (B, C, P) that all hide the same number of patches
-    (or the _Pass of a pass in progress). Returns (B*(V+1), D) values in B
-    row blocks: row 0 of a block is the class token, rows 1..V the window's
-    visible patches in grid order."""
+    C, P, L_p) and masks (B, C, P) that all hide the same number of patches.
+    Returns (B*(V+1), D) values in B row blocks: row 0 of a block is the
+    class token, rows 1..V the window's visible patches in grid order."""
     arch = b.state.arch
-    ps = _pass(masks)
     want = (arch.n_modalities, arch.n_patches, arch.patch_len)
     if grids.shape[1:] != want:
         raise ValueError(f"grid {grids.shape[1:]} does not match arch {want}")
-    if ps.masks.shape != grids.shape[:3]:
-        raise ValueError(f"masks {ps.masks.shape} do not match grids {grids.shape}")
-    return _run(b, ps, grids, _encoder(arch))
+    if masks.shape != grids.shape[:3]:
+        raise ValueError(f"masks {masks.shape} do not match grids {grids.shape}")
+    return _run(b, masks, grids, _encoder(arch))
 
 
 def decode(b: Binding, encoded, masks):
     """Run the decoder stages: scatter each window's encoder outputs back to
     its grid slots, fill hidden slots with the mask token, re-add positions
     everywhere, run the decoder, and project every patch token back to patch
-    space. Returns (B*N, L_p) values, window by window in grid order."""
-    return _run(b, _pass(masks), encoded, _decoder(b.state.arch))
+    space. Returns (B*N, L_p) values, window by window in grid order. The
+    masks must pass _check_masks, checked here without the token ids."""
+    _check_masks(masks)
+    return _run(b, masks, encoded, _decoder(b.state.arch))
 
 
 def reconstruct(b: Binding, grids, masks):
-    """encode + decode in one _Pass, returning the (B*N, L_p) reconstruction."""
-    ps = _pass(masks)
-    return decode(b, encode(b, grids, ps), ps)
+    """encode + decode of one batch, returning the (B*N, L_p) reconstruction."""
+    return decode(b, encode(b, grids, masks), masks)
 
 
 def _loss(recon, grids, masks, masked_only: bool = False):
@@ -482,7 +471,8 @@ def load_checkpoint(directory) -> ModelState:
     return ModelState(ArchSpec(**header), params)
 
 
-def gradcheck_model(arch: ArchSpec, seed: int, h: float, max_coords: int | None) -> T.RelErr:
+def gradcheck_model(arch: ArchSpec, seed: int, h: float,
+                    max_coords: int | None) -> tuple[float, str]:
     """Finite-difference check of mae_loss over every parameter group, on one
     window (tape.finite_diff_check).
 
@@ -492,7 +482,8 @@ def gradcheck_model(arch: ArchSpec, seed: int, h: float, max_coords: int | None)
     input. Its outputs stack into one batch of windows with the same mask,
     which the rest of the chain runs with unbumped parameters, and each
     window's loss is the MSE of its own row block. Returns the worst relative
-    error across all sampled coordinates, with its group."""
+    error across all sampled coordinates and the name of the parameter it
+    was found in, as a pair (tape.finite_diff_check)."""
     from .masking import CROSS, sample_mask
     from .windows import patchify
 
@@ -507,9 +498,8 @@ def gradcheck_model(arch: ArchSpec, seed: int, h: float, max_coords: int | None)
 
     chain = _chain(arch)
     frozen = Binding(state, None)
-    ps = _Pass(mask[None])
     inputs = []
-    _run(frozen, ps, grid[None], chain, inputs)
+    _run(frozen, mask[None], grid[None], chain, inputs)
     first = {scope: i for i, stage in enumerate(chain) for scope in stage.reads}
 
     def build(params, name, bumps):
@@ -517,8 +507,8 @@ def gradcheck_model(arch: ArchSpec, seed: int, h: float, max_coords: int | None)
             return mae_loss(Binding(ModelState(arch, params), None), grid[None], mask[None])
         start = first[_scope(name)]
         outs = [chain[start].run(Binding(ModelState(arch, {**params, name: bumped}), None),
-                                 ps, inputs[start]) for bumped in bumps]
-        batch = _Pass(np.repeat(mask[None], len(outs), axis=0))
+                                 mask[None], inputs[start]) for bumped in bumps]
+        batch = np.repeat(mask[None], len(outs), axis=0)
         # the rest of the chain, then _loss's T.mse taken per row block
         recon = _run(frozen, batch, np.concatenate(outs), chain[start + 1:])
         diff = recon.reshape(len(outs), -1) - grid.reshape(1, -1)

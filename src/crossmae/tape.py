@@ -504,16 +504,6 @@ def mse(a, b):
     return _record(out_data, (a, b), backward)
 
 
-class RelErr(float):
-    """finite_diff_check's result: the worst relative error, as a float, and
-    group, the name of the parameter it was found in."""
-
-    def __new__(cls, value, group):
-        err = super().__new__(cls, value)
-        err.group = group
-        return err
-
-
 def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0, batch=None):
     """Compare backward grads against central finite differences.
 
@@ -530,7 +520,8 @@ def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0, batch=None
     params: dict name -> ndarray. Checks every coordinate, or a seeded subset
     of max_coords per parameter, in params order, at most batch coordinates
     per call (all of a group's when None). Returns the maximum relative error
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|) as a RelErr.
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|) and the name of
+    the group it was found in, as a pair.
     Raises ValueError when a bump of h leaves a checked coordinate unchanged:
     its numeric gradient would read 0 whatever the loss.
     """
@@ -568,4 +559,4 @@ def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0, batch=None
             # a NaN error is kept: no comparison can pass it
             if worst_group is None or top > worst or np.isnan(top):
                 worst, worst_group = top, name
-    return RelErr(worst, worst_group)
+    return worst, worst_group

@@ -2,12 +2,15 @@
 
 One test per acceptance criterion, in order, each printing a single
 PASS/FAIL line with the measured quantity against its stated tolerance.
-Run `pytest -v tests/test_acceptance.py` for the full scorecard; total
-runtime is a few minutes, dominated by the criterion 7/8 pretraining sweep.
+Run `pytest -v tests/test_acceptance.py` for the full scorecard; it takes
+about 55 s on 2 cores, half of it the criterion 7/8 pretraining sweep, whose
+ten runs share two worker processes.
 """
 
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
 def test_criterion_01_gradient_correctness():
     t0 = time.time()
     arch = ArchSpec(n_modalities=3, n_patches=4, patch_len=6)
-    err = gradcheck_model(arch, seed=0, h=1e-4, max_coords=6)
+    err, _ = gradcheck_model(arch, seed=0, h=1e-4, max_coords=6)
     elapsed = time.time() - t0
     _verdict(1, "gradient correctness", err < 1e-3 and elapsed < 120,
              f"max rel err {err:.3e} < 1e-3, {elapsed:.1f}s < 120s")
@@ -157,27 +160,45 @@ def _per_channel_mean(window, smask):
     return filled
 
 
+# The criterion 07/08 sweep: five seeds of 32 windows of 6 x 64 samples.
+SWEEP_SEEDS = range(5)
+SWEEP_ARCH = ArchSpec(n_modalities=6, n_patches=8, patch_len=8)
+
+
+def _sweep_windows(seed):
+    return generate_windows(SynthSpec(
+        n_windows=32, n_modalities=SWEEP_ARCH.n_modalities,
+        n_samples=SWEEP_ARCH.n_patches * SWEEP_ARCH.patch_len, n_classes=4,
+        shared_latent_strength=0.9, noise_sd=0.3, seed=seed))[0]
+
+
+def _sweep_pretrain(seed, policy):
+    """One of the sweep's pretraining runs, as a worker process runs it."""
+    opt = OptimConfig(lr=5e-3, epochs=200, batch_size=8)
+    state, _ = pretrain(_sweep_windows(seed), SWEEP_ARCH,
+                        PretrainConfig(policy=policy, mask_ratio=0.75, optim=opt), seed=seed)
+    return state
+
+
 @pytest.fixture(scope="module")
 def imputation_sweep():
-    """Five seeds of paired cross/sync pretraining plus task evaluations."""
-    c_n, length, patch_len = 6, 64, 8
-    p_n = length // patch_len
-    arch = ArchSpec(n_modalities=c_n, n_patches=p_n, patch_len=patch_len)
-    opt = OptimConfig(lr=5e-3, epochs=200, batch_size=8)
+    """Five seeds of paired cross/sync pretraining plus task evaluations.
+
+    The ten pretraining runs share min(2, cores) spawned worker processes,
+    each with one BLAS thread; the evaluations run here, seed by seed."""
+    jobs = [(seed, policy) for seed in SWEEP_SEEDS for policy in (CROSS, SYNC)]
+    with pytest.MonkeyPatch.context() as mp:
+        # read by each worker's numpy at import; restored here on exit
+        mp.setenv("OPENBLAS_NUM_THREADS", "1")
+        with ProcessPoolExecutor(min(2, os.cpu_count() or 1),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            trained = dict(zip(jobs, pool.map(_sweep_pretrain, *zip(*jobs))))
+    c_n, p_n, patch_len = SWEEP_ARCH.n_modalities, SWEEP_ARCH.n_patches, SWEEP_ARCH.patch_len
+    length = p_n * patch_len
     per_seed = []
-    for seed in range(5):
-        train_ws, _ = generate_windows(SynthSpec(
-            n_windows=32, n_modalities=c_n, n_samples=length, n_classes=4,
-            shared_latent_strength=0.9, noise_sd=0.3, seed=seed))
-        eval_ws = standardize(generate_windows(SynthSpec(
-            n_windows=32, n_modalities=c_n, n_samples=length, n_classes=4,
-            shared_latent_strength=0.9, noise_sd=0.3, seed=seed + 10_000))[0])
-        states = {}
-        for policy in (CROSS, SYNC):
-            states[policy], _ = pretrain(
-                train_ws, arch,
-                PretrainConfig(policy=policy, mask_ratio=0.75, optim=opt),
-                seed=seed)
+    for seed in SWEEP_SEEDS:
+        eval_ws = standardize(_sweep_windows(seed + 10_000))
+        states = {policy: trained[(seed, policy)] for policy in (CROSS, SYNC)}
         rng = np.random.default_rng(seed + 777)
         mses = {}
         for kind in ("temporal", "sensor"):

@@ -719,6 +719,35 @@ def test_console_prints_the_message_and_exits_1_without_a_traceback(tmp_path, se
     assert "Traceback" not in done.stderr and done.stdout == ""
 
 
+# An encoder whose final layernorm gain is zero maps every view to one point,
+# so the visible view's covariance is singular however much jitter it gets.
+def test_console_names_a_conditioning_error_and_the_run_keeps_it(tmp_path, capsys):
+    state = init_model(ArchSpec(n_modalities=2, n_patches=4, patch_len=8), 0)
+    state.params["enc.norm.g"][:] = 0.0
+    save_checkpoint(state, tmp_path / "ckpt")
+    cfg = _write_cfg(tmp_path / "c.cfg", **{
+        "exp.encoder": "model_encoder", "exp.checkpoint": tmp_path / "ckpt",
+        "data.n_modalities": 2, "data.n_samples": 32, "exp.n_transitions": 20,
+        "exp.n_seeds": 1, "exp.pca_k": 5, "exp.mask_ratio": 0.5})
+    assert cli.console(["analyze", "--out", str(tmp_path / "o"), "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("crossmae: S_UU not positive definite after jitter")
+    assert open(tmp_path / "o" / cli.ERROR_NAME).read() == err[len("crossmae: "):]
+
+
+# synth meets the file in save_dataset, gradcheck in Run.start
+@pytest.mark.parametrize("command", ["synth", "gradcheck"])
+def test_console_names_an_out_path_that_is_a_file(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    cfg = _write_cfg(tmp_path / "s.cfg", **{"data.n_windows": 2, "data.n_samples": 16}
+                     if command == "synth" else {})
+    assert cli.console([command, "--out", str(out), "--config", cfg]) == 1
+    assert re.fullmatch(rf"crossmae: \[Errno \d+\] File exists: {re.escape(repr(str(out)))}\n",
+                        capsys.readouterr().err)
+    assert out.read_text() == "not a directory\n"
+
+
 def test_gradcheck_command_reports_small_error(tmp_path):
     cfg = _write_cfg(tmp_path / "g.cfg", **{
         "arch.n_modalities": 2, "arch.n_patches": 2, "arch.patch_len": 4,

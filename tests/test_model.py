@@ -8,10 +8,11 @@ import pytest
 
 from crossmae import tape as T
 from crossmae.config import ManifestError
-from crossmae.masking import CROSS, sample_mask
+from crossmae.masking import CROSS, SYNC, sample_mask
 from crossmae.model import (FORWARD_CHUNK, ArchSpec, Binding, ModelState, _attention_half,
-                            _chain, _param_layout, _Pass, _run, _scope, alignment_identity, decode,
-                            encode, forward_frozen, gradcheck_model, init_model,
+                            _chain, _dec_entry, _param_layout, _run, _scope, _token_ids,
+                            alignment_identity, decode, encode, forward_frozen,
+                            gradcheck_model, init_model,
                             load_checkpoint, mae_loss, param_count, positions_2d, reconstruct,
                             save_checkpoint)
 from crossmae.windows import patchify
@@ -103,9 +104,9 @@ def test_attention_is_permutation_equivariant():
     x = np.random.default_rng(6).standard_normal((7, TINY.d_model))
     perm = np.random.default_rng(7).permutation(7)
     # one window: the layernorm and the residual add work row by row
-    ps = _Pass(np.zeros((1, TINY.n_modalities, TINY.n_patches), dtype=bool))
-    base = _attention_half("enc0", b, ps, x)
-    moved = _attention_half("enc0", b, ps, x[perm])
+    masks = np.zeros((1, TINY.n_modalities, TINY.n_patches), dtype=bool)
+    base = _attention_half("enc0", b, masks, x)
+    moved = _attention_half("enc0", b, masks, x[perm])
     assert np.max(np.abs(moved - base[perm])) < 1e-10
 
 
@@ -357,7 +358,7 @@ def test_attention_tiles_move_no_bit_of_a_frozen_pass_or_a_step(monkeypatch):
 
 
 def test_gradcheck_tiny_model():
-    err = gradcheck_model(TINY, seed=0, h=1e-4, max_coords=3)
+    err, _ = gradcheck_model(TINY, seed=0, h=1e-4, max_coords=3)
     assert err < 1e-3
 
 
@@ -414,8 +415,8 @@ def test_batched_bumped_losses_match_whole_model_reruns(monkeypatch, arch, seed)
 @pytest.mark.parametrize("seed", [0, 1009])
 def test_gradcheck_reads_every_group_below_1e5(arch, seed):
     # no group has a structurally zero gradient, so none reads loss rounding
-    err = gradcheck_model(arch, seed=seed, h=1e-4, max_coords=6)
-    assert err < 1e-5, f"{err.group}: {err:.2e}"
+    err, group = gradcheck_model(arch, seed=seed, h=1e-4, max_coords=6)
+    assert err < 1e-5, f"{group}: {err:.2e}"
 
 
 @pytest.mark.parametrize("enc_layers", [1, 3])
@@ -451,18 +452,17 @@ def test_a_bump_moves_no_earlier_stage_input_and_resuming_is_exact(enc_layers, d
     state = init_model(arch, seed=3)
     grids, masks = _batch(arch, 2, CROSS, seed=4)
     chain = _chain(arch)
-    ps = _Pass(masks)
     base = []
-    _run(Binding(state, None), ps, grids, chain, base)
+    _run(Binding(state, None), masks, grids, chain, base)
     for name in state.params:
         params = {**state.params, name: state.params[name] + 0.5}
         b = Binding(ModelState(arch, params), None)
         inputs = []
-        recon = _run(b, _Pass(masks), grids, chain, inputs)
+        recon = _run(b, masks, grids, chain, inputs)
         start = next(i for i, stage in enumerate(chain) if _scope(name) in stage.reads)
         for before, after in zip(base[:start + 1], inputs[:start + 1]):
             assert after.tobytes() == before.tobytes(), name
-        resumed = _run(b, ps, base[start], chain[start:])
+        resumed = _run(b, masks, base[start], chain[start:])
         assert resumed.tobytes() == recon.tobytes() == reconstruct(b, grids, masks).tobytes()
 
 
@@ -532,7 +532,7 @@ def test_batched_loss_matches_finite_differences():
             return loss(params)
         return [loss({**params, name: bumped}) for bumped in bumps]
 
-    assert T.finite_diff_check(build, state.params, h=1e-4, max_coords=3) < 1e-3
+    assert T.finite_diff_check(build, state.params, h=1e-4, max_coords=3)[0] < 1e-3
 
 
 def test_batch_rejects_unequal_visible_counts():
@@ -542,6 +542,30 @@ def test_batch_rejects_unequal_visible_counts():
     masks = np.stack([_mask(TINY, ratio=0.5), bits])
     with pytest.raises(ValueError, match="same number"):
         encode(Binding(state, None), np.stack([_grid(TINY)] * 2), masks)
+    # decode alone: rows of a valid batch, and masks that hide 2 and 4 of 6
+    # patches, so the grid slots still number as many as the rows
+    b = Binding(state, None)
+    encoded = encode(b, np.stack([_grid(TINY)] * 2), np.stack([_mask(TINY, ratio=0.5)] * 2))
+    unequal = np.zeros((2, 6), dtype=bool)
+    unequal[0, :2] = unequal[1, :4] = True
+    with pytest.raises(ValueError, match="same number"):
+        decode(b, encoded, unequal.reshape(2, 2, 3))
+
+
+@pytest.mark.parametrize("policy", [CROSS, SYNC])
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_decoder_entry_puts_each_window_s_rows_at_its_token_ids(monkeypatch, policy, n):
+    arch = ArchSpec(n_modalities=6, n_patches=8, patch_len=8)
+    _, masks = _batch(arch, n, policy, seed=n)
+    ids = _token_ids(masks)
+    slots = []
+    real = T.scatter_rows
+    monkeypatch.setattr(T, "scatter_rows", lambda a, idx, *rest: slots.append(idx) or
+                        real(a, idx, *rest))
+    _dec_entry(Binding(init_model(arch, seed=0), None), masks,
+               np.zeros((ids.size, arch.d_model)))
+    want = (np.arange(n)[:, None] * (arch.n_tokens + 1) + ids).ravel()
+    assert len(slots) == 1 and slots[0].tolist() == want.tolist()
 
 
 def test_step_node_count_does_not_depend_on_batch_size():

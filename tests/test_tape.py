@@ -158,7 +158,7 @@ def _each_bump(loss):
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_each_primitive_matches_finite_differences(name):
-    err = T.finite_diff_check(_each_bump(PRIMITIVES[name]), _operands(), h=1e-4)
+    err, _ = T.finite_diff_check(_each_bump(PRIMITIVES[name]), _operands(), h=1e-4)
     assert err < 1e-5, f"{name}: {err:.2e}"
 
 
@@ -214,7 +214,7 @@ def test_three_layer_composition_matches_finite_differences():
         h2 = T.layernorm(T.matmul(h1, p["w2"]), p["g"], p["c"])
         return T.mse(T.matmul(T.softmax(h2), p["w3"]), target)
 
-    assert T.finite_diff_check(_each_bump(loss), params, h=1e-4) < 1e-3
+    assert T.finite_diff_check(_each_bump(loss), params, h=1e-4)[0] < 1e-3
 
 
 def test_finite_diff_quadratic_and_constant():
@@ -222,13 +222,13 @@ def test_finite_diff_quadratic_and_constant():
         return T.sum_(T.mul(p["x"], p["x"]))
 
     assert T.finite_diff_check(_each_bump(quad), {"x": np.array([1.0, -2.0, 0.5])},
-                               h=1e-4) < 1e-8
+                               h=1e-4)[0] < 1e-8
 
     def const(p):
         return T.scale(T.sum_(T.mul(p["x"], np.zeros(3))), 1.0)
 
     assert T.finite_diff_check(_each_bump(const), {"x": np.array([1.0, 2.0, 3.0])},
-                               h=1e-4) == 0.0
+                               h=1e-4)[0] == 0.0
 
 
 def test_finite_diff_reports_a_nan_error_and_its_group():
@@ -237,8 +237,9 @@ def test_finite_diff_reports_a_nan_error_and_its_group():
             return T.sum_(T.mul(T.mul(p["x"], p["x"]), p["y"]))
         return [np.nan if name == "x" else 0.0 for _ in bumps]
 
-    err = T.finite_diff_check(build, {"x": np.array([1.0, -2.0]), "y": np.array([0.5, 1.5])})
-    assert np.isnan(err) and err.group == "x"
+    err, group = T.finite_diff_check(build, {"x": np.array([1.0, -2.0]),
+                                             "y": np.array([0.5, 1.5])})
+    assert np.isnan(err) and group == "x"
 
 
 def test_finite_diff_rejects_a_step_that_leaves_a_coordinate_unchanged():
