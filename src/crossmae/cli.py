@@ -371,10 +371,18 @@ def cmd_analyze(run: Run) -> None:
         rng = np.random.default_rng([cfg["seed"] + 1000 + s])
         trans = np.stack([splice_augment(base, rng).window for _ in range(n_trans)])
         for policy in (CROSS, SYNC):
-            sigma1 = sigma1_experiment(trans, policy, state, pca_k=pca_k,
-                                       seed=cfg["seed"] + 31 + s,
-                                       ratio=cfg["exp.mask_ratio"],
-                                       patch_len=cfg["exp.patch_len"])
+            try:
+                sigma1 = sigma1_experiment(trans, policy, state, pca_k=pca_k,
+                                           seed=cfg["seed"] + 31 + s,
+                                           ratio=cfg["exp.mask_ratio"],
+                                           patch_len=cfg["exp.patch_len"])
+            except (ValueError, ConditioningError) as exc:
+                # a channel's variance or a PCA Gram of such windows overflows
+                with np.errstate(over="ignore"):
+                    if np.isfinite(np.einsum("ijk,ijk->", trans, trans)):
+                        raise
+                raise run.error("data.noise_sd", f"the transitions' sum of squares "
+                                                 f"overflows: {exc}") from None
             sums[policy] += sigma1
             rows.append(f"{policy},{replicate},{n_trans},{pca_k},"
                         f"{cfg['exp.encoder']},{_fmt(sigma1)}\n")

@@ -147,7 +147,8 @@ def pca_reduce(features: np.ndarray, k: int) -> np.ndarray:
     xc xc^T, with eigenvalues s_j^2, give the directions v_j = xc^T u_j / s_j
     and the scores xc v_j = s_j u_j, so nothing is divided: past the
     numerical rank s_j is rounding noise, and so are the scores. Otherwise
-    the top eigenvectors of xc^T xc are the directions.
+    the top eigenvectors of xc^T xc are the directions. A Gram that
+    overflows raises a ValueError.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -156,17 +157,22 @@ def pca_reduce(features: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= min(n, q):
         raise ValueError(f"k={k} out of range for {n}x{q} features")
     xc = x - x.mean(axis=0, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = xc @ xc.T if n < q else xc.T @ xc
+    if not np.isfinite(gram).all():
+        raise ValueError(f"the Gram of the centred {n}x{q} features is not finite")
+    lam, u = np.linalg.eigh(gram)  # ascending
     if n < q:
-        lam, u = np.linalg.eigh(xc @ xc.T)  # ascending
         return u[:, :-k - 1:-1] * np.sqrt(np.maximum(lam[:-k - 1:-1], 0.0))
-    return xc @ np.linalg.eigh(xc.T @ xc)[1][:, :-k - 1:-1]
+    return xc @ u[:, :-k - 1:-1]
 
 
 def _inv_sqrt(s: np.ndarray, name: str) -> np.ndarray:
     d = s.shape[0]
     s = s + np.eye(d) * (1e-8 * np.trace(s) / d)
     vals, vecs = np.linalg.eigh(s)
-    if vals[0] <= 0:
+    # written so that NaN fails too
+    if not vals[0] > 0:
         raise ConditioningError(
             f"{name} not positive definite after jitter: min eigenvalue {vals[0]:.6e}")
     return (vecs / np.sqrt(vals)) @ vecs.T

@@ -6,17 +6,20 @@ node on its tracked operands' one tape, and when every operand is a constant
 it returns a plain array and records nothing, so a pass over constants alone
 never touches a tape. backward walks the record once in reverse, so each
 node's gradient is fully accumulated before its own backward rule fires, and
-then drops the record and every node's backward rule: the graph is freed as
-soon as backward ends, and a tape runs backward at most once. Only scalar
-losses that depend on a leaf may be differentiated.
+then drops the record and every node's operands and backward rule: the graph
+is freed as soon as backward ends, and a tape runs backward at most once.
+Only scalar losses that depend on a leaf may be differentiated.
 
-A node adopts its first gradient as its own array, without a copy, and adds
-any later one into it. So every backward rule hands each operand memory that
-no other operand holds: a fresh result; the upstream gradient itself, to at
-most one operand (add gives its second operand a copy); or, in transpose
-and concat, views of it that do not overlap. backward takes each node's
-gradient off the node before its rule fires, so after backward only the
-leaves hold gradients.
+A backward rule maps its node's gradient to one gradient per operand, in
+operand order, tracked or not (None for an absent matmul bias); it neither
+tests an operand's type nor adds into one. backward alone adds them into the
+operands that are DiffArrays: an operand adopts its first gradient as its own
+array, without a copy, and adds any later one into it. So every rule hands
+each operand memory that no other operand holds: a fresh result; the
+upstream gradient itself, to at most one operand (add gives its second
+operand a copy); or, in transpose and concat, views of it that do not
+overlap. backward takes each node's gradient off the node before its rule
+fires, so after backward only the leaves hold gradients.
 
 A batch of windows travels as one 2-D array of stacked row blocks, one block
 per window. take_rows, scatter_rows and attention are the primitives that
@@ -56,27 +59,20 @@ ATTENTION_TILE_BYTES = 1 << 20
 class DiffArray:
     """A value that depends on a leaf of a tape, carrying its gradient after backward."""
 
-    __slots__ = ("data", "tape", "_grad", "_backward", "__weakref__")
+    __slots__ = ("data", "tape", "_grad", "_backward", "_operands", "__weakref__")
 
     def __init__(self, data, tape):
         self.data = np.asarray(data, dtype=np.float64)
         self.tape = tape
         self._grad = None
         self._backward = None
+        self._operands = None
 
     @property
     def grad(self):
         if self._grad is None:
             self._grad = np.zeros_like(self.data)
         return self._grad
-
-    def accumulate(self, g):
-        if self._grad is None:
-            # The first gradient is adopted, not copied: every backward rule
-            # hands an operand an array no other operand holds.
-            self._grad = g
-        else:
-            self._grad += g
 
 
 class Tape:
@@ -102,14 +98,21 @@ class Tape:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")
-        loss.accumulate(np.ones_like(loss.data))
+        loss._grad = np.ones_like(loss.data)
         nodes, self._nodes = self._nodes, None
         for node in reversed(nodes):
             # the node lets go of its gradient, so its rule may hand it on
             g, node._grad = node._grad, None
             if g is not None:
-                node._backward(g)
-            node._backward = None
+                for p, pg in zip(node._operands, node._backward(g)):
+                    if not isinstance(p, DiffArray):
+                        continue
+                    if p._grad is None:
+                        # adopted, not copied: a rule hands each operand its own array
+                        p._grad = pg
+                    else:
+                        p._grad += pg
+            node._backward = node._operands = None
 
 
 def _data(x):
@@ -117,11 +120,11 @@ def _data(x):
     return x.data if isinstance(x, DiffArray) else np.asarray(x, dtype=np.float64)
 
 
-def _record(data, parents, backward):
-    """data as a node on its tracked parents' one tape, or data itself when every
-    parent is a constant: a one-operand backward only ever sees a DiffArray."""
+def _record(data, operands, backward):
+    """data as a node on its tracked operands' one tape, keeping the operands
+    and their backward rule, or data itself when every operand is a constant."""
     tape = None
-    for p in parents:
+    for p in operands:
         if isinstance(p, DiffArray):
             if tape is None:
                 tape = p.tape
@@ -131,6 +134,7 @@ def _record(data, parents, backward):
         return data
     out = DiffArray(data, tape)
     out._backward = backward
+    out._operands = operands
     tape._nodes.append(out)
     return out
 
@@ -143,11 +147,8 @@ def add(a, b):
     out_data = ad + bd
 
     def backward(g):
-        if isinstance(a, DiffArray):
-            a.accumulate(g)
-        if isinstance(b, DiffArray):
-            # a holds g now, and a's later gradients add into it
-            b.accumulate(g.copy())
+        # a adopts g, and a's later gradients add into it
+        return g, g.copy()
 
     return _record(out_data, (a, b), backward)
 
@@ -160,10 +161,7 @@ def mul(a, b):
     out_data = ad * bd
 
     def backward(g):
-        if isinstance(a, DiffArray):
-            a.accumulate(g * bd)
-        if isinstance(b, DiffArray):
-            b.accumulate(g * ad)
+        return g * bd, g * ad
 
     return _record(out_data, (a, b), backward)
 
@@ -183,12 +181,7 @@ def matmul(a, b, bias=None):
         out_data += cd
 
     def backward(g):
-        if isinstance(bias, DiffArray):
-            bias.accumulate(kernels.col_sums(g))
-        if isinstance(a, DiffArray):
-            a.accumulate(g @ bd.T)
-        if isinstance(b, DiffArray):
-            b.accumulate(ad.T @ g)
+        return g @ bd.T, ad.T @ g, None if bias is None else kernels.col_sums(g)
 
     return _record(out_data, (a, b, bias), backward)
 
@@ -200,7 +193,7 @@ def transpose(a):
     out_data = np.ascontiguousarray(ad.T)
 
     def backward(g):
-        a.accumulate(g.T)
+        return (g.T,)
 
     return _record(out_data, (a,), backward)
 
@@ -216,7 +209,9 @@ def slice_(a, key):
     out_data = np.ascontiguousarray(ad[key])
 
     def backward(g):
-        a.grad[key] += g
+        ga = np.zeros_like(ad)
+        ga[key] += g
+        return (ga,)
 
     return _record(out_data, (a,), backward)
 
@@ -230,9 +225,7 @@ def concat(parts, axis=0):
 
     def backward(g):
         moved = np.moveaxis(g, axis, 0)
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if isinstance(p, DiffArray):
-                p.accumulate(np.moveaxis(moved[lo:hi], 0, axis))
+        return [np.moveaxis(moved[lo:hi], 0, axis) for lo, hi in zip(offsets[:-1], offsets[1:])]
 
     return _record(out_data, parts, backward)
 
@@ -249,7 +242,9 @@ def take_rows(a, idx):
         raise ValueError("take_rows indices must be distinct")
 
     def backward(g):
-        a.grad[idx] += g
+        ga = np.zeros_like(ad)
+        ga[idx] += g
+        return (ga,)
 
     return _record(out_data, (a,), backward)
 
@@ -274,10 +269,7 @@ def scatter_rows(a, idx, n_rows, fill):
     out_data[idx] = ad
 
     def backward(g):
-        if isinstance(a, DiffArray):
-            a.accumulate(g[idx])
-        if isinstance(fill, DiffArray):
-            fill.accumulate(kernels.col_sums(g[rest])[None])
+        return g[idx], kernels.col_sums(g[rest])[None]
 
     return _record(out_data, (a, fill), backward)
 
@@ -365,29 +357,19 @@ def attention(q, k, v, n_blocks, n_heads):
 
     def backward(g):
         gh = split(g)
-        gv = np.empty((rows, d)) if isinstance(v, DiffArray) else None
-        gq = np.empty((rows, d)) if isinstance(q, DiffArray) else None
-        gk = np.empty((rows, d)) if isinstance(k, DiffArray) else None
+        gq, gk, gv = (np.empty((rows, d)) for _ in range(3))
+        gqh, gkh, gvh = split(gq), split(gk), split(gv)
         for blocks, e, e_rows, sums in saved:
             # e becomes the weights in place: a tape runs backward at most once
             np.divide(e, sums, out=e)
-            if gv is not None:
-                np.matmul(e.transpose(0, 1, 3, 2), gh[blocks], out=split(gv)[blocks])
-            if gq is not None or gk is not None:
-                ga = (gh[blocks] @ vh[blocks].transpose(0, 1, 3, 2)).reshape(-1, t)
-                gs = kernels.softmax_bwd(e_rows, ga).reshape(e.shape)
-                if gq is not None:
-                    np.matmul(gs, kh[blocks], out=split(gq)[blocks])
-                if gk is not None:
-                    np.matmul(gs.transpose(0, 1, 3, 2), qh[blocks], out=split(gk)[blocks])
-        if gv is not None:
-            v.accumulate(gv)
-        if gq is not None:
-            gq *= c
-            q.accumulate(gq)
-        if gk is not None:
-            gk *= c
-            k.accumulate(gk)
+            np.matmul(e.transpose(0, 1, 3, 2), gh[blocks], out=gvh[blocks])
+            ga = (gh[blocks] @ vh[blocks].transpose(0, 1, 3, 2)).reshape(-1, t)
+            gs = kernels.softmax_bwd(e_rows, ga).reshape(e.shape)
+            np.matmul(gs, kh[blocks], out=gqh[blocks])
+            np.matmul(gs.transpose(0, 1, 3, 2), qh[blocks], out=gkh[blocks])
+        gq *= c
+        gk *= c
+        return gq, gk, gv
 
     return _record(out_data, (q, k, v), backward)
 
@@ -400,7 +382,7 @@ def mean(a):
     inv_n = 1.0 / ad.size
 
     def backward(g):
-        a.accumulate(np.full_like(ad, g * inv_n))
+        return (np.full_like(ad, g * inv_n),)
 
     return _record(out_data, (a,), backward)
 
@@ -410,7 +392,7 @@ def sum_(a):
     out_data = np.asarray(ad.sum())
 
     def backward(g):
-        a.accumulate(np.full_like(ad, g))
+        return (np.full_like(ad, g),)
 
     return _record(out_data, (a,), backward)
 
@@ -420,7 +402,7 @@ def scale(a, c):
     out_data = _data(a) * c
 
     def backward(g):
-        a.accumulate(g * c)
+        return (g * c,)
 
     return _record(out_data, (a,), backward)
 
@@ -430,7 +412,7 @@ def gelu(a):
     out_data, cdf = kernels.gelu_fwd(ad)
 
     def backward(g):
-        a.accumulate(kernels.gelu_bwd(ad, cdf, g))
+        return (kernels.gelu_bwd(ad, cdf, g),)
 
     return _record(out_data, (a,), backward)
 
@@ -443,7 +425,7 @@ def softmax(a):
     y = kernels.softmax_fwd(ad)
 
     def backward(g):
-        a.accumulate(kernels.softmax_bwd(y, g))
+        return (kernels.softmax_bwd(y, g),)
 
     return _record(y, (a,), backward)
 
@@ -459,7 +441,7 @@ def log_softmax(a):
     soft = np.exp(out_data)
 
     def backward(g):
-        a.accumulate(g - soft * g.sum(axis=1, keepdims=True))
+        return (g - soft * g.sum(axis=1, keepdims=True),)
 
     return _record(out_data, (a,), backward)
 
@@ -475,13 +457,7 @@ def layernorm(x, gain, bias):
     y, xhat, inv_std = kernels.layernorm_fwd(xd, gd, bd, LAYERNORM_EPS)
 
     def backward(g):
-        gx, ggain, gbias = kernels.layernorm_bwd(xhat, inv_std, gd, g)
-        if isinstance(x, DiffArray):
-            x.accumulate(gx)
-        if isinstance(gain, DiffArray):
-            gain.accumulate(ggain)
-        if isinstance(bias, DiffArray):
-            bias.accumulate(gbias)
+        return kernels.layernorm_bwd(xhat, inv_std, gd, g)
 
     return _record(y, (x, gain, bias), backward)
 
@@ -496,10 +472,7 @@ def mse(a, b):
     coef = 2.0 / diff.size
 
     def backward(g):
-        if isinstance(a, DiffArray):
-            a.accumulate(g * coef * diff)
-        if isinstance(b, DiffArray):
-            b.accumulate(-g * coef * diff)
+        return g * coef * diff, -g * coef * diff
 
     return _record(out_data, (a, b), backward)
 

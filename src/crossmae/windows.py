@@ -130,19 +130,31 @@ def patchify(values: np.ndarray, patch_len: int) -> np.ndarray:
 
 def standardize(values: np.ndarray) -> np.ndarray:
     """Per-channel z-score over the last axis of (..., C, L) windows;
-    constant channels map to all zeros. Non-finite input raises a
-    ValueError naming the first bad index."""
+    constant channels map to all zeros. Non-finite input, or a channel whose
+    sd overflows, raises a ValueError naming the first bad index or channel."""
     finite = np.isfinite(values)
     if not finite.all():
         bad = tuple(np.argwhere(~finite)[0].tolist())
         raise ValueError(f"standardize needs finite values; index {bad} is not")
     mu = values.mean(axis=-1, keepdims=True)
-    sd = values.std(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = values.std(axis=-1, keepdims=True)
     # The mean of a constant channel can miss its value by a few ulps (three
     # 0.1s average to 0.1 + 1.4e-17), which leaves an sd of the same size
     # and would map the channel to +-1. Such an sd stays below 4.7 eps |mu|
     # for lengths 2 to 10,000, so the floor is 8 eps |mu|.
     flat = sd <= 8 * np.finfo(np.float64).eps * np.abs(mu)
+    # written so that NaN fails too
+    overflow = ~(sd < np.inf)
+    if overflow.any():
+        # a miss of a few ulps of a value near 1e200 overflows when squared
+        constant = np.ptp(values, axis=-1, keepdims=True) == 0
+        bad = np.argwhere(overflow & ~constant)
+        if bad.size:
+            at = tuple(bad[0, :-1].tolist())
+            raise ValueError(f"standardize needs a finite sd in every channel; channel {at} "
+                             f"has sd {sd[at].item()!r}")
+        flat |= constant
     return np.where(flat, 0.0, (values - mu) / np.where(flat, 1.0, sd))
 
 

@@ -735,6 +735,34 @@ def test_console_names_a_conditioning_error_and_the_run_keeps_it(tmp_path, capsy
     assert open(tmp_path / "o" / cli.ERROR_NAME).read() == err[len("crossmae: "):]
 
 
+# At a noise level of 1e200 every sum of squares of the transitions
+# overflows: a model-encoder run meets it in standardize's variance, a raw
+# run in the PCA Gram. At 1e150 both run.
+@pytest.mark.parametrize("encoder", ["raw_flatten", "model_encoder"])
+def test_analyze_names_a_noise_level_whose_squares_overflow(checkpoint_dir, tmp_path, capsys,
+                                                            encoder):
+    settings = {"data.n_modalities": 4, "data.n_samples": 32, "exp.n_transitions": 20,
+                "exp.n_seeds": 1, "exp.pca_k": 5, "exp.mask_ratio": 0.5, "exp.patch_len": 8,
+                "exp.encoder": encoder}
+    if encoder == "model_encoder":
+        settings["exp.checkpoint"] = checkpoint_dir
+    ok = _write_cfg(tmp_path / "ok.cfg", **settings, **{"data.noise_sd": 1e150})
+    rows = open(os.path.join(_run("analyze", tmp_path / "ok", ok), "sigma1.csv")).readlines()
+    sigmas = [float(row.split(",")[-1]) for row in rows[1:]]
+    assert len(sigmas) == 2 and all(0.0 <= v <= 1.0 + 1e-8 for v in sigmas)
+
+    bad = _write_cfg(tmp_path / "bad.cfg", **settings, **{"data.noise_sd": 1e200})
+    assert cli.console(["analyze", "--out", str(tmp_path / "o"), "--config", bad]) == 1
+    err = capsys.readouterr().err
+    cause = ("standardize needs a finite sd in every channel; channel (0, 0) has sd inf"
+             if encoder == "model_encoder"
+             else "the Gram of the centred 20x128 features is not finite")
+    assert err == (f"crossmae: {bad}: key data.noise_sd: the transitions' sum of squares "
+                   f"overflows: {cause}\n")
+    assert open(tmp_path / "o" / cli.ERROR_NAME).read() == err[len("crossmae: "):]
+    assert not os.path.exists(tmp_path / "o" / "sigma1.csv")
+
+
 # synth meets the file in save_dataset, gradcheck in Run.start
 @pytest.mark.parametrize("command", ["synth", "gradcheck"])
 def test_console_names_an_out_path_that_is_a_file(tmp_path, capsys, command):

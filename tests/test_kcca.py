@@ -169,6 +169,14 @@ def test_pca_full_rank_round_trip_and_bounds():
         pca_reduce(x, 0)
 
 
+@pytest.mark.parametrize("shape", [(6, 10), (10, 6)], ids=["snapshots", "features"])
+def test_pca_rejects_a_gram_that_overflows(shape):
+    x = 1e200 * np.random.default_rng(14).standard_normal(shape)
+    with pytest.raises(ValueError, match=rf"^the Gram of the centred {shape[0]}x{shape[1]} "
+                                         "features is not finite$"):
+        pca_reduce(x, 2)
+
+
 def test_pca_is_deterministic():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((15, 5))
@@ -276,6 +284,13 @@ def test_cca_sigma_invariant_under_linear_mixing():
 def test_cca_sigma_conditioning_error_on_indefinite_view():
     s_uu = np.diag([1.0, -0.1])
     with pytest.raises(ConditioningError, match="eigenvalue"):
+        cca_sigma(s_uu, np.eye(2), 0.1 * np.eye(2))
+
+
+def test_cca_sigma_conditioning_error_on_a_nan_covariance():
+    # a NaN eigenvalue fails the positivity check instead of reaching the SVD
+    s_uu = np.full((2, 2), np.nan)
+    with pytest.raises(ConditioningError, match="min eigenvalue nan"):
         cca_sigma(s_uu, np.eye(2), 0.1 * np.eye(2))
 
 

@@ -93,6 +93,28 @@ def test_keep_list_names_existing_definitions():
     assert not stale, f"KEEP entries that are no longer defined: {sorted(stale)}"
 
 
+def test_tape_backward_rules_return_gradients_and_add_into_nothing():
+    """A backward rule, any function nested in a crossmae.tape primitive,
+    returns one gradient per operand: it neither tests an operand's type
+    (DiffArray) nor reads or adds into a gradient (grad, _grad, accumulate).
+    Only Tape.backward adds gradients into tracked operands."""
+    forbidden = {"DiffArray", "grad", "_grad", "accumulate"}
+    rules, offenders = 0, []
+    for stmt in ast.parse((PACKAGE / "tape.py").read_text()).body:
+        if not isinstance(stmt, FUNCTIONS):
+            continue
+        for inner in ast.walk(stmt):
+            if inner is stmt or not isinstance(inner, FUNCTIONS):
+                continue
+            rules += 1
+            for node in ast.walk(inner):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name in forbidden:
+                    offenders.append(f"{stmt.name}.{inner.name}, line {node.lineno}: {name}")
+    assert rules >= 17, f"found only {rules} backward rules in crossmae.tape"
+    assert not offenders, f"backward rules that touch an operand: {offenders}"
+
+
 def test_perfbench_tracer_installs_and_restores_its_patches():
     """perfbench/tracer.py wraps every name in its LAYERS, TAPE_OTHER and
     METHODS by name; renaming or deleting one of them breaks its per-layer

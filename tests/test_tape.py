@@ -201,6 +201,35 @@ def test_each_primitive_of_constants_returns_the_array_a_leaf_would_carry(name):
     assert const.tobytes() == tracked.data.tobytes()
 
 
+def _operand_grads(name, tracked):
+    """The gradients of the call CALLS[name] hands its operands when the
+    positions in tracked are leaves and the rest constants (every operand
+    when tracked is None), and the output's gradient is a fixed array."""
+    t = T.Tape()
+    operands = []
+
+    def w(x):
+        operands.append(t.leaf(x) if tracked is None or len(operands) in tracked else x)
+        return operands[-1]
+
+    out = CALLS[name](w, _operands())
+    weights = np.random.default_rng(18).standard_normal(out.data.shape)
+    t.backward(T.sum_(T.mul(out, weights)))
+    return [x.grad if isinstance(x, T.DiffArray) else None for x in operands]
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_an_operand_tracked_alone_gets_the_gradient_it_gets_among_tracked_operands(name):
+    # a backward rule returns every operand's gradient whichever are tracked,
+    # and the tape adds each into its operand only when that one is
+    every = _operand_grads(name, None)
+    for i, want in enumerate(every):
+        alone = _operand_grads(name, {i})
+        assert [g is None for g in alone] == [j != i for j in range(len(every))]
+        assert alone[i].dtype == want.dtype and alone[i].shape == want.shape
+        assert alone[i].tobytes() == want.tobytes(), f"{name} operand {i}"
+
+
 def test_three_layer_composition_matches_finite_differences():
     rng = np.random.default_rng(5)
     params = {"w1": rng.standard_normal((6, 8)), "b1": rng.standard_normal(8),

@@ -81,6 +81,28 @@ def test_standardize_rejects_non_finite_values():
         standardize(values)
 
 
+def test_standardize_names_the_first_channel_whose_sd_overflows():
+    values = np.ones((3, 2, 4))
+    values[0, 1] = 1e200  # constant: its sd overflows but it still maps to zeros
+    values[1, 1] = [0.0, 1e200, -1e200, 0.0]
+    values[2, 0] = [1e200, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match=r"finite sd in every channel; channel \(1, 1\) "
+                                         r"has sd inf$"):
+        standardize(values)
+
+
+@pytest.mark.parametrize("value", [1e200, -7.7e180, 1e300])
+@pytest.mark.parametrize("length", [7, 200])
+def test_standardize_maps_a_huge_constant_channel_to_zeros(value, length):
+    # the mean misses each of these values by an ulp, whose square overflows
+    w = np.ones((2, length))
+    w[1] = value
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.std(w[1]))
+    out = standardize(w)
+    assert np.array_equal(out, np.zeros((2, length)))
+
+
 def test_splice_length_range_and_bounds():
     ws, _ = generate_windows(_spec(n_windows=6, n_samples=200, noise_sd=0.1))
     lengths = set()
