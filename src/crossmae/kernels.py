@@ -14,6 +14,10 @@ expressions within the summation bound, n * eps * sum(|terms|) for a sum of
 n terms, not bit for bit. gelu_fwd, gelu_bwd and adamw_update take no sums
 and give the same bits as their expressions.
 
+softmax_fwd and softmax_bwd serve tape.softmax alone, which the model does
+not call but the benchmark's tracer keeps: tape.attention takes its exp,
+row sums and softmax backward inline, on scores it never normalizes.
+
 adamw_update updates the optimizer's flat parameter and moment buffers in
 place, reading the gradient that backward wrote into AdamWState.grad. Every
 other kernel returns fresh arrays and leaves its inputs as they were.

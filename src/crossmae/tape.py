@@ -25,10 +25,12 @@ A batch of windows travels as one 2-D array of stacked row blocks, one block
 per window. take_rows, scatter_rows and attention are the primitives that
 know about that structure.
 
-attention normalizes its softmax after the value product and forms the
-weights only in backward. A pass that records nothing makes no pass over the
-scores but their matmul, exp, row sums and value product, plus a row-max
-shift when the scores are not provably small.
+attention normalizes its softmax after the value product, and no pass forms
+the softmax weights: the forward divides the value products by the row
+sums, and the backward divides the upstream gradient by them. A pass that
+records nothing makes no pass over the scores but their matmul, exp, row
+sums and value product, plus a row-max shift when the scores are not
+provably small.
 
 attention runs its blocks in tiles of whole blocks whose scores fit in
 ATTENTION_TILE_BYTES (at least one block, and whole groups of 4 score rows),
@@ -36,13 +38,14 @@ so each of those passes reads a tile that a core's L2 holds instead of
 streaming the whole batch's scores from L3: 11.1 MiB for 16 windows of 4
 heads x 151 tokens. The tiling moves no bit of any output or gradient.
 
-Why 1 MiB: on a host with 2 MiB of L2 per core, one BLAS thread, medians of
+Why 512 KiB: on a host with 2 MiB of L2 per core, one BLAS thread, medians of
 40 interleaved rounds, a call at 16 x 151 that records nothing took 15.0 ms
 untiled, 10.7 ms in 2 MiB tiles (two windows each) and 10.2 ms in 1 MiB
-tiles (one window, as 0.5 MiB gives); a recorded call and its backward took
+tiles (one window, as 512 KiB gives); a recorded call and its backward took
 42.8, 27.3 and 24.8 ms. At 16 x 49, pretraining's decoder, a recorded call
-in 1 MiB tiles of 13 + 3 windows read medians of 2.1-3.8 ms over three
-runs, against 2.2-3.8 ms untiled and 1.9-3.3 ms in 0.5 MiB tiles of 6.
+and its backward read medians of 1.21-1.27 ms in 512 KiB tiles of 6 + 6 + 4
+windows against 1.30-1.36 ms in 1 MiB tiles of 13 + 3, over three runs of
+200 interleaved rounds.
 """
 import numpy as np
 
@@ -51,9 +54,9 @@ from . import kernels
 LAYERNORM_EPS = 1e-5
 # attention skips the softmax's row-max shift when no |score| can exceed this
 SHIFT_FREE_BOUND = 64.0
-# attention's most score bytes per tile of blocks: half a core's 2 MiB L2 on
-# the host measured (see above)
-ATTENTION_TILE_BYTES = 1 << 20
+# attention's most score bytes per tile of blocks: a quarter of a core's 2 MiB
+# L2 on the host measured (see above)
+ATTENTION_TILE_BYTES = 1 << 19
 
 
 class DiffArray:
@@ -232,18 +235,20 @@ def concat(parts, axis=0):
 
 def take_rows(a, idx):
     """Rows idx of a 2-D array, in order. The indices must be distinct, so the
-    backward adds each gradient row into its row by one indexed add."""
+    backward writes each gradient row into its row by one indexed assignment."""
     ad = _data(a)
     idx = np.asarray(idx, dtype=np.intp)
     if ad.ndim != 2 or idx.ndim != 1:
         raise ValueError("take_rows needs a 2-D operand and 1-D row indices")
     out_data = ad[idx]
-    if np.unique(idx % len(ad)).size != idx.size:
+    taken = np.zeros(len(ad), dtype=bool)
+    taken[idx] = True
+    if np.count_nonzero(taken) != idx.size:
         raise ValueError("take_rows indices must be distinct")
 
     def backward(g):
         ga = np.zeros_like(ad)
-        ga[idx] += g
+        ga[idx] = g
         return (ga,)
 
     return _record(out_data, (a,), backward)
@@ -303,16 +308,23 @@ def attention(q, k, v, n_blocks, n_heads):
     each row sum adds its row in the order a call over the whole batch
     would, and the shift is decided once for the batch, so the tiling moves
     no bit of the output or of the gradients. A recording call keeps
-    each tile's e and row sums; backward walks the same tiles, turns e into
-    the weights e / e.sum(row) in place, first thing, so a pass that records
-    nothing never forms them, and writes each tile's gradients into its rows.
-    The gradients are dq = c (gs k), dk = c (gs^T q) and dv = weights^T g,
-    with gs the softmax backward of the weights."""
+    each tile's e and row sums r; backward walks the same tiles and writes
+    each tile's gradients into its rows. It never forms the weights e / r:
+    it divides the upstream gradient instead, g' = g / r, in the (rows, D)
+    layout with each (row, head)'s r repeated over the head's columns. Then
+    dv = e^T g'; the row term delta = rowdot(g' v^T, e) / r, a sum of
+    e (g' v^T) products taken row by row with no score-sized temporary; and
+    gs = e (g' v^T - delta), formed in place in the one score-sized array a
+    tile allocates, g' v^T. The gradients are dq = c (gs k) and
+    dk = c (gs^T q).
+
+    Raises ValueError when the rows or columns are empty, when n_blocks or
+    n_heads is below 1, or when either does not divide its dimension."""
     qd, kd, vd = _data(q), _data(k), _data(v)
     if qd.ndim != 2 or kd.shape != qd.shape or vd.shape != qd.shape:
         raise ValueError("attention needs 2-D queries, keys and values of one shape")
     rows, d = qd.shape
-    if n_blocks < 1 or rows % n_blocks or d % n_heads:
+    if n_blocks < 1 or n_heads < 1 or not rows or not d or rows % n_blocks or d % n_heads:
         raise ValueError(f"attention cannot split {qd.shape} into {n_blocks} blocks "
                          f"of {n_heads} heads")
     t, dh = rows // n_blocks, d // n_heads
@@ -356,15 +368,21 @@ def attention(q, k, v, n_blocks, n_heads):
             saved.append((blocks, e, e_rows, sums))
 
     def backward(g):
-        gh = split(g)
         gq, gk, gv = (np.empty((rows, d)) for _ in range(3))
         gqh, gkh, gvh = split(gq), split(gk), split(gv)
         for blocks, e, e_rows, sums in saved:
-            # e becomes the weights in place: a tape runs backward at most once
-            np.divide(e, sums, out=e)
-            np.matmul(e.transpose(0, 1, 3, 2), gh[blocks], out=gvh[blocks])
-            ga = (gh[blocks] @ vh[blocks].transpose(0, 1, 3, 2)).reshape(-1, t)
-            gs = kernels.softmax_bwd(e_rows, ga).reshape(e.shape)
+            # g' = g / r in the (rows, D) layout, each (row, head)'s sum
+            # repeated over the head's columns
+            r = np.repeat(sums.reshape(e.shape[:3]).transpose(0, 2, 1), dh, axis=2)
+            gp = split(g[blocks.start * t:blocks.stop * t] / r.reshape(-1, d))
+            np.matmul(e.transpose(0, 1, 3, 2), gp, out=gvh[blocks])
+            # g' v^T, the tile's one score-sized array, becomes gs in place
+            gs = gp @ vh[blocks].transpose(0, 1, 3, 2)
+            gs_rows = gs.reshape(-1, t)
+            delta = np.einsum("ij,ij->i", gs_rows, e_rows)
+            delta /= sums.reshape(-1)
+            gs_rows -= delta[:, None]
+            gs_rows *= e_rows
             np.matmul(gs, kh[blocks], out=gqh[blocks])
             np.matmul(gs.transpose(0, 1, 3, 2), qh[blocks], out=gkh[blocks])
         gq *= c

@@ -338,7 +338,7 @@ def test_forward_frozen_matches_a_pass_on_leaves_bit_for_bit():
 
 def test_attention_tiles_move_no_bit_of_a_frozen_pass_or_a_step(monkeypatch):
     # 6 x 25 patches: 151 tokens, one window per attention tile at the
-    # default budget. 6 x 8 patches: 49 decoder tokens, tiles of 13 + 3 windows.
+    # default budget. 6 x 8 patches: 49 decoder tokens, tiles of 6 + 6 + 4 windows.
     wide = ArchSpec(n_modalities=6, n_patches=25, patch_len=8)
     wide_state = init_model(wide, seed=18)
     wide_grids, wide_masks = _batch(wide, 20, CROSS, seed=19)
@@ -533,6 +533,27 @@ def test_batched_loss_matches_finite_differences():
         return [loss({**params, name: bumped}) for bumped in bumps]
 
     assert T.finite_diff_check(build, state.params, h=1e-4, max_coords=3)[0] < 1e-3
+
+
+def test_loss_at_the_pretraining_benchmark_shape_matches_finite_differences():
+    # 16 windows of 6 x 8 patches of 8 at d_model 32: the decoder's 49-token
+    # attention spans more than one tile, as in a pretraining step
+    arch = ArchSpec(n_modalities=6, n_patches=8, patch_len=8)
+    n = 16
+    assert 8 * n * arch.n_heads * (arch.n_tokens + 1) ** 2 > T.ATTENTION_TILE_BYTES
+    state = init_model(arch, seed=22)
+    grids, masks = _batch(arch, n, CROSS, seed=23)
+
+    def loss(params):
+        return mae_loss(Binding(ModelState(arch, params), None), grids, masks)
+
+    def build(params, name, bumps):
+        if name is None:
+            return loss(params)
+        return [loss({**params, name: bumped}) for bumped in bumps]
+
+    err, group = T.finite_diff_check(build, state.params, h=1e-4, max_coords=2, seed=24)
+    assert err < 1e-5, f"{group}: {err:.2e}"
 
 
 def test_batch_rejects_unequal_visible_counts():

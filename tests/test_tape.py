@@ -398,8 +398,8 @@ def _score_bound(q, k, n_heads):
 def test_attention_matches_its_formula_bit_for_bit(monkeypatch):
     # The formula runs on the whole batch at once, so every tiling that
     # matches it bit for bit matches every other. Blocks x T: 3 x 5 is one
-    # tile at every budget but 1; 16 x 49 is tiles of 13 + 3 blocks at the
-    # default 1 MiB; 3 x 151 is one block per tile at the default. With one
+    # tile at every budget but 1; 16 x 49 is tiles of 6 + 6 + 4 blocks at the
+    # default 512 KiB; 3 x 151 is one block per tile at the default. With one
     # or three heads and an odd T, a block holds a number of score rows that
     # is not a multiple of 4, which a tile must not split the row sums at.
     rng = np.random.default_rng(9)
@@ -418,12 +418,18 @@ def test_attention_matches_its_formula_bit_for_bit(monkeypatch):
                 s = s - s.max(axis=1, keepdims=True)
             e = np.exp(s).reshape(n_blocks, n_heads, t_len, t_len)
             sums = kernels.row_sums(e.reshape(-1, t_len)).reshape(n_blocks, n_heads, t_len, 1)
-            attn = e / sums
-            ga = (gh @ vh.transpose(0, 1, 3, 2)).reshape(-1, t_len)
-            gs = kernels.softmax_bwd(attn.reshape(-1, t_len), ga).reshape(attn.shape)
+            # backward: g' = g / r with each (row, head)'s sum r over its
+            # head's columns, dv = e^T g', delta = rowdot(g' v^T, e) / r and
+            # gs = e (g' v^T - delta)
+            r = np.repeat(sums[..., 0].transpose(0, 2, 1), d // n_heads, axis=2)
+            gph = split(w / r.reshape(-1, d))
+            ga = (gph @ vh.transpose(0, 1, 3, 2)).reshape(-1, t_len)
+            e_rows = e.reshape(-1, t_len)
+            delta = np.einsum("ij,ij->i", ga, e_rows) / sums.reshape(-1)
+            gs = ((ga - delta[:, None]) * e_rows).reshape(e.shape)
             want = (merge(e @ vh / sums), merge(gs @ kh) * c,
                     merge(gs.transpose(0, 1, 3, 2) @ qh) * c,
-                    merge(attn.transpose(0, 1, 3, 2) @ gh))
+                    merge(e.transpose(0, 1, 3, 2) @ gph))
             for budget in (1, T.ATTENTION_TILE_BYTES, 2**40):
                 monkeypatch.setattr(T, "ATTENTION_TILE_BYTES", budget)
                 got = _attention_taped(qx, kx, v, w, n_blocks, n_heads)
@@ -495,6 +501,18 @@ def test_attention_stays_finite_at_extreme_scores_and_values():
     assert 0.99 * T.SHIFT_FREE_BOUND < _score_bound(q, q, n_heads) < T.SHIFT_FREE_BOUND
     out = T.attention(q, q, v, n_blocks, n_heads)
     assert np.allclose(out, 1e200, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("shape, n_blocks, n_heads", [
+    ((4, 8), 2, 0), ((4, 8), 2, -2), ((0, 8), 1, 2), ((4, 0), 2, 2), ((4, 8), 0, 2),
+    ((5, 8), 2, 2), ((4, 6), 2, 4),
+], ids=["no-heads", "negative-heads", "no-rows", "no-columns", "no-blocks",
+        "uneven-blocks", "uneven-heads"])
+@pytest.mark.filterwarnings("error")
+def test_attention_rejects_a_split_it_cannot_make(shape, n_blocks, n_heads):
+    x = np.ones(shape)
+    with pytest.raises(ValueError, match=r"^attention cannot split "):
+        T.attention(x, x, x, n_blocks, n_heads)
 
 
 def test_first_gradient_is_a_private_copy():
