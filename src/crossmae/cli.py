@@ -405,11 +405,26 @@ def cmd_gradcheck(run: Run) -> None:
         raise run.error("check.h", f"must be finite, got {cfg['check.h']!r}")
     arch = run.build(ArchSpec, ARCH_KEYS)
     # a group's bumped evaluations run as one pass of two windows per coordinate
-    _check_sizes(run, *_arch_arrays(arch, ("check.max_coords",
-                                           min(2 * max_coords, FORWARD_CHUNK)), "pass"))
+    batch = ("check.max_coords", min(2 * max_coords, FORWARD_CHUNK))
+    _check_sizes(run, *_arch_arrays(arch, batch, "pass"))
     # gradcheck_model's mask must hide a patch and leave one visible
     run.check("arch.n_patches", sample_mask, CROSS, arch.n_modalities, arch.n_patches,
               GRADCHECK_MASK_RATIO, 0)
+    # That pass binds one copy of a group per window, and the largest group is
+    # an MLP weight or the embedding's or head's weight; it then reconstructs
+    # every window.
+    d, patch_len = arch.d_model, arch.patch_len
+    mlp_weight, patch_weight = d * d * arch.mlp_ratio, patch_len * d
+    if mlp_weight >= patch_weight:
+        largest = [("arch.d_model", d), ("arch.mlp_ratio", arch.mlp_ratio)]
+    else:
+        largest = [("arch.patch_len", patch_len), ("arch.d_model", d)]
+    _check_sizes(run, ("bumped parameter values batch x max(d_model x d_model * mlp_ratio, "
+                       "patch_len x d_model)", batch[1] * max(mlp_weight, patch_weight),
+                       [batch, *largest]),
+                 ("pass window values batch x C x P x L_p", batch[1] * arch.n_tokens * patch_len,
+                  [batch, ("arch.n_modalities", arch.n_modalities),
+                   ("arch.n_patches", arch.n_patches), ("arch.patch_len", patch_len)]))
     run.start()
     err, group = run.check("check.h", gradcheck_model, arch, cfg["seed"], cfg["check.h"],
                            max_coords)

@@ -33,9 +33,9 @@ reconstruct's output. Every stage takes the batch's (B, C, P) masks. Only
 embed derives the token ids from them, so a pass derives them once; decode,
 which may run alone, checks the masks itself. gradcheck_model keeps each
 stage's input from one unbumped pass. A group's bumped evaluations differ
-only in that group, so only the first stage that reads it runs once per
-evaluation; the rest of the chain runs once over their outputs, stacked as
-a batch of windows.
+only in that group, so they run as one batch of windows from the first
+stage that reads it, one bumped copy of the group per window (the tape's
+per-block parameters, in a pass that records nothing).
 
 The reconstruction loss is the mean squared error over all patches; a
 masked-only variant is available for ablation.
@@ -477,13 +477,15 @@ def gradcheck_model(arch: ArchSpec, seed: int, h: float,
     window (tape.finite_diff_check).
 
     The chain runs once on the unbumped parameters and keeps each stage's
-    input. A group's bumped evaluations differ only in that group, so only
-    the first stage that reads it runs once per evaluation, from its kept
-    input. Its outputs stack into one batch of windows with the same mask,
-    which the rest of the chain runs with unbumped parameters, and each
-    window's loss is the MSE of its own row block. Returns the worst relative
-    error across all sampled coordinates and the name of the parameter it
-    was found in, as a pair (tape.finite_diff_check)."""
+    input. A group's bumped evaluations differ only in that group, so each
+    call of build runs them as one pass from the first stage that reads it:
+    a batch of windows with the same mask, one per bumped copy, from copies
+    of that stage's kept input. The group is bound to the (2k, *shape) array
+    of its copies, which the tape reads one copy per window (its per-block
+    parameters), and each window's loss is the MSE of its own row block.
+    Returns the worst relative error across all sampled coordinates and the
+    name of the parameter it was found in, as a pair
+    (tape.finite_diff_check)."""
     from .masking import CROSS, sample_mask
     from .windows import patchify
 
@@ -506,12 +508,12 @@ def gradcheck_model(arch: ArchSpec, seed: int, h: float,
         if name is None:
             return mae_loss(Binding(ModelState(arch, params), None), grid[None], mask[None])
         start = first[_scope(name)]
-        outs = [chain[start].run(Binding(ModelState(arch, {**params, name: bumped}), None),
-                                 mask[None], inputs[start]) for bumped in bumps]
-        batch = np.repeat(mask[None], len(outs), axis=0)
-        # the rest of the chain, then _loss's T.mse taken per row block
-        recon = _run(frozen, batch, np.concatenate(outs), chain[start + 1:])
-        diff = recon.reshape(len(outs), -1) - grid.reshape(1, -1)
+        # the group is bound to all its copies, one per window of the batch
+        bumped = Binding(ModelState(arch, {**params, name: bumps}), None)
+        batch = np.repeat(mask[None], len(bumps), axis=0)
+        recon = _run(bumped, batch, np.concatenate([inputs[start]] * len(bumps)), chain[start:])
+        # _loss's T.mse taken per row block
+        diff = recon.reshape(len(bumps), -1) - grid.reshape(1, -1)
         return (diff * diff).mean(axis=1)
 
     return T.finite_diff_check(build, state.params, h=h, max_coords=max_coords, seed=seed,

@@ -23,7 +23,14 @@ fires, so after backward only the leaves hold gradients.
 
 A batch of windows travels as one 2-D array of stacked row blocks, one block
 per window. take_rows, scatter_rows and attention are the primitives that
-know about that structure.
+know about that structure. In a call that records nothing, the parameters
+that matmul, layernorm and scatter_rows read may also hold one copy per row
+block, stacked on a leading axis of B copies: a (B, k, n) matmul weight, a
+(B, n) matmul bias, a (B, d) layernorm gain or bias, and a (B, 1, D)
+scatter_rows fill. The rows then split into B equal blocks, and block j
+reads copy j, so B windows that differ only in one parameter run as one
+batch. B must divide the rows. A recording call takes only shared
+parameters, and rejects a per-block one as it rejects any other shape.
 
 attention normalizes its softmax after the value product, and no pass forms
 the softmax weights: the forward divides the value products by the row
@@ -123,6 +130,19 @@ def _data(x):
     return x.data if isinstance(x, DiffArray) else np.asarray(x, dtype=np.float64)
 
 
+def _tracked(*operands):
+    """Whether an operand is a DiffArray, so that the call records a node."""
+    return any(isinstance(p, DiffArray) for p in operands)
+
+
+def _n_blocks(rows, n):
+    """n, the number of per-block copies an operand holds, when n equal row
+    blocks make up rows."""
+    if n < 1 or rows % n:
+        raise ValueError(f"{n} per-block copies cannot split {rows} rows into equal blocks")
+    return n
+
+
 def _record(data, operands, backward):
     """data as a node on its tracked operands' one tape, keeping the operands
     and their backward rule, or data itself when every operand is a constant."""
@@ -170,15 +190,21 @@ def mul(a, b):
 
 
 def matmul(a, b, bias=None):
-    """a @ b of 2-D operands, plus the 1-D bias row, when given, on each row."""
+    """a @ b of 2-D operands, plus the 1-D bias row, when given, on each row.
+
+    In a call that records nothing, b may be (B, k, n) and the bias (B, n),
+    one copy per row block: block j of B equal row blocks of a is multiplied
+    by b[j] and gets bias[j]. A 2-D b is one product over all the rows."""
     ad, bd = _data(a), _data(b)
+    cd = None if bias is None else _data(bias)
+    if (bd.ndim == 3 or cd is not None and cd.ndim == 2) and not _tracked(a, b, bias):
+        return _matmul_per_block(ad, bd, cd)
     if ad.ndim != 2 or bd.ndim != 2:
         raise ValueError("matmul requires 2-D operands")
     if ad.shape[1] != bd.shape[0]:
         raise ValueError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
     out_data = ad @ bd
-    if bias is not None:
-        cd = _data(bias)
+    if cd is not None:
         if cd.shape != (bd.shape[1],):
             raise ValueError(f"matmul bias must have shape ({bd.shape[1]},), got {cd.shape}")
         out_data += cd
@@ -187,6 +213,25 @@ def matmul(a, b, bias=None):
         return g @ bd.T, ad.T @ g, None if bias is None else kernels.col_sums(g)
 
     return _record(out_data, (a, b, bias), backward)
+
+
+def _matmul_per_block(ad, bd, cd):
+    """matmul's product when b or the bias holds one copy per row block."""
+    if ad.ndim != 2 or bd.ndim not in (2, 3) or ad.shape[1] != bd.shape[-2]:
+        raise ValueError(f"matmul cannot take {ad.shape} @ {bd.shape} block by block")
+    (rows, k), n = ad.shape, bd.shape[-1]
+    n_blocks = _n_blocks(rows, len(bd) if bd.ndim == 3 else len(cd))
+    if cd is not None and cd.shape not in ((n,), (n_blocks, n)):
+        raise ValueError(f"matmul bias must have shape ({n},) or ({n_blocks}, {n}), "
+                         f"got {cd.shape}")
+    if bd.ndim == 3:
+        out_data = np.matmul(ad.reshape(n_blocks, rows // n_blocks, k), bd).reshape(rows, n)
+    else:
+        out_data = ad @ bd
+    if cd is not None:
+        by_block = out_data.reshape(n_blocks, rows // n_blocks, n)
+        by_block += cd.reshape(len(cd) if cd.ndim == 2 else 1, 1, n)
+    return out_data
 
 
 def transpose(a):
@@ -257,20 +302,28 @@ def take_rows(a, idx):
 def scatter_rows(a, idx, n_rows, fill):
     """An (n_rows, D) array whose rows idx are the rows of a, in order, and
     whose other rows each hold the single row of fill, shape (1, D). The
-    indices must be distinct."""
+    indices must be distinct. In a call that records nothing, fill may be
+    (B, 1, D), one copy per row block: the other rows of block j of B equal
+    row blocks of the output hold fill[j]."""
     ad, fd = _data(a), _data(fill)
     idx = np.asarray(idx, dtype=np.intp)
     if ad.ndim != 2 or idx.shape != ad.shape[:1]:
         raise ValueError("scatter_rows needs a 2-D operand and one index per row")
     d = ad.shape[1]
     if fd.shape != (1, d):
-        raise ValueError(f"scatter_rows fill must have shape (1, {d}), got {fd.shape}")
+        if fd.shape[1:] != (1, d) or fd.ndim != 3 or _tracked(a, fill):
+            raise ValueError(f"scatter_rows fill must have shape (1, {d}), got {fd.shape}")
+        _n_blocks(n_rows, len(fd))
     rest = np.ones(n_rows, dtype=bool)
     rest[idx] = False
     if np.count_nonzero(rest) != n_rows - idx.size:
         raise ValueError("scatter_rows indices must be distinct")
     out_data = np.empty((n_rows, d))
-    out_data[rest] = fd
+    if fd.ndim == 3:
+        # every row of a block takes its fill, and rows idx are then overwritten
+        out_data.reshape(len(fd), n_rows // len(fd), d)[:] = fd
+    else:
+        out_data[rest] = fd
     out_data[idx] = ad
 
     def backward(g):
@@ -336,7 +389,7 @@ def attention(q, k, v, n_blocks, n_heads):
     # multiple of 4.
     group = (1, 4, 2, 4)[n_heads * t % 4]
     per_tile = max(1, ATTENTION_TILE_BYTES // (8 * n_heads * t * t) // group) * group
-    recording = isinstance(q, DiffArray) or isinstance(k, DiffArray) or isinstance(v, DiffArray)
+    recording = _tracked(q, k, v)
 
     def split(x):
         """The (blocks, heads, T, D / heads) view of (rows, D) rows."""
@@ -466,12 +519,20 @@ def log_softmax(a):
 
 def layernorm(x, gain, bias):
     """Row layernorm of a 2-D array, with LAYERNORM_EPS added to the row
-    variance, followed by affine scale/shift."""
+    variance, followed by affine scale/shift. In a call that records
+    nothing, the gain and bias may be (B, d), one copy per row block: block
+    j of B equal row blocks is scaled by gain[j] and shifted by bias[j]."""
     xd, gd, bd = _data(x), _data(gain), _data(bias)
     if xd.ndim != 2:
         raise ValueError("layernorm requires a 2-D operand")
-    if gd.shape != (xd.shape[1],) or bd.shape != (xd.shape[1],):
-        raise ValueError("layernorm gain/bias must match the row width")
+    rows, d = xd.shape
+    if gd.shape != (d,) or bd.shape != (d,):
+        copies = [len(p) for p in (gd, bd) if p.ndim == 2]
+        if not copies or {gd.shape, bd.shape} - {(d,), (copies[0], d)} or _tracked(x, gain, bias):
+            raise ValueError("layernorm gain/bias must match the row width")
+        n_blocks = _n_blocks(rows, copies[0])
+        # each copy repeated over its block's rows: the affine step stays elementwise
+        gd, bd = (np.repeat(p, rows // n_blocks, axis=0) if p.ndim == 2 else p for p in (gd, bd))
     y, xhat, inv_std = kernels.layernorm_fwd(xd, gd, bd, LAYERNORM_EPS)
 
     def backward(g):

@@ -302,9 +302,10 @@ def test_criterion_11_cli_determinism(tmp_path):
         "probe": {"data.dir": str(data),
                   "checkpoint": str(tmp_path / "pretrain-a" / "checkpoint"),
                   "probe.epochs": 5, "seed": 2},
+        # k = 5 components of 20 transitions, so sigma1 depends on the data
         "analyze": {"data.n_windows": 20, "data.n_modalities": 4,
                     "data.n_samples": 140, "exp.n_transitions": 20,
-                    "exp.n_seeds": 1, "seed": 0},
+                    "exp.pca_k": 5, "exp.n_seeds": 1, "seed": 0},
         "gradcheck": {"arch.n_modalities": 2, "arch.n_patches": 2,
                       "arch.patch_len": 4, "arch.d_model": 8,
                       "arch.n_heads": 2, "check.max_coords": 2, "seed": 0},
@@ -320,6 +321,10 @@ def test_criterion_11_cli_determinism(tmp_path):
         a, b = _tree_bytes(run_a), _tree_bytes(run_b)
         if a != b:
             mismatches.append(command)
+    # the reruns compare a sigma1 that no PCA of n - 1 components pins to 1
+    sigma1 = [float(line.split(",")[-1]) for line in
+              (tmp_path / "analyze-a" / "sigma1.csv").read_text().splitlines()[1:]]
+    assert len(sigma1) == 2 and all(abs(s - 1.0) > 1e-3 for s in sigma1), sigma1
     _verdict(11, "cli determinism", not mismatches,
              "all six commands rerun byte-identical" if not mismatches
              else f"non-identical reruns: {', '.join(mismatches)}")

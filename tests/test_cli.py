@@ -547,6 +547,28 @@ def test_step_too_large_rejected_before_the_run_directory_exists(tmp_path, setti
     assert seconds < 20
 
 
+# Two gradcheck archs that pass every bound above. At d_model 512 and
+# mlp_ratio 64, a pass of 12 windows binds 12 bumped copies of enc0.mlp.W1;
+# at patch_len 2^20 on a 4 x 8 grid, it reconstructs 12 windows of 2^25
+# values each. Unchecked, each run creates its run directory and then fails
+# to allocate 1.50 or 3.00 GiB.
+@pytest.mark.parametrize("settings, message", [
+    ({"arch.d_model": 512, "arch.mlp_ratio": 64, "arch.enc_layers": 1, "arch.dec_layers": 1},
+     "arch.d_model: 201326592 bumped parameter values batch x max(d_model x d_model * "
+     "mlp_ratio, patch_len x d_model)"),
+    ({"arch.n_modalities": 4, "arch.n_patches": 8, "arch.patch_len": 2**20, "arch.d_model": 4,
+      "arch.n_heads": 1},
+     "arch.patch_len: 402653184 pass window values batch x C x P x L_p")])
+def test_gradcheck_pass_too_large_rejected_before_the_run_directory_exists(
+        tmp_path, settings, message):
+    cfg = _write_cfg(tmp_path / "c.cfg", **settings)
+    done, seconds = _run_capped("gradcheck", tmp_path / "o", cfg)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"{cfg}: key {message} exceed the limit of 134217728"
+    assert not os.path.exists(tmp_path / "o")
+    assert seconds < 20
+
+
 # A checkpoint with arch.patch_len=1 on windows of 2 x 1000 samples: 2,000
 # tokens pass every per-window bound, but a pass over 16 windows holds
 # 16 x 4 x 2001^2 attention scores. Unchecked, `probe.mode=ft` creates its run

@@ -411,6 +411,43 @@ def test_batched_bumped_losses_match_whole_model_reruns(monkeypatch, arch, seed)
     assert checked == list(state.params)  # one batch per group at these sizes
 
 
+@pytest.mark.parametrize("max_coords", [6, 20])
+def test_gradcheck_runs_each_batch_of_bumped_copies_as_one_pass(monkeypatch, max_coords):
+    from crossmae import model
+    arch = GRADCHECK_ARCHS[1]
+    real_run, real_chain = model._run, model._chain
+    runs, stage_calls = [], []
+
+    def counted(stage):
+        def run(b, masks, x):
+            stage_calls.append(stage.name)
+            return stage.run(b, masks, x)
+        return stage._replace(run=run)
+
+    def run(b, masks, x, stages, inputs=None):
+        runs.append((len(masks), [stage.name for stage in stages]))
+        return real_run(b, masks, x, stages, inputs)
+
+    monkeypatch.setattr(model, "_chain", lambda a: [counted(stage) for stage in real_chain(a)])
+    monkeypatch.setattr(model, "_run", run)
+    gradcheck_model(arch, seed=0, h=1e-4, max_coords=max_coords)
+
+    chain = [stage.name for stage in real_chain(arch)]
+    first = {scope: i for i, stage in enumerate(real_chain(arch)) for scope in stage.reads}
+    dec = chain.index("dec.entry")
+    # the unbumped pass that keeps each stage's input, then mae_loss's encode
+    # and decode on the leaves
+    want = [(1, chain), (1, chain[:dec]), (1, chain[dec:])]
+    for name, shape in _param_layout(arch):
+        coords = min(max_coords, int(np.prod(shape)))
+        # one pass per batch of at most 8 coordinates, from the group's first stage
+        want += [(2 * min(8, coords - at), chain[first[_scope(name)]:])
+                 for at in range(0, coords, 8)]
+    assert runs == want
+    # every stage call is one of the chain's passes: none runs per bumped copy
+    assert stage_calls == chain + [stage for _, stages in want[3:] for stage in stages]
+
+
 @pytest.mark.parametrize("arch", GRADCHECK_ARCHS)
 @pytest.mark.parametrize("seed", [0, 1009])
 def test_gradcheck_reads_every_group_below_1e5(arch, seed):

@@ -610,3 +610,68 @@ def test_finite_diff_bumps_one_coordinate_and_restores_it():
                 moved[i] += step
                 want.append(moved)
         assert bumped.tobytes() == np.array(want).tobytes(), name
+
+
+# The five parameters a call that records nothing may hold one copy per row
+# block of: each case is (the call, given the per-block operand, and that
+# operand's copies for n_blocks blocks of 13 rows of width 32). The widths
+# are the model's, multiples of 8, where OpenBLAS sums a product's terms in
+# one order whatever the number of rows.
+def _per_block_case(name, n_blocks, rng):
+    rows = 13 * n_blocks
+    x = rng.standard_normal((rows, 32))
+    w, bias, gain, shift = (rng.standard_normal(s) for s in ((32, 32), (32,), (32,), (32,)))
+    # three rows of x land in each block of 13 output rows, the rest take the fill
+    idx = (13 * np.arange(n_blocks)[:, None] + [0, 5, 7]).ravel()
+    a = rng.standard_normal((len(idx), 32))
+    calls = {"matmul weight": (lambda p: T.matmul(x, p, bias), (32, 32)),
+             "matmul bias": (lambda p: T.matmul(x, w, p), (32,)),
+             "layernorm gain": (lambda p: T.layernorm(x, p, shift), (32,)),
+             "layernorm bias": (lambda p: T.layernorm(x, gain, p), (32,)),
+             "scatter fill": (lambda p: T.scatter_rows(a, idx, rows, p), (1, 32))}
+    call, shape = calls[name]
+    return call, rng.standard_normal((n_blocks, *shape))
+
+
+PER_BLOCK = ["matmul weight", "matmul bias", "layernorm gain", "layernorm bias", "scatter fill"]
+
+
+@pytest.mark.parametrize("name", PER_BLOCK)
+@pytest.mark.parametrize("n_blocks", [1, 3, 16])
+def test_each_block_reads_its_own_copy_bit_for_bit(name, n_blocks):
+    call, copies = _per_block_case(name, n_blocks, np.random.default_rng(n_blocks))
+    out = call(copies)
+    assert isinstance(out, np.ndarray) and out.shape == (13 * n_blocks, 32)
+    for j, copy in enumerate(copies):
+        shared = call(copy)
+        assert out[13 * j:13 * (j + 1)].tobytes() == shared[13 * j:13 * (j + 1)].tobytes(), j
+
+
+@pytest.mark.parametrize("m, k, n", [(1, 64, 3), (2, 64, 3), (13, 32, 6), (5, 6, 1)])
+def test_a_per_block_weight_is_each_block_s_own_product_bit_for_bit(m, k, n):
+    # One product over all the rows need not match a product over one block
+    # bit for bit: OpenBLAS takes one row as a GEMV, and orders the sums of
+    # the last few columns by the row count. Each block's own product does.
+    rng = np.random.default_rng(m + n)
+    x = rng.standard_normal((4 * m, k))
+    w, bias = rng.standard_normal((4, k, n)), rng.standard_normal((4, n))
+    out = T.matmul(x, w, bias)
+    for j in range(4):
+        own = T.matmul(x[m * j:m * (j + 1)], w[j], bias[j])
+        assert out[m * j:m * (j + 1)].tobytes() == own.tobytes(), j
+
+
+@pytest.mark.parametrize("name", PER_BLOCK)
+def test_a_recording_call_rejects_a_per_block_operand(name):
+    call, copies = _per_block_case(name, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        call(T.Tape().leaf(copies))
+
+
+@pytest.mark.parametrize("name", PER_BLOCK)
+@pytest.mark.parametrize("n_copies", [0, 5])
+def test_copies_that_do_not_divide_the_rows_are_rejected(name, n_copies):
+    # 3 blocks of 13 rows: 39 rows, which 0 or 5 copies cannot split
+    call, copies = _per_block_case(name, 3, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="per-block copies cannot split"):
+        call(np.resize(copies, (n_copies, *copies.shape[1:])))
