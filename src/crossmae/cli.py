@@ -5,20 +5,25 @@ Every run resolves a flat key=value config against per-command defaults
 field's default. A command loads its inputs, builds every object it needs
 and runs every check before it creates the output directory: a bad setting
 raises a ManifestError `<config path>: key <key>: <message>`. It then writes
-the resolved config plus a versioned format tag there, and outputs that are
-byte-identical across reruns of the same resolved config. A command that
-fails after that writes its error's message to error.txt there and raises.
+the resolved config, a versioned format tag naming the command and the
+crossmae, Python and numpy versions there, and outputs that are
+byte-identical across reruns of the same resolved config on one host. A
+directory whose format tag names another command is refused before anything
+is written. A command that fails after that writes its error's message to
+error.txt there and raises.
 Each pipeline gets its dataset whole: one (n, C, L) array of windows and one
 (n,) array of labels. The console script runs console, which prints the
 message of a failure it can name instead of a traceback.
 """
 import argparse
 import os
+import platform
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
+from . import __version__
 from .config import (BLOB_NAME, MANIFEST_NAME, ManifestError, array_fault, checked,
                      format_kv_lines, load_config)
 from .imputation import (METHODS, TASKS, MissingnessTask, _sample_mask_array,
@@ -156,9 +161,26 @@ class Run:
                                              **{f.name: key for f in fields(ArchSpec)}))
         return state
 
+    def claim_out(self) -> None:
+        """Refuse an output directory that holds another command's run: a
+        format.txt there that does not name this command is a ManifestError.
+        A rerun of the same command, or a directory with no format.txt, passes."""
+        path = os.path.join(self.out_dir, FORMAT_NAME)
+        try:
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+        except (FileNotFoundError, NotADirectoryError):
+            return
+        held = next((line.partition("=")[2] for line in lines if line.startswith("command=")),
+                    "unknown")
+        if held != self.command:
+            raise ManifestError(f"{path}: the directory holds a run of command {held}; "
+                                f"{self.command} will not write into it")
+
     def start(self) -> None:
-        """Create the output directory and record the config and format. An
-        error.txt left there by an earlier failed run is removed."""
+        """Create the output directory and record the config, the format and
+        the versions that ran it. An error.txt left there by an earlier
+        failed run is removed."""
         os.makedirs(self.out_dir, exist_ok=True)
         self.started = True
         error = os.path.join(self.out_dir, ERROR_NAME)
@@ -166,6 +188,8 @@ class Run:
             os.remove(error)
         self.write(CONFIG_NAME, format_kv_lines(self.cfg))
         self.write(FORMAT_NAME, f"{RUN_FORMAT}\ncommand={self.command}\n")
+        self.write("run.txt", f"crossmae={__version__}\npython={platform.python_version()}\n"
+                             f"numpy={np.__version__}\n")
 
     def write(self, name: str, text: str) -> None:
         with open(os.path.join(self.out_dir, name), "w") as fh:
@@ -470,6 +494,7 @@ def main(argv=None) -> int:
     if cfg["seed"] < 0:
         where = "--seed" if args.seed is not None else run.source
         raise ManifestError(f"{where}: key seed: must be at least 0, got {cfg['seed']}")
+    run.claim_out()
     try:
         fn(run)
     except Exception as exc:

@@ -75,14 +75,18 @@ def impute_model(state: ModelState, values: np.ndarray, masks: np.ndarray) -> np
     """Reconstruct the hidden patches of the (B, C, L) windows, given their
     (B, C, P) masks, with the pretrained autoencoder; visible samples are
     passed through bit-identically. The model runs frozen
-    (model.forward_frozen)."""
+    (model.forward_frozen), on the hidden patches' rows alone; a mask that
+    hides nothing runs no pass."""
     if len(values) != len(masks):
         raise ValueError(f"{len(values)} windows but {len(masks)} masks")
     arch = state.arch
     c_n, p_n, lp = arch.n_modalities, arch.n_patches, arch.patch_len
     grids = patchify(values, lp)
-    recon = forward_frozen(state, reconstruct, grids, masks, lambda w: w)
-    grids[masks] = recon.reshape(grids.shape)[masks]
+    # every mask hides the same number of patches (model._check_masks)
+    hidden = np.nonzero(masks.reshape(len(masks), -1))[1].reshape(len(masks), -1)
+    if hidden.size:
+        grids[masks] = forward_frozen(state, reconstruct, grids, masks, lambda w: w,
+                                      hidden).reshape(-1, lp)
     filled = values.copy()
     filled[..., :p_n * lp] = grids.reshape(len(values), c_n, p_n * lp)
     return filled
@@ -145,22 +149,27 @@ def impute_chained(values: np.ndarray, sample_masks: np.ndarray, sweeps: int) ->
         vis = ~miss[:, c]
         mean_c = data[vis, c].mean() if vis.any() else 0.0
         data[miss[:, c], c] = mean_c
-    for _ in range(sweeps):
-        for c in range(c_n):
-            fit_rows = ~miss[:, c]
-            pred_rows = miss[:, c]
-            if not fit_rows.any() or not pred_rows.any():
-                continue
+    # Each channel's fit and predict rows stay fixed across sweeps, so their
+    # index arrays are built once: (c, fit rows, predict rows, the np.ix_
+    # pair of each with the other channels) for every channel with both.
+    plans = []
+    for c in range(c_n):
+        fit_rows, pred_rows = np.flatnonzero(~miss[:, c]), np.flatnonzero(miss[:, c])
+        if len(fit_rows) and len(pred_rows):
             others = [k for k in range(c_n) if k != c]
-            x_fit = data[np.ix_(fit_rows, others)]
+            plans.append((c, fit_rows, pred_rows, np.ix_(fit_rows, others),
+                          np.ix_(pred_rows, others)))
+    ridge = CHAINED_RIDGE * np.eye(c_n - 1)
+    for _ in range(sweeps):
+        for c, fit_rows, pred_rows, fit_ix, pred_ix in plans:
+            x_fit = data[fit_ix]
             y_fit = data[fit_rows, c]
             xm = x_fit.mean(axis=0)
             ym = y_fit.mean()
             xc = x_fit - xm
-            gram = xc.T @ xc + CHAINED_RIDGE * np.eye(len(others))
+            gram = xc.T @ xc + ridge
             coef = np.linalg.solve(gram, xc.T @ (y_fit - ym))
-            x_pred = data[np.ix_(pred_rows, others)]
-            data[pred_rows, c] = (x_pred - xm) @ coef + ym
+            data[pred_rows, c] = (data[pred_ix] - xm) @ coef + ym
     block = data.reshape(n, length, c_n).transpose(0, 2, 1)
     return np.where(sample_masks, block, values)
 
@@ -176,8 +185,9 @@ def score(filled: np.ndarray, truth: np.ndarray, sample_masks: np.ndarray) -> Im
     windows. The sums run window by window, so that the totals do not depend
     on how many windows share a call. impute_model's fill can: a window's
     frozen output (model.forward_frozen) can move by a few ulps with the
-    windows that share its model.FORWARD_CHUNK, since BLAS orders a short
-    row sum by where the row falls in the call."""
+    windows that share its model.FORWARD_CHUNK, and with how many hidden
+    rows the chunk keeps, since BLAS orders a short row sum by where the
+    row falls in the call."""
     if filled.shape != truth.shape:
         raise ValueError("shape mismatch between filled and truth")
     abs_sum = 0.0

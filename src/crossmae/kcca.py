@@ -196,6 +196,16 @@ def _raw_view_features(values: np.ndarray, shown: np.ndarray, patch_len: int) ->
     return np.where(cells, values[..., :p_n * patch_len], 0.0).reshape(len(values), -1)
 
 
+def _model_view_features(state: ModelState, grids: np.ndarray, hides: np.ndarray) -> np.ndarray:
+    """(n, D) features of one view: the mean patch-token latent of a frozen
+    encoder pass over the (n, C, P, L_p) grids with the (n, C, P) masks
+    hides (True = hidden). The class row is dropped, so only the patch rows
+    query the encoder's last block (model.forward_frozen)."""
+    n_shown = np.count_nonzero(~hides[0])
+    patch_rows = np.broadcast_to(np.arange(1, n_shown + 1), (len(grids), n_shown))
+    return forward_frozen(state, encode, grids, hides, lambda w: w.mean(axis=1), patch_rows)
+
+
 def sigma1_experiment(values, policy: str, state: ModelState | None = None, *, pca_k: int,
                       seed: int, ratio: float, patch_len: int) -> float:
     """sigma_1 of the unmasked/masked view cross-covariance under one policy,
@@ -220,11 +230,9 @@ def sigma1_experiment(values, policy: str, state: ModelState | None = None, *, p
         f_m = _raw_view_features(values, masks, patch_len)
     else:
         # The unmasked view shows the encoder the visible cells; the masked
-        # view shows it the hidden ones. A view's features are the mean of
-        # its patch-token latents, the class row dropped.
+        # view shows it the hidden ones.
         grids = patchify(standardize(values), patch_len)
-        f_u, f_m = (forward_frozen(state, encode, grids, shown, lambda w: w[:, 1:].mean(axis=1))
-                    for shown in (masks, ~masks))
+        f_u, f_m = (_model_view_features(state, grids, hides) for hides in (masks, ~masks))
     k = min(pca_k, min(n, f_u.shape[1]) - 1, min(n, f_m.shape[1]) - 1)
     if k < 1:
         raise ValueError("dataset too small for PCA reduction")

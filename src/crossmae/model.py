@@ -17,7 +17,12 @@ forward-only caller (class embeddings, imputation, view features) goes
 through forward_frozen, which binds the parameter arrays themselves as
 constants, so every primitive returns a plain array, runs FORWARD_CHUNK
 windows at a time and returns the concatenation of what the caller keeps of
-each chunk.
+each chunk. Each caller names the rows of each window's output it keeps: the
+class row, the hidden patches or the patch rows. The last encoder or decoder
+block then queries with those rows alone and carries only them in its
+residual, while its keys and values still come from every row; the MLP,
+final norm and head after it are row-wise, so they see only the kept rows.
+Recording passes (training steps, gradcheck) keep every row.
 
 The forward pass is one ordered chain of stages (_chain), each declaring
 the parameter scopes it reads (a scope is a name without its last
@@ -276,15 +281,23 @@ def _embed(b: Binding, masks, grids):
     return T.add(x, b.state.positions[ids.ravel()])
 
 
-def _attention_half(prefix: str, b: Binding, masks, x):
+def _attention_half(prefix: str, b: Binding, masks, x, rows=None):
     """The first half of a pre-norm block: x + attention(ln1(x)), multi-head
     self-attention within each window. Keys carry no bias: q.bk would add one
-    constant to each query's scores, which the softmax takes back out."""
+    constant to each query's scores, which the softmax takes back out.
+
+    With rows, a (B, t_q) array of the rows each window keeps (0 its first
+    row), only those rows query and carry the residual, so the output holds
+    t_q rows a window; keys and values still come from every row."""
     p = b.p
     y = T.layernorm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
     # the projections' order sets the order in which y's three gradients add
     keys = T.matmul(y, p[f"{prefix}.attn.Wk"])
-    queries = T.matmul(y, p[f"{prefix}.attn.Wq"], p[f"{prefix}.attn.bq"])
+    y_q = y
+    if rows is not None:
+        kept = (np.arange(len(rows))[:, None] * (len(x) // len(rows)) + rows).ravel()
+        x, y_q = T.take_rows(x, kept), T.take_rows(y, kept)
+    queries = T.matmul(y_q, p[f"{prefix}.attn.Wq"], p[f"{prefix}.attn.bq"])
     values = T.matmul(y, p[f"{prefix}.attn.Wv"], p[f"{prefix}.attn.bv"])
     merged = T.attention(queries, keys, values, len(masks), b.state.arch.n_heads)
     return T.add(x, T.matmul(merged, p[f"{prefix}.attn.Wo"], p[f"{prefix}.attn.bo"]))
@@ -313,10 +326,14 @@ def _dec_entry(b: Binding, masks, encoded):
     return T.add(x, np.tile(b.state.positions, (n_win, 1)))
 
 
-def _dec_norm(b: Binding, masks, x):
-    """The decoder's final layernorm, then each window's patch rows: (B*N, D)."""
+def _dec_norm(b: Binding, masks, x, drop_class=True):
+    """The decoder's final layernorm, then, with drop_class, each window's
+    patch rows: (B*N, D). A pass that kept only some rows (_decoder) has
+    dropped the class rows already."""
     n_win, n_rows = len(masks), b.state.arch.n_tokens + 1
     x = T.layernorm(x, b.p["dec.norm.g"], b.p["dec.norm.b"])
+    if not drop_class:
+        return x
     return T.take_rows(x, np.delete(np.arange(n_win * n_rows), np.arange(n_win) * n_rows))
 
 
@@ -324,26 +341,34 @@ def _head(b: Binding, masks, x):
     return T.matmul(x, b.p["head.W"], b.p["head.b"])
 
 
-def _blocks(stack: str, n_layers: int) -> list:
-    """Two stages per block, each with its layernorm: stackN.attn and stackN.mlp."""
+def _blocks(stack: str, n_layers: int, rows=None) -> list:
+    """Two stages per block, each with its layernorm: stackN.attn and stackN.mlp.
+    The last block's attention keeps rows (_attention_half); every stage after
+    it is row-wise."""
     stages = []
-    for p in (f"{stack}{i}" for i in range(n_layers)):
+    for i in range(n_layers):
+        p, kept = f"{stack}{i}", rows if i == n_layers - 1 else None
         stages += [Stage(f"{p}.attn", (f"{p}.ln1", f"{p}.attn"),
-                         functools.partial(_attention_half, p)),
+                         functools.partial(_attention_half, p, rows=kept)),
                    Stage(f"{p}.mlp", (f"{p}.ln2", f"{p}.mlp"), functools.partial(_mlp_half, p))]
     return stages
 
 
-def _encoder(arch: ArchSpec) -> list:
-    """The stages encode runs: grids (B, C, P, L_p) to (B*(V+1), D)."""
-    return [Stage("embed", ("embed", "cls"), _embed), *_blocks("enc", arch.enc_layers),
+def _encoder(arch: ArchSpec, rows=None) -> list:
+    """The stages encode runs: grids (B, C, P, L_p) to (B*(V+1), D), or with
+    rows (B, t_q) to those rows of each window's block: (B*t_q, D)."""
+    return [Stage("embed", ("embed", "cls"), _embed), *_blocks("enc", arch.enc_layers, rows),
             Stage("enc.norm", ("enc.norm",), _enc_norm)]
 
 
-def _decoder(arch: ArchSpec) -> list:
-    """The stages decode runs: (B*(V+1), D) encoder rows to (B*N, L_p)."""
-    return [Stage("dec.entry", ("mask_token",), _dec_entry), *_blocks("dec", arch.dec_layers),
-            Stage("dec.norm", ("dec.norm",), _dec_norm), Stage("head", ("head",), _head)]
+def _decoder(arch: ArchSpec, rows=None) -> list:
+    """The stages decode runs: (B*(V+1), D) encoder rows to (B*N, L_p), or
+    with rows (B, t_q) of patch indices to those patches: (B*t_q, L_p)."""
+    kept = None if rows is None else rows + 1  # the decoder's row 0 is the class token
+    dec_norm = functools.partial(_dec_norm, drop_class=rows is None)
+    return [Stage("dec.entry", ("mask_token",), _dec_entry),
+            *_blocks("dec", arch.dec_layers, kept), Stage("dec.norm", ("dec.norm",), dec_norm),
+            Stage("head", ("head",), _head)]
 
 
 def _chain(arch: ArchSpec) -> list:
@@ -360,49 +385,58 @@ def _run(b: Binding, masks, x, stages, inputs=None):
     return x
 
 
-def forward_frozen(state: ModelState, fn, grids, masks, per_window):
+def forward_frozen(state: ModelState, fn, grids, masks, per_window, rows=None):
     """Run fn (encode or reconstruct) with every parameter of state a
     constant, over consecutive chunks of at most FORWARD_CHUNK windows, and
     return the concatenation of per_window(out) over the chunks. out is
     fn's plain-array output for the chunk as (B, rows, width): its row
     blocks, one per window. No tape is involved, so nothing outlives a chunk
-    but what per_window keeps of it."""
+    but what per_window keeps of it.
+
+    rows, when given, is an (n, t_q) array of the rows of each window's
+    output block that the caller keeps, at least one a window; out then
+    holds just those, in that order, and the last block of the encoder or
+    decoder runs only them as queries (_attention_half)."""
     binding = Binding(state, None)
     kept = []
     for start in range(0, len(masks), FORWARD_CHUNK):
         chunk = slice(start, start + FORWARD_CHUNK)
-        out = fn(binding, grids[chunk], masks[chunk])
+        out = fn(binding, grids[chunk], masks[chunk], None if rows is None else rows[chunk])
         kept.append(per_window(out.reshape(len(masks[chunk]), -1, out.shape[1])))
     return np.concatenate(kept)
 
 
-def encode(b: Binding, grids, masks):
+def encode(b: Binding, grids, masks, rows=None):
     """Run the encoder stages over the visible tokens of a batch: grids (B,
     C, P, L_p) and masks (B, C, P) that all hide the same number of patches.
     Returns (B*(V+1), D) values in B row blocks: row 0 of a block is the
-    class token, rows 1..V the window's visible patches in grid order."""
+    class token, rows 1..V the window's visible patches in grid order. With
+    rows, a (B, t_q) array of rows of each block, a block holds only those."""
     arch = b.state.arch
     want = (arch.n_modalities, arch.n_patches, arch.patch_len)
     if grids.shape[1:] != want:
         raise ValueError(f"grid {grids.shape[1:]} does not match arch {want}")
     if masks.shape != grids.shape[:3]:
         raise ValueError(f"masks {masks.shape} do not match grids {grids.shape}")
-    return _run(b, masks, grids, _encoder(arch))
+    return _run(b, masks, grids, _encoder(arch, rows))
 
 
-def decode(b: Binding, encoded, masks):
+def decode(b: Binding, encoded, masks, rows=None):
     """Run the decoder stages: scatter each window's encoder outputs back to
     its grid slots, fill hidden slots with the mask token, re-add positions
     everywhere, run the decoder, and project every patch token back to patch
-    space. Returns (B*N, L_p) values, window by window in grid order. The
-    masks must pass _check_masks, checked here without the token ids."""
+    space. Returns (B*N, L_p) values, window by window in grid order, or,
+    with rows, a (B, t_q) array of grid indices, those patches of each
+    window: (B*t_q, L_p). The masks must pass _check_masks, checked here
+    without the token ids."""
     _check_masks(masks)
-    return _run(b, masks, encoded, _decoder(b.state.arch))
+    return _run(b, masks, encoded, _decoder(b.state.arch, rows))
 
 
-def reconstruct(b: Binding, grids, masks):
-    """encode + decode of one batch, returning the (B*N, L_p) reconstruction."""
-    return decode(b, encode(b, grids, masks), masks)
+def reconstruct(b: Binding, grids, masks, rows=None):
+    """encode + decode of one batch, returning the (B*N, L_p) reconstruction,
+    or with rows the (B*t_q, L_p) patches it names (decode)."""
+    return decode(b, encode(b, grids, masks), masks, rows)
 
 
 def _loss(recon, grids, masks, masked_only: bool = False):

@@ -23,7 +23,9 @@ fires, so after backward only the leaves hold gradients.
 
 A batch of windows travels as one 2-D array of stacked row blocks, one block
 per window. take_rows, scatter_rows and attention are the primitives that
-know about that structure. In a call that records nothing, the parameters
+know about that structure. attention's queries may hold fewer rows per
+block than its keys and values, T_q against T, so a pass that keeps only
+some rows of each window queries with just those. In a call that records nothing, the parameters
 that matmul, layernorm and scatter_rows read may also hold one copy per row
 block, stacked on a leading axis of B copies: a (B, k, n) matmul weight, a
 (B, n) matmul bias, a (B, d) layernorm gain or bias, and a (B, 1, D)
@@ -333,80 +335,87 @@ def scatter_rows(a, idx, n_rows, fill):
 
 
 def attention(q, k, v, n_blocks, n_heads):
-    """Multi-head scaled dot-product attention within each of n_blocks equal
-    row blocks of (rows, D) queries, keys and values.
+    """Multi-head scaled dot-product attention within each of n_blocks
+    blocks: (n_blocks * T_q, D) queries against (n_blocks * T, D) keys and
+    values, so block j's T_q query rows attend to block j's T key and value
+    rows. A self-attention pass has T_q = T; a pass that keeps only some of
+    each block's rows queries with just those.
 
-    Heads come from a reshape to (blocks, heads, T, D / heads); each head
+    Heads come from a reshape to (blocks, heads, rows, D / heads); each head
     computes softmax(q k^T / sqrt(D / heads)) v over its own block, and the
-    heads are merged back to (rows, D) in head order.
+    heads are merged back to (n_blocks * T_q, D) in head order.
 
-    Only the two matmuls, exp and the row sums pass over the (rows, T)
-    scores, in this order: the queries are scaled, qs = c q with
-    c = 1 / sqrt(D / heads); the scores are s = qs k^T; e = exp(s), taken
-    in place; the output is (e v) / e.sum(row), the row sums dividing the
-    (rows, D / heads) value products instead of the scores (the deferred
-    normalization of Milakov and Gimelshein, arXiv:1805.02867, and of
-    FlashAttention, Dao et al., arXiv:2205.14135). The softmax's row-max
-    shift is skipped when Cauchy-Schwarz bounds every |s| by
-    c max_i ||q_i|| max_j ||k_j||, over full rows of the whole batch, and
-    that bound is at most SHIFT_FREE_BOUND (64): every exp then lies in
-    [e^-64, e^64], a normal float, and even T e^64 |v| stays finite. A
-    larger or NaN bound subtracts each row's max from s first.
+    Only the two matmuls, exp and the row sums pass over the (T_q, T)
+    scores of a block and head, in this order: the queries are scaled,
+    qs = c q with c = 1 / sqrt(D / heads); the scores are s = qs k^T;
+    e = exp(s), taken in place; the output is (e v) / e.sum(row), the row
+    sums dividing the (T_q, D / heads) value products instead of the
+    scores (the deferred normalization of Milakov and Gimelshein,
+    arXiv:1805.02867, and of FlashAttention, Dao et al., arXiv:2205.14135).
+    The softmax's row-max shift is skipped when Cauchy-Schwarz bounds every
+    |s| by c max_i ||q_i|| max_j ||k_j||, over full rows of the queries and
+    keys given, and that bound is at most SHIFT_FREE_BOUND (64): every exp
+    then lies in [e^-64, e^64], a normal float, and even T e^64 |v| stays
+    finite. A larger or NaN bound subtracts each row's max from s first.
 
     The blocks run in tiles of as many whole blocks as keep a tile's
-    heads x T x T scores within ATTENTION_TILE_BYTES, at least one, and a
-    number that makes a tile's score rows a multiple of 4, so the scores of
-    a tile are computed, exponentiated, summed and multiplied into the
-    values while they sit in cache. Each matmul works on one block and head,
-    each row sum adds its row in the order a call over the whole batch
-    would, and the shift is decided once for the batch, so the tiling moves
-    no bit of the output or of the gradients. A recording call keeps
-    each tile's e and row sums r; backward walks the same tiles and writes
-    each tile's gradients into its rows. It never forms the weights e / r:
-    it divides the upstream gradient instead, g' = g / r, in the (rows, D)
-    layout with each (row, head)'s r repeated over the head's columns. Then
-    dv = e^T g'; the row term delta = rowdot(g' v^T, e) / r, a sum of
-    e (g' v^T) products taken row by row with no score-sized temporary; and
-    gs = e (g' v^T - delta), formed in place in the one score-sized array a
-    tile allocates, g' v^T. The gradients are dq = c (gs k) and
-    dk = c (gs^T q).
+    heads x T_q x T scores within ATTENTION_TILE_BYTES, at least one, and a
+    number that makes a tile's score rows, heads x T_q a block, a multiple
+    of 4, so the scores of a tile are computed, exponentiated, summed and
+    multiplied into the values while they sit in cache. Each matmul works on
+    one block and head, each row sum adds its row in the order a call over
+    the whole batch would, and the shift is decided once for the batch, so
+    the tiling moves no bit of the output or of the gradients. A recording
+    call keeps each tile's e and row sums r; backward walks the same tiles
+    and writes each tile's gradients into its rows. It never forms the
+    weights e / r: it divides the upstream gradient instead, g' = g / r, in
+    the (n_blocks * T_q, D) layout with each (row, head)'s r repeated over
+    the head's columns. Then dv = e^T g'; the row term
+    delta = rowdot(g' v^T, e) / r, a sum of e (g' v^T) products taken row
+    by row with no score-sized temporary; and gs = e (g' v^T - delta),
+    formed in place in the one score-sized array a tile allocates, g' v^T.
+    The gradients are dq = c (gs k) and dk = c (gs^T q).
 
-    Raises ValueError when the rows or columns are empty, when n_blocks or
-    n_heads is below 1, or when either does not divide its dimension."""
+    Raises ValueError when the keys and values differ in shape, when the
+    query or key rows or the columns are empty, when the queries and keys
+    differ in width, when n_blocks or n_heads is below 1, or when n_blocks
+    does not divide the query or the key rows or n_heads the width."""
     qd, kd, vd = _data(q), _data(k), _data(v)
-    if qd.ndim != 2 or kd.shape != qd.shape or vd.shape != qd.shape:
-        raise ValueError("attention needs 2-D queries, keys and values of one shape")
-    rows, d = qd.shape
-    if n_blocks < 1 or n_heads < 1 or not rows or not d or rows % n_blocks or d % n_heads:
-        raise ValueError(f"attention cannot split {qd.shape} into {n_blocks} blocks "
-                         f"of {n_heads} heads")
-    t, dh = rows // n_blocks, d // n_heads
+    if qd.ndim != 2 or kd.ndim != 2 or vd.shape != kd.shape:
+        raise ValueError("attention needs 2-D queries, keys and values, the keys and values "
+                         "of one shape")
+    (q_rows, d), (rows, kd_width) = qd.shape, kd.shape
+    if (n_blocks < 1 or n_heads < 1 or not q_rows or not rows or not d or kd_width != d
+            or q_rows % n_blocks or rows % n_blocks or d % n_heads):
+        raise ValueError(f"attention cannot split {qd.shape} queries and {kd.shape} keys "
+                         f"into {n_blocks} blocks of {n_heads} heads")
+    t_q, t, dh = q_rows // n_blocks, rows // n_blocks, d // n_heads
     c = 1.0 / np.sqrt(dh)
     # A row sum is a GEMV, and OpenBLAS sums rows four at a time, so a row's
     # sum depends on its place in the call modulo 4: every tile starts on a
     # multiple of 4 score rows, as in a call over the whole batch. group is
-    # the fewest blocks whose score rows, n_heads * T a block, add up to a
+    # the fewest blocks whose score rows, n_heads * T_q a block, add up to a
     # multiple of 4.
-    group = (1, 4, 2, 4)[n_heads * t % 4]
-    per_tile = max(1, ATTENTION_TILE_BYTES // (8 * n_heads * t * t) // group) * group
+    group = (1, 4, 2, 4)[n_heads * t_q % 4]
+    per_tile = max(1, ATTENTION_TILE_BYTES // (8 * n_heads * t_q * t) // group) * group
     recording = _tracked(q, k, v)
 
-    def split(x):
-        """The (blocks, heads, T, D / heads) view of (rows, D) rows."""
-        return x.reshape(-1, t, n_heads, dh).transpose(0, 2, 1, 3)
+    def split(x, n):
+        """The (blocks, heads, n, D / heads) view of (rows, D) rows, n a block."""
+        return x.reshape(-1, n, n_heads, dh).transpose(0, 2, 1, 3)
 
     # Row dot products, so no second (rows, D) array is live at the score
     # matmuls; a NaN bound fails the test below and takes the shifted path.
     bound = c * np.sqrt(np.einsum("ij,ij->i", qd, qd).max() * np.einsum("ij,ij->i", kd, kd).max())
     shifted = not bound <= SHIFT_FREE_BOUND
-    qh, kh, vh = split(qd), split(kd), split(vd)
-    out_data = np.empty((rows, d))
-    out_heads = split(out_data)
+    qh, kh, vh = split(qd, t_q), split(kd, t), split(vd, t)
+    out_data = np.empty((q_rows, d))
+    out_heads = split(out_data, t_q)
     saved = []
     for b in range(0, n_blocks, per_tile):
         blocks = slice(b, b + per_tile)
         # the scaled queries die with the score matmul
-        e = split(qd[b * t:(b + per_tile) * t] * c) @ kh[blocks].transpose(0, 1, 3, 2)
+        e = split(qd[b * t_q:(b + per_tile) * t_q] * c, t_q) @ kh[blocks].transpose(0, 1, 3, 2)
         # matmul returns a C-contiguous array, so the reshape is a view
         e_rows = e.reshape(-1, t)
         if shifted:
@@ -421,13 +430,14 @@ def attention(q, k, v, n_blocks, n_heads):
             saved.append((blocks, e, e_rows, sums))
 
     def backward(g):
-        gq, gk, gv = (np.empty((rows, d)) for _ in range(3))
-        gqh, gkh, gvh = split(gq), split(gk), split(gv)
+        gq = np.empty((q_rows, d))
+        gk, gv = np.empty((rows, d)), np.empty((rows, d))
+        gqh, gkh, gvh = split(gq, t_q), split(gk, t), split(gv, t)
         for blocks, e, e_rows, sums in saved:
             # g' = g / r in the (rows, D) layout, each (row, head)'s sum
             # repeated over the head's columns
             r = np.repeat(sums.reshape(e.shape[:3]).transpose(0, 2, 1), dh, axis=2)
-            gp = split(g[blocks.start * t:blocks.stop * t] / r.reshape(-1, d))
+            gp = split(g[blocks.start * t_q:blocks.stop * t_q] / r.reshape(-1, d), t_q)
             np.matmul(e.transpose(0, 1, 3, 2), gp, out=gvh[blocks])
             # g' v^T, the tile's one score-sized array, becomes gs in place
             gs = gp @ vh[blocks].transpose(0, 1, 3, 2)

@@ -269,7 +269,8 @@ def class_embeddings(state: ModelState, values: np.ndarray) -> np.ndarray:
     arch = state.arch
     grids = patchify(standardize(values), arch.patch_len)
     masks = np.zeros(grids.shape[:3], dtype=bool)
-    return forward_frozen(state, encode, grids, masks, lambda w: w[:, 0])
+    class_row = np.zeros((len(grids), 1), dtype=np.intp)
+    return forward_frozen(state, encode, grids, masks, lambda w: w[:, 0], class_row)
 
 
 def _split_indices(n: int, train_fraction: float, rng) -> tuple:

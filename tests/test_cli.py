@@ -65,6 +65,40 @@ def test_run_dir_records_config_and_format(data_dir):
     assert fmt == "crossmae-run-v1\ncommand=synth\n"
 
 
+def test_run_dir_records_the_versions_that_ran_it(data_dir):
+    import platform
+
+    import crossmae
+
+    run = open(os.path.join(data_dir, "run.txt")).read()
+    assert run == (f"crossmae={crossmae.__version__}\npython={platform.python_version()}\n"
+                   f"numpy={np.__version__}\n")
+
+
+def _tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in Path(root).rglob("*")
+            if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["impute", "synth"])
+def test_a_run_into_another_command_s_directory_is_refused_before_writing(
+        data_dir, checkpoint_dir, tmp_path, capsys, command):
+    import shutil
+
+    out = tmp_path / "pretrained"
+    shutil.copytree(os.path.dirname(checkpoint_dir), out)
+    before = _tree(out)
+    cfg = _write_cfg(tmp_path / "c.cfg", **(
+        {"data.dir": data_dir, "checkpoint": checkpoint_dir} if command == "impute"
+        else {"data.n_windows": 2, "data.n_samples": 16}))
+    assert cli.console([command, "--out", str(out), "--config", cfg]) == 1
+    fmt = re.escape(str(out / cli.FORMAT_NAME))
+    assert re.fullmatch(rf"crossmae: {fmt}: the directory holds a run of command pretrain; "
+                        rf"{command} will not write into it\n", capsys.readouterr().err)
+    assert _tree(out) == before
+
+
 def test_synth_layout_and_blob_identity(data_dir, tmp_path):
     values, _, n_classes = load_dataset(data_dir)
     assert values.shape == (12, 4, 32) and n_classes == 4

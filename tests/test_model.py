@@ -357,6 +357,75 @@ def test_attention_tiles_move_no_bit_of_a_frozen_pass_or_a_step(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
+def _one_order(*row_counts):
+    """Whether OpenBLAS sums each row of a GEMV over row_counts rows in one
+    order, wherever the row falls: a call of one row takes a dot product,
+    and the two rows after the last multiple of 4 in a call of 4k + 2 or
+    4k + 3 rows take a two-row kernel, and both may round otherwise.
+    layernorm's row sums are such GEMVs."""
+    return all(n > 1 and n % 4 < 2 for n in row_counts)
+
+
+def _same_rows(got, want, *row_counts):
+    """got equals want bit for bit when the row-wise calls of both passes,
+    over row_counts rows, sum each row in one order (_one_order), and within
+    1e-12 of want's largest value otherwise."""
+    assert got.shape == want.shape
+    if _one_order(*row_counts):
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# 3 x 4 and 6 x 25 patches: 13 and 151 tokens. The full pass (no rows) of
+# each consumer is the reference; a kept-row pass runs only the kept rows
+# through the last block's queries, its MLP, the final norm and the head.
+@pytest.mark.parametrize("policy", [CROSS, SYNC])
+@pytest.mark.parametrize("n", [1, 3, 16])
+@pytest.mark.parametrize("grid", [(3, 4), (6, 25)], ids=["13-tokens", "151-tokens"])
+def test_each_frozen_consumer_keeps_the_rows_of_the_full_pass(policy, n, grid):
+    from crossmae.imputation import impute_model
+    from crossmae.kcca import _model_view_features
+    from crossmae.train import class_embeddings
+    from crossmae.windows import standardize
+
+    arch = ArchSpec(n_modalities=grid[0], n_patches=grid[1], patch_len=8)
+    state = init_model(arch, seed=22)
+    grids, masks = _batch(arch, n, policy, seed=23)
+    values = grids.reshape(n, arch.n_modalities, -1)
+    rows = arch.n_tokens + 1
+
+    # impute: the hidden patches of the reconstruction
+    full = forward_frozen(state, reconstruct, grids, masks, lambda w: w)
+    filled = patchify(impute_model(state, values, masks), arch.patch_len)
+    _same_rows(filled[masks], full.reshape(grids.shape)[masks], n * rows,
+               np.count_nonzero(masks))
+
+    # class embeddings: the class row of fully visible windows
+    visible = np.zeros_like(masks)
+    full = forward_frozen(state, encode, patchify(standardize(values), arch.patch_len),
+                          visible, lambda w: w[:, 0])
+    got = class_embeddings(state, values)
+    assert got.shape == full.shape
+    assert np.abs(got - full).max() <= 1e-12 * np.abs(full).max()
+
+    # sigma1's model-encoder features: each view's mean patch-token latent
+    for hides in (masks, ~masks):
+        full = forward_frozen(state, encode, grids, hides, lambda w: w[:, 1:].mean(axis=1))
+        shown = np.count_nonzero(~hides)
+        _same_rows(_model_view_features(state, grids, hides), full, shown + n, shown)
+
+
+def test_a_kept_row_pass_needs_a_kept_row():
+    state = init_model(TINY, seed=24)
+    grids, masks = _batch(TINY, 2, CROSS, seed=25)
+    hidden = np.nonzero(masks.reshape(2, -1))[1].reshape(2, -1)
+    kept = forward_frozen(state, reconstruct, grids, masks, lambda w: w, hidden)
+    assert kept.shape == (2, hidden.shape[1], TINY.patch_len)
+    with pytest.raises(ValueError, match="attention cannot split"):
+        forward_frozen(state, reconstruct, grids, masks, lambda w: w, hidden[:, :0])
+
+
 def test_gradcheck_tiny_model():
     err, _ = gradcheck_model(TINY, seed=0, h=1e-4, max_coords=3)
     assert err < 1e-3

@@ -134,6 +134,9 @@ PRIMITIVES = {
     "scatter_rows": lambda p: T.mean(T.mul(T.scatter_rows(p["a"], [5, 0, 2, 3], 7, p["f"]),
                                               np.arange(35.0).reshape(7, 5))),
     "attention": lambda p: T.mean(T.mul(T.attention(p["q"], p["k"], p["v"], 2, 2), p["w"])),
+    # two query rows a block against three key rows
+    "attention_kept_rows": lambda p: T.mean(T.mul(T.attention(p["q2"], p["k"], p["v"], 2, 2),
+                                                  p["w2"])),
 }
 
 
@@ -144,7 +147,8 @@ def _operands():
             "c": rng.standard_normal(5), "f": rng.standard_normal((1, 5)),
             "q": rng.standard_normal((6, 4)), "k": rng.standard_normal((6, 4)),
             "v": rng.standard_normal((6, 4)), "w": rng.standard_normal((6, 4)),
-            "r": rng.standard_normal(3)}
+            "r": rng.standard_normal(3), "q2": rng.standard_normal((4, 4)),
+            "w2": rng.standard_normal((4, 4))}
 
 
 def _each_bump(loss):
@@ -402,32 +406,39 @@ def test_attention_matches_its_formula_bit_for_bit(monkeypatch):
     # default 512 KiB; 3 x 151 is one block per tile at the default. With one
     # or three heads and an odd T, a block holds a number of score rows that
     # is not a multiple of 4, which a tile must not split the row sums at.
+    # The rest query with T_q < T rows a block, as a pass that keeps only
+    # some rows does: the class row alone, or a window's hidden patches.
     rng = np.random.default_rng(9)
-    for n_blocks, n_heads, t_len, d in ((3, 2, 5, 8), (16, 4, 49, 32), (3, 4, 151, 32),
-                                        (6, 1, 151, 8), (7, 3, 31, 12)):
-        q, k, v, w = (rng.standard_normal((n_blocks * t_len, d)) for _ in range(4))
+    for n_blocks, n_heads, t_q, t_len, d in (
+            (3, 2, 5, 5, 8), (16, 4, 49, 49, 32), (3, 4, 151, 151, 32), (6, 1, 151, 151, 8),
+            (7, 3, 31, 31, 12),
+            (16, 4, 1, 13, 32), (16, 4, 6, 13, 32), (16, 4, 1, 49, 32), (16, 4, 24, 49, 32),
+            (3, 4, 1, 151, 32), (3, 4, 75, 151, 32), (6, 1, 75, 151, 8), (7, 3, 1, 31, 12)):
+        q, w = (rng.standard_normal((n_blocks * t_q, d)) for _ in range(2))
+        k, v = (rng.standard_normal((n_blocks * t_len, d)) for _ in range(2))
+        split_q, merge_q = _heads(n_blocks, n_heads, t_q, d)
         split, merge = _heads(n_blocks, n_heads, t_len, d)
         c = 1.0 / np.sqrt(d // n_heads)
         # the scores' bound is at most about 35 at scale 1 and 16,000 at scale 40
         for scale, shifted in ((1.0, False), (40.0, True)):
             qx, kx = q * scale, k * scale
             assert (_score_bound(qx, kx, n_heads) > T.SHIFT_FREE_BOUND) == shifted
-            qh, kh, vh, gh = split(qx), split(kx), split(v), split(w)
-            s = (split(qx * c) @ kh.transpose(0, 1, 3, 2)).reshape(-1, t_len)
+            qh, kh, vh = split_q(qx), split(kx), split(v)
+            s = (split_q(qx * c) @ kh.transpose(0, 1, 3, 2)).reshape(-1, t_len)
             if shifted:
                 s = s - s.max(axis=1, keepdims=True)
-            e = np.exp(s).reshape(n_blocks, n_heads, t_len, t_len)
-            sums = kernels.row_sums(e.reshape(-1, t_len)).reshape(n_blocks, n_heads, t_len, 1)
+            e = np.exp(s).reshape(n_blocks, n_heads, t_q, t_len)
+            sums = kernels.row_sums(e.reshape(-1, t_len)).reshape(n_blocks, n_heads, t_q, 1)
             # backward: g' = g / r with each (row, head)'s sum r over its
             # head's columns, dv = e^T g', delta = rowdot(g' v^T, e) / r and
             # gs = e (g' v^T - delta)
             r = np.repeat(sums[..., 0].transpose(0, 2, 1), d // n_heads, axis=2)
-            gph = split(w / r.reshape(-1, d))
+            gph = split_q(w / r.reshape(-1, d))
             ga = (gph @ vh.transpose(0, 1, 3, 2)).reshape(-1, t_len)
             e_rows = e.reshape(-1, t_len)
             delta = np.einsum("ij,ij->i", ga, e_rows) / sums.reshape(-1)
             gs = ((ga - delta[:, None]) * e_rows).reshape(e.shape)
-            want = (merge(e @ vh / sums), merge(gs @ kh) * c,
+            want = (merge_q(e @ vh / sums), merge_q(gs @ kh) * c,
                     merge(gs.transpose(0, 1, 3, 2) @ qh) * c,
                     merge(e.transpose(0, 1, 3, 2) @ gph))
             for budget in (1, T.ATTENTION_TILE_BYTES, 2**40):
@@ -503,16 +514,19 @@ def test_attention_stays_finite_at_extreme_scores_and_values():
     assert np.allclose(out, 1e200, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("shape, n_blocks, n_heads", [
-    ((4, 8), 2, 0), ((4, 8), 2, -2), ((0, 8), 1, 2), ((4, 0), 2, 2), ((4, 8), 0, 2),
-    ((5, 8), 2, 2), ((4, 6), 2, 4),
+@pytest.mark.parametrize("q_shape, shape, n_blocks, n_heads", [
+    ((4, 8), (4, 8), 2, 0), ((4, 8), (4, 8), 2, -2), ((0, 8), (0, 8), 1, 2),
+    ((4, 0), (4, 0), 2, 2), ((4, 8), (4, 8), 0, 2), ((5, 8), (5, 8), 2, 2),
+    ((4, 6), (4, 6), 2, 4), ((3, 8), (4, 8), 2, 2), ((0, 8), (4, 8), 2, 2),
+    ((2, 8), (4, 6), 2, 2),
 ], ids=["no-heads", "negative-heads", "no-rows", "no-columns", "no-blocks",
-        "uneven-blocks", "uneven-heads"])
+        "uneven-blocks", "uneven-heads", "uneven-query-blocks", "no-query-rows",
+        "query-width"])
 @pytest.mark.filterwarnings("error")
-def test_attention_rejects_a_split_it_cannot_make(shape, n_blocks, n_heads):
+def test_attention_rejects_a_split_it_cannot_make(q_shape, shape, n_blocks, n_heads):
     x = np.ones(shape)
     with pytest.raises(ValueError, match=r"^attention cannot split "):
-        T.attention(x, x, x, n_blocks, n_heads)
+        T.attention(np.ones(q_shape), x, x, n_blocks, n_heads)
 
 
 def test_first_gradient_is_a_private_copy():
