@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import (BLOB_NAME, MANIFEST_NAME, ManifestError, array_fault, checked,
-                     format_kv_lines, load_config)
+                     format_kv_lines, load_config, read_text)
 from .imputation import (METHODS, TASKS, MissingnessTask, _sample_mask_array,
                          impute_chained, impute_linear, impute_model,
                          impute_nearest, score, task_mask)
@@ -164,11 +164,11 @@ class Run:
     def claim_out(self) -> None:
         """Refuse an output directory that holds another command's run: a
         format.txt there that does not name this command is a ManifestError.
-        A rerun of the same command, or a directory with no format.txt, passes."""
+        A rerun of the same command, or a directory with no format.txt, passes;
+        a format.txt that is not UTF-8 is a ManifestError (config.read_text)."""
         path = os.path.join(self.out_dir, FORMAT_NAME)
         try:
-            with open(path) as fh:
-                lines = fh.read().splitlines()
+            lines = read_text(path).splitlines()
         except (FileNotFoundError, NotADirectoryError):
             return
         held = next((line.partition("=")[2] for line in lines if line.startswith("command=")),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .masking import CROSS, SYNC, floor_count, sample_mask
-from .model import ModelState, forward_frozen, reconstruct
+from .model import ModelState, _check_masks, forward_frozen, reconstruct
 from .windows import patchify
 
 TASKS = ("random", "temporal", "sensor", "extrapolation")
@@ -81,8 +81,9 @@ def impute_model(state: ModelState, values: np.ndarray, masks: np.ndarray) -> np
         raise ValueError(f"{len(values)} windows but {len(masks)} masks")
     arch = state.arch
     c_n, p_n, lp = arch.n_modalities, arch.n_patches, arch.patch_len
+    _check_masks(masks)
     grids = patchify(values, lp)
-    # every mask hides the same number of patches (model._check_masks)
+    # every mask hides the same number of patches, so each window has a row of them
     hidden = np.nonzero(masks.reshape(len(masks), -1))[1].reshape(len(masks), -1)
     if hidden.size:
         grids[masks] = forward_frozen(state, reconstruct, grids, masks, lambda w: w,

@@ -25,14 +25,16 @@ A batch of windows travels as one 2-D array of stacked row blocks, one block
 per window. take_rows, scatter_rows and attention are the primitives that
 know about that structure. attention's queries may hold fewer rows per
 block than its keys and values, T_q against T, so a pass that keeps only
-some rows of each window queries with just those. In a call that records nothing, the parameters
-that matmul, layernorm and scatter_rows read may also hold one copy per row
-block, stacked on a leading axis of B copies: a (B, k, n) matmul weight, a
-(B, n) matmul bias, a (B, d) layernorm gain or bias, and a (B, 1, D)
-scatter_rows fill. The rows then split into B equal blocks, and block j
-reads copy j, so B windows that differ only in one parameter run as one
-batch. B must divide the rows. A recording call takes only shared
-parameters, and rejects a per-block one as it rejects any other shape.
+some rows of each window queries with just those.
+
+Per-block parameters: matmul's weight and bias, layernorm's gain and bias
+and scatter_rows' fill follow one rule, which _per_block alone applies. An
+operand of its shared shape is shared by every row. In a call that records
+nothing, a (B, *shape) stack of the shared shape, B >= 1 dividing the rows,
+is B copies: the rows split into B equal blocks and block j reads copy j,
+so B windows that differ only in one parameter run as one batch. Every
+per-block operand of a call holds the same B. Any other shape, a per-block
+operand of a recording call included, is a ValueError.
 
 attention normalizes its softmax after the value product, and no pass forms
 the softmax weights: the forward divides the value products by the row
@@ -137,12 +139,24 @@ def _tracked(*operands):
     return any(isinstance(p, DiffArray) for p in operands)
 
 
-def _n_blocks(rows, n):
-    """n, the number of per-block copies an operand holds, when n equal row
-    blocks make up rows."""
-    if n < 1 or rows % n:
-        raise ValueError(f"{n} per-block copies cannot split {rows} rows into equal blocks")
-    return n
+def _per_block(rows, operands, params):
+    """The number of copies params hold by the module's per-block rule, or
+    None when each is shared. params are (name, array or None when absent,
+    shared shape) triples of one call over rows rows; operands, the call's
+    operands, are scanned for a tracked one only once a parameter is not
+    shared."""
+    n_blocks = None
+    for name, p, shape in params:
+        if p is None or p.shape == shape:
+            continue
+        if p.shape[1:] != shape or n_blocks not in (None, len(p)) or _tracked(*operands):
+            want = shape if n_blocks is None else f"{shape} or {(n_blocks, *shape)}"
+            raise ValueError(f"{name} must have shape {want}, got {p.shape}")
+        n_blocks = len(p)
+    if n_blocks is not None and (n_blocks < 1 or rows % n_blocks):
+        raise ValueError(f"{n_blocks} per-block copies cannot split {rows} rows "
+                         "into equal blocks")
+    return n_blocks
 
 
 def _record(data, operands, backward):
@@ -192,48 +206,30 @@ def mul(a, b):
 
 
 def matmul(a, b, bias=None):
-    """a @ b of 2-D operands, plus the 1-D bias row, when given, on each row.
-
-    In a call that records nothing, b may be (B, k, n) and the bias (B, n),
-    one copy per row block: block j of B equal row blocks of a is multiplied
-    by b[j] and gets bias[j]. A 2-D b is one product over all the rows."""
+    """a @ b of a 2-D a and a (k, n) b, plus the (n,) bias, when given, on
+    each row. b and the bias are per-block parameters (module docstring): a
+    (B, k, n) b multiplies each row block of a by its own copy."""
     ad, bd = _data(a), _data(b)
     cd = None if bias is None else _data(bias)
-    if (bd.ndim == 3 or cd is not None and cd.ndim == 2) and not _tracked(a, b, bias):
-        return _matmul_per_block(ad, bd, cd)
-    if ad.ndim != 2 or bd.ndim != 2:
-        raise ValueError("matmul requires 2-D operands")
-    if ad.shape[1] != bd.shape[0]:
-        raise ValueError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
-    out_data = ad @ bd
-    if cd is not None:
-        if cd.shape != (bd.shape[1],):
-            raise ValueError(f"matmul bias must have shape ({bd.shape[1]},), got {cd.shape}")
+    if ad.ndim != 2:
+        raise ValueError(f"matmul requires a 2-D a, got shape {ad.shape}")
+    (rows, k), cols = ad.shape, bd.shape[-1:]  # cols: (n,)
+    n_blocks = _per_block(rows, (a, b, bias), (("matmul weight", bd, (k,) + cols),
+                                               ("matmul bias", cd, cols)))
+    if bd.ndim == 3:
+        out_data = np.matmul(ad.reshape(n_blocks, rows // n_blocks, k), bd).reshape(rows, *cols)
+    else:
+        out_data = ad @ bd
+    if cd is not None and cd.ndim == 2:
+        by_block = out_data.reshape(n_blocks, rows // n_blocks, *cols)
+        by_block += cd[:, None]
+    elif cd is not None:
         out_data += cd
 
     def backward(g):
         return g @ bd.T, ad.T @ g, None if bias is None else kernels.col_sums(g)
 
     return _record(out_data, (a, b, bias), backward)
-
-
-def _matmul_per_block(ad, bd, cd):
-    """matmul's product when b or the bias holds one copy per row block."""
-    if ad.ndim != 2 or bd.ndim not in (2, 3) or ad.shape[1] != bd.shape[-2]:
-        raise ValueError(f"matmul cannot take {ad.shape} @ {bd.shape} block by block")
-    (rows, k), n = ad.shape, bd.shape[-1]
-    n_blocks = _n_blocks(rows, len(bd) if bd.ndim == 3 else len(cd))
-    if cd is not None and cd.shape not in ((n,), (n_blocks, n)):
-        raise ValueError(f"matmul bias must have shape ({n},) or ({n_blocks}, {n}), "
-                         f"got {cd.shape}")
-    if bd.ndim == 3:
-        out_data = np.matmul(ad.reshape(n_blocks, rows // n_blocks, k), bd).reshape(rows, n)
-    else:
-        out_data = ad @ bd
-    if cd is not None:
-        by_block = out_data.reshape(n_blocks, rows // n_blocks, n)
-        by_block += cd.reshape(len(cd) if cd.ndim == 2 else 1, 1, n)
-    return out_data
 
 
 def transpose(a):
@@ -304,26 +300,22 @@ def take_rows(a, idx):
 def scatter_rows(a, idx, n_rows, fill):
     """An (n_rows, D) array whose rows idx are the rows of a, in order, and
     whose other rows each hold the single row of fill, shape (1, D). The
-    indices must be distinct. In a call that records nothing, fill may be
-    (B, 1, D), one copy per row block: the other rows of block j of B equal
-    row blocks of the output hold fill[j]."""
+    indices must be distinct. fill is a per-block parameter (module
+    docstring): the other rows of each row block hold its own copy."""
     ad, fd = _data(a), _data(fill)
     idx = np.asarray(idx, dtype=np.intp)
     if ad.ndim != 2 or idx.shape != ad.shape[:1]:
         raise ValueError("scatter_rows needs a 2-D operand and one index per row")
     d = ad.shape[1]
-    if fd.shape != (1, d):
-        if fd.shape[1:] != (1, d) or fd.ndim != 3 or _tracked(a, fill):
-            raise ValueError(f"scatter_rows fill must have shape (1, {d}), got {fd.shape}")
-        _n_blocks(n_rows, len(fd))
+    n_blocks = _per_block(n_rows, (a, fill), (("scatter_rows fill", fd, (1, d)),))
     rest = np.ones(n_rows, dtype=bool)
     rest[idx] = False
     if np.count_nonzero(rest) != n_rows - idx.size:
         raise ValueError("scatter_rows indices must be distinct")
     out_data = np.empty((n_rows, d))
-    if fd.ndim == 3:
+    if n_blocks is not None:
         # every row of a block takes its fill, and rows idx are then overwritten
-        out_data.reshape(len(fd), n_rows // len(fd), d)[:] = fd
+        out_data.reshape(n_blocks, n_rows // n_blocks, d)[:] = fd
     else:
         out_data[rest] = fd
     out_data[idx] = ad
@@ -529,18 +521,16 @@ def log_softmax(a):
 
 def layernorm(x, gain, bias):
     """Row layernorm of a 2-D array, with LAYERNORM_EPS added to the row
-    variance, followed by affine scale/shift. In a call that records
-    nothing, the gain and bias may be (B, d), one copy per row block: block
-    j of B equal row blocks is scaled by gain[j] and shifted by bias[j]."""
+    variance, followed by affine scale/shift by the (d,) gain and bias. Both
+    are per-block parameters (module docstring): each row block is scaled
+    and shifted by its own copies."""
     xd, gd, bd = _data(x), _data(gain), _data(bias)
     if xd.ndim != 2:
         raise ValueError("layernorm requires a 2-D operand")
     rows, d = xd.shape
-    if gd.shape != (d,) or bd.shape != (d,):
-        copies = [len(p) for p in (gd, bd) if p.ndim == 2]
-        if not copies or {gd.shape, bd.shape} - {(d,), (copies[0], d)} or _tracked(x, gain, bias):
-            raise ValueError("layernorm gain/bias must match the row width")
-        n_blocks = _n_blocks(rows, copies[0])
+    n_blocks = _per_block(rows, (x, gain, bias), (("layernorm gain", gd, (d,)),
+                                                  ("layernorm bias", bd, (d,))))
+    if n_blocks is not None:
         # each copy repeated over its block's rows: the affine step stays elementwise
         gd, bd = (np.repeat(p, rows // n_blocks, axis=0) if p.ndim == 2 else p for p in (gd, bd))
     y, xhat, inv_std = kernels.layernorm_fwd(xd, gd, bd, LAYERNORM_EPS)

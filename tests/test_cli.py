@@ -1,6 +1,7 @@
 """CLI subcommands: run layout, determinism hooks, config plumbing."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -97,6 +98,17 @@ def test_a_run_into_another_command_s_directory_is_refused_before_writing(
     assert re.fullmatch(rf"crossmae: {fmt}: the directory holds a run of command pretrain; "
                         rf"{command} will not write into it\n", capsys.readouterr().err)
     assert _tree(out) == before
+
+
+def test_a_format_file_that_is_not_utf8_is_refused_by_name(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / cli.FORMAT_NAME).write_bytes(f"{cli.RUN_FORMAT}\n".encode() + b"command=\xffsynth\n")
+    cfg = _write_cfg(tmp_path / "c.cfg", **{"data.n_windows": 2, "data.n_samples": 16})
+    assert cli.console(["synth", "--out", str(out), "--config", cfg]) == 1
+    fmt = re.escape(str(out / cli.FORMAT_NAME))
+    assert re.fullmatch(rf"crossmae: {fmt}: not UTF-8 text \(.*\)\n", capsys.readouterr().err)
+    assert os.listdir(out) == [cli.FORMAT_NAME]
 
 
 def test_synth_layout_and_blob_identity(data_dir, tmp_path):
@@ -603,6 +615,38 @@ def test_gradcheck_pass_too_large_rejected_before_the_run_directory_exists(
     assert seconds < 20
 
 
+# gradcheck bounds a pass's bumped copies by batch x max(d_model x d_model *
+# mlp_ratio, patch_len x d_model), on the claim that the largest parameter
+# group is an MLP weight or the embedding's or head's weight. The archs: the
+# defaults; patch_len past d_model * mlp_ratio; patch_len equal to it; and
+# 3 + 2 layers.
+@pytest.mark.parametrize("settings", [
+    {},
+    {"arch.patch_len": 80, "arch.d_model": 8, "arch.mlp_ratio": 2, "arch.n_heads": 2},
+    {"arch.patch_len": 32, "arch.mlp_ratio": 1},
+    {"arch.enc_layers": 3, "arch.dec_layers": 2, "arch.mlp_ratio": 4}])
+def test_gradcheck_bounds_bumped_copies_by_the_largest_parameter_group(tmp_path, monkeypatch,
+                                                                       settings):
+    class Checked(Exception):
+        pass
+
+    bumped = []
+
+    def check_sizes(run, *arrays):
+        bumped.extend(size for what, size, _ in arrays if what.startswith("bumped parameter"))
+        if bumped:
+            raise Checked
+
+    monkeypatch.setattr(cli, "_check_sizes", check_sizes)
+    # at most 3 coordinates, so a pass binds 6 copies
+    cfg = _write_cfg(tmp_path / "c.cfg", **settings, **{"check.max_coords": 3})
+    with pytest.raises(Checked):
+        cli.main(["gradcheck", "--out", str(tmp_path / "o"), "--config", cfg])
+    values = {**cli.GRADCHECK_DEFAULTS, **settings}
+    arch = ArchSpec(**{name: values[key] for name, key in cli.ARCH_KEYS.items()})
+    assert bumped == [6 * max(math.prod(shape) for _, shape in _param_layout(arch))]
+
+
 # A checkpoint with arch.patch_len=1 on windows of 2 x 1000 samples: 2,000
 # tokens pass every per-window bound, but a pass over 16 windows holds
 # 16 x 4 x 2001^2 attention scores. Unchecked, `probe.mode=ft` creates its run
@@ -722,7 +766,8 @@ def test_gradcheck_refuses_a_non_finite_error(tmp_path):
     cfg = _write_cfg(tmp_path / "g.cfg", **{"check.h": 1e300})
     with pytest.raises(FloatingPointError,
                        match=f"^{re.escape(cfg)}: key check.h: 1e\\+300 gives "
-                             r"max_rel_err=nan in group \S+$"):
+                             r"max_rel_err=nan in group \S+$"), \
+            pytest.warns(RuntimeWarning):
         cli.main(["gradcheck", "--out", str(tmp_path / "o"), "--config", cfg])
     assert not os.path.exists(tmp_path / "o" / "gradcheck.txt")
 

@@ -219,6 +219,15 @@ def test_impute_model_zero_mask_is_identity_and_visible_bits_kept():
         impute_model(state, w[None], np.ones((1, 3, 4), dtype=bool))
 
 
+def test_impute_model_rejects_masks_that_hide_different_numbers_of_patches():
+    arch = ArchSpec(n_modalities=2, n_patches=2, patch_len=4, d_model=8, n_heads=2)
+    masks = np.zeros((2, 2, 2), dtype=bool)
+    masks[0, 0, 0] = masks[1, 0, 0] = masks[1, 1, 1] = True
+    with pytest.raises(ValueError, match=r"^every mask in a batch must hide the same number "
+                                         r"of patches, got \[1, 2\]$"):
+        impute_model(init_model(arch, 0), np.zeros((2, 2, 8)), masks)
+
+
 def test_model_beats_zeros_predictor_after_overfit():
     # strength-1 noiseless windows, sensor task: reconstruction from the one
     # visible modality must do better than predicting all zeros

@@ -689,3 +689,26 @@ def test_copies_that_do_not_divide_the_rows_are_rejected(name, n_copies):
     call, copies = _per_block_case(name, 3, np.random.default_rng(1))
     with pytest.raises(ValueError, match="per-block copies cannot split"):
         call(np.resize(copies, (n_copies, *copies.shape[1:])))
+
+
+@pytest.mark.parametrize("first, second", [("matmul weight", "matmul bias"),
+                                           ("layernorm gain", "layernorm bias")])
+def test_per_block_operands_of_one_call_must_hold_as_many_copies(first, second):
+    # 4 blocks of 13 rows, which 2 and 4 copies both split: 2 copies of the
+    # first operand, then 4 of the second
+    rng = np.random.default_rng(2)
+    x, w, gain = (rng.standard_normal(s) for s in ((52, 32), (2, 32, 32), (2, 32)))
+    bias = rng.standard_normal((4, 32))
+    call = {"matmul weight": lambda: T.matmul(x, w, bias),
+            "layernorm gain": lambda: T.layernorm(x, gain, bias)}[first]
+    with pytest.raises(ValueError, match=rf"^{second} must have shape \(32,\) or \(2, 32\), "):
+        call()
+
+
+@pytest.mark.parametrize("name", ["matmul bias", "layernorm gain", "layernorm bias",
+                                  "scatter fill"])
+def test_per_block_copies_of_the_wrong_shape_are_rejected(name):
+    # two copies whose last axis is one short
+    call, copies = _per_block_case(name, 2, np.random.default_rng(3))
+    with pytest.raises(ValueError, match=" must have shape "):
+        call(copies[..., :-1])
