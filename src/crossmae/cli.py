@@ -9,13 +9,16 @@ the resolved config, a versioned format tag naming the command and the
 crossmae, Python and numpy versions there, and outputs that are
 byte-identical across reruns of the same resolved config on one host. A
 directory whose format tag names another command is refused before anything
-is written. A command that fails after that writes its error's message to
-error.txt there and raises.
+is written. Each command declares the files it writes (COMMANDS, RUN_FILES),
+and a run removes those an earlier run left before it writes its config. A
+command that fails after that writes its error's message to error.txt there
+and raises.
 Each pipeline gets its dataset whole: one (n, C, L) array of windows and one
 (n,) array of labels. The console script runs console, which prints the
 message of a failure it can name instead of a traceback.
 """
 import argparse
+import contextlib
 import os
 import platform
 import sys
@@ -34,13 +37,18 @@ from .masking import CROSS, SYNC, sample_mask
 from .model import (FORWARD_CHUNK, GRADCHECK_MASK_RATIO, ArchSpec, _hold_heap, gradcheck_model,
                     load_checkpoint, param_count, save_checkpoint)
 from .train import OptimConfig, PretrainConfig, ProbeConfig, _split_indices, pretrain, probe
-from .windows import (SynthSpec, generate_windows, load_dataset, save_dataset, splice_augment,
-                      standardize)
+from .windows import (SynthSpec, cut_splice, draw_splice, generate_windows, load_dataset,
+                      save_dataset, standardize)
 
 RUN_FORMAT = "crossmae-run-v1"
 CONFIG_NAME = "config.txt"
 FORMAT_NAME = "format.txt"
+RUN_NAME = "run.txt"
 ERROR_NAME = "error.txt"
+CHECKPOINT_DIR = "checkpoint"
+# The files every command's run directory holds: the record Run.start writes,
+# and the error of a failed run.
+RUN_FILES = (CONFIG_NAME, FORMAT_NAME, RUN_NAME, ERROR_NAME)
 # The most float64 values (1 GiB) that one array a config sizes may hold (see
 # _check_sizes): a run must not outgrow a desk machine's memory.
 MAX_ARRAY_VALUES = 2**27
@@ -179,16 +187,17 @@ class Run:
 
     def start(self) -> None:
         """Create the output directory and record the config, the format and
-        the versions that ran it. An error.txt left there by an earlier
-        failed run is removed."""
+        the versions that ran it. Every file the command declares (RUN_FILES
+        and its outputs in COMMANDS) that an earlier run left there is removed
+        first, so the directory never mixes two runs' files."""
         os.makedirs(self.out_dir, exist_ok=True)
         self.started = True
-        error = os.path.join(self.out_dir, ERROR_NAME)
-        if os.path.exists(error):
-            os.remove(error)
+        for name in RUN_FILES + COMMANDS[self.command][2]:
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError):
+                os.remove(os.path.join(self.out_dir, name))
         self.write(CONFIG_NAME, format_kv_lines(self.cfg))
         self.write(FORMAT_NAME, f"{RUN_FORMAT}\ncommand={self.command}\n")
-        self.write("run.txt", f"crossmae={__version__}\npython={platform.python_version()}\n"
+        self.write(RUN_NAME, f"crossmae={__version__}\npython={platform.python_version()}\n"
                              f"numpy={np.__version__}\n")
 
     def write(self, name: str, text: str) -> None:
@@ -289,7 +298,7 @@ def cmd_pretrain(run: Run) -> None:
     run.start()
     state, trace = pretrain(values, arch, pcfg, cfg["seed"], init_state=init_state)
     # train._step stops a parameter float32 cannot hold; the writer checks again
-    checkpoint = os.path.join(run.out_dir, "checkpoint")
+    checkpoint = os.path.join(run.out_dir, CHECKPOINT_DIR)
     checked(checkpoint, save_checkpoint, state, checkpoint)
     run.write("loss.csv", _curve(trace))
     final = _fmt(trace[-1]) if trace else "nan"
@@ -357,6 +366,18 @@ def cmd_probe(run: Run) -> None:
     print(f"{pcfg.mode} top-1 {res.top1:.4f} on {res.val_size} held-out windows")
 
 
+def _transitions(spec: SynthSpec, rng, n: int) -> np.ndarray:
+    """The (n, C, L) transitions of one analyze replicate: n splices drawn
+    from rng over spec's base windows (draw_splice), cut from those windows.
+    Only the distinct windows the splices read are generated; each equals
+    that row of the full set (generate_windows)."""
+    plans = [draw_splice(spec.n_windows, spec.n_samples, rng) for _ in range(n)]
+    sources, at = np.unique([plan[:2] for plan in plans], return_inverse=True)
+    base, _ = generate_windows(spec, sources)
+    return np.stack([cut_splice(base[a], base[b], *plan[2:])
+                     for (a, b), plan in zip(at.reshape(n, 2).tolist(), plans)])
+
+
 def cmd_analyze(run: Run) -> None:
     cfg = run.cfg
     # PCA of one transition keeps min(n, q) - 1 = 0 dimensions
@@ -383,33 +404,30 @@ def cmd_analyze(run: Run) -> None:
     for policy in (CROSS, SYNC):
         run.check("exp.mask_ratio", sample_mask, policy, spec.n_modalities, n_patches,
                   cfg["exp.mask_ratio"], 0)
-    # one throwaway splice of windows shaped like each replicate's, for its size check
-    run.check("data.n_windows", splice_augment,
-              np.broadcast_to(0.0, (spec.n_windows, spec.n_modalities, spec.n_samples)), 0)
+    # one throwaway splice draw over each replicate's base windows, for its size check
+    run.check("data.n_windows", draw_splice, spec.n_windows, spec.n_samples, 0)
     run.start()
     rows = []
     sums = {CROSS: 0.0, SYNC: 0.0}
     for s in range(n_seeds):
         replicate = cfg["seed"] + s
-        base, _ = generate_windows(replace(spec, seed=replicate))
-        rng = np.random.default_rng([cfg["seed"] + 1000 + s])
-        trans = np.stack([splice_augment(base, rng).window for _ in range(n_trans)])
+        trans = _transitions(replace(spec, seed=replicate),
+                             np.random.default_rng([cfg["seed"] + 1000 + s]), n_trans)
+        try:
+            sigma1 = sigma1_experiment(trans, state, pca_k=pca_k, seed=cfg["seed"] + 31 + s,
+                                       ratio=cfg["exp.mask_ratio"],
+                                       patch_len=cfg["exp.patch_len"])
+        except (ValueError, ConditioningError) as exc:
+            # a channel's variance or a PCA Gram of such windows overflows
+            with np.errstate(over="ignore"):
+                if np.isfinite(np.einsum("ijk,ijk->", trans, trans)):
+                    raise
+            raise run.error("data.noise_sd", f"the transitions' sum of squares "
+                                             f"overflows: {exc}") from None
         for policy in (CROSS, SYNC):
-            try:
-                sigma1 = sigma1_experiment(trans, policy, state, pca_k=pca_k,
-                                           seed=cfg["seed"] + 31 + s,
-                                           ratio=cfg["exp.mask_ratio"],
-                                           patch_len=cfg["exp.patch_len"])
-            except (ValueError, ConditioningError) as exc:
-                # a channel's variance or a PCA Gram of such windows overflows
-                with np.errstate(over="ignore"):
-                    if np.isfinite(np.einsum("ijk,ijk->", trans, trans)):
-                        raise
-                raise run.error("data.noise_sd", f"the transitions' sum of squares "
-                                                 f"overflows: {exc}") from None
-            sums[policy] += sigma1
+            sums[policy] += sigma1[policy]
             rows.append(f"{policy},{replicate},{n_trans},{pca_k},"
-                        f"{cfg['exp.encoder']},{_fmt(sigma1)}\n")
+                        f"{cfg['exp.encoder']},{_fmt(sigma1[policy])}\n")
     run.write("sigma1.csv", "policy,seed,n,pca_k,encoder_kind,sigma1\n" + "".join(rows))
     mean_cross = sums[CROSS] / n_seeds
     mean_sync = sums[SYNC] / n_seeds
@@ -462,13 +480,19 @@ def cmd_gradcheck(run: Run) -> None:
     print(f"max relative error {_fmt(err)}")
 
 
+# Each command: its defaults, its function, and the files it writes into
+# its run directory beside RUN_FILES, which Run.start removes before it
+# writes. synth writes its dataset (config.save_arrays: MANIFEST_NAME and
+# BLOB_NAME) before Run.start, so those files are never removed.
 COMMANDS = {
-    "synth": (SYNTH_DEFAULTS, cmd_synth),
-    "pretrain": (PRETRAIN_DEFAULTS, cmd_pretrain),
-    "impute": (IMPUTE_DEFAULTS, cmd_impute),
-    "probe": (PROBE_DEFAULTS, cmd_probe),
-    "analyze": (ANALYZE_DEFAULTS, cmd_analyze),
-    "gradcheck": (GRADCHECK_DEFAULTS, cmd_gradcheck),
+    "synth": (SYNTH_DEFAULTS, cmd_synth, ()),
+    "pretrain": (PRETRAIN_DEFAULTS, cmd_pretrain,
+                 (os.path.join(CHECKPOINT_DIR, MANIFEST_NAME),
+                  os.path.join(CHECKPOINT_DIR, BLOB_NAME), "loss.csv", "summary.txt")),
+    "impute": (IMPUTE_DEFAULTS, cmd_impute, ("report.csv",)),
+    "probe": (PROBE_DEFAULTS, cmd_probe, ("curve.csv", "summary.txt")),
+    "analyze": (ANALYZE_DEFAULTS, cmd_analyze, ("sigma1.csv", "summary.txt")),
+    "gradcheck": (GRADCHECK_DEFAULTS, cmd_gradcheck, ("gradcheck.txt",)),
 }
 
 
@@ -486,7 +510,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True, help="run output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)
-    defaults, fn = COMMANDS[args.command]
+    defaults, fn, _ = COMMANDS[args.command]
     cfg = load_config(args.config, defaults) if args.config else dict(defaults)
     if args.seed is not None:
         cfg["seed"] = args.seed

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masking import sample_mask
+from .masking import POLICIES, sample_mask
 from .model import ModelState, encode, forward_frozen
 from .windows import patchify, standardize
 
@@ -206,36 +206,43 @@ def _model_view_features(state: ModelState, grids: np.ndarray, hides: np.ndarray
     return forward_frozen(state, encode, grids, hides, lambda w: w.mean(axis=1), patch_rows)
 
 
-def sigma1_experiment(values, policy: str, state: ModelState | None = None, *, pca_k: int,
-                      seed: int, ratio: float, patch_len: int) -> float:
-    """sigma_1 of the unmasked/masked view cross-covariance under one policy,
-    over the (n, C, L) windows.
+def sigma1_experiment(values, state: ModelState | None = None, *, pca_k: int, seed: int,
+                      ratio: float, patch_len: int) -> dict:
+    """sigma_1 of the unmasked/masked view cross-covariance under each
+    policy, over the (n, C, L) windows: {CROSS: sigma_1, SYNC: sigma_1}.
 
-    Every window gets its own mask draw. The view features are raw cells when
-    state is None, else the encoder latents of state; then state.arch sets
-    the patch length and the patch_len argument is ignored. Both feature sets
-    are PCA-reduced (k clipped to min(n, q) - 1) and the whitened
-    cross-covariance's top singular value comes from cca_sigma.
+    Child i of SeedSequence(seed).spawn(n) seeds window i's mask under each
+    policy, so both policies draw from the same n seeds. The view features
+    are raw cells when state is None, else the encoder latents of state;
+    then state.arch sets the patch length, the patch_len argument is
+    ignored, and the windows are standardized and patchified once for both
+    policies. Both feature sets are PCA-reduced (k clipped to min(n, q) - 1)
+    and the whitened cross-covariance's top singular value comes from
+    cca_sigma.
     """
     if len(values) == 0:
         raise ValueError("sigma1_experiment needs a non-empty dataset")
     if state is not None:
         patch_len = state.arch.patch_len
+        grids = patchify(standardize(values), patch_len)
     n, c_n, length = values.shape
     p_n = length // patch_len
     children = np.random.SeedSequence(seed).spawn(n)
-    masks = np.stack([sample_mask(policy, c_n, p_n, ratio, child) for child in children])
-    if state is None:
-        f_u = _raw_view_features(values, ~masks, patch_len)
-        f_m = _raw_view_features(values, masks, patch_len)
-    else:
-        # The unmasked view shows the encoder the visible cells; the masked
-        # view shows it the hidden ones.
-        grids = patchify(standardize(values), patch_len)
-        f_u, f_m = (_model_view_features(state, grids, hides) for hides in (masks, ~masks))
-    k = min(pca_k, min(n, f_u.shape[1]) - 1, min(n, f_m.shape[1]) - 1)
-    if k < 1:
-        raise ValueError("dataset too small for PCA reduction")
-    z_u = pca_reduce(f_u, k)
-    z_m = pca_reduce(f_m, k)
-    return float(cca_sigma(z_u.T @ z_u / n, z_m.T @ z_m / n, z_u.T @ z_m / n)[0])
+    sigma1 = {}
+    for policy in POLICIES:
+        masks = np.stack([sample_mask(policy, c_n, p_n, ratio, child) for child in children])
+        if state is None:
+            f_u = _raw_view_features(values, ~masks, patch_len)
+            f_m = _raw_view_features(values, masks, patch_len)
+        else:
+            # The unmasked view shows the encoder the visible cells; the masked
+            # view shows it the hidden ones.
+            f_u, f_m = (_model_view_features(state, grids, hides) for hides in (masks, ~masks))
+        k = min(pca_k, min(n, f_u.shape[1]) - 1, min(n, f_m.shape[1]) - 1)
+        if k < 1:
+            raise ValueError("dataset too small for PCA reduction")
+        z_u = pca_reduce(f_u, k)
+        z_m = pca_reduce(f_m, k)
+        sigma1[policy] = float(cca_sigma(z_u.T @ z_u / n, z_m.T @ z_m / n,
+                                         z_u.T @ z_m / n)[0])
+    return sigma1

@@ -234,7 +234,10 @@ class Binding:
 
 
 def _check_masks(masks: np.ndarray) -> None:
-    """Every mask of a batch must leave a patch visible and hide the same number."""
+    """A batch holds at least one mask, and every mask of it must leave a
+    patch visible and hide the same number."""
+    if len(masks) == 0:
+        raise ValueError(f"a batch of masks needs at least one window, got shape {masks.shape}")
     hidden = masks.reshape(len(masks), -1).sum(axis=1)
     if (hidden == masks[0].size).any():
         raise ValueError("at least one patch must stay visible")

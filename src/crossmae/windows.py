@@ -12,7 +12,12 @@ Generated windows share a class-specific base oscillation across modalities;
 `shared_latent_strength` interpolates between perfectly coupled channels
 (strength 1: every modality is an affine image of one latent) and fully
 independent channels (strength 0: each modality gets its own frequency and
-phase). Gaussian noise is added on top.
+phase). Gaussian noise is added on top. Window w depends only on its own
+seed, child w of the spec seed's SeedSequence, and on its class w % n_classes,
+so any subset of a spec's windows can be generated alone, bit for bit as in
+the full set. A splice is drawn (draw_splice) apart from the windows it
+cuts (cut_splice), so a caller can draw its splices first and generate only
+the windows they read.
 """
 import operator
 import os
@@ -47,36 +52,54 @@ class SynthSpec:
             raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd!r}")
 
 
-def generate_windows(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Generate spec.n_windows windows with round-robin labels: the
-    (n, C, L) values and the (n,) labels.
+def generate_windows(spec: SynthSpec, which=None) -> tuple[np.ndarray, np.ndarray]:
+    """Generate the windows of spec listed in which (all spec.n_windows of
+    them by default), in that order, with round-robin labels: the
+    (len(which), C, L) values and the (len(which),) labels.
 
-    Modality c of a window with class k:
+    Window w is drawn from SeedSequence(spec.seed).spawn(spec.n_windows)[w]
+    alone and has class k = w % n_classes, so a subset holds exactly the
+    full call's rows. Modality c of it:
         gain_c * [ s * sin(2 pi f_k t / L + theta + (1-s) * disp_c)
                  + (1-s) * sin(2 pi f_own_c t / L + phi_c) ] + noise_sd * eps
     with f_k = 1 + k cycles per window, gain_c ~ U[0.5, 1.5],
     disp_c ~ U[0, pi/4], f_own_c ~ U[1, 1 + n_classes), and s the shared
     latent strength. The dispersion term is scaled by (1-s) so that s = 1
     makes every modality an exact affine image of the class oscillation.
+    The 1 + 4C uniform parameters (theta, then the gains, dispersions, own
+    frequencies and phases) come from one draw of 1 + 4C doubles u, each
+    scaled as low + (high - low) * u, as Generator.uniform scales its draws;
+    the noise is drawn after them.
     """
     c_n, length = spec.n_modalities, spec.n_samples
     s = spec.shared_latent_strength
+    which = np.arange(spec.n_windows) if which is None else np.asarray(which)
+    if which.ndim != 1 or (which.size and which.dtype.kind not in "iu"):
+        raise ValueError(f"which must be a 1-D list of window indices, got {which.dtype} "
+                         f"of shape {which.shape}")
+    which = which.astype(np.int64)
+    bad = np.flatnonzero((which < 0) | (which >= spec.n_windows))
+    if bad.size:
+        raise ValueError(f"which must list windows in [0, {spec.n_windows}), "
+                         f"got {which[bad[0]]} at index {bad[0]}")
     t = np.arange(length) / length
+    counts = [1] + [c_n] * 4  # theta, then the gains, dispersions, own frequencies, phases
+    lows = np.repeat([0.0, 0.5, 0.0, 1.0, 0.0], counts)
+    spans = np.repeat([2.0 * np.pi, 1.5, np.pi / 4.0, 1.0 + spec.n_classes, 2.0 * np.pi],
+                      counts) - lows
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_windows)
-    values = np.empty((spec.n_windows, c_n, length))
-    labels = np.arange(spec.n_windows, dtype=np.int64) % spec.n_classes
-    for w, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        freq = 1.0 + labels[w]
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        gains = rng.uniform(0.5, 1.5, size=c_n)
-        disp = rng.uniform(0.0, np.pi / 4.0, size=c_n)
-        f_own = rng.uniform(1.0, 1.0 + spec.n_classes, size=c_n)
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=c_n)
+    values = np.empty((len(which), c_n, length))
+    labels = which % spec.n_classes
+    for row, w in enumerate(which.tolist()):
+        rng = np.random.default_rng(children[w])
+        params = lows + spans * rng.random(1 + 4 * c_n)
+        theta = params[0]
+        gains, disp, f_own, phi = params[1:].reshape(4, c_n)
         noise = rng.standard_normal((c_n, length))
+        freq = 1.0 + labels[row]
         shared = np.sin(2.0 * np.pi * freq * t[None, :] + theta + (1.0 - s) * disp[:, None])
         own = np.sin(2.0 * np.pi * f_own[:, None] * t[None, :] + phi[:, None])
-        values[w] = gains[:, None] * (s * shared + (1.0 - s) * own) + spec.noise_sd * noise
+        values[row] = gains[:, None] * (s * shared + (1.0 - s) * own) + spec.noise_sd * noise
     return values, labels
 
 
@@ -93,28 +116,45 @@ class SpliceResult:
     start_b: int
 
 
-def splice_augment(values: np.ndarray, seed, matched_start: bool = False) -> SpliceResult:
-    """Draw two of the (n, C, L) windows and splice a random segment of the
-    second into the first, jointly across all modalities.
+def draw_splice(n_windows: int, length: int, seed,
+                matched_start: bool = False) -> tuple[int, int, int, int, int]:
+    """Draw one splice of n_windows windows of length samples: (source_a,
+    source_b, segment length, start_a, start_b), in that order from the
+    generator that seed gives (np.random.default_rng).
 
-    Segment length is uniform on [ceil(0.2 L), floor(0.5 L)]; both start
-    offsets are uniform on [0, L - length]. matched_start forces the
-    destination offset to equal the source offset.
+    Both sources are uniform on [0, n_windows), with replacement. Segment
+    length is uniform on [ceil(0.2 L), floor(0.5 L)]; both start offsets are
+    uniform on [0, L - length]. matched_start forces the destination offset
+    to equal the source offset and draws no second start.
     """
-    if len(values) < 2:
-        raise ValueError(f"splice_augment needs at least 2 windows, got {len(values)}")
+    if n_windows < 2:
+        raise ValueError(f"a splice needs at least 2 windows, got {n_windows}")
     rng = np.random.default_rng(seed)
-    length = values.shape[-1]
-    i = int(rng.integers(0, len(values)))
-    j = int(rng.integers(0, len(values)))
+    i = int(rng.integers(0, n_windows))
+    j = int(rng.integers(0, n_windows))
     lam_lo = int(np.ceil(0.2 * length))
     lam_hi = int(np.floor(0.5 * length))
     lam = int(rng.integers(lam_lo, lam_hi + 1))
     s1 = int(rng.integers(0, length - lam + 1))
     s2 = s1 if matched_start else int(rng.integers(0, length - lam + 1))
-    window = values[i].copy()
-    window[:, s1:s1 + lam] = values[j, :, s2:s2 + lam]
-    return SpliceResult(window, i, j, lam, s1, s2)
+    return i, j, lam, s1, s2
+
+
+def cut_splice(dest: np.ndarray, source: np.ndarray, length: int, start_a: int,
+               start_b: int) -> np.ndarray:
+    """A copy of the (C, L) window dest whose samples [start_a, start_a +
+    length) are source's [start_b, start_b + length), in every modality."""
+    window = dest.copy()
+    window[:, start_a:start_a + length] = source[:, start_b:start_b + length]
+    return window
+
+
+def splice_augment(values: np.ndarray, seed, matched_start: bool = False) -> SpliceResult:
+    """Draw two of the (n, C, L) windows and splice a random segment of the
+    second into the first, jointly across all modalities: draw_splice's
+    draw, then cut_splice's cut."""
+    i, j, lam, s1, s2 = draw_splice(len(values), values.shape[-1], seed, matched_start)
+    return SpliceResult(cut_splice(values[i], values[j], lam, s1, s2), i, j, lam, s1, s2)
 
 
 def patchify(values: np.ndarray, patch_len: int) -> np.ndarray:

@@ -18,7 +18,8 @@ from crossmae.config import ManifestError
 from crossmae.model import (ArchSpec, _param_layout, init_model, load_checkpoint,
                             save_checkpoint)
 from crossmae.train import OptimConfig, PretrainConfig, pretrain
-from crossmae.windows import load_dataset, save_dataset
+from crossmae.windows import (SynthSpec, draw_splice, generate_windows, load_dataset,
+                              save_dataset, splice_augment)
 
 
 def _write_cfg(path, **kv):
@@ -396,6 +397,47 @@ def test_analyze_rows_and_summary(tmp_path):
                    open(os.path.join(out, "summary.txt")).read().splitlines())
     gap = float(summary["mean_sigma1_cross"]) - float(summary["mean_sigma1_sync"])
     assert abs(gap - float(summary["mean_gap"])) < 1e-12
+
+
+def _transitions_formula(spec, rng, n):
+    """A replicate's transitions as first built: every base window, then n
+    splices of them."""
+    base, _ = generate_windows(spec)
+    return np.stack([splice_augment(base, rng).window for _ in range(n)])
+
+
+# the analyze defaults (raw features), the evaluate benchmark's model-encoder
+# analyze, and a pool of 2 base windows that every transition reuses
+@pytest.mark.parametrize("n_windows, n_modalities, n_samples, n_trans", [
+    (200, 6, 200, 200), (200, 6, 200, 32), (2, 3, 40, 50)])
+def test_transitions_from_their_plans_match_splicing_the_full_base(n_windows, n_modalities,
+                                                                   n_samples, n_trans):
+    for seed in (0, 1009):
+        spec = SynthSpec(n_windows=n_windows, n_modalities=n_modalities, n_samples=n_samples,
+                         n_classes=4, shared_latent_strength=0.9, noise_sd=1.0, seed=seed)
+        got = cli._transitions(spec, np.random.default_rng([seed + 1000]), n_trans)
+        ref = _transitions_formula(spec, np.random.default_rng([seed + 1000]), n_trans)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_a_replicate_generates_exactly_the_base_windows_its_splices_read(monkeypatch):
+    spec = SynthSpec(n_windows=200, n_modalities=3, n_samples=40, n_classes=4,
+                     shared_latent_strength=0.9, noise_sd=1.0, seed=4)
+    generated = []
+
+    def spy(spec, which=None):
+        values, labels = generate_windows(spec, which)
+        generated.append(values)
+        return values, labels
+
+    monkeypatch.setattr(cli, "generate_windows", spy)
+    cli._transitions(spec, np.random.default_rng(7), 32)
+    rng = np.random.default_rng(7)
+    plans = [draw_splice(spec.n_windows, spec.n_samples, rng) for _ in range(32)]
+    sources = sorted({w for plan in plans for w in plan[:2]})
+    assert len(sources) < spec.n_windows
+    assert len(generated) == 1
+    assert generated[0].tobytes() == generate_windows(spec)[0][sources].tobytes()
 
 
 def test_analyze_model_encoder_needs_checkpoint(tmp_path):
@@ -796,6 +838,56 @@ def test_gradcheck_fails_when_the_error_reaches_the_bound(tmp_path):
     assert f"max_rel_err={err} in group {group}," in str(caught.value)
     assert float(err) >= cli.GRADCHECK_TOL
     assert open(tmp_path / "o" / cli.ERROR_NAME).read() == f"{caught.value}\n"
+
+
+def _run_configs(data_dir, checkpoint_dir, tmp_path) -> dict:
+    """A small config of each command, for runs into fresh directories."""
+    settings = {
+        "synth": {"data.n_windows": 4, "data.n_samples": 16},
+        "pretrain": {"data.dir": data_dir, "arch.patch_len": 8, "optim.epochs": 1,
+                     "optim.warmup_epochs": 1},
+        "impute": {"data.dir": data_dir, "checkpoint": checkpoint_dir},
+        "probe": {"data.dir": data_dir, "checkpoint": checkpoint_dir, "probe.epochs": 1},
+        "analyze": {"data.n_windows": 8, "data.n_modalities": 3, "data.n_samples": 140,
+                    "exp.n_transitions": 8, "exp.n_seeds": 1, "exp.pca_k": 3},
+        "gradcheck": {"arch.n_modalities": 2, "arch.n_patches": 2, "arch.patch_len": 4,
+                      "arch.d_model": 8, "arch.n_heads": 2, "check.max_coords": 1}}
+    assert list(settings) == list(cli.COMMANDS)
+    return {command: _write_cfg(tmp_path / f"{command}.cfg", **kv)
+            for command, kv in settings.items()}
+
+
+def test_each_command_writes_exactly_its_declared_files(data_dir, checkpoint_dir, tmp_path):
+    cfgs = _run_configs(data_dir, checkpoint_dir, tmp_path)
+    for command, (_, _, outputs) in cli.COMMANDS.items():
+        out = _run(command, tmp_path / command, cfgs[command])
+        declared = set(cli.RUN_FILES) - {cli.ERROR_NAME} | set(outputs)
+        if command == "synth":  # the dataset, written before Run.start
+            declared |= {"manifest.txt", "data.f32"}
+        assert set(_tree(out)) == declared, command
+
+
+# Each command's first step after Run.start, which the rerun makes fail.
+FIRST_STEPS = {"pretrain": "pretrain", "impute": "impute_model", "probe": "probe",
+               "analyze": "sigma1_experiment", "gradcheck": "gradcheck_model"}
+
+
+@pytest.mark.parametrize("command", FIRST_STEPS)
+def test_a_rerun_that_fails_leaves_no_file_of_the_earlier_run(data_dir, checkpoint_dir,
+                                                               tmp_path, monkeypatch, command):
+    cfg = _run_configs(data_dir, checkpoint_dir, tmp_path)[command]
+    out = _run(command, tmp_path / "o", cfg)
+    assert set(cli.COMMANDS[command][2]) <= set(_tree(out))
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("the step failed")
+
+    monkeypatch.setattr(cli, FIRST_STEPS[command], fail)
+    with pytest.raises(RuntimeError, match="the step failed"):
+        cli.main([command, "--out", out, "--config", cfg])
+    files = _tree(out)
+    assert set(files) == set(cli.RUN_FILES)
+    assert files[cli.ERROR_NAME] == b"the step failed\n"
 
 
 def test_a_rerun_that_succeeds_removes_the_failed_run_s_error(tmp_path):

@@ -228,6 +228,13 @@ def test_impute_model_rejects_masks_that_hide_different_numbers_of_patches():
         impute_model(init_model(arch, 0), np.zeros((2, 2, 8)), masks)
 
 
+def test_impute_model_rejects_an_empty_batch_by_name():
+    arch = ArchSpec(n_modalities=2, n_patches=2, patch_len=4, d_model=8, n_heads=2)
+    with pytest.raises(ValueError, match=r"^a batch of masks needs at least one window, "
+                                         r"got shape \(0, 2, 2\)$"):
+        impute_model(init_model(arch, 0), np.zeros((0, 2, 8)), np.zeros((0, 2, 2), dtype=bool))
+
+
 def test_model_beats_zeros_predictor_after_overfit():
     # strength-1 noiseless windows, sensor task: reconstruction from the one
     # visible modality must do better than predicting all zeros

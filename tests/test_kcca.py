@@ -306,11 +306,11 @@ def test_sigma1_experiment_bounds_and_determinism():
     # length 140 gives P=7, the smallest grid where the synchronized policy
     # is non-degenerate at the default 0.15 ratio
     ws = _transition_windows(30, 0.9, 16, length=140)
-    v1 = sigma1_experiment(ws, "cross", pca_k=10, seed=3, ratio=0.15, patch_len=20)
-    v2 = sigma1_experiment(ws, "cross", pca_k=10, seed=3, ratio=0.15, patch_len=20)
-    v3 = sigma1_experiment(ws, "sync", pca_k=10, seed=3, ratio=0.15, patch_len=20)
+    v1 = sigma1_experiment(ws, pca_k=10, seed=3, ratio=0.15, patch_len=20)
+    v2 = sigma1_experiment(ws, pca_k=10, seed=3, ratio=0.15, patch_len=20)
     assert v1 == v2
-    for v in (v1, v3):
+    assert list(v1) == ["cross", "sync"]
+    for v in v1.values():
         assert 0.0 <= v <= 1.0 + 1e-8
 
 
@@ -332,21 +332,21 @@ def test_sigma1_experiment_matches_the_thin_svd_route(monkeypatch, encoder, poli
         state = init_model(ArchSpec(n_modalities=4, n_patches=7, patch_len=20, d_model=8,
                                     enc_layers=1, dec_layers=1, n_heads=2), seed=0)
     args = dict(pca_k=10, seed=5, ratio=0.15, patch_len=20)
-    sigma = sigma1_experiment(ws, policy, state, **args)
+    sigma = sigma1_experiment(ws, state, **args)[policy]
     replaced, rtol = REFERENCES[reference]
     for name, fn in replaced.items():
         monkeypatch.setattr(kcca, name, fn)
-    ref = sigma1_experiment(ws, policy, state, **args)
+    ref = sigma1_experiment(ws, state, **args)[policy]
     assert abs(sigma - ref) <= rtol * ref
 
 
 def test_sigma1_experiment_model_encoder_runs():
-    ws = _transition_windows(12, 0.9, 17)
-    arch = ArchSpec(n_modalities=4, n_patches=4, patch_len=20, d_model=8,
+    # P=7: the synchronized policy hides a column at the 0.15 ratio
+    ws = _transition_windows(12, 0.9, 17, length=140)
+    arch = ArchSpec(n_modalities=4, n_patches=7, patch_len=20, d_model=8,
                     enc_layers=1, dec_layers=1, n_heads=2)
-    v = sigma1_experiment(ws, "cross", init_model(arch, seed=0), pca_k=6, seed=4, ratio=0.15,
+    v = sigma1_experiment(ws, init_model(arch, seed=0), pca_k=6, seed=4, ratio=0.15,
                           patch_len=20)
-    assert 0.0 <= v <= 1.0 + 1e-8
+    assert all(0.0 <= v[policy] <= 1.0 + 1e-8 for policy in ("cross", "sync"))
     with pytest.raises(ValueError):
-        sigma1_experiment(np.empty((0, 4, 80)), "cross", pca_k=50, seed=0, ratio=0.15,
-                          patch_len=20)
+        sigma1_experiment(np.empty((0, 4, 80)), pca_k=50, seed=0, ratio=0.15, patch_len=20)

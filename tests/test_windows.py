@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossmae.config import ManifestError
-from crossmae.windows import (SynthSpec, generate_windows, load_dataset, patchify,
-                              save_dataset, splice_augment, standardize)
+from crossmae.windows import (SynthSpec, cut_splice, draw_splice, generate_windows,
+                              load_dataset, patchify, save_dataset, splice_augment, standardize)
 
 
 def _spec(**kw):
@@ -29,6 +29,71 @@ def test_generate_deterministic_per_seed():
         assert a_labels[i] == b_labels[i]
     c, _ = generate_windows(_spec(seed=8))
     assert not np.array_equal(a[0], c[0])
+
+
+def _generate_windows_formula(spec):
+    """generate_windows written out with one Generator.uniform call per
+    parameter group, as the windows were first drawn."""
+    c_n, length = spec.n_modalities, spec.n_samples
+    s = spec.shared_latent_strength
+    t = np.arange(length) / length
+    children = np.random.SeedSequence(spec.seed).spawn(spec.n_windows)
+    values = np.empty((spec.n_windows, c_n, length))
+    labels = np.arange(spec.n_windows, dtype=np.int64) % spec.n_classes
+    for w, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        freq = 1.0 + labels[w]
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        gains = rng.uniform(0.5, 1.5, size=c_n)
+        disp = rng.uniform(0.0, np.pi / 4.0, size=c_n)
+        f_own = rng.uniform(1.0, 1.0 + spec.n_classes, size=c_n)
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=c_n)
+        noise = rng.standard_normal((c_n, length))
+        shared = np.sin(2.0 * np.pi * freq * t[None, :] + theta + (1.0 - s) * disp[:, None])
+        own = np.sin(2.0 * np.pi * f_own[:, None] * t[None, :] + phi[:, None])
+        values[w] = gains[:, None] * (s * shared + (1.0 - s) * own) + spec.noise_sd * noise
+    return values, labels
+
+
+def _random_spec(rng):
+    return SynthSpec(n_windows=int(rng.integers(1, 24)), n_modalities=int(rng.integers(2, 8)),
+                     n_samples=int(rng.integers(2, 90)), n_classes=int(rng.integers(1, 9)),
+                     shared_latent_strength=float(rng.uniform()),
+                     noise_sd=float(rng.uniform(0.0, 3.0)), seed=int(rng.integers(0, 2**32)))
+
+
+def test_one_parameter_draw_per_window_matches_the_uniform_calls_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        spec = _random_spec(rng)
+        values, labels = generate_windows(spec)
+        ref_values, ref_labels = _generate_windows_formula(spec)
+        assert values.tobytes() == ref_values.tobytes()
+        assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+
+
+def test_a_subset_of_windows_equals_the_matching_rows_of_the_full_set():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        spec = _random_spec(rng)
+        full, full_labels = generate_windows(spec)
+        # any order, repeats allowed, possibly empty
+        which = rng.integers(0, spec.n_windows, size=int(rng.integers(0, 2 * spec.n_windows)))
+        values, labels = generate_windows(spec, which)
+        assert values.shape == (len(which), spec.n_modalities, spec.n_samples)
+        assert values.tobytes() == full[which].tobytes()
+        assert np.array_equal(labels, full_labels[which])
+        assert generate_windows(spec, which.tolist())[0].tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("which, message", [
+    ([0, 4], r"^which must list windows in \[0, 4\), got 4 at index 1$"),
+    ([-1], r"^which must list windows in \[0, 4\), got -1 at index 0$"),
+    ([[0, 1]], r"^which must be a 1-D list of window indices, got int64 of shape \(1, 2\)$"),
+    ([1.0], r"^which must be a 1-D list of window indices, got float64 of shape \(1,\)$")])
+def test_a_subset_outside_the_spec_is_rejected(which, message):
+    with pytest.raises(ValueError, match=message):
+        generate_windows(_spec(), which)
 
 
 def test_full_strength_noiseless_channels_are_affine():
@@ -144,6 +209,22 @@ def test_splice_rejects_degenerate_datasets():
     ws, _ = generate_windows(_spec(n_windows=1))
     with pytest.raises(ValueError):
         splice_augment(ws, seed=0)
+    with pytest.raises(ValueError, match="at least 2 windows, got 1"):
+        draw_splice(1, 16, 0)
+
+
+@pytest.mark.parametrize("matched_start", [False, True])
+def test_a_splice_is_its_draw_then_its_cut(matched_start):
+    ws, _ = generate_windows(_spec(n_windows=7, n_modalities=3, n_samples=50, noise_sd=0.5))
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(50):
+        r = splice_augment(ws, rng_a, matched_start=matched_start)
+        plan = draw_splice(len(ws), ws.shape[-1], rng_b, matched_start=matched_start)
+        assert plan == (r.source_a, r.source_b, r.length, r.start_a, r.start_b)
+        assert all(type(x) is int for x in plan)
+        assert np.array_equal(cut_splice(ws[plan[0]], ws[plan[1]], *plan[2:]), r.window)
+    # both generators stand at the same point of their streams
+    assert rng_a.random() == rng_b.random()
 
 
 def test_patchify_counts():
