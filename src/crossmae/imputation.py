@@ -71,6 +71,16 @@ def _sample_mask_array(masks: np.ndarray, patch_len: int, n_samples: int) -> np.
     return out
 
 
+def _check_sample_masks(values: np.ndarray, sample_masks: np.ndarray) -> None:
+    """Require per-sample masks that are a bool array of exactly the windows'
+    shape. Anything else would be misread, not rejected: zip truncates to
+    fewer windows, an integer array indexes, a narrower one broadcasts."""
+    dtype = getattr(sample_masks, "dtype", type(sample_masks).__name__)
+    if dtype != bool or np.shape(sample_masks) != np.shape(values):
+        raise ValueError(f"sample_masks must be a bool array of the windows' shape "
+                         f"{np.shape(values)}, got {dtype} of shape {np.shape(sample_masks)}")
+
+
 def impute_model(state: ModelState, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Reconstruct the hidden patches of the (B, C, L) windows, given their
     (B, C, P) masks, with the pretrained autoencoder; visible samples are
@@ -97,6 +107,7 @@ def impute_linear(values: np.ndarray, sample_masks: np.ndarray) -> np.ndarray:
     """Per-channel linear interpolation between visible samples of the
     (n, C, L) windows, constant extension at the edges, zero-fill for fully
     hidden channels."""
+    _check_sample_masks(values, sample_masks)
     filled = values.copy()
     length = values.shape[-1]
     t = np.arange(length)
@@ -114,6 +125,7 @@ def impute_nearest(values: np.ndarray, sample_masks: np.ndarray) -> np.ndarray:
     """Each hidden sample of the (n, C, L) windows copies the temporally
     nearest visible sample in its channel; distance ties break toward the
     earlier sample. Fully hidden channels are filled with 0."""
+    _check_sample_masks(values, sample_masks)
     length = values.shape[-1]
     t = np.arange(length)
     # the last visible index at or before each sample (-1: none) and the
@@ -128,14 +140,29 @@ def impute_nearest(values: np.ndarray, sample_masks: np.ndarray) -> np.ndarray:
 
 
 def impute_chained(values: np.ndarray, sample_masks: np.ndarray, sweeps: int) -> np.ndarray:
-    """Simplified chained-equations imputation, pooled across the (n, C, L)
-    windows.
+    """Simplified chained-equations imputation in the style of MICE (van
+    Buuren & Groothuis-Oudshoorn, J. Stat. Softw. 2011), pooled across the
+    (n, C, L) windows.
 
-    Missing entries start at the channel means of pooled visible data; each
-    sweep ridge-regresses every channel on the other channels' same-time
-    values (fit on rows where the target is visible) and overwrites that
-    channel's missing entries with predictions.
+    The pooled data is held channel-major: one (C, n * L) array whose row c
+    is channel c of every window, end to end. Missing entries start at the
+    mean of their channel's visible samples. Each sweep then visits the
+    channels in order, Gauss-Seidel: channel c is ridge-regressed on the
+    other channels' same-time values, fit on the samples where c is visible,
+    and its missing entries are overwritten with the predictions, which the
+    channels after it read in the same sweep. A channel with no visible or
+    no missing sample is never regressed.
+
+    A regression runs as whole-row passes over that array, with no gather.
+    The means of every channel over c's fit samples are one GEMV against c's
+    0/1 fit weights. The Gram is one GEMM of the centred copy, weighted,
+    against the centred copy itself (two scratch arrays for the call). The
+    prediction sums the other channels' centred rows scaled by their
+    coefficients, and is written into c's missing samples alone. Against a
+    per-channel gather of the fit and missing samples, only the order of
+    the sums moves.
     """
+    _check_sample_masks(values, sample_masks)
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     if len(values) == 0:
@@ -143,36 +170,50 @@ def impute_chained(values: np.ndarray, sample_masks: np.ndarray, sweeps: int) ->
     n, c_n, length = values.shape
     if c_n < 2:
         raise ValueError("impute_chained needs C >= 2")
-    # rows = (window, time); columns = channels
-    data = values.transpose(0, 2, 1).copy().reshape(-1, c_n)
-    miss = sample_masks.transpose(0, 2, 1).reshape(-1, c_n)
-    for c in range(c_n):
-        vis = ~miss[:, c]
-        mean_c = data[vis, c].mean() if vis.any() else 0.0
-        data[miss[:, c], c] = mean_c
-    # Each channel's fit and predict rows stay fixed across sweeps, so their
-    # index arrays are built once: (c, fit rows, predict rows, the np.ix_
-    # pair of each with the other channels) for every channel with both.
+    data = values.transpose(1, 0, 2).copy().reshape(c_n, -1)
+    miss = sample_masks.transpose(1, 0, 2).reshape(c_n, -1)
+    for row, hidden in zip(data, miss):
+        vis = ~hidden
+        np.copyto(row, row[vis].mean() if vis.any() else 0.0, where=hidden)
+    _chained_sweeps(data, miss, sweeps)
+    return data.reshape(c_n, n, length).transpose(1, 0, 2).copy()
+
+
+def _chained_sweeps(data: np.ndarray, miss: np.ndarray, sweeps: int) -> None:
+    """impute_chained's sweeps over the channel-major (C, N) data, in place;
+    miss is its (C, N) bool mask. The scratch arrays are freed on return,
+    before impute_chained copies the result out."""
+    c_n, n_rows = data.shape
+    n_fit = n_rows - np.count_nonzero(miss, axis=1)
+    # the channels with both fit and predict samples, each with the others
+    # and their block of the Gram
     plans = []
     for c in range(c_n):
-        fit_rows, pred_rows = np.flatnonzero(~miss[:, c]), np.flatnonzero(miss[:, c])
-        if len(fit_rows) and len(pred_rows):
-            others = [k for k in range(c_n) if k != c]
-            plans.append((c, fit_rows, pred_rows, np.ix_(fit_rows, others),
-                          np.ix_(pred_rows, others)))
+        if 0 < n_fit[c] < n_rows:
+            others = np.delete(np.arange(c_n), c)
+            plans.append((c, others, np.ix_(others, others)))
     ridge = CHAINED_RIDGE * np.eye(c_n - 1)
+    centred, weighted = np.empty_like(data), np.empty_like(data)
+    fit, pred = np.empty(n_rows, dtype=data.dtype), np.empty(n_rows, dtype=data.dtype)
     for _ in range(sweeps):
-        for c, fit_rows, pred_rows, fit_ix, pred_ix in plans:
-            x_fit = data[fit_ix]
-            y_fit = data[fit_rows, c]
-            xm = x_fit.mean(axis=0)
-            ym = y_fit.mean()
-            xc = x_fit - xm
-            gram = xc.T @ xc + ridge
-            coef = np.linalg.solve(gram, xc.T @ (y_fit - ym))
-            data[pred_rows, c] = (data[pred_ix] - xm) @ coef + ym
-    block = data.reshape(n, length, c_n).transpose(0, 2, 1)
-    return np.where(sample_masks, block, values)
+        for c, others, block in plans:
+            np.logical_not(miss[c], out=fit)  # c's 0/1 fit weights
+            means = data @ fit / n_fit[c]
+            np.subtract(data, means[:, None], out=centred)
+            np.multiply(centred, fit, out=weighted)
+            # a fit weight is 0 or 1, so this GEMM forms the products of the
+            # centred fit samples' Gram and no others
+            gram = weighted @ centred.T
+            coef = np.linalg.solve(gram[block] + ridge, gram[others, c])
+            # Each sample's prediction sums its own channels in one order,
+            # wherever the sample falls. A GEMV rounds by the sample's place
+            # in its blocks, and an ill-conditioned fit of a later channel
+            # magnifies an ulp between two samples that agree.
+            np.multiply(centred[others[0]], coef[0], out=pred)
+            for k, b in zip(others[1:], coef[1:]):
+                pred += centred[k] * b
+            pred += means[c]
+            np.putmask(data[c], miss[c], pred)
 
 
 @dataclass
@@ -191,6 +232,7 @@ def score(filled: np.ndarray, truth: np.ndarray, sample_masks: np.ndarray) -> Im
     row falls in the call."""
     if filled.shape != truth.shape:
         raise ValueError("shape mismatch between filled and truth")
+    _check_sample_masks(truth, sample_masks)
     abs_sum = 0.0
     sq_sum = 0.0
     count = 0
