@@ -72,9 +72,13 @@ def _sample_mask_array(masks: np.ndarray, patch_len: int, n_samples: int) -> np.
 
 
 def _check_sample_masks(values: np.ndarray, sample_masks: np.ndarray) -> None:
-    """Require per-sample masks that are a bool array of exactly the windows'
-    shape. Anything else would be misread, not rejected: zip truncates to
-    fewer windows, an integer array indexes, a narrower one broadcasts."""
+    """Require (n, C, L) windows and per-sample masks that are a bool array
+    of exactly their shape. Anything else would be misread, not rejected:
+    zip truncates to fewer windows, an integer array indexes, a narrower one
+    broadcasts, and a (C, L) window would be taken for C windows of one
+    channel."""
+    if np.ndim(values) != 3:
+        raise ValueError(f"the windows must be an (n, C, L) array, got shape {np.shape(values)}")
     dtype = getattr(sample_masks, "dtype", type(sample_masks).__name__)
     if dtype != bool or np.shape(sample_masks) != np.shape(values):
         raise ValueError(f"sample_masks must be a bool array of the windows' shape "
@@ -231,7 +235,7 @@ def score(filled: np.ndarray, truth: np.ndarray, sample_masks: np.ndarray) -> Im
     rows the chunk keeps, since BLAS orders a short row sum by where the
     row falls in the call."""
     if filled.shape != truth.shape:
-        raise ValueError("shape mismatch between filled and truth")
+        raise ValueError(f"shape mismatch between filled {filled.shape} and truth {truth.shape}")
     _check_sample_masks(truth, sample_masks)
     abs_sum = 0.0
     sq_sum = 0.0

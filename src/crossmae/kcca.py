@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masking import POLICIES, sample_mask
+from .masking import POLICIES, sample_masks
 from .model import ModelState, encode, forward_frozen
 from .windows import patchify, standardize
 
@@ -212,7 +212,11 @@ def sigma1_experiment(values, state: ModelState | None = None, *, pca_k: int, se
     policy, over the (n, C, L) windows: {CROSS: sigma_1, SYNC: sigma_1}.
 
     Child i of SeedSequence(seed).spawn(n) seeds window i's mask under each
-    policy, so both policies draw from the same n seeds. The view features
+    policy, so both policies draw from the same n seeds. Each child's
+    generator is seeded once and serves both policies: its fresh state is
+    kept and restored before the second policy's draw (masking.sample_masks),
+    so each policy's masks are those of a generator just built from the
+    child, without hashing each seed twice. The view features
     are raw cells when state is None, else the encoder latents of state;
     then state.arch sets the patch length, the patch_len argument is
     ignored, and the windows are standardized and patchified once for both
@@ -227,10 +231,14 @@ def sigma1_experiment(values, state: ModelState | None = None, *, pca_k: int, se
         grids = patchify(standardize(values), patch_len)
     n, c_n, length = values.shape
     p_n = length // patch_len
-    children = np.random.SeedSequence(seed).spawn(n)
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n)]
+    fresh = [rng.bit_generator.state for rng in rngs]
     sigma1 = {}
-    for policy in POLICIES:
-        masks = np.stack([sample_mask(policy, c_n, p_n, ratio, child) for child in children])
+    for i, policy in enumerate(POLICIES):
+        if i:
+            for rng, start in zip(rngs, fresh):
+                rng.bit_generator.state = start
+        masks = sample_masks(policy, c_n, p_n, ratio, rngs)
         if state is None:
             f_u = _raw_view_features(values, ~masks, patch_len)
             f_m = _raw_view_features(values, masks, patch_len)

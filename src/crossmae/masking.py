@@ -23,28 +23,44 @@ def floor_count(ratio: float, n: int) -> int:
 
 def sample_mask(policy: str, n_modalities: int, n_patches: int, ratio: float, rng) -> np.ndarray:
     """Draw one (C, P) bool mask (True = hidden) under the given policy,
-    uniformly over the admissible set."""
+    uniformly over the admissible set: sample_masks with the one generator
+    that rng gives (np.random.default_rng)."""
+    return sample_masks(policy, n_modalities, n_patches, ratio, [np.random.default_rng(rng)])[0]
+
+
+def sample_masks(policy: str, n_modalities: int, n_patches: int, ratio: float,
+                 rngs) -> np.ndarray:
+    """Draw one (C, P) mask from each Generator of rngs, in order: a
+    (len(rngs), C, P) bool array (True = hidden). Each generator draws one
+    permutation of the C * P cells (cross) or of the P columns (sync) and
+    hides its first floor_count(ratio, ...) entries."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-    rng = np.random.default_rng(rng)
     c_n, p_n = n_modalities, n_patches
-    mask = np.zeros((c_n, p_n), dtype=bool)
     if policy == CROSS:
-        k = floor_count(ratio, c_n * p_n)
+        cells = c_n * p_n
+        k = floor_count(ratio, cells)
         if k < 1:
             raise ValueError(f"ratio {ratio} hides no patch of a {c_n}x{p_n} grid")
-        if k >= c_n * p_n:
+        if k >= cells:
             raise ValueError(f"ratio {ratio} hides every patch of a {c_n}x{p_n} grid")
-        chosen = rng.permutation(c_n * p_n)[:k]
-        mask.flat[chosen] = True
     elif policy == SYNC:
-        k = floor_count(ratio, p_n)
+        cells = p_n
+        k = floor_count(ratio, cells)
         if k < 1:
             raise ValueError(f"ratio {ratio} hides no column of {p_n} patches")
-        if k >= p_n:
+        if k >= cells:
             raise ValueError(f"ratio {ratio} hides every column of {p_n} patches")
-        cols = rng.permutation(p_n)[:k]
-        mask[:, cols] = True
     else:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    return mask
+    n = len(rngs)
+    # row i is rngs[i].permutation(cells): a shuffle of arange(cells)
+    order = np.empty((n, cells), dtype=np.int64)
+    order[:] = np.arange(cells)
+    for row, rng in zip(order, rngs):
+        rng.shuffle(row)
+    hidden = np.zeros((n, cells), dtype=bool)
+    np.put_along_axis(hidden, order[:, :k], True, axis=1)
+    if policy == CROSS:
+        return hidden.reshape(n, c_n, p_n)
+    return np.repeat(hidden[:, None, :], c_n, axis=1)

@@ -19,6 +19,7 @@ the full set. A splice is drawn (draw_splice) apart from the windows it
 cuts (cut_splice), so a caller can draw its splices first and generate only
 the windows they read.
 """
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -26,6 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BLOB_NAME, array_fault, checked, load_arrays, save_arrays
+
+# Windows per block of generate_windows' arithmetic (see its docstring).
+SYNTH_BLOCK = 32
 
 
 @dataclass
@@ -70,6 +74,21 @@ def generate_windows(spec: SynthSpec, which=None) -> tuple[np.ndarray, np.ndarra
     frequencies and phases) come from one draw of 1 + 4C doubles u, each
     scaled as low + (high - low) * u, as Generator.uniform scales its draws;
     the noise is drawn after them.
+
+    Each window still needs its own generator and its two draws, but the
+    arithmetic runs over SYNTH_BLOCK windows at a time: one numpy call per
+    step of the formula and block instead of one per window, which saves
+    numpy's fixed cost per call on small arrays. Every element goes
+    through the same operations in the same order as in the formula above
+    (only operands of a + or x swap), so the bits do not depend on the
+    block. The work is done in place: the noise is drawn straight into the
+    output rows and the sinusoids are built in two block-sized scratch
+    arrays, so the call allocates the output plus one block's temporaries.
+    Blocks keep that scratch small; they do not save time against one
+    block of every window. Timed on one analyze replicate's 173 distinct
+    windows at 6 x 200 (one BLAS thread, medians of 25 calls), the
+    per-window loop took 13.3 ms, blocks of 8 to 256 windows 10.0 to
+    11.3 ms; 32 windows is 0.6 MB of scratch there.
     """
     c_n, length = spec.n_modalities, spec.n_samples
     s = spec.shared_latent_strength
@@ -87,19 +106,39 @@ def generate_windows(spec: SynthSpec, which=None) -> tuple[np.ndarray, np.ndarra
     lows = np.repeat([0.0, 0.5, 0.0, 1.0, 0.0], counts)
     spans = np.repeat([2.0 * np.pi, 1.5, np.pi / 4.0, 1.0 + spec.n_classes, 2.0 * np.pi],
                       counts) - lows
-    children = np.random.SeedSequence(spec.seed).spawn(spec.n_windows)
     values = np.empty((len(which), c_n, length))
     labels = which % spec.n_classes
-    for row, w in enumerate(which.tolist()):
-        rng = np.random.default_rng(children[w])
-        params = lows + spans * rng.random(1 + 4 * c_n)
-        theta = params[0]
-        gains, disp, f_own, phi = params[1:].reshape(4, c_n)
-        noise = rng.standard_normal((c_n, length))
-        freq = 1.0 + labels[row]
-        shared = np.sin(2.0 * np.pi * freq * t[None, :] + theta + (1.0 - s) * disp[:, None])
-        own = np.sin(2.0 * np.pi * f_own[:, None] * t[None, :] + phi[:, None])
-        values[row] = gains[:, None] * (s * shared + (1.0 - s) * own) + spec.noise_sd * noise
+    block = min(SYNTH_BLOCK, len(which))
+    u = np.empty((block, 1 + 4 * c_n))
+    shared, own = np.empty((2, block, c_n, length))
+    for lo in range(0, len(which), SYNTH_BLOCK):
+        out = values[lo:lo + SYNTH_BLOCK]
+        m = len(out)
+        for i, w in enumerate(which[lo:lo + m].tolist()):
+            # child w of SeedSequence(spec.seed).spawn(spec.n_windows), built alone
+            rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(w,)))
+            rng.random(out=u[i])
+            rng.standard_normal(out=out[i])
+        params = lows + spans * u[:m]
+        theta = params[:, :1, None]
+        # each (m, C, 1)
+        gains, disp, f_own, phi = params[:, 1:].reshape(m, 4, c_n, 1).transpose(1, 0, 2, 3)
+        freq = 1.0 + labels[lo:lo + m, None, None]
+        a, b = shared[:m], own[:m]
+        row = b[:, :1]  # the (m, 1, L) class phase, before b holds the own sinusoids
+        np.multiply(2.0 * np.pi * freq, t, out=row)
+        row += theta
+        np.add(row, (1.0 - s) * disp, out=a)
+        np.sin(a, out=a)
+        a *= s
+        np.multiply(2.0 * np.pi * f_own, t, out=b)
+        b += phi
+        np.sin(b, out=b)
+        b *= 1.0 - s
+        a += b
+        a *= gains
+        out *= spec.noise_sd
+        out += a
     return values, labels
 
 
@@ -129,11 +168,14 @@ def draw_splice(n_windows: int, length: int, seed,
     """
     if n_windows < 2:
         raise ValueError(f"a splice needs at least 2 windows, got {n_windows}")
+    # L = 1 leaves no segment length: ceil(0.2) = 1 > floor(0.5) = 0
+    if length < 2:
+        raise ValueError(f"a splice needs windows of at least 2 samples, got length {length}")
     rng = np.random.default_rng(seed)
     i = int(rng.integers(0, n_windows))
     j = int(rng.integers(0, n_windows))
-    lam_lo = int(np.ceil(0.2 * length))
-    lam_hi = int(np.floor(0.5 * length))
+    lam_lo = math.ceil(0.2 * length)
+    lam_hi = math.floor(0.5 * length)
     lam = int(rng.integers(lam_lo, lam_hi + 1))
     s1 = int(rng.integers(0, length - lam + 1))
     s2 = s1 if matched_start else int(rng.integers(0, length - lam + 1))

@@ -2,7 +2,6 @@
 
 import itertools
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,20 +277,14 @@ def test_chained_fills_samples_that_agree_alike_wherever_they_fall(data):
     assert twice[:n].tobytes() == twice[n:].tobytes()
 
 
-def test_chained_scratch_stays_two_channel_major_copies():
+def test_chained_scratch_stays_two_channel_major_copies(peak_traced_bytes):
     # The pooled data, its centred copy and that copy weighted are one
     # values.nbytes each; the mask's channel-major copy and the fit weights
     # and prediction rows add under half of one more. A third scratch copy
     # of the data would cross the bound.
     values, sample_masks = _evaluate_shape_inputs()
     for masks in sample_masks:
-        tracemalloc.start()
-        try:
-            impute_chained(values, masks, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * values.nbytes
+        assert peak_traced_bytes(impute_chained, values, masks, 3) < 4 * values.nbytes
 
 
 _BAD_MASKS = {
@@ -316,6 +309,27 @@ def test_a_mask_of_another_shape_or_dtype_is_rejected_by_name(call):
                 f"sample_masks must be a bool array of the windows' shape (4, 3, 16), "
                 f"got {mask.dtype} of shape {mask.shape}")):
             call(w, mask)
+
+
+@pytest.mark.parametrize("call", [
+    impute_linear, impute_nearest,
+    lambda w, sm: impute_chained(w, sm, sweeps=3),
+    lambda w, sm: score(w + 1.0, w, sm),
+], ids=["impute_linear", "impute_nearest", "impute_chained", "score"])
+def test_a_window_without_its_window_axis_is_rejected(call):
+    # a (C, L) window would be read as C one-channel windows
+    rng = np.random.default_rng(12)
+    w = rng.standard_normal((3, 8))
+    with pytest.raises(ValueError, match=re.escape(
+            "the windows must be an (n, C, L) array, got shape (3, 8)")):
+        call(w, rng.uniform(size=w.shape) < 0.5)
+
+
+def test_score_names_both_shapes_when_filled_and_truth_differ():
+    w = np.zeros((2, 3, 8))
+    with pytest.raises(ValueError, match=re.escape(
+            "shape mismatch between filled (2, 3, 7) and truth (2, 3, 8)")):
+        score(w[..., :7], w, np.ones(w.shape, dtype=bool))
 
 
 def test_score_identity_offset_and_empty():

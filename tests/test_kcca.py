@@ -8,6 +8,7 @@ import pytest
 from crossmae import kcca
 from crossmae.kcca import (ConditioningError, ViewGrams, cca_sigma, center_gram, kcca_solve,
                            pca_reduce, sigma1_experiment)
+from crossmae.masking import POLICIES, sample_mask
 from crossmae.model import ArchSpec, init_model
 from crossmae.windows import SynthSpec, generate_windows
 
@@ -312,6 +313,30 @@ def test_sigma1_experiment_bounds_and_determinism():
     assert list(v1) == ["cross", "sync"]
     for v in v1.values():
         assert 0.0 <= v <= 1.0 + 1e-8
+
+
+def test_each_policy_draws_its_masks_from_every_seeds_fresh_stream(monkeypatch):
+    drawn, draw = [], kcca.sample_masks
+
+    def spy(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(kcca, "sample_masks", spy)
+    rng = np.random.default_rng(4)
+    for _ in range(6):
+        n, c_n, p_n, patch_len = (int(x) for x in rng.integers([3, 2, 4, 1], [40, 6, 12, 4]))
+        ratio = float(rng.uniform(1.0 / p_n, 1.0 - 1.0 / p_n))
+        seed = int(rng.integers(2**32))
+        # a trailing part patch that the grid drops
+        values = rng.standard_normal((n, c_n, p_n * patch_len + int(rng.integers(patch_len))))
+        del drawn[:]
+        sigma1_experiment(values, pca_k=3, seed=seed, ratio=ratio, patch_len=patch_len)
+        children = np.random.SeedSequence(seed).spawn(n)
+        assert len(drawn) == len(POLICIES)
+        for policy, masks in zip(POLICIES, drawn):
+            want = np.stack([sample_mask(policy, c_n, p_n, ratio, child) for child in children])
+            assert masks.tobytes() == want.tobytes()
 
 
 # The thin-SVD route replaces the PCA and the CCA; the flipped route negates

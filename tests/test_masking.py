@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crossmae.masking import CROSS, SYNC, floor_count, sample_mask
+from crossmae.masking import CROSS, POLICIES, SYNC, floor_count, sample_mask, sample_masks
 
 
 def test_cross_count_example():
@@ -79,3 +79,30 @@ def test_cross_small_grid_hits_every_admissible_mask():
         m = sample_mask(CROSS, 2, 2, 0.5, rng)
         seen.add(m.tobytes())
     assert len(seen) == 6  # C(4, 2)
+
+
+def test_a_batch_of_masks_is_one_mask_per_generator():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        n, c_n, p_n = (int(x) for x in rng.integers([1, 2, 2], [12, 7, 13]))
+        policy = POLICIES[int(rng.integers(2))]
+        cells = c_n * p_n if policy == CROSS else p_n
+        ratio = (int(rng.integers(1, cells)) + 0.5) / cells
+        seeds = np.random.SeedSequence(int(rng.integers(2**32))).spawn(n)
+        masks = sample_masks(policy, c_n, p_n, ratio,
+                             [np.random.default_rng(seed) for seed in seeds])
+        assert masks.dtype == bool and masks.flags.c_contiguous
+        assert masks.tobytes() == np.stack([sample_mask(policy, c_n, p_n, ratio, seed)
+                                            for seed in seeds]).tobytes()
+
+
+def test_a_batch_of_masks_checks_its_settings_once_and_draws_nothing_on_a_fault():
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    before = [r.bit_generator.state for r in rngs]
+    for policy, ratio, message in ((CROSS, 1.0, "ratio must lie in"),
+                                   (SYNC, 0.2, "hides no column"),
+                                   ("diagonal", 0.5, "unknown policy")):
+        with pytest.raises(ValueError, match=message):
+            sample_masks(policy, 4, 4, ratio, rngs)
+    assert [r.bit_generator.state for r in rngs] == before
+    assert sample_masks(CROSS, 4, 4, 0.5, []).shape == (0, 4, 4)

@@ -2,7 +2,6 @@
 
 import gc
 import inspect
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -449,18 +448,13 @@ def test_attention_matches_its_formula_bit_for_bit(monkeypatch):
                     assert g.tobytes() == w_.tobytes()
 
 
-def test_frozen_attention_keeps_one_tile_of_scores():
+def test_frozen_attention_keeps_one_tile_of_scores(peak_traced_bytes):
     # 16 blocks of 4 heads x 151 rows: the whole batch's scores take 11.1 MiB,
     # a tile of one block 0.7 MiB
     rng = np.random.default_rng(10)
     n_blocks, n_heads, t_len, d = 16, 4, 151, 32
     q, k, v = (rng.standard_normal((n_blocks * t_len, d)) for _ in range(3))
-    tracemalloc.start()
-    try:
-        T.attention(q, k, v, n_blocks, n_heads)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_traced_bytes(T.attention, q, k, v, n_blocks, n_heads)
     assert peak < 8 * n_blocks * n_heads * t_len**2 / 4
 
 

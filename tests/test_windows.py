@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossmae.config import ManifestError
-from crossmae.windows import (SynthSpec, cut_splice, draw_splice, generate_windows,
-                              load_dataset, patchify, save_dataset, splice_augment, standardize)
+from crossmae.windows import (SYNTH_BLOCK, SynthSpec, cut_splice, draw_splice,
+                              generate_windows, load_dataset, patchify, save_dataset,
+                              splice_augment, standardize)
 
 
 def _spec(**kw):
@@ -84,6 +85,36 @@ def test_a_subset_of_windows_equals_the_matching_rows_of_the_full_set():
         assert values.tobytes() == full[which].tobytes()
         assert np.array_equal(labels, full_labels[which])
         assert generate_windows(spec, which.tolist())[0].tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("n_windows", [SYNTH_BLOCK - 1, SYNTH_BLOCK, SYNTH_BLOCK + 1,
+                                       2 * SYNTH_BLOCK + 3])
+def test_windows_around_a_block_boundary_match_the_formula_bit_for_bit(n_windows):
+    rng = np.random.default_rng(n_windows)
+    for _ in range(4):
+        spec = SynthSpec(**{**vars(_random_spec(rng)), "n_windows": n_windows})
+        values, labels = generate_windows(spec)
+        ref_values, ref_labels = _generate_windows_formula(spec)
+        assert values.tobytes() == ref_values.tobytes()
+        assert np.array_equal(labels, ref_labels)
+        # repeats, in any order, that fill several blocks and end inside one
+        for size in (SYNTH_BLOCK + 1, 3 * SYNTH_BLOCK - 5):
+            which = rng.integers(0, n_windows, size=size)
+            sub, sub_labels = generate_windows(spec, which)
+            assert sub.tobytes() == ref_values[which].tobytes()
+            assert np.array_equal(sub_labels, ref_labels[which])
+
+
+def test_generating_windows_holds_the_output_and_one_block_of_scratch(peak_traced_bytes):
+    # A broadcast over all the windows would hold several output-sized
+    # temporaries; a block holds two (block, C, L) sinusoid arrays and
+    # small index arrays.
+    spec = SynthSpec(n_windows=2000, n_modalities=6, n_samples=200, n_classes=4,
+                     shared_latent_strength=0.9, noise_sd=0.3, seed=0)
+    generate_windows(_spec())  # numpy's first-use allocations stay out of the count
+    output = spec.n_windows * (spec.n_modalities * spec.n_samples + 1) * 8
+    block = SYNTH_BLOCK * spec.n_modalities * spec.n_samples * 8
+    assert peak_traced_bytes(generate_windows, spec) < output + 3 * block
 
 
 @pytest.mark.parametrize("which, message", [
@@ -211,6 +242,35 @@ def test_splice_rejects_degenerate_datasets():
         splice_augment(ws, seed=0)
     with pytest.raises(ValueError, match="at least 2 windows, got 1"):
         draw_splice(1, 16, 0)
+
+
+@pytest.mark.parametrize("length", [1, 0, -3])
+def test_a_splice_of_windows_shorter_than_two_samples_names_the_length(length):
+    with pytest.raises(ValueError, match=rf"^a splice needs windows of at least 2 samples, "
+                                         rf"got length {length}$"):
+        draw_splice(4, length, 0)
+
+
+class _RecordedBounds(np.random.Generator):
+    """A Generator that records the (low, high) of each integers call."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.bounds = []
+
+    def integers(self, low, high=None, *args, **kwargs):
+        self.bounds.append((low, high))
+        return super().integers(low, high, *args, **kwargs)
+
+
+def test_splice_length_bounds_are_the_ceil_and_floor_of_the_length_fractions():
+    rng = _RecordedBounds(0)
+    for length in range(2, 10_001):
+        del rng.bounds[:]
+        lam = draw_splice(3, length, rng)[2]
+        lo, hi = rng.bounds[2]
+        assert (lo, hi) == (int(np.ceil(0.2 * length)), int(np.floor(0.5 * length)) + 1)
+        assert type(lo) is int and type(hi) is int and lo <= lam < hi
 
 
 @pytest.mark.parametrize("matched_start", [False, True])
