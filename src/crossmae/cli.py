@@ -50,10 +50,17 @@ CHECKPOINT_DIR = "checkpoint"
 # and the error of a failed run.
 RUN_FILES = (CONFIG_NAME, FORMAT_NAME, RUN_NAME, ERROR_NAME)
 # The most float64 values (1 GiB) that one array a config sizes may hold (see
-# _check_sizes): a run must not outgrow a desk machine's memory.
+# _check_sizes): a run must not outgrow a desk machine's memory. The bound is
+# on each array, not on what a command holds at once: impute peaks at about
+# 4.8 float64 copies of its dataset, so a dataset at the bound needs about
+# 5 GiB.
 MAX_ARRAY_VALUES = 2**27
-# A window's SeedSequence, spawned one per window or transition, holds about
-# 512 B, which _check_sizes counts as 64 float64 values.
+# Each window or transition counts as 64 float64 values (512 B) of seeds.
+# For exp.n_transitions that is memory: kcca.sigma1_experiment spawns every
+# transition's SeedSequence at once, about 512 B each. For data.n_windows it
+# is time: generate_windows seeds each window alone, about 12 us a window on
+# a 2-vCPU x86 machine, so the 2^21 windows the bound admits at 2 x 2
+# values take under a minute to seed.
 SEED_VALUES = 64
 # gradcheck fails, after writing gradcheck.txt, unless max_rel_err lies below
 # this: acceptance criterion 01's bound
@@ -320,21 +327,23 @@ def cmd_impute(run: Run) -> None:
               cfg["chained.sweeps"])
     run.start()
     values = standardize(raw)
+    del raw  # only the standardized windows are read from here on
     rows = []
     for t_idx, task in enumerate(tasks):
         rng = np.random.default_rng([cfg["seed"], t_idx])
         masks = np.stack([task_mask(task, arch.n_modalities, arch.n_patches, rng)
                           for _ in values])
-        smasks = _sample_mask_array(masks, arch.patch_len, raw.shape[2])
-        filled = {
-            "model": impute_model(state, values, masks),
-            "linear": impute_linear(values, smasks),
-            "nearest": impute_nearest(values, smasks),
-            "chained": impute_chained(values, smasks, sweeps=cfg["chained.sweeps"]),
+        smasks = _sample_mask_array(masks, arch.patch_len, values.shape[2])
+        # each fill is made when its method is scored, and freed before the next
+        fill = {
+            "model": lambda: impute_model(state, values, masks),
+            "linear": lambda: impute_linear(values, smasks),
+            "nearest": lambda: impute_nearest(values, smasks),
+            "chained": lambda: impute_chained(values, smasks, sweeps=cfg["chained.sweeps"]),
         }
         ratio_txt = "NA" if task.kind == "sensor" else _fmt(task.ratio)
         for method in METHODS:
-            sc = score(filled[method], values, smasks)
+            sc = score(fill[method](), values, smasks)
             rows.append(f"{task.kind},{method},{ratio_txt},{_fmt(sc.mae)},{_fmt(sc.mse)},"
                         f"{len(values)},{cfg['seed']}\n")
     run.write("report.csv", "task,method,ratio,mae,mse,n_windows,seed\n" + "".join(rows))
@@ -370,12 +379,15 @@ def _transitions(spec: SynthSpec, rng, n: int) -> np.ndarray:
     """The (n, C, L) transitions of one analyze replicate: n splices drawn
     from rng over spec's base windows (draw_splice), cut from those windows.
     Only the distinct windows the splices read are generated; each equals
-    that row of the full set (generate_windows)."""
+    that row of the full set (generate_windows). Each transition is cut
+    straight into its row of the one output array."""
     plans = [draw_splice(spec.n_windows, spec.n_samples, rng) for _ in range(n)]
     sources, at = np.unique([plan[:2] for plan in plans], return_inverse=True)
     base, _ = generate_windows(spec, sources)
-    return np.stack([cut_splice(base[a], base[b], *plan[2:])
-                     for (a, b), plan in zip(at.reshape(n, 2).tolist(), plans)])
+    out = np.empty((n,) + base.shape[1:])
+    for row, (a, b), plan in zip(out, at.reshape(n, 2).tolist(), plans):
+        row[...] = cut_splice(base[a], base[b], *plan[2:])
+    return out
 
 
 def cmd_analyze(run: Run) -> None:
@@ -424,6 +436,7 @@ def cmd_analyze(run: Run) -> None:
                     raise
             raise run.error("data.noise_sd", f"the transitions' sum of squares "
                                              f"overflows: {exc}") from None
+        del trans  # freed before the next replicate's transitions are made
         for policy in (CROSS, SYNC):
             sums[policy] += sigma1[policy]
             rows.append(f"{policy},{replicate},{n_trans},{pca_k},"

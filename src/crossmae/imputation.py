@@ -11,7 +11,10 @@ windows of a run stack theirs into a (B, C, P) array. Every imputer fills a
 new copy of the (B, C, L) windows: the model imputer reads the patch masks,
 the statistical ones their per-sample expansion (B, C, L)
 (_sample_mask_array). All imputers must leave visible samples untouched,
-and are scored on hidden samples only, pooled over all windows.
+and are scored on hidden samples only, pooled over all windows. A fill
+shares no memory with the windows or with another fill, so `crossmae impute`
+scores each as soon as it is made and drops it before making the next: one
+fill is alive at a time.
 """
 from dataclasses import dataclass
 
@@ -128,18 +131,28 @@ def impute_linear(values: np.ndarray, sample_masks: np.ndarray) -> np.ndarray:
 def impute_nearest(values: np.ndarray, sample_masks: np.ndarray) -> np.ndarray:
     """Each hidden sample of the (n, C, L) windows copies the temporally
     nearest visible sample in its channel; distance ties break toward the
-    earlier sample. Fully hidden channels are filled with 0."""
+    earlier sample. Fully hidden channels are filled with 0.
+
+    Beside the fill, two int64 index arrays of the windows' size are held:
+    each is accumulated in place, and the nearest index is written back into
+    the first."""
     _check_sample_masks(values, sample_masks)
     length = values.shape[-1]
     t = np.arange(length)
     # the last visible index at or before each sample (-1: none) and the
     # first at or after it (length: none)
-    left = np.maximum.accumulate(np.where(sample_masks, -1, t), axis=-1)
-    right = np.minimum.accumulate(np.where(sample_masks, length, t)[..., ::-1], axis=-1)[..., ::-1]
-    take_left = (left >= 0) & ((right == length) | (t - left <= right - t))
-    nearest = np.where(take_left, left, right)
-    filled = np.take_along_axis(values, np.minimum(nearest, length - 1), axis=-1)
-    filled[nearest == length] = 0.0
+    left = np.where(sample_masks, -1, t)
+    np.maximum.accumulate(left, axis=-1, out=left)
+    right = np.where(sample_masks, length, t)
+    np.minimum.accumulate(right[..., ::-1], axis=-1, out=right[..., ::-1])
+    # the nearest, into left: right where there is no left, or where right
+    # is nearer (t - left > right - t); length in a fully hidden channel
+    np.copyto(left, right, where=(left < 0) | ((right < length) & (left + right < 2 * t)))
+    del right
+    gone = left == length
+    np.minimum(left, length - 1, out=left)
+    filled = np.take_along_axis(values, left, axis=-1)
+    filled[gone] = 0.0
     return filled
 
 

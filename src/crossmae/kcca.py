@@ -12,7 +12,8 @@ flipping a column of either view leaves Gamma's singular values unchanged.
 The windows arrive as one (n, C, L) array and their masks as one (n, C, P)
 array; the view features are the raw cells of each view, or, given a model
 state, the mean patch-token latent of one frozen encoder pass over each view
-(model.forward_frozen). kcca_solve gives the kernel counterpart, the top
+(model.forward_frozen). One view's features are alive at a time: each is
+built, centred in place and reduced, and dropped before the next is built. kcca_solve gives the kernel counterpart, the top
 regularized canonical correlation of two caller-built Gram matrices over the
 same windows, both centred and both regularized by one gamma, in closed form
 by the low-rank route of Bach & Jordan (JMLR 2002) and Hardoon, Szedmak &
@@ -141,6 +142,10 @@ def pca_reduce(features: np.ndarray, k: int) -> np.ndarray:
     """Column-center and project onto the top-k principal directions: the
     (n, k) scores, largest variance first, each column's sign arbitrary.
 
+    A float64 features array is centred in place, so the caller's array
+    holds the centred features afterwards and no second array of their size
+    is made; any other array is first converted to a new float64 one.
+
     The directions come from the eigendecomposition of the smaller Gram of
     the centred features xc, not from a thin SVD. With more features than
     rows, q > n (the method of snapshots), the top eigenvectors u_j of
@@ -156,15 +161,15 @@ def pca_reduce(features: np.ndarray, k: int) -> np.ndarray:
     n, q = x.shape
     if not 1 <= k <= min(n, q):
         raise ValueError(f"k={k} out of range for {n}x{q} features")
-    xc = x - x.mean(axis=0, keepdims=True)
+    x -= x.mean(axis=0, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = xc @ xc.T if n < q else xc.T @ xc
+        gram = x @ x.T if n < q else x.T @ x
     if not np.isfinite(gram).all():
         raise ValueError(f"the Gram of the centred {n}x{q} features is not finite")
     lam, u = np.linalg.eigh(gram)  # ascending
     if n < q:
         return u[:, :-k - 1:-1] * np.sqrt(np.maximum(lam[:-k - 1:-1], 0.0))
-    return xc @ u[:, :-k - 1:-1]
+    return x @ u[:, :-k - 1:-1]
 
 
 def _inv_sqrt(s: np.ndarray, name: str) -> np.ndarray:
@@ -187,13 +192,13 @@ def cca_sigma(s_uu: np.ndarray, s_mm: np.ndarray, s_um: np.ndarray) -> np.ndarra
     return np.linalg.svd(gamma, compute_uv=False)
 
 
-def _raw_view_features(values: np.ndarray, shown: np.ndarray, patch_len: int) -> np.ndarray:
+def _raw_view_features(values: np.ndarray, hides: np.ndarray, patch_len: int) -> np.ndarray:
     """(n, C * P * patch_len) features of one view: the (n, C, L) windows
     trimmed to P * patch_len samples, every cell of a patch the (n, C, P)
-    view mask does not show zeroed, each window flattened."""
-    p_n = shown.shape[-1]
-    cells = np.repeat(shown, patch_len, axis=-1)
-    return np.where(cells, values[..., :p_n * patch_len], 0.0).reshape(len(values), -1)
+    masks hides (True = hidden) zeroed, each window flattened."""
+    p_n = hides.shape[-1]
+    cells = np.repeat(hides, patch_len, axis=-1)
+    return np.where(cells, 0.0, values[..., :p_n * patch_len]).reshape(len(values), -1)
 
 
 def _model_view_features(state: ModelState, grids: np.ndarray, hides: np.ndarray) -> np.ndarray:
@@ -220,17 +225,31 @@ def sigma1_experiment(values, state: ModelState | None = None, *, pca_k: int, se
     are raw cells when state is None, else the encoder latents of state;
     then state.arch sets the patch length, the patch_len argument is
     ignored, and the windows are standardized and patchified once for both
-    policies. Both feature sets are PCA-reduced (k clipped to min(n, q) - 1)
-    and the whitened cross-covariance's top singular value comes from
-    cca_sigma.
+    policies. Each view's features are PCA-reduced (k clipped to min(n, q) -
+    1, q the feature width: C * P * patch_len raw, d_model latent) as soon
+    as they are built, and dropped before the other view's are built, so
+    one view's features are alive at a time. The whitened
+    cross-covariance's top singular value of the two views' scores comes
+    from cca_sigma.
     """
     if len(values) == 0:
         raise ValueError("sigma1_experiment needs a non-empty dataset")
-    if state is not None:
-        patch_len = state.arch.patch_len
-        grids = patchify(standardize(values), patch_len)
     n, c_n, length = values.shape
+    if state is None:
+        width = c_n * (length // patch_len) * patch_len
+
+        def view(hides):
+            return _raw_view_features(values, hides, patch_len)
+    else:
+        patch_len, width = state.arch.patch_len, state.arch.d_model
+        grids = patchify(standardize(values), patch_len)
+
+        def view(hides):
+            return _model_view_features(state, grids, hides)
     p_n = length // patch_len
+    k = min(pca_k, min(n, width) - 1)
+    if k < 1:
+        raise ValueError("dataset too small for PCA reduction")
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n)]
     fresh = [rng.bit_generator.state for rng in rngs]
     sigma1 = {}
@@ -239,18 +258,9 @@ def sigma1_experiment(values, state: ModelState | None = None, *, pca_k: int, se
             for rng, start in zip(rngs, fresh):
                 rng.bit_generator.state = start
         masks = sample_masks(policy, c_n, p_n, ratio, rngs)
-        if state is None:
-            f_u = _raw_view_features(values, ~masks, patch_len)
-            f_m = _raw_view_features(values, masks, patch_len)
-        else:
-            # The unmasked view shows the encoder the visible cells; the masked
-            # view shows it the hidden ones.
-            f_u, f_m = (_model_view_features(state, grids, hides) for hides in (masks, ~masks))
-        k = min(pca_k, min(n, f_u.shape[1]) - 1, min(n, f_m.shape[1]) - 1)
-        if k < 1:
-            raise ValueError("dataset too small for PCA reduction")
-        z_u = pca_reduce(f_u, k)
-        z_m = pca_reduce(f_m, k)
+        # The unmasked view shows the visible cells (to the encoder, given
+        # state); the masked view shows the hidden ones.
+        z_u, z_m = (pca_reduce(view(hides), k) for hides in (masks, ~masks))
         sigma1[policy] = float(cca_sigma(z_u.T @ z_u / n, z_m.T @ z_m / n,
                                          z_u.T @ z_m / n)[0])
     return sigma1

@@ -1,5 +1,6 @@
 """CLI subcommands: run layout, determinism hooks, config plumbing."""
 
+import itertools
 import json
 import math
 import os
@@ -440,6 +441,56 @@ def test_a_replicate_generates_exactly_the_base_windows_its_splices_read(monkeyp
     assert generated[0].tobytes() == generate_windows(spec)[0][sources].tobytes()
 
 
+def _traced_run(peak_traced_bytes, cmd, out_root, **kv):
+    """peak_traced_bytes of one cmd run with settings kv, each call into a
+    fresh run directory under out_root."""
+    cfg = _write_cfg(out_root / f"{cmd}.cfg", **kv) if kv else None
+    outs = (out_root / f"{cmd}{i}" for i in itertools.count())
+    return peak_traced_bytes(lambda: _run(cmd, next(outs), cfg))
+
+
+# A default analyze replicate's transitions, 200 of 6 x 200, are its largest
+# array. Its splices' base windows and the transitions cut from them, then
+# one view's features, its PCA Gram and eigenvectors, fit in three; two
+# replicates' transitions at once, or both views' features, do not.
+def test_default_analyze_holds_three_transitions_arrays(peak_traced_bytes, tmp_path):
+    transitions = 200 * 6 * 200 * 8
+    assert _traced_run(peak_traced_bytes, "analyze", tmp_path) < 3 * transitions
+
+
+@pytest.fixture(scope="module")
+def working_set_dir(tmp_path_factory):
+    """2,000 windows of 6 x 200 (the dataset values are float64 on load)
+    and a checkpoint of a small model pretrained on them for one epoch."""
+    root = tmp_path_factory.mktemp("workingset")
+    data = _run("synth", root / "data", _write_cfg(root / "synth.cfg", **{
+        "data.n_windows": 2000}))
+    out = _run("pretrain", root / "pre", _write_cfg(root / "pre.cfg", **{
+        "data.dir": data, "arch.patch_len": 25, "arch.d_model": 8, "arch.enc_layers": 1,
+        "arch.n_heads": 2, "optim.epochs": 1, "optim.warmup_epochs": 1,
+        "optim.batch_size": 64}))
+    return data, os.path.join(out, "checkpoint")
+
+
+# Each command's peak in float64 copies of its dataset. impute scores each
+# of a task's four fills as it is made, so the standardized windows and
+# impute_chained's two scratch copies of them set its peak (4.8 copies);
+# holding the raw windows or every fill at once reads 13.3. probe (lp, 3.2)
+# and pretrain (4.0, at the default model) are pinned where they stand.
+@pytest.mark.parametrize("cmd, settings, copies", [
+    ("impute", {}, 6.0),
+    ("probe", {"probe.mode": "lp", "probe.epochs": 1}, 3.5),
+    ("pretrain", {"optim.epochs": 1, "optim.warmup_epochs": 1}, 4.5)])
+def test_command_working_set_in_dataset_copies(peak_traced_bytes, working_set_dir, tmp_path,
+                                               cmd, settings, copies):
+    data, checkpoint = working_set_dir
+    if cmd != "pretrain":
+        settings = {**settings, "checkpoint": checkpoint}
+    dataset = 2000 * 6 * 200 * 8
+    peak = _traced_run(peak_traced_bytes, cmd, tmp_path, **{"data.dir": data, **settings})
+    assert peak < copies * dataset
+
+
 def test_analyze_model_encoder_needs_checkpoint(tmp_path):
     cfg = _write_cfg(tmp_path / "m.cfg", **{"exp.encoder": "model_encoder"})
     with pytest.raises(ManifestError, match="exp.checkpoint"):
@@ -756,8 +807,10 @@ def test_gradcheck_batch_too_large_rejected_before_the_run_directory_exists(tmp_
     assert seconds < 20
 
 
-# 2^22 windows (or transitions) of 2 x 2 values pass the values bound; their
-# SeedSequences alone would take about 1.7 GB.
+# 2^22 windows (or transitions) of 2 x 2 values pass the values bound. The
+# transitions' SeedSequences, spawned at once, would take about 1.7 GB; the
+# windows are seeded one at a time, so for them the seed bound limits the
+# time spent seeding, about a minute at 2^22 windows.
 @pytest.mark.parametrize("command, key", [("synth", "data.n_windows"),
                                           ("analyze", "exp.n_transitions")])
 def test_window_seeds_too_many_rejected_before_the_run_directory_exists(tmp_path, command,

@@ -287,6 +287,16 @@ def test_chained_scratch_stays_two_channel_major_copies(peak_traced_bytes):
         assert peak_traced_bytes(impute_chained, values, masks, 3) < 4 * values.nbytes
 
 
+def test_nearest_reuses_its_two_index_arrays(peak_traced_bytes):
+    # The left and right index arrays are int64, one values.nbytes each;
+    # their sum's temporary is one more, and its bool masks under half of
+    # one. The fill is made once right is freed. An array for every step of
+    # the index arithmetic reads 5.2 values.nbytes.
+    values, sample_masks = _evaluate_shape_inputs()
+    for masks in sample_masks:
+        assert peak_traced_bytes(impute_nearest, values, masks) < 4 * values.nbytes
+
+
 _BAD_MASKS = {
     "fewer windows": lambda sm: sm[:2],
     "integer": lambda sm: sm.astype(int),

@@ -179,9 +179,36 @@ def test_pca_rejects_a_gram_that_overflows(shape):
 
 
 def test_pca_is_deterministic():
+    # copies: the first call would centre x in place
     rng = np.random.default_rng(13)
     x = rng.standard_normal((15, 5))
-    assert np.array_equal(pca_reduce(x, 3), pca_reduce(x.copy(), 3))
+    assert np.array_equal(pca_reduce(x.copy(), 3), pca_reduce(x.copy(), 3))
+
+
+def _out_of_place_pca(features, k):
+    """pca_reduce's arithmetic with the centred features in a new array: the
+    reference for its in-place centring."""
+    xc = features - features.mean(axis=0, keepdims=True)
+    n, q = xc.shape
+    lam, u = np.linalg.eigh(xc @ xc.T if n < q else xc.T @ xc)
+    if n < q:
+        return u[:, :-k - 1:-1] * np.sqrt(np.maximum(lam[:-k - 1:-1], 0.0))
+    return xc @ u[:, :-k - 1:-1]
+
+
+@pytest.mark.parametrize("n, q", [(12, 30), (30, 12), (16, 16)])
+def test_pca_centres_the_callers_features_in_place_with_the_same_scores(n, q):
+    x = _spectrum_features(n, q, seed=n + q)
+    centred = x - x.mean(axis=0, keepdims=True)
+    for k in (1, min(n, q) - 1):
+        want = _out_of_place_pca(x, k)
+        held = x.copy()
+        assert pca_reduce(held, k).tobytes() == want.tobytes()
+        assert held.tobytes() == centred.tobytes()
+    # any other dtype is converted, so the caller's array is left alone
+    ints = np.arange(n * q).reshape(n, q) % 7
+    pca_reduce(ints, 1)
+    assert (ints == np.arange(n * q).reshape(n, q) % 7).all()
 
 
 def _svd_pca(features, k):
@@ -361,7 +388,17 @@ def test_sigma1_experiment_matches_the_thin_svd_route(monkeypatch, encoder, poli
     replaced, rtol = REFERENCES[reference]
     for name, fn in replaced.items():
         monkeypatch.setattr(kcca, name, fn)
+    # a route that stopped calling pca_reduce would compare itself with itself
+    calls = []
+    reduce = kcca.pca_reduce
+
+    def counted(features, k):
+        calls.append(k)
+        return reduce(features, k)
+
+    monkeypatch.setattr(kcca, "pca_reduce", counted)
     ref = sigma1_experiment(ws, state, **args)[policy]
+    assert len(calls) == len(POLICIES) * 2  # each policy's two views
     assert abs(sigma - ref) <= rtol * ref
 
 
