@@ -19,6 +19,7 @@ message of a failure it can name instead of a traceback.
 """
 import argparse
 import contextlib
+import functools
 import os
 import platform
 import sys
@@ -31,11 +32,11 @@ from .config import (BLOB_NAME, MANIFEST_NAME, ManifestError, array_fault, check
                      format_kv_lines, load_config, read_text)
 from .imputation import (METHODS, TASKS, MissingnessTask, _sample_mask_array,
                          impute_chained, impute_linear, impute_model,
-                         impute_nearest, score, task_mask)
+                         impute_nearest, score, task_mask, task_masks)
 from .kcca import ConditioningError, sigma1_experiment
 from .masking import CROSS, SYNC, sample_mask
 from .model import (FORWARD_CHUNK, GRADCHECK_MASK_RATIO, ArchSpec, _hold_heap, gradcheck_model,
-                    load_checkpoint, param_count, save_checkpoint)
+                    gradcheck_pass_windows, load_checkpoint, param_count, save_checkpoint)
 from .train import OptimConfig, PretrainConfig, ProbeConfig, _split_indices, pretrain, probe
 from .windows import (SynthSpec, cut_splice, draw_splice, generate_windows, load_dataset,
                       save_dataset, standardize)
@@ -331,8 +332,7 @@ def cmd_impute(run: Run) -> None:
     rows = []
     for t_idx, task in enumerate(tasks):
         rng = np.random.default_rng([cfg["seed"], t_idx])
-        masks = np.stack([task_mask(task, arch.n_modalities, arch.n_patches, rng)
-                          for _ in values])
+        masks = task_masks(task, arch.n_modalities, arch.n_patches, rng, len(values))
         smasks = _sample_mask_array(masks, arch.patch_len, values.shape[2])
         # each fill is made when its method is scored, and freed before the next
         fill = {
@@ -459,27 +459,29 @@ def cmd_gradcheck(run: Run) -> None:
     if not np.isfinite(cfg["check.h"]):
         raise run.error("check.h", f"must be finite, got {cfg['check.h']!r}")
     arch = run.build(ArchSpec, ARCH_KEYS)
-    # a group's bumped evaluations run as one pass of two windows per coordinate
-    batch = ("check.max_coords", min(2 * max_coords, FORWARD_CHUNK))
+    # gradcheck_model's largest stage pass: two windows per coordinate it checks
+    batch = ("check.max_coords", gradcheck_pass_windows(arch, max_coords))
     _check_sizes(run, *_arch_arrays(arch, batch, "pass"))
     # gradcheck_model's mask must hide a patch and leave one visible
     run.check("arch.n_patches", sample_mask, CROSS, arch.n_modalities, arch.n_patches,
               GRADCHECK_MASK_RATIO, 0)
-    # That pass binds one copy of a group per window, and the largest group is
-    # an MLP weight or the embedding's or head's weight; it then reconstructs
-    # every window.
+    # A pass starts from copies of a stage's input and reconstructs every
+    # window; the embedding's input and the reconstruction are its windows'
+    # values. It binds each group it bumps as one copy per window, and the
+    # largest group is an MLP weight or the embedding's or head's weight.
     d, patch_len = arch.d_model, arch.patch_len
     mlp_weight, patch_weight = d * d * arch.mlp_ratio, patch_len * d
     if mlp_weight >= patch_weight:
         largest = [("arch.d_model", d), ("arch.mlp_ratio", arch.mlp_ratio)]
     else:
         largest = [("arch.patch_len", patch_len), ("arch.d_model", d)]
-    _check_sizes(run, ("bumped parameter values batch x max(d_model x d_model * mlp_ratio, "
-                       "patch_len x d_model)", batch[1] * max(mlp_weight, patch_weight),
-                       [batch, *largest]),
-                 ("pass window values batch x C x P x L_p", batch[1] * arch.n_tokens * patch_len,
-                  [batch, ("arch.n_modalities", arch.n_modalities),
-                   ("arch.n_patches", arch.n_patches), ("arch.patch_len", patch_len)]))
+    _check_sizes(run, ("pass window values batch x C x P x L_p",
+                       batch[1] * arch.n_tokens * patch_len,
+                       [batch, ("arch.n_modalities", arch.n_modalities),
+                        ("arch.n_patches", arch.n_patches), ("arch.patch_len", patch_len)]),
+                 ("bumped parameter values batch x max(d_model x d_model * mlp_ratio, "
+                  "patch_len x d_model)", batch[1] * max(mlp_weight, patch_weight),
+                  [batch, *largest]))
     run.start()
     err, group = run.check("check.h", gradcheck_model, arch, cfg["seed"], cfg["check.h"],
                            max_coords)
@@ -509,10 +511,10 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    # Every subcommand, not only those that bind a model: raw analyze
-    # allocates and frees the same SVD buffers on every call too.
-    _hold_heap()
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main's arguments, built once per process: parse_args
+    keeps nothing of one call for the next."""
     parser = argparse.ArgumentParser(
         prog="crossmae",
         description="Cross-modality masked autoencoding for multi-modal time series.")
@@ -522,7 +524,14 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", required=True, help="run output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    # Every subcommand, not only those that bind a model: raw analyze
+    # allocates and frees the same SVD buffers on every call too.
+    _hold_heap()
+    args = _parser().parse_args(argv)
     defaults, fn, _ = COMMANDS[args.command]
     cfg = load_config(args.config, defaults) if args.config else dict(defaults)
     if args.seed is not None:

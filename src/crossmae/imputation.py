@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masking import CROSS, SYNC, floor_count, sample_mask
+from .masking import CROSS, SYNC, floor_count, sample_masks
 from .model import ModelState, _check_masks, forward_frozen, reconstruct
 from .windows import patchify
 
@@ -44,25 +44,36 @@ class MissingnessTask:
 
 def task_mask(task: MissingnessTask, n_modalities: int, n_patches: int, rng) -> np.ndarray:
     """Build the (C, P) bool patch mask (True = hidden) for one window under
-    the given task."""
+    the given task: task_masks of one window."""
+    return task_masks(task, n_modalities, n_patches, rng, 1)[0]
+
+
+def task_masks(task: MissingnessTask, n_modalities: int, n_patches: int, rng,
+               n: int) -> np.ndarray:
+    """The (n, C, P) bool patch masks of n windows under the given task,
+    drawn in turn from the one generator that rng gives
+    (np.random.default_rng): bit for bit the masks of n task_mask calls on
+    that generator. random and temporal draw their n permutations in one
+    masking.sample_masks call, sensor its n visible modalities in one
+    integers call."""
     rng = np.random.default_rng(rng)
     c_n, p_n = n_modalities, n_patches
     if task.kind == "random":
-        return sample_mask(CROSS, c_n, p_n, task.ratio, rng)
+        return sample_masks(CROSS, c_n, p_n, task.ratio, [rng] * n)
     if task.kind == "temporal":
-        return sample_mask(SYNC, c_n, p_n, task.ratio, rng)
-    mask = np.zeros((c_n, p_n), dtype=bool)
+        return sample_masks(SYNC, c_n, p_n, task.ratio, [rng] * n)
+    masks = np.zeros((n, c_n, p_n), dtype=bool)
     if task.kind == "sensor":
         if c_n < 2:
             raise ValueError("sensor task needs C >= 2")
-        mask[:, :] = True
-        mask[int(rng.integers(0, c_n)), :] = False
+        masks[:] = True
+        masks[np.arange(n), rng.integers(0, c_n, size=n)] = False
     else:  # extrapolation
         k = floor_count(task.ratio, p_n)
         if k < 1 or k >= p_n:
             raise ValueError(f"extrapolation task degenerate at ratio {task.ratio}, P={p_n}")
-        mask[:, p_n - k:] = True
-    return mask
+        masks[:, :, p_n - k:] = True
+    return masks
 
 
 def _sample_mask_array(masks: np.ndarray, patch_len: int, n_samples: int) -> np.ndarray:

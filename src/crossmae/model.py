@@ -38,9 +38,11 @@ reconstruct's output. Every stage takes the batch's (B, C, P) masks. Only
 embed derives the token ids from them, so a pass derives them once; decode,
 which may run alone, checks the masks itself. gradcheck_model keeps each
 stage's input from one unbumped pass. A group's bumped evaluations differ
-only in that group, so they run as one batch of windows from the first
-stage that reads it, one bumped copy of the group per window (the tape's
-per-block parameters, in a pass that records nothing).
+only in that group, so they start from the first stage that reads it, and
+the evaluations of every group a stage reads first run as one batch of
+windows, up to GRADCHECK_BATCH coordinates at a time: each group is bound
+as one copy per window (the tape's per-block parameters, in a pass that
+records nothing), bumped in its own windows and unbumped in the others'.
 
 The reconstruction loss is the mean squared error over all patches; a
 masked-only variant is available for ablation.
@@ -49,9 +51,10 @@ A checkpoint is an array directory (config.save_arrays) of the ArchSpec fields
 and the parameters; loading one allocates nothing in proportion to its arch.
 """
 import functools
+import math
 import operator
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +70,11 @@ CHECKPOINT_FORMAT = "crossmae-checkpoint-v3"
 FORWARD_CHUNK = 16
 # The share of patches gradcheck_model's cross mask hides.
 GRADCHECK_MASK_RATIO = 0.5
+# The most coordinates, two windows each, that one pass of gradcheck_model
+# checks. At the default gradcheck arch and check.max_coords, the stage that
+# reads the most, an attention half, reads 9 groups of 6 coordinates, so
+# each stage runs one pass.
+GRADCHECK_BATCH = 64
 
 
 @dataclass
@@ -508,21 +516,46 @@ def load_checkpoint(directory) -> ModelState:
     return ModelState(ArchSpec(**header), params)
 
 
+def _reader(chain: list) -> Callable:
+    """The function that gives the index in chain of the stage that reads a
+    parameter, by its scope."""
+    stage_of = {scope: i for i, stage in enumerate(chain) for scope in stage.reads}
+    return lambda name: stage_of[_scope(name)]
+
+
+def gradcheck_pass_windows(arch: ArchSpec, max_coords: int) -> int:
+    """The most windows one stage pass of gradcheck_model holds at max_coords:
+    two per coordinate of the groups that stage reads first, at most
+    GRADCHECK_BATCH coordinates a pass. Every block of a stack reads groups
+    of the same shapes, so one block of each shows them all, and the count
+    takes the same time at any depth."""
+    one = replace(arch, enc_layers=1, dec_layers=1)
+    chain = _chain(one)
+    stage_of = _reader(chain)
+    coords = [0] * len(chain)
+    for name, shape in _param_layout(one):
+        coords[stage_of(name)] += min(max_coords, math.prod(shape))
+    return 2 * min(GRADCHECK_BATCH, max(coords))
+
+
 def gradcheck_model(arch: ArchSpec, seed: int, h: float,
                     max_coords: int | None) -> tuple[float, str]:
     """Finite-difference check of mae_loss over every parameter group, on one
     window (tape.finite_diff_check).
 
     The chain runs once on the unbumped parameters and keeps each stage's
-    input. A group's bumped evaluations differ only in that group, so each
-    call of build runs them as one pass from the first stage that reads it:
-    a batch of windows with the same mask, one per bumped copy, from copies
-    of that stage's kept input. The group is bound to the (2k, *shape) array
-    of its copies, which the tape reads one copy per window (its per-block
-    parameters), and each window's loss is the MSE of its own row block.
-    Returns the worst relative error across all sampled coordinates and the
-    name of the parameter it was found in, as a pair
-    (tape.finite_diff_check)."""
+    input. A group's bumped evaluations differ only in that group, so they
+    start from the kept input of the first stage that reads it, and every
+    group that stage reads first runs in the same passes: one per
+    GRADCHECK_BATCH coordinates of them (each call of build), a batch of
+    windows with the same mask, one per bumped copy, from copies of the
+    stage's kept input. Each of the call's groups is bound to a per-block
+    stack of one copy per window of the batch (the tape's per-block
+    parameters): its own bumped copies in its windows, its unbumped value in
+    the other groups' windows. Only that stage reads the stacks, and each
+    window's loss is the MSE of its own row block. Returns the worst
+    relative error across all sampled coordinates and the name of the
+    parameter it was found in, as a pair (tape.finite_diff_check)."""
     from .masking import CROSS, sample_mask
     from .windows import patchify
 
@@ -539,19 +572,26 @@ def gradcheck_model(arch: ArchSpec, seed: int, h: float,
     frozen = Binding(state, None)
     inputs = []
     _run(frozen, mask[None], grid[None], chain, inputs)
-    first = {scope: i for i, stage in enumerate(chain) for scope in stage.reads}
+    stage_of = _reader(chain)
 
-    def build(params, name, bumps):
-        if name is None:
+    def build(params, bumps):
+        if bumps is None:
             return mae_loss(Binding(ModelState(arch, params), None), grid[None], mask[None])
-        start = first[_scope(name)]
-        # the group is bound to all its copies, one per window of the batch
-        bumped = Binding(ModelState(arch, {**params, name: bumps}), None)
-        batch = np.repeat(mask[None], len(bumps), axis=0)
-        recon = _run(bumped, batch, np.concatenate([inputs[start]] * len(bumps)), chain[start:])
+        n = sum(map(len, bumps.values()))
+        stacks, at = {}, 0
+        for name, copies in bumps.items():
+            stack = np.empty((n, *params[name].shape))
+            stack[:] = params[name]
+            stack[at:at + len(copies)] = copies
+            stacks[name] = stack
+            at += len(copies)
+        bumped = Binding(ModelState(arch, {**params, **stacks}), None)
+        start = stage_of(next(iter(bumps)))  # the first stage of every group of the call
+        batch = np.repeat(mask[None], n, axis=0)
+        recon = _run(bumped, batch, np.concatenate([inputs[start]] * n), chain[start:])
         # _loss's T.mse taken per row block
-        diff = recon.reshape(len(bumps), -1) - grid.reshape(1, -1)
+        diff = recon.reshape(n, -1) - grid.reshape(1, -1)
         return (diff * diff).mean(axis=1)
 
     return T.finite_diff_check(build, state.params, h=h, max_coords=max_coords, seed=seed,
-                               batch=FORWARD_CHUNK // 2)
+                               batch=GRADCHECK_BATCH, key=stage_of)

@@ -556,59 +556,101 @@ def mse(a, b):
     return _record(out_data, (a, b), backward)
 
 
-def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0, batch=None):
+def _calls(groups, step):
+    """The (name, coordinates) pairs of groups cut, in order, into calls of
+    at most step coordinates each; a group may span two calls."""
+    call, room = [], step
+    for name, coords in groups:
+        while len(coords):
+            call.append((name, coords[:room]))
+            coords, room = coords[room:], room - len(call[-1][1])
+            if not room:
+                yield call
+                call, room = [], step
+    if call:
+        yield call
+
+
+def finite_diff_check(build, params, h=1e-4, max_coords=None, seed=0, batch=None, key=None):
     """Compare backward grads against central finite differences.
 
-    build(params, name, bumps) is called once with the parameters as leaves
-    of a fresh tape and name and bumps None, and returns the scalar loss, for
-    the analytic gradients. Every later call evaluates bumped copies of one
-    group: params holds plain arrays, name names the group, and bumps is a
-    (2k, *shape) array of copies of params[name], each with one coordinate
-    moved: by +h in row 2j and by -h in row 2j + 1, for the j-th of k
-    coordinates. build returns the 2k losses in row order, each with every
-    other parameter as given here, so it may reuse whatever does not depend
-    on the group. Both losses of a coordinate come from one call.
+    build(params, bumps) is called once with the parameters as leaves of a
+    fresh tape and bumps None, and returns the scalar loss, for the analytic
+    gradients. Every later call evaluates bumped copies of one or more
+    groups: params holds plain arrays, and bumps is a dict that maps each
+    group of the call, in params order, to a (2k, *shape) array of copies of
+    params[name], each with one coordinate moved: by +h in row 2j and by -h
+    in row 2j + 1, for the j-th of the k coordinates the call checks in that
+    group. build returns the losses of every copy, group by group in bumps'
+    order and row by row, each with every other parameter as given here, so
+    it may reuse whatever does not depend on the call's groups. Both losses
+    of a coordinate come from one call.
 
     params: dict name -> ndarray. Checks every coordinate, or a seeded subset
-    of max_coords per parameter, in params order, at most batch coordinates
-    per call (all of a group's when None). Returns the maximum relative error
+    of max_coords per parameter drawn in params order. The caller decides
+    which groups share calls: key(name), when given, names a group's pass,
+    and the groups of one pass go into its calls in params order, the
+    passes in the order of their first groups; without key each group is a
+    pass of its own. A call takes at most batch coordinates of one pass (all
+    of them when None). Returns the maximum relative error
     |analytic - numeric| / max(1e-8, |analytic| + |numeric|) and the name of
     the group it was found in, as a pair.
-    Raises ValueError when a bump of h leaves a checked coordinate unchanged:
-    its numeric gradient would read 0 whatever the loss.
+    Raises ValueError, before any bumped call, when a bump of h leaves a
+    checked coordinate unchanged: its numeric gradient would read 0 whatever
+    the loss.
     """
     tape = Tape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
-    tape.backward(build(leaves, None, None))
+    tape.backward(build(leaves, None))
 
     rng = np.random.default_rng(seed)
-    worst, worst_group = 0.0, None
+    checked, passes = {}, {}
     for name, base in params.items():
         flat_n = base.size
         if max_coords is not None and flat_n > max_coords:
             coords = rng.choice(flat_n, size=max_coords, replace=False)
         else:
             coords = np.arange(flat_n)
-        step = batch or max(len(coords), 1)
-        for at in range(0, len(coords), step):
-            chunk = coords[at:at + step]
-            orig = base.flat[chunk]
-            stuck = (orig + h == orig) | (orig - h == orig)
-            if stuck.any():
-                i = np.argmax(stuck)
-                raise ValueError(f"a step of {h!r} leaves {name}.flat[{chunk[i]}] = "
-                                 f"{float(orig[i])!r} unchanged")
-            bumps = np.repeat(base[None], 2 * len(chunk), axis=0)
-            flat = bumps.reshape(len(bumps), -1)
-            rows = np.arange(len(chunk))
-            flat[2 * rows, chunk] += h
-            flat[2 * rows + 1, chunk] -= h
-            losses = np.asarray(build(params, name, bumps), dtype=np.float64)
-            numeric = (losses[0::2] - losses[1::2]) / (2 * h)
-            analytic = leaves[name].grad.flat[chunk]
-            rel = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-            top = float(rel.max())
-            # a NaN error is kept: no comparison can pass it
-            if worst_group is None or top > worst or np.isnan(top):
-                worst, worst_group = top, name
+        orig = base.flat[coords]
+        stuck = (orig + h == orig) | (orig - h == orig)
+        if stuck.any():
+            i = np.argmax(stuck)
+            raise ValueError(f"a step of {h!r} leaves {name}.flat[{coords[i]}] = "
+                             f"{float(orig[i])!r} unchanged")
+        checked[name] = coords
+        passes.setdefault(name if key is None else key(name), []).append((name, coords))
+
+    numeric = {name: [] for name in params}
+    for groups in passes.values():
+        for call in _calls(groups, batch or max(sum(len(c) for _, c in groups), 1)):
+            bumps = {}
+            for name, chunk in call:
+                copies = np.repeat(params[name][None], 2 * len(chunk), axis=0)
+                flat = copies.reshape(len(copies), -1)
+                rows = np.arange(len(chunk))
+                flat[2 * rows, chunk] += h
+                flat[2 * rows + 1, chunk] -= h
+                bumps[name] = copies
+            losses = np.asarray(build(params, bumps), dtype=np.float64)
+            n = sum(map(len, bumps.values()))
+            if losses.shape != (n,):
+                raise ValueError(f"build returned losses of shape {losses.shape} for "
+                                 f"{n} bumped copies")
+            at = 0
+            for name, chunk in call:
+                pairs = losses[at:at + 2 * len(chunk)]
+                numeric[name].append((pairs[0::2] - pairs[1::2]) / (2 * h))
+                at += len(pairs)
+
+    worst, worst_group = 0.0, None
+    for name, coords in checked.items():
+        if not len(coords):
+            continue
+        analytic = leaves[name].grad.flat[coords]
+        num = np.concatenate(numeric[name])
+        rel = np.abs(analytic - num) / np.maximum(1e-8, np.abs(analytic) + np.abs(num))
+        top = float(rel.max())
+        # a NaN error is kept: no comparison can pass it
+        if worst_group is None or top > worst or np.isnan(top):
+            worst, worst_group = top, name
     return worst, worst_group

@@ -1,5 +1,6 @@
 """CLI subcommands: run layout, determinism hooks, config plumbing."""
 
+import argparse
 import itertools
 import json
 import math
@@ -16,8 +17,8 @@ import pytest
 
 from crossmae import cli
 from crossmae.config import ManifestError
-from crossmae.model import (ArchSpec, _param_layout, init_model, load_checkpoint,
-                            save_checkpoint)
+from crossmae.model import (ArchSpec, _param_layout, gradcheck_pass_windows, init_model,
+                            load_checkpoint, save_checkpoint)
 from crossmae.train import OptimConfig, PretrainConfig, pretrain
 from crossmae.windows import (SynthSpec, draw_splice, generate_windows, load_dataset,
                               save_dataset, splice_augment)
@@ -143,6 +144,28 @@ def test_missing_out_flag_exits(tmp_path):
         cli.main(["synth"])
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_main_builds_its_parser_once_and_rejects_an_unknown_command(tmp_path, monkeypatch,
+                                                                     capsys):
+    parsers = []
+    real = argparse.ArgumentParser.parse_args
+
+    def parse_args(self, *args, **kwargs):
+        parsers.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
+    cfg = _write_cfg(tmp_path / "g.cfg", **{"check.max_coords": 0})
+    for out in ("a", "b"):
+        with pytest.raises(ManifestError, match="check.max_coords"):
+            cli.main(["gradcheck", "--out", str(tmp_path / out), "--config", cfg])
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["nosuch", "--out", str(tmp_path / "c")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: crossmae ") and "invalid choice: 'nosuch'" in err
 
 
 def test_pretrain_outputs_and_epoch_zero_matches_init(data_dir, tmp_path):
@@ -686,18 +709,23 @@ def test_step_too_large_rejected_before_the_run_directory_exists(tmp_path, setti
     assert seconds < 20
 
 
-# Two gradcheck archs that pass every bound above. At d_model 512 and
-# mlp_ratio 64, a pass of 12 windows binds 12 bumped copies of enc0.mlp.W1;
-# at patch_len 2^20 on a 4 x 8 grid, it reconstructs 12 windows of 2^25
-# values each. Unchecked, each run creates its run directory and then fails
-# to allocate 1.50 or 3.00 GiB.
+# Two gradcheck archs that pass every bound above. A stage's pass holds two
+# windows per coordinate of the groups it reads first: at the default
+# check.max_coords of 6, 108 for an attention half (9 groups) and 72 for an
+# MLP half (6 groups). At d_model 512 and mlp_ratio 64, the MLP half's pass
+# binds 72 copies each of enc0.mlp.W1 and W2, and the bound counts 108
+# copies of the largest group; at patch_len 2^20 on a 4 x 8 grid, the
+# largest pass (88 windows) reconstructs windows of 2^25 values each.
+# Unchecked, each run creates its run directory and then fails to allocate
+# the bumped copies of a pass: 108 of enc0.attn.Wq (216 MiB, after the
+# 0.5 GiB of parameters and as much of gradients), or 28 of embed.W (896 MiB).
 @pytest.mark.parametrize("settings, message", [
     ({"arch.d_model": 512, "arch.mlp_ratio": 64, "arch.enc_layers": 1, "arch.dec_layers": 1},
-     "arch.d_model: 201326592 bumped parameter values batch x max(d_model x d_model * "
+     "arch.d_model: 1811939328 bumped parameter values batch x max(d_model x d_model * "
      "mlp_ratio, patch_len x d_model)"),
     ({"arch.n_modalities": 4, "arch.n_patches": 8, "arch.patch_len": 2**20, "arch.d_model": 4,
       "arch.n_heads": 1},
-     "arch.patch_len: 402653184 pass window values batch x C x P x L_p")])
+     "arch.patch_len: 2952790016 pass window values batch x C x P x L_p")])
 def test_gradcheck_pass_too_large_rejected_before_the_run_directory_exists(
         tmp_path, settings, message):
     cfg = _write_cfg(tmp_path / "c.cfg", **settings)
@@ -709,10 +737,10 @@ def test_gradcheck_pass_too_large_rejected_before_the_run_directory_exists(
 
 
 # gradcheck bounds a pass's bumped copies by batch x max(d_model x d_model *
-# mlp_ratio, patch_len x d_model), on the claim that the largest parameter
-# group is an MLP weight or the embedding's or head's weight. The archs: the
-# defaults; patch_len past d_model * mlp_ratio; patch_len equal to it; and
-# 3 + 2 layers.
+# mlp_ratio, patch_len x d_model), batch the windows of its largest stage
+# pass, on the claim that the largest parameter group is an MLP weight or
+# the embedding's or head's weight. The archs: the defaults; patch_len past
+# d_model * mlp_ratio; patch_len equal to it; and 3 + 2 layers.
 @pytest.mark.parametrize("settings", [
     {},
     {"arch.patch_len": 80, "arch.d_model": 8, "arch.mlp_ratio": 2, "arch.n_heads": 2},
@@ -731,13 +759,14 @@ def test_gradcheck_bounds_bumped_copies_by_the_largest_parameter_group(tmp_path,
             raise Checked
 
     monkeypatch.setattr(cli, "_check_sizes", check_sizes)
-    # at most 3 coordinates, so a pass binds 6 copies
+    # at most 3 coordinates a group, so an attention half's pass binds 54 copies
     cfg = _write_cfg(tmp_path / "c.cfg", **settings, **{"check.max_coords": 3})
     with pytest.raises(Checked):
         cli.main(["gradcheck", "--out", str(tmp_path / "o"), "--config", cfg])
     values = {**cli.GRADCHECK_DEFAULTS, **settings}
     arch = ArchSpec(**{name: values[key] for name, key in cli.ARCH_KEYS.items()})
-    assert bumped == [6 * max(math.prod(shape) for _, shape in _param_layout(arch))]
+    assert gradcheck_pass_windows(arch, 3) == 54
+    assert bumped == [54 * max(math.prod(shape) for _, shape in _param_layout(arch))]
 
 
 # A checkpoint with arch.patch_len=1 on windows of 2 x 1000 samples: 2,000
@@ -791,16 +820,40 @@ def test_view_features_too_large_rejected_before_the_run_directory_exists(tmp_pa
     assert seconds < 20
 
 
+# At check.max_coords=1 every stage pass of a 2 x 2 grid of 2^15-sample
+# patches at d_model 64 holds at most 18 windows. At 10^12 every group's
+# coordinates are all checked, a stage's passes hold 128 windows each, and
+# 128 bumped copies of embed.W take 2^28 values.
+# Unchecked, the run creates its run directory and then fails to allocate
+# the first pass's copies of embed.W (2 GiB).
+def test_gradcheck_max_coords_too_large_rejected_before_the_run_directory_exists(
+        tmp_path, monkeypatch):
+    settings = {"arch.n_modalities": 2, "arch.n_patches": 2, "arch.patch_len": 2**15,
+                "arch.d_model": 64}
+    cfg = _write_cfg(tmp_path / "c.cfg", **settings, **{"check.max_coords": 10**12})
+    done, seconds = _run_capped("gradcheck", tmp_path / "o", cfg)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (f"{cfg}: key arch.patch_len: 268435456 bumped parameter "
+                                   "values batch x max(d_model x d_model * mlp_ratio, "
+                                   "patch_len x d_model) exceed the limit of 134217728")
+    assert not os.path.exists(tmp_path / "o")
+    assert seconds < 20
+    # the same arch passes every bound at one coordinate a group
+    monkeypatch.setattr(cli, "gradcheck_model", lambda *args: (0.0, "cls"))
+    small = _write_cfg(tmp_path / "s.cfg", **settings, **{"check.max_coords": 1})
+    assert cli.main(["gradcheck", "--out", str(tmp_path / "s"), "--config", small]) == 0
+
+
 # A gradcheck arch of 2 x 1000 patches of one sample passes every one-window
-# bound, but at check.max_coords=8 a group's 16 bumped evaluations run as one
-# pass of 16 x 4 x 2001^2 attention scores. Unchecked, the run creates its run
-# directory and then fails to allocate 1.91 GiB in its first group.
+# bound, but at check.max_coords=8 the 72 coordinates of an attention half's
+# 9 groups run as passes of up to GRADCHECK_BATCH = 64 coordinates, 128
+# windows, and the bound counts 128 x 4 x 2001^2 attention scores.
 def test_gradcheck_batch_too_large_rejected_before_the_run_directory_exists(tmp_path):
     cfg = _write_cfg(tmp_path / "c.cfg", **{"arch.n_modalities": 2, "arch.n_patches": 1000,
                                            "arch.patch_len": 1, "check.max_coords": 8})
     done, seconds = _run_capped("gradcheck", tmp_path / "o", cfg)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == (f"{cfg}: key arch.n_patches: 256256064 pass attention "
+    assert done.stdout.strip() == (f"{cfg}: key arch.n_patches: 2050048512 pass attention "
                                    "scores batch x n_heads x (C x P + 1)^2 exceed the limit "
                                    "of 134217728")
     assert not os.path.exists(tmp_path / "o")

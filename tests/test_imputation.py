@@ -11,7 +11,8 @@ from test_kernels import _summation_bound
 from crossmae.imputation import (CHAINED_RIDGE, METHODS, TASKS, MissingnessTask,
                                  _sample_mask_array, impute_chained,
                                  impute_linear, impute_model, impute_nearest,
-                                 score, task_mask)
+                                 score, task_mask, task_masks)
+from crossmae.masking import CROSS, SYNC, floor_count, sample_mask
 from crossmae.model import FORWARD_CHUNK, ArchSpec, init_model
 from crossmae.train import OptimConfig, PretrainConfig, pretrain
 from crossmae.windows import SynthSpec, generate_windows, patchify, standardize
@@ -64,6 +65,33 @@ def test_sensor_task_hides_all_but_one_modality():
     vis = np.flatnonzero(drawn.sum(axis=1) == 0)
     assert vis.size == 1
     assert int(drawn.sum()) == 3 * 5
+
+
+def _task_mask_loop(task, c_n, p_n, rng):
+    """One window's mask as task_mask drew them one window at a time."""
+    if task.kind in ("random", "temporal"):
+        return sample_mask(CROSS if task.kind == "random" else SYNC, c_n, p_n, task.ratio, rng)
+    mask = np.zeros((c_n, p_n), dtype=bool)
+    if task.kind == "sensor":
+        mask[:, :] = True
+        mask[int(rng.integers(0, c_n)), :] = False
+    else:
+        mask[:, p_n - floor_count(task.ratio, p_n):] = True
+    return mask
+
+
+@pytest.mark.parametrize("kind", TASKS)
+@pytest.mark.parametrize("c_n, p_n, n", [(6, 25, 32), (2, 10, 7), (3, 4, 1)])
+def test_task_masks_are_the_window_by_window_draws_bit_for_bit(kind, c_n, p_n, n):
+    task = MissingnessTask(kind=kind)
+    loop_rng, stacked_rng, batch_rng = (np.random.default_rng([5, n]) for _ in range(3))
+    want = np.stack([_task_mask_loop(task, c_n, p_n, loop_rng) for _ in range(n)])
+    stacked = np.stack([task_mask(task, c_n, p_n, stacked_rng) for _ in range(n)])
+    got = task_masks(task, c_n, p_n, batch_rng, n)
+    assert got.dtype == stacked.dtype == bool and got.shape == want.shape == (n, c_n, p_n)
+    assert got.tobytes() == stacked.tobytes() == want.tobytes()
+    # each generator is left where the window-by-window draws left it
+    assert loop_rng.random() == stacked_rng.random() == batch_rng.random()
 
 
 def test_extrapolation_masks_trailing_columns():

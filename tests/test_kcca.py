@@ -257,7 +257,8 @@ def _spectrum_features(n, q, seed):
 def test_pca_matches_the_thin_svd(n, q):
     x = _spectrum_features(n, q, seed=n * q)
     for k in range(1, min(n, q)):
-        z, ref = pca_reduce(x, k), _svd_pca(x, k)
+        # pca_reduce centres a float64 array in place
+        z, ref = pca_reduce(x.copy(), k), _svd_pca(x, k)
         assert z.shape == ref.shape == (n, k)
         assert (_column_err(z, ref) <= PCA_RTOL * np.abs(ref).max(axis=0)).all(), k
 
@@ -270,7 +271,7 @@ def test_pca_past_the_rank_of_masked_features_is_finite_and_empty(n, q):
     k = min(n, q) - 1
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        z = pca_reduce(x, k)
+        z = pca_reduce(x.copy(), k)
     ref = _svd_pca(x, k)
     assert np.isfinite(z).all()
     assert (_column_err(z[:, :4], ref[:, :4]) <= PCA_RTOL * np.abs(ref[:, :4]).max(axis=0)).all()

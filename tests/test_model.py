@@ -9,10 +9,10 @@ import pytest
 from crossmae import tape as T
 from crossmae.config import ManifestError
 from crossmae.masking import CROSS, SYNC, sample_mask
-from crossmae.model import (FORWARD_CHUNK, ArchSpec, Binding, ModelState, _attention_half,
-                            _chain, _dec_entry, _param_layout, _run, _scope, _token_ids,
-                            alignment_identity, decode, encode, forward_frozen,
-                            gradcheck_model, init_model,
+from crossmae.model import (FORWARD_CHUNK, GRADCHECK_BATCH, ArchSpec, Binding, ModelState,
+                            _attention_half, _chain, _dec_entry, _param_layout, _run, _scope,
+                            _token_ids, alignment_identity, decode, encode, forward_frozen,
+                            gradcheck_model, gradcheck_pass_windows, init_model,
                             load_checkpoint, mae_loss, param_count, positions_2d, reconstruct,
                             save_checkpoint)
 from crossmae.windows import patchify
@@ -464,20 +464,23 @@ def test_batched_bumped_losses_match_whole_model_reruns(monkeypatch, arch, seed)
     def recording(build, params, **kwargs):
         assert params.keys() == state.params.keys()
 
-        def build_and_compare(p, name, bumps):
-            got = build(p, name, bumps)
-            if name is not None:
+        def build_and_compare(p, bumps):
+            got = build(p, bumps)
+            if bumps is not None:
                 want = [mae_loss(Binding(ModelState(arch, {**p, name: bumped}), None),
-                                 grid[None], mask[None]) for bumped in bumps]
-                assert len(got) == len(bumps) == 2 * min(6, state.params[name].size)
+                                 grid[None], mask[None])
+                        for name, copies in bumps.items() for bumped in copies]
+                assert len(got) == len(want)
                 np.testing.assert_allclose(got, want, rtol=BUMPED_LOSS_RTOL, atol=0)
-                checked.append(name)
+                checked.extend((name, len(copies)) for name, copies in bumps.items())
             return got
         return real(build_and_compare, params, **kwargs)
 
     monkeypatch.setattr(T, "finite_diff_check", recording)
     gradcheck_model(arch, seed=seed, h=1e-4, max_coords=6)
-    assert checked == list(state.params)  # one batch per group at these sizes
+    # every group's copies, each group in one call at these sizes
+    assert sorted(checked) == sorted((name, 2 * min(6, value.size))
+                                     for name, value in state.params.items())
 
 
 @pytest.mark.parametrize("max_coords", [6, 20])
@@ -507,14 +510,36 @@ def test_gradcheck_runs_each_batch_of_bumped_copies_as_one_pass(monkeypatch, max
     # the unbumped pass that keeps each stage's input, then mae_loss's encode
     # and decode on the leaves
     want = [(1, chain), (1, chain[:dec]), (1, chain[dec:])]
+    # the coordinates of every group a stage reads first, in the order of
+    # each stage's first group, then one pass per GRADCHECK_BATCH of them
+    coords = {}
     for name, shape in _param_layout(arch):
-        coords = min(max_coords, int(np.prod(shape)))
-        # one pass per batch of at most 8 coordinates, from the group's first stage
-        want += [(2 * min(8, coords - at), chain[first[_scope(name)]:])
-                 for at in range(0, coords, 8)]
+        coords.setdefault(first[_scope(name)], []).append(min(max_coords, int(np.prod(shape))))
+    for start, counts in coords.items():
+        want += [(2 * min(GRADCHECK_BATCH, sum(counts) - at), chain[start:])
+                 for at in range(0, sum(counts), GRADCHECK_BATCH)]
     assert runs == want
+    if max_coords == 6:  # the default: one pass per stage
+        assert len(want) == 3 + len(chain)
+    assert max(n for n, _ in want) == gradcheck_pass_windows(arch, max_coords)
     # every stage call is one of the chain's passes: none runs per bumped copy
     assert stage_calls == chain + [stage for _, stages in want[3:] for stage in stages]
+
+
+# gradcheck_pass_windows counts one block of each stack: the default arch,
+# 4 + 3 layers, a patch far longer than d_model and a wide MLP.
+@pytest.mark.parametrize("arch", [
+    GRADCHECK_ARCHS[0], replace(GRADCHECK_ARCHS[0], enc_layers=4, dec_layers=3),
+    ArchSpec(n_modalities=2, n_patches=2, patch_len=4096, d_model=4, n_heads=1),
+    ArchSpec(n_modalities=2, n_patches=2, patch_len=2, d_model=4, n_heads=1, mlp_ratio=64)])
+@pytest.mark.parametrize("max_coords", [1, 6, 40, 10**12])
+def test_gradcheck_pass_windows_counts_the_largest_stage_pass_at_any_depth(arch, max_coords):
+    chain = _chain(arch)
+    first = {scope: i for i, stage in enumerate(chain) for scope in stage.reads}
+    coords = [0] * len(chain)
+    for name, shape in _param_layout(arch):
+        coords[first[_scope(name)]] += min(max_coords, int(np.prod(shape)))
+    assert gradcheck_pass_windows(arch, max_coords) == 2 * min(GRADCHECK_BATCH, max(coords))
 
 
 @pytest.mark.parametrize("arch", GRADCHECK_ARCHS)
@@ -633,10 +658,11 @@ def test_batched_loss_matches_finite_differences():
     def loss(params):
         return mae_loss(Binding(ModelState(TINY, params), None), grids, masks)
 
-    def build(params, name, bumps):
-        if name is None:
+    def build(params, bumps):
+        if bumps is None:
             return loss(params)
-        return [loss({**params, name: bumped}) for bumped in bumps]
+        return [loss({**params, name: bumped}) for name, copies in bumps.items()
+                for bumped in copies]
 
     assert T.finite_diff_check(build, state.params, h=1e-4, max_coords=3)[0] < 1e-3
 
@@ -653,10 +679,11 @@ def test_loss_at_the_pretraining_benchmark_shape_matches_finite_differences():
     def loss(params):
         return mae_loss(Binding(ModelState(arch, params), None), grids, masks)
 
-    def build(params, name, bumps):
-        if name is None:
+    def build(params, bumps):
+        if bumps is None:
             return loss(params)
-        return [loss({**params, name: bumped}) for bumped in bumps]
+        return [loss({**params, name: bumped}) for name, copies in bumps.items()
+                for bumped in copies]
 
     err, group = T.finite_diff_check(build, state.params, h=1e-4, max_coords=2, seed=24)
     assert err < 1e-5, f"{group}: {err:.2e}"

@@ -152,10 +152,11 @@ def _operands():
 
 def _each_bump(loss):
     """A finite_diff_check build of loss(params): one evaluation per bumped array."""
-    def build(p, name, bumps):
-        if name is None:
+    def build(p, bumps):
+        if bumps is None:
             return loss(p)
-        return [float(loss({**p, name: bumped})) for bumped in bumps]
+        return [float(loss({**p, name: bumped})) for name, copies in bumps.items()
+                for bumped in copies]
     return build
 
 
@@ -264,10 +265,10 @@ def test_finite_diff_quadratic_and_constant():
 
 
 def test_finite_diff_reports_a_nan_error_and_its_group():
-    def build(p, name, bumps):
-        if name is None:
+    def build(p, bumps):
+        if bumps is None:
             return T.sum_(T.mul(T.mul(p["x"], p["x"]), p["y"]))
-        return [np.nan if name == "x" else 0.0 for _ in bumps]
+        return [np.nan if name == "x" else 0.0 for name, copies in bumps.items() for _ in copies]
 
     err, group = T.finite_diff_check(build, {"x": np.array([1.0, -2.0]),
                                              "y": np.array([0.5, 1.5])})
@@ -592,11 +593,12 @@ def test_finite_diff_bumps_one_coordinate_and_restores_it():
     def loss(p):
         return T.sum_(T.mul(T.mul(p["x"], p["x"]), p["x"]))
 
-    def build(p, name, bumps):
+    def build(p, bumps):
+        name = None if bumps is None else "".join(bumps)
         calls.append((name, [isinstance(v, T.DiffArray) for v in p.values()],
                       {k: T._data(v).copy() for k, v in p.items()},
-                      None if bumps is None else bumps.copy()))
-        return _each_bump(loss)(p, name, bumps)
+                      None if bumps is None else bumps[name].copy()))
+        return _each_bump(loss)(p, bumps)
 
     h = 1e-3
     T.finite_diff_check(build, params, h=h, batch=2)
@@ -618,6 +620,51 @@ def test_finite_diff_bumps_one_coordinate_and_restores_it():
                 moved[i] += step
                 want.append(moved)
         assert bumped.tobytes() == np.array(want).tobytes(), name
+
+
+@pytest.mark.parametrize("max_coords", [None, 2])
+def test_finite_diff_shares_calls_between_the_groups_of_one_key(max_coords):
+    # x and z share a pass and y has its own; a call takes at most 3
+    # coordinates of a pass, so a group may span two calls and a call two groups
+    params = {"x": np.array([1.0, -2.0]), "y": np.array([0.25, 3.0, 0.5]),
+              "z": np.array([0.5, -1.5, 2.0])}
+
+    def loss(p):
+        def cube(a):
+            return T.sum_(T.mul(T.mul(a, a), a))
+        return T.add(T.add(cube(p["x"]), cube(p["y"])), cube(p["z"]))
+
+    def recorded(calls):
+        def build(p, bumps):
+            if bumps is not None:
+                calls.append({name: copies.copy() for name, copies in bumps.items()})
+            return _each_bump(loss)(p, bumps)
+        return build
+
+    alone, shared = [], []
+    want = T.finite_diff_check(recorded(alone), params, max_coords=max_coords, seed=3)
+    got = T.finite_diff_check(recorded(shared), params, max_coords=max_coords, seed=3,
+                              batch=3, key=lambda name: name == "y")
+    assert got == want
+    # y and z check all 3 coordinates, or 2 drawn ones; x has only 2
+    n = min(max_coords or 3, 3)
+    assert [{name: len(c) for name, c in call.items()} for call in shared] == [
+        {"x": 4, "z": 2}, {"z": 2 * n - 2}, {"y": 2 * n}]
+    # the same coordinates, drawn in params order, bumped the same way
+    for name in params:
+        assert (np.concatenate([call[name] for call in shared if name in call]).tobytes()
+                == np.concatenate([call[name] for call in alone if name in call]).tobytes())
+
+
+def test_finite_diff_rejects_a_build_that_returns_too_few_losses():
+    def build(p, bumps):
+        if bumps is None:
+            return T.sum_(T.mul(p["x"], p["x"]))
+        return [0.0]
+
+    with pytest.raises(ValueError, match=r"^build returned losses of shape \(1,\) for 4 "
+                                         "bumped copies$"):
+        T.finite_diff_check(build, {"x": np.array([1.0, 2.0])})
 
 
 # The five parameters a call that records nothing may hold one copy per row
